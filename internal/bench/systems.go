@@ -327,34 +327,27 @@ func WireSplitDrivers(c *hw.CPU, v *xen.VMM,
 			xen.XsStateInitWait)
 	}
 
-	// --- block ---
-	blkRing := xen.NewRing[xen.BlkRequest, xen.BlkResponse](0, v.M.Costs)
-	blkBE := &xen.BlkBackend{
-		V: v, Dom: drv, Dev: drvK.Blk.(*guest.NativeBlock).RawDevice(),
-		Ring: blkRing, WriteBehind: true,
+	// --- block: one queue per vCPU, classic wake-on-first doorbells,
+	// and the driver domain's write-behind cache (§7.3) ---
+	blkBE := xen.NewBlkMQBackend(v, drv, drvK.Blk.(*guest.NativeBlock).RawDevice(),
+		len(v.M.CPUs), xen.DefaultRingSize, 1)
+	blkBE.WriteBehind = true
+	blkFE := guest.NewMQBlockFrontend(v, fe, drv.ID, 1)
+	if err := blkFE.Connect(c, blkBE); err != nil {
+		panic(fmt.Sprintf("bench: wiring blk queues: %v", err))
 	}
-	blkPortBE := v.EvtchnAllocUnbound(c, drv, fe.ID)
-	drv.SetPortHandler(blkPortBE, blkBE.OnEvent)
-	blkPortFE, err := v.EvtchnBindInterdomain(c, fe, drv.ID, blkPortBE)
-	if err != nil {
-		panic(fmt.Sprintf("bench: wiring blk event channel: %v", err))
+	feK.Blk = blkFE
+	vbd := xen.DevicePath(fe.ID, "vbd")
+	v.Store.Write(c, vbd+"/multi-queue-num-queues", fmt.Sprint(len(blkFE.Queues)))
+	for qi, q := range blkFE.Queues {
+		v.Store.Write(c, fmt.Sprintf("%s/queue-%d/event-channel", vbd, qi), fmt.Sprint(q.KickPort))
 	}
-	feK.Blk = &guest.FrontendBlock{
-		K: feK, V: v, D: fe, Backend: drv.ID, Ring: blkRing, KickPort: blkPortFE,
-	}
-	v.Store.Write(c, xen.DevicePath(fe.ID, "vbd")+"/event-channel",
-		fmt.Sprint(blkPortFE))
-	v.Store.Write(c, xen.DevicePath(fe.ID, "vbd")+"/state", xen.XsStateConnected)
+	v.Store.Write(c, vbd+"/state", xen.XsStateConnected)
 	v.Store.Write(c, xen.BackendPath(drv.ID, fe.ID, "vbd")+"/state",
 		xen.XsStateConnected)
 
 	// --- network ---
-	txRing := xen.NewRing[xen.NetTxRequest, xen.NetTxResponse](0, v.M.Costs)
-	rxRing := xen.NewRing[xen.NetRxBuffer, xen.NetRxDone](0, v.M.Costs)
-	netBE := &xen.NetBackend{
-		V: v, Dom: drv, Dev: drvK.Net.(*guest.NativeNet).RawDevice(),
-		TxRing: txRing, RxRing: rxRing,
-	}
+	netBE := xen.NewNetBackend(v, drv, drvK.Net.(*guest.NativeNet).RawDevice(), xen.DefaultRingSize)
 	// Frontend kick (tx) channel.
 	txPortBE := v.EvtchnAllocUnbound(c, drv, fe.ID)
 	drv.SetPortHandler(txPortBE, netBE.OnEvent)
@@ -375,7 +368,7 @@ func WireSplitDrivers(c *hw.CPU, v *xen.VMM,
 	}
 	feNet := &guest.FrontendNet{
 		K: feK, V: v, D: fe, Backend: drv.ID,
-		TxRing: txRing, RxRing: rxRing, TxKick: txPortFE,
+		TxRing: netBE.TxRing, RxRing: netBE.RxRing, TxKick: txPortFE,
 		PumpBackend: func(pc *hw.CPU) bool {
 			ok := false
 			v.RunInDomain(pc, drv, func() { ok = drvK.Net.Pump(pc) })

@@ -87,68 +87,3 @@ func (d *NativeBlock) Submit(c *hw.CPU, reqs []BlockReq) {
 		start = end
 	}
 }
-
-// FrontendBlock is blkfront: requests are granted and queued on a shared
-// ring; one event kick per batch wakes the backend in the driver domain,
-// which completes them (possibly write-behind) and responds.
-type FrontendBlock struct {
-	K        *Kernel
-	V        *xen.VMM
-	D        *xen.Domain // this (frontend) domain
-	Backend  xen.DomID   // the driver domain hosting the backend
-	Ring     *xen.Ring[xen.BlkRequest, xen.BlkResponse]
-	KickPort xen.Port // bound to the backend
-
-	nextID uint64
-}
-
-// Name identifies the driver.
-func (d *FrontendBlock) Name() string { return "blkfront" }
-
-// Submit pushes the whole batch through the ring with a single
-// notification, then collects responses (the backend runs synchronously
-// on the event in this simulation, as on a uniprocessor Xen host).
-func (d *FrontendBlock) Submit(c *hw.CPU, reqs []BlockReq) {
-	if len(reqs) == 0 {
-		return
-	}
-	pending := 0
-	grants := make(map[uint64]xen.GrantRef, len(reqs))
-	flush := func() {
-		if pending == 0 {
-			return
-		}
-		if err := d.V.EvtchnSend(c, d.D, d.KickPort); err != nil {
-			panic(fmt.Sprintf("guest: blkfront kick: %v", err))
-		}
-		for i := 0; i < pending; i++ {
-			resp, ok := d.Ring.GetResponse(c)
-			if !ok {
-				panic("guest: blkfront: missing response after backend ran")
-			}
-			if resp.Err != "" {
-				panic(fmt.Sprintf("guest: blkfront: backend error: %s", resp.Err))
-			}
-			if ref, ok := grants[resp.ID]; ok {
-				if err := d.D.GrantEnd(c, ref); err != nil {
-					panic(fmt.Sprintf("guest: blkfront: %v", err))
-				}
-				delete(grants, resp.ID)
-			}
-		}
-		pending = 0
-	}
-	for _, q := range reqs {
-		id := d.nextID
-		d.nextID++
-		ref := d.D.GrantAccess(c, d.Backend, q.PFN, q.Write)
-		grants[id] = ref
-		for !d.Ring.PutRequest(c, xen.BlkRequest{
-			ID: id, Block: q.Block, Write: q.Write, Grant: ref, Front: d.D.ID,
-		}) {
-			flush() // ring full: kick and drain
-		}
-		pending++
-	}
-	flush()
-}

@@ -28,23 +28,25 @@ type MQFrontQueue struct {
 	pushBuf     []xen.BlkRequest
 	respBuf     []xen.BlkResponse
 	kickPending bool
+
+	// Synchronous Submit state: its own request IDs and staging buffer.
+	nextID uint64
+	subBuf []MQIORequest
 }
 
-// MQFrontStats counts frontend-side datapath activity.
+// MQFrontStats counts frontend-side datapath activity; slot and
+// doorbell counts live in each queue's xen.IORingStats.
 type MQFrontStats struct {
-	Submitted   atomic.Uint64
-	Completed   atomic.Uint64
-	Errors      atomic.Uint64
 	ForcedKicks atomic.Uint64 // unconditional drain-path doorbells
 }
 
-// MQBlockFrontend is the asynchronous multi-queue blkfront: per-vCPU
+// MQBlockFrontend is blkfront, the multi-queue block frontend: per-vCPU
 // queues submitted in bursts, doorbells decided by the event-index
-// protocol and — when several queues need kicking — folded into one
-// multicall, so a whole submission sweep costs a single VMM entry.
-// Unlike FrontendBlock it never blocks: completions come back through
-// Poll, which is what lets a mode switch find (and drain) in-flight
-// requests.
+// protocol. It serves two callers. An asynchronous submitter drives
+// SubmitAsync, Kick (which folds every queue's doorbell into one
+// multicall) and Poll itself, so a mode switch can find (and drain)
+// in-flight requests. As the kernel's BlockDriver, Submit runs the
+// same calls synchronously on the calling CPU's queue.
 type MQBlockFrontend struct {
 	V       *xen.VMM
 	D       *xen.Domain // this (frontend) domain
@@ -61,8 +63,7 @@ type MQBlockFrontend struct {
 	Stats MQFrontStats
 }
 
-// NewMQBlockFrontend builds an empty frontend; wire queues with
-// AddQueue after negotiating rings and ports.
+// NewMQBlockFrontend builds an empty frontend; Connect wires its queues.
 func NewMQBlockFrontend(v *xen.VMM, d *xen.Domain, backend xen.DomID, respThreshold int) *MQBlockFrontend {
 	if respThreshold < 1 {
 		respThreshold = 1
@@ -70,16 +71,44 @@ func NewMQBlockFrontend(v *xen.VMM, d *xen.Domain, backend xen.DomID, respThresh
 	return &MQBlockFrontend{V: v, D: d, Backend: backend, RespThreshold: respThreshold}
 }
 
-// AddQueue attaches one negotiated queue: the shared ring and the
-// frontend's bound doorbell port.
-func (f *MQBlockFrontend) AddQueue(ring *xen.IORing[xen.BlkRequest, xen.BlkResponse], kick xen.Port) {
-	f.Queues = append(f.Queues, &MQFrontQueue{
-		Ring:     ring,
-		KickPort: kick,
-		grants:   make(map[uint64]xen.GrantRef, ring.Capacity()),
-		pushBuf:  make([]xen.BlkRequest, 0, ring.Capacity()),
-		respBuf:  make([]xen.BlkResponse, ring.Capacity()),
-	})
+// Name identifies the driver.
+func (f *MQBlockFrontend) Name() string { return "blkfront" }
+
+// Connect attaches one frontend queue to each of be's queues, sharing
+// its ring, and binds a request doorbell (frontend -> backend, served
+// by the backend's queue handler) and a completion doorbell (backend ->
+// frontend; the frontend polls, so its handler is a no-op and what
+// matters is the coalesced send cost and the pending mark).
+func (f *MQBlockFrontend) Connect(c *hw.CPU, be *xen.BlkMQBackend) error {
+	v, drv := f.V, be.Dom
+	for qi, q := range be.Queues {
+		portBE := v.EvtchnAllocUnbound(c, drv, f.D.ID)
+		drv.SetPortHandler(portBE, be.OnQueueEvent(qi))
+		portFE, err := v.EvtchnBindInterdomain(c, f.D, drv.ID, portBE)
+		if err != nil {
+			return fmt.Errorf("guest: blkmq queue %d doorbell: %w", qi, err)
+		}
+		rPortFE := v.EvtchnAllocUnbound(c, f.D, drv.ID)
+		f.D.SetPortHandler(rPortFE, func(*hw.CPU) {})
+		rPortBE, err := v.EvtchnBindInterdomain(c, drv, f.D.ID, rPortFE)
+		if err != nil {
+			return fmt.Errorf("guest: blkmq queue %d completion: %w", qi, err)
+		}
+		q.RespKick = func(cc *hw.CPU) {
+			if err := v.EvtchnSend(cc, drv, rPortBE); err != nil {
+				panic(fmt.Sprintf("guest: blkmq resp kick: %v", err))
+			}
+		}
+		n := q.Ring.Capacity()
+		f.Queues = append(f.Queues, &MQFrontQueue{
+			Ring:     q.Ring,
+			KickPort: portFE,
+			grants:   make(map[uint64]xen.GrantRef, n),
+			pushBuf:  make([]xen.BlkRequest, 0, n),
+			respBuf:  make([]xen.BlkResponse, n),
+		})
+	}
+	return nil
 }
 
 // SubmitAsync pushes as many of reqs as queue qi has room for (the
@@ -112,7 +141,6 @@ func (f *MQBlockFrontend) SubmitAsync(c *hw.CPU, qi int, reqs []MQIORequest) int
 			qi, n, len(q.pushBuf), q.outstanding))
 	}
 	q.outstanding += n
-	f.Stats.Submitted.Add(uint64(n))
 	f.V.NoteDoorbell(notify)
 	if notify {
 		q.kickPending = true
@@ -138,14 +166,27 @@ func (f *MQBlockFrontend) Kick(c *hw.CPU) {
 	}
 }
 
-// ForceKick rings queue qi's doorbell unconditionally — the drain path
-// uses it to flush a sub-threshold tail the coalescing protocol would
-// otherwise leave for the backend's next scheduler slice.
-func (f *MQBlockFrontend) ForceKick(c *hw.CPU, qi int) {
-	f.Stats.ForcedKicks.Add(1)
+// doorbell sends queue qi's request doorbell on its own.
+func (f *MQBlockFrontend) doorbell(c *hw.CPU, qi int) {
 	if err := f.V.EvtchnSend(c, f.D, f.Queues[qi].KickPort); err != nil {
-		panic(fmt.Sprintf("guest: blkmq force kick: %v", err))
+		panic(fmt.Sprintf("guest: blkmq doorbell: %v", err))
 	}
+}
+
+// KickStalled rings, unconditionally, the doorbell of every queue with
+// requests the backend has not taken — the drain path's flush of a
+// sub-threshold tail the coalescing protocol would otherwise leave for
+// the backend's next scheduler slice. Reports whether any was kicked.
+func (f *MQBlockFrontend) KickStalled(c *hw.CPU) bool {
+	kicked := false
+	for qi, q := range f.Queues {
+		if q.Ring.RequestsPending() > 0 {
+			f.Stats.ForcedKicks.Add(1)
+			f.doorbell(c, qi)
+			kicked = true
+		}
+	}
+	return kicked
 }
 
 // Poll collects completions from queue qi, ending each request's grant
@@ -171,15 +212,59 @@ func (f *MQBlockFrontend) Poll(c *hw.CPU, qi int, fn func(xen.BlkResponse)) int 
 				delete(q.grants, resp.ID)
 			}
 			q.outstanding--
-			f.Stats.Completed.Add(1)
-			if resp.Err != "" {
-				f.Stats.Errors.Add(1)
-			}
 			if fn != nil {
 				fn(resp)
 			}
 		}
 		total += n
+	}
+}
+
+// PollAll polls every queue and returns the number of completions.
+func (f *MQBlockFrontend) PollAll(c *hw.CPU, fn func(xen.BlkResponse)) int {
+	n := 0
+	for qi := range f.Queues {
+		n += f.Poll(c, qi, fn)
+	}
+	return n
+}
+
+// Submit performs reqs synchronously on queue c.ID (one queue per
+// vCPU), blocking until every block completes: push what fits, ring
+// the queue's own doorbell when the push crossed the backend's wake
+// mark, and collect completions. A full ring just takes another lap.
+// It never touches the frontend-wide multicall batch, which CPUs
+// submitting concurrently would share.
+func (f *MQBlockFrontend) Submit(c *hw.CPU, reqs []BlockReq) {
+	qi := c.ID
+	q := f.Queues[qi]
+	for len(reqs) > 0 || q.outstanding > 0 {
+		q.subBuf = q.subBuf[:0]
+		for _, r := range reqs[:min(len(reqs), q.Ring.Capacity()-q.outstanding)] {
+			q.subBuf = append(q.subBuf, MQIORequest{ID: q.nextID, Block: r.Block, Write: r.Write, PFN: r.PFN})
+			q.nextID++
+		}
+		n := f.SubmitAsync(c, qi, q.subBuf)
+		reqs = reqs[n:]
+		if q.kickPending {
+			q.kickPending = false
+			f.doorbell(c, qi)
+		}
+		if f.Poll(c, qi, mustSucceed) > 0 || n > 0 {
+			continue
+		}
+		// No progress: another CPU's upcall is draining this queue and
+		// serves what is pushed (the backend re-checks the ring after
+		// every drain), so this vCPU idles until completions arrive.
+		c.IdleUntil(func() bool { return q.Ring.ResponsesPending() > 0 })
+	}
+}
+
+// mustSucceed fails a synchronous Submit on a backend error: the
+// kernel's block layer has no path to hand one back.
+func mustSucceed(resp xen.BlkResponse) {
+	if resp.Err != "" {
+		panic(fmt.Sprintf("guest: blkfront: backend error: %s", resp.Err))
 	}
 }
 
@@ -204,17 +289,11 @@ func (f *MQBlockFrontend) Drain(c *hw.CPU, pump func(*hw.CPU), fn func(xen.BlkRe
 			return fmt.Errorf("guest: blkmq drain wedged: %d requests still outstanding",
 				f.Outstanding())
 		}
-		for qi, q := range f.Queues {
-			if q.Ring.RequestsPending() > 0 {
-				f.ForceKick(c, qi)
-			}
-		}
+		f.KickStalled(c)
 		if pump != nil {
 			pump(c)
 		}
-		for qi := range f.Queues {
-			f.Poll(c, qi, fn)
-		}
+		f.PollAll(c, fn)
 	}
 	return nil
 }

@@ -109,19 +109,16 @@ func (d *NativeNet) Pump(c *hw.CPU) bool {
 	return true
 }
 
-// TransmitRaw sends pre-framed wire bytes — the path the driver
-// domain's net backend uses on behalf of a frontend.
-func (d *NativeNet) TransmitRaw(c *hw.CPU, data []byte) {
-	c.Charge(d.K.M.Costs.NetStackTx)
-	d.NIC.Transmit(c, hw.Packet{Data: data})
-}
-
-// RawDevice adapts the native driver to the backend's PacketDevice.
+// RawDevice adapts the native driver to the backend's PacketDevice:
+// pre-framed wire bytes the driver domain sends for a frontend.
 func (d *NativeNet) RawDevice() xen.PacketDevice { return rawNet{d} }
 
 type rawNet struct{ d *NativeNet }
 
-func (r rawNet) Transmit(c *hw.CPU, data []byte) { r.d.TransmitRaw(c, data) }
+func (r rawNet) Transmit(c *hw.CPU, data []byte) {
+	c.Charge(r.d.K.M.Costs.NetStackTx)
+	r.d.NIC.Transmit(c, hw.Packet{Data: data})
+}
 
 // drain routes every packet deliverable right now (interrupt service).
 func (d *NativeNet) drain(c *hw.CPU) {
@@ -136,22 +133,24 @@ func (d *NativeNet) drain(c *hw.CPU) {
 }
 
 // FrontendNet is netfront: transmits via grant+ring+event to the driver
-// domain, receives into pre-posted granted buffers.
+// domain, receives into pre-posted granted buffers. Both directions are
+// xen.IORings: a transmit rings the doorbell only when its push crosses
+// the backend's wake mark, and the receive drain re-arms with the
+// FINAL CHECK.
 type FrontendNet struct {
 	K       *Kernel
 	V       *xen.VMM
 	D       *xen.Domain
 	Backend xen.DomID
-	TxRing  *xen.Ring[xen.NetTxRequest, xen.NetTxResponse]
-	RxRing  *xen.Ring[xen.NetRxBuffer, xen.NetRxDone]
+	TxRing  *xen.IORing[xen.NetTxRequest, xen.NetTxResponse]
+	RxRing  *xen.IORing[xen.NetRxBuffer, xen.NetRxDone]
 	TxKick  xen.Port
 	// PumpBackend asks the driver domain to service the physical NIC
 	// (stands in for the hardware interrupt that would schedule it).
 	PumpBackend func(c *hw.CPU) bool
 
-	nextID  uint64
-	rxPost  map[uint64]rxPosted
-	rxDepth int
+	nextID uint64
+	rxPost map[uint64]rxPosted
 }
 
 type rxPosted struct {
@@ -162,40 +161,36 @@ type rxPosted struct {
 // Name identifies the driver.
 func (d *FrontendNet) Name() string { return "netfront" }
 
-// defaultRxDepth is how many receive buffers stay posted.
-const defaultRxDepth = 16
+// rxDepth is how many receive buffers stay posted; it is far below the
+// ring's capacity, so a replenish always fits.
+const rxDepth = 16
 
-// ReplenishRx posts receive buffers until the configured depth is met.
+// ReplenishRx posts receive buffers, in one push, until rxDepth are
+// outstanding. The backend consumes them as packets arrive, so the
+// push needs no doorbell.
 func (d *FrontendNet) ReplenishRx(c *hw.CPU) {
 	if d.rxPost == nil {
 		d.rxPost = make(map[uint64]rxPosted)
 	}
-	depth := d.rxDepth
-	if depth == 0 {
-		depth = defaultRxDepth
-	}
-	for len(d.rxPost) < depth {
+	var bufs [rxDepth]xen.NetRxBuffer
+	n := 0
+	for ; len(d.rxPost) < rxDepth; n++ {
 		pfn := d.K.allocFrame(c, false)
 		ref := d.D.GrantAccess(c, d.Backend, pfn, false)
-		id := d.nextID
+		d.rxPost[d.nextID] = rxPosted{pfn: pfn, grant: ref}
+		bufs[n] = xen.NetRxBuffer{ID: d.nextID, Grant: ref, Front: d.D.ID}
 		d.nextID++
-		if !d.TxRingSafePostRx(c, xen.NetRxBuffer{ID: id, Grant: ref, Front: d.D.ID}) {
-			// Ring full; revoke and stop.
-			_ = d.D.GrantEnd(c, ref)
-			d.K.Frames.Free(pfn)
-			return
-		}
-		d.rxPost[id] = rxPosted{pfn: pfn, grant: ref}
+	}
+	if n == 0 {
+		return
+	}
+	if pushed, _ := d.RxRing.PushRequests(c, bufs[:n]); pushed != n {
+		panic(fmt.Sprintf("guest: netfront rx ring took %d of %d buffers", pushed, n))
 	}
 }
 
-// TxRingSafePostRx posts one rx buffer (separated for clarity).
-func (d *FrontendNet) TxRingSafePostRx(c *hw.CPU, b xen.NetRxBuffer) bool {
-	return d.RxRing.PutRequest(c, b)
-}
-
-// Transmit copies the frame into a bounce frame, grants it, and kicks
-// the backend.
+// Transmit copies the frame into a bounce frame, grants it, pushes it,
+// kicks the backend when the push says to, and reaps the completion.
 func (d *FrontendNet) Transmit(c *hw.CPU, fr Frame) {
 	c.Charge(d.K.M.Costs.NetStackTx)
 	data := fr.Marshal()
@@ -203,18 +198,25 @@ func (d *FrontendNet) Transmit(c *hw.CPU, fr Frame) {
 	c.Charge(d.K.M.Costs.PageCopy)
 	copy(d.K.M.Mem.FrameBytes(pfn), data)
 	ref := d.D.GrantAccess(c, d.Backend, pfn, true)
-	id := d.nextID
+	req := [1]xen.NetTxRequest{{ID: d.nextID, Grant: ref, Front: d.D.ID, Len: len(data)}}
 	d.nextID++
-	if !d.TxRing.PutRequest(c, xen.NetTxRequest{ID: id, Grant: ref, Front: d.D.ID, Len: len(data)}) {
+	n, notify := d.TxRing.PushRequests(c, req[:])
+	if n != 1 {
 		panic("guest: netfront tx ring overflow")
 	}
-	if err := d.V.EvtchnSend(c, d.D, d.TxKick); err != nil {
-		panic(fmt.Sprintf("guest: netfront kick: %v", err))
+	if notify {
+		if err := d.V.EvtchnSend(c, d.D, d.TxKick); err != nil {
+			panic(fmt.Sprintf("guest: netfront kick: %v", err))
+		}
 	}
-	// Backend ran synchronously; reap the response.
-	if resp, ok := d.TxRing.GetResponse(c); ok {
-		if resp.Err != "" {
-			panic(fmt.Sprintf("guest: netfront tx: %s", resp.Err))
+	// The backend ran synchronously on the doorbell; reap completions.
+	// Transmit polls them, so it never re-arms a completion notify.
+	var done [8]xen.NetTxResponse
+	for m := d.TxRing.TakeResponses(c, done[:]); m > 0; m = d.TxRing.TakeResponses(c, done[:]) {
+		for _, resp := range done[:m] {
+			if resp.Err != "" {
+				panic(fmt.Sprintf("guest: netfront tx: %s", resp.Err))
+			}
 		}
 	}
 	if err := d.D.GrantEnd(c, ref); err != nil {
@@ -224,37 +226,42 @@ func (d *FrontendNet) Transmit(c *hw.CPU, fr Frame) {
 }
 
 // HandleRxEvent drains completed receive buffers into the kernel's
-// inbound queue; bound to the frontend's event-channel port.
+// inbound queue, re-arming the completion notify with the FINAL CHECK,
+// then replenishes the posted buffers; bound to the frontend's
+// event-channel port.
 func (d *FrontendNet) HandleRxEvent(c *hw.CPU) {
+	var done [rxDepth]xen.NetRxDone
 	for {
-		done, ok := d.RxRing.GetResponse(c)
-		if !ok {
-			return
-		}
-		post, known := d.rxPost[done.ID]
-		if !known {
+		n := d.RxRing.TakeResponses(c, done[:])
+		if n == 0 {
+			if !d.RxRing.FinishResponseConsume(c, 1) {
+				break
+			}
 			continue
 		}
-		delete(d.rxPost, done.ID)
-		if done.Err == "" {
-			data := make([]byte, done.Len)
-			c.Charge(d.K.M.Costs.PageCopy)
-			copy(data, d.K.M.Mem.FrameBytes(post.pfn)[:done.Len])
-			d.K.routeInbound(c, data)
+		for _, r := range done[:n] {
+			post, known := d.rxPost[r.ID]
+			if !known {
+				continue
+			}
+			delete(d.rxPost, r.ID)
+			if r.Err == "" {
+				data := make([]byte, r.Len)
+				c.Charge(d.K.M.Costs.PageCopy)
+				copy(data, d.K.M.Mem.FrameBytes(post.pfn)[:r.Len])
+				d.K.routeInbound(c, data)
+			}
+			if err := d.D.GrantEnd(c, post.grant); err == nil {
+				d.K.Frames.Free(post.pfn)
+			}
 		}
-		if err := d.D.GrantEnd(c, post.grant); err == nil {
-			d.K.Frames.Free(post.pfn)
-		}
-		d.ReplenishRx(c)
 	}
+	d.ReplenishRx(c)
 }
 
 // Pump asks the driver domain to service the NIC, then drains whatever
 // arrived for us.
 func (d *FrontendNet) Pump(c *hw.CPU) bool {
-	if d.PumpBackend == nil {
-		return false
-	}
 	if !d.PumpBackend(c) {
 		return false
 	}

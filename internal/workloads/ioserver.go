@@ -217,7 +217,8 @@ type ioServer struct {
 	client  *xen.Domain
 	be      *xen.BlkMQBackend
 	fe      *guest.MQBlockFrontend
-	virtual bool // datapath currently attached
+	virtual bool   // datapath currently attached
+	events0 uint64 // backend events before this run (one counter per collector)
 
 	// Frame pools: client-owned for granted M-V buffers, kernel-owned
 	// for the native path.
@@ -265,32 +266,12 @@ func (s *ioServer) setupVirtual() error {
 
 	s.be = xen.NewBlkMQBackend(v, mc.Dom, s.nb.RawDevice(),
 		cfg.Queues, cfg.Depth, cfg.ReqThreshold)
+	s.events0 = s.be.Stats.Events.Load()
 	mc.Dom.BackgroundWork = s.be.Serve
 	v.SetWeight(mc.Dom, 512)
 	s.fe = guest.NewMQBlockFrontend(v, client, mc.Dom.ID, cfg.RespThreshold)
-	for qi := range s.be.Queues {
-		q := s.be.Queues[qi]
-		portBE := v.EvtchnAllocUnbound(boot, mc.Dom, client.ID)
-		mc.Dom.SetPortHandler(portBE, s.be.OnQueueEvent(qi))
-		portFE, err := v.EvtchnBindInterdomain(boot, client, mc.Dom.ID, portBE)
-		if err != nil {
-			return fmt.Errorf("workloads: io server: queue %d doorbell: %w", qi, err)
-		}
-		// Completion doorbell, backend -> frontend. The frontend polls,
-		// so the handler is a no-op; what matters is the (coalesced)
-		// EventSend cost and the pending mark.
-		rPortFE := v.EvtchnAllocUnbound(boot, client, mc.Dom.ID)
-		client.SetPortHandler(rPortFE, func(*hw.CPU) {})
-		rPortBE, err := v.EvtchnBindInterdomain(boot, mc.Dom, client.ID, rPortFE)
-		if err != nil {
-			return fmt.Errorf("workloads: io server: queue %d completion: %w", qi, err)
-		}
-		q.RespKick = func(cc *hw.CPU) {
-			if err := v.EvtchnSend(cc, mc.Dom, rPortBE); err != nil {
-				panic(fmt.Sprintf("workloads: io server: resp kick: %v", err))
-			}
-		}
-		s.fe.AddQueue(q.Ring, portFE)
+	if err := s.fe.Connect(boot, s.be); err != nil {
+		return fmt.Errorf("workloads: io server: %w", err)
 	}
 
 	// The client becomes the measured (current) domain; its timer
@@ -475,23 +456,10 @@ func (s *ioServer) run() error {
 // the doorbell unconditionally — the liveness half of the coalescing
 // protocol (the backend's scheduler slices are the other half).
 func (s *ioServer) pollVirtual(c *hw.CPU) int {
-	polled := 0
-	for qi := range s.fe.Queues {
-		polled += s.fe.Poll(c, qi, func(resp xen.BlkResponse) { s.complete(c, resp) })
-	}
-	if polled == 0 && s.fe.Outstanding() > 0 {
-		kicked := false
-		for qi, q := range s.fe.Queues {
-			if q.Ring.RequestsPending() > 0 {
-				s.fe.ForceKick(c, qi)
-				kicked = true
-			}
-		}
-		if kicked {
-			for qi := range s.fe.Queues {
-				polled += s.fe.Poll(c, qi, func(resp xen.BlkResponse) { s.complete(c, resp) })
-			}
-		}
+	done := func(resp xen.BlkResponse) { s.complete(c, resp) }
+	polled := s.fe.PollAll(c, done)
+	if polled == 0 && s.fe.Outstanding() > 0 && s.fe.KickStalled(c) {
+		polled += s.fe.PollAll(c, done)
 	}
 	return polled
 }
@@ -518,7 +486,7 @@ func (s *ioServer) finish() {
 		if rung := reqKicks + respKicks + res.ForcedKicks; rung > 0 {
 			res.SuppressionRatio = float64(reqSlots+respSlots) / float64(rung)
 		}
-		res.BackendEvents = s.be.Stats.Events.Load()
+		res.BackendEvents = s.be.Stats.Events.Load() - s.events0
 		res.BackendBursts = s.be.Stats.Bursts.Load()
 	}
 

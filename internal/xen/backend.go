@@ -1,7 +1,6 @@
 package xen
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/hw"
@@ -9,9 +8,10 @@ import (
 )
 
 // The split device model (§5.2): frontend drivers in an unprivileged
-// domain forward requests over shared-memory rings to backend drivers in
-// the driver domain, which own the real hardware. The backends below are
-// the driver-domain halves; the frontends live in internal/guest.
+// domain forward requests over shared-memory IORings to backend drivers
+// in the driver domain, which own the real hardware. The backends
+// (BlkMQBackend in blkmq.go, NetBackend below) are the driver-domain
+// halves; the frontends live in internal/guest.
 
 // BlockDevice is what a backend drives: the driver domain's native block
 // driver (which wraps hw.Disk and charges its own stack costs).
@@ -37,214 +37,6 @@ type BlkRequest struct {
 type BlkResponse struct {
 	ID  uint64
 	Err string
-}
-
-// BlkBackend is the driver-domain block backend. Its OnEvent drains the
-// ring, merges adjacent requests, and issues them through the native
-// driver — the batching that makes domU throughput writes occasionally
-// beat domain0 (the dbench effect in §7.3).
-type BlkBackend struct {
-	V      *VMM
-	Dom    *Domain // driver domain
-	Dev    BlockDevice
-	Ring   *Ring[BlkRequest, BlkResponse]
-	Notify func(c *hw.CPU) // kicks the frontend (event channel send)
-
-	// WriteBehind enables the driver domain's buffer cache for frontend
-	// writes: data is copied into the cache and acknowledged before it
-	// reaches the disk, flushed lazily in merged batches. This is the
-	// caching in the split device mode that lets dbench in a domainU
-	// slightly beat domain0 and even native Linux, "though at the cost
-	// of possible inconsistency during crash" (§7.3).
-	WriteBehind bool
-	// WriteBehindLimit is the dirty-block count that triggers a flush.
-	WriteBehindLimit int
-
-	wbCache map[uint64][]byte
-
-	Stats BlkBackendStats
-}
-
-// BlkBackendStats counts backend activity (atomic: events may be
-// dispatched on any CPU).
-type BlkBackendStats struct {
-	Requests   atomic.Uint64
-	Merges     atomic.Uint64
-	Events     atomic.Uint64
-	WBAbsorbed atomic.Uint64 // writes acknowledged from the buffer cache
-	WBFlushes  atomic.Uint64
-}
-
-// OnEvent processes all pending ring requests. It runs in driver-domain
-// context (the VMM dispatches the frontend's event here).
-func (b *BlkBackend) OnEvent(c *hw.CPU) {
-	b.Stats.Events.Add(1)
-	var sp obs.SpanRef
-	h := b.V.tel()
-	if h != nil {
-		h.blkEvents.Inc()
-		sp = obs.Begin(h.col, c.ID, c.Now(), "xen/blk-backend-event")
-	}
-	var reqs []BlkRequest
-	for {
-		q, ok := b.Ring.GetRequest(c)
-		if !ok {
-			break
-		}
-		reqs = append(reqs, q)
-	}
-	if len(reqs) == 0 {
-		sp.End(c.Now())
-		return
-	}
-	b.Stats.Requests.Add(uint64(len(reqs)))
-	if h != nil {
-		h.blkRequests.Add(uint64(len(reqs)))
-		defer sp.EndArg(c.Now(), uint64(len(reqs)))
-	}
-
-	// Sort by block number and coalesce adjacent same-direction requests
-	// into single transfers.
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Block < reqs[j].Block })
-	for start := 0; start < len(reqs); {
-		end := start + 1
-		for end < len(reqs) &&
-			reqs[end].Write == reqs[start].Write &&
-			reqs[end].Block == reqs[end-1].Block+1 {
-			end++
-		}
-		group := reqs[start:end]
-		if len(group) > 1 {
-			b.Stats.Merges.Add(uint64(len(group) - 1))
-		}
-		b.process(c, group)
-		start = end
-	}
-	if b.Notify != nil {
-		b.Notify(c)
-	}
-}
-
-// process maps the group's grants, performs one merged transfer, and
-// pushes responses.
-func (b *BlkBackend) process(c *hw.CPU, group []BlkRequest) {
-	buf := make([]byte, len(group)*hw.BlockSize)
-	type mapped struct {
-		pfn   hw.PFN
-		unmap func()
-	}
-	maps := make([]mapped, 0, len(group))
-	fail := func(msg string) {
-		for _, m := range maps {
-			m.unmap()
-		}
-		for _, q := range group {
-			b.Ring.PutResponse(c, BlkResponse{ID: q.ID, Err: msg})
-		}
-	}
-	for _, q := range group {
-		pfn, unmap, err := b.V.GrantMap(c, b.Dom, q.Front, q.Grant)
-		if err != nil {
-			fail(err.Error())
-			return
-		}
-		maps = append(maps, mapped{pfn, unmap})
-	}
-	if group[0].Write {
-		for i, m := range maps {
-			c.Charge(b.V.M.Costs.PageCopy)
-			copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], b.V.M.Mem.FrameBytes(m.pfn))
-		}
-		if b.WriteBehind {
-			// Absorb into the driver domain's buffer cache and ack.
-			if b.wbCache == nil {
-				b.wbCache = make(map[uint64][]byte)
-			}
-			for i, q := range group {
-				blk := make([]byte, hw.BlockSize)
-				copy(blk, buf[i*hw.BlockSize:(i+1)*hw.BlockSize])
-				b.wbCache[q.Block] = blk
-				b.Stats.WBAbsorbed.Add(1)
-			}
-			for _, m := range maps {
-				m.unmap()
-			}
-			for _, q := range group {
-				b.Ring.PutResponse(c, BlkResponse{ID: q.ID})
-			}
-			limit := b.WriteBehindLimit
-			if limit == 0 {
-				limit = 2048
-			}
-			if len(b.wbCache) >= limit {
-				b.FlushWriteBehind(c)
-			}
-			return
-		}
-	}
-	err := b.Dev.Submit(c, hw.DiskRequest{
-		Block:  group[0].Block,
-		Write:  group[0].Write,
-		Blocks: len(group),
-		Merged: len(group),
-	}, buf)
-	if err != nil {
-		fail(err.Error())
-		return
-	}
-	if !group[0].Write {
-		// Reads must observe write-behind data that has not reached the
-		// disk yet.
-		if b.WriteBehind {
-			for i, q := range group {
-				if blk, ok := b.wbCache[q.Block]; ok {
-					copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], blk)
-				}
-			}
-		}
-		for i, m := range maps {
-			c.Charge(b.V.M.Costs.PageCopy)
-			copy(b.V.M.Mem.FrameBytes(m.pfn), buf[i*hw.BlockSize:(i+1)*hw.BlockSize])
-		}
-	}
-	for _, m := range maps {
-		m.unmap()
-	}
-	for _, q := range group {
-		b.Ring.PutResponse(c, BlkResponse{ID: q.ID})
-	}
-}
-
-// FlushWriteBehind writes the buffer cache to disk in merged batches.
-func (b *BlkBackend) FlushWriteBehind(c *hw.CPU) {
-	if len(b.wbCache) == 0 {
-		return
-	}
-	b.Stats.WBFlushes.Add(1)
-	blocks := make([]uint64, 0, len(b.wbCache))
-	for blk := range b.wbCache {
-		blocks = append(blocks, blk)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for start := 0; start < len(blocks); {
-		end := start + 1
-		for end < len(blocks) && blocks[end] == blocks[end-1]+1 {
-			end++
-		}
-		run := blocks[start:end]
-		buf := make([]byte, len(run)*hw.BlockSize)
-		for i, blk := range run {
-			copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], b.wbCache[blk])
-		}
-		if err := b.Dev.Submit(c, hw.DiskRequest{
-			Block: run[0], Write: true, Blocks: len(run), Merged: len(run),
-		}, buf); err == nil {
-			for _, blk := range run {
-				delete(b.wbCache, blk)
-			}
-		}
-		start = end
-	}
 }
 
 // NetTxRequest carries one outbound packet (already framed by the guest
@@ -276,95 +68,127 @@ type NetRxDone struct {
 	Err string
 }
 
-// NetBackend is the driver-domain network backend.
+// netBurst bounds how many netif slots one drain step moves; the
+// buffers live on the stack, so concurrent upcalls share nothing.
+const netBurst = 16
+
+// NetBackend is the driver-domain network backend: a TX ring of granted
+// outbound frames and an RX ring of posted empty buffers, both IORings,
+// so transmit doorbells and completion notifies follow the event-index
+// protocol.
 type NetBackend struct {
 	V      *VMM
 	Dom    *Domain
 	Dev    PacketDevice
-	TxRing *Ring[NetTxRequest, NetTxResponse]
-	RxRing *Ring[NetRxBuffer, NetRxDone]
-	Notify func(c *hw.CPU)
+	TxRing *IORing[NetTxRequest, NetTxResponse]
+	RxRing *IORing[NetRxBuffer, NetRxDone]
+	Notify func(c *hw.CPU) // kicks the frontend (event channel send)
 
 	Stats NetBackendStats
 }
 
-// NetBackendStats counts backend activity (atomic).
+// NetBackendStats counts backend activity. The packet counters are
+// adopted into the telemetry registry at construction; with a collector
+// installed they are shared by every net backend built on it.
 type NetBackendStats struct {
-	TxPackets, RxPackets atomic.Uint64
+	TxPackets, RxPackets *obs.Counter
 	RxDropped            atomic.Uint64
-	Events               atomic.Uint64
 }
 
-// OnEvent drains pending transmit requests.
-func (nb *NetBackend) OnEvent(c *hw.CPU) {
-	nb.Stats.Events.Add(1)
-	h := nb.V.tel()
-	var sp obs.SpanRef
-	tx := uint64(0)
-	if h != nil {
-		sp = obs.Begin(h.col, c.ID, c.Now(), "xen/net-backend-event")
-		defer func() { sp.EndArg(c.Now(), tx) }()
+// NewNetBackend builds the netif ring pair (depth slots per direction)
+// serving dev from dom. Event-channel wiring is the caller's.
+func NewNetBackend(v *VMM, dom *Domain, dev PacketDevice, depth int) *NetBackend {
+	nb := &NetBackend{
+		V: v, Dom: dom, Dev: dev,
+		TxRing: NewIORing[NetTxRequest, NetTxResponse](depth, v.M.Costs),
+		RxRing: NewIORing[NetRxBuffer, NetRxDone](depth, v.M.Costs),
+		Stats:  NetBackendStats{TxPackets: obs.NewCounter(), RxPackets: obs.NewCounter()},
 	}
-	did := false
+	if col := v.M.Telemetry(); col != nil {
+		nb.Stats.TxPackets = col.Registry.RegisterCounter(nb.Stats.TxPackets, "xen", "backend_packets_total",
+			obs.L("dev", "net"), obs.L("dir", "tx"))
+		nb.Stats.RxPackets = col.Registry.RegisterCounter(nb.Stats.RxPackets, "xen", "backend_packets_total",
+			obs.L("dev", "net"), obs.L("dir", "rx"))
+	}
+	return nb
+}
+
+// OnEvent drains pending transmit requests, hands each granted frame to
+// the native driver, and pushes the completions. The FINAL CHECK re-arm
+// catches a frame queued during the drain.
+func (nb *NetBackend) OnEvent(c *hw.CPU) {
+	var sp obs.SpanRef
+	if h := nb.V.tel(); h != nil {
+		sp = obs.Begin(h.col, c.ID, c.Now(), "xen/net-backend-event")
+	}
+	var reqs [netBurst]NetTxRequest
+	var resps [netBurst]NetTxResponse
+	tx, notify := uint64(0), false
 	for {
-		q, ok := nb.TxRing.GetRequest(c)
-		if !ok {
-			break
-		}
-		did = true
-		pfn, unmap, err := nb.V.GrantMap(c, nb.Dom, q.Front, q.Grant)
-		if err != nil {
-			nb.TxRing.PutResponse(c, NetTxResponse{ID: q.ID, Err: err.Error()})
+		n := nb.TxRing.TakeRequests(c, reqs[:])
+		if n == 0 {
+			if !nb.TxRing.FinishRequestConsume(c, 1) {
+				break
+			}
 			continue
 		}
-		if q.Len > hw.PageSize {
-			q.Len = hw.PageSize
-		}
-		data := make([]byte, q.Len)
-		c.Charge(nb.V.M.Costs.PageCopy)
-		copy(data, nb.V.M.Mem.FrameBytes(pfn)[:q.Len])
-		unmap()
-		nb.Dev.Transmit(c, data)
-		nb.Stats.TxPackets.Add(1)
-		if h != nil {
-			h.netTxPackets.Inc()
+		for i, q := range reqs[:n] {
+			resps[i] = NetTxResponse{ID: q.ID}
+			if err := nb.transmit(c, q); err != nil {
+				resps[i].Err = err.Error()
+				continue
+			}
 			tx++
 		}
-		nb.TxRing.PutResponse(c, NetTxResponse{ID: q.ID})
+		if nb.TxRing.PushResponses(c, resps[:n]) {
+			notify = true
+		}
 	}
-	if did && nb.Notify != nil {
+	sp.EndArg(c.Now(), tx)
+	if notify && nb.Notify != nil {
 		nb.Notify(c)
 	}
+}
+
+// transmit copies one granted frame out and sends it.
+func (nb *NetBackend) transmit(c *hw.CPU, q NetTxRequest) error {
+	pfn, unmap, err := nb.V.GrantMap(c, nb.Dom, q.Front, q.Grant)
+	if err != nil {
+		return err
+	}
+	n := min(q.Len, hw.PageSize)
+	data := make([]byte, n)
+	c.Charge(nb.V.M.Costs.PageCopy)
+	copy(data, nb.V.M.Mem.FrameBytes(pfn)[:n])
+	unmap()
+	nb.Dev.Transmit(c, data)
+	nb.Stats.TxPackets.Inc()
+	return nil
 }
 
 // DeliverRx pushes one inbound packet into a posted frontend buffer.
 // The driver domain's native receive path calls it for packets addressed
 // to the frontend. Returns false (and drops) if no buffer is posted.
 func (nb *NetBackend) DeliverRx(c *hw.CPU, data []byte) bool {
-	buf, ok := nb.RxRing.GetRequest(c)
-	if !ok {
+	var post [1]NetRxBuffer
+	if nb.RxRing.TakeRequests(c, post[:]) == 0 {
 		nb.Stats.RxDropped.Add(1)
 		return false
 	}
-	pfn, unmap, err := nb.V.GrantMap(c, nb.Dom, buf.Front, buf.Grant)
+	done := [1]NetRxDone{{ID: post[0].ID}}
+	pfn, unmap, err := nb.V.GrantMap(c, nb.Dom, post[0].Front, post[0].Grant)
 	if err != nil {
-		nb.RxRing.PutResponse(c, NetRxDone{ID: buf.ID, Err: err.Error()})
-		return false
+		done[0].Err = err.Error()
+	} else {
+		n := min(len(data), hw.PageSize)
+		c.Charge(nb.V.M.Costs.PageCopy)
+		copy(nb.V.M.Mem.FrameBytes(pfn)[:n], data[:n])
+		unmap()
+		nb.Stats.RxPackets.Inc()
+		done[0].Len = n
 	}
-	n := len(data)
-	if n > hw.PageSize {
-		n = hw.PageSize
-	}
-	c.Charge(nb.V.M.Costs.PageCopy)
-	copy(nb.V.M.Mem.FrameBytes(pfn)[:n], data[:n])
-	unmap()
-	nb.Stats.RxPackets.Add(1)
-	if h := nb.V.tel(); h != nil {
-		h.netRxPackets.Inc()
-	}
-	nb.RxRing.PutResponse(c, NetRxDone{ID: buf.ID, Len: n})
-	if nb.Notify != nil {
+	if nb.RxRing.PushResponses(c, done[:]) && nb.Notify != nil {
 		nb.Notify(c)
 	}
-	return true
+	return err == nil
 }

@@ -3,6 +3,7 @@ package xen
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/hw"
@@ -28,6 +29,10 @@ type BlkMQQueue struct {
 
 	// stalled wedges the queue's consumer (chaos fault injection).
 	stalled atomic.Bool
+	// serving admits one drainer at a time: doorbell upcalls for the
+	// same queue can land on two CPUs at once, and the burst buffers
+	// above are per queue.
+	serving sync.Mutex
 
 	// Progress snapshot for Audit: consumer index and whether the
 	// previous audit saw pending work.
@@ -55,18 +60,38 @@ type BlkMQBackend struct {
 	// default set by callers.
 	ReqThreshold int
 
+	// WriteBehind enables the driver domain's buffer cache for frontend
+	// writes: data is copied into the cache and acknowledged before it
+	// reaches the disk, and flushed in merged runs once the cache holds
+	// writeBehindLimit blocks; reads overlay the cache. This is the
+	// caching in the split device mode that lets dbench in a domainU
+	// slightly beat domain0 and even native Linux, "though at the cost
+	// of possible inconsistency during crash" (§7.3).
+	WriteBehind bool
+
+	wbMu    sync.Mutex
+	wbCache map[uint64][]byte
+	// flushing admits one flusher at a time: two flushes of snapshots
+	// taken at different moments could write a block's older copy after
+	// its newer one.
+	flushing atomic.Bool
+
 	Stats BlkMQStats
 }
 
+// writeBehindLimit is the dirty-block count that triggers a flush.
+const writeBehindLimit = 2048
+
 // BlkMQStats counts backend activity across all queues (atomic: queue
-// events may be dispatched on any CPU).
+// events may be dispatched on any CPU). Requests and Events are adopted
+// into the telemetry registry at construction; with a collector
+// installed they are that collector's series, shared by every block
+// backend built on it.
 type BlkMQStats struct {
-	Requests       atomic.Uint64
-	Bursts         atomic.Uint64
-	Merges         atomic.Uint64
-	Events         atomic.Uint64
-	RespKicks      atomic.Uint64
-	RespSuppressed atomic.Uint64
+	Requests *obs.Counter
+	Events   *obs.Counter
+	Bursts   atomic.Uint64
+	Merges   atomic.Uint64
 }
 
 // NewBlkMQBackend builds queues rings of depth slots each, serving dev
@@ -78,7 +103,12 @@ func NewBlkMQBackend(v *VMM, dom *Domain, dev BlockDevice, queues, depth, reqThr
 	if reqThreshold < 1 {
 		reqThreshold = 1
 	}
-	be := &BlkMQBackend{V: v, Dom: dom, Dev: dev, ReqThreshold: reqThreshold}
+	be := &BlkMQBackend{V: v, Dom: dom, Dev: dev, ReqThreshold: reqThreshold,
+		Stats: BlkMQStats{Requests: obs.NewCounter(), Events: obs.NewCounter()}}
+	if col := v.M.Telemetry(); col != nil {
+		be.Stats.Requests = col.Registry.RegisterCounter(be.Stats.Requests, "xen", "backend_requests_total", obs.L("dev", "blk"))
+		be.Stats.Events = col.Registry.RegisterCounter(be.Stats.Events, "xen", "backend_events_total", obs.L("dev", "blk"))
+	}
 	for i := 0; i < queues; i++ {
 		q := &BlkMQQueue{
 			ID:   i,
@@ -97,7 +127,7 @@ func NewBlkMQBackend(v *VMM, dom *Domain, dev BlockDevice, queues, depth, reqThr
 func (be *BlkMQBackend) OnQueueEvent(qi int) func(c *hw.CPU) {
 	q := be.Queues[qi]
 	return func(c *hw.CPU) {
-		be.Stats.Events.Add(1)
+		be.Stats.Events.Inc()
 		be.PollQueue(c, q)
 	}
 }
@@ -122,27 +152,34 @@ func (be *BlkMQBackend) Serve(c *hw.CPU, budget hw.Cycles) {
 // PollQueue drains one queue to empty: take a burst, serve it, push the
 // completions, and re-arm the request doorbell with the coalescing
 // threshold. The FINAL CHECK loop guarantees no request pushed against
-// the old wake mark is stranded. Returns requests served.
+// the old wake mark is stranded. Returns requests served; 0 also when
+// another CPU is already draining the queue. That drainer checks the
+// ring again after letting the queue go, so a doorbell that found the
+// queue held strands nothing either.
 func (be *BlkMQBackend) PollQueue(c *hw.CPU, q *BlkMQQueue) int {
-	if q.stalled.Load() {
-		return 0
-	}
 	h := be.V.tel()
 	total := 0
-	for {
-		if h != nil {
-			h.ringDepth.Observe(uint64(q.Ring.RequestsPending()))
-		}
-		n := q.Ring.TakeRequests(c, q.reqBuf)
-		if n == 0 {
-			if !q.Ring.FinishRequestConsume(c, be.ReqThreshold) {
-				return total
+	for !q.stalled.Load() && q.serving.TryLock() {
+		for {
+			if h != nil {
+				h.ringDepth.Observe(uint64(q.Ring.RequestsPending()))
 			}
-			continue
+			n := q.Ring.TakeRequests(c, q.reqBuf)
+			if n == 0 {
+				if !q.Ring.FinishRequestConsume(c, be.ReqThreshold) {
+					break
+				}
+				continue
+			}
+			be.serveBurst(c, q, q.reqBuf[:n])
+			total += n
 		}
-		be.serveBurst(c, q, q.reqBuf[:n])
-		total += n
+		q.serving.Unlock()
+		if q.Ring.RequestsPending() == 0 {
+			break
+		}
 	}
+	return total
 }
 
 // serveBurst sorts one drained burst, maps each contiguous run's grants
@@ -152,7 +189,6 @@ func (be *BlkMQBackend) serveBurst(c *hw.CPU, q *BlkMQQueue, reqs []BlkRequest) 
 	var sp obs.SpanRef
 	h := be.V.tel()
 	if h != nil {
-		h.blkRequests.Add(uint64(len(reqs)))
 		h.ringBurst.Observe(uint64(len(reqs)))
 		sp = obs.Begin(h.col, c.ID, c.Now(), "xen/blkmq-burst")
 		defer sp.EndArg(c.Now(), uint64(len(reqs)))
@@ -177,19 +213,10 @@ func (be *BlkMQBackend) serveBurst(c *hw.CPU, q *BlkMQQueue, reqs []BlkRequest) 
 		be.serveRun(c, q, run)
 		start = end
 	}
-	if notify := q.Ring.PushResponses(c, q.respBuf); notify {
-		be.Stats.RespKicks.Add(1)
-		if h != nil {
-			h.ringKicks.Inc()
-		}
-		if q.RespKick != nil {
-			q.RespKick(c)
-		}
-	} else {
-		be.Stats.RespSuppressed.Add(1)
-		if h != nil {
-			h.ringSuppressed.Inc()
-		}
+	notify := q.Ring.PushResponses(c, q.respBuf)
+	be.V.NoteDoorbell(notify)
+	if notify && q.RespKick != nil {
+		q.RespKick(c)
 	}
 }
 
@@ -218,7 +245,21 @@ func (be *BlkMQBackend) serveRun(c *hw.CPU, q *BlkMQQueue, run []BlkRequest) {
 			copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], be.V.M.Mem.FrameBytes(pfn))
 		}
 	}
-	if err := be.Dev.Submit(c, hw.DiskRequest{
+	// A read takes the run's cached copies before its disk transfer: a
+	// flush may write a block and drop it from the cache meanwhile, after
+	// the transfer read the old contents. Cached copies never change.
+	var cached [][]byte
+	if !run[0].Write && be.WriteBehind {
+		cached = make([][]byte, len(run))
+		be.wbMu.Lock()
+		for i, r := range run {
+			cached[i] = be.wbCache[r.Block]
+		}
+		be.wbMu.Unlock()
+	}
+	if run[0].Write && be.WriteBehind {
+		be.absorb(c, run, buf)
+	} else if err := be.Dev.Submit(c, hw.DiskRequest{
 		Block:  run[0].Block,
 		Write:  run[0].Write,
 		Blocks: len(run),
@@ -228,6 +269,12 @@ func (be *BlkMQBackend) serveRun(c *hw.CPU, q *BlkMQQueue, run []BlkRequest) {
 		return
 	}
 	if !run[0].Write {
+		// Reads see cached writes that had not reached the disk.
+		for i, blk := range cached {
+			if blk != nil {
+				copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], blk)
+			}
+		}
 		for i, pfn := range pfns {
 			c.Charge(be.V.M.Costs.PageCopy)
 			copy(be.V.M.Mem.FrameBytes(pfn), buf[i*hw.BlockSize:(i+1)*hw.BlockSize])
@@ -235,6 +282,72 @@ func (be *BlkMQBackend) serveRun(c *hw.CPU, q *BlkMQQueue, run []BlkRequest) {
 	}
 	for _, r := range run {
 		q.respBuf = append(q.respBuf, BlkResponse{ID: r.ID})
+	}
+}
+
+// absorb stores a write run in the buffer cache (the caller acks it)
+// and flushes once the cache reaches writeBehindLimit blocks. buf is
+// the run's own copy, so the cache keeps slices of it.
+func (be *BlkMQBackend) absorb(c *hw.CPU, run []BlkRequest, buf []byte) {
+	be.wbMu.Lock()
+	if be.wbCache == nil {
+		be.wbCache = make(map[uint64][]byte)
+	}
+	for i, r := range run {
+		be.wbCache[r.Block] = buf[i*hw.BlockSize : (i+1)*hw.BlockSize]
+	}
+	flush := len(be.wbCache) >= writeBehindLimit
+	be.wbMu.Unlock()
+	if flush {
+		be.flushWriteBehind(c)
+	}
+}
+
+// flushWriteBehind writes the cache to disk in merged runs of
+// contiguous blocks. The cache lock is never held across a disk submit
+// (a CPU blocked on it would stall the lockstep clock), so blocks stay
+// readable from the cache until written and are dropped only if no
+// newer write replaced them meanwhile. A flush that finds another in
+// progress leaves the cache to it; the next absorb past the limit
+// flushes again.
+func (be *BlkMQBackend) flushWriteBehind(c *hw.CPU) {
+	if !be.flushing.CompareAndSwap(false, true) {
+		return
+	}
+	defer be.flushing.Store(false)
+	type dirty struct {
+		blk  uint64
+		data []byte
+	}
+	be.wbMu.Lock()
+	blocks := make([]dirty, 0, len(be.wbCache))
+	for blk, data := range be.wbCache {
+		blocks = append(blocks, dirty{blk, data})
+	}
+	be.wbMu.Unlock()
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i].blk < blocks[j].blk })
+	for start := 0; start < len(blocks); {
+		end := start + 1
+		for end < len(blocks) && blocks[end].blk == blocks[end-1].blk+1 {
+			end++
+		}
+		run := blocks[start:end]
+		buf := make([]byte, len(run)*hw.BlockSize)
+		for i, d := range run {
+			copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], d.data)
+		}
+		if err := be.Dev.Submit(c, hw.DiskRequest{
+			Block: run[0].blk, Write: true, Blocks: len(run), Merged: len(run),
+		}, buf); err == nil {
+			be.wbMu.Lock()
+			for _, d := range run {
+				if cur, ok := be.wbCache[d.blk]; ok && &cur[0] == &d.data[0] {
+					delete(be.wbCache, d.blk)
+				}
+			}
+			be.wbMu.Unlock()
+		}
+		start = end
 	}
 }
 

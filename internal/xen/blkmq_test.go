@@ -174,3 +174,168 @@ func TestBlkMQBadGrantFailsRun(t *testing.T) {
 		t.Fatalf("bad grant: n=%d err=%q", n, resp[0].Err)
 	}
 }
+
+// TestBlkMQCountersAdoptedByRegistry: with a collector installed at
+// construction, the backend's request and event counts are the
+// registry's xen/backend_*_total{dev=blk} counters, not copies.
+func TestBlkMQCountersAdoptedByRegistry(t *testing.T) {
+	v, d0, dU, c := twoDomains(t)
+	col := obs.New(1)
+	v.M.SetTelemetry(col)
+	be := NewBlkMQBackend(v, d0, v.M.Disk, 1, 16, 1)
+	pushGrants(c, v, dU, be, 0, 0, 10, 4)
+	be.OnQueueEvent(0)(c)
+	reg := col.Registry
+	if got := reg.Counter("xen", "backend_requests_total", obs.L("dev", "blk")); got != be.Stats.Requests || got.Load() != 4 {
+		t.Fatalf("requests: registry counter %p (%d), stats %p", got, got.Load(), be.Stats.Requests)
+	}
+	if got := reg.Counter("xen", "backend_events_total", obs.L("dev", "blk")); got != be.Stats.Events || got.Load() != 1 {
+		t.Fatalf("events: registry counter %p (%d), stats %p", got, got.Load(), be.Stats.Events)
+	}
+}
+
+// hookDisk runs hook once, inside the next Submit: work of a second CPU
+// landing while this one is mid-transfer. The hook runs before the
+// transfer, or after it when after is set.
+type hookDisk struct {
+	memDisk
+	hook  func()
+	after bool
+}
+
+func (d *hookDisk) Submit(c *hw.CPU, req hw.DiskRequest, buf []byte) error {
+	h := d.hook
+	d.hook = nil
+	if h != nil && !d.after {
+		h()
+	}
+	err := d.memDisk.Submit(c, req, buf)
+	if h != nil && d.after {
+		h()
+	}
+	return err
+}
+
+// TestBlkMQOneDrainerPerQueue: a drain of a queue that another drain
+// is already serving returns at once, and the first drain's FINAL CHECK
+// loop serves what arrived meanwhile: every request completes once.
+func TestBlkMQOneDrainerPerQueue(t *testing.T) {
+	v, d0, dU, c := twoDomains(t)
+	dev := &hookDisk{memDisk: memDisk{blocks: map[uint64][]byte{}}}
+	be := NewBlkMQBackend(v, d0, dev, 1, 16, 1)
+	q := be.Queues[0]
+	nested := -1
+	dev.hook = func() {
+		pushGrants(c, v, dU, be, 0, 10, 100, 4)
+		nested = be.PollQueue(c, q)
+	}
+	pushGrants(c, v, dU, be, 0, 0, 0, 4)
+	if served := be.PollQueue(c, q); served != 8 || nested != 0 {
+		t.Fatalf("outer drain served %d (want 8), nested drain %d (want 0)", served, nested)
+	}
+	resp := make([]BlkResponse, 16)
+	n := q.Ring.TakeResponses(c, resp)
+	seen := map[uint64]int{}
+	for _, r := range resp[:n] {
+		seen[r.ID]++
+	}
+	for _, id := range []uint64{0, 1, 2, 3, 10, 11, 12, 13} {
+		if seen[id] != 1 {
+			t.Fatalf("request %d completed %d times (responses %v)", id, seen[id], resp[:n])
+		}
+	}
+}
+
+// absorbBlock puts one block whose bytes are all fill into be's
+// write-behind cache, as a served write run does.
+func absorbBlock(c *hw.CPU, be *BlkMQBackend, block uint64, fill byte) {
+	buf := make([]byte, hw.BlockSize)
+	for i := range buf {
+		buf[i] = fill
+	}
+	be.absorb(c, []BlkRequest{{Block: block, Write: true}}, buf)
+}
+
+// TestBlkMQWriteBehindOneFlusher: a write that reaches the limit while
+// a flush is writing out an older copy of the same block must neither
+// start a second flush nor lose the newer copy: a read sees it, and the
+// next flush puts it on the disk.
+func TestBlkMQWriteBehindOneFlusher(t *testing.T) {
+	v, d0, dU, c := twoDomains(t)
+	dev := &hookDisk{memDisk: memDisk{blocks: map[uint64][]byte{}}}
+	be := NewBlkMQBackend(v, d0, dev, 1, 16, 1)
+	be.WriteBehind = true
+	for b := uint64(1); b < writeBehindLimit; b++ {
+		absorbBlock(c, be, b, 1)
+	}
+	// The other CPU rewrites block 1 while the flush is writing its first
+	// copy, and a further write keeps the cache at the limit.
+	dev.hook = func() {
+		absorbBlock(c, be, 1, 2)
+		absorbBlock(c, be, writeBehindLimit+5, 2)
+	}
+	absorbBlock(c, be, writeBehindLimit, 1) // reaches the limit: flush
+	if got := dev.blocks[1][0]; got != 1 {
+		t.Fatalf("disk block 1 = %#x after the first flush, want its first copy 0x01", got)
+	}
+	if got := readBlock(t, c, v, dU, be, 1, 1); got != 2 {
+		t.Fatalf("read of block 1 = %#x, want the newer copy 0x02", got)
+	}
+	be.flushWriteBehind(c)
+	if got := dev.blocks[1][0]; got != 2 {
+		t.Fatalf("disk block 1 = %#x after the second flush, want 0x02", got)
+	}
+	if len(be.wbCache) != 0 {
+		t.Fatalf("%d blocks left in the cache after a quiet flush", len(be.wbCache))
+	}
+}
+
+// TestBlkMQWriteBehindReadDuringFlush: a flush that writes a block and
+// drops it from the cache between a read's disk transfer and the read's
+// cache overlay must not make the read return the old disk contents.
+func TestBlkMQWriteBehindReadDuringFlush(t *testing.T) {
+	v, d0, dU, c := twoDomains(t)
+	dev := &hookDisk{memDisk: memDisk{blocks: map[uint64][]byte{}}, after: true}
+	be := NewBlkMQBackend(v, d0, dev, 1, 16, 1)
+	be.WriteBehind = true
+	absorbBlock(c, be, 7, 0x5A)
+	dev.hook = func() { be.flushWriteBehind(c) } // runs after the read's transfer
+	if got := readBlock(t, c, v, dU, be, 1, 7); got != 0x5A {
+		t.Fatalf("read racing a flush = %#x, want the cached 0x5a", got)
+	}
+	if got := dev.blocks[7][0]; got != 0x5A || len(be.wbCache) != 0 {
+		t.Fatalf("flush inside the read: disk %#x, %d cached", got, len(be.wbCache))
+	}
+}
+
+// TestBackendCountersSharedOnOneCollector: two block backends and two
+// net backends built on one collector (a reconnect) all count into the
+// registry's series.
+func TestBackendCountersSharedOnOneCollector(t *testing.T) {
+	v, d0, dU, c := twoDomains(t)
+	col := obs.New(1)
+	v.M.SetTelemetry(col)
+	reg := col.Registry
+	for i := 0; i < 2; i++ {
+		be := NewBlkMQBackend(v, d0, v.M.Disk, 1, 16, 1)
+		pushGrants(c, v, dU, be, 0, 0, uint64(10+i*10), 3)
+		be.OnQueueEvent(0)(c)
+		nb := NewNetBackend(v, d0, devFunc(func(*hw.CPU, []byte) {}), 8)
+		pfn := dU.Frames.Alloc()
+		nb.RxRing.PushRequests(c, []NetRxBuffer{{ID: 1, Grant: dU.GrantAccess(c, d0.ID, pfn, false), Front: dU.ID}})
+		nb.DeliverRx(c, []byte("x"))
+	}
+	for _, m := range []struct {
+		name   string
+		labels []obs.Label
+		want   uint64
+	}{
+		{"backend_requests_total", []obs.Label{obs.L("dev", "blk")}, 6},
+		{"backend_events_total", []obs.Label{obs.L("dev", "blk")}, 2},
+		{"backend_packets_total", []obs.Label{obs.L("dev", "net"), obs.L("dir", "rx")}, 2},
+	} {
+		if got := reg.Counter("xen", m.name, m.labels...).Load(); got != m.want {
+			t.Errorf("xen/%s%v = %d, want %d", m.name, m.labels, got, m.want)
+		}
+	}
+}

@@ -6,15 +6,15 @@
 // prototype relies on, reduced to the parts that determine behaviour and
 // cost.
 //
-// The split-device datapath (paper §5.2) has two tiers. Ring and the
-// block/net backends in backend.go are the teaching version: one
-// request per doorbell, backend called as a function. IORing and
-// BlkMQBackend are the production version: multi-queue rings moving
-// request bursts under one charge, event-index doorbell suppression
-// with a coalescing re-arm threshold (FinishRequestConsume's FINAL
-// CHECK prevents lost wakeups), batched all-or-nothing grant mapping
-// (GrantMapBatch, one idempotent unmap per burst), and a backend served
-// from the driver domain's scheduler slice (Domain.BackgroundWork) with
-// adjacent-block merging and a stall-detecting progress audit. See
-// DESIGN.md §16 for the protocol.
+// The split-device datapath (paper §5.2) is one mechanism: IORing
+// queues moving request bursts under one charge, with event-index
+// doorbell suppression and a coalescing re-arm threshold
+// (FinishRequestConsume's FINAL CHECK prevents lost wakeups; threshold
+// 1 is the classic Xen protocol). BlkMQBackend serves them with
+// batched all-or-nothing grant mapping (GrantMapBatch, one idempotent
+// unmap per burst), adjacent-block merging, an optional write-behind
+// buffer cache (the §7.3 dbench effect), a stall-detecting progress
+// audit, and service either from doorbell upcalls or from the driver
+// domain's scheduler slice (Domain.BackgroundWork). NetBackend carries
+// netif TX/RX over an IORing pair. See DESIGN.md §16 for the protocol.
 package xen

@@ -8,16 +8,18 @@ import (
 	"repro/internal/hw"
 )
 
-// IORing is the production datapath ring: one queue of a multi-queue
-// split device. It keeps the shared-memory layout of Ring (free-running
-// uint32 producer/consumer indices over a power-of-two slot array) and
-// adds the two things the simple ring lacks:
+// IORing is the shared-memory I/O ring of the split device model
+// (§5.2), in the style of Xen's ring.h: requests flow frontend->backend
+// and responses flow back through free-running uint32 producer/consumer
+// indices over a power-of-two slot array. Every split device — the
+// multi-queue block datapath and the netif TX/RX pair — uses it. Beyond
+// the classic layout it provides:
 //
 //   - Bulk transfer. PushRequests/TakeRequests move a whole burst under
 //     one lock acquisition and one RingPut/RingGet charge, with the
 //     per-slot cost reduced to the MemWrite/MemRead of the slot itself —
 //     the amortization that lets a backend serve a 64-deep burst for
-//     roughly the price the simple ring paid per request.
+//     roughly the price of one request.
 //
 //   - Event-index doorbell suppression (Xen's req_event/rsp_event
 //     protocol). The consumer advertises the producer index at which it
@@ -66,14 +68,19 @@ type IORingStats struct {
 	ReqSlots  atomic.Uint64 // requests pushed
 	RespSlots atomic.Uint64 // responses pushed
 
-	ReqKicks       atomic.Uint64 // request pushes that crossed the wake mark
-	ReqSuppressed  atomic.Uint64 // request pushes with the doorbell elided
-	RespKicks      atomic.Uint64
-	RespSuppressed atomic.Uint64
+	ReqKicks      atomic.Uint64 // request pushes that crossed the wake mark
+	ReqSuppressed atomic.Uint64 // request pushes with the doorbell elided
+	RespKicks     atomic.Uint64 // response pushes that crossed the wake mark
 
 	NotifiesDropped atomic.Uint64 // doorbells swallowed by fault injection
 	RecoveredByPoll atomic.Uint64 // dropped doorbells healed by a poll drain
 }
+
+// DefaultRingSize is the slot count of each direction of a split-device
+// ring. Real Xen rings hold 32 slots, but each block request carries up
+// to 11 segments; one slot here moves a single page, so the larger count
+// models the same per-notification batch.
+const DefaultRingSize = 256
 
 // NewIORing builds one queue with capacity slots per direction
 // (rounded up to a power of two, min 2). Both wake marks start armed
@@ -199,8 +206,6 @@ func (r *IORing[Req, Resp]) PushResponses(c *hw.CPU, resps []Resp) (notify bool)
 	notify = r.respProd-r.respEvent < r.respProd-old
 	if notify {
 		r.Stats.RespKicks.Add(1)
-	} else {
-		r.Stats.RespSuppressed.Add(1)
 	}
 	return notify
 }

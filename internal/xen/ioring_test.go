@@ -2,7 +2,10 @@ package xen
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/hw"
 )
@@ -133,7 +136,7 @@ func TestIORingPropertySeededInterleavings(t *testing.T) {
 				}
 			}
 			// Liveness epilogue: anything still queued must be reachable
-			// by one forced kick + drain (the ForceKick fallback).
+			// by one forced kick + drain (the KickStalled fallback).
 			drainBackend()
 			for _, id := range toAnswer {
 				r.PushResponses(c, []BlkResponse{{ID: id}})
@@ -264,5 +267,132 @@ func TestIORingDropNotifyRecoveredByPoll(t *testing.T) {
 	}
 	if r.Stats.RecoveredByPoll.Load() != 1 {
 		t.Fatal("poll recovery not accounted")
+	}
+}
+
+// TestRingFIFO: requests leave in push order, and a full ring accepts
+// only as many as it has free slots.
+func TestRingFIFO(t *testing.T) {
+	c, costs := ioRingCPU(t)
+	r := NewIORing[int, int](8, costs)
+	in := []int{0, 1, 2, 3, 4, 5, 6, 7, 99}
+	if n, _ := r.PushRequests(c, in); n != 8 {
+		t.Fatalf("pushed %d into an 8-slot ring", n)
+	}
+	if n, _ := r.PushRequests(c, []int{100}); n != 0 {
+		t.Fatal("overfilled ring")
+	}
+	out := make([]int, 16)
+	if n := r.TakeRequests(c, out); n != 8 {
+		t.Fatalf("took %d of 8", n)
+	}
+	for i := 0; i < 8; i++ {
+		if out[i] != i {
+			t.Fatalf("slot %d = %d", i, out[i])
+		}
+	}
+	if r.TakeRequests(c, out) != 0 {
+		t.Fatal("take from empty ring")
+	}
+}
+
+// TestRingResponsesIndependent: the two directions have their own
+// indices.
+func TestRingResponsesIndependent(t *testing.T) {
+	c, costs := ioRingCPU(t)
+	r := NewIORing[int, string](8, costs)
+	r.PushRequests(c, []int{1})
+	r.PushResponses(c, []string{"a"})
+	if n := r.RequestsPending(); n != 1 {
+		t.Fatalf("requests pending = %d", n)
+	}
+	if n := r.ResponsesPending(); n != 1 {
+		t.Fatalf("responses pending = %d", n)
+	}
+	out := make([]string, 4)
+	if r.TakeResponses(c, out) != 1 || out[0] != "a" {
+		t.Fatal("response lost")
+	}
+	if r.RequestsPending() != 1 {
+		t.Fatal("taking a response consumed a request")
+	}
+}
+
+// TestRingWrapAround: the free-running indices wrap the slot array many
+// times without losing order.
+func TestRingWrapAround(t *testing.T) {
+	c, costs := ioRingCPU(t)
+	r := NewIORing[int, int](4, costs)
+	out := make([]int, 4)
+	for round := 0; round < 10; round++ {
+		in := []int{round * 10, round*10 + 1, round*10 + 2}
+		if n, _ := r.PushRequests(c, in); n != 3 {
+			t.Fatal("push fell short")
+		}
+		if r.TakeRequests(c, out) != 3 {
+			t.Fatal("take fell short")
+		}
+		for i := range in {
+			if out[i] != in[i] {
+				t.Fatalf("round %d: slot %d = %d", round, i, out[i])
+			}
+		}
+	}
+}
+
+// TestRingConcurrentIntegrity: a producer and a consumer on two CPUs
+// and two goroutines neither lose, duplicate nor reorder requests.
+// Meant to run under -race.
+func TestRingConcurrentIntegrity(t *testing.T) {
+	f := func(n uint8) bool {
+		count := int(n)%200 + 1
+		m := hw.NewMachine(hw.Config{MemBytes: 4 << 20, NumCPUs: 2})
+		r := NewIORing[int, int](32, m.Costs)
+		prod, cons := m.CPUs[0], m.CPUs[1]
+		got := make([]int, 0, count)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			burst := make([]int, 0, 7)
+			for i := 0; i < count; {
+				burst = burst[:0]
+				for j := i; j < count && len(burst) < cap(burst); j++ {
+					burst = append(burst, j)
+				}
+				k, _ := r.PushRequests(prod, burst)
+				i += k
+				runtime.Gosched()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			buf := make([]int, 5)
+			for len(got) < count {
+				k := r.TakeRequests(cons, buf)
+				got = append(got, buf[:k]...)
+				runtime.Gosched()
+			}
+		}()
+		wg.Wait()
+		for i, v := range got {
+			if v != i {
+				return false
+			}
+		}
+		return len(got) == count
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRingCapacityValidation: any requested capacity becomes a power of
+// two of at least 2, so index masking stays valid.
+func TestRingCapacityValidation(t *testing.T) {
+	for _, tc := range []struct{ ask, want int }{{0, 2}, {1, 2}, {5, 8}, {64, 64}, {DefaultRingSize + 1, 2 * DefaultRingSize}} {
+		if got := NewIORing[int, int](tc.ask, hw.DefaultCosts()).Capacity(); got != tc.want {
+			t.Errorf("NewIORing(%d).Capacity() = %d, want %d", tc.ask, got, tc.want)
+		}
 	}
 }

@@ -107,10 +107,6 @@ type vmmObs struct {
 	eventsSent     *obs.Counter
 	schedSlices    *obs.Counter
 	schedBudget    *obs.Histogram
-	blkEvents      *obs.Counter
-	blkRequests    *obs.Counter
-	netTxPackets   *obs.Counter
-	netRxPackets   *obs.Counter
 	ringKicks      *obs.Counter
 	ringSuppressed *obs.Counter
 	ringBurst      *obs.Histogram
@@ -141,10 +137,6 @@ func (v *VMM) tel() *vmmObs {
 			eventsSent:     r.Counter("xen", "events_sent_total"),
 			schedSlices:    r.Counter("xen", "sched_slices_total"),
 			schedBudget:    r.Histogram("xen", "sched_slice_budget_cycles"),
-			blkEvents:      r.Counter("xen", "backend_events_total", obs.L("dev", "blk")),
-			blkRequests:    r.Counter("xen", "backend_requests_total", obs.L("dev", "blk")),
-			netTxPackets:   r.Counter("xen", "backend_packets_total", obs.L("dev", "net"), obs.L("dir", "tx")),
-			netRxPackets:   r.Counter("xen", "backend_packets_total", obs.L("dev", "net"), obs.L("dir", "rx")),
 			ringKicks:      r.Counter("xen", "ring_doorbells_total"),
 			ringSuppressed: r.Counter("xen", "ring_doorbells_suppressed_total"),
 			ringBurst:      r.Histogram("xen", "ring_burst_requests"),
