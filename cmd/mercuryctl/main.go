@@ -9,8 +9,8 @@
 //	mercuryctl -demo scenarios   # healing + live update episodes
 //	mercuryctl stats             # run a workload, print the metrics
 //	                             # registry (Prometheus text format)
-//	mercuryctl trace -o t.json   # record spans + the xentrace ring,
-//	                             # export Chrome trace_event JSON
+//	mercuryctl trace -o t.json   # record spans, export Chrome
+//	                             # trace_event JSON
 //	mercuryctl chaos -seed 42    # seeded fault-injection campaign:
 //	                             # episode table + dependability report
 //	mercuryctl fleet -nodes 50   # rolling-maintenance wave over a fleet
@@ -44,7 +44,7 @@ import (
 )
 
 func main() {
-	demo := flag.String("demo", "lifecycle", "demo to run: lifecycle, stress, scenarios, stats, trace")
+	demo := flag.String("demo", "lifecycle", "demo to run: lifecycle, stress, scenarios, stats")
 	policy := flag.String("tracking", "recompute", "frame tracking: recompute or active")
 	ncpu := flag.Int("cpus", 1, "number of CPUs")
 	flag.Parse()
@@ -226,8 +226,6 @@ func main() {
 		scenarios(mc)
 	case "stats":
 		stats(mc)
-	case "trace":
-		trace(mc)
 	default:
 		log.Fatalf("unknown demo %q", *demo)
 	}
@@ -240,34 +238,23 @@ func statsCmd(mc *core.Mercury, col *obs.Collector) {
 	col.Registry.WriteProm(os.Stdout)
 }
 
-// traceCmd records span traces plus the xentrace ring across an
-// attach/host/detach cycle and writes a Chrome trace_event file
-// (load it in chrome://tracing or Perfetto).
+// traceCmd records the spans of an attach/host/detach cycle — mode
+// switch phases, hypercalls, pins, event sends — and writes a Chrome
+// trace_event file (load it in chrome://tracing or Perfetto).
 func traceCmd(mc *core.Mercury, col *obs.Collector, out string) {
-	mc.VMM.Trace.Enable()
 	c := mc.M.BootCPU()
 	must(mc.SwitchSync(c, core.ModePartialVirtual))
 	domU, err := mc.VMM.HypDomctlCreateFromFrames(c, mc.Dom, "guest", 256)
 	must(err)
 	must(mc.VMM.HypDomctlDestroy(c, mc.Dom, domU.ID))
 	must(mc.SwitchSync(c, core.ModeNative))
-	mc.VMM.Trace.Disable()
 
 	spans := col.Tracer.Spans()
-	evs, dropped := mc.VMM.Trace.SnapshotWithDropped()
-	ext := make([]obs.ExtEvent, 0, len(evs))
-	for _, e := range evs {
-		ext = append(ext, obs.ExtEvent{
-			TS: e.TSC, CPU: e.CPU, Name: "xentrace/" + e.Kind.String(),
-			Args: map[string]any{"dom": int(e.Dom), "arg": e.Arg},
-		})
-	}
 	f, err := os.Create(out)
 	must(err)
 	defer f.Close()
-	must(obs.WriteChromeTrace(f, mc.M.Hz, spans, ext))
-	fmt.Printf("wrote %s: %d spans, %d xentrace events (%d dropped by ring wrap, %d spans over budget)\n",
-		out, len(spans), len(evs), dropped, col.Tracer.Dropped())
+	must(obs.WriteChromeTrace(f, mc.M.Hz, spans))
+	fmt.Printf("wrote %s: %d spans (%d over budget)\n", out, len(spans), col.Tracer.Dropped())
 }
 
 // chaosCmd runs the seeded fault-injection campaign and prints the
@@ -391,31 +378,6 @@ func stats(mc *core.Mercury) {
 	fmt.Printf("mercury: attaches=%d detaches=%d last attach %.1f us\n",
 		mc.Stats.Attaches.Load(), mc.Stats.Detaches.Load(),
 		mc.M.Micros(mc.Stats.LastAttachCyc.Load()))
-}
-
-func trace(mc *core.Mercury) {
-	// Record every hypervisor decision across one attach/host/detach
-	// cycle — the xentrace view of a mode switch.
-	mc.VMM.Trace.Enable()
-	c := mc.M.BootCPU()
-	must(mc.SwitchSync(c, core.ModePartialVirtual))
-	domU, err := mc.VMM.HypDomctlCreateFromFrames(c, mc.Dom, "guest", 256)
-	must(err)
-	must(mc.VMM.HypDomctlDestroy(c, mc.Dom, domU.ID))
-	must(mc.SwitchSync(c, core.ModeNative))
-	mc.VMM.Trace.Disable()
-	evs := mc.VMM.Trace.Snapshot()
-	fmt.Printf("%d events:\n", len(evs))
-	show := evs
-	if len(show) > 24 {
-		show = show[:24]
-	}
-	for _, e := range show {
-		fmt.Println("  " + e.String())
-	}
-	if len(evs) > len(show) {
-		fmt.Printf("  ... %d more\n", len(evs)-len(show))
-	}
 }
 
 func must(err error) {

@@ -93,9 +93,6 @@ func WritePhaseBreakdown(w io.Writer, col *obs.Collector, hz uint64) {
 type TraceHealth struct {
 	SpansDropped  uint64 `json:"spans_dropped"`
 	EventsDropped uint64 `json:"events_dropped"`
-	// TraceRingDropped is the xen TraceBuffer's overwrite count
-	// (xen/trace_ring_dropped_total), zero when no VMM ever booted.
-	TraceRingDropped uint64 `json:"trace_ring_dropped"`
 }
 
 // CollectTraceHealth reads the drop counters off one collector.
@@ -110,17 +107,14 @@ func CollectTraceHealth(col *obs.Collector) TraceHealth {
 	if col.Events != nil {
 		th.EventsDropped = col.Events.Dropped()
 	}
-	// Read through the registry: the VMM adopts its ring counter there
-	// at boot, so this sees drops without a handle on the VMM itself.
-	th.TraceRingDropped = col.Registry.Counter("xen", "trace_ring_dropped_total").Load()
 	return th
 }
 
 // WriteTraceHealth renders one collector's drop summary.
 func WriteTraceHealth(w io.Writer, name string, col *obs.Collector) {
 	th := CollectTraceHealth(col)
-	fmt.Fprintf(w, "trace health %s: %d spans dropped, %d events dropped, %d trace-ring entries dropped\n",
-		name, th.SpansDropped, th.EventsDropped, th.TraceRingDropped)
+	fmt.Fprintf(w, "trace health %s: %d spans dropped, %d events dropped\n",
+		name, th.SpansDropped, th.EventsDropped)
 }
 
 // WriteTraceHealthSet renders the drop summary of every configuration

@@ -70,13 +70,16 @@ func (p TrackingPolicy) String() string {
 	return fmt.Sprintf("policy%d", int(p))
 }
 
-// Stats records mode-switch behaviour.
+// Stats records mode-switch behaviour. New adopts the *obs.Counter
+// fields into the installed collector's series named beside them;
+// they are pointers so the collector retains the counters and not the
+// system.
 type Stats struct {
-	Attaches        atomic.Uint64
-	Detaches        atomic.Uint64
-	Deferred        atomic.Uint64 // switches postponed by a non-zero refcount
-	FailedSwitches  atomic.Uint64 // switches rolled back (failure-resistant path)
-	StarvedSwitches atomic.Uint64 // switches abandoned after MaxDeferrals retries
+	Attaches        *obs.Counter  // core/attaches_total
+	Detaches        *obs.Counter  // core/detaches_total
+	Deferred        *obs.Counter  // core/switch_deferred_total: switches postponed by a non-zero refcount
+	FailedSwitches  *obs.Counter  // core/switch_failed_total: switches rolled back (failure-resistant path)
+	StarvedSwitches *obs.Counter  // core/switch_starved_total: switches abandoned after MaxDeferrals retries
 	FixedFrames     atomic.Uint64 // saved frames patched by the selector stub
 	LastAttachCyc   atomic.Uint64
 	LastDetachCyc   atomic.Uint64
@@ -148,14 +151,10 @@ type Mercury struct {
 	Stats Stats
 }
 
-// coreObs caches Mercury's telemetry handles for one collector.
+// coreObs caches Mercury's telemetry handles for one collector: the
+// histograms and the counters that have no Stats twin.
 type coreObs struct {
 	col       *obs.Collector
-	attaches  *obs.Counter
-	detaches  *obs.Counter
-	deferred  *obs.Counter
-	failed    *obs.Counter
-	starved   *obs.Counter
 	healings  *obs.Counter
 	evacs     *obs.Counter
 	attachCyc *obs.Histogram
@@ -175,11 +174,6 @@ func (mc *Mercury) tel() *coreObs {
 		r := col.Registry
 		h = &coreObs{
 			col:       col,
-			attaches:  r.Counter("core", "attaches_total"),
-			detaches:  r.Counter("core", "detaches_total"),
-			deferred:  r.Counter("core", "switch_deferred_total"),
-			failed:    r.Counter("core", "switch_failed_total"),
-			starved:   r.Counter("core", "switch_starved_total"),
 			healings:  r.Counter("core", "healings_total"),
 			evacs:     r.Counter("core", "evacuations_total"),
 			attachCyc: r.Histogram("core", "attach_cycles"),
@@ -309,6 +303,17 @@ func New(cfg Config) (*Mercury, error) {
 		VirtualVO: vo.NewVirtual(v, dom),
 		Policy:    cfg.Policy,
 		NodeID:    -1,
+		Stats: Stats{Attaches: obs.NewCounter(), Detaches: obs.NewCounter(),
+			Deferred: obs.NewCounter(), FailedSwitches: obs.NewCounter(),
+			StarvedSwitches: obs.NewCounter()},
+	}
+	if col := m.Telemetry(); col != nil {
+		r := col.Registry
+		r.RegisterCounter(mc.Stats.Attaches, "core", "attaches_total")
+		r.RegisterCounter(mc.Stats.Detaches, "core", "detaches_total")
+		r.RegisterCounter(mc.Stats.Deferred, "core", "switch_deferred_total")
+		r.RegisterCounter(mc.Stats.FailedSwitches, "core", "switch_failed_total")
+		r.RegisterCounter(mc.Stats.StarvedSwitches, "core", "switch_starved_total")
 	}
 	if cfg.ShadowPaging {
 		if len(m.CPUs) > 1 {

@@ -83,7 +83,6 @@ func (mc *Mercury) modeSwitchISR(c *hw.CPU, f *hw.TrapFrame) {
 			mc.Stats.LastDetachCyc.Store(end - start)
 			mc.Stats.Detaches.Add(1)
 			if h != nil {
-				h.detaches.Inc()
 				h.detachCyc.Observe(end - start)
 			}
 		}
@@ -94,7 +93,6 @@ func (mc *Mercury) modeSwitchISR(c *hw.CPU, f *hw.TrapFrame) {
 			mc.Stats.LastAttachCyc.Store(end - start)
 			mc.Stats.Attaches.Add(1)
 			if h != nil {
-				h.attaches.Inc()
 				h.attachCyc.Observe(end - start)
 			}
 		}
@@ -105,9 +103,6 @@ func (mc *Mercury) modeSwitchISR(c *hw.CPU, f *hw.TrapFrame) {
 		// in its previous mode and the failure is reported, not fatal.
 		root.EndArg(c.Now(), 1)
 		mc.Stats.FailedSwitches.Add(1)
-		if h != nil {
-			h.failed.Inc()
-		}
 		mc.event(h, obs.EvSwitchFailed, c.Now(), uint64(target), 0)
 		mc.setLastError(err)
 		mc.smp.target.Store(int32(mc.Mode())) // APs reload the old mode
@@ -121,13 +116,6 @@ func (mc *Mercury) modeSwitchISR(c *hw.CPU, f *hw.TrapFrame) {
 	root.EndArg(c.Now(), 0)
 	mc.event(h, obs.EvModeSwitch, c.Now(), uint64(target), c.Now()-start)
 	mc.setLastError(nil)
-	if mc.VMM.Trace != nil {
-		if target == ModeNative {
-			mc.VMM.Trace.Emit(c, xen.TrcDetach, mc.Dom.ID, uint64(c.Now()-start))
-		} else {
-			mc.VMM.Trace.Emit(c, xen.TrcAttach, mc.Dom.ID, uint64(c.Now()-start))
-		}
-	}
 	mc.mode.Store(int32(target))
 	mc.pending.Store(-1)
 	mc.step(c, StepRendezvousRelease, target)
@@ -143,7 +131,6 @@ func (mc *Mercury) modeSwitchISR(c *hw.CPU, f *hw.TrapFrame) {
 func (mc *Mercury) deferSwitch(c *hw.CPU, h *coreObs, target Mode) {
 	mc.Stats.Deferred.Add(1)
 	if h != nil {
-		h.deferred.Inc()
 		h.col.Tracer.Instant(c.ID, c.Now(), "switch/deferred", uint64(target))
 	}
 	mc.event(h, obs.EvSwitchDeferred, c.Now(), uint64(target),
@@ -153,7 +140,6 @@ func (mc *Mercury) deferSwitch(c *hw.CPU, h *coreObs, target Mode) {
 		mc.step(c, StepStarve, target)
 		mc.Stats.StarvedSwitches.Add(1)
 		if h != nil {
-			h.starved.Inc()
 			h.col.Tracer.Instant(c.ID, c.Now(), "switch/starved", uint64(target))
 		}
 		mc.event(h, obs.EvSwitchStarved, c.Now(), uint64(target), uint64(n))

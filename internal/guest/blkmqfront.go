@@ -141,7 +141,6 @@ func (f *MQBlockFrontend) SubmitAsync(c *hw.CPU, qi int, reqs []MQIORequest) int
 			qi, n, len(q.pushBuf), q.outstanding))
 	}
 	q.outstanding += n
-	f.V.NoteDoorbell(notify)
 	if notify {
 		q.kickPending = true
 	}

@@ -51,7 +51,7 @@ type Machine struct {
 
 	// telemetry is the installed collector (nil = telemetry disabled).
 	// Every instrumentation hook in the tree gates on one atomic load
-	// of this pointer, the same discipline as xen.TraceBuffer.Emit.
+	// of this pointer.
 	telemetry atomic.Pointer[obs.Collector]
 }
 

@@ -138,15 +138,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // --- Chrome trace_event export ---
 
-// ExtEvent is an externally sourced instant event (the xentrace ring)
-// merged into the Chrome export on the same TSC timebase.
-type ExtEvent struct {
-	TS   uint64
-	CPU  int
-	Name string
-	Args map[string]any
-}
-
 // chromeEvent is one trace_event record. Field names follow the
 // Trace Event Format (chrome://tracing / Perfetto).
 type chromeEvent struct {
@@ -166,10 +157,10 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace renders spans plus external instants as Chrome
-// trace_event JSON. Cycle timestamps convert to microseconds at hz;
-// span nesting is carried by complete ("X") events, instants by "i".
-func WriteChromeTrace(w io.Writer, hz uint64, spans []Span, ext []ExtEvent) error {
+// WriteChromeTrace renders spans as Chrome trace_event JSON. Cycle
+// timestamps convert to microseconds at hz; span nesting is carried by
+// complete ("X") events, instants by "i".
+func WriteChromeTrace(w io.Writer, hz uint64, spans []Span) error {
 	if hz == 0 {
 		return fmt.Errorf("obs: chrome export needs a nonzero clock frequency")
 	}
@@ -188,12 +179,6 @@ func WriteChromeTrace(w io.Writer, hz uint64, spans []Span, ext []ExtEvent) erro
 			ev.Dur = &d
 		}
 		tr.TraceEvents = append(tr.TraceEvents, ev)
-	}
-	for _, e := range ext {
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: e.Name, Ph: "i", Scope: "t", TS: us(e.TS), PID: 1, TID: e.CPU,
-			Args: e.Args,
-		})
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(tr)

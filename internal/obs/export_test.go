@@ -16,12 +16,8 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	root.EndArg(3_900_000, 0)
 	tr.Complete(1, 100, 200, "xen/hypercall", 2)
 
-	ext := []ExtEvent{
-		{TS: 3_050_000, CPU: 0, Name: "xentrace/hypercall",
-			Args: map[string]any{"dom": 0}},
-	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, 3_000_000_000, tr.Spans(), ext); err != nil {
+	if err := WriteChromeTrace(&buf, 3_000_000_000, tr.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	// The exporter's own output must satisfy the schema checker.
@@ -36,10 +32,10 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed.TraceEvents) != 5 {
+	if len(parsed.TraceEvents) != 4 {
 		t.Fatalf("got %d events", len(parsed.TraceEvents))
 	}
-	var sawComplete, sawInstant, sawExt bool
+	var sawComplete, sawInstant bool
 	for _, ev := range parsed.TraceEvents {
 		switch ev["name"] {
 		case "switch/attach":
@@ -59,20 +55,15 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 			if ev["ph"] != "i" {
 				t.Fatalf("instant ph = %v", ev["ph"])
 			}
-		case "xentrace/hypercall":
-			sawExt = true
-			if ev["ph"] != "i" {
-				t.Fatalf("ext ph = %v", ev["ph"])
-			}
 		}
 	}
-	if !sawComplete || !sawInstant || !sawExt {
+	if !sawComplete || !sawInstant {
 		t.Fatal("missing event kinds in export")
 	}
 }
 
 func TestChromeTraceNeedsFrequency(t *testing.T) {
-	if err := WriteChromeTrace(&bytes.Buffer{}, 0, nil, nil); err == nil {
+	if err := WriteChromeTrace(&bytes.Buffer{}, 0, nil); err == nil {
 		t.Fatal("hz=0 accepted")
 	}
 }

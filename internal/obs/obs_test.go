@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -44,11 +45,11 @@ func TestRegisterCounterAdoptsExisting(t *testing.T) {
 	r := NewRegistry()
 	free := NewCounter()
 	free.Add(7)
-	got := r.RegisterCounter(free, "vo", "calls_total", L("object", "direct"))
-	if got != free {
-		t.Fatal("adoption returned a different counter")
+	r.RegisterCounter(free, "vo", "calls_total", L("object", "direct"))
+	if got := r.Counter("vo", "calls_total", L("object", "direct")).Load(); got != 7 {
+		t.Fatalf("series = %d after adoption, want 7", got)
 	}
-	// The registry now reads through the same object.
+	// The registry reads through the adopted object.
 	free.Add(1)
 	var seen uint64
 	r.Each(func(m *Metric) {
@@ -58,6 +59,85 @@ func TestRegisterCounterAdoptsExisting(t *testing.T) {
 	})
 	if seen != 8 {
 		t.Fatalf("registry sees %d, want 8", seen)
+	}
+	if free.Load() != 8 {
+		t.Fatalf("adopted counter = %d, want its own 8", free.Load())
+	}
+}
+
+func TestRegisterCounterSumsAdopted(t *testing.T) {
+	r := NewRegistry()
+	a, b := NewCounter(), NewCounter()
+	a.Add(3)
+	r.RegisterCounter(a, "xen", "hypercalls_total")
+	r.RegisterCounter(b, "xen", "hypercalls_total")
+	b.Add(4)
+	series := r.Counter("xen", "hypercalls_total")
+	series.Inc() // the series' own count joins the sum
+	if got := series.Load(); got != 8 {
+		t.Fatalf("series = %d, want 3+4+1", got)
+	}
+	if a.Load() != 3 || b.Load() != 4 {
+		t.Fatalf("adopted counters changed: a=%d b=%d", a.Load(), b.Load())
+	}
+	var sb strings.Builder
+	r.WriteProm(&sb)
+	if !strings.Contains(sb.String(), "mercury_xen_hypercalls_total 8") {
+		t.Fatalf("export does not show the sum:\n%s", sb.String())
+	}
+}
+
+func TestRegisterCounterIdempotent(t *testing.T) {
+	r := NewRegistry()
+	c := NewCounter()
+	c.Add(5)
+	for i := 0; i < 3; i++ {
+		r.RegisterCounter(c, "core", "attaches_total")
+	}
+	series := r.Counter("core", "attaches_total")
+	// Adopting the series under itself must not recurse or double it.
+	r.RegisterCounter(series, "core", "attaches_total")
+	if got := series.Load(); got != 5 {
+		t.Fatalf("series = %d after re-adoption, want 5", got)
+	}
+}
+
+// TestRegisterCounterConcurrent increments adopted counters while new
+// ones are adopted and the series is read; run it under -race. Every
+// increment must be in the final sum.
+func TestRegisterCounterConcurrent(t *testing.T) {
+	r := NewRegistry()
+	const workers, incs = 8, 1000
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Counter("xen", "events_sent_total").Load()
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewCounter()
+			for i := 0; i < incs; i++ {
+				c.Inc()
+				if i == incs/2 {
+					r.RegisterCounter(c, "xen", "events_sent_total")
+				}
+			}
+			r.RegisterCounter(c, "xen", "events_sent_total")
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if got := r.Counter("xen", "events_sent_total").Load(); got != workers*incs {
+		t.Fatalf("series = %d, want %d", got, workers*incs)
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,14 +18,18 @@ type Label struct {
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // Counter is a monotonically increasing count. It is a free-standing
-// atomic so subsystems can count unconditionally and hand the same
-// object to a registry — one counting path, one source of truth.
+// atomic so subsystems can count unconditionally into their own Stats;
+// a registry series adopts those counters (RegisterCounter) and reports
+// their sum — one counting path per fact, however many instances of a
+// subsystem share the collector.
 type Counter struct {
 	v atomic.Uint64
+	// adopted lists the counters linked under this one. It is published
+	// copy-on-write, so Load never takes a lock while CPUs increment.
+	adopted atomic.Pointer[[]*Counter]
 }
 
-// NewCounter returns an unregistered counter (used where no collector
-// is installed; the adapter pattern in internal/vo).
+// NewCounter returns an unregistered counter.
 func NewCounter() *Counter { return &Counter{} }
 
 // Add increments the counter by n.
@@ -33,8 +38,39 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Load returns the current count.
-func (c *Counter) Load() uint64 { return c.v.Load() }
+// Load returns the counter's own count plus the Load of every counter
+// adopted under it.
+func (c *Counter) Load() uint64 {
+	n := c.v.Load()
+	if p := c.adopted.Load(); p != nil {
+		for _, a := range *p {
+			n += a.Load()
+		}
+	}
+	return n
+}
+
+// adopt links a under c. Adopting c itself or an already linked
+// counter is a no-op.
+func (c *Counter) adopt(a *Counter) {
+	if a == c {
+		return
+	}
+	for {
+		old := c.adopted.Load()
+		var list []*Counter
+		if old != nil {
+			list = *old
+		}
+		if slices.Contains(list, a) {
+			return
+		}
+		next := append(list[:len(list):len(list)], a)
+		if c.adopted.CompareAndSwap(old, &next) {
+			return
+		}
+	}
+}
 
 // Gauge is an instantaneous signed value.
 type Gauge struct {
@@ -173,13 +209,14 @@ func (r *Registry) Histogram(subsystem, name string, labels ...Label) *Histogram
 		func(m *Metric) { m.hist = NewHistogram() }).hist
 }
 
-// RegisterCounter adopts an existing counter under the given identity,
-// so a subsystem that counts unconditionally (internal/vo) can expose
-// the same object through the registry. Returns the registered counter
-// (the existing one if the identity was already present).
-func (r *Registry) RegisterCounter(c *Counter, subsystem, name string, labels ...Label) *Counter {
-	return r.lookup(subsystem, name, labels, KindCounter,
-		func(m *Metric) { m.counter = c }).counter
+// RegisterCounter adopts c under subsystem/name{labels}: from now on
+// the series' Load (and every export) includes c's count. A subsystem
+// counts into its own per-instance counter; every instance built on
+// this collector adopts its counter under the same identity, so each
+// keeps its own count while the series reports their sum. Adopting
+// the same c twice is a no-op.
+func (r *Registry) RegisterCounter(c *Counter, subsystem, name string, labels ...Label) {
+	r.Counter(subsystem, name, labels...).adopt(c)
 }
 
 // Each calls fn for every registered metric in sorted key order.

@@ -15,7 +15,7 @@ const (
 
 // Span is one finished trace record. Timestamps are raw cycles on the
 // owning CPU's clock (the simulated TSC), the same timebase as the
-// xentrace ring, so the two merge cleanly in the Chrome export.
+// metrics registry's cycle histograms.
 type Span struct {
 	ID     uint64
 	Parent uint64 // 0 = top-level

@@ -217,8 +217,7 @@ type ioServer struct {
 	client  *xen.Domain
 	be      *xen.BlkMQBackend
 	fe      *guest.MQBlockFrontend
-	virtual bool   // datapath currently attached
-	events0 uint64 // backend events before this run (one counter per collector)
+	virtual bool // datapath currently attached
 
 	// Frame pools: client-owned for granted M-V buffers, kernel-owned
 	// for the native path.
@@ -266,7 +265,6 @@ func (s *ioServer) setupVirtual() error {
 
 	s.be = xen.NewBlkMQBackend(v, mc.Dom, s.nb.RawDevice(),
 		cfg.Queues, cfg.Depth, cfg.ReqThreshold)
-	s.events0 = s.be.Stats.Events.Load()
 	mc.Dom.BackgroundWork = s.be.Serve
 	v.SetWeight(mc.Dom, 512)
 	s.fe = guest.NewMQBlockFrontend(v, client, mc.Dom.ID, cfg.RespThreshold)
@@ -486,7 +484,7 @@ func (s *ioServer) finish() {
 		if rung := reqKicks + respKicks + res.ForcedKicks; rung > 0 {
 			res.SuppressionRatio = float64(reqSlots+respSlots) / float64(rung)
 		}
-		res.BackendEvents = s.be.Stats.Events.Load() - s.events0
+		res.BackendEvents = s.be.Stats.Events.Load()
 		res.BackendBursts = s.be.Stats.Bursts.Load()
 	}
 

@@ -3,6 +3,8 @@ package workloads
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestIOServerSwitchUnderLoadExactlyOnce is the satellite's in-flight
@@ -96,5 +98,37 @@ func TestIOServerDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestIOServerDoorbellSeries pins the ring-doorbell series of an M-V
+// run with a collector installed: the registry sums the doorbell
+// counters of every queue ring, frontend request pushes and backend
+// completions alike.
+func TestIOServerDoorbellSeries(t *testing.T) {
+	for _, c := range []struct {
+		cfg                     IOConfig
+		kicks, suppressed, evts uint64
+	}{
+		{IOConfig{Queues: 1, Depth: 64, Requests: 500, MeanArrival: 3000, Seed: 7, Virtual: true}, 18, 2, 10},
+		{IOConfig{Queues: 2, Depth: 32, Requests: 600, MeanArrival: 6000, Seed: 42, Virtual: true, SwitchMid: true}, 24, 0, 12},
+	} {
+		col := obs.New(1)
+		c.cfg.Collector = col
+		res, err := RunIOServer(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := col.Registry
+		kicks := r.Counter("xen", "ring_doorbells_total").Load()
+		suppressed := r.Counter("xen", "ring_doorbells_suppressed_total").Load()
+		if kicks != c.kicks || suppressed != c.suppressed || res.BackendEvents != c.evts {
+			t.Errorf("seed %d: doorbells %d, suppressed %d, backend events %d; want %d, %d, %d",
+				c.cfg.Seed, kicks, suppressed, res.BackendEvents, c.kicks, c.suppressed, c.evts)
+		}
+		if kicks != res.ReqKicks+res.RespKicks {
+			t.Errorf("seed %d: doorbell series %d != ring kicks %d+%d",
+				c.cfg.Seed, kicks, res.ReqKicks, res.RespKicks)
+		}
 	}
 }

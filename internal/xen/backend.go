@@ -88,8 +88,8 @@ type NetBackend struct {
 }
 
 // NetBackendStats counts backend activity. The packet counters are
-// adopted into the telemetry registry at construction; with a collector
-// installed they are shared by every net backend built on it.
+// adopted into the telemetry registry at construction, where each
+// series sums them over every net backend built on the collector.
 type NetBackendStats struct {
 	TxPackets, RxPackets *obs.Counter
 	RxDropped            atomic.Uint64
@@ -105,9 +105,9 @@ func NewNetBackend(v *VMM, dom *Domain, dev PacketDevice, depth int) *NetBackend
 		Stats:  NetBackendStats{TxPackets: obs.NewCounter(), RxPackets: obs.NewCounter()},
 	}
 	if col := v.M.Telemetry(); col != nil {
-		nb.Stats.TxPackets = col.Registry.RegisterCounter(nb.Stats.TxPackets, "xen", "backend_packets_total",
+		col.Registry.RegisterCounter(nb.Stats.TxPackets, "xen", "backend_packets_total",
 			obs.L("dev", "net"), obs.L("dir", "tx"))
-		nb.Stats.RxPackets = col.Registry.RegisterCounter(nb.Stats.RxPackets, "xen", "backend_packets_total",
+		col.Registry.RegisterCounter(nb.Stats.RxPackets, "xen", "backend_packets_total",
 			obs.L("dev", "net"), obs.L("dir", "rx"))
 	}
 	return nb

@@ -369,17 +369,19 @@ func TestMiscHypercalls(t *testing.T) {
 	}
 }
 
-// TestNetBackendPacketCountersAdopted: the packet counts are the
-// registry's xen/backend_packets_total{dev=net,dir=...} counters.
+// TestNetBackendPacketCountersAdopted: the packet counts are adopted
+// into the registry's xen/backend_packets_total{dev=net,dir=...} series.
 func TestNetBackendPacketCountersAdopted(t *testing.T) {
 	v, d0, _, _ := twoDomains(t)
 	col := obs.New(1)
 	v.M.SetTelemetry(col)
 	nb := NewNetBackend(v, d0, devFunc(func(*hw.CPU, []byte) {}), 8)
-	for dir, want := range map[string]*obs.Counter{"tx": nb.Stats.TxPackets, "rx": nb.Stats.RxPackets} {
+	nb.Stats.TxPackets.Add(2)
+	nb.Stats.RxPackets.Add(5)
+	for dir, want := range map[string]uint64{"tx": 2, "rx": 5} {
 		if got := col.Registry.Counter("xen", "backend_packets_total",
-			obs.L("dev", "net"), obs.L("dir", dir)); got != want {
-			t.Errorf("dir=%s: registry holds a different counter", dir)
+			obs.L("dev", "net"), obs.L("dir", dir)).Load(); got != want {
+			t.Errorf("dir=%s: series = %d, want %d", dir, got, want)
 		}
 	}
 }

@@ -84,9 +84,8 @@ const writeBehindLimit = 2048
 
 // BlkMQStats counts backend activity across all queues (atomic: queue
 // events may be dispatched on any CPU). Requests and Events are adopted
-// into the telemetry registry at construction; with a collector
-// installed they are that collector's series, shared by every block
-// backend built on it.
+// into the telemetry registry at construction, where each series sums
+// them over every block backend built on the collector.
 type BlkMQStats struct {
 	Requests *obs.Counter
 	Events   *obs.Counter
@@ -105,9 +104,10 @@ func NewBlkMQBackend(v *VMM, dom *Domain, dev BlockDevice, queues, depth, reqThr
 	}
 	be := &BlkMQBackend{V: v, Dom: dom, Dev: dev, ReqThreshold: reqThreshold,
 		Stats: BlkMQStats{Requests: obs.NewCounter(), Events: obs.NewCounter()}}
-	if col := v.M.Telemetry(); col != nil {
-		be.Stats.Requests = col.Registry.RegisterCounter(be.Stats.Requests, "xen", "backend_requests_total", obs.L("dev", "blk"))
-		be.Stats.Events = col.Registry.RegisterCounter(be.Stats.Events, "xen", "backend_events_total", obs.L("dev", "blk"))
+	col := v.M.Telemetry()
+	if col != nil {
+		col.Registry.RegisterCounter(be.Stats.Requests, "xen", "backend_requests_total", obs.L("dev", "blk"))
+		col.Registry.RegisterCounter(be.Stats.Events, "xen", "backend_events_total", obs.L("dev", "blk"))
 	}
 	for i := 0; i < queues; i++ {
 		q := &BlkMQQueue{
@@ -118,6 +118,15 @@ func NewBlkMQBackend(v *VMM, dom *Domain, dev BlockDevice, queues, depth, reqThr
 		q.respBuf = make([]BlkResponse, 0, q.Ring.Capacity())
 		q.refBuf = make([]GrantRef, 0, q.Ring.Capacity())
 		be.Queues = append(be.Queues, q)
+		if col != nil {
+			// Both ends' doorbell decisions on this queue: the
+			// frontend's request pushes and the backend's completions.
+			st := &q.Ring.Stats
+			col.Registry.RegisterCounter(st.ReqKicks, "xen", "ring_doorbells_total")
+			col.Registry.RegisterCounter(st.RespKicks, "xen", "ring_doorbells_total")
+			col.Registry.RegisterCounter(st.ReqSuppressed, "xen", "ring_doorbells_suppressed_total")
+			col.Registry.RegisterCounter(st.RespSuppressed, "xen", "ring_doorbells_suppressed_total")
+		}
 	}
 	return be
 }
@@ -214,7 +223,6 @@ func (be *BlkMQBackend) serveBurst(c *hw.CPU, q *BlkMQQueue, reqs []BlkRequest) 
 		start = end
 	}
 	notify := q.Ring.PushResponses(c, q.respBuf)
-	be.V.NoteDoorbell(notify)
 	if notify && q.RespKick != nil {
 		q.RespKick(c)
 	}

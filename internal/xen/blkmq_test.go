@@ -186,11 +186,11 @@ func TestBlkMQCountersAdoptedByRegistry(t *testing.T) {
 	pushGrants(c, v, dU, be, 0, 0, 10, 4)
 	be.OnQueueEvent(0)(c)
 	reg := col.Registry
-	if got := reg.Counter("xen", "backend_requests_total", obs.L("dev", "blk")); got != be.Stats.Requests || got.Load() != 4 {
-		t.Fatalf("requests: registry counter %p (%d), stats %p", got, got.Load(), be.Stats.Requests)
+	if got := reg.Counter("xen", "backend_requests_total", obs.L("dev", "blk")).Load(); got != 4 || be.Stats.Requests.Load() != 4 {
+		t.Fatalf("requests: registry %d, stats %d, want 4", got, be.Stats.Requests.Load())
 	}
-	if got := reg.Counter("xen", "backend_events_total", obs.L("dev", "blk")); got != be.Stats.Events || got.Load() != 1 {
-		t.Fatalf("events: registry counter %p (%d), stats %p", got, got.Load(), be.Stats.Events)
+	if got := reg.Counter("xen", "backend_events_total", obs.L("dev", "blk")).Load(); got != 1 || be.Stats.Events.Load() != 1 {
+		t.Fatalf("events: registry %d, stats %d, want 1", got, be.Stats.Events.Load())
 	}
 }
 
@@ -320,6 +320,10 @@ func TestBackendCountersSharedOnOneCollector(t *testing.T) {
 		be := NewBlkMQBackend(v, d0, v.M.Disk, 1, 16, 1)
 		pushGrants(c, v, dU, be, 0, 0, uint64(10+i*10), 3)
 		be.OnQueueEvent(0)(c)
+		// Each backend keeps its own count; only the series sums them.
+		if got := be.Stats.Requests.Load(); got != 3 {
+			t.Errorf("backend %d: own Stats.Requests = %d, want 3", i, got)
+		}
 		nb := NewNetBackend(v, d0, devFunc(func(*hw.CPU, []byte) {}), 8)
 		pfn := dU.Frames.Alloc()
 		nb.RxRing.PushRequests(c, []NetRxBuffer{{ID: 1, Grant: dU.GrantAccess(c, d0.ID, pfn, false), Front: dU.ID}})

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hw"
+	"repro/internal/obs"
 )
 
 // DomState is a domain's lifecycle state.
@@ -89,15 +90,21 @@ type Domain struct {
 }
 
 // DomainStats counts per-domain VMM interactions (atomic: multiple
-// vcpus/CPUs update them concurrently).
+// vcpus/CPUs update them concurrently). The domain constructor adopts
+// the *obs.Counter fields into the installed collector, where each
+// series sums them over every domain.
 type DomainStats struct {
 	Hypercalls   atomic.Uint64
 	Multicalls   atomic.Uint64 // multicall batches issued by this domain
 	MulticallOps atomic.Uint64 // ops carried inside those batches
 	MMUUpdates   atomic.Uint64
-	FaultBounces atomic.Uint64
+	// FaultBounces is xen/fault_bounces_total: traps bounced into the
+	// guest's handler, plus the trap-and-emulate bounces (Emulate,
+	// EmulatePTEWrite) that vo.Virtual.TrapEmulate and the paging
+	// ablation take instead of a hypercall.
+	FaultBounces *obs.Counter
 	EventsIn     atomic.Uint64
-	EventsOut    atomic.Uint64
+	EventsOut    *obs.Counter // xen/events_sent_total
 }
 
 // newVCPU builds the boot vcpu with interrupts enabled.
@@ -131,13 +138,11 @@ func (d *Domain) bounce(c *hw.CPU, f *hw.TrapFrame) {
 	}
 	c.Charge(d.VMM.M.Costs.FaultBounce)
 	d.Stats.FaultBounces.Add(1)
-	d.VMM.traceEmit(c, TrcFaultBounce, d, uint64(f.Vector))
 	prev := c.SetMode(hw.PL1)
 	g.Handler(c, f)
 	c.SetMode(prev)
 	if h != nil {
 		end := c.Now()
-		h.faultBounces.Inc()
 		h.faultBounceCyc.Observe(end - start)
 		h.col.Tracer.Complete(c.ID, start, end, "xen/fault-bounce", uint64(f.Vector))
 	}

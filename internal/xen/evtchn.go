@@ -98,11 +98,7 @@ func (v *VMM) EvtchnSend(c *hw.CPU, d *Domain, p Port) error {
 	}
 	c.Charge(v.M.Costs.EventSend)
 	d.Stats.EventsOut.Add(1)
-	v.traceEmit(c, TrcEventSend, d, uint64(p))
-	if h := v.tel(); h != nil {
-		h.eventsSent.Inc()
-		h.col.Tracer.Instant(c.ID, c.Now(), "xen/event-send", uint64(p))
-	}
+	v.traceInstant(c, "xen/event-send", uint64(p))
 	rd.ports[ch.remotePort].pending = true
 	rd.Stats.EventsIn.Add(1)
 	v.maybeDeliverUpcall(c, rd)
@@ -124,10 +120,7 @@ func (v *VMM) evtchnMarkPending(c *hw.CPU, d *Domain, p Port, m *Multicall) erro
 	}
 	c.Charge(v.M.Costs.EventSend)
 	d.Stats.EventsOut.Add(1)
-	v.traceEmit(c, TrcEventSend, d, uint64(p))
-	if h := v.tel(); h != nil {
-		h.eventsSent.Inc()
-	}
+	v.traceInstant(c, "xen/event-send", uint64(p))
 	rd.ports[ch.remotePort].pending = true
 	rd.Stats.EventsIn.Add(1)
 	for _, k := range m.kicked {

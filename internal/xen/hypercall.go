@@ -100,19 +100,7 @@ func (v *VMM) HypDomctlCreateFromFrames(c *hw.CPU, d *Domain, name string, nfram
 	if err != nil {
 		return nil, fmt.Errorf("xen: donating dom%d memory: %w", d.ID, err)
 	}
-	id := v.nextDomID
-	v.nextDomID++
-	nd := &Domain{
-		ID: id, Name: name, VMM: v, Frames: part,
-		pinnedRoots: make(map[hw.PFN]bool),
-	}
-	nd.VCPUs = []*VCPU{newVCPU(nd)}
-	lo, hi := part.Range()
-	for pfn := lo; pfn < hi; pfn++ {
-		v.FT.SetOwner(pfn, id)
-	}
-	v.Domains[id] = nd
-	return nd, nil
+	return v.newDomain(name, part, false), nil
 }
 
 // HypDomctlDestroy destroys a domain.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hw"
+	"repro/internal/obs"
 )
 
 // IORing is the shared-memory I/O ring of the split device model
@@ -63,14 +64,17 @@ type IORing[Req, Resp any] struct {
 
 // IORingStats counts slot traffic and doorbell decisions. The ratio of
 // slots to doorbells sent is the notify-suppression ratio the datapath
-// bench reports. Atomics: both ends may run on different CPUs.
+// bench reports. Atomics: both ends may run on different CPUs. The
+// doorbell counters are *obs.Counter so a block backend can adopt them
+// into xen/ring_doorbells_total and xen/ring_doorbells_suppressed_total.
 type IORingStats struct {
 	ReqSlots  atomic.Uint64 // requests pushed
 	RespSlots atomic.Uint64 // responses pushed
 
-	ReqKicks      atomic.Uint64 // request pushes that crossed the wake mark
-	ReqSuppressed atomic.Uint64 // request pushes with the doorbell elided
-	RespKicks     atomic.Uint64 // response pushes that crossed the wake mark
+	ReqKicks       *obs.Counter // request pushes that crossed the wake mark
+	ReqSuppressed  *obs.Counter // request pushes with the doorbell elided
+	RespKicks      *obs.Counter // response pushes that crossed the wake mark
+	RespSuppressed *obs.Counter // response pushes with the doorbell elided
 
 	NotifiesDropped atomic.Uint64 // doorbells swallowed by fault injection
 	RecoveredByPoll atomic.Uint64 // dropped doorbells healed by a poll drain
@@ -97,6 +101,8 @@ func NewIORing[Req, Resp any](capacity int, costs *hw.CostModel) *IORing[Req, Re
 		resps:     make([]Resp, n),
 		reqEvent:  1,
 		respEvent: 1,
+		Stats: IORingStats{ReqKicks: obs.NewCounter(), ReqSuppressed: obs.NewCounter(),
+			RespKicks: obs.NewCounter(), RespSuppressed: obs.NewCounter()},
 	}
 }
 
@@ -206,6 +212,8 @@ func (r *IORing[Req, Resp]) PushResponses(c *hw.CPU, resps []Resp) (notify bool)
 	notify = r.respProd-r.respEvent < r.respProd-old
 	if notify {
 		r.Stats.RespKicks.Add(1)
+	} else {
+		r.Stats.RespSuppressed.Add(1)
 	}
 	return notify
 }

@@ -188,7 +188,7 @@ func (v *VMM) pinTable(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
 	}
 	v.FT.GetRef(root)
 	v.markPinned(root, true)
-	v.traceEmit(c, TrcPin, d, uint64(root))
+	v.traceInstant(c, "xen/pin", uint64(d.ID))
 	d.pinnedRoots[root] = true
 	if v.ShadowMode {
 		if _, err := v.BuildShadowTree(c, d, root); err != nil {
@@ -205,7 +205,7 @@ func (v *VMM) unpinTable(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
 	}
 	delete(d.pinnedRoots, root)
 	v.markPinned(root, false)
-	v.traceEmit(c, TrcUnpin, d, uint64(root))
+	v.traceInstant(c, "xen/unpin", uint64(d.ID))
 	if v.ShadowMode {
 		v.DropShadowTree(c, d, root)
 	}

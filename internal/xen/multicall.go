@@ -203,10 +203,8 @@ func (v *VMM) HypMulticall(c *hw.CPU, d *Domain, m *Multicall) error {
 		d.Stats.Multicalls.Add(1)
 		d.Stats.MulticallOps.Add(uint64(len(m.Ops)))
 	}
-	v.traceEmit(c, TrcMulticall, d, uint64(len(m.Ops)))
 	if fr.h != nil {
-		fr.h.multicalls.Inc()
-		fr.h.multicallOps.Add(uint64(len(m.Ops)))
+		fr.h.col.Tracer.Instant(c.ID, c.Now(), "xen/multicall", uint64(len(m.Ops)))
 	}
 	v.lockMMU(c)
 	err := v.multicallLocked(c, d, m)

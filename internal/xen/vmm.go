@@ -39,9 +39,6 @@ type VMM struct {
 	// negotiate through.
 	Store *XenStore
 
-	// Trace is the xentrace-style event ring (disabled by default).
-	Trace *TraceBuffer
-
 	// sched is the credit-weight domain scheduler state.
 	sched DomSched
 
@@ -94,21 +91,16 @@ type VMM struct {
 	obsCache atomic.Pointer[vmmObs]
 }
 
-// vmmObs caches the VMM's telemetry handles for one collector.
+// vmmObs caches the VMM's telemetry handles for one collector: the
+// histograms and the counters that have no Stats twin. Counters that do
+// (hypercalls, multicalls, domain switches, events, fault bounces) are
+// adopted into the registry at construction instead.
 type vmmObs struct {
 	col            *obs.Collector
-	hypercalls     *obs.Counter
 	hypercallCyc   *obs.Histogram
-	multicalls     *obs.Counter
-	multicallOps   *obs.Counter
-	domSwitches    *obs.Counter
-	faultBounces   *obs.Counter
 	faultBounceCyc *obs.Histogram
-	eventsSent     *obs.Counter
 	schedSlices    *obs.Counter
 	schedBudget    *obs.Histogram
-	ringKicks      *obs.Counter
-	ringSuppressed *obs.Counter
 	ringBurst      *obs.Histogram
 	ringDepth      *obs.Histogram
 	grantBatches   *obs.Counter
@@ -127,56 +119,39 @@ func (v *VMM) tel() *vmmObs {
 		r := col.Registry
 		h = &vmmObs{
 			col:            col,
-			hypercalls:     r.Counter("xen", "hypercalls_total"),
 			hypercallCyc:   r.Histogram("xen", "hypercall_cycles"),
-			multicalls:     r.Counter("xen", "multicalls_total"),
-			multicallOps:   r.Counter("xen", "multicall_ops_total"),
-			domSwitches:    r.Counter("xen", "dom_switches_total"),
-			faultBounces:   r.Counter("xen", "fault_bounces_total"),
 			faultBounceCyc: r.Histogram("xen", "fault_bounce_cycles"),
-			eventsSent:     r.Counter("xen", "events_sent_total"),
 			schedSlices:    r.Counter("xen", "sched_slices_total"),
 			schedBudget:    r.Histogram("xen", "sched_slice_budget_cycles"),
-			ringKicks:      r.Counter("xen", "ring_doorbells_total"),
-			ringSuppressed: r.Counter("xen", "ring_doorbells_suppressed_total"),
 			ringBurst:      r.Histogram("xen", "ring_burst_requests"),
 			ringDepth:      r.Histogram("xen", "ring_depth"),
 			grantBatches:   r.Counter("xen", "grant_map_batches_total"),
 			grantBatchRefs: r.Counter("xen", "grant_map_batch_refs_total"),
-		}
-		if v.Trace != nil {
-			// Adopt the trace ring's drop count so metrics exports flag
-			// xentrace data loss alongside the span-drop counter.
-			r.RegisterCounter(v.Trace.dropped, "xen", "trace_ring_dropped_total")
 		}
 		v.obsCache.Store(h)
 	}
 	return h
 }
 
-// NoteDoorbell feeds the ring-doorbell instruments: one event-index
-// notify decision from either end of a datapath ring (sent means the
-// doorbell was rung; otherwise suppression elided it). Frontends
-// outside this package report their decisions through it.
-func (v *VMM) NoteDoorbell(sent bool) {
-	h := v.tel()
-	if h == nil {
-		return
-	}
-	if sent {
-		h.ringKicks.Inc()
-	} else {
-		h.ringSuppressed.Inc()
+// traceInstant records a point event (a pin, an unpin, an event send)
+// on the installed collector's tracer, parented under the CPU's open
+// span. Without a collector it costs one atomic load.
+func (v *VMM) traceInstant(c *hw.CPU, name string, arg uint64) {
+	if h := v.tel(); h != nil {
+		h.col.Tracer.Instant(c.ID, c.Now(), name, arg)
 	}
 }
 
 // VMMStats counts hypervisor-level events. Atomic: hypercalls arrive
-// concurrently from every CPU.
+// concurrently from every CPU. Boot adopts the *obs.Counter fields into
+// the installed collector's series named beside them; they are
+// pointers, not values, so the collector retains the counters and not
+// the VMM.
 type VMMStats struct {
-	Hypercalls    atomic.Uint64
-	Multicalls    atomic.Uint64 // multicall batches (each also counts as one hypercall)
-	MulticallOps  atomic.Uint64 // ops carried inside multicall batches
-	DomSwitches   atomic.Uint64
+	Hypercalls    *obs.Counter // xen/hypercalls_total
+	Multicalls    *obs.Counter // xen/multicalls_total; each batch also counts as one hypercall
+	MulticallOps  *obs.Counter // xen/multicall_ops_total: ops carried inside multicall batches
+	DomSwitches   *obs.Counter // xen/dom_switches_total: one in and one out per runInDomain
 	FaultsHandled atomic.Uint64
 	Activations   atomic.Uint64
 	Deactivations atomic.Uint64
@@ -206,17 +181,25 @@ func Boot(m *hw.Machine) (*VMM, error) {
 		Domains:  make(map[DomID]*Domain),
 		Reserved: res,
 		Store:    NewXenStore(),
-		Trace:    NewTraceBuffer(0),
 		cur:      make([][]*Domain, len(m.CPUs)),
+		Stats: VMMStats{Hypercalls: obs.NewCounter(), Multicalls: obs.NewCounter(),
+			MulticallOps: obs.NewCounter(), DomSwitches: obs.NewCounter()},
 	}
 	lo, hi := res.Range()
 	for pfn := lo; pfn < hi; pfn++ {
 		v.FT.SetOwner(pfn, DomVMM)
 	}
 	if col := m.Telemetry(); col != nil {
-		// Adopt the trace ring's drop count at boot, before any other
-		// path can get-or-create the identity with a detached counter.
-		col.Registry.RegisterCounter(v.Trace.dropped, "xen", "trace_ring_dropped_total")
+		r := col.Registry
+		r.RegisterCounter(v.Stats.Hypercalls, "xen", "hypercalls_total")
+		r.RegisterCounter(v.Stats.Multicalls, "xen", "multicalls_total")
+		r.RegisterCounter(v.Stats.MulticallOps, "xen", "multicall_ops_total")
+		r.RegisterCounter(v.Stats.DomSwitches, "xen", "dom_switches_total")
+		// The block backends adopt their queue rings' doorbell counters
+		// into these two series; declare them here so an export shows
+		// them, at zero, on a machine without a block datapath.
+		r.Counter("xen", "ring_doorbells_total")
+		r.Counter("xen", "ring_doorbells_suppressed_total")
 	}
 	v.GDT = hw.NewGDT("vmm", hw.PL1) // guests run deprivileged at PL1
 	v.IDT = hw.NewIDT("vmm")
@@ -346,36 +329,24 @@ func (v *VMM) Deactivate(c *hw.CPU) {
 // CreateDomain builds a new domain with nframes of memory taken from the
 // machine's general allocator, owned by the new domain.
 func (v *VMM) CreateDomain(name string, nframes hw.PFN, privileged bool) (*Domain, error) {
-	id := v.nextDomID
-	v.nextDomID++
-	lo, hi := v.M.Frames.Range()
-	_ = lo
-	_ = hi
 	part, err := v.M.Frames.Split(nframes)
 	if err != nil {
-		return nil, fmt.Errorf("xen: allocating dom%d memory: %w", id, err)
+		return nil, fmt.Errorf("xen: allocating dom%d memory: %w", v.nextDomID, err)
 	}
-	d := &Domain{
-		ID:          id,
-		Name:        name,
-		VMM:         v,
-		Privileged:  privileged,
-		Frames:      part,
-		pinnedRoots: make(map[hw.PFN]bool),
-	}
-	d.VCPUs = []*VCPU{newVCPU(d)}
-	plo, phi := part.Range()
-	for pfn := plo; pfn < phi; pfn++ {
-		v.FT.SetOwner(pfn, id)
-	}
-	v.Domains[id] = d
-	return d, nil
+	return v.newDomain(name, part, privileged), nil
 }
 
 // AdoptDomain registers an existing OS (with its already-owned frame
 // allocator) as a domain — the self-virtualization path: the running
 // native OS becomes the driver domain of the freshly activated VMM.
 func (v *VMM) AdoptDomain(name string, frames *hw.FrameAllocator, privileged bool) *Domain {
+	return v.newDomain(name, frames, privileged)
+}
+
+// newDomain is the one domain constructor: it takes the next domain ID,
+// hands the domain ownership of frames, and adopts its event and
+// fault-bounce counters into the installed collector.
+func (v *VMM) newDomain(name string, frames *hw.FrameAllocator, privileged bool) *Domain {
 	id := v.nextDomID
 	v.nextDomID++
 	d := &Domain{
@@ -385,6 +356,7 @@ func (v *VMM) AdoptDomain(name string, frames *hw.FrameAllocator, privileged boo
 		Privileged:  privileged,
 		Frames:      frames,
 		pinnedRoots: make(map[hw.PFN]bool),
+		Stats:       DomainStats{EventsOut: obs.NewCounter(), FaultBounces: obs.NewCounter()},
 	}
 	d.VCPUs = []*VCPU{newVCPU(d)}
 	lo, hi := frames.Range()
@@ -392,6 +364,10 @@ func (v *VMM) AdoptDomain(name string, frames *hw.FrameAllocator, privileged boo
 		v.FT.SetOwner(pfn, id)
 	}
 	v.Domains[id] = d
+	if col := v.M.Telemetry(); col != nil {
+		col.Registry.RegisterCounter(d.Stats.EventsOut, "xen", "events_sent_total")
+		col.Registry.RegisterCounter(d.Stats.FaultBounces, "xen", "fault_bounces_total")
+	}
 	return d
 }
 
@@ -457,7 +433,6 @@ func (v *VMM) RunInDomain(c *hw.CPU, d *Domain, fn func()) {
 func (v *VMM) runInDomain(c *hw.CPU, d *Domain, fn func()) {
 	var sp obs.SpanRef
 	if h := v.tel(); h != nil {
-		h.domSwitches.Add(2)
 		sp = obs.Begin(h.col, c.ID, c.Now(), "xen/run-in-domain")
 	}
 	// The target domain is not running: besides the context switch, the
@@ -465,7 +440,6 @@ func (v *VMM) runInDomain(c *hw.CPU, d *Domain, fn func()) {
 	c.Charge(v.M.Costs.DomSchedLatency)
 	c.Charge(v.M.Costs.DomSwitch)
 	v.Stats.DomSwitches.Add(1)
-	v.traceEmit(c, TrcDomSwitch, d, 0)
 	v.cur[c.ID] = append(v.cur[c.ID], d)
 	fn()
 	v.cur[c.ID] = v.cur[c.ID][:len(v.cur[c.ID])-1]
@@ -502,7 +476,6 @@ func (v *VMM) enter(c *hw.CPU, d *Domain) func() {
 	}
 	c.Charge(v.M.Costs.WorldSwitch + v.M.Costs.HypercallBase)
 	v.Stats.Hypercalls.Add(1)
-	v.traceEmit(c, TrcHypercall, d, 0)
 	if d != nil {
 		d.Stats.Hypercalls.Add(1)
 	}
@@ -517,7 +490,6 @@ func (v *VMM) enter(c *hw.CPU, d *Domain) func() {
 	return func() {
 		c.SetMode(prev)
 		end := c.Now()
-		h.hypercalls.Inc()
 		h.hypercallCyc.Observe(end - start)
 		h.col.Tracer.Complete(c.ID, start, end, "xen/hypercall", id)
 	}
@@ -548,7 +520,6 @@ func (v *VMM) enterFast(c *hw.CPU, d *Domain) hcFrame {
 	}
 	c.Charge(v.M.Costs.WorldSwitch + v.M.Costs.HypercallBase)
 	v.Stats.Hypercalls.Add(1)
-	v.traceEmit(c, TrcHypercall, d, 0)
 	if d != nil {
 		d.Stats.Hypercalls.Add(1)
 	}
@@ -563,7 +534,6 @@ func (v *VMM) exitFast(c *hw.CPU, d *Domain, fr hcFrame) {
 		return
 	}
 	end := c.Now()
-	fr.h.hypercalls.Inc()
 	fr.h.hypercallCyc.Observe(end - fr.start)
 	id := uint64(0xFFFE)
 	if d != nil {

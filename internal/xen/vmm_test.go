@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/obs"
 )
 
 func TestBootReservesFootprint(t *testing.T) {
@@ -207,5 +208,66 @@ func TestUpdateDescriptorValidation(t *testing.T) {
 	// Range check.
 	if err := v.HypUpdateDescriptor(c, d, g, 99, ok); err == nil {
 		t.Fatal("out-of-range index accepted")
+	}
+}
+
+// TestTraceCapturesHypercallsAndPins: with a collector installed, a
+// pin/unpin pair leaves two xen/hypercall spans and one xen/pin and one
+// xen/unpin instant, all attributed to the calling domain.
+func TestTraceCapturesHypercallsAndPins(t *testing.T) {
+	v, d, c := testVMM(t)
+	col := obs.New(1)
+	v.M.SetTelemetry(col)
+	tb, _ := buildTree(t, v, d, 2)
+	if err := v.HypPinTable(c, d, tb.Root); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.HypUnpinTable(c, d, tb.Root); err != nil {
+		t.Fatal(err)
+	}
+	spans := col.Tracer.Spans()
+	names := map[string]int{}
+	for _, s := range spans {
+		names[s.Name]++
+		if s.Arg != uint64(d.ID) {
+			t.Fatalf("%s span for dom%d, want dom%d", s.Name, s.Arg, d.ID)
+		}
+	}
+	if len(spans) != 4 || names["xen/hypercall"] != 2 || names["xen/pin"] != 1 || names["xen/unpin"] != 1 {
+		t.Fatalf("spans = %v", names)
+	}
+	// Each instant lands inside its hypercall: pin, then pin's
+	// hypercall, then unpin, then unpin's hypercall (single CPU).
+	order := []string{"xen/pin", "xen/hypercall", "xen/unpin", "xen/hypercall"}
+	for i, s := range spans {
+		if s.Name != order[i] {
+			t.Fatalf("span %d is %s, want %s", i, s.Name, order[i])
+		}
+		if i > 0 && s.End < spans[i-1].End {
+			t.Fatal("trace out of order")
+		}
+	}
+	if spans[0].Start < spans[1].Start || spans[0].Start > spans[1].End {
+		t.Fatalf("pin at %d outside its hypercall [%d, %d)", spans[0].Start, spans[1].Start, spans[1].End)
+	}
+}
+
+// TestTraceDisabledIsFree: without a collector the trace points record
+// nothing anywhere and allocate nothing.
+func TestTraceDisabledIsFree(t *testing.T) {
+	v, d, c := testVMM(t)
+	tb, _ := buildTree(t, v, d, 2)
+	if err := v.HypPinTable(c, d, tb.Root); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		v.traceInstant(c, "xen/pin", uint64(d.ID))
+	}); allocs != 0 {
+		t.Fatalf("disabled trace point allocates %.0f times", allocs)
+	}
+	col := obs.New(1)
+	v.M.SetTelemetry(col)
+	if n := len(col.Tracer.Spans()); n != 0 {
+		t.Fatalf("a collector installed afterwards holds %d spans", n)
 	}
 }
