@@ -69,7 +69,7 @@ func (d *NativeBlock) Submit(c *hw.CPU, reqs []BlockReq) {
 		if group[0].Write {
 			for i, q := range group {
 				c.Charge(d.K.M.Costs.PageCopy)
-				copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], d.K.M.Mem.FrameBytes(q.PFN))
+				copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], d.K.M.Mem.FrameBytesRO(q.PFN))
 			}
 		}
 		if err := d.Disk.Submit(c, hw.DiskRequest{

@@ -248,7 +248,7 @@ func (d *FrontendNet) HandleRxEvent(c *hw.CPU) {
 			if r.Err == "" {
 				data := make([]byte, r.Len)
 				c.Charge(d.K.M.Costs.PageCopy)
-				copy(data, d.K.M.Mem.FrameBytes(post.pfn)[:r.Len])
+				copy(data, d.K.M.Mem.FrameBytesRO(post.pfn)[:r.Len])
 				d.K.routeInbound(c, data)
 			}
 			if err := d.D.GrantEnd(c, post.grant); err == nil {

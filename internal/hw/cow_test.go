@@ -2,6 +2,10 @@ package hw
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -104,38 +108,6 @@ func TestUnmapSharedSkipsHook(t *testing.T) {
 	}
 }
 
-func TestMapSharedSnapshotAndRestore(t *testing.T) {
-	m := NewPhysMem(1 << 20)
-	m.Store8(PFN(1).Addr(), 9)
-	if err := m.MapShared(2, cowPage(0x33), nil); err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Snapshot()
-	if snap[2] == nil || snap[2][0] != 0x33 {
-		t.Fatal("snapshot missed CoW content")
-	}
-	hooks := 0
-	if err := m.MapShared(6, cowPage(0x44), func(PFN) { hooks++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if m.SharedFrames() != 0 {
-		t.Fatal("Restore left CoW mappings")
-	}
-	if hooks != 0 {
-		t.Fatal("Restore must drop mappings without running hooks")
-	}
-	// Restored contents are private copies of what reads observed.
-	if got := m.Load8(PFN(2).Addr()); got != 0x33 {
-		t.Fatalf("restored frame 2 = %#x", got)
-	}
-	if got := m.Load8(PFN(1).Addr()); got != 9 {
-		t.Fatalf("restored frame 1 = %#x", got)
-	}
-}
-
 func TestMapSharedCopyFrameReadsShared(t *testing.T) {
 	m := NewPhysMem(1 << 20)
 	if err := m.MapShared(2, cowPage(0x66), nil); err != nil {
@@ -181,5 +153,88 @@ func TestMapSharedValidation(t *testing.T) {
 	}
 	if got := m.Load8(PFN(1).Addr()); got != 3 {
 		t.Fatalf("remapped frame reads %#x", got)
+	}
+}
+
+// TestMapSharedReadDuringPromote: readers on other CPUs that read a
+// CoW frame while a write promotes it see the shared bytes or the
+// filled private copy, never a zero page. Meant to run under -race.
+func TestMapSharedReadDuringPromote(t *testing.T) {
+	const word = 0xC0FFEE11
+	shared := make([]byte, PageSize)
+	for off := 0; off < PageSize; off += 4 {
+		binary.LittleEndian.PutUint32(shared[off:], word)
+	}
+	m := NewPhysMem(1 << 20)
+	a := PFN(3).Addr()
+	for round := 0; round < 200; round++ {
+		if err := m.MapShared(3, shared, nil); err != nil {
+			t.Fatal(err)
+		}
+		var stop atomic.Bool
+		var ready, bad atomic.Uint32
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ready.Add(1)
+				for i := 1; !stop.Load(); i++ {
+					if got := m.ReadWord(a); got != word {
+						bad.Store(got | 1)
+					}
+					if i%64 == 0 {
+						runtime.Gosched() // let the writer in
+					}
+				}
+			}()
+		}
+		for ready.Load() < 3 {
+			runtime.Gosched()
+		}
+		m.WriteWord(a+8, 7)
+		stop.Store(true)
+		wg.Wait()
+		if got := bad.Load(); got != 0 {
+			t.Fatalf("round %d: reader saw %#x during promotion", round, got&^1)
+		}
+		if m.SharedAt(3) || m.ReadWord(a) != word || m.ReadWord(a+8) != 7 {
+			t.Fatalf("round %d: promotion lost content", round)
+		}
+	}
+	if m.SharedFrames() != 0 {
+		t.Fatalf("SharedFrames = %d after every promotion", m.SharedFrames())
+	}
+}
+
+// Racing first writes promote once: one hook call, one count drop, and
+// every writer's word lands in the same private copy.
+func TestMapSharedConcurrentPromoteOnce(t *testing.T) {
+	m := NewPhysMem(1 << 20)
+	for round := 0; round < 50; round++ {
+		var hooks atomic.Int32
+		if err := m.MapShared(3, cowPage(0x5A), func(PFN) { hooks.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m.WriteWord(PFN(3).Addr()+PhysAddr(4*w), uint32(w+1))
+			}()
+		}
+		wg.Wait()
+		if hooks.Load() != 1 || m.SharedFrames() != 0 {
+			t.Fatalf("round %d: hooks=%d shared=%d, want 1/0", round, hooks.Load(), m.SharedFrames())
+		}
+		for w := 0; w < 4; w++ {
+			if got := m.ReadWord(PFN(3).Addr() + PhysAddr(4*w)); got != uint32(w+1) {
+				t.Fatalf("round %d: writer %d's word reads %#x", round, w, got)
+			}
+		}
+		if got := m.Load8(PFN(3).Addr() + 100); got != 0x5A {
+			t.Fatalf("round %d: private copy byte = %#x, want 0x5A", round, got)
+		}
 	}
 }

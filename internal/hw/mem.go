@@ -2,7 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -53,28 +52,47 @@ func VPNOf(a VirtAddr) VPN { return VPN(a >> PageShift) }
 func (v VPN) Addr() VirtAddr { return VirtAddr(v) << PageShift }
 
 // PhysMem is the machine's physical memory, divided into 4 KB frames.
-// Frame contents are allocated lazily so large simulated memories stay
-// cheap on the host. PhysMem is safe for concurrent use by multiple CPUs.
+// Each frame is one lock-free slot, so simulated CPUs read and write
+// frames concurrently without a shared lock. A frame's bytes are
+// allocated on its first write; a frame never written reads as zero
+// and a read never allocates.
 type PhysMem struct {
-	mu     sync.RWMutex
-	frames [][]byte // nil until first written
-	nframe PFN
+	frames []frameSlot
 
-	// dirty, when non-nil, records every frame written since the last
-	// CollectDirty — the log-dirty mode live migration's pre-copy
-	// rounds rely on. dirtyOn gates the hot path without a lock.
+	// shared counts the live copy-on-write mappings.
+	shared atomic.Int64
+	// dirtyOn turns on log-dirty mode, which live migration's pre-copy
+	// rounds rely on: every write sets its frame's dirty bit until
+	// CollectDirty takes it.
 	dirtyOn atomic.Bool
-	dirtyMu sync.Mutex
-	dirty   map[PFN]struct{}
-
-	// cow maps frames onto shared read-only pages (the fork snapshot
-	// cache): reads are served from the shared bytes without copying,
-	// and the first write promotes the frame to a private copy. cowCnt
-	// gates the hot path without a lock.
-	cowCnt atomic.Int64
-	cowMu  sync.Mutex
-	cow    map[PFN]*cowSource
 }
+
+// frameSlot is one frame. Its publish order means a concurrent read
+// never observes a half-made frame:
+//
+//   - a read loads cow, then data: a CoW frame reads its shared page,
+//     any other frame its private bytes, or zeroPage if it has none;
+//   - the first write allocates the private page and publishes it by
+//     CAS on data; a racing first write uses the winner's page;
+//   - promotion fills a private copy of the shared page, CASes data
+//     from nil to it (a racing promoter uses the winner's copy), and
+//     only then CASes cow to nil, so a read sees either the shared
+//     bytes or the filled copy. Only the side that wins the cow CAS
+//     decrements PhysMem.shared and runs onPromote.
+//
+// A fresh page is sliced from the allocation itself, never from a
+// pointer loaded back out of data: slicing a loaded *[PageSize]byte
+// nil-checks it with a read of the page, and on a fresh page that read
+// costs the host a second page fault per frame.
+type frameSlot struct {
+	data  atomic.Pointer[[PageSize]byte] // private bytes; nil until written
+	cow   atomic.Pointer[cowSource]      // shared page; nil if none
+	dirty atomic.Bool                    // written since the last CollectDirty
+}
+
+// zeroPage is what a frame with no bytes of its own reads as. Nothing
+// may write it.
+var zeroPage [PageSize]byte
 
 // cowSource backs one copy-on-write frame: data is the shared read-only
 // page (aliased, never written through), onPromote is invoked after the
@@ -84,83 +102,55 @@ type cowSource struct {
 	onPromote func(pfn PFN)
 }
 
-// EnableDirtyLog starts recording written frames.
-func (m *PhysMem) EnableDirtyLog() {
-	m.dirtyMu.Lock()
-	if m.dirty == nil {
-		m.dirty = make(map[PFN]struct{})
-	}
-	m.dirtyOn.Store(true)
-	m.dirtyMu.Unlock()
+// NewPhysMem creates a physical memory of the given byte size (rounded
+// down to whole frames).
+func NewPhysMem(size uint64) *PhysMem {
+	return &PhysMem{frames: make([]frameSlot, size>>PageShift)}
 }
+
+// NumFrames returns the number of physical frames.
+func (m *PhysMem) NumFrames() PFN { return PFN(len(m.frames)) }
+
+// Valid reports whether pfn addresses an existing frame.
+func (m *PhysMem) Valid(pfn PFN) bool { return uint(pfn) < uint(len(m.frames)) }
+
+// EnableDirtyLog starts recording written frames.
+func (m *PhysMem) EnableDirtyLog() { m.dirtyOn.Store(true) }
 
 // DisableDirtyLog stops recording and drops the log.
 func (m *PhysMem) DisableDirtyLog() {
-	m.dirtyMu.Lock()
 	m.dirtyOn.Store(false)
-	m.dirty = nil
-	m.dirtyMu.Unlock()
+	for i := range m.frames {
+		if s := &m.frames[i]; s.dirty.Load() {
+			s.dirty.Store(false)
+		}
+	}
 }
 
 // DirtyLogEnabled reports whether writes are currently being recorded —
 // migration rollback asserts the log was disarmed.
 func (m *PhysMem) DirtyLogEnabled() bool { return m.dirtyOn.Load() }
 
-// CollectDirty returns and clears the set of frames written since the
-// last collection. Nil if logging is off.
+// CollectDirty returns, in ascending order, the frames written since
+// the last collection, and clears them. Nil if logging is off.
 func (m *PhysMem) CollectDirty() []PFN {
-	m.dirtyMu.Lock()
-	defer m.dirtyMu.Unlock()
-	if m.dirty == nil {
+	if !m.dirtyOn.Load() {
 		return nil
 	}
-	out := make([]PFN, 0, len(m.dirty))
-	for pfn := range m.dirty {
-		out = append(out, pfn)
+	out := make([]PFN, 0)
+	for i := range m.frames {
+		if s := &m.frames[i]; s.dirty.Load() && s.dirty.Swap(false) {
+			out = append(out, PFN(i))
+		}
 	}
-	m.dirty = make(map[PFN]struct{})
 	return out
 }
 
 // markDirty records a write when logging is enabled.
 func (m *PhysMem) markDirty(pfn PFN) {
-	if !m.dirtyOn.Load() {
-		return
+	if m.dirtyOn.Load() {
+		m.frames[pfn].dirty.Store(true)
 	}
-	m.dirtyMu.Lock()
-	if m.dirty != nil {
-		m.dirty[pfn] = struct{}{}
-	}
-	m.dirtyMu.Unlock()
-}
-
-// NewPhysMem creates a physical memory of the given byte size (rounded
-// down to whole frames).
-func NewPhysMem(size uint64) *PhysMem {
-	n := PFN(size >> PageShift)
-	return &PhysMem{frames: make([][]byte, n), nframe: n}
-}
-
-// NumFrames returns the number of physical frames.
-func (m *PhysMem) NumFrames() PFN { return m.nframe }
-
-// Valid reports whether pfn addresses an existing frame.
-func (m *PhysMem) Valid(pfn PFN) bool { return pfn < m.nframe }
-
-// frame returns the backing slice for pfn, allocating it if needed.
-func (m *PhysMem) frame(pfn PFN) []byte {
-	m.mu.RLock()
-	f := m.frames[pfn]
-	m.mu.RUnlock()
-	if f != nil {
-		return f
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.frames[pfn] == nil {
-		m.frames[pfn] = make([]byte, PageSize)
-	}
-	return m.frames[pfn]
 }
 
 // MapShared maps pfn copy-on-write onto a shared read-only page: reads
@@ -175,18 +165,11 @@ func (m *PhysMem) MapShared(pfn PFN, data []byte, onPromote func(PFN)) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("hw: MapShared frame %d: page is %d bytes", pfn, len(data))
 	}
-	m.mu.Lock()
-	m.frames[pfn] = nil // shared content replaces any private copy
-	m.mu.Unlock()
-	m.cowMu.Lock()
-	if m.cow == nil {
-		m.cow = make(map[PFN]*cowSource)
+	s := &m.frames[pfn]
+	s.data.Store(nil) // shared content replaces any private copy
+	if s.cow.Swap(&cowSource{data: data, onPromote: onPromote}) == nil {
+		m.shared.Add(1)
 	}
-	if _, dup := m.cow[pfn]; !dup {
-		m.cowCnt.Add(1)
-	}
-	m.cow[pfn] = &cowSource{data: data, onPromote: onPromote}
-	m.cowMu.Unlock()
 	return nil
 }
 
@@ -194,79 +177,75 @@ func (m *PhysMem) MapShared(pfn PFN, data []byte, onPromote func(PFN)) error {
 // clone-teardown path). Reports whether pfn was mapped; the frame reads
 // as zero afterwards.
 func (m *PhysMem) UnmapShared(pfn PFN) bool {
-	m.cowMu.Lock()
-	_, ok := m.cow[pfn]
-	if ok {
-		delete(m.cow, pfn)
-		m.cowCnt.Add(-1)
+	if !m.Valid(pfn) || m.frames[pfn].cow.Swap(nil) == nil {
+		return false
 	}
-	m.cowMu.Unlock()
-	return ok
+	m.shared.Add(-1)
+	return true
 }
 
 // SharedFrames returns the number of live copy-on-write mappings.
-func (m *PhysMem) SharedFrames() int { return int(m.cowCnt.Load()) }
+func (m *PhysMem) SharedFrames() int { return int(m.shared.Load()) }
 
 // SharedAt reports whether pfn is still copy-on-write mapped (not yet
 // promoted by a write).
 func (m *PhysMem) SharedAt(pfn PFN) bool {
-	if m.cowCnt.Load() == 0 {
-		return false
-	}
-	m.cowMu.Lock()
-	_, ok := m.cow[pfn]
-	m.cowMu.Unlock()
-	return ok
-}
-
-// cowLookup returns pfn's CoW source, nil if none. The fast path for
-// machines with no mappings is one atomic load.
-func (m *PhysMem) cowLookup(pfn PFN) *cowSource {
-	if m.cowCnt.Load() == 0 {
-		return nil
-	}
-	m.cowMu.Lock()
-	s := m.cow[pfn]
-	m.cowMu.Unlock()
-	return s
-}
-
-// promote materializes a private copy of a CoW frame ahead of a write,
-// removing the mapping and running the promotion hook.
-func (m *PhysMem) promote(pfn PFN) []byte {
-	m.cowMu.Lock()
-	s := m.cow[pfn]
-	if s == nil {
-		m.cowMu.Unlock()
-		return m.frame(pfn)
-	}
-	delete(m.cow, pfn)
-	m.cowCnt.Add(-1)
-	m.cowMu.Unlock()
-	f := m.frame(pfn)
-	copy(f, s.data)
-	if s.onPromote != nil {
-		s.onPromote(pfn)
-	}
-	return f
+	return m.Valid(pfn) && m.frames[pfn].cow.Load() != nil
 }
 
 // frameRO returns the bytes a read of pfn observes: the shared page for
-// CoW-mapped frames, the private backing otherwise.
+// CoW-mapped frames, the private backing otherwise, zeroPage if none.
 func (m *PhysMem) frameRO(pfn PFN) []byte {
-	if s := m.cowLookup(pfn); s != nil {
-		return s.data
+	s := &m.frames[pfn]
+	if c := s.cow.Load(); c != nil {
+		return c.data
 	}
-	return m.frame(pfn)
+	if p := s.data.Load(); p != nil {
+		return p[:]
+	}
+	return zeroPage[:]
 }
 
-// frameRW returns writable backing for pfn, promoting a CoW mapping to
-// a private copy first.
+// frameRW returns writable backing for pfn, allocating it on the first
+// write and promoting a CoW mapping to a private copy.
 func (m *PhysMem) frameRW(pfn PFN) []byte {
-	if m.cowCnt.Load() != 0 {
-		return m.promote(pfn)
+	s := &m.frames[pfn]
+	if c := s.cow.Load(); c != nil {
+		return m.unshare(pfn, s, c)
 	}
-	return m.frame(pfn)
+	if p := s.data.Load(); p != nil {
+		return p[:]
+	}
+	if p := new([PageSize]byte); s.data.CompareAndSwap(nil, p) {
+		return p[:]
+	}
+	return s.data.Load()[:]
+}
+
+// unshare promotes pfn from the shared page c to a private copy, in the
+// publish order frameSlot describes.
+func (m *PhysMem) unshare(pfn PFN, s *frameSlot, c *cowSource) []byte {
+	p := new([PageSize]byte)
+	copy(p[:], c.data)
+	if !s.data.CompareAndSwap(nil, p) {
+		p = s.data.Load()
+	}
+	m.dropShared(pfn, s, c)
+	return p[:]
+}
+
+// dropShared retires pfn's mapping c by a first write and reports
+// whether this call did: only the winner of the CAS decrements shared
+// and runs the promotion hook.
+func (m *PhysMem) dropShared(pfn PFN, s *frameSlot, c *cowSource) bool {
+	if !s.cow.CompareAndSwap(c, nil) {
+		return false
+	}
+	m.shared.Add(-1)
+	if c.onPromote != nil {
+		c.onPromote(pfn)
+	}
+	return true
 }
 
 // ReadWord reads a 32-bit little-endian word at the physical address.
@@ -332,39 +311,21 @@ func (m *PhysMem) CopyFrame(dst, src PFN) {
 
 // ZeroFrame clears the contents of a frame. Zeroing a CoW-mapped frame
 // is a write: the mapping is dropped (the promotion hook runs) and the
-// private copy is the implicit zero frame.
+// frame reads as zero with nothing allocated.
 func (m *PhysMem) ZeroFrame(pfn PFN) {
 	if !m.Valid(pfn) {
 		panic("hw: ZeroFrame beyond memory")
 	}
-	if m.cowCnt.Load() != 0 {
-		m.cowMu.Lock()
-		s := m.cow[pfn]
-		if s != nil {
-			delete(m.cow, pfn)
-			m.cowCnt.Add(-1)
-		}
-		m.cowMu.Unlock()
-		if s != nil {
-			m.mu.Lock()
-			m.frames[pfn] = nil
-			m.mu.Unlock()
-			if s.onPromote != nil {
-				s.onPromote(pfn)
-			}
-			m.markDirty(pfn)
-			return
-		}
+	s := &m.frames[pfn]
+	if c := s.cow.Load(); c != nil && m.dropShared(pfn, s, c) {
+		m.markDirty(pfn)
+		return
 	}
-	m.mu.RLock()
-	f := m.frames[pfn]
-	m.mu.RUnlock()
-	if f == nil {
-		return // lazily-allocated frames are already zero
+	p := s.data.Load()
+	if p == nil {
+		return // never-written frames are already zero
 	}
-	for i := range f {
-		f[i] = 0
-	}
+	clear(p[:])
 	m.markDirty(pfn)
 }
 
@@ -378,64 +339,14 @@ func (m *PhysMem) FrameBytes(pfn PFN) []byte {
 	return m.frameRW(pfn)
 }
 
-// FrameBytesRO returns the backing bytes for read-only use (snapshots,
-// migration senders) without touching the dirty log. For a CoW-mapped
-// frame this is the shared page itself — zero copies.
+// FrameBytesRO returns the bytes a read of the frame observes, for
+// read-only use (DMA out of guest memory, snapshots, migration
+// senders), without touching the dirty log or allocating. For a
+// CoW-mapped frame this is the shared page itself — zero copies; for a
+// never-written frame it is zeroPage. Never write through it.
 func (m *PhysMem) FrameBytesRO(pfn PFN) []byte {
 	if !m.Valid(pfn) {
 		panic("hw: FrameBytesRO beyond memory")
 	}
 	return m.frameRO(pfn)
-}
-
-// Snapshot copies the full contents of physical memory. Untouched frames
-// are recorded as nil to keep checkpoints compact; CoW-mapped frames are
-// recorded with their shared content (what a read observes).
-func (m *PhysMem) Snapshot() [][]byte {
-	m.mu.RLock()
-	out := make([][]byte, len(m.frames))
-	for i, f := range m.frames {
-		if f != nil {
-			cp := make([]byte, PageSize)
-			copy(cp, f)
-			out[i] = cp
-		}
-	}
-	m.mu.RUnlock()
-	if m.cowCnt.Load() != 0 {
-		m.cowMu.Lock()
-		for pfn, s := range m.cow {
-			cp := make([]byte, PageSize)
-			copy(cp, s.data)
-			out[pfn] = cp
-		}
-		m.cowMu.Unlock()
-	}
-	return out
-}
-
-// Restore overwrites physical memory from a snapshot taken by Snapshot.
-// Any live CoW mappings are dropped (without running promotion hooks):
-// the snapshot's contents win.
-func (m *PhysMem) Restore(snap [][]byte) error {
-	m.cowMu.Lock()
-	m.cowCnt.Add(-int64(len(m.cow)))
-	m.cow = nil
-	m.cowMu.Unlock()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(snap) != len(m.frames) {
-		return fmt.Errorf("hw: snapshot has %d frames, memory has %d",
-			len(snap), len(m.frames))
-	}
-	for i, f := range snap {
-		if f == nil {
-			m.frames[i] = nil
-			continue
-		}
-		cp := make([]byte, PageSize)
-		copy(cp, f)
-		m.frames[i] = cp
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -37,28 +38,6 @@ func TestPhysMemCopyZeroFrame(t *testing.T) {
 	m.ZeroFrame(5)
 	if got := m.ReadWord(PFN(5).Addr() + 8); got != 0 {
 		t.Fatalf("zeroed frame reads %d", got)
-	}
-}
-
-func TestPhysMemSnapshotRestore(t *testing.T) {
-	m := NewPhysMem(1 << 20)
-	m.WriteWord(0x2000, 7)
-	m.WriteWord(0x3004, 9)
-	snap := m.Snapshot()
-	m.WriteWord(0x2000, 100)
-	m.WriteWord(0x5000, 5)
-	if err := m.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if m.ReadWord(0x2000) != 7 || m.ReadWord(0x3004) != 9 || m.ReadWord(0x5000) != 0 {
-		t.Fatal("restore did not reproduce snapshot state")
-	}
-}
-
-func TestPhysMemRestoreSizeMismatch(t *testing.T) {
-	m := NewPhysMem(1 << 20)
-	if err := m.Restore(make([][]byte, 3)); err == nil {
-		t.Fatal("expected size mismatch error")
 	}
 }
 
@@ -102,5 +81,53 @@ func TestPhysMemWriteIsolation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A read of a frame that was never written must not allocate, and
+// neither may word access to a frame that already has its own bytes.
+func TestPhysMemAccessAllocs(t *testing.T) {
+	m := NewPhysMem(1 << 20)
+	var sink uint32
+	next := PFN(0)
+	// Each run reads 64 frames no earlier run touched.
+	if a := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 64; i++ {
+			sink += m.ReadWord(next.Addr())
+			next++
+		}
+	}); a != 0 {
+		t.Fatalf("ReadWord of 64 never-written frames allocates %.0f", a)
+	}
+	m.WriteWord(0x3000, 1)
+	if a := testing.AllocsPerRun(100, func() {
+		m.WriteWord(0x3004, sink)
+		sink += m.ReadWord(0x3000)
+	}); a != 0 {
+		t.Fatalf("word access to a private frame allocates %.1f", a)
+	}
+}
+
+func TestCollectDirtyAscendingAndClears(t *testing.T) {
+	m := NewPhysMem(1 << 20)
+	if m.CollectDirty() != nil {
+		t.Fatal("CollectDirty with logging off must be nil")
+	}
+	m.EnableDirtyLog()
+	for _, pfn := range []PFN{9, 2, 200, 5, 2} {
+		m.WriteWord(pfn.Addr(), 1)
+	}
+	m.ZeroFrame(7) // never written: nothing to clear, not a write
+	if got, want := m.CollectDirty(), []PFN{2, 5, 9, 200}; !slices.Equal(got, want) {
+		t.Fatalf("CollectDirty = %v, want %v", got, want)
+	}
+	if got := m.CollectDirty(); got == nil || len(got) != 0 {
+		t.Fatalf("second CollectDirty = %v, want empty", got)
+	}
+	m.Store8(PFN(3).Addr(), 1)
+	m.DisableDirtyLog()
+	m.EnableDirtyLog()
+	if got := m.CollectDirty(); len(got) != 0 {
+		t.Fatalf("DisableDirtyLog kept %v", got)
 	}
 }

@@ -159,7 +159,7 @@ func (nb *NetBackend) transmit(c *hw.CPU, q NetTxRequest) error {
 	n := min(q.Len, hw.PageSize)
 	data := make([]byte, n)
 	c.Charge(nb.V.M.Costs.PageCopy)
-	copy(data, nb.V.M.Mem.FrameBytes(pfn)[:n])
+	copy(data, nb.V.M.Mem.FrameBytesRO(pfn)[:n])
 	unmap()
 	nb.Dev.Transmit(c, data)
 	nb.Stats.TxPackets.Inc()

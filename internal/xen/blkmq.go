@@ -250,7 +250,7 @@ func (be *BlkMQBackend) serveRun(c *hw.CPU, q *BlkMQQueue, run []BlkRequest) {
 	if run[0].Write {
 		for i, pfn := range pfns {
 			c.Charge(be.V.M.Costs.PageCopy)
-			copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], be.V.M.Mem.FrameBytes(pfn))
+			copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], be.V.M.Mem.FrameBytesRO(pfn))
 		}
 	}
 	// A read takes the run's cached copies before its disk transfer: a

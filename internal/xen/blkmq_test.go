@@ -343,3 +343,42 @@ func TestBackendCountersSharedOnOneCollector(t *testing.T) {
 		}
 	}
 }
+
+// TestBlkMQWriteLeavesSourceFrameShared: a write request only copies
+// out of the guest's frame, so a CoW-mapped source stays shared, stays
+// out of the dirty log, and its shared bytes reach the disk.
+func TestBlkMQWriteLeavesSourceFrameShared(t *testing.T) {
+	v, d0, dU, c := twoDomains(t)
+	dev := &memDisk{blocks: map[uint64][]byte{}}
+	be := NewBlkMQBackend(v, d0, dev, 1, 16, 1)
+	mem := v.M.Mem
+	pfn := dU.Frames.Alloc()
+	page := make([]byte, hw.PageSize)
+	for i := range page {
+		page[i] = 0xA5
+	}
+	if err := mem.MapShared(pfn, page, nil); err != nil {
+		t.Fatal(err)
+	}
+	mem.EnableDirtyLog()
+	defer mem.DisableDirtyLog()
+	ref := dU.GrantAccess(c, be.Dom.ID, pfn, true)
+	q := be.Queues[0]
+	q.Ring.PushRequests(c, []BlkRequest{{ID: 1, Block: 5, Write: true, Grant: ref, Front: dU.ID}})
+	be.PollQueue(c, q)
+	resp := make([]BlkResponse, 16)
+	if n := q.Ring.TakeResponses(c, resp); n != 1 || resp[0].Err != "" {
+		t.Fatalf("write: n=%d err=%q", n, resp[0].Err)
+	}
+	if !mem.SharedAt(pfn) {
+		t.Fatal("write request promoted its CoW source frame")
+	}
+	for _, p := range mem.CollectDirty() {
+		if p == pfn {
+			t.Fatal("write request marked its source frame dirty")
+		}
+	}
+	if blk := dev.blocks[5]; len(blk) == 0 || blk[0] != 0xA5 || blk[hw.BlockSize-1] != 0xA5 {
+		t.Fatal("disk did not receive the shared bytes")
+	}
+}

@@ -2,6 +2,7 @@ package xen
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/hw"
@@ -223,7 +224,7 @@ func (j *DirtyJournal) CorruptEntryPick(pick func(n int) int) (func(), error) {
 	for si := range j.slots {
 		j.finals = append(j.finals, j.slots[si].last)
 	}
-	sortInt32s(j.finals)
+	slices.Sort(j.finals)
 	victim := int(j.finals[pick(len(j.finals))])
 	saved := j.entries[victim]
 	j.entries[victim].New = saved.New ^ hw.PTE(1<<hw.PageShift) // point one frame over
@@ -454,7 +455,7 @@ func (v *VMM) replayLocked(c *hw.CPU, d *Domain, j *DirtyJournal) error {
 
 	// Phase 3: apply in frame order.
 	apply := j.deltaOrder
-	sortPFNs(apply)
+	slices.Sort(apply)
 	for _, pfn := range apply {
 		fi := v.FT.Get(pfn)
 		fi.TotalRefs = uint32(int64(fi.TotalRefs) + j.deltaRefs[pfn])
@@ -471,64 +472,4 @@ func (v *VMM) replayLocked(c *hw.CPU, d *Domain, j *DirtyJournal) error {
 		v.FT.Set(pfn, fi)
 	}
 	return nil
-}
-
-// sortPFNs sorts in place. Heapsort: in-place, allocation-free, and
-// O(n log n) even on the adversarial orders chaos campaigns produce —
-// the insertion sort it replaced went quadratic at full-ring sizes.
-func sortPFNs(p []hw.PFN) {
-	n := len(p)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftPFNs(p, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		p[0], p[i] = p[i], p[0]
-		siftPFNs(p, 0, i)
-	}
-}
-
-func siftPFNs(p []hw.PFN, root, n int) {
-	for {
-		ch := 2*root + 1
-		if ch >= n {
-			return
-		}
-		if ch+1 < n && p[ch+1] > p[ch] {
-			ch++
-		}
-		if p[root] >= p[ch] {
-			return
-		}
-		p[root], p[ch] = p[ch], p[root]
-		root = ch
-	}
-}
-
-// sortInt32s is sortPFNs for entry indices.
-func sortInt32s(p []int32) {
-	n := len(p)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftInt32s(p, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		p[0], p[i] = p[i], p[0]
-		siftInt32s(p, 0, i)
-	}
-}
-
-func siftInt32s(p []int32, root, n int) {
-	for {
-		ch := 2*root + 1
-		if ch >= n {
-			return
-		}
-		if ch+1 < n && p[ch+1] > p[ch] {
-			ch++
-		}
-		if p[root] >= p[ch] {
-			return
-		}
-		p[root], p[ch] = p[ch], p[root]
-		root = ch
-	}
 }

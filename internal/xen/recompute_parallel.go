@@ -2,6 +2,7 @@ package xen
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/hw"
@@ -302,7 +303,7 @@ func (v *VMM) RecomputeFrameInfoParallel(c *hw.CPU, d *Domain, roots []hw.PFN, w
 
 	// Apply the merged deltas in frame order, then publish pins in
 	// caller order, exactly as the serial loop would have.
-	sortPFNs(v.mergeOrder)
+	slices.Sort(v.mergeOrder)
 	mergeStart := c.Now()
 	for _, pfn := range v.mergeOrder {
 		cell := &v.mergeCells[pfn]
