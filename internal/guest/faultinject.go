@@ -66,8 +66,8 @@ const ghostPid Pid = -2
 // checker can be exercised. The ghost is never runnable and owns no
 // address space; the undo function removes it.
 func (k *Kernel) InjectStaleSelector() (undo func(), err error) {
-	k.acquireRaw()
-	defer k.releaseRaw()
+	k.lk.Lock(nil)
+	defer k.lk.Unlock(nil)
 	if _, ok := k.procs[ghostPid]; ok {
 		return nil, fmt.Errorf("guest: stale-selector ghost already injected")
 	}
@@ -84,8 +84,8 @@ func (k *Kernel) InjectStaleSelector() (undo func(), err error) {
 	ghost.setState(ProcBlocked)
 	k.procs[ghostPid] = ghost
 	return func() {
-		k.acquireRaw()
+		k.lk.Lock(nil)
 		delete(k.procs, ghostPid)
-		k.releaseRaw()
+		k.lk.Unlock(nil)
 	}, nil
 }

@@ -2,7 +2,6 @@ package guest
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -62,9 +61,10 @@ type Kernel struct {
 	// GDT is the kernel's descriptor table for native mode.
 	GDT *hw.GDT
 
-	// big kernel lock guarding scheduler and process state; acquisition
-	// is charged so SMP contention shows up in the numbers.
-	lk      kernelLock
+	// lk is the big kernel lock guarding scheduler and process state.
+	// Sections run with interrupts masked, so a tick or IPI never lands
+	// in one and re-enters it; waiters spin with their clocks advancing.
+	lk      hw.SpinLock
 	procs   map[Pid]*Proc
 	nextPid Pid
 	runq    []*Proc
@@ -142,7 +142,6 @@ func Boot(m *hw.Machine, cfg Config) (*Kernel, error) {
 		HzTicks:  cfg.HzTicks,
 		LazyMMU:  cfg.LazyMMU,
 	}
-	k.lk.savedIF = make([]bool, len(m.CPUs))
 	if cfg.VO == nil {
 		cfg.VO = vo.NewDirect(m)
 	}
@@ -230,50 +229,17 @@ func (k *Kernel) timerTick(c *hw.CPU) {
 	k.armTick(c)
 }
 
-// --- kernel lock (charged) ---
+// --- kernel lock ---
 
-type kernelLock struct {
-	mu      sync.Mutex
-	savedIF []bool // per-CPU interrupt flag saved across the section
-}
-
-// lockCharged spins for the kernel lock while keeping the CPU's clock
-// advancing — essential under the cross-CPU lockstep: a waiter whose
-// clock froze (a host-level blocking Lock) would deadlock against a
-// holder throttling on that same clock. Returns whether the acquisition
-// was contended.
-func (k *Kernel) lockCharged(c *hw.CPU) bool {
-	if k.lk.mu.TryLock() {
-		return false
-	}
-	for !k.lk.mu.TryLock() {
-		c.Charge(60) // spin-wait burns cycles, like a real spinlock
-		runtime.Gosched()
-	}
-	return true
-}
-
-// acquire is spin_lock_irqsave: the critical section runs with
-// interrupts disabled so a tick or IPI can never land while the lock is
-// held on this CPU (which would self-deadlock an ISR that also needs
-// it). Contended acquisitions cost extra, which is where the SMP rows
-// of Table 2 get their latency.
+// acquire takes the big kernel lock, charging the acquisition; a
+// contended one costs extra, which is where the SMP rows of Table 2 get
+// their latency. Release with k.lk.Unlock.
 func (k *Kernel) acquire(c *hw.CPU) {
-	contended := k.lockCharged(c)
-	k.lk.savedIF[c.ID] = c.IF
-	c.IF = false
 	cost := k.M.Costs.LockAcquire
-	if contended {
+	if k.lk.Lock(c) {
 		cost += k.M.Costs.LockContended
 	}
 	c.Charge(cost)
-}
-
-// release is spin_unlock_irqrestore.
-func (k *Kernel) release(c *hw.CPU) {
-	saved := k.lk.savedIF[c.ID]
-	k.lk.mu.Unlock()
-	c.IF = saved
 }
 
 // --- page reference counting (COW sharing) ---
@@ -387,8 +353,8 @@ func (k *Kernel) validateResumeFrame(c *hw.CPU, f *hw.TrapFrame) {
 // the sharded recompute's partition) does not inherit map-iteration
 // randomness.
 func (k *Kernel) LiveRoots(c *hw.CPU) []hw.PFN {
-	k.lockCharged(c)
-	defer k.releaseRaw()
+	k.lk.Lock(c)
+	defer k.lk.Unlock(c)
 	seen := make(map[hw.PFN]bool)
 	var roots []hw.PFN
 	for _, p := range k.procs {
@@ -404,8 +370,8 @@ func (k *Kernel) LiveRoots(c *hw.CPU) []hw.PFN {
 // SleepingProcs returns every process whose kernel stack holds cached
 // interrupt frames — the set Mercury's selector-fixup stub walks.
 func (k *Kernel) SleepingProcs(c *hw.CPU) []*Proc {
-	k.lockCharged(c)
-	defer k.releaseRaw()
+	k.lk.Lock(c)
+	defer k.lk.Unlock(c)
 	var out []*Proc
 	for _, p := range k.procs {
 		if len(p.SavedFrames) > 0 {

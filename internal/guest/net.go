@@ -35,7 +35,7 @@ func (k *Kernel) routeInbound(c *hw.CPU, data []byte) {
 	}
 	k.acquire(c)
 	k.netRx = append(k.netRx, fr)
-	k.release(c)
+	k.lk.Unlock(c)
 	k.wakeAll(c, &k.netRxWait)
 }
 
@@ -49,7 +49,7 @@ func (k *Kernel) nicISR(c *hw.CPU) {
 // popFrame removes the first queued frame matching proto (0 = any).
 func (k *Kernel) popFrame(c *hw.CPU, proto byte) (Frame, bool) {
 	k.acquire(c)
-	defer k.release(c)
+	defer k.lk.Unlock(c)
 	for i, fr := range k.netRx {
 		if proto == 0 || fr.Proto == proto {
 			k.netRx = append(k.netRx[:i], k.netRx[i+1:]...)

@@ -33,7 +33,7 @@ func (p *Proc) PipeWrite(pi *Pipe, n int) {
 		k.acquire(c)
 		space := pi.cap - pi.avail
 		if space == 0 {
-			k.release(c)
+			k.lk.Unlock(c)
 			k.sleepOn(&pi.writers, p)
 			c = p.CPU()
 			continue
@@ -44,7 +44,7 @@ func (p *Proc) PipeWrite(pi *Pipe, n int) {
 		}
 		pi.avail += chunk
 		rem -= chunk
-		k.release(c)
+		k.lk.Unlock(c)
 		c.Charge(hw.Cycles(chunk/64+1) * k.M.Costs.MemWrite)
 		k.wakeAll(c, &pi.readers)
 	}
@@ -61,7 +61,7 @@ func (p *Proc) PipeRead(pi *Pipe, n int) {
 	for rem > 0 {
 		k.acquire(c)
 		if pi.avail == 0 {
-			k.release(c)
+			k.lk.Unlock(c)
 			k.sleepOn(&pi.readers, p)
 			c = p.CPU()
 			continue
@@ -72,7 +72,7 @@ func (p *Proc) PipeRead(pi *Pipe, n int) {
 		}
 		pi.avail -= chunk
 		rem -= chunk
-		k.release(c)
+		k.lk.Unlock(c)
 		c.Charge(hw.Cycles(chunk/64+1) * k.M.Costs.MemRead)
 		k.wakeAll(c, &pi.writers)
 	}

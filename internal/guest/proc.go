@@ -116,14 +116,14 @@ func (k *Kernel) newProc(c *hw.CPU, name string, parent *Proc, body Body) *Proc 
 		workSlice: k.M.Hz / k.HzTicks / 4,
 		body:      body,
 	}
-	k.lockCharged(c)
+	k.lk.Lock(c)
 	p.Pid = k.nextPid
 	k.nextPid++
 	k.procs[p.Pid] = p
 	if parent != nil {
 		parent.children = append(parent.children, p)
 	}
-	k.releaseRaw()
+	k.lk.Unlock(c)
 	k.nlive.Add(1)
 	p.setState(ProcRunnable)
 
@@ -144,11 +144,6 @@ func (k *Kernel) newProc(c *hw.CPU, name string, parent *Proc, body Body) *Proc 
 	return p
 }
 
-// acquireRaw/releaseRaw take the kernel lock without a CPU to charge
-// (setup paths outside simulated execution).
-func (k *Kernel) acquireRaw() { k.lk.mu.Lock() }
-func (k *Kernel) releaseRaw() { k.lk.mu.Unlock() }
-
 // Spawn creates a new runnable process executing body in a fresh address
 // space of the given image. The cost of building the address space is
 // charged to the calling CPU.
@@ -165,7 +160,7 @@ func (k *Kernel) enqueue(c *hw.CPU, p *Proc) {
 	k.acquire(c)
 	p.setState(ProcRunnable)
 	k.runq = append(k.runq, p)
-	k.release(c)
+	k.lk.Unlock(c)
 }
 
 // dispatchable reports whether a queued entry is safe to context-switch
@@ -184,7 +179,7 @@ func (k *Kernel) dispatchable(p *Proc) bool {
 // into; they stay queued for the runqueue sensor and repair to find.
 func (k *Kernel) pickNext(c *hw.CPU) *Proc {
 	k.acquire(c)
-	defer k.release(c)
+	defer k.lk.Unlock(c)
 	for i, p := range k.runq {
 		if !k.dispatchable(p) {
 			continue
@@ -198,8 +193,8 @@ func (k *Kernel) pickNext(c *hw.CPU) *Proc {
 // hasRunnable reports whether the run queue holds a dispatchable entry
 // (charged spin: idle-loop polling must keep the clock moving).
 func (k *Kernel) hasRunnable(c *hw.CPU) bool {
-	k.lockCharged(c)
-	defer k.lk.mu.Unlock()
+	k.lk.Lock(c)
+	defer k.lk.Unlock(c)
 	for _, p := range k.runq {
 		if k.dispatchable(p) {
 			return true
@@ -386,7 +381,7 @@ func (p *Proc) Exit(code int) {
 	if p.parent != nil {
 		k.acquire(c)
 		parent := p.parent
-		k.release(c)
+		k.lk.Unlock(c)
 		if parent.State() == ProcBlocked {
 			k.wake(c, parent)
 		}
@@ -408,7 +403,7 @@ func (p *Proc) Wait() (Pid, int, bool) {
 	for {
 		k.acquire(c)
 		if len(p.children) == 0 {
-			k.release(c)
+			k.lk.Unlock(c)
 			return 0, 0, false
 		}
 		for i, ch := range p.children {
@@ -416,12 +411,12 @@ func (p *Proc) Wait() (Pid, int, bool) {
 				p.children = append(p.children[:i], p.children[i+1:]...)
 				ch.setState(ProcReaped)
 				delete(k.procs, ch.Pid)
-				k.release(c)
+				k.lk.Unlock(c)
 				c.Charge(k.M.Costs.MemRead * 20) // reap bookkeeping
 				return ch.Pid, ch.exitCode, true
 			}
 		}
-		k.release(c)
+		k.lk.Unlock(c)
 		p.block()
 		c = p.CPU()
 	}
@@ -462,7 +457,7 @@ func (k *Kernel) sleepOn(q *waitQueue, p *Proc) {
 	c := p.CPU()
 	k.acquire(c)
 	q.procs = append(q.procs, p)
-	k.release(c)
+	k.lk.Unlock(c)
 	p.block()
 }
 
@@ -471,7 +466,7 @@ func (k *Kernel) wakeAll(c *hw.CPU, q *waitQueue) {
 	k.acquire(c)
 	ps := q.procs
 	q.procs = nil
-	k.release(c)
+	k.lk.Unlock(c)
 	for _, p := range ps {
 		k.wake(c, p)
 	}
@@ -479,11 +474,11 @@ func (k *Kernel) wakeAll(c *hw.CPU, q *waitQueue) {
 
 // CheckRunqueue verifies scheduler-state integrity: every queued
 // process must be a live, runnable member of the process table. The
-// self-healing sensor (§6.2) polls this invariant. (Raw lock: sensors
+// self-healing sensor (§6.2) polls this invariant. (No CPU: sensors
 // run from host-side orchestration as well as guest context.)
 func (k *Kernel) CheckRunqueue() error {
-	k.acquireRaw()
-	defer k.releaseRaw()
+	k.lk.Lock(nil)
+	defer k.lk.Unlock(nil)
 	for _, p := range k.runq {
 		if p == nil {
 			return fmt.Errorf("guest: nil entry on run queue")
@@ -501,8 +496,8 @@ func (k *Kernel) CheckRunqueue() error {
 // RepairRunqueue removes invalid entries, returning how many were
 // dropped. The healing VMM calls it with the kernel quiescent.
 func (k *Kernel) RepairRunqueue(c *hw.CPU) int {
-	k.lockCharged(c)
-	defer k.releaseRaw()
+	k.lk.Lock(c)
+	defer k.lk.Unlock(c)
 	kept := k.runq[:0]
 	dropped := 0
 	for _, p := range k.runq {
@@ -526,8 +521,8 @@ func (k *Kernel) RepairRunqueue(c *hw.CPU) int {
 // InjectRunqueueCorruption places a dead process on the run queue —
 // fault injection for the self-healing tests and example.
 func (k *Kernel) InjectRunqueueCorruption() {
-	k.acquireRaw()
-	defer k.releaseRaw()
+	k.lk.Lock(nil)
+	defer k.lk.Unlock(nil)
 	ghost := &Proc{Pid: 9999, Name: "ghost", K: k}
 	ghost.setState(ProcZombie)
 	k.runq = append(k.runq, ghost)
@@ -537,12 +532,12 @@ func (k *Kernel) InjectRunqueueCorruption() {
 func (k *Kernel) wakeOne(c *hw.CPU, q *waitQueue) bool {
 	k.acquire(c)
 	if len(q.procs) == 0 {
-		k.release(c)
+		k.lk.Unlock(c)
 		return false
 	}
 	p := q.procs[0]
 	q.procs = q.procs[1:]
-	k.release(c)
+	k.lk.Unlock(c)
 	k.wake(c, p)
 	return true
 }

@@ -38,6 +38,9 @@ type CPU struct {
 	// nested delivery is suppressed.
 	intrDepth int
 
+	// spinHeld counts held SpinLocks; an interrupt or idle under one panics.
+	spinHeld int
+
 	// halted is set while the CPU sits in its idle loop; cross-CPU code
 	// may read it.
 	halted atomic.Bool
@@ -200,6 +203,10 @@ func (c *CPU) deliver(vector int, f *TrapFrame) {
 		panic(fmt.Sprintf("hw: cpu%d interrupt %d: gate not present in %s",
 			c.ID, vector, c.IDTR.Name))
 	}
+	if vector >= 32 && c.spinHeld > 0 {
+		panic(fmt.Sprintf("hw: cpu%d interrupt %d delivered with %d spinlock(s) held",
+			c.ID, vector, c.spinHeld))
+	}
 	cost := c.M.Costs.IRQDeliver
 	if vector < 32 {
 		cost = c.M.Costs.FaultEntry
@@ -213,7 +220,6 @@ func (c *CPU) deliver(vector int, f *TrapFrame) {
 	f.SS = c.SS
 	f.IF = c.IF
 
-	prevCPL, prevCS, prevSS := c.CPL, c.CS, c.SS
 	c.intrDepth++
 	c.IF = false // interrupt gates clear IF
 	c.SetMode(g.Target)
@@ -230,9 +236,6 @@ func (c *CPU) deliver(vector int, f *TrapFrame) {
 	c.CS = f.CS
 	c.SS = f.SS
 	c.IF = f.IF
-	_ = prevCPL
-	_ = prevCS
-	_ = prevSS
 }
 
 // checkReturnFrame validates that the selectors in a frame about to be
@@ -282,13 +285,13 @@ func (c *CPU) RaiseGP(reason string) {
 // deliverFault delivers an exception regardless of IF (faults are not
 // maskable) but still honors nesting depth bookkeeping.
 func (c *CPU) deliverFault(vector int, f *TrapFrame) {
-	savedIF := c.IF
+	prevIF := c.IF
 	c.IF = true // allow deliver() to run; it will re-clear
 	saved := c.intrDepth
 	c.intrDepth = 0
 	c.deliver(vector, f)
 	c.intrDepth = saved
-	c.IF = savedIF
+	c.IF = prevIF
 }
 
 // --- privileged instructions (sensitive CPU operations, §5.3) ---
@@ -473,6 +476,9 @@ func (c *CPU) TouchPage(va VirtAddr) {
 // interrupt/timer makes progress. It cooperates with other CPU goroutines
 // via the Go scheduler.
 func (c *CPU) IdleUntil(cond func() bool) {
+	if c.spinHeld > 0 {
+		panic(fmt.Sprintf("hw: cpu%d idles with %d spinlock(s) held", c.ID, c.spinHeld))
+	}
 	c.halted.Store(true)
 	defer c.halted.Store(false)
 	for !cond() {

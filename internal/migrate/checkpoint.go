@@ -67,11 +67,28 @@ func (img *DomainImage) Bytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeImage parses an encoded image.
+// DecodeImage parses an encoded image. An image crosses a trust
+// boundary (stable storage, the migration socket), and Restore copies
+// each page to its PFN relative to the partition, so DecodeImage
+// rejects a partition with Lo > Hi, a page outside [Lo, Hi), and a
+// page whose data is not exactly one frame.
 func DecodeImage(b []byte) (*DomainImage, error) {
 	var w imageWire
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("migrate: decoding image: %w", err)
+	}
+	if w.Lo > w.Hi {
+		return nil, fmt.Errorf("migrate: image partition [%d, %d) is inverted", w.Lo, w.Hi)
+	}
+	for _, p := range w.Pages {
+		if p.PFN < w.Lo || p.PFN >= w.Hi {
+			return nil, fmt.Errorf("migrate: image page %d outside partition [%d, %d)",
+				p.PFN, w.Lo, w.Hi)
+		}
+		if len(p.Data) != hw.PageSize {
+			return nil, fmt.Errorf("migrate: image page %d holds %d bytes, want %d",
+				p.PFN, len(p.Data), hw.PageSize)
+		}
 	}
 	img := &DomainImage{
 		Name: w.Name, Lo: w.Lo, Hi: w.Hi,

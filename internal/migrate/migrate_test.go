@@ -12,7 +12,7 @@ import (
 
 // env builds an active VMM with a privileged caller domain and a guest
 // domain whose memory holds a recognizable pattern.
-func env(t *testing.T) (*xen.VMM, *xen.Domain, *xen.Domain, *hw.CPU) {
+func env(t testing.TB) (*xen.VMM, *xen.Domain, *xen.Domain, *hw.CPU) {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
 	v, err := xen.Boot(m)
@@ -90,7 +90,10 @@ func TestCheckpointRestoreSameMachine(t *testing.T) {
 	}
 }
 
-func TestImageEncodeDecode(t *testing.T) {
+// encodedCheckpoint checkpoints a guest with 8 patterned frames and
+// returns the image with its encoding.
+func encodedCheckpoint(t testing.TB) (*DomainImage, []byte) {
+	t.Helper()
 	v, caller, guest, c := env(t)
 	fill(v, guest, 8)
 	img, err := Checkpoint(c, v, caller, guest)
@@ -101,6 +104,11 @@ func TestImageEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return img, b
+}
+
+func TestImageEncodeDecode(t *testing.T) {
+	img, b := encodedCheckpoint(t)
 	back, err := DecodeImage(b)
 	if err != nil {
 		t.Fatal(err)

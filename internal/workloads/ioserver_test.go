@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/hw"
 	"repro/internal/obs"
 )
 
@@ -130,5 +132,52 @@ func TestIOServerDoorbellSeries(t *testing.T) {
 			t.Errorf("seed %d: doorbell series %d != ring kicks %d+%d",
 				c.cfg.Seed, kicks, res.ReqKicks, res.RespKicks)
 		}
+	}
+}
+
+// ioHangConfig is the split-datapath setup the two hang regressions
+// share: four 64-deep queues under a 50% read mix on M-V.
+func ioHangConfig() IOConfig {
+	return IOConfig{Queues: 4, Depth: 64, ReadPct: 50, Virtual: true, Policy: core.TrackRecompute}
+}
+
+// requireExactlyOnce fails unless every one of want requests was
+// submitted and completed exactly once.
+func requireExactlyOnce(t *testing.T, res *IOResult, want int) {
+	t.Helper()
+	if res.Submitted != want || res.Completed != want || res.Duplicates != 0 || res.Lost != 0 {
+		t.Fatalf("submitted=%d completed=%d dup=%d lost=%d, want %d exactly once",
+			res.Submitted, res.Completed, res.Duplicates, res.Lost, want)
+	}
+}
+
+// TestIOServerTickInRingSectionNoDeadlock: a 100k requests/s burst
+// that outlasts the first 10 ms tick. The tick used to land in a
+// Charge made under the ring mutex, and the backend slice it ran
+// blocked on that same mutex.
+func TestIOServerTickInRingSectionNoDeadlock(t *testing.T) {
+	cfg := ioHangConfig()
+	cfg.Requests, cfg.MeanArrival, cfg.Seed = 1100, hw.Cycles(hw.DefaultHz/100_000), 120
+	res, err := RunIOServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireExactlyOnce(t, res, 1100)
+}
+
+// TestIOServerTickInMulticallNoLivelock: a mode switch under a long
+// run. The tick used to land in the doorbell multicall's MMU-locked
+// section, and the backend's grant map spun on the lock its own
+// goroutine held.
+func TestIOServerTickInMulticallNoLivelock(t *testing.T) {
+	cfg := ioHangConfig()
+	cfg.Requests, cfg.MeanArrival, cfg.Seed, cfg.SwitchMid = 20_000, 16_000, 3, true
+	res, err := RunIOServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireExactlyOnce(t, res, 20_000)
+	if res.FinalMode != "native" {
+		t.Fatalf("final mode %q, want native", res.FinalMode)
 	}
 }

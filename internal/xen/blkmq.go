@@ -32,7 +32,7 @@ type BlkMQQueue struct {
 	// serving admits one drainer at a time: doorbell upcalls for the
 	// same queue can land on two CPUs at once, and the burst buffers
 	// above are per queue.
-	serving sync.Mutex
+	serving atomic.Bool
 
 	// Progress snapshot for Audit: consumer index and whether the
 	// previous audit saw pending work.
@@ -168,7 +168,7 @@ func (be *BlkMQBackend) Serve(c *hw.CPU, budget hw.Cycles) {
 func (be *BlkMQBackend) PollQueue(c *hw.CPU, q *BlkMQQueue) int {
 	h := be.V.tel()
 	total := 0
-	for !q.stalled.Load() && q.serving.TryLock() {
+	for !q.stalled.Load() && q.serving.CompareAndSwap(false, true) {
 		for {
 			if h != nil {
 				h.ringDepth.Observe(uint64(q.Ring.RequestsPending()))
@@ -183,7 +183,7 @@ func (be *BlkMQBackend) PollQueue(c *hw.CPU, q *BlkMQQueue) int {
 			be.serveBurst(c, q, q.reqBuf[:n])
 			total += n
 		}
-		q.serving.Unlock()
+		q.serving.Store(false)
 		if q.Ring.RequestsPending() == 0 {
 			break
 		}

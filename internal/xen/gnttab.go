@@ -71,10 +71,10 @@ func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef) (hw.
 			granterID, ref, d.ID)
 	}
 	c.Charge(v.M.Costs.GrantMap)
-	v.lockMMU(c)
+	v.mmu.Lock(c)
 	v.FT.GetRef(g.pfn)
 	g.mapped++
-	v.unlockMMU()
+	v.mmu.Unlock(c)
 	pfn := g.pfn
 	unmapped := false
 	return pfn, func() {
@@ -82,10 +82,10 @@ func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef) (hw.
 			return
 		}
 		unmapped = true
-		v.lockMMU(c)
+		v.mmu.Lock(c)
 		g.mapped--
 		v.FT.PutRef(pfn)
-		v.unlockMMU()
+		v.mmu.Unlock(c)
 	}, nil
 }
 
@@ -116,12 +116,12 @@ func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantR
 		pfns[i] = g.pfn
 	}
 	c.Charge(v.M.Costs.GrantMap * hw.Cycles(len(refs)))
-	v.lockMMU(c)
+	v.mmu.Lock(c)
 	for _, g := range entries {
 		v.FT.GetRef(g.pfn)
 		g.mapped++
 	}
-	v.unlockMMU()
+	v.mmu.Unlock(c)
 	if h := v.tel(); h != nil {
 		h.grantBatches.Inc()
 		h.grantBatchRefs.Add(uint64(len(refs)))
@@ -132,11 +132,11 @@ func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantR
 			return
 		}
 		unmapped = true
-		v.lockMMU(c)
+		v.mmu.Lock(c)
 		for i, g := range entries {
 			g.mapped--
 			v.FT.PutRef(pfns[i])
 		}
-		v.unlockMMU()
+		v.mmu.Unlock(c)
 	}, nil
 }

@@ -37,6 +37,9 @@ import (
 // arrived between the drain and the re-arm, and the consumer must loop
 // again instead of sleeping.
 type IORing[Req, Resp any] struct {
+	// mu guards the slots and indices only. Every method charges after
+	// it drops, so a tick delivered by the charge can run the peer's
+	// drain of this same ring.
 	mu    sync.Mutex
 	costs *hw.CostModel
 	mask  uint32
@@ -114,37 +117,27 @@ func (r *IORing[Req, Resp]) Capacity() int { return int(r.mask) + 1 }
 // RingPut charge covers the whole burst; each slot costs a MemWrite.
 func (r *IORing[Req, Resp]) PushRequests(c *hw.CPU, reqs []Req) (n int, notify bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	c.Charge(r.costs.RingPut)
 	old := r.reqProd
-	free := r.mask + 1 - (old - r.reqCons)
-	n = len(reqs)
-	if uint32(n) > free {
-		n = int(free)
-	}
+	n = min(len(reqs), int(r.mask+1-(old-r.reqCons)))
 	for i := 0; i < n; i++ {
 		r.reqs[(old+uint32(i))&r.mask] = reqs[i]
 	}
 	r.reqProd = old + uint32(n)
-	c.Charge(hw.Cycles(n) * r.costs.MemWrite)
-	if n == 0 {
-		return 0, false
+	if n > 0 {
+		r.Stats.ReqSlots.Add(uint64(n))
+		// Xen's RING_PUSH_REQUESTS_AND_CHECK_NOTIFY: notify iff the
+		// advertised wake mark lies in (old, new] under wrap arithmetic.
+		notify = r.reqProd-r.reqEvent < r.reqProd-old
+		if notify && r.dropReqNotify > 0 {
+			r.dropReqNotify--
+			r.reqDropPending = true
+			r.Stats.NotifiesDropped.Add(1)
+			notify = false
+		}
+		countDoorbell(notify, r.Stats.ReqKicks, r.Stats.ReqSuppressed)
 	}
-	r.Stats.ReqSlots.Add(uint64(n))
-	// Xen's RING_PUSH_REQUESTS_AND_CHECK_NOTIFY: notify iff the
-	// advertised wake mark lies in (old, new] under wrap arithmetic.
-	notify = r.reqProd-r.reqEvent < r.reqProd-old
-	if notify && r.dropReqNotify > 0 {
-		r.dropReqNotify--
-		r.reqDropPending = true
-		r.Stats.NotifiesDropped.Add(1)
-		notify = false
-	}
-	if notify {
-		r.Stats.ReqKicks.Add(1)
-	} else {
-		r.Stats.ReqSuppressed.Add(1)
-	}
+	r.mu.Unlock()
+	c.Charge(r.costs.RingPut + hw.Cycles(n)*r.costs.MemWrite)
 	return n, notify
 }
 
@@ -152,8 +145,6 @@ func (r *IORing[Req, Resp]) PushRequests(c *hw.CPU, reqs []Req) (n int, notify b
 // RingGet charge covers the burst; each slot costs a MemRead.
 func (r *IORing[Req, Resp]) TakeRequests(c *hw.CPU, buf []Req) int {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	c.Charge(r.costs.RingGet)
 	n := int(r.reqProd - r.reqCons)
 	if n > len(buf) {
 		n = len(buf)
@@ -162,13 +153,14 @@ func (r *IORing[Req, Resp]) TakeRequests(c *hw.CPU, buf []Req) int {
 		buf[i] = r.reqs[(r.reqCons+uint32(i))&r.mask]
 	}
 	r.reqCons += uint32(n)
-	c.Charge(hw.Cycles(n) * r.costs.MemRead)
 	if n > 0 && r.reqDropPending {
 		// The producer's doorbell was swallowed but a poll drain found
 		// the work anyway — the liveness fallback the protocol promises.
 		r.reqDropPending = false
 		r.Stats.RecoveredByPoll.Add(1)
 	}
+	r.mu.Unlock()
+	c.Charge(r.costs.RingGet + hw.Cycles(n)*r.costs.MemRead)
 	return n
 }
 
@@ -181,10 +173,11 @@ func (r *IORing[Req, Resp]) FinishRequestConsume(c *hw.CPU, threshold int) bool 
 		threshold = 1
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	c.Charge(r.costs.MemWrite)
 	r.reqEvent = r.reqCons + uint32(threshold)
-	return r.reqProd != r.reqCons
+	pending := r.reqProd != r.reqCons
+	r.mu.Unlock()
+	c.Charge(r.costs.MemWrite)
+	return pending
 }
 
 // PushResponses enqueues completions. The response direction can never
@@ -193,36 +186,37 @@ func (r *IORing[Req, Resp]) FinishRequestConsume(c *hw.CPU, threshold int) bool 
 // than silently dropping a completion.
 func (r *IORing[Req, Resp]) PushResponses(c *hw.CPU, resps []Resp) (notify bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	c.Charge(r.costs.RingPut)
 	old := r.respProd
-	if uint32(len(resps)) > r.mask+1-(old-r.respCons) {
-		panic(fmt.Sprintf("xen: IORing response overflow: %d responses, %d free",
-			len(resps), r.mask+1-(old-r.respCons)))
+	if free := r.mask + 1 - (old - r.respCons); uint32(len(resps)) > free {
+		r.mu.Unlock()
+		panic(fmt.Sprintf("xen: IORing response overflow: %d responses, %d free", len(resps), free))
 	}
 	for i := range resps {
 		r.resps[(old+uint32(i))&r.mask] = resps[i]
 	}
 	r.respProd = old + uint32(len(resps))
-	c.Charge(hw.Cycles(len(resps)) * r.costs.MemWrite)
-	if len(resps) == 0 {
-		return false
+	if len(resps) > 0 {
+		r.Stats.RespSlots.Add(uint64(len(resps)))
+		notify = r.respProd-r.respEvent < r.respProd-old
+		countDoorbell(notify, r.Stats.RespKicks, r.Stats.RespSuppressed)
 	}
-	r.Stats.RespSlots.Add(uint64(len(resps)))
-	notify = r.respProd-r.respEvent < r.respProd-old
-	if notify {
-		r.Stats.RespKicks.Add(1)
-	} else {
-		r.Stats.RespSuppressed.Add(1)
-	}
+	r.mu.Unlock()
+	c.Charge(r.costs.RingPut + hw.Cycles(len(resps))*r.costs.MemWrite)
 	return notify
+}
+
+// countDoorbell records one non-empty push's doorbell decision.
+func countDoorbell(notify bool, kicks, suppressed *obs.Counter) {
+	if notify {
+		kicks.Inc()
+	} else {
+		suppressed.Inc()
+	}
 }
 
 // TakeResponses dequeues up to len(buf) completions into buf.
 func (r *IORing[Req, Resp]) TakeResponses(c *hw.CPU, buf []Resp) int {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	c.Charge(r.costs.RingGet)
 	n := int(r.respProd - r.respCons)
 	if n > len(buf) {
 		n = len(buf)
@@ -231,7 +225,8 @@ func (r *IORing[Req, Resp]) TakeResponses(c *hw.CPU, buf []Resp) int {
 		buf[i] = r.resps[(r.respCons+uint32(i))&r.mask]
 	}
 	r.respCons += uint32(n)
-	c.Charge(hw.Cycles(n) * r.costs.MemRead)
+	r.mu.Unlock()
+	c.Charge(r.costs.RingGet + hw.Cycles(n)*r.costs.MemRead)
 	return n
 }
 
@@ -242,10 +237,11 @@ func (r *IORing[Req, Resp]) FinishResponseConsume(c *hw.CPU, threshold int) bool
 		threshold = 1
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	c.Charge(r.costs.MemWrite)
 	r.respEvent = r.respCons + uint32(threshold)
-	return r.respProd != r.respCons
+	pending := r.respProd != r.respCons
+	r.mu.Unlock()
+	c.Charge(r.costs.MemWrite)
+	return pending
 }
 
 // RequestsPending reports queued, un-consumed requests.

@@ -337,26 +337,29 @@ func (v *VMM) JournalReattach(c *hw.CPU, d *Domain, roots []hw.PFN, workers int)
 	if j == nil {
 		return v.RecomputeFrameInfoAuto(c, d, roots, workers)
 	}
+	// The MMU lock masks interrupts, so the journal lock nested inside
+	// it never spans a Charge that could deliver one.
+	v.mmu.Lock(c)
 	j.mu.Lock()
 	canReplay := j.snapshot && j.recording && !j.overflowed && !j.structural
 	if !canReplay {
 		j.stats.Fallbacks++
 		j.mu.Unlock()
+		v.mmu.Unlock(c)
 		return v.journalFallback(c, d, roots, workers)
 	}
-	err := v.replayLocked(c, d, j)
-	if err != nil {
+	defer v.mmu.Unlock(c)
+	defer j.mu.Unlock()
+	if err := v.replayLocked(c, d, j); err != nil {
 		// Nothing was applied and the ring is intact: after the switch's
 		// rollback, a retry (with the fault undone) can still replay.
 		j.stats.ReplayErrors++
-		j.mu.Unlock()
 		return err
 	}
 	j.stats.Replays++
 	j.entries = j.entries[:0]
 	j.recording = false
 	j.snapshot = false
-	j.mu.Unlock()
 	return nil
 }
 
@@ -367,27 +370,25 @@ func (v *VMM) JournalReattach(c *hw.CPU, d *Domain, roots []hw.PFN, workers int)
 func (v *VMM) journalFallback(c *hw.CPU, d *Domain, roots []hw.PFN, workers int) error {
 	j := v.journal
 	j.Disarm()
-	v.lockMMU(c)
+	v.mmu.Lock(c)
 	for root := range d.pinnedRoots {
 		delete(d.pinnedRoots, root)
 	}
 	v.FT.ResetCharged(c, v.M.Costs.FrameRelease)
-	v.unlockMMU()
+	v.mmu.Unlock(c)
 	return v.RecomputeFrameInfoAuto(c, d, roots, workers)
 }
 
-// replayLocked verifies and applies the journal (j.mu held). Phase 1
-// condenses entries per slot and checks each slot's final value against
-// memory — the corruption detector. Phase 2 accumulates the frame
-// deltas and validates them against the snapshot's type system. Phase 3
-// applies; nothing is written before everything has validated.
+// replayLocked verifies and applies the journal (MMU lock and j.mu
+// held). Phase 1 condenses entries per slot and checks each slot's final
+// value against memory — the corruption detector. Phase 2 accumulates
+// the frame deltas and validates them against the snapshot's type
+// system. Phase 3 applies; nothing is written before everything has
+// validated.
 //
 // All working state lives in the journal's reusable scratch, so replay
 // allocates nothing after its first run.
 func (v *VMM) replayLocked(c *hw.CPU, d *Domain, j *DirtyJournal) error {
-	v.lockMMU(c)
-	defer v.unlockMMU()
-
 	// Phase 1: condense, in first-touch order.
 	j.condenseLocked()
 	c.Charge(v.M.Costs.JournalReplayEntry * hw.Cycles(len(j.slots)))

@@ -274,8 +274,8 @@ func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, charge bool) error 
 func (v *VMM) HypMMUUpdate(c *hw.CPU, d *Domain, batch []MMUUpdate) error {
 	fr := v.enterFast(c, d)
 	defer v.exitFast(c, d, fr)
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 	for _, u := range batch {
 		if err := v.applyUpdate(c, d, u, true); err != nil {
 			return err
@@ -288,8 +288,8 @@ func (v *VMM) HypMMUUpdate(c *hw.CPU, d *Domain, batch []MMUUpdate) error {
 func (v *VMM) HypPinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
 	fr := v.enterFast(c, d)
 	defer v.exitFast(c, d, fr)
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 	return v.pinTable(c, d, root, true)
 }
 
@@ -297,8 +297,8 @@ func (v *VMM) HypPinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
 func (v *VMM) HypUnpinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
 	fr := v.enterFast(c, d)
 	defer v.exitFast(c, d, fr)
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 	return v.unpinTable(c, d, root, true)
 }
 
@@ -326,8 +326,8 @@ func (v *VMM) newBaseptrLocked(c *hw.CPU, d *Domain, root hw.PFN) error {
 func (v *VMM) HypNewBaseptr(c *hw.CPU, d *Domain, root hw.PFN) error {
 	fr := v.enterFast(c, d)
 	defer v.exitFast(c, d, fr)
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 	return v.newBaseptrLocked(c, d, root)
 }
 
@@ -337,8 +337,8 @@ func (v *VMM) HypNewBaseptr(c *hw.CPU, d *Domain, root hw.PFN) error {
 func (v *VMM) HypContextSwitch(c *hw.CPU, d *Domain, root hw.PFN) error {
 	fr := v.enterFast(c, d)
 	defer v.exitFast(c, d, fr)
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 	c.Charge(v.M.Costs.MemWrite * 2)    // stack switch bookkeeping
 	c.Charge(v.M.Costs.VCPUStateSwitch) // segment/LDT/FPU state swap
 	return v.newBaseptrLocked(c, d, root)
@@ -369,24 +369,24 @@ func (v *VMM) HypInvlpg(c *hw.CPU, d *Domain, va hw.VirtAddr) {
 // switch-time recompute unnecessary.
 func (v *VMM) MirrorPTEWrite(c *hw.CPU, d *Domain, u MMUUpdate) error {
 	c.Charge(v.M.Costs.MirrorUpdate)
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 	return v.applyUpdate(c, d, u, false)
 }
 
 // MirrorPinRoot registers a new root under active tracking.
 func (v *VMM) MirrorPinRoot(c *hw.CPU, d *Domain, root hw.PFN) error {
 	c.Charge(v.M.Costs.MirrorUpdate)
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 	return v.pinTable(c, d, root, false)
 }
 
 // MirrorUnpinRoot unregisters a root under active tracking.
 func (v *VMM) MirrorUnpinRoot(c *hw.CPU, d *Domain, root hw.PFN) error {
 	c.Charge(v.M.Costs.MirrorUpdate)
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 	return v.unpinTable(c, d, root, false)
 }
 
@@ -404,8 +404,8 @@ func (v *VMM) MirrorUnpinRoot(c *hw.CPU, d *Domain, root hw.PFN) error {
 // table is left exactly as before — the substrate for Mercury's
 // failure-resistant mode switch.
 func (v *VMM) RecomputeFrameInfo(c *hw.CPU, d *Domain, roots []hw.PFN) error {
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 	return v.recomputeLocked(c, d, roots)
 }
 
@@ -430,8 +430,8 @@ func (v *VMM) recomputeLocked(c *hw.CPU, d *Domain, roots []hw.PFN) error {
 // VMM detaches: cheap, which is why switching back to native mode takes
 // only ~0.06 ms (§7.4).
 func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 	for root := range d.pinnedRoots {
 		delete(d.pinnedRoots, root)
 		v.markPinned(root, false)
@@ -457,8 +457,8 @@ func (v *VMM) EmulatePTEWrite(c *hw.CPU, d *Domain, u MMUUpdate) error {
 	if d != nil {
 		d.Stats.FaultBounces.Add(1)
 	}
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 	prev := c.SetMode(hw.PL0)
 	err := v.applyUpdate(c, d, u, true)
 	c.SetMode(prev)

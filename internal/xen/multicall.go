@@ -206,9 +206,9 @@ func (v *VMM) HypMulticall(c *hw.CPU, d *Domain, m *Multicall) error {
 	if fr.h != nil {
 		fr.h.col.Tracer.Instant(c.ID, c.Now(), "xen/multicall", uint64(len(m.Ops)))
 	}
-	v.lockMMU(c)
+	v.mmu.Lock(c)
 	err := v.multicallLocked(c, d, m)
-	v.unlockMMU()
+	v.mmu.Unlock(c)
 	// Deliver the upcalls for every domain an MCEvtchnSend kicked, now
 	// that the MMU lock has dropped: the handlers are backend drains
 	// that map grants, which takes the lock again.

@@ -196,8 +196,8 @@ func (v *VMM) RecomputeFrameInfoParallel(c *hw.CPU, d *Domain, roots []hw.PFN, w
 	if workers < 2 || v.ShadowMode {
 		return v.RecomputeFrameInfo(c, d, roots)
 	}
-	v.lockMMU(c)
-	defer v.unlockMMU()
+	v.mmu.Lock(c)
+	defer v.mmu.Unlock(c)
 
 	// Injected transient pin failures and re-pin misuse surface before
 	// any shard runs, mirroring the serial loop's first-root behaviour.

@@ -2,8 +2,6 @@ package xen
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/hw"
@@ -53,10 +51,10 @@ type VMM struct {
 	// top is the current domain on that CPU.
 	cur [][]*Domain
 
-	// mmuMu serializes frame-table mutation (validation, pinning,
-	// shadow maintenance) across CPUs, as Xen's per-domain page lock
-	// does. Waiters spin with their clocks advancing (see lockMMU).
-	mmuMu sync.Mutex
+	// mmu serializes frame-table mutation (validation, pinning, shadow
+	// maintenance) across CPUs, as Xen's per-domain page lock does, and
+	// like Xen's spin_lock_irqsave masks the holder's interrupts.
+	mmu hw.SpinLock
 
 	// injectPinFails makes the next N table pins fail with a transient
 	// error (fault injection: a hypercall that fails mid-switch).
@@ -74,7 +72,7 @@ type VMM struct {
 	journal *DirtyJournal
 
 	// mergeCells/mergeOrder/mergeEpoch are the parallel recompute's
-	// reusable merge scratch (guarded by mmuMu; see
+	// reusable merge scratch (guarded by mmu; see
 	// recompute_parallel.go). Epoch-stamped per-frame cells replace the
 	// per-call maps so the merge allocates nothing after warm-up.
 	mergeCells []mergeCell
@@ -447,19 +445,6 @@ func (v *VMM) runInDomain(c *hw.CPU, d *Domain, fn func()) {
 	v.Stats.DomSwitches.Add(1)
 	sp.EndArg(c.Now(), uint64(d.ID))
 }
-
-// lockMMU serializes page-table validation across CPUs. The wait keeps
-// the caller's clock advancing so the cross-CPU lockstep cannot wedge
-// against a frozen waiter.
-func (v *VMM) lockMMU(c *hw.CPU) {
-	for !v.mmuMu.TryLock() {
-		c.Charge(60)
-		runtime.Gosched()
-	}
-}
-
-// unlockMMU releases the page-table lock.
-func (v *VMM) unlockMMU() { v.mmuMu.Unlock() }
 
 // enter is the hypercall prologue: a world switch into the VMM at PL0.
 // The returned closure is the epilogue. Usage: defer v.enter(c, d)().
