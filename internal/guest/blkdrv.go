@@ -69,7 +69,9 @@ func (d *NativeBlock) Submit(c *hw.CPU, reqs []BlockReq) {
 		if group[0].Write {
 			for i, q := range group {
 				c.Charge(d.K.M.Costs.PageCopy)
+				d.K.FS.bufMu.Lock()
 				copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], d.K.M.Mem.FrameBytesRO(q.PFN))
+				d.K.FS.bufMu.Unlock()
 			}
 		}
 		if err := d.Disk.Submit(c, hw.DiskRequest{

@@ -17,6 +17,10 @@ import (
 type FS struct {
 	k  *Kernel
 	mu sync.Mutex
+	// bufMu guards the bytes of every page-cache frame: a write into a
+	// cached page and the block driver's writeback copy of it never
+	// overlap. No Charge runs under it.
+	bufMu sync.Mutex
 
 	root    *Inode
 	nextIno uint64
@@ -253,9 +257,11 @@ func (fs *FS) WriteAt(c *hw.CPU, ino *Inode, off, n int) {
 		// pattern; the cost is what matters).
 		c.Charge(hw.Cycles(chunk) * k.M.Costs.PageCopy / hw.PageSize)
 		fb := k.M.Mem.FrameBytes(pfn)
+		fs.bufMu.Lock()
 		for i := 0; i < chunk; i += 256 {
 			fb[(pgOff+i)%hw.PageSize] = byte(off + i)
 		}
+		fs.bufMu.Unlock()
 		fs.mu.Lock()
 		pg := ino.pages[idx]
 		if !pg.dirty {
