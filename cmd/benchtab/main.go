@@ -68,9 +68,9 @@ type experiment struct {
 
 var experiments = []experiment{
 	{"table1", "BENCH_table1.json", true, func(o *options) (any, error) { return lmbench(o, "table1", 1) }},
-	{"table2", "BENCH_table2.json", false, func(o *options) (any, error) { return lmbench(o, "table2", 2) }},
+	{"table2", "BENCH_table2.json", true, func(o *options) (any, error) { return lmbench(o, "table2", 2) }},
 	{"fig3", "BENCH_fig3.json", true, func(o *options) (any, error) { return appFigure(o, 1) }},
-	{"fig4", "BENCH_fig4.json", false, func(o *options) (any, error) { return appFigure(o, 2) }},
+	{"fig4", "BENCH_fig4.json", true, func(o *options) (any, error) { return appFigure(o, 2) }},
 	{"switch", "", false, modeSwitch},
 	{"switchscale", "BENCH_switch.json", true, func(*options) (any, error) {
 		pts, err := bench.SwitchScale(bench.Options{})

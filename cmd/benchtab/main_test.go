@@ -28,7 +28,7 @@ func TestGatedBaselinesCommitted(t *testing.T) {
 			t.Errorf("%s: %s does not decode: %v %v", e.name, e.file, err, diffs)
 		}
 	}
-	if gated != 10 {
-		t.Errorf("%d gated experiments, want 10", gated)
+	if gated != 12 {
+		t.Errorf("%d gated experiments, want 12", gated)
 	}
 }

@@ -351,7 +351,7 @@ func stress(mc *core.Mercury) {
 func scenarios(mc *core.Mercury) {
 	c := mc.M.BootCPU()
 
-	mc.K.InjectRunqueueCorruption()
+	mc.K.InjectRunqueueCorruption(nil)
 	rep, err := mc.SelfHeal(c, []core.Sensor{core.RunqueueSensor()}, core.RunqueueRepair())
 	must(err)
 	fmt.Printf("healing: sensor=%s healed=%v window=%.1f us\n",

@@ -30,8 +30,8 @@ func main() {
 	fmt.Printf("pass 1: sensors quiet (report=%v), mode=%v\n", rep, mc.Mode())
 
 	// A wild fault corrupts scheduler state.
-	mc.K.InjectRunqueueCorruption()
-	if err := mc.K.CheckRunqueue(); err != nil {
+	mc.K.InjectRunqueueCorruption(nil)
+	if err := mc.K.CheckRunqueue(nil); err != nil {
 		fmt.Printf("fault injected: %v\n", err)
 	}
 
@@ -44,5 +44,5 @@ func main() {
 	fmt.Printf("        healed=%v, VMM resident for %.1f us\n",
 		rep.Healed, rep.AttachedForUS)
 	fmt.Printf("back to mode=%v; runqueue integrity: %v\n",
-		mc.Mode(), mc.K.CheckRunqueue())
+		mc.Mode(), mc.K.CheckRunqueue(nil))
 }

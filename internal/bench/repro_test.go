@@ -189,9 +189,9 @@ func TestFig4ReproductionBands(t *testing.T) {
 
 	// §7.3: "the overhead in Mercury in the three modes is less than 2%
 	// compared to native Linux, domain0 and domainU accordingly". SMP
-	// dbench carries genuine scheduling-order variance (four clients
-	// race for the shared writeback threshold across two CPUs), so its
-	// band is wider — the paper's numbers are 5-run averages.
+	// dbench's band is wider: four clients race for the shared writeback
+	// threshold across two CPUs, and the paper's numbers are 5-run
+	// averages. (The run itself is deterministic.)
 	for _, b := range f.Benchmarks {
 		lo, hi := 0.98, 1.02
 		if b == "dbench" {

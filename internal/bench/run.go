@@ -12,17 +12,7 @@ func (s *System) Run(name string, body guest.Body) hw.Cycles {
 	boot := s.M.BootCPU()
 	start := boot.Now()
 	s.K.Spawn(boot, name, guest.DefaultImage(name), body)
-	done := make(chan struct{})
-	for _, c := range s.M.CPUs[1:] {
-		go func(c *hw.CPU) {
-			s.K.Run(c)
-			done <- struct{}{}
-		}(c)
-	}
-	s.K.Run(boot)
-	for range s.M.CPUs[1:] {
-		<-done
-	}
+	s.M.Run(s.K.Run)
 	return boot.Now() - start
 }
 

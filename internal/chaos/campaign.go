@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/guest"
-	"repro/internal/hw"
 	"repro/internal/migrate"
 	"repro/internal/obs"
 	"repro/internal/xen"
@@ -139,8 +137,8 @@ func newChaosObs(col *obs.Collector) *chaosObs {
 // execution context, exactly as the production paths do.
 //
 // Reproducibility: with the same mc configuration, seed, and config,
-// two runs produce identical episode sequences; on a uniprocessor the
-// cycle counts (and so MTTR) are identical too.
+// two runs produce identical episode sequences and cycle counts (and so
+// MTTR) on any CPU count.
 func Run(mc *core.Mercury, cfg Config) (*Report, error) {
 	if cfg.Episodes <= 0 {
 		cfg.Episodes = 16
@@ -185,16 +183,7 @@ func Run(mc *core.Mercury, cfg Config) (*Report, error) {
 			}
 		}
 	})
-	var aps sync.WaitGroup
-	for _, ap := range mc.M.CPUs[1:] {
-		aps.Add(1)
-		go func(c *hw.CPU) {
-			defer aps.Done()
-			k.Run(c)
-		}(ap)
-	}
-	k.Run(boot)
-	aps.Wait()
+	mc.M.Run(k.Run)
 
 	if n := len(rep.Episodes); n > 0 {
 		rep.MTTRMeanUS = float64(rep.MTTRTotalCycles) / float64(n) /

@@ -106,7 +106,7 @@ func Catalog(mc *core.Mercury) []*Fault {
 			// A dead process on the run queue: the §6.2 healing example.
 			Name: "runqueue-corruption", Layer: LayerGuest, Detector: DetectSensor,
 			Inject: func(ctx *Ctx) (*Active, error) {
-				ctx.MC.K.InjectRunqueueCorruption()
+				ctx.MC.K.InjectRunqueueCorruption(ctx.C)
 				s := core.RunqueueSensor()
 				return &Active{
 					Undo:   func() { ctx.MC.K.RepairRunqueue(ctx.C) },
@@ -120,11 +120,11 @@ func Catalog(mc *core.Mercury) []*Fault {
 			// the §5.1.2 fixup stub exists to prevent.
 			Name: "stale-selector", Layer: LayerGuest, Detector: DetectInvariant,
 			Inject: func(ctx *Ctx) (*Active, error) {
-				undo, err := ctx.MC.K.InjectStaleSelector()
+				undo, err := ctx.MC.K.InjectStaleSelector(ctx.C)
 				if err != nil {
 					return nil, err
 				}
-				return &Active{Undo: undo}, nil
+				return &Active{Undo: func() { undo(ctx.P.CPU()) }}, nil
 			},
 		},
 		{
@@ -219,7 +219,7 @@ func Catalog(mc *core.Mercury) []*Fault {
 					Undo: restore,
 					Sensor: &core.Sensor{
 						Name: "failure-predictor",
-						Check: func(*guest.Kernel) error {
+						Check: func(*hw.CPU, *guest.Kernel) error {
 							return core.DefaultPredictor().Predict(bank)
 						},
 					},
@@ -237,7 +237,7 @@ func Catalog(mc *core.Mercury) []*Fault {
 			Inject: func(ctx *Ctx) (*Active, error) {
 				tgt := ctx.MC.M.CPUs[ctx.Rand.Intn(len(ctx.MC.M.CPUs))]
 				tgt.LAPIC.ArmDropNext()
-				tgt.LAPIC.Post(hw.VecReschedIPI)
+				tgt.LAPIC.Post(ctx.C, hw.VecReschedIPI)
 				return &Active{Undo: func() {
 					for _, cpu := range ctx.MC.M.CPUs {
 						cpu.LAPIC.ClearDropped()

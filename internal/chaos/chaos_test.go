@@ -264,7 +264,7 @@ func TestChaosCampaignEscalatesMidCampaign(t *testing.T) {
 	unrepairable := &Fault{
 		Name: "runqueue-unrepairable", Layer: LayerGuest, Detector: DetectSensor,
 		Inject: func(ctx *Ctx) (*Active, error) {
-			ctx.MC.K.InjectRunqueueCorruption()
+			ctx.MC.K.InjectRunqueueCorruption(ctx.C)
 			s := core.RunqueueSensor()
 			return &Active{
 				Undo:   func() { ctx.MC.K.RepairRunqueue(ctx.C) },

@@ -18,7 +18,7 @@
 // The same seed always produces the same episode sequence: injectors
 // draw every random choice (victim frames, sensors, interleaving) from
 // the campaign's rand.Rand, and the simulation itself is cycle-
-// deterministic on a uniprocessor.
+// deterministic on any CPU count.
 //
 // Optional environments gate extra fault classes into the rotation:
 // a standby node (Config.Standby) adds the migration faults behind

@@ -47,10 +47,7 @@ func TestFailedSwitchAbortVerified(t *testing.T) {
 			panic(err)
 		}
 	})
-	done := make(chan struct{})
-	go func() { k.Run(mc.M.CPUs[1]); close(done) }()
-	k.Run(boot)
-	<-done
+	mc.M.Run(k.Run)
 }
 
 // TestMidAbortFaultInvariantsGreen: the fault that killed the switch

@@ -81,7 +81,7 @@ func TestChaosSelfHealMultiSensorSingleWindow(t *testing.T) {
 	mc := newMercury(t, 1, TrackRecompute)
 	c := mc.M.BootCPU()
 
-	mc.K.InjectRunqueueCorruption()
+	mc.K.InjectRunqueueCorruption(nil)
 	mc.M.Sensors.Set(hw.SensorCPUTempC, 96)
 	bank := mc.M.Sensors
 
@@ -89,7 +89,7 @@ func TestChaosSelfHealMultiSensorSingleWindow(t *testing.T) {
 		RunqueueSensor(), // repairs via the fallback
 		{
 			Name:   "failure-predictor",
-			Check:  func(*guest.Kernel) error { return DefaultPredictor().Predict(bank) },
+			Check:  func(*hw.CPU, *guest.Kernel) error { return DefaultPredictor().Predict(bank) },
 			Repair: func(*hw.CPU, *Mercury) error { bank.Set(hw.SensorCPUTempC, 52); return nil },
 		},
 	}, RunqueueRepair())
@@ -121,7 +121,7 @@ func TestChaosSelfHealMultiSensorSingleWindow(t *testing.T) {
 func TestChaosHealingFailureRestoresMode(t *testing.T) {
 	mc := newMercury(t, 1, TrackRecompute)
 	c := mc.M.BootCPU()
-	mc.K.InjectRunqueueCorruption()
+	mc.K.InjectRunqueueCorruption(nil)
 
 	rep, err := mc.SelfHeal(c, []Sensor{RunqueueSensor()},
 		func(*hw.CPU, *Mercury) error { return fmt.Errorf("repair tool broken") })
@@ -151,7 +151,7 @@ func TestChaosHealingEscalatesToEvacuation(t *testing.T) {
 	c := mc.M.BootCPU()
 	dstV, dstDom0, _ := spareNode(t)
 	hw.Wire(mc.M.NIC, dstV.M.NIC, hw.Gigabit())
-	mc.K.InjectRunqueueCorruption()
+	mc.K.InjectRunqueueCorruption(nil)
 
 	rep, err := mc.HealOrEvacuate(c, []Sensor{RunqueueSensor()},
 		func(*hw.CPU, *Mercury) error { return fmt.Errorf("repair tool broken") },
@@ -204,7 +204,7 @@ func TestChaosEvacuationFailureMidCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mc.K.InjectRunqueueCorruption()
+	mc.K.InjectRunqueueCorruption(nil)
 	rep, err := mc.HealOrEvacuate(c, []Sensor{RunqueueSensor()},
 		func(*hw.CPU, *Mercury) error { return fmt.Errorf("repair tool broken") },
 		dstV, dstDom0, migrate.DefaultLiveConfig())

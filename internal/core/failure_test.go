@@ -108,10 +108,7 @@ func TestFailedSwitchRollbackUnderSMP(t *testing.T) {
 			panic(err)
 		}
 	})
-	done := make(chan struct{})
-	go func() { k.Run(mc.M.CPUs[1]); close(done) }()
-	k.Run(boot)
-	<-done
+	mc.M.Run(k.Run)
 
 	// Every CPU ends on the kernel's tables.
 	for _, c := range mc.M.CPUs {

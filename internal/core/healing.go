@@ -14,12 +14,12 @@ import (
 // and the VMM detaches again — no second machine, no steady-state
 // overhead.
 
-// Sensor inspects the kernel and reports an anomaly, or nil. Repair,
-// when set, is the sensor's own fix; a tripped sensor without one falls
-// back to the repair passed to SelfHeal.
+// Sensor inspects the kernel from CPU c and reports an anomaly, or nil.
+// Repair, when set, is the sensor's own fix; a tripped sensor without
+// one falls back to the repair passed to SelfHeal.
 type Sensor struct {
 	Name   string
-	Check  func(k *guest.Kernel) error
+	Check  func(c *hw.CPU, k *guest.Kernel) error
 	Repair Repair
 }
 
@@ -54,7 +54,7 @@ func (mc *Mercury) SelfHeal(c *hw.CPU, sensors []Sensor, fallback Repair) (*Heal
 	var tripped []int
 	var anomalies []error
 	for i := range sensors {
-		if err := sensors[i].Check(mc.K); err != nil {
+		if err := sensors[i].Check(c, mc.K); err != nil {
 			tripped = append(tripped, i)
 			anomalies = append(anomalies, err)
 		}
@@ -97,7 +97,7 @@ func (mc *Mercury) SelfHeal(c *hw.CPU, sensors []Sensor, fallback Repair) (*Heal
 		}
 		err := repair(c, mc)
 		if err == nil {
-			if perr := s.Check(mc.K); perr != nil {
+			if perr := s.Check(c, mc.K); perr != nil {
 				err = fmt.Errorf("anomaly persists after repair: %w", perr)
 			}
 		}
@@ -127,7 +127,7 @@ func (mc *Mercury) SelfHeal(c *hw.CPU, sensors []Sensor, fallback Repair) (*Heal
 func RunqueueSensor() Sensor {
 	return Sensor{
 		Name:  "runqueue-integrity",
-		Check: func(k *guest.Kernel) error { return k.CheckRunqueue() },
+		Check: func(c *hw.CPU, k *guest.Kernel) error { return k.CheckRunqueue(c) },
 	}
 }
 
@@ -140,7 +140,7 @@ func RunqueueRepair() Repair {
 		if n := mc.K.RepairRunqueue(c); n > 0 {
 			return nil
 		}
-		if err := mc.K.CheckRunqueue(); err != nil {
+		if err := mc.K.CheckRunqueue(c); err != nil {
 			return fmt.Errorf("core: nothing to repair but queue still corrupt: %w", err)
 		}
 		return nil

@@ -9,7 +9,7 @@ import "testing"
 func TestRunqueueRepairIdempotentAcrossSensors(t *testing.T) {
 	mc := newMercury(t, 1, TrackRecompute)
 	c := mc.M.BootCPU()
-	mc.K.InjectRunqueueCorruption()
+	mc.K.InjectRunqueueCorruption(nil)
 
 	sensors := []Sensor{RunqueueSensor(), RunqueueSensor()}
 	rep, err := mc.SelfHeal(c, sensors, RunqueueRepair())
@@ -30,7 +30,7 @@ func TestRunqueueRepairIdempotentAcrossSensors(t *testing.T) {
 	if mc.Mode() != ModeNative {
 		t.Fatal("system not back in native mode")
 	}
-	if err := mc.K.CheckRunqueue(); err != nil {
+	if err := mc.K.CheckRunqueue(nil); err != nil {
 		t.Fatalf("runqueue still corrupt: %v", err)
 	}
 }
@@ -43,14 +43,14 @@ func TestRunqueueRepairOnHealthyQueueSucceeds(t *testing.T) {
 	c := mc.M.BootCPU()
 	repair := RunqueueRepair()
 
-	mc.K.InjectRunqueueCorruption()
+	mc.K.InjectRunqueueCorruption(nil)
 	if err := repair(c, mc); err != nil {
 		t.Fatalf("first repair: %v", err)
 	}
 	if err := repair(c, mc); err != nil {
 		t.Fatalf("second repair on healthy queue: %v", err)
 	}
-	if err := mc.K.CheckRunqueue(); err != nil {
+	if err := mc.K.CheckRunqueue(nil); err != nil {
 		t.Fatalf("runqueue: %v", err)
 	}
 }

@@ -117,7 +117,7 @@ func (mc *Mercury) CheckInvariants(c *hw.CPU) error {
 
 	// Scheduler integrity and cached selectors (§5.1.2): every sleeping
 	// thread's saved kernel selectors must carry the current kernel PL.
-	if err := mc.K.CheckRunqueue(); err != nil {
+	if err := mc.K.CheckRunqueue(c); err != nil {
 		return fmt.Errorf("invariant: %w", err)
 	}
 	kpl := mc.K.KernelPL()

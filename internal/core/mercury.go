@@ -352,11 +352,12 @@ func (mc *Mercury) installGates() {
 	mc.VMM.SetGate(hw.VecModeSwitchAP, apGate)
 }
 
-// RequestSwitch asks for a transition to the target mode by raising the
-// self-virtualization interrupt on the control processor. The switch
-// happens in interrupt context; if sensitive code is in flight the
-// handler re-arms itself via a retry timer (§5.1.1).
-func (mc *Mercury) RequestSwitch(target Mode) error {
+// RequestSwitch asks, from CPU c (nil host-side), for a transition to
+// the target mode by raising the self-virtualization interrupt on the
+// control processor. The switch happens in interrupt context; if
+// sensitive code is in flight the handler re-arms itself via a retry
+// timer (§5.1.1).
+func (mc *Mercury) RequestSwitch(c *hw.CPU, target Mode) error {
 	cur := mc.Mode()
 	if cur == target {
 		return nil
@@ -365,56 +366,42 @@ func (mc *Mercury) RequestSwitch(target Mode) error {
 		return fmt.Errorf("core: a mode switch is already pending")
 	}
 	mc.deferrals.Store(0)
-	mc.M.BootCPU().LAPIC.Post(hw.VecModeSwitch)
+	mc.M.BootCPU().LAPIC.Post(c, hw.VecModeSwitch)
 	return nil
 }
 
-// SwitchSync requests a switch and spins (charging the calling CPU)
-// until it commits. Intended for orchestration code running on the
-// control processor's thread of execution. Application processors that
-// no scheduler is currently driving get a temporary idle loop so they
-// can take the rendezvous IPI (§5.4) — on hardware a halted core wakes
-// on the interrupt by itself.
+// SwitchSync requests a switch from c and idles until it commits or
+// fails. On an SMP machine outside hw.Machine.Run it runs itself under
+// one, the other CPUs idling (and taking the §5.4 rendezvous IPI) until
+// the switch is done.
 func (mc *Mercury) SwitchSync(c *hw.CPU, target Mode) error {
-	failedBefore := mc.Stats.FailedSwitches.Load()
-	done := make(chan struct{})
-	var idlers sync.WaitGroup
-	for _, other := range mc.M.CPUs {
-		if other == c || !other.TryDrive() {
-			continue
-		}
-		idlers.Add(1)
-		go func(ap *hw.CPU) {
-			defer idlers.Done()
-			defer ap.ReleaseDrive()
-			ap.IdleUntil(func() bool {
-				select {
-				case <-done:
-					return true
-				default:
-					return false
-				}
-			})
-		}(other)
-	}
-	err := mc.RequestSwitch(target)
-	if err == nil {
-		for mc.Mode() != target {
-			c.Charge(50)
-			// A failed (rolled-back) switch clears the request without
-			// changing the mode; stop waiting and report it. (A deferred
-			// commit keeps the request pending between retries, so this
-			// only triggers on genuine failure.)
-			if mc.pending.Load() == -1 && mc.Mode() != target {
-				if e := mc.LastSwitchError(); e != nil {
-					err = e
-					break
-				}
+	if len(mc.M.CPUs) > 1 && !mc.M.Running() {
+		var err error
+		var done atomic.Bool
+		mc.M.Run(func(cpu *hw.CPU) {
+			if cpu != c {
+				cpu.IdleUntil(done.Load)
+				return
 			}
+			err = mc.SwitchSync(c, target)
+			done.Store(true)
+			c.WakeHalted(hw.VecReschedIPI, true)
+		})
+		return err
+	}
+	failedBefore := mc.Stats.FailedSwitches.Load()
+	err := mc.RequestSwitch(c, target)
+	if err == nil && mc.Mode() != target {
+		c.Charge(50) // the request
+		// A failed (rolled-back or starved) switch clears the request
+		// without changing the mode; a deferred one keeps it pending.
+		c.IdleUntil(func() bool {
+			return mc.Mode() == target || mc.pending.Load() == -1 && mc.LastSwitchError() != nil
+		})
+		if mc.Mode() != target {
+			err = mc.LastSwitchError()
 		}
 	}
-	close(done)
-	idlers.Wait()
 	if err != nil && mc.Stats.FailedSwitches.Load() > failedBefore {
 		// A rolled-back switch must leave the whole system
 		// quiescent-clean in its previous mode — verify, don't assume.

@@ -186,7 +186,7 @@ func TestRefcountGateDefers(t *testing.T) {
 		}}
 	mc.K.IDT.Set(hw.VecDebug, probe)
 	mc.pending.Store(int32(ModePartialVirtual))
-	c.LAPIC.Post(hw.VecDebug)
+	c.LAPIC.Post(nil, hw.VecDebug)
 	// This VO op's internal charge delivers the probe mid-operation.
 	table := mc.K.Frames.Alloc()
 	mc.K.VO().WritePTE(c, table, 0, hw.MakePTE(5, hw.PTEPresent))
@@ -280,13 +280,7 @@ func TestSMPRendezvousSwitch(t *testing.T) {
 		}
 		done = true
 	})
-	doneCh := make(chan struct{})
-	go func() {
-		k.Run(mc.M.CPUs[1])
-		close(doneCh)
-	}()
-	k.Run(boot)
-	<-doneCh
+	mc.M.Run(k.Run)
 	if !done {
 		t.Fatal("SMP switch round trip failed")
 	}

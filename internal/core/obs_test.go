@@ -158,7 +158,7 @@ func TestDeferredSwitchInstant(t *testing.T) {
 			}
 		}})
 	mc.pending.Store(int32(ModePartialVirtual))
-	c.LAPIC.Post(hw.VecDebug)
+	c.LAPIC.Post(nil, hw.VecDebug)
 	table := mc.K.Frames.Alloc()
 	mc.K.VO().WritePTE(c, table, 0, hw.MakePTE(5, hw.PTEPresent))
 	if mc.Stats.Deferred.Load() == 0 {

@@ -44,7 +44,7 @@ func TestLiveUpdatePatchesHandlerAndReturnsNative(t *testing.T) {
 		t.Fatal("no attach window recorded")
 	}
 	// The patched handler is live: raise the NIC vector.
-	c.LAPIC.Post(hw.VecNIC)
+	c.LAPIC.Post(nil, hw.VecNIC)
 	c.Charge(10)
 	if !patched {
 		t.Fatal("patched handler not dispatched")
@@ -82,7 +82,7 @@ func TestSelfHealingRepairsRunqueue(t *testing.T) {
 
 	// Inject corruption; the sensor fires, the VMM attaches, repairs,
 	// and detaches.
-	mc.K.InjectRunqueueCorruption()
+	mc.K.InjectRunqueueCorruption(nil)
 	rep, err = mc.SelfHeal(c, sensors, RunqueueRepair())
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestSelfHealingRepairsRunqueue(t *testing.T) {
 	if mc.Mode() != ModeNative {
 		t.Fatal("system not back in native mode")
 	}
-	if err := mc.K.CheckRunqueue(); err != nil {
+	if err := mc.K.CheckRunqueue(nil); err != nil {
 		t.Fatalf("runqueue still corrupt: %v", err)
 	}
 }
@@ -105,7 +105,7 @@ func TestSelfHealingPersistentAnomalyReported(t *testing.T) {
 	mc := newMercury(t, 1, TrackRecompute)
 	c := mc.M.BootCPU()
 	badSensor := Sensor{Name: "always-bad",
-		Check: func(k *guest.Kernel) error { return fmt.Errorf("anomaly") }}
+		Check: func(c *hw.CPU, k *guest.Kernel) error { return fmt.Errorf("anomaly") }}
 	rep, err := mc.SelfHeal(c, []Sensor{badSensor},
 		func(cc *hw.CPU, m *Mercury) error { return nil })
 	if err == nil {

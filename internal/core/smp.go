@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/hw"
@@ -40,16 +39,15 @@ func (mc *Mercury) rendezvous(c *hw.CPU, target Mode) func() {
 			c.SendIPI(other.ID, hw.VecModeSwitchAP)
 		}
 	}
-	// Wait for every AP to check in.
+	// Wait for every AP to check in. Each Charge hands the turn to an
+	// AP whose clock it passes.
 	for st.ready.Load() < n {
 		c.Charge(20)
-		runtime.Gosched()
 	}
 	return func() {
 		st.released.Store(true)
 		for st.done.Load() < n {
 			c.Charge(20)
-			runtime.Gosched()
 		}
 	}
 }
@@ -63,8 +61,7 @@ func (mc *Mercury) apRendezvousISR(c *hw.CPU, f *hw.TrapFrame) {
 	mc.step(c, StepAPPark, Mode(st.target.Load()))
 	st.ready.Add(1)
 	for !st.released.Load() {
-		c.Clk.Advance(20) // spin with interrupts off
-		runtime.Gosched()
+		c.Charge(20) // spin with interrupts off: delivers nothing
 	}
 	// Local per-CPU reload for the new mode.
 	target := Mode(st.target.Load())

@@ -57,13 +57,7 @@ func TestSwitchStressUnderPTChurn(t *testing.T) {
 					failed = err
 				}
 			})
-			done := make(chan struct{})
-			go func() {
-				k.Run(mc.M.CPUs[1])
-				close(done)
-			}()
-			k.Run(boot)
-			<-done
+			mc.M.Run(k.Run)
 			if failed != nil {
 				t.Fatal(failed)
 			}

@@ -148,6 +148,7 @@ func (mc *Mercury) deferSwitch(c *hw.CPU, h *coreObs, target Mode) {
 			target, n))
 		mc.deferrals.Store(0)
 		mc.pending.Store(-1)
+		c.WakeHalted(hw.VecReschedIPI, true) // a requester on another CPU stops waiting
 		return
 	}
 	mc.step(c, StepDeferArm, target)
@@ -161,7 +162,7 @@ func (mc *Mercury) deferSwitch(c *hw.CPU, h *coreObs, target Mode) {
 	mc.event(h, obs.EvSwitchBackoff, c.Now(), delay, uint64(n))
 	mc.K.AddTimer(c, c.Now()+delay, func(tc *hw.CPU) {
 		mc.step(tc, StepRetryFire, target)
-		tc.LAPIC.Post(hw.VecModeSwitch)
+		tc.LAPIC.Post(tc, hw.VecModeSwitch)
 	})
 }
 

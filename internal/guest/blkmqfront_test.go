@@ -1,7 +1,6 @@
 package guest
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/hw"
@@ -106,20 +105,23 @@ func TestMQBlockFrontendSubmitWaitsForOtherCPU(t *testing.T) {
 	v.SetCurrent(cA, fe)
 	v.SetCurrent(cB, drv)
 
-	served := make(chan int)
-	go func() {
-		for !cA.Halted() {
-			runtime.Gosched()
-		}
-		served <- be.PollQueue(cB, be.Queues[0])
-	}()
 	reqs := make([]BlockReq, 4)
 	for i := range reqs {
 		reqs[i] = BlockReq{Block: uint64(10 + i), Write: true, PFN: fe.Frames.Alloc()}
 	}
-	f.Submit(cA, reqs)
-	if n := <-served; n != len(reqs) {
-		t.Fatalf("the other CPU served %d of %d", n, len(reqs))
+	served := 0
+	m.Run(func(c *hw.CPU) {
+		if c == cA {
+			f.Submit(cA, reqs)
+			return
+		}
+		for !cA.Halted() { // poll, in step with cA, until it idles
+			cB.Charge(20)
+		}
+		served = be.PollQueue(cB, be.Queues[0])
+	})
+	if served != len(reqs) {
+		t.Fatalf("the other CPU served %d of %d", served, len(reqs))
 	}
 	q := f.Queues[0]
 	if f.Outstanding() != 0 || len(q.grants) != 0 {

@@ -64,10 +64,11 @@ const ghostPid Pid = -2
 // level no mode ever uses (RPL 2) — the stale-selector state §5.1.2's
 // fixup stub exists to prevent, injected directly so the invariant
 // checker can be exercised. The ghost is never runnable and owns no
-// address space; the undo function removes it.
-func (k *Kernel) InjectStaleSelector() (undo func(), err error) {
-	k.lk.Lock(nil)
-	defer k.lk.Unlock(nil)
+// address space; the undo function removes it. Both run in guest context
+// on the CPU they are given.
+func (k *Kernel) InjectStaleSelector(c *hw.CPU) (undo func(c *hw.CPU), err error) {
+	k.lk.Lock(c)
+	defer k.lk.Unlock(c)
 	if _, ok := k.procs[ghostPid]; ok {
 		return nil, fmt.Errorf("guest: stale-selector ghost already injected")
 	}
@@ -83,9 +84,9 @@ func (k *Kernel) InjectStaleSelector() (undo func(), err error) {
 	}
 	ghost.setState(ProcBlocked)
 	k.procs[ghostPid] = ghost
-	return func() {
-		k.lk.Lock(nil)
+	return func(c *hw.CPU) {
+		k.lk.Lock(c)
 		delete(k.procs, ghostPid)
-		k.lk.Unlock(nil)
+		k.lk.Unlock(c)
 	}, nil
 }

@@ -279,12 +279,44 @@ func TestSchedulerSMPRunsBothCPUs(t *testing.T) {
 			p.Wait()
 		}
 	})
-	done := make(chan struct{})
-	go func() { k.Run(k.M.CPUs[1]); close(done) }()
-	k.Run(boot)
-	<-done
+	k.M.Run(k.Run)
 	if len(seen) < 2 {
 		t.Fatalf("work ran on %d CPUs: %v", len(seen), seen)
+	}
+}
+
+// TestEnqueueWakesHaltedCPU: making a process runnable while the other
+// CPU idles posts it a reschedule IPI, which wakes it at the enqueuer's
+// clock to run the process — not at some later tick.
+func TestEnqueueWakesHaltedCPU(t *testing.T) {
+	k := nativeKernel(t, 2)
+	ipis := make([]int, 2)
+	resched := k.IDT.Get(hw.VecReschedIPI)
+	k.IDT.Set(hw.VecReschedIPI, hw.Gate{Present: true, Target: resched.Target,
+		Handler: func(c *hw.CPU, f *hw.TrapFrame) {
+			ipis[c.ID]++
+			resched.Handler(c, f)
+		}})
+	var forkedAt, startedAt hw.Cycles
+	parentCPU, childCPU := -1, -1
+	k.Spawn(k.M.BootCPU(), "init", DefaultImage("init"), func(p *Proc) {
+		p.Work(1_000_000) // the other CPU halts with nothing to run
+		parentCPU, forkedAt = p.CPU().ID, p.CPU().Now()
+		p.Fork("child", func(cp *Proc) {
+			childCPU, startedAt = cp.CPU().ID, cp.CPU().Now()
+		})
+		p.Work(5_000_000) // keep this CPU busy well past the child's start
+		p.Wait()
+	})
+	k.M.Run(k.Run)
+	idle := 1 - parentCPU
+	if childCPU != idle || ipis[idle] == 0 {
+		t.Fatalf("parent on cpu%d, child on cpu%d after %d reschedule IPIs to cpu%d",
+			parentCPU, childCPU, ipis[idle], idle)
+	}
+	if startedAt-forkedAt > 200_000 {
+		t.Fatalf("child started %d cycles after the fork; the kick should wake cpu%d at once",
+			startedAt-forkedAt, idle)
 	}
 }
 

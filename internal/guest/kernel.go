@@ -72,7 +72,6 @@ type Kernel struct {
 	nlive   atomic.Int64
 
 	needResched atomic.Bool
-	stopping    atomic.Bool
 
 	// pageRefs counts sharers of anonymous/COW frames.
 	pageRefs map[hw.PFN]int
@@ -209,7 +208,9 @@ func (k *Kernel) installTraps() {
 		Handler: func(c *hw.CPU, f *hw.TrapFrame) { k.nicISR(c) }})
 	k.IDT.Set(hw.VecReschedIPI, hw.Gate{Present: true, Target: hw.PL0,
 		Handler: func(c *hw.CPU, f *hw.TrapFrame) {
-			k.needResched.Store(true)
+			if k.cur[c.ID] != nil { // an idle CPU only needed waking
+				k.needResched.Store(true)
+			}
 		}})
 }
 
@@ -294,12 +295,6 @@ func (k *Kernel) allocFrame(c *hw.CPU, zero bool) hw.PFN {
 	return pfn
 }
 
-// directWriter returns the raw writer used while building not-yet-live
-// page-table trees (fresh trees are not validated until registered).
-func (k *Kernel) directWriter() pgtable.WriteFn {
-	return pgtable.DirectWriter(k.M.Mem)
-}
-
 // voWriter returns a writer routing stores through the current
 // virtualization object (for live trees). The page-table walker
 // re-reads the entry it just wrote (a structural PDE store installs
@@ -328,9 +323,6 @@ func (k *Kernel) lazyEnd(c *hw.CPU) {
 		k.VO().EndLazyMMU(c)
 	}
 }
-
-// Shutdown stops scheduler loops once current work drains.
-func (k *Kernel) Shutdown() { k.stopping.Store(true) }
 
 // validateResumeFrame checks a popped saved frame against the live GDT,
 // as the hardware iret microcode would: stale kernel selectors raise #GP.
@@ -393,9 +385,6 @@ func (k *Kernel) TimerUpcall() func(c *hw.CPU) { return k.timerTick }
 // RearmTick reprograms the periodic tick through the current VO (used
 // right after a mode switch rebinds the timer path).
 func (k *Kernel) RearmTick(c *hw.CPU) { k.armTick(c) }
-
-// NumLive returns the number of live (non-zombie) processes.
-func (k *Kernel) NumLive() int64 { return k.nlive.Load() }
 
 // TrapGates exports the kernel's trap table as a VMM registration list
 // (Mercury's attach path re-registers the handlers behind the VMM).

@@ -11,7 +11,6 @@ type Pipe struct {
 	cap     int
 	readers waitQueue
 	writers waitQueue
-	closed  bool
 }
 
 // DefaultPipeCap matches the traditional 64 KB pipe buffer.
@@ -22,59 +21,44 @@ func (k *Kernel) NewPipe() *Pipe {
 	return &Pipe{k: k, cap: DefaultPipeCap}
 }
 
-// Write adds n bytes, blocking while the buffer is full.
-func (p *Proc) PipeWrite(pi *Pipe, n int) {
-	k := p.K
-	c := p.CPU()
-	k.Stats.Syscalls.Add(1)
-	c.Charge(k.M.Costs.SyscallEntry)
-	rem := n
-	for rem > 0 {
-		k.acquire(c)
-		space := pi.cap - pi.avail
-		if space == 0 {
-			k.lk.Unlock(c)
-			k.sleepOn(&pi.writers, p)
-			c = p.CPU()
-			continue
-		}
-		chunk := rem
-		if chunk > space {
-			chunk = space
-		}
-		pi.avail += chunk
-		rem -= chunk
-		k.lk.Unlock(c)
-		c.Charge(hw.Cycles(chunk/64+1) * k.M.Costs.MemWrite)
-		k.wakeAll(c, &pi.readers)
-	}
-	c.Charge(k.M.Costs.SyscallExit)
-}
+// PipeWrite adds n bytes, blocking while the buffer is full.
+func (p *Proc) PipeWrite(pi *Pipe, n int) { p.pipeMove(pi, n, true) }
 
-// Read consumes n bytes, blocking until they are available.
-func (p *Proc) PipeRead(pi *Pipe, n int) {
+// PipeRead consumes n bytes, blocking until they are available.
+func (p *Proc) PipeRead(pi *Pipe, n int) { p.pipeMove(pi, n, false) }
+
+// pipeMove moves n bytes into (write) or out of pi, sleeping while it is
+// full (empty) and waking the other side after each chunk.
+func (p *Proc) pipeMove(pi *Pipe, n int, write bool) {
 	k := p.K
 	c := p.CPU()
 	k.Stats.Syscalls.Add(1)
 	c.Charge(k.M.Costs.SyscallEntry)
-	rem := n
-	for rem > 0 {
+	sleep, other, cost := &pi.readers, &pi.writers, k.M.Costs.MemRead
+	if write {
+		sleep, other, cost = &pi.writers, &pi.readers, k.M.Costs.MemWrite
+	}
+	for n > 0 {
 		k.acquire(c)
-		if pi.avail == 0 {
+		room := pi.avail
+		if write {
+			room = pi.cap - pi.avail
+		}
+		if room == 0 {
 			k.lk.Unlock(c)
-			k.sleepOn(&pi.readers, p)
+			k.sleepOn(sleep, p)
 			c = p.CPU()
 			continue
 		}
-		chunk := rem
-		if chunk > pi.avail {
-			chunk = pi.avail
+		chunk := min(n, room)
+		if n -= chunk; write {
+			pi.avail += chunk
+		} else {
+			pi.avail -= chunk
 		}
-		pi.avail -= chunk
-		rem -= chunk
 		k.lk.Unlock(c)
-		c.Charge(hw.Cycles(chunk/64+1) * k.M.Costs.MemRead)
-		k.wakeAll(c, &pi.writers)
+		c.Charge(hw.Cycles(chunk/64+1) * cost)
+		k.wakeAll(c, other)
 	}
 	c.Charge(k.M.Costs.SyscallExit)
 }

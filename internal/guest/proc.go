@@ -3,6 +3,7 @@ package guest
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/hw"
@@ -155,12 +156,13 @@ func (k *Kernel) Spawn(c *hw.CPU, name string, img Image, body Body) *Proc {
 	return p
 }
 
-// enqueue makes p runnable.
+// enqueue makes p runnable and kicks an idle CPU to pick it up.
 func (k *Kernel) enqueue(c *hw.CPU, p *Proc) {
 	k.acquire(c)
 	p.setState(ProcRunnable)
 	k.runq = append(k.runq, p)
 	k.lk.Unlock(c)
+	c.WakeHalted(hw.VecReschedIPI, false)
 }
 
 // dispatchable reports whether a queued entry is safe to context-switch
@@ -180,72 +182,33 @@ func (k *Kernel) dispatchable(p *Proc) bool {
 func (k *Kernel) pickNext(c *hw.CPU) *Proc {
 	k.acquire(c)
 	defer k.lk.Unlock(c)
-	for i, p := range k.runq {
-		if !k.dispatchable(p) {
-			continue
-		}
-		k.runq = append(k.runq[:i], k.runq[i+1:]...)
-		return p
+	i := slices.IndexFunc(k.runq, k.dispatchable)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	p := k.runq[i]
+	k.runq = append(k.runq[:i], k.runq[i+1:]...)
+	return p
 }
 
-// hasRunnable reports whether the run queue holds a dispatchable entry
-// (charged spin: idle-loop polling must keep the clock moving).
+// hasRunnable reports whether the run queue holds a dispatchable entry.
 func (k *Kernel) hasRunnable(c *hw.CPU) bool {
 	k.lk.Lock(c)
 	defer k.lk.Unlock(c)
-	for _, p := range k.runq {
-		if k.dispatchable(p) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(k.runq, k.dispatchable)
 }
 
-// Current returns the process running on c, if any.
-func (k *Kernel) Current(c *hw.CPU) *Proc { return k.cur[c.ID] }
-
-// Run drives the scheduler on c until Shutdown is called and no work
-// remains, or until every process has exited.
+// Run drives the scheduler on c until every process has exited. On an
+// SMP machine, run it on every CPU under hw.Machine.Run.
 func (k *Kernel) Run(c *hw.CPU) {
-	// Exactly one goroutine may execute on a CPU; wait out any
-	// temporary idler (e.g. a cold-start mode switch's rendezvous
-	// helper) before taking over.
-	for !c.TryDrive() {
-		runtime.Gosched()
-	}
-	defer c.ReleaseDrive()
 	for {
-		p := k.pickNext(c)
-		if p == nil {
-			if k.stopping.Load() || k.nlive.Load() == 0 {
-				return
-			}
-			c.IdleUntil(func() bool {
-				return k.hasRunnable(c) || k.stopping.Load() || k.nlive.Load() == 0
-			})
-			continue
-		}
-		k.dispatch(c, p)
-	}
-}
-
-// RunUntil drives the scheduler on c until stop returns true (checked
-// between timeslices); used by harnesses that orchestrate externally.
-func (k *Kernel) RunUntil(c *hw.CPU, stop func() bool) {
-	for !c.TryDrive() {
-		runtime.Gosched()
-	}
-	defer c.ReleaseDrive()
-	for !stop() {
 		p := k.pickNext(c)
 		if p == nil {
 			if k.nlive.Load() == 0 {
 				return
 			}
 			c.IdleUntil(func() bool {
-				return k.hasRunnable(c) || stop() || k.nlive.Load() == 0
+				return k.hasRunnable(c) || k.nlive.Load() == 0
 			})
 			continue
 		}
@@ -377,7 +340,9 @@ func (p *Proc) Exit(code int) {
 		p.AS = nil
 	}
 	p.setState(ProcZombie)
-	k.nlive.Add(-1)
+	if k.nlive.Add(-1) == 0 {
+		c.WakeHalted(hw.VecReschedIPI, true)
+	}
 	if p.parent != nil {
 		k.acquire(c)
 		parent := p.parent
@@ -474,11 +439,11 @@ func (k *Kernel) wakeAll(c *hw.CPU, q *waitQueue) {
 
 // CheckRunqueue verifies scheduler-state integrity: every queued
 // process must be a live, runnable member of the process table. The
-// self-healing sensor (§6.2) polls this invariant. (No CPU: sensors
-// run from host-side orchestration as well as guest context.)
-func (k *Kernel) CheckRunqueue() error {
-	k.lk.Lock(nil)
-	defer k.lk.Unlock(nil)
+// self-healing sensor (§6.2) polls this invariant from guest context on
+// c; host-side orchestration passes a nil c.
+func (k *Kernel) CheckRunqueue(c *hw.CPU) error {
+	k.lk.Lock(c)
+	defer k.lk.Unlock(c)
 	for _, p := range k.runq {
 		if p == nil {
 			return fmt.Errorf("guest: nil entry on run queue")
@@ -519,25 +484,12 @@ func (k *Kernel) RepairRunqueue(c *hw.CPU) int {
 }
 
 // InjectRunqueueCorruption places a dead process on the run queue —
-// fault injection for the self-healing tests and example.
-func (k *Kernel) InjectRunqueueCorruption() {
-	k.lk.Lock(nil)
-	defer k.lk.Unlock(nil)
+// fault injection for the self-healing tests and example, from guest
+// context on c or host-side with a nil c.
+func (k *Kernel) InjectRunqueueCorruption(c *hw.CPU) {
+	k.lk.Lock(c)
+	defer k.lk.Unlock(c)
 	ghost := &Proc{Pid: 9999, Name: "ghost", K: k}
 	ghost.setState(ProcZombie)
 	k.runq = append(k.runq, ghost)
-}
-
-// wakeOne wakes the first waiter, if any.
-func (k *Kernel) wakeOne(c *hw.CPU, q *waitQueue) bool {
-	k.acquire(c)
-	if len(q.procs) == 0 {
-		k.lk.Unlock(c)
-		return false
-	}
-	p := q.procs[0]
-	q.procs = q.procs[1:]
-	k.lk.Unlock(c)
-	k.wake(c, p)
-	return true
 }

@@ -90,9 +90,6 @@ func (a *FrameAllocator) Free(pfn PFN) {
 	a.free = append(a.free, pfn)
 }
 
-// Owns reports whether pfn lies in this allocator's range.
-func (a *FrameAllocator) Owns(pfn PFN) bool { return pfn >= a.lo && pfn < a.hi }
-
 // Range returns the managed frame range [lo, hi).
 func (a *FrameAllocator) Range() (lo, hi PFN) { return a.lo, a.hi }
 

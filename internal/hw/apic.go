@@ -15,10 +15,8 @@ type LAPIC struct {
 	mu      sync.Mutex
 	pending []pendingVec // FIFO of pending vectors
 
-	// clk is the owning CPU's clock (the shared TSC timebase), read to
-	// stamp each posted vector so delivery latency is observable; nil in
-	// hand-built test fixtures, where posts go unstamped.
-	clk *Clock
+	// cpu is the owning CPU, woken by a post while it is halted.
+	cpu *CPU
 
 	// One-shot local timer: fires vector timerVec when the owning CPU's
 	// clock reaches deadline.
@@ -35,28 +33,31 @@ type LAPIC struct {
 	dropped  atomic.Uint64
 }
 
-// pendingVec is one queued vector plus the TSC reading at its post, the
-// start point of the interrupt-delivery latency measurement.
+// pendingVec is one queued vector plus the sender's TSC reading at its
+// post: the earliest time the owner may take it, and the start point of
+// the interrupt-delivery latency measurement.
 type pendingVec struct {
 	vec    int
 	posted Cycles
 }
 
-// Post queues vector for delivery to the owning CPU. Safe to call from
-// any goroutine (the TSC is synchronized across cores, so a cross-CPU
-// post stamp and the owner's delivery clock share a timebase).
-func (l *LAPIC) Post(vector int) {
+// Post queues vector for the owning CPU, stamped with the sender's
+// clock (the owner's for a nil, host-side or cross-machine, sender); a
+// halted owner wakes at the later of its clock and the stamp. Safe from
+// any goroutine: the cores' TSCs share one timebase.
+func (l *LAPIC) Post(from *CPU, vector int) {
 	if l.dropNext.CompareAndSwap(true, false) {
 		l.dropped.Add(1)
 		return
 	}
-	var ts Cycles
-	if l.clk != nil {
-		ts = l.clk.Read()
+	if from == nil {
+		from = l.cpu
 	}
+	ts := from.Clk.Read()
 	l.mu.Lock()
 	l.pending = append(l.pending, pendingVec{vec: vector, posted: ts})
 	l.mu.Unlock()
+	l.cpu.posted(ts)
 }
 
 // ArmDropNext makes the LAPIC discard the next posted vector (fault
@@ -86,11 +87,20 @@ func (l *LAPIC) take() (vec int, posted Cycles, ok bool) {
 	return p.vec, p.posted, true
 }
 
-// HasPending reports whether any vector is waiting.
-func (l *LAPIC) HasPending() bool {
+// nextEvent is when an owner halted at now can next take something:
+// its timer deadline or (if it takes interrupts) its earliest post, no
+// earlier than now; never if neither. A masked owner waits for a post.
+func (l *LAPIC) nextEvent(now Cycles, takes bool) Cycles {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.pending) > 0
+	at := never
+	if l.timerArmed && (takes || l.timerDeadline > now) {
+		at = l.timerDeadline
+	}
+	for i := 0; takes && i < len(l.pending); i++ {
+		at = min(at, l.pending[i].posted)
+	}
+	return max(at, now)
 }
 
 // ArmTimer programs the one-shot local timer.
@@ -121,8 +131,7 @@ func (l *LAPIC) timerDue(now Cycles) (vec int, deadline Cycles, ok bool) {
 	return 0, 0, false
 }
 
-// NextTimerDeadline returns the armed deadline, if any. The idle loop uses
-// it to fast-forward simulated time instead of spinning.
+// NextTimerDeadline returns the armed deadline, if any.
 func (l *LAPIC) NextTimerDeadline() (Cycles, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -167,8 +176,9 @@ func (io *IOAPIC) Mask(line int, masked bool) {
 	io.mu.Unlock()
 }
 
-// Raise signals a device interrupt line.
-func (io *IOAPIC) Raise(line int) {
+// Raise signals a device interrupt line for from, the CPU whose work
+// completed (nil for a sender on another machine).
+func (io *IOAPIC) Raise(from *CPU, line int) {
 	io.mu.Lock()
 	r, ok := io.routes[line]
 	io.mu.Unlock()
@@ -176,7 +186,7 @@ func (io *IOAPIC) Raise(line int) {
 		return
 	}
 	if r.cpu >= 0 && r.cpu < len(io.m.CPUs) {
-		io.m.CPUs[r.cpu].LAPIC.Post(r.vector)
+		io.m.CPUs[r.cpu].LAPIC.Post(from, r.vector)
 	}
 }
 

@@ -2,7 +2,7 @@ package hw
 
 import (
 	"fmt"
-	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -10,8 +10,9 @@ import (
 
 // CPU is one simulated processor. All guest-kernel, VMM and Mercury code
 // executes "on" a CPU by charging cycles to its clock and manipulating its
-// privileged state. A CPU is driven by exactly one goroutine at a time;
-// its LAPIC may be posted to from any goroutine.
+// privileged state. One goroutine at a time executes on a CPU, and under
+// Machine.Run one CPU at a time executes on the host (sched.go); its
+// LAPIC may be posted to from any goroutine.
 type CPU struct {
 	ID int
 	M  *Machine
@@ -45,12 +46,12 @@ type CPU struct {
 	// may read it.
 	halted atomic.Bool
 
-	// driven marks that some goroutine is executing on this CPU
-	// (scheduler loop or temporary idler); exactly one driver at a time.
-	driven atomic.Bool
-
-	// sinceThrottle accumulates charged cycles between lockstep checks.
-	sinceThrottle Cycles
+	// Schedule state (sched.go), guarded by M.sched.mu; yieldAt is the
+	// clock at which Charge hands the turn on (never outside Run).
+	enrolled, waiting bool
+	wakeAt            Cycles
+	wake              *sync.Cond
+	yieldAt           atomic.Uint64
 
 	// irqCol/irqLat cache the interrupt-delivery latency histogram for
 	// the installed collector. Only the owning goroutine touches them
@@ -72,51 +73,15 @@ type CPUStats struct {
 	IdleCycles uint64
 }
 
-// Lockstep parameters: a CPU may run at most throttleQuantum cycles
-// ahead of the slowest other driven CPU, checked every
-// throttleCheckEvery charged cycles. This keeps simulated time causal
-// across cores regardless of host goroutine scheduling.
-const (
-	throttleCheckEvery Cycles = 16 << 10
-	throttleQuantum    Cycles = 150_000 // 50 us at 3 GHz
-)
-
-// Charge advances the CPU's clock by n cycles and gives pending
+// Charge advances the CPU's clock by n cycles, hands the turn on once
+// the clock passes the next-lowest CPU's (sched.go), and gives pending
 // interrupts a chance to be delivered. It is the single point through
 // which all simulated work flows.
 func (c *CPU) Charge(n Cycles) {
-	c.Clk.Advance(n)
-	if c.sinceThrottle += n; c.sinceThrottle >= throttleCheckEvery {
-		c.sinceThrottle = 0
-		c.throttle()
+	if c.Clk.Advance(n) >= c.yieldAt.Load() {
+		c.handOver()
 	}
 	c.PollInterrupts()
-}
-
-// throttle blocks (host-side only) while this CPU is too far ahead of
-// another driven CPU's clock.
-func (c *CPU) throttle() {
-	if len(c.M.CPUs) == 1 {
-		return
-	}
-	for {
-		own := c.Clk.Read()
-		behind := own
-		any := false
-		for _, o := range c.M.CPUs {
-			if o == c || !o.driven.Load() {
-				continue
-			}
-			any = true
-			if n := o.Clk.Read(); n < behind {
-				behind = n
-			}
-		}
-		if !any || own-behind <= throttleQuantum {
-			return
-		}
-		runtime.Gosched()
-	}
 }
 
 // Now returns the CPU's current cycle count (RDTSC).
@@ -380,8 +345,22 @@ func (c *CPU) SendIPI(target int, vector int) {
 		return
 	}
 	t := c.M.CPUs[target]
-	t.LAPIC.Post(vector)
+	t.LAPIC.Post(c, vector)
 	t.LAPIC.IPIsReceived.Add(1)
+}
+
+// WakeHalted posts vector from c to the first halted CPU other than c,
+// or with all to every one, so an idle CPU rechecks what it waits for:
+// Linux's idle kick, and Xen's vcpu_kick.
+func (c *CPU) WakeHalted(vector int, all bool) {
+	for _, o := range c.M.CPUs {
+		if o != c && o.Halted() {
+			o.LAPIC.Post(c, vector)
+			if !all {
+				return
+			}
+		}
+	}
 }
 
 // --- memory access through the MMU ---
@@ -472,9 +451,9 @@ func (c *CPU) TouchPage(va VirtAddr) {
 
 // --- idle ---
 
-// IdleUntil spins at low simulated cost until cond returns true or an
-// interrupt/timer makes progress. It cooperates with other CPU goroutines
-// via the Go scheduler.
+// IdleUntil halts the CPU until cond holds. Each round waits for the
+// next event (halt), delivers one vector, and steps 20 cycles if cond
+// is still false; the CPU leaves the runnable set only while it waits.
 func (c *CPU) IdleUntil(cond func() bool) {
 	if c.spinHeld > 0 {
 		panic(fmt.Sprintf("hw: cpu%d idles with %d spinlock(s) held", c.ID, c.spinHeld))
@@ -482,47 +461,15 @@ func (c *CPU) IdleUntil(cond func() bool) {
 	c.halted.Store(true)
 	defer c.halted.Store(false)
 	for !cond() {
-		// The TSC is synchronized across cores: while halted, this
-		// core's clock keeps pace with whichever core is doing work.
-		if peak := c.M.MaxClock(); peak > c.Clk.Read() {
-			c.Stats.IdleCycles += peak - c.Clk.Read()
-			c.Clk.Advance(peak - c.Clk.Read())
-		}
-		// If the whole machine is idle and a local timer is armed, jump
-		// straight to the deadline: the hardware would sleep in hlt.
-		// With other cores busy, time is driven by their work instead.
-		if !c.LAPIC.HasPending() && c.othersHalted() {
-			if dl, ok := c.LAPIC.NextTimerDeadline(); ok && dl > c.Clk.Read() {
-				c.Stats.IdleCycles += dl - c.Clk.Read()
-				c.Clk.Advance(dl - c.Clk.Read())
-			}
-		}
+		c.halt()
 		c.PollInterrupts()
 		if cond() {
 			return
 		}
 		c.Stats.IdleCycles += 20
 		c.Clk.Advance(20)
-		runtime.Gosched()
 	}
 }
 
 // Halted reports whether the CPU is in its idle loop.
 func (c *CPU) Halted() bool { return c.halted.Load() }
-
-// othersHalted reports whether every other CPU is idle.
-func (c *CPU) othersHalted() bool {
-	for _, o := range c.M.CPUs {
-		if o != c && !o.halted.Load() {
-			return false
-		}
-	}
-	return true
-}
-
-// TryDrive claims the right to execute on this CPU. Scheduler loops and
-// temporary idlers take it so two goroutines never drive one CPU.
-func (c *CPU) TryDrive() bool { return c.driven.CompareAndSwap(false, true) }
-
-// ReleaseDrive gives the CPU up.
-func (c *CPU) ReleaseDrive() { c.driven.Store(false) }

@@ -31,7 +31,7 @@ func TestInterruptDelivery(t *testing.T) {
 	c.Lgdt(NewGDT("k", PL0))
 	c.Lidt(idt)
 	c.Sti()
-	c.LAPIC.Post(VecTimer)
+	c.LAPIC.Post(nil, VecTimer)
 	c.Charge(10)
 	if fired != 1 {
 		t.Fatalf("handler fired %d times", fired)
@@ -48,7 +48,7 @@ func TestInterruptMaskedWhileIFClear(t *testing.T) {
 	c.Lgdt(NewGDT("k", PL0))
 	c.Lidt(idt)
 	c.IF = false
-	c.LAPIC.Post(VecTimer)
+	c.LAPIC.Post(nil, VecTimer)
 	c.Charge(10)
 	if fired != 0 {
 		t.Fatal("masked interrupt delivered")
@@ -71,14 +71,14 @@ func TestNoNestedDelivery(t *testing.T) {
 			if depth > maxDepth {
 				maxDepth = depth
 			}
-			cc.LAPIC.Post(VecTimer) // would nest if allowed
+			cc.LAPIC.Post(nil, VecTimer) // would nest if allowed
 			cc.Charge(100)
 			depth--
 		}})
 	c.Lgdt(NewGDT("k", PL0))
 	c.Lidt(idt)
 	c.Sti()
-	c.LAPIC.Post(VecTimer)
+	c.LAPIC.Post(nil, VecTimer)
 	c.Charge(10) // delivers first; second stays pending until handler exits
 	c.Charge(10)
 	if maxDepth != 1 {
@@ -224,11 +224,16 @@ func TestIdleUntilAdvancesToTimer(t *testing.T) {
 	c.Lgdt(NewGDT("k", PL0))
 	c.Lidt(idt)
 	c.Sti()
-	deadline := c.Now() + 3_000_000
+	start := c.Now()
+	deadline := start + 3_000_000
 	c.LAPIC.ArmTimer(deadline, VecTimer)
-	c.IdleUntil(func() bool { return done })
+	m.Run(func(c *CPU) { c.IdleUntil(func() bool { return done }) })
 	if c.Now() < deadline {
 		t.Fatalf("idle returned at %d before deadline %d", c.Now(), deadline)
+	}
+	if c.Stats.IdleCycles != deadline-start {
+		t.Fatalf("idled %d cycles, want a jump of exactly %d to the deadline",
+			c.Stats.IdleCycles, deadline-start)
 	}
 }
 
@@ -278,7 +283,7 @@ func TestStaleSelectorIretFaults(t *testing.T) {
 	c.Lgdt(g)
 	c.Lidt(idt)
 	c.Sti()
-	c.LAPIC.Post(VecTimer)
+	c.LAPIC.Post(nil, VecTimer)
 	c.Charge(10)
 	if !gpSeen {
 		t.Fatal("stale selector iret did not fault")

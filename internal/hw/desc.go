@@ -96,11 +96,6 @@ func (g *GDT) KernelCS() Selector {
 	return MakeSelector(GDTKernelCode, g.Entries[GDTKernelCode].DPL)
 }
 
-// KernelSS returns the kernel stack selector at the table's kernel DPL.
-func (g *GDT) KernelSS() Selector {
-	return MakeSelector(GDTKernelData, g.Entries[GDTKernelData].DPL)
-}
-
 // SetKernelDPL re-privileges the kernel code/data descriptors. Mercury's
 // state-transfer functions call this when flipping the kernel between PL0
 // (native) and PL1 (virtual) (§5.1.2 item 2).

@@ -218,15 +218,6 @@ func TestSensorBank(t *testing.T) {
 	}
 }
 
-func TestMachineMaxClock(t *testing.T) {
-	m := testMachine(2)
-	m.CPUs[0].Clk.Advance(100)
-	m.CPUs[1].Clk.Advance(700)
-	if got := m.MaxClock(); got != 700 {
-		t.Fatalf("MaxClock = %d", got)
-	}
-}
-
 func TestSMPScaledInflatesOnlyKernelWork(t *testing.T) {
 	base := DefaultCosts()
 	smp := base.SMPScaled()
@@ -244,14 +235,14 @@ func TestSMPScaledInflatesOnlyKernelWork(t *testing.T) {
 func TestIOAPICRoutingAndMask(t *testing.T) {
 	m := testMachine(2)
 	m.IOAPIC.Route(5, 1, VecNIC)
-	m.IOAPIC.Raise(5)
-	if !m.CPUs[1].LAPIC.HasPending() {
+	m.IOAPIC.Raise(nil, 5)
+	if m.CPUs[1].LAPIC.nextEvent(0, true) == never {
 		t.Fatal("line not routed to cpu1")
 	}
 	m.CPUs[1].LAPIC.take()
 	m.IOAPIC.Mask(5, true)
-	m.IOAPIC.Raise(5)
-	if m.CPUs[1].LAPIC.HasPending() {
+	m.IOAPIC.Raise(nil, 5)
+	if m.CPUs[1].LAPIC.nextEvent(0, true) != never {
 		t.Fatal("masked line delivered")
 	}
 	if len(m.IOAPIC.Routes()) == 0 {

@@ -78,7 +78,7 @@ func (d *Disk) Submit(c *CPU, req DiskRequest, buf []byte) error {
 	d.Stats.Requests++
 	d.Stats.BlocksIO += uint64(req.Blocks)
 	d.mu.Unlock()
-	d.m.IOAPIC.Raise(d.line)
+	d.m.IOAPIC.Raise(c, d.line)
 	return nil
 }
 

@@ -11,4 +11,6 @@
 // live in CostModel and are calibrated once against the paper's native
 // Linux column; every other configuration's numbers emerge from the
 // mechanisms built on top (hypercalls, traps, ring hops, deprivileging).
+// CPUs run together under Machine.Run, which lets only the CPU with the
+// lowest clock execute, so SMP runs are as deterministic as UP ones.
 package hw

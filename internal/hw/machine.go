@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -53,6 +54,8 @@ type Machine struct {
 	// Every instrumentation hook in the tree gates on one atomic load
 	// of this pointer.
 	telemetry atomic.Pointer[obs.Collector]
+
+	sched sched
 }
 
 // SetTelemetry installs (or, with nil, removes) the machine's
@@ -89,16 +92,17 @@ func NewMachine(cfg Config) *Machine {
 	m.IOAPIC = NewIOAPIC(m)
 	m.Frames = NewFrameAllocator(1, m.Mem.NumFrames()) // frame 0 reserved
 	for i := 0; i < cfg.NumCPUs; i++ {
-		clk := NewClock(cfg.Hz)
 		c := &CPU{
-			ID:    i,
-			M:     m,
-			Clk:   clk,
-			TLB:   NewTLB(cfg.TLBSize),
-			LAPIC: &LAPIC{clk: clk},
-			CPL:   PL0,
-			IF:    false,
+			ID:   i,
+			M:    m,
+			Clk:  NewClock(cfg.Hz),
+			TLB:  NewTLB(cfg.TLBSize),
+			CPL:  PL0,
+			IF:   false,
+			wake: sync.NewCond(&m.sched.mu),
 		}
+		c.LAPIC = &LAPIC{cpu: c}
+		c.yieldAt.Store(never)
 		m.CPUs = append(m.CPUs, c)
 	}
 	m.Disk = NewDisk(m, IRQLineDisk)
@@ -117,19 +121,6 @@ const (
 
 // BootCPU returns CPU 0.
 func (m *Machine) BootCPU() *CPU { return m.CPUs[0] }
-
-// MaxClock returns the most advanced TSC across the machine's CPUs.
-// Cores share a synchronized TSC; idle loops use this to keep a waiting
-// core's clock in step with the cores doing work.
-func (m *Machine) MaxClock() Cycles {
-	var max Cycles
-	for _, c := range m.CPUs {
-		if n := c.Clk.Read(); n > max {
-			max = n
-		}
-	}
-	return max
-}
 
 // Micros converts cycles to microseconds at this machine's frequency.
 func (m *Machine) Micros(n Cycles) float64 {

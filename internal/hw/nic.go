@@ -91,13 +91,13 @@ func (n *NIC) Transmit(c *CPU, p Packet) {
 		// Deliver to the peer machine after the wire latency, stamped in
 		// the receiver's cycle domain.
 		arrive := n.peer.m.BootCPU().Now() + n.link.LatencyCyc + n.wireCycles(len(p.Data))
-		n.peer.enqueue(Packet{Data: p.Data, ReadyAt: arrive})
+		n.peer.enqueue(nil, Packet{Data: p.Data, ReadyAt: arrive})
 	case n.Reflector != nil:
 		replies := n.Reflector(p)
 		rtt := 2*n.link.LatencyCyc + 2*n.wireCycles(len(p.Data)) + n.ReflectDelay
 		for _, r := range replies {
 			r.ReadyAt = c.Now() + rtt
-			n.enqueue(r)
+			n.enqueue(c, r)
 		}
 	}
 }
@@ -113,11 +113,11 @@ func (n *NIC) wireCycles(bytes int) Cycles {
 // WireCycles exposes serialization delay for throughput accounting.
 func (n *NIC) WireCycles(bytes int) Cycles { return n.wireCycles(bytes) }
 
-func (n *NIC) enqueue(p Packet) {
+func (n *NIC) enqueue(from *CPU, p Packet) {
 	n.mu.Lock()
 	n.rxq = append(n.rxq, p)
 	n.mu.Unlock()
-	n.m.IOAPIC.Raise(n.line)
+	n.m.IOAPIC.Raise(from, n.line)
 }
 
 // Receive pops the next packet visible at or before the CPU's current

@@ -1,17 +1,14 @@
 package hw
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // SpinLock is spin_lock_irqsave: a host lock that a critical section
 // may hold across Charge. Charge delivers interrupts, so a tick landing
 // under a plain sync.Mutex can run a scheduler slice that re-enters the
 // lock and hangs; a SpinLock masks the holder's interrupts instead.
-// Waiters spin with their clocks advancing, so the cross-CPU lockstep
-// cannot wedge on a frozen waiter. A nil CPU (setup and fault-injection
-// paths) only blocks: it neither charges nor masks.
+// Waiters spin with their clocks advancing, handing the turn to a
+// descheduled holder. A nil CPU (host-side code only: on a CPU under
+// Machine.Run it would block the turn) neither charges nor masks.
 type SpinLock struct {
 	mu     sync.Mutex
 	heldIF bool // the holder's interrupt flag, restored by Unlock
@@ -25,8 +22,7 @@ func (l *SpinLock) Lock(c *CPU) (contended bool) {
 	}
 	for !l.mu.TryLock() {
 		contended = true
-		c.Charge(60) // one failed attempt
-		runtime.Gosched()
+		c.Charge(60) // one failed attempt; hands the turn to the holder
 	}
 	l.heldIF, c.IF = c.IF, false
 	c.spinHeld++

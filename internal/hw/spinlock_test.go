@@ -66,7 +66,7 @@ func TestSpinLockRestoresClearedIF(t *testing.T) {
 	c, fired := spinTestCPU(t)
 	var l SpinLock
 	c.IF = false
-	c.LAPIC.Post(VecTimer)
+	c.LAPIC.Post(nil, VecTimer)
 	l.Lock(c)
 	l.Unlock(c)
 	c.Charge(10)
@@ -89,7 +89,7 @@ func TestSpinLockAsyncDeliveryPanics(t *testing.T) {
 	var l SpinLock
 	l.Lock(c)
 	c.IF = true // a section that re-enables interrupts by mistake
-	c.LAPIC.Post(VecTimer)
+	c.LAPIC.Post(nil, VecTimer)
 	expectPanic(t, "interrupt 32 delivered with 1 spinlock(s) held", func() { c.Charge(1) })
 }
 

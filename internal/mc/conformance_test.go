@@ -152,10 +152,7 @@ func TestConformanceCleanSwitchSMP(t *testing.T) {
 			panic(err)
 		}
 	})
-	done := make(chan struct{})
-	go func() { k.Run(m.CPUs[1]); close(done) }()
-	k.Run(boot)
-	<-done
+	m.Run(k.Run)
 
 	steps := rec.snapshot()
 	// The CP's projection is the canonical protocol order, twice.

@@ -55,7 +55,7 @@ func TestNativeRefCounting(t *testing.T) {
 		Handler: func(cc *hw.CPU, f *hw.TrapFrame) { during = o.Refs() }})
 	c.Lidt(idt)
 	c.Sti()
-	c.LAPIC.Post(hw.VecTimer)
+	c.LAPIC.Post(nil, hw.VecTimer)
 	table := m.Frames.Alloc()
 	o.WritePTE(c, table, 0, hw.MakePTE(5, hw.PTEPresent)) // charge delivers
 	if during != 1 {

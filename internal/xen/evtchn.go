@@ -101,6 +101,7 @@ func (v *VMM) EvtchnSend(c *hw.CPU, d *Domain, p Port) error {
 	v.traceInstant(c, "xen/event-send", uint64(p))
 	rd.ports[ch.remotePort].pending = true
 	rd.Stats.EventsIn.Add(1)
+	c.WakeHalted(hw.VecReschedIPI, true) // a vCPU blocked on another CPU rechecks
 	v.maybeDeliverUpcall(c, rd)
 	return nil
 }
@@ -123,6 +124,7 @@ func (v *VMM) evtchnMarkPending(c *hw.CPU, d *Domain, p Port, m *Multicall) erro
 	v.traceInstant(c, "xen/event-send", uint64(p))
 	rd.ports[ch.remotePort].pending = true
 	rd.Stats.EventsIn.Add(1)
+	c.WakeHalted(hw.VecReschedIPI, true) // a vCPU blocked on another CPU rechecks
 	for _, k := range m.kicked {
 		if k == rd {
 			return nil

@@ -265,6 +265,10 @@ func (v *VMM) installTrapHandlers() {
 			}
 		}
 	}
+	// The reschedule IPI doubles as Xen's event-check IPI: it only
+	// wakes a halted CPU to recheck what it waits for.
+	v.IDT.Set(hw.VecReschedIPI, hw.Gate{Present: true, Target: hw.PL0,
+		Handler: func(*hw.CPU, *hw.TrapFrame) {}})
 	v.IDT.Set(hw.VecDisk, hw.Gate{Present: true, Target: hw.PL0, Handler: forward(hw.IRQLineDisk)})
 	v.IDT.Set(hw.VecNIC, hw.Gate{Present: true, Target: hw.PL0, Handler: forward(hw.IRQLineNIC)})
 }

@@ -126,7 +126,7 @@ func TestDeviceIRQForwardedToDriverDomain(t *testing.T) {
 	// the hardware IF belongs to the VMM).
 	c.SetMode(hw.PL1)
 	c.IF = true
-	c.LAPIC.Post(hw.VecDisk)
+	c.LAPIC.Post(nil, hw.VecDisk)
 	c.Charge(10)
 	if served != 1 {
 		t.Fatalf("driver domain served %d disk IRQs", served)
