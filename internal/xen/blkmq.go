@@ -313,7 +313,7 @@ func (be *BlkMQBackend) absorb(c *hw.CPU, run []BlkRequest, buf []byte) {
 
 // flushWriteBehind writes the cache to disk in merged runs of
 // contiguous blocks. The cache lock is never held across a disk submit
-// (a CPU blocked on it would stall the lockstep clock), so blocks stay
+// (a CPU blocked on it would stall the virtual-time scheduler), so blocks stay
 // readable from the cache until written and are dropped only if no
 // newer write replaced them meanwhile. A flush that finds another in
 // progress leaves the cache to it; the next absorb past the limit
