@@ -188,18 +188,11 @@ func TestFig4ReproductionBands(t *testing.T) {
 	rel := func(b string, k SystemKey) float64 { return f.Relative[idx[b]][sys[k]] }
 
 	// §7.3: "the overhead in Mercury in the three modes is less than 2%
-	// compared to native Linux, domain0 and domainU accordingly". SMP
-	// dbench's band is wider: four clients race for the shared writeback
-	// threshold across two CPUs, and the paper's numbers are 5-run
-	// averages. (The run itself is deterministic.)
+	// compared to native Linux, domain0 and domainU accordingly".
 	for _, b := range f.Benchmarks {
-		lo, hi := 0.98, 1.02
-		if b == "dbench" {
-			lo, hi = 0.80, 1.25
-		}
-		within(t, b+" SMP M-N", rel(b, MN), lo, hi)
-		within(t, b+" SMP M-V/X-0", rel(b, MV)/rel(b, X0), lo, hi)
-		within(t, b+" SMP M-U/X-U", rel(b, MU)/rel(b, XU), lo, hi)
+		within(t, b+" SMP M-N", rel(b, MN), 0.98, 1.02)
+		within(t, b+" SMP M-V/X-0", rel(b, MV)/rel(b, X0), 0.98, 1.02)
+		within(t, b+" SMP M-U/X-U", rel(b, MU)/rel(b, XU), 0.98, 1.02)
 	}
 	// The virtualization losses persist under SMP.
 	within(t, "SMP OSDB X-0", rel("OSDB-IR", X0), 0.6, 0.85)

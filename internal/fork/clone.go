@@ -1,6 +1,7 @@
 package fork
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -173,11 +174,13 @@ func Clone(c *hw.CPU, v *xen.VMM, caller *xen.Domain, base *CloneBase, name stri
 
 // CheckpointDelta pauses a forked domain and captures only its
 // divergence from the base: frames still CoW-mapped are skipped
-// outright (they cannot have changed), promoted frames are hashed and
-// stored only if their content differs from the base's frame at the
-// same offset (a frame rewritten back to base content, or still zero,
-// costs nothing). The result is an Overlay owning one store reference
-// per diverged frame.
+// outright (they cannot have changed); every other frame is charged
+// one hash and stored only if its bytes differ from the base's frame
+// at the same offset, or from the zero page where the base has none (a
+// frame rewritten back to base content, or still zero, costs nothing).
+// sha256 runs only in Put, for content the store lacks, and for a base
+// frame whose bytes have already left the store. The result is an
+// Overlay owning one store reference per diverged frame.
 func CheckpointDelta(c *hw.CPU, v *xen.VMM, caller *xen.Domain, cs *CloneState) (*Overlay, error) {
 	if cs.destroyed {
 		return nil, fmt.Errorf("fork: checkpoint of destroyed clone")
@@ -202,14 +205,9 @@ func CheckpointDelta(c *hw.CPU, v *xen.VMM, caller *xen.Domain, cs *CloneState) 
 		}
 		data := mem.FrameBytesRO(pfn)
 		c.Charge(hashCost)
-		h := HashFrame(data)
 		off := uint32(pfn - o.Lo)
-		if baseH, ok := img.HashAt(off); ok {
-			if h == baseH {
-				continue // promoted, then written back to base content
-			}
-		} else if h == zeroHash {
-			continue // never materialized, or scrubbed back to zero
+		if cs.Base.sameAsBase(off, data) {
+			continue // written back to base content, or (still) zero
 		}
 		sh, err := cs.Base.Store.Put(data)
 		if err != nil {
@@ -226,6 +224,20 @@ func CheckpointDelta(c *hw.CPU, v *xen.VMM, caller *xen.Domain, cs *CloneState) 
 		return o, fmt.Errorf("fork: delta checkpoint complete but resume failed: %w", err)
 	}
 	return o, nil
+}
+
+// sameAsBase reports whether data equals the base's content at off: its
+// stored frame, or the zero page where the base has none. Only a base
+// frame whose bytes have left the store is compared by hash.
+func (b *CloneBase) sameAsBase(off uint32, data []byte) bool {
+	baseH, ok := b.Img.HashAt(off)
+	if !ok {
+		return bytes.Equal(data, zeroPage)
+	}
+	if stored, err := b.Store.Get(baseH); err == nil {
+		return bytes.Equal(data, stored)
+	}
+	return HashFrame(data) == baseH
 }
 
 // DestroyClone unpins the clone's roots, tears the domain down, and

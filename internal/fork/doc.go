@@ -12,6 +12,13 @@
 // frames that diverged from the base, yielding an Overlay whose
 // storage is proportional to the dirt, not the image.
 //
+// SHA-256 runs only to key content the store lacks. CheckpointDelta
+// decides "unchanged" by comparing bytes with the base frame's stored
+// copy (or the zero page), and Store.Put finds existing content through
+// a maphash fingerprint index whose every match a byte compare
+// confirms. The fingerprint is an index only; every key and identity
+// stays a sha256 digest.
+//
 // Identity is positional-content based: IdentityHash folds the
 // partition span, vcpu offsets, pinned-root offsets, and every
 // (offset, content-hash) pair into one digest, independent of the

@@ -12,7 +12,7 @@ import (
 // env builds an active VMM with a privileged dom0 and an origin guest
 // holding a recognizable pattern plus a tiny pinned page-table tree, so
 // clones exercise relocation and re-pinning.
-func env(t *testing.T) (*xen.VMM, *xen.Domain, *xen.Domain, *hw.CPU) {
+func env(t testing.TB) (*xen.VMM, *xen.Domain, *xen.Domain, *hw.CPU) {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
 	v, err := xen.Boot(m)
@@ -43,7 +43,7 @@ func env(t *testing.T) (*xen.VMM, *xen.Domain, *xen.Domain, *hw.CPU) {
 }
 
 // warmBase checkpoints the origin and ingests it into a fresh store.
-func warmBase(t *testing.T, v *xen.VMM, dom0, origin *xen.Domain, c *hw.CPU) *CloneBase {
+func warmBase(t testing.TB, v *xen.VMM, dom0, origin *xen.Domain, c *hw.CPU) *CloneBase {
 	t.Helper()
 	img, err := migrate.Checkpoint(c, v, dom0, origin)
 	if err != nil {

@@ -1,8 +1,10 @@
 package fork
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"sync"
 
@@ -18,14 +20,24 @@ func (h Hash) String() string { return fmt.Sprintf("%x", h[:8]) }
 // HashFrame hashes one page of content.
 func HashFrame(data []byte) Hash { return sha256.Sum256(data) }
 
-// zeroHash is the hash of the all-zero page — the implicit content of
-// every untouched frame, never stored.
-var zeroHash = HashFrame(make([]byte, hw.PageSize))
+// zeroPage is the all-zero page — the implicit content of every
+// untouched frame. Read-only.
+var zeroPage = make([]byte, hw.PageSize)
+
+// zeroHash is the hash of zeroPage.
+var zeroHash = HashFrame(zeroPage)
 
 // frameEntry is one deduplicated frame in the store.
 type frameEntry struct {
+	key  Hash
 	data []byte
 	refs int64
+
+	// fp is the maphash fingerprint of data, taken once at insert and
+	// never recomputed: CorruptFramePick alters data in place, and the
+	// entry must still unlink from the chain it was linked into.
+	fp   uint64
+	next *frameEntry // next entry in fp's chain
 }
 
 // Store is the content-addressed snapshot cache: frame content keyed by
@@ -36,9 +48,16 @@ type frameEntry struct {
 // BaseImage holds one reference per frame, every clone and overlay
 // holds its own, and a frame's bytes are freed when the last reference
 // is released. Safe for concurrent use.
+//
+// Put finds existing content without hashing it: a 64-bit maphash
+// fingerprint indexes every entry, entries that share a fingerprint are
+// chained, and a byte compare confirms each match. Only content the
+// store lacks is hashed with sha256 to make its key.
 type Store struct {
 	mu     sync.Mutex
 	frames map[Hash]*frameEntry
+	byFP   map[uint64]*frameEntry // fingerprint → head of its chain
+	seed   maphash.Seed
 
 	puts      uint64 // logical frames offered to Put
 	dedupHits uint64 // Puts that matched existing content
@@ -46,29 +65,77 @@ type Store struct {
 
 // NewStore returns an empty snapshot cache.
 func NewStore() *Store {
-	return &Store{frames: make(map[Hash]*frameEntry)}
+	return &Store{
+		frames: make(map[Hash]*frameEntry),
+		byFP:   make(map[uint64]*frameEntry),
+		seed:   maphash.MakeSeed(),
+	}
 }
 
 // Put stores one page of content (copied) and returns its hash. If the
 // content is already present the existing frame is reused — the caller
-// still gains one reference either way.
+// still gains one reference either way. Only content the store lacks
+// is hashed.
 func (s *Store) Put(data []byte) (Hash, error) {
 	if len(data) != hw.PageSize {
 		return Hash{}, fmt.Errorf("fork: Put of %d bytes, want one page", len(data))
 	}
-	h := HashFrame(data)
+	fp := maphash.Bytes(s.seed, data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.puts++
-	if e, ok := s.frames[h]; ok {
-		s.dedupHits++
-		e.refs++
-		return h, nil
+	e := s.lookup(fp, data)
+	if e == nil {
+		h := HashFrame(data)
+		// A byte compare misses content whose stored bytes were altered
+		// in place (CorruptFramePick); its key still names it.
+		if e = s.frames[h]; e == nil {
+			s.insert(h, fp, data)
+			return h, nil
+		}
 	}
+	s.dedupHits++
+	e.refs++
+	return e.key, nil
+}
+
+// lookup returns the entry in fp's chain whose bytes equal data, or nil.
+func (s *Store) lookup(fp uint64, data []byte) *frameEntry {
+	for e := s.byFP[fp]; e != nil; e = e.next {
+		if bytes.Equal(e.data, data) {
+			return e
+		}
+	}
+	return nil
+}
+
+// insert stores a copy of data under key h with one reference and
+// links it at the head of fp's chain.
+func (s *Store) insert(h Hash, fp uint64, data []byte) {
 	cp := make([]byte, hw.PageSize)
 	copy(cp, data)
-	s.frames[h] = &frameEntry{data: cp, refs: 1}
-	return h, nil
+	e := &frameEntry{key: h, data: cp, refs: 1, fp: fp, next: s.byFP[fp]}
+	s.frames[h] = e
+	s.byFP[fp] = e
+}
+
+// unlink removes e from the store: its key and its fingerprint chain.
+func (s *Store) unlink(e *frameEntry) {
+	delete(s.frames, e.key)
+	if s.byFP[e.fp] == e {
+		if e.next == nil {
+			delete(s.byFP, e.fp)
+		} else {
+			s.byFP[e.fp] = e.next
+		}
+		return
+	}
+	for p := s.byFP[e.fp]; p != nil; p = p.next {
+		if p.next == e {
+			p.next = e.next
+			return
+		}
+	}
 }
 
 // Retain takes one more reference on an existing frame.
@@ -97,7 +164,7 @@ func (s *Store) Release(h Hash) error {
 		return fmt.Errorf("fork: refcount of frame %s went negative", h)
 	}
 	if e.refs == 0 {
-		delete(s.frames, h)
+		s.unlink(e)
 	}
 	return nil
 }
