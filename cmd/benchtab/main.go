@@ -179,20 +179,14 @@ func main() {
 		"chaos experiment: add a standby node and the migration fault classes to the campaign")
 	flag.Parse()
 
+	policy, err := core.ParseTrackingPolicy(*policyName)
+	if err != nil {
+		log.Fatal(err)
+	}
 	o := &options{
-		samples: *samples, seed: *seed, episodes: *episodes,
+		samples: *samples, seed: *seed, episodes: *episodes, policy: policy,
 		csv: *format == "csv", metrics: *metrics, metricsDir: *metricsDir,
 		json: *jsonOut, jsonDir: *jsonDir, migrateFaults: *migrateFaults,
-	}
-	switch *policyName {
-	case "recompute":
-		o.policy = core.TrackRecompute
-	case "active":
-		o.policy = core.TrackActive
-	case "journal":
-		o.policy = core.TrackJournal
-	default:
-		log.Fatalf("unknown policy %q", *policyName)
 	}
 
 	ran, held := false, true

@@ -2,65 +2,62 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
-type eventsOpts struct {
-	nodes    int
-	batch    int
-	deadline int
-	action   string
-	policy   core.TrackingPolicy
-
-	kind    string // filter: event kind name ("" = all)
-	node    int    // filter: node ID (-1 = fleet-level, -2 = all)
-	last    int    // keep only the newest N after filtering (0 = all)
-	jsonOut bool
-}
-
 // eventsCmd drives a fleet through one rolling-maintenance wave and
 // dumps the flight recorder: every mode transition, admission decision,
 // wave phase, heal outcome, and migration verdict the bounded event log
 // retained, with drop accounting.
-func eventsCmd(o eventsOpts) {
-	action, err := fleet.ParseAction(o.action)
+func eventsCmd(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("events", flag.ContinueOnError)
+	nodes := fs.Int("nodes", 4, "number of Mercury nodes")
+	batch := fs.Int("batch", 1, "nodes maintained per batch")
+	deadline := fs.Int("deadline", 0, "per-request admission deadline in ticks (0 = none)")
+	actionName := fs.String("action", "checkpoint", "maintenance action: checkpoint or migrate")
+	kind := fs.String("kind", "", "only show this event kind (e.g. mode-switch, admission-grant)")
+	nodeFilter := fs.Int("node", -2, "only show this node's events (-1 = fleet-level, -2 = all)")
+	last := fs.Int("last", 0, "only show the newest N matching events (0 = all)")
+	jsonOut := fs.Bool("json", false, "emit JSON instead of text")
+	var pol core.TrackingPolicy
+	trackingFlag(fs, &pol)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	action, err := fleet.ParseAction(*actionName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var kindFilter obs.EventKind
-	if o.kind != "" {
-		k, err := obs.ParseEventKind(o.kind)
-		if err != nil {
-			log.Fatal(err)
+	if *kind != "" {
+		if kindFilter, err = obs.ParseEventKind(*kind); err != nil {
+			return err
 		}
-		kindFilter = k
 	}
 
 	col := obs.New(1)
 	fc, err := fleet.New(fleet.Config{
-		Nodes:     o.nodes,
-		Node:      fleet.NodeConfig{Policy: o.policy, Pages: 32},
+		Nodes:     *nodes,
+		Node:      fleet.NodeConfig{Policy: pol, Pages: 32},
 		Standby:   action == fleet.ActionMigrate,
 		Collector: col,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if _, err := fc.RunWave(fleet.WaveConfig{
+	// The flight recorder is most interesting exactly when the wave
+	// failed: dump what it captured, then report the failure.
+	_, waveErr := fc.RunWave(fleet.WaveConfig{
 		Action:        action,
-		BatchSize:     o.batch,
-		DeadlineTicks: o.deadline,
-	}); err != nil {
-		// The flight recorder is most interesting exactly when the wave
-		// failed; dump what it captured either way.
-		fmt.Fprintf(os.Stderr, "wave: %v\n", err)
-	}
+		BatchSize:     *batch,
+		DeadlineTicks: *deadline,
+	})
 
 	evs := col.Events.Snapshot()
 	filtered := make([]obs.Event, 0, len(evs))
@@ -68,37 +65,38 @@ func eventsCmd(o eventsOpts) {
 		if kindFilter != 0 && e.Kind != kindFilter {
 			continue
 		}
-		if o.node != -2 && e.Node != int32(o.node) {
+		if *nodeFilter != -2 && e.Node != int32(*nodeFilter) {
 			continue
 		}
 		filtered = append(filtered, e)
 	}
-	if o.last > 0 && len(filtered) > o.last {
-		filtered = filtered[len(filtered)-o.last:]
+	if *last > 0 && len(filtered) > *last {
+		filtered = filtered[len(filtered)-*last:]
 	}
 
-	if o.jsonOut {
+	if *jsonOut {
 		out := struct {
 			Events  []obs.Event `json:"events"`
 			Total   uint64      `json:"total"`
 			Dropped uint64      `json:"dropped"`
 		}{filtered, col.Events.Total(), col.Events.Dropped()}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		return
+		return waveErr
 	}
 
-	fmt.Printf("%6s %8s %6s %-18s %12s %12s\n", "seq", "tick", "node", "kind", "a", "b")
+	fmt.Fprintf(w, "%6s %8s %6s %-18s %12s %12s\n", "seq", "tick", "node", "kind", "a", "b")
 	for _, e := range filtered {
 		node := fmt.Sprint(e.Node)
 		if e.Node < 0 {
 			node = "fleet"
 		}
-		fmt.Printf("%6d %8d %6s %-18s %12d %12d\n", e.Seq, e.TS, node, e.Kind, e.A, e.B)
+		fmt.Fprintf(w, "%6d %8d %6s %-18s %12d %12d\n", e.Seq, e.TS, node, e.Kind, e.A, e.B)
 	}
-	fmt.Printf("%d shown of %d retained (%d recorded, %d dropped by ring wrap)\n",
+	fmt.Fprintf(w, "%d shown of %d retained (%d recorded, %d dropped by ring wrap)\n",
 		len(filtered), len(evs), col.Events.Total(), col.Events.Dropped())
+	return waveErr
 }

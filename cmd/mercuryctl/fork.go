@@ -1,9 +1,9 @@
 package main
 
 import (
+	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
 
 	"repro/internal/fork"
 	"repro/internal/hw"
@@ -11,84 +11,85 @@ import (
 	"repro/internal/xen"
 )
 
-type forkOpts struct {
-	clones int // domains to fork from the one base image
-	pages  int // live data pages in the template domain
-	dirty  int // frames each clone dirties before its delta checkpoint
-}
-
 // forkCmd demonstrates the snapshot cache: warm one template domain,
 // checkpoint it into a content-addressed base image, fork a fleet of
 // CoW clones from it, dirty each clone a little, and delta-checkpoint
 // them all — then report what the cache actually stored.
-func forkCmd(o forkOpts) {
-	if o.clones < 1 || o.pages < 1 || o.dirty < 0 || o.dirty > o.pages {
-		log.Fatalf("fork: need clones >= 1, pages >= 1, 0 <= dirty <= pages")
+func forkCmd(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("fork", flag.ContinueOnError)
+	clones := fs.Int("clones", 64, "domains to fork from one image")
+	pages := fs.Int("pages", 128, "live data pages in the template")
+	dirty := fs.Int("dirty", 4, "frames each clone dirties")
+	if err := parseFlags(fs, args); err != nil {
+		return err
 	}
-	span := hw.PFN(o.pages) + 16
-	frames := uint64(4096) + 1024 + uint64(span)*uint64(o.clones+1) + 512
+	if *clones < 1 || *pages < 1 || *dirty < 0 || *dirty > *pages {
+		return fmt.Errorf("fork: need clones >= 1, pages >= 1, 0 <= dirty <= pages")
+	}
+	span := hw.PFN(*pages) + 16
+	frames := uint64(4096) + 1024 + uint64(span)*uint64(*clones+1) + 512
 	m := hw.NewMachine(hw.Config{Name: "fork-demo", MemBytes: frames * hw.PageSize, NumCPUs: 1})
 	v, err := xen.Boot(m)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	c := m.BootCPU()
 	v.Activate(c)
 	dom0, err := v.CreateDomain("dom0", 1024, true)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	v.SetCurrent(c, dom0)
 
 	origin, err := v.CreateDomain("template", span, false)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lo, _ := origin.Frames.Range()
-	for i := 0; i < o.pages; i++ {
+	for i := 0; i < *pages; i++ {
 		m.Mem.WriteWord((lo + hw.PFN(i)).Addr(), uint32(0xBE000000)|uint32(i))
 	}
-	root, ptf := lo+hw.PFN(o.pages), lo+hw.PFN(o.pages)+1
+	root, ptf := lo+hw.PFN(*pages), lo+hw.PFN(*pages)+1
 	hw.WritePTE(m.Mem, root, 3, hw.MakePTE(ptf, hw.PTEPresent|hw.PTEWrite))
 	hw.WritePTE(m.Mem, ptf, 7, hw.MakePTE(lo, hw.PTEPresent|hw.PTEWrite|hw.PTEUser))
 	origin.VCPU0().SetCR3(root)
 
 	img, err := migrate.Checkpoint(c, v, dom0, origin)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	img.PinnedRoots = []hw.PFN{root}
 	store := fork.NewStore()
 	base, err := fork.NewBase(store, img)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cb := &fork.CloneBase{Store: store, Img: base}
-	fmt.Printf("template %q: %d pages live, image %d frames, identity %s\n",
-		img.Name, o.pages, store.Frames(), base.IdentityHash())
+	fmt.Fprintf(w, "template %q: %d pages live, image %d frames, identity %s\n",
+		img.Name, *pages, store.Frames(), base.IdentityHash())
 
-	css := make([]*fork.CloneState, 0, o.clones)
-	overlays := make([]*fork.Overlay, 0, o.clones)
+	css := make([]*fork.CloneState, 0, *clones)
+	overlays := make([]*fork.Overlay, 0, *clones)
 	t0 := c.Now()
-	for i := 0; i < o.clones; i++ {
+	for i := 0; i < *clones; i++ {
 		cs, err := fork.Clone(c, v, dom0, cb, fmt.Sprintf("clone-%d", i))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		css = append(css, cs)
 	}
-	cloneCyc := uint64(c.Now()-t0) / uint64(o.clones)
-	fmt.Printf("forked %d clones: %d cycles each (full copy would be %d), %d CoW mappings live\n",
-		o.clones, cloneCyc, uint64(base.Span())*900, m.Mem.SharedFrames())
+	cloneCyc := uint64(c.Now()-t0) / uint64(*clones)
+	fmt.Fprintf(w, "forked %d clones: %d cycles each (full copy would be %d), %d CoW mappings live\n",
+		*clones, cloneCyc, uint64(base.Span())*900, m.Mem.SharedFrames())
 
 	for i, cs := range css {
 		// The same dirt on every clone: the cache stores it once.
-		for j := 0; j < o.dirty; j++ {
+		for j := 0; j < *dirty; j++ {
 			m.Mem.WriteWord((cs.Lo + hw.PFN(j)).Addr(), uint32(0xD0000000)|uint32(j))
 		}
 		o2, err := fork.CheckpointDelta(c, v, dom0, cs)
 		if err != nil {
-			log.Fatalf("clone %d delta: %v", i, err)
+			return fmt.Errorf("clone %d delta: %w", i, err)
 		}
 		overlays = append(overlays, o2)
 	}
@@ -96,10 +97,10 @@ func forkCmd(o forkOpts) {
 	for _, o2 := range overlays {
 		deltaTotal += o2.DeltaFrames()
 	}
-	fmt.Printf("delta-checkpointed all clones: %d frames of dirt total, store now %d frames / %d bytes (dedup %.1fx)\n",
+	fmt.Fprintf(w, "delta-checkpointed all clones: %d frames of dirt total, store now %d frames / %d bytes (dedup %.1fx)\n",
 		deltaTotal, store.Frames(), store.BytesStored(), store.DedupRatio())
-	logical := base.Span() * hw.PFN(o.clones+1)
-	fmt.Printf("logical fleet footprint %d frames; cache holds %.1f%% of that\n",
+	logical := base.Span() * hw.PFN(*clones+1)
+	fmt.Fprintf(w, "logical fleet footprint %d frames; cache holds %.1f%% of that\n",
 		logical, float64(store.Frames())/float64(logical)*100)
 
 	holders := []fork.RefHolder{base}
@@ -110,25 +111,24 @@ func forkCmd(o forkOpts) {
 		holders = append(holders, o2)
 	}
 	if err := fork.AuditRefs(store, holders...); err != nil {
-		fmt.Fprintf(os.Stderr, "refcount audit FAILED: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("refcount audit: %w", err)
 	}
 	if err := store.Verify(); err != nil {
-		fmt.Fprintf(os.Stderr, "content verification FAILED: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("content verification: %w", err)
 	}
-	fmt.Printf("refcount audit and content verification clean\n")
+	fmt.Fprintf(w, "refcount audit and content verification clean\n")
 
 	for _, cs := range css {
 		if err := fork.DestroyClone(c, v, dom0, cs); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	for _, o2 := range overlays {
 		if err := o2.Release(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("destroyed the fleet: store back to %d frames, %d refs (base image retained)\n",
+	fmt.Fprintf(w, "destroyed the fleet: store back to %d frames, %d refs (base image retained)\n",
 		store.Frames(), store.Refs())
+	return nil
 }

@@ -1,0 +1,150 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// mercuryctl runs one invocation in-process and returns its output.
+func mercuryctl(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	var out bytes.Buffer
+	err := run(args, &out)
+	return out.String(), err
+}
+
+// TestSubcommands runs every subcommand with small parameters and
+// checks the lines that carry its verdict.
+func TestSubcommands(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "t.json")
+	cases := []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"stats"}, []string{
+			"mercury_core_attaches_total 1\n",
+			"mercury_core_attach_cycles_quantile{q=\"0.99\"} ",
+			"mercury_vo_calls_total{object=\"virtual\"} ",
+		}},
+		{[]string{"stats", "-tracking", "journal"}, []string{"mercury_core_attaches_total 1\n"}},
+		{[]string{"trace", "-o", tracePath}, []string{
+			"wrote " + tracePath + ": 23 spans (0 over budget)\n",
+		}},
+		{[]string{"chaos", "-seed", "3", "-episodes", "4"}, []string{
+			"seed 3: 4 episodes, 4 injected, 4 detected, 4 healed, 0 missed, 2 rolled back, 1 starved, 0 escalated",
+			"3 fault classes; switch stats: attaches=3 detaches=3 deferred=8 starved=1 failed=2\n",
+		}},
+		{[]string{"fleet", "-nodes", "2"}, []string{
+			"fleet: 2 nodes, MaxVirtual=1 (tax 15%, max capacity loss 10%), action=checkpoint\n",
+			"wave: completed=2 expired=0 canceled=0 ticks=4 aborted=false\n",
+			"admission: submitted=2 granted=2 rejected=0 expired=0 max_in_use=1/1 max_queue=1\n",
+		}},
+		{[]string{"fleet", "-nodes", "2", "-action", "migrate"}, []string{
+			"action=migrate\n",
+			"wave: completed=2 expired=0 canceled=0 ticks=4 aborted=false\n",
+		}},
+		{[]string{"fleet", "-nodes", "3", "-action", "top", "-interval", "4"}, []string{
+			"tick     4  virtual 0/3 ",
+			"     2 node2    native           serving ",
+		}},
+		{[]string{"events", "-nodes", "2", "-kind", "mode-switch"}, []string{
+			"     2   193344      0 mode-switch                   1        10226\n",
+			"4 shown of 12 retained (12 recorded, 0 dropped by ring wrap)\n",
+		}},
+		{[]string{"fork", "-clones", "4", "-pages", "16", "-dirty", "2"}, []string{
+			"forked 4 clones: ",
+			"refcount audit and content verification clean\n",
+			"destroyed the fleet: store back to 18 frames, 18 refs (base image retained)\n",
+		}},
+		{[]string{"io", "-queues", "2", "-requests", "200"}, []string{
+			"M-N native: 200 requests, ",
+			"exactly-once: 200 submitted, 200 completed, 0 duplicated, 0 lost; final mode native\n",
+		}},
+		{[]string{"mc"}, []string{
+			"verdict: race-free (state graph closed: 8009 states, 33396 transitions, ",
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			out, err := mercuryctl(t, tc.args...)
+			if err != nil {
+				t.Fatalf("error: %v\n%s", err, out)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(out, w) {
+					t.Errorf("output lacks %q:\n%s", w, out)
+				}
+			}
+		})
+	}
+
+	// The trace file is Chrome trace_event JSON with the attach span.
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct{ Name string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &trace); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	attach := false
+	for _, e := range trace.TraceEvents {
+		attach = attach || e.Name == "switch/attach"
+	}
+	if !attach {
+		t.Errorf("trace has no switch/attach span among %d events", len(trace.TraceEvents))
+	}
+}
+
+func TestChaosSameSeedSameBytes(t *testing.T) {
+	a, err := mercuryctl(t, "chaos", "-seed", "5", "-episodes", "4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mercuryctl(t, "chaos", "-seed", "5", "-episodes", "4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Errorf("two runs of seed 5 differ:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestMCExpect checks the exit-status contract CI relies on: the
+// seeded bug's violation matches -expect, and any other -expect fails.
+func TestMCExpect(t *testing.T) {
+	out, err := mercuryctl(t, "mc", "-seed-bug", "toctou", "-expect", "commit-with-refcount-held")
+	if err != nil {
+		t.Fatalf("expected verdict reported as failure: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "verdict: VIOLATION commit-with-refcount-held (22 states explored, minimal counterexample 6 steps, ") {
+		t.Errorf("unexpected verdict:\n%s", out)
+	}
+	if _, err := mercuryctl(t, "mc", "-seed-bug", "toctou", "-expect", "commit-with-ap-unparked"); err == nil {
+		t.Error("a verdict other than -expect was not an error")
+	}
+}
+
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		nil,                              // no subcommand
+		{"bogus"},                        // unknown subcommand
+		{"fork", "-nodes", "5"},          // another subcommand's flag
+		{"stats", "-tracking", "journl"}, // unknown policy
+		{"fork", "extra"},                // stray argument
+	} {
+		if _, err := mercuryctl(t, args...); err == nil {
+			t.Errorf("mercuryctl %q: no error", args)
+		}
+	}
+	_, err := mercuryctl(t)
+	if err == nil || !strings.Contains(err.Error(), "chaos, events, fleet, fork, io, mc, stats, trace") {
+		t.Errorf("no-subcommand error does not list the subcommands: %v", err)
+	}
+}

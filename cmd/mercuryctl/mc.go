@@ -2,29 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
 
 	"repro/internal/mc"
 	"repro/internal/obs"
 )
-
-// mcOpts carries the `mercuryctl mc` flags.
-type mcOpts struct {
-	cpus      int
-	workers   int
-	ops       int
-	switches  int
-	deferrals int
-	depth     int
-	bug       string
-	noJournal bool
-	dpor      bool
-	trace     bool
-	jsonOut   bool
-	expect    string
-}
 
 // mcJSON is the -json output shape: the exploration result plus the
 // counterexample both as flight-recorder records and as strings.
@@ -38,23 +22,39 @@ type mcJSON struct {
 // line. Exit status: 0 when the verdict matches -expect (default
 // "none": a clean, complete exploration), 1 otherwise — so CI can
 // assert both the race-free pass and the seeded-bug rediscoveries.
-func mcCmd(o mcOpts) {
-	bug, err := mc.ParseBug(o.bug)
+func mcCmd(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("mc", flag.ContinueOnError)
+	cpus := fs.Int("cpus", 2, "CPUs in the reduced machine (CPU 0 is the CP)")
+	workers := fs.Int("workers", 2, "concurrent VO operations")
+	ops := fs.Int("ops", 2, "enter/write/exit rounds per worker")
+	switches := fs.Int("switches", 3, "mode-switch requests to raise")
+	deferrals := fs.Int("deferrals", 2, "retry budget (MaxDeferrals)")
+	depth := fs.Int("depth", 0, "exploration depth bound (0 = default)")
+	bugName := fs.String("seed-bug", "none", "seeded regression to plant (none, toctou, rendezvous)")
+	noJournal := fs.Bool("nojournal", false, "disable the dirty-journal model")
+	dpor := fs.Bool("dpor", false, "enable sleep-set partial-order pruning")
+	trace := fs.Bool("trace", false, "replay the counterexample through the flight recorder, step by step")
+	expect := fs.String("expect", "none", "expected verdict for the exit status (none or a violation name)")
+	jsonOut := fs.Bool("json", false, "emit JSON instead of text")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	bug, err := mc.ParseBug(*bugName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := mc.Config{
-		CPUs:         o.cpus,
-		Workers:      o.workers,
-		OpsPerWorker: o.ops,
-		Switches:     o.switches,
-		MaxDeferrals: o.deferrals,
-		Journal:      !o.noJournal,
+		CPUs:         *cpus,
+		Workers:      *workers,
+		OpsPerWorker: *ops,
+		Switches:     *switches,
+		MaxDeferrals: *deferrals,
+		Journal:      !*noJournal,
 		Bug:          bug,
 	}
-	res, err := mc.Run(cfg, mc.Options{MaxDepth: o.depth, DPOR: o.dpor})
+	res, err := mc.Run(cfg, mc.Options{MaxDepth: *depth, DPOR: *dpor})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Render the counterexample through the flight recorder — the same
@@ -67,29 +67,29 @@ func mcCmd(o mcOpts) {
 		events = elog.Snapshot()
 		replayed, err := mc.Replay(cfg, res.Trace)
 		if err != nil {
-			log.Fatalf("counterexample does not replay: %v", err)
+			return fmt.Errorf("mc: counterexample does not replay: %w", err)
 		}
 		if replayed != res.Violation {
-			log.Fatalf("replay produced %s, checker reported %s", replayed, res.Violation)
+			return fmt.Errorf("mc: replay produced %s, checker reported %s", replayed, res.Violation)
 		}
 	}
 
-	if o.jsonOut {
+	if *jsonOut {
 		out := mcJSON{Result: res, Events: events}
 		for _, a := range res.Trace {
 			out.Trace = append(out.Trace, a.String())
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	} else {
 		dporTag := "off"
-		if o.dpor {
+		if *dpor {
 			dporTag = "on"
 		}
-		fmt.Printf("mc: cpus=%d workers=%d ops=%d switches=%d deferrals=%d journal=%v bug=%s dpor=%s\n",
+		fmt.Fprintf(w, "mc: cpus=%d workers=%d ops=%d switches=%d deferrals=%d journal=%v bug=%s dpor=%s\n",
 			cfg.CPUs, cfg.Workers, cfg.OpsPerWorker, cfg.Switches,
 			cfg.MaxDeferrals, cfg.Journal, cfg.Bug, dporTag)
 		if res.Violation == mc.VioNone {
@@ -97,40 +97,39 @@ func mcCmd(o mcOpts) {
 			if res.Complete {
 				scope = "state graph closed"
 			}
-			fmt.Printf("verdict: race-free (%s: %d states, %d transitions", scope,
+			fmt.Fprintf(w, "verdict: race-free (%s: %d states, %d transitions", scope,
 				res.States, res.Transitions)
 			if res.SleepSkips > 0 {
-				fmt.Printf(", %d pruned", res.SleepSkips)
+				fmt.Fprintf(w, ", %d pruned", res.SleepSkips)
 			}
-			fmt.Printf(", %.2f ms)\n", res.ElapsedMS)
+			fmt.Fprintf(w, ", %.2f ms)\n", res.ElapsedMS)
 		} else {
-			fmt.Printf("verdict: VIOLATION %s (%d states explored, minimal counterexample %d steps, %.2f ms)\n",
+			fmt.Fprintf(w, "verdict: VIOLATION %s (%d states explored, minimal counterexample %d steps, %.2f ms)\n",
 				res.Violation, res.States, res.TraceLen, res.ElapsedMS)
-			fmt.Println("replay: counterexample verified against the reduced machine")
-			if o.trace {
-				fmt.Println()
+			fmt.Fprintln(w, "replay: counterexample verified against the reduced machine")
+			if *trace {
+				fmt.Fprintln(w)
 				for _, e := range events {
 					if e.Kind == obs.EvMCStep {
 						a, err := mc.DecodeStep(e)
 						if err != nil {
-							log.Fatal(err)
+							return err
 						}
-						fmt.Printf("  event seq=%-3d node=%-3d %s %s\n",
+						fmt.Fprintf(w, "  event seq=%-3d node=%-3d %s %s\n",
 							e.Seq, e.Node, e.Kind, a)
 					} else {
-						fmt.Printf("  event seq=%-3d node=%-3d %s %s\n",
+						fmt.Fprintf(w, "  event seq=%-3d node=%-3d %s %s\n",
 							e.Seq, e.Node, e.Kind, mc.Violation(e.A))
 					}
 				}
-				fmt.Println()
-				fmt.Print(mc.FormatTrace(cfg, res.Trace, res.Violation))
+				fmt.Fprintln(w)
+				fmt.Fprint(w, mc.FormatTrace(cfg, res.Trace, res.Violation))
 			}
 		}
 	}
 
-	if res.Violation.String() != o.expect {
-		fmt.Fprintf(os.Stderr, "mc: verdict %s does not match expected %s\n",
-			res.Violation, o.expect)
-		os.Exit(1)
+	if res.Violation.String() != *expect {
+		return fmt.Errorf("mc: verdict %s does not match expected %s", res.Violation, *expect)
 	}
+	return nil
 }

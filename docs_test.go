@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -127,7 +130,7 @@ func TestDocsAnchors(t *testing.T) {
 
 // flagDef matches a flag definition in Go source: any FlagSet method
 // or package-level flag call of the form .String("name", ...).
-var flagDef = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)\(\s*"([^"]+)"`)
+var flagDef = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func)\(\s*"([^"]+)"`)
 
 // readmeFlag matches an inline-backticked CLI flag in the docs:
 // `-queues N`, `-noswitch`, `-kind mode-switch|...`.
@@ -212,6 +215,51 @@ func TestEveryInternalPackageHasDoc(t *testing.T) {
 		want := "// Package " + p.Name()
 		if !strings.HasPrefix(string(data), want) {
 			t.Errorf("%s does not begin with %q", doc, want)
+		}
+	}
+}
+
+// TestEveryCommandHasTest: every binary is checked. Each directory
+// under cmd/ that holds a package main carries at least one _test.go
+// file, so `go test ./...` runs something of every command.
+func TestEveryCommandHasTest(t *testing.T) {
+	isMain, hasTest := map[string]bool{}, map[string]bool{}
+	err := filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "cmd" && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		dir := filepath.Dir(path)
+		if strings.HasSuffix(path, "_test.go") {
+			hasTest[dir] = true
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly)
+		if err != nil {
+			return err
+		}
+		if f.Name.Name == "main" {
+			isMain[dir] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(isMain) == 0 {
+		t.Fatal("no package main under cmd/; the check is vacuous")
+	}
+	for dir := range isMain {
+		if !hasTest[dir] {
+			t.Errorf("%s is a command with no _test.go file", dir)
 		}
 	}
 }

@@ -70,6 +70,16 @@ func (p TrackingPolicy) String() string {
 	return fmt.Sprintf("policy%d", int(p))
 }
 
+// ParseTrackingPolicy is String's inverse.
+func ParseTrackingPolicy(s string) (TrackingPolicy, error) {
+	for p := TrackRecompute; p <= TrackJournal; p++ {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown tracking policy %q (want recompute, active or journal)", s)
+}
+
 // Stats records mode-switch behaviour. New adopts the *obs.Counter
 // fields into the installed collector's series named beside them;
 // they are pointers so the collector retains the counters and not the

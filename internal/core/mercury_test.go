@@ -385,3 +385,17 @@ func TestPrintkRelocatesAcrossModes(t *testing.T) {
 		t.Fatalf("vmm console = %q", vmmLog)
 	}
 }
+
+func TestParseTrackingPolicy(t *testing.T) {
+	for _, p := range []TrackingPolicy{TrackRecompute, TrackActive, TrackJournal} {
+		got, err := ParseTrackingPolicy(p.String())
+		if err != nil || got != p {
+			t.Errorf("ParseTrackingPolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, bad := range []string{"", "activ", "Active", "policy3"} {
+		if _, err := ParseTrackingPolicy(bad); err == nil {
+			t.Errorf("ParseTrackingPolicy(%q) accepted an unknown name", bad)
+		}
+	}
+}
