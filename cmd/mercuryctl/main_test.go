@@ -22,54 +22,61 @@ func mercuryctl(t *testing.T, args ...string) (string, error) {
 func TestSubcommands(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "t.json")
 	cases := []struct {
+		name string // subtest name; the joined args when empty
 		args []string
 		want []string
 	}{
-		{[]string{"stats"}, []string{
+		{"", []string{"stats"}, []string{
 			"mercury_core_attaches_total 1\n",
 			"mercury_core_attach_cycles_quantile{q=\"0.99\"} ",
 			"mercury_vo_calls_total{object=\"virtual\"} ",
 		}},
-		{[]string{"stats", "-tracking", "journal"}, []string{"mercury_core_attaches_total 1\n"}},
-		{[]string{"trace", "-o", tracePath}, []string{
+		{"", []string{"stats", "-tracking", "journal"}, []string{"mercury_core_attaches_total 1\n"}},
+		{"trace -o t.json", []string{"trace", "-o", tracePath}, []string{
 			"wrote " + tracePath + ": 23 spans (0 over budget)\n",
 		}},
-		{[]string{"chaos", "-seed", "3", "-episodes", "4"}, []string{
+		{"", []string{"chaos", "-seed", "3", "-episodes", "4"}, []string{
 			"seed 3: 4 episodes, 4 injected, 4 detected, 4 healed, 0 missed, 2 rolled back, 1 starved, 0 escalated",
 			"3 fault classes; switch stats: attaches=3 detaches=3 deferred=8 starved=1 failed=2\n",
 		}},
-		{[]string{"fleet", "-nodes", "2"}, []string{
+		{"", []string{"fleet", "-nodes", "2"}, []string{
 			"fleet: 2 nodes, MaxVirtual=1 (tax 15%, max capacity loss 10%), action=checkpoint\n",
 			"wave: completed=2 expired=0 canceled=0 ticks=4 aborted=false\n",
 			"admission: submitted=2 granted=2 rejected=0 expired=0 max_in_use=1/1 max_queue=1\n",
 		}},
-		{[]string{"fleet", "-nodes", "2", "-action", "migrate"}, []string{
+		{"", []string{"fleet", "-nodes", "2", "-action", "migrate"}, []string{
 			"action=migrate\n",
 			"wave: completed=2 expired=0 canceled=0 ticks=4 aborted=false\n",
 		}},
-		{[]string{"fleet", "-nodes", "3", "-action", "top", "-interval", "4"}, []string{
+		{"", []string{"fleet", "-nodes", "3", "-action", "top", "-interval", "4"}, []string{
 			"tick     4  virtual 0/3 ",
 			"     2 node2    native           serving ",
 		}},
-		{[]string{"events", "-nodes", "2", "-kind", "mode-switch"}, []string{
+		{"", []string{"events", "-nodes", "2", "-kind", "mode-switch"}, []string{
 			"     2   193344      0 mode-switch                   1        10226\n",
 			"4 shown of 12 retained (12 recorded, 0 dropped by ring wrap)\n",
 		}},
-		{[]string{"fork", "-clones", "4", "-pages", "16", "-dirty", "2"}, []string{
+		{"", []string{"fork", "-clones", "4", "-pages", "16", "-dirty", "2"}, []string{
 			"forked 4 clones: ",
 			"refcount audit and content verification clean\n",
 			"destroyed the fleet: store back to 18 frames, 18 refs (base image retained)\n",
 		}},
-		{[]string{"io", "-queues", "2", "-requests", "200"}, []string{
+		{"", []string{"io", "-queues", "2", "-requests", "200"}, []string{
 			"M-N native: 200 requests, ",
 			"exactly-once: 200 submitted, 200 completed, 0 duplicated, 0 lost; final mode native\n",
 		}},
-		{[]string{"mc"}, []string{
+		{"", []string{"mc"}, []string{
 			"verdict: race-free (state graph closed: 8009 states, 33396 transitions, ",
 		}},
 	}
 	for _, tc := range cases {
-		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+		// The trace case names its file, not the per-run temp dir, so
+		// the subtest keeps one name from run to run.
+		name := tc.name
+		if name == "" {
+			name = strings.Join(tc.args, " ")
+		}
+		t.Run(name, func(t *testing.T) {
 			out, err := mercuryctl(t, tc.args...)
 			if err != nil {
 				t.Fatalf("error: %v\n%s", err, out)

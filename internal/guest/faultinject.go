@@ -28,23 +28,18 @@ func (as *AddrSpace) CorruptPageTableMapping() (undo func(), err error) {
 // deterministically with the seed.
 func (as *AddrSpace) CorruptPageTableMappingPick(pick func(n int) int) (undo func(), err error) {
 	mem := as.K.M.Mem
-	// Collect the present page directory entries: their L1 frames are
-	// the candidate victims.
-	var tables []hw.PFN
-	for pdi := 0; pdi < hw.PTEntries; pdi++ {
-		pde := hw.ReadPTE(mem, as.PT.Root, pdi)
-		if pde.Present() {
-			tables = append(tables, pde.Frame())
-		}
-	}
+	// The L1 frames of the present page directory entries are the
+	// candidate victims.
+	tables := as.PT.TableFrames()[1:]
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("guest: address space has no page tables to corrupt")
 	}
 	pt := tables[pick(len(tables))%len(tables)]
 	// Find a free slot in that same table and map the table itself,
 	// writable.
+	table := hw.ViewTable(mem, pt)
 	for idx := hw.PTEntries - 1; idx >= 0; idx-- {
-		if hw.ReadPTE(mem, pt, idx).Present() {
+		if table.At(idx).Present() {
 			continue
 		}
 		hw.WritePTE(mem, pt, idx,

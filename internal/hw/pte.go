@@ -1,5 +1,10 @@
 package hw
 
+import (
+	"encoding/binary"
+	"fmt"
+)
+
 // Page-table entry format: a 32-bit word with x86-style flag bits in the
 // low 12 bits and the frame number above. Both levels of the two-level
 // tree use the same format. The hardware walker in this package and the
@@ -69,6 +74,34 @@ func PTIndex(a VirtAddr) int { return int(a>>PageShift) & PTIndexMask }
 // frame holding the table page, idx the entry index.
 func ReadPTE(m *PhysMem, table PFN, idx int) PTE {
 	return PTE(m.ReadWord(table.Addr() + PhysAddr(idx*4)))
+}
+
+// TableView is a read-only view of the PTEntries entries of one
+// page-table frame, taken with one frame load. Full-table scans read
+// through it; a single entry is read with ReadPTE.
+type TableView struct{ b *[PageSize]byte }
+
+// ViewTable returns a view of the page table in frame table.
+//
+// The view's contract: while a walk reads through it, the walk (its
+// callback included) may store only to the entry it was just handed or
+// to entries it has already read, and nothing else stores to the
+// table. Under that contract At(i) equals
+// ReadPTE(m, table, i) at the moment of the read. On a private frame
+// the view is live, since it reads the frame's own bytes. On a
+// copy-on-write or never-written frame it reads the shared page or the
+// zero page; a store promotes the frame to new bytes the view does not
+// see, but it changes only entries the walk has already read.
+func ViewTable(m *PhysMem, table PFN) TableView {
+	if !m.Valid(table) {
+		panic(fmt.Sprintf("hw: page-table view beyond memory: frame %d", table))
+	}
+	return TableView{(*[PageSize]byte)(m.frameRO(table))}
+}
+
+// At returns entry i of the table.
+func (v TableView) At(i int) PTE {
+	return PTE(binary.LittleEndian.Uint32(v.b[i*4:]))
 }
 
 // WritePTE stores a page-table entry into physical memory. This is the

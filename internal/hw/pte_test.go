@@ -1,6 +1,9 @@
 package hw
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -73,6 +76,73 @@ func TestWalkTwoLevel(t *testing.T) {
 	// Present PDE, absent PTE.
 	if _, ok := Walk(m, root, va+PageSize); ok {
 		t.Fatal("walk of unmapped PTE succeeded")
+	}
+}
+
+// A walk through a TableView whose callback rewrites the entry it was
+// just handed, as fork's downgrade and munmap's clear do, must see and
+// leave exactly what per-entry ReadPTE reads would. On the CoW frame the
+// first rewrite promotes the frame mid-walk; on the never-written frame
+// it allocates the frame's bytes mid-walk.
+func TestTableViewMatchesReadPTE(t *testing.T) {
+	const table = PFN(3)
+	page := make([]byte, PageSize)
+	for i := 0; i < PTEntries; i += 3 {
+		binary.LittleEndian.PutUint32(page[i*4:], uint32(MakePTE(PFN(100+i), PTEPresent|PTEWrite)))
+	}
+	shared := bytes.Clone(page)
+	setups := []struct {
+		name  string
+		setup func(m *PhysMem)
+	}{
+		{"private", func(m *PhysMem) { copy(m.FrameBytes(table), page) }},
+		{"cow", func(m *PhysMem) {
+			if err := m.MapShared(table, shared, nil); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"never written", func(*PhysMem) {}},
+	}
+	rewrite := func(i int, e PTE) PTE {
+		if e.Present() {
+			return e.WithFlags(e.Flags()&^PTEWrite | PTECow)
+		}
+		if i%100 == 0 {
+			return MakePTE(PFN(i), PTEPresent)
+		}
+		return e
+	}
+	walk := func(m *PhysMem, read func(i int) PTE) []PTE {
+		var seen []PTE
+		for i := 0; i < PTEntries; i++ {
+			e := read(i)
+			seen = append(seen, e)
+			if n := rewrite(i, e); n != e {
+				WritePTE(m, table, i, n)
+			}
+		}
+		return seen
+	}
+	for _, s := range setups {
+		t.Run(s.name, func(t *testing.T) {
+			ref, got := NewPhysMem(64<<10), NewPhysMem(64<<10)
+			s.setup(ref)
+			s.setup(got)
+			want := walk(ref, func(i int) PTE { return ReadPTE(ref, table, i) })
+			seen := walk(got, ViewTable(got, table).At)
+			if !slices.Equal(seen, want) {
+				t.Fatal("the view's walk saw other entries than per-entry reads")
+			}
+			if !bytes.Equal(got.FrameBytesRO(table), ref.FrameBytesRO(table)) {
+				t.Fatal("the view's walk left another frame than per-entry reads")
+			}
+			if got.SharedAt(table) {
+				t.Fatal("the rewrites did not promote the frame")
+			}
+		})
+	}
+	if !bytes.Equal(shared, page) {
+		t.Fatal("a walk wrote through the shared page")
 	}
 }
 

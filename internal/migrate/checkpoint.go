@@ -214,16 +214,18 @@ func Restore(c *hw.CPU, dst *xen.VMM, caller, into *xen.Domain, img *DomainImage
 func RelocateTables(c *hw.CPU, mem *hw.PhysMem, roots []hw.PFN, delta int64) {
 	for _, root := range roots {
 		newRoot := hw.PFN(int64(root) + delta)
+		dir := hw.ViewTable(mem, newRoot)
 		for pdi := 0; pdi < hw.PTEntries; pdi++ {
-			pde := hw.ReadPTE(mem, newRoot, pdi)
+			pde := dir.At(pdi)
 			if !pde.Present() {
 				continue
 			}
 			newPT := hw.PFN(int64(pde.Frame()) + delta)
 			hw.WritePTE(mem, newRoot, pdi, hw.MakePTE(newPT, pde.Flags()))
 			c.Charge(40) // entry rewrite work
+			table := hw.ViewTable(mem, newPT)
 			for pti := 0; pti < hw.PTEntries; pti++ {
-				pte := hw.ReadPTE(mem, newPT, pti)
+				pte := table.At(pti)
 				if !pte.Present() {
 					continue
 				}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/hw"
+	"repro/internal/pgtable"
 	"repro/internal/xen"
 )
 
@@ -117,12 +118,8 @@ func verifyDestination(c *hw.CPU, src, dst *hw.PhysMem,
 	// present PDE references, read from the (still intact) source tree.
 	tables := make(map[hw.PFN]bool, len(roots)*4)
 	for _, root := range roots {
-		tables[root] = true
-		for pdi := 0; pdi < hw.PTEntries; pdi++ {
-			pde := hw.ReadPTE(src, root, pdi)
-			if pde.Present() {
-				tables[pde.Frame()] = true
-			}
+		for _, pfn := range pgtable.Attach(src, root).TableFrames() {
+			tables[pfn] = true
 		}
 	}
 
@@ -145,9 +142,9 @@ func verifyDestination(c *hw.CPU, src, dst *hw.PhysMem,
 
 // verifyTableFrame checks one relocated page-table frame entry by entry.
 func verifyTableFrame(src, dst *hw.PhysMem, pfn, tgt hw.PFN, delta int64) error {
+	stable, dtable := hw.ViewTable(src, pfn), hw.ViewTable(dst, tgt)
 	for i := 0; i < hw.PTEntries; i++ {
-		se := hw.ReadPTE(src, pfn, i)
-		de := hw.ReadPTE(dst, tgt, i)
+		se, de := stable.At(i), dtable.At(i)
 		if se.Present() != de.Present() {
 			return fmt.Errorf("migrate: verify: table %d entry %d present bit diverges", tgt, i)
 		}

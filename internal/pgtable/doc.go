@@ -5,4 +5,9 @@
 // performed — callers supply a WriteFn, which the guest binds to its
 // current virtualization object so stores are direct in native mode and
 // hypercalls in virtual mode.
+//
+// Walks read each table through one hw.ViewTable load. Visit reads the
+// whole directory and every present table; VisitRange reads only the
+// directory entries and leaf entries of its range. A walk's callback may
+// store only to the entry it is handed or to entries already visited.
 package pgtable

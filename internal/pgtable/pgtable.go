@@ -120,16 +120,55 @@ type Mapping struct {
 }
 
 // Visit calls fn for every present leaf mapping, in address order.
-// Returning false stops the walk.
+// Returning false stops the walk. It reads the whole directory and every
+// present table, one frame load per table.
+//
+// The walk contract: in this tree, fn may store only to the entry it is
+// handed (munmap and exit zero it, fork downgrades it) or to entries
+// already visited. Under it the walk sees what per-entry reads would
+// (see hw.ViewTable).
 func (t *Tables) Visit(fn func(m Mapping) bool) {
-	for pdi := 0; pdi < hw.PTEntries; pdi++ {
-		pde := hw.ReadPTE(t.Mem, t.Root, pdi)
+	t.walk(0, hw.PTEntries*hw.PTEntries-1, fn)
+}
+
+// VisitRange is Visit restricted to the mappings with lo <= VA < hi;
+// lo >= hi visits nothing. It reads only the directory entries from
+// PDIndex(lo) to PDIndex(hi-1) and, in their tables, only the entries
+// in range: its cost is the directory entries in range plus the entries
+// in range, not the tree's size. Visit's contract applies.
+func (t *Tables) VisitRange(lo, hi hw.VirtAddr, fn func(m Mapping) bool) {
+	if lo >= hi {
+		return
+	}
+	first := hw.VPNOf(lo)
+	if lo&hw.PageMask != 0 {
+		first++ // the page holding an unaligned lo starts below it
+	}
+	t.walk(first, hw.VPNOf(hi-1), fn)
+}
+
+// walk calls fn for every present leaf mapping of a page in [first,
+// last], in address order, under Visit's contract.
+func (t *Tables) walk(first, last hw.VPN, fn func(m Mapping) bool) {
+	const ptBits = hw.PDShift - hw.PageShift
+	pd0, pd1 := int(first>>ptBits), int(last>>ptBits)
+	root := hw.ViewTable(t.Mem, t.Root)
+	for pdi := pd0; pdi <= pd1; pdi++ {
+		pde := root.At(pdi)
 		if !pde.Present() {
 			continue
 		}
+		pt0, pt1 := 0, hw.PTEntries-1
+		if pdi == pd0 {
+			pt0 = int(first) & hw.PTIndexMask
+		}
+		if pdi == pd1 {
+			pt1 = int(last) & hw.PTIndexMask
+		}
 		pt := pde.Frame()
-		for pti := 0; pti < hw.PTEntries; pti++ {
-			pte := hw.ReadPTE(t.Mem, pt, pti)
+		table := hw.ViewTable(t.Mem, pt)
+		for pti := pt0; pti <= pt1; pti++ {
+			pte := table.At(pti)
 			if !pte.Present() {
 				continue
 			}
@@ -141,74 +180,25 @@ func (t *Tables) Visit(fn func(m Mapping) bool) {
 	}
 }
 
-// VisitRange is Visit restricted to [lo, hi).
-func (t *Tables) VisitRange(lo, hi hw.VirtAddr, fn func(m Mapping) bool) {
-	t.Visit(func(m Mapping) bool {
-		if m.VA < lo || m.VA >= hi {
-			return true
-		}
-		return fn(m)
-	})
-}
-
 // TableFrames returns the root frame followed by every referenced
 // page-table frame. The VMM pins exactly this set when the tree is
 // installed in direct mode, and Mercury's recompute pass scans it.
 func (t *Tables) TableFrames() []hw.PFN {
 	out := []hw.PFN{t.Root}
+	root := hw.ViewTable(t.Mem, t.Root)
 	for pdi := 0; pdi < hw.PTEntries; pdi++ {
-		pde := hw.ReadPTE(t.Mem, t.Root, pdi)
-		if pde.Present() {
+		if pde := root.At(pdi); pde.Present() {
 			out = append(out, pde.Frame())
 		}
 	}
 	return out
 }
 
-// CountMappings returns the number of present leaf entries.
-func (t *Tables) CountMappings() int {
-	n := 0
-	t.Visit(func(Mapping) bool { n++; return true })
-	return n
-}
-
-// Clone copies the tree into newly allocated frames, applying xform to
-// each leaf entry (fork uses this to apply copy-on-write downgrades).
-// Writes into the fresh frames go straight to memory: the new tree is not
-// yet live, so no validation applies until its root is installed.
-func (t *Tables) Clone(alloc AllocFn, xform func(hw.PTE) hw.PTE) (*Tables, error) {
-	nt, err := New(t.Mem, alloc)
-	if err != nil {
-		return nil, err
-	}
-	for pdi := 0; pdi < hw.PTEntries; pdi++ {
-		pde := hw.ReadPTE(t.Mem, t.Root, pdi)
-		if !pde.Present() {
-			continue
-		}
-		np := alloc()
-		if np == hw.NoPFN {
-			return nil, fmt.Errorf("pgtable: out of frames cloning tree")
-		}
-		t.Mem.ZeroFrame(np)
-		hw.WritePTE(t.Mem, nt.Root, pdi, hw.MakePTE(np, pde.Flags()))
-		pt := pde.Frame()
-		for pti := 0; pti < hw.PTEntries; pti++ {
-			pte := hw.ReadPTE(t.Mem, pt, pti)
-			if !pte.Present() {
-				continue
-			}
-			hw.WritePTE(t.Mem, np, pti, xform(pte))
-		}
-	}
-	return nt, nil
-}
-
 // Free releases every table frame (not the mapped data frames) to free.
 func (t *Tables) Free(free func(hw.PFN)) {
+	root := hw.ViewTable(t.Mem, t.Root)
 	for pdi := 0; pdi < hw.PTEntries; pdi++ {
-		pde := hw.ReadPTE(t.Mem, t.Root, pdi)
-		if pde.Present() {
+		if pde := root.At(pdi); pde.Present() {
 			free(pde.Frame())
 		}
 	}

@@ -58,8 +58,9 @@ func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, charge bool) error {
 		return nil
 	}
 	chargeOpt(c, charge, v.M.Costs.FrameValidate)
+	table := hw.ViewTable(v.M.Mem, pt)
 	for i := 0; i < hw.PTEntries; i++ {
-		pte := hw.ReadPTE(v.M.Mem, pt, i)
+		pte := table.At(i)
 		if !pte.Present() {
 			continue
 		}
@@ -67,7 +68,7 @@ func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, charge bool) error {
 		if err := v.refMapping(d, pte); err != nil {
 			// Roll back what we validated so far.
 			for j := 0; j < i; j++ {
-				if p := hw.ReadPTE(v.M.Mem, pt, j); p.Present() {
+				if p := table.At(j); p.Present() {
 					v.unrefMapping(p)
 				}
 			}
@@ -83,9 +84,9 @@ func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, charge bool) error {
 func (v *VMM) devalidateL1(c *hw.CPU, pt hw.PFN, charge bool) {
 	last := v.FT.Get(pt).TypeCount == 1
 	if last {
+		table := hw.ViewTable(v.M.Mem, pt)
 		for i := 0; i < hw.PTEntries; i++ {
-			pte := hw.ReadPTE(v.M.Mem, pt, i)
-			if pte.Present() {
+			if pte := table.At(i); pte.Present() {
 				chargeOpt(c, charge, v.M.Costs.FrameRelease)
 				v.unrefMapping(pte)
 			}
@@ -136,15 +137,16 @@ func (v *VMM) validateL2(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
 		return nil
 	}
 	chargeOpt(c, charge, v.M.Costs.FrameValidate)
+	dir := hw.ViewTable(v.M.Mem, root)
 	for i := 0; i < hw.PTEntries; i++ {
-		pde := hw.ReadPTE(v.M.Mem, root, i)
+		pde := dir.At(i)
 		if !pde.Present() {
 			continue
 		}
 		chargeOpt(c, charge, v.M.Costs.PTValidatePin)
 		if err := v.validateL1(c, d, pde.Frame(), charge); err != nil {
 			for j := 0; j < i; j++ {
-				if p := hw.ReadPTE(v.M.Mem, root, j); p.Present() {
+				if p := dir.At(j); p.Present() {
 					v.devalidateL1(c, p.Frame(), false)
 					v.FT.PutRef(p.Frame())
 				}
@@ -162,9 +164,9 @@ func (v *VMM) devalidateL2(c *hw.CPU, root hw.PFN, charge bool) {
 	last := v.FT.Get(root).TypeCount == 1
 	if last {
 		chargeOpt(c, charge, v.M.Costs.FrameRelease)
+		dir := hw.ViewTable(v.M.Mem, root)
 		for i := 0; i < hw.PTEntries; i++ {
-			pde := hw.ReadPTE(v.M.Mem, root, i)
-			if pde.Present() {
+			if pde := dir.At(i); pde.Present() {
 				v.devalidateL1(c, pde.Frame(), charge)
 				v.FT.PutRef(pde.Frame())
 			}

@@ -8,9 +8,15 @@ import (
 )
 
 // testVMM builds an active VMM with one unprivileged domain.
-func testVMM(t *testing.T) (*VMM, *Domain, *hw.CPU) {
+func testVMM(t testing.TB) (*VMM, *Domain, *hw.CPU) {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
+	return testVMMSized(t, 32<<20)
+}
+
+// testVMMSized is testVMM on a machine of memBytes.
+func testVMMSized(t testing.TB, memBytes uint64) (*VMM, *Domain, *hw.CPU) {
+	t.Helper()
+	m := hw.NewMachine(hw.Config{MemBytes: memBytes, NumCPUs: 1})
 	v, err := Boot(m)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +33,7 @@ func testVMM(t *testing.T) (*VMM, *Domain, *hw.CPU) {
 
 // buildTree creates a small page-table tree in d's frames with n mapped
 // pages, returning the tables and mapped data frames.
-func buildTree(t *testing.T, v *VMM, d *Domain, n int) (*pgtable.Tables, []hw.PFN) {
+func buildTree(t testing.TB, v *VMM, d *Domain, n int) (*pgtable.Tables, []hw.PFN) {
 	t.Helper()
 	tb, err := pgtable.New(v.M.Mem, d.Frames.Alloc)
 	if err != nil {

@@ -126,8 +126,9 @@ func (w *shardWalk) validateL1(pt hw.PFN) error {
 	}
 	w.delta.m[pt].validated = true
 	w.delta.cycles += w.v.M.Costs.FrameValidate
+	table := hw.ViewTable(w.v.M.Mem, pt)
 	for i := 0; i < hw.PTEntries; i++ {
-		pte := hw.ReadPTE(w.v.M.Mem, pt, i)
+		pte := table.At(i)
 		if !pte.Present() {
 			continue
 		}
@@ -150,8 +151,9 @@ func (w *shardWalk) validateL2(root hw.PFN) error {
 	}
 	w.delta.m[root].validated = true
 	w.delta.cycles += w.v.M.Costs.FrameValidate
+	dir := hw.ViewTable(w.v.M.Mem, root)
 	for i := 0; i < hw.PTEntries; i++ {
-		pde := hw.ReadPTE(w.v.M.Mem, root, i)
+		pde := dir.At(i)
 		if !pde.Present() {
 			continue
 		}

@@ -8,7 +8,7 @@ import (
 
 // buildForest creates n disjoint trees of pages mapped pages each,
 // returning their roots.
-func buildForest(t *testing.T, v *VMM, d *Domain, n, pages int) []hw.PFN {
+func buildForest(t testing.TB, v *VMM, d *Domain, n, pages int) []hw.PFN {
 	t.Helper()
 	var roots []hw.PFN
 	for i := 0; i < n; i++ {

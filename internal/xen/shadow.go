@@ -71,8 +71,9 @@ func (v *VMM) buildShadowL1(c *hw.CPU, st *shadowState, gpt hw.PFN) (hw.PFN, err
 	if err != nil {
 		return 0, err
 	}
+	gtable := hw.ViewTable(v.M.Mem, gpt)
 	for i := 0; i < hw.PTEntries; i++ {
-		ge := hw.ReadPTE(v.M.Mem, gpt, i)
+		ge := gtable.At(i)
 		if !ge.Present() {
 			continue
 		}
@@ -96,8 +97,9 @@ func (v *VMM) BuildShadowTree(c *hw.CPU, d *Domain, groot hw.PFN) (hw.PFN, error
 		return 0, err
 	}
 	c.Charge(v.M.Costs.ShadowPerTable)
+	gdir := hw.ViewTable(v.M.Mem, groot)
 	for pdi := 0; pdi < hw.PTEntries; pdi++ {
-		pde := hw.ReadPTE(v.M.Mem, groot, pdi)
+		pde := gdir.At(pdi)
 		if !pde.Present() {
 			continue
 		}
@@ -123,8 +125,9 @@ func (v *VMM) DropShadowTree(c *hw.CPU, d *Domain, groot hw.PFN) {
 	delete(st.roots, groot)
 	c.Charge(v.M.Costs.FrameRelease)
 	// Free L1 shadows referenced only by this root.
+	sdir := hw.ViewTable(v.M.Mem, sroot)
 	for pdi := 0; pdi < hw.PTEntries; pdi++ {
-		spde := hw.ReadPTE(v.M.Mem, sroot, pdi)
+		spde := sdir.At(pdi)
 		if !spde.Present() {
 			continue
 		}
@@ -132,8 +135,7 @@ func (v *VMM) DropShadowTree(c *hw.CPU, d *Domain, groot hw.PFN) {
 		// Still referenced by another shadow root?
 		shared := false
 		for _, otherRoot := range st.roots {
-			if hw.ReadPTE(v.M.Mem, otherRoot, pdi).Present() &&
-				hw.ReadPTE(v.M.Mem, otherRoot, pdi).Frame() == spt {
+			if o := hw.ReadPTE(v.M.Mem, otherRoot, pdi); o.Present() && o.Frame() == spt {
 				shared = true
 				break
 			}
@@ -211,18 +213,19 @@ func (v *VMM) VerifyShadow(d *Domain, groot hw.PFN) error {
 	if !ok {
 		return fmt.Errorf("xen: no shadow for root %d", groot)
 	}
+	gdir, sdir := hw.ViewTable(v.M.Mem, groot), hw.ViewTable(v.M.Mem, sroot)
 	for pdi := 0; pdi < hw.PTEntries; pdi++ {
-		gpde := hw.ReadPTE(v.M.Mem, groot, pdi)
-		spde := hw.ReadPTE(v.M.Mem, sroot, pdi)
+		gpde, spde := gdir.At(pdi), sdir.At(pdi)
 		if gpde.Present() != spde.Present() {
 			return fmt.Errorf("xen: shadow pde %d presence mismatch", pdi)
 		}
 		if !gpde.Present() {
 			continue
 		}
+		gtable := hw.ViewTable(v.M.Mem, gpde.Frame())
+		stable := hw.ViewTable(v.M.Mem, spde.Frame())
 		for pti := 0; pti < hw.PTEntries; pti++ {
-			ge := hw.ReadPTE(v.M.Mem, gpde.Frame(), pti)
-			se := hw.ReadPTE(v.M.Mem, spde.Frame(), pti)
+			ge, se := gtable.At(pti), stable.At(pti)
 			if ge.Present() != se.Present() {
 				return fmt.Errorf("xen: shadow pte (%d,%d) presence mismatch", pdi, pti)
 			}
