@@ -132,24 +132,6 @@ func BenchmarkAblationTracking(b *testing.B) {
 	b.Log("\n" + sb.String())
 }
 
-// BenchmarkAblationPaging regenerates the §3.2.2 direct-vs-shadow
-// paging comparison (why Mercury chose direct mode).
-func BenchmarkAblationPaging(b *testing.B) {
-	var last bench.PagingAblationResult
-	for i := 0; i < b.N; i++ {
-		r, err := bench.PagingAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(last.DirectAttachUS, "attach_direct_us")
-	b.ReportMetric(last.ShadowAttachUS, "attach_shadow_us")
-	var sb strings.Builder
-	bench.WritePagingAblation(&sb, last)
-	b.Log("\n" + sb.String())
-}
-
 // BenchmarkAblationBatching regenerates the multicall batching
 // comparison (DESIGN.md ablation 2).
 func BenchmarkAblationBatching(b *testing.B) {

@@ -4,10 +4,10 @@
 // performance), the mode-switch timings of §7.4, and the §5.1.2
 // frame-tracking ablation.
 //
-// Gated experiments reproduce a committed BENCH_*.json baseline. The
-// simulation is deterministic, so the gate is exact: any value that
-// differs from the committed file is reported by its JSON path and
-// fails the run.
+// Every experiment but chaos reproduces a committed BENCH_*.json
+// baseline. The simulation is deterministic, so the gate is exact: any
+// value that differs from the committed file is reported by its JSON
+// path and fails the run.
 //
 // Usage:
 //
@@ -24,7 +24,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -43,7 +42,6 @@ import (
 // printed and dumped but no simulated value, so no flag can move a
 // baseline.
 type options struct {
-	samples       int
 	seed          int64
 	episodes      int
 	csv           bool
@@ -56,23 +54,22 @@ type options struct {
 }
 
 // experiment is one -exp entry. run prints the human-readable result
-// and returns the value serialised to file, or nil when there is none.
-// A gated experiment's file is committed at the repo root, and every
-// run must reproduce it exactly.
+// and returns the value serialised to file. An experiment with a file
+// is gated: the file is committed at the repo root, and every run must
+// reproduce it exactly. Only chaos has none.
 type experiment struct {
-	name  string
-	file  string
-	gated bool
-	run   func(o *options) (any, error)
+	name string
+	file string
+	run  func(o *options) (any, error)
 }
 
 var experiments = []experiment{
-	{"table1", "BENCH_table1.json", true, func(o *options) (any, error) { return lmbench(o, "table1", 1) }},
-	{"table2", "BENCH_table2.json", true, func(o *options) (any, error) { return lmbench(o, "table2", 2) }},
-	{"fig3", "BENCH_fig3.json", true, func(o *options) (any, error) { return appFigure(o, 1) }},
-	{"fig4", "BENCH_fig4.json", true, func(o *options) (any, error) { return appFigure(o, 2) }},
-	{"switch", "", false, modeSwitch},
-	{"switchscale", "BENCH_switch.json", true, func(*options) (any, error) {
+	{"table1", "BENCH_table1.json", func(o *options) (any, error) { return lmbench(o, "table1", 1) }},
+	{"table2", "BENCH_table2.json", func(o *options) (any, error) { return lmbench(o, "table2", 2) }},
+	{"fig3", "BENCH_fig3.json", func(o *options) (any, error) { return appFigure(o, 1) }},
+	{"fig4", "BENCH_fig4.json", func(o *options) (any, error) { return appFigure(o, 2) }},
+	{"switch", "BENCH_modeswitch.json", modeSwitch},
+	{"switchscale", "BENCH_switch.json", func(*options) (any, error) {
 		pts, err := bench.SwitchScale(bench.Options{})
 		if err != nil {
 			return nil, err
@@ -80,9 +77,15 @@ var experiments = []experiment{
 		bench.WriteSwitchScale(os.Stdout, pts)
 		return bench.SwitchBaseline{Schema: bench.SwitchBaselineSchema, Scale: pts}, nil
 	}},
-	{"paging", "", false, printOnly(bench.PagingAblation, bench.WritePagingAblation)},
-	{"ablation", "", false, printOnly(bench.TrackingAblation, bench.WriteAblation)},
-	{"batching", "BENCH_batching.json", true, func(*options) (any, error) {
+	{"ablation", "BENCH_ablation.json", func(*options) (any, error) {
+		a, err := bench.TrackingAblation()
+		if err != nil {
+			return nil, err
+		}
+		bench.WriteAblation(os.Stdout, a)
+		return a, nil
+	}},
+	{"batching", "BENCH_batching.json", func(*options) (any, error) {
 		ab, err := bench.BatchingAblation()
 		if err != nil {
 			return nil, err
@@ -96,9 +99,23 @@ var experiments = []experiment{
 		bench.WriteBatchingSweep(os.Stdout, pts)
 		return bench.BatchingBaseline{Schema: bench.BatchingSchema, Points: pts}, nil
 	}},
-	{"emulation", "", false, printOnly(bench.EmulationAblation, bench.WriteEmulationAblation)},
-	{"addrspace", "", false, printOnly(bench.AddrSpaceAblation, bench.WriteAddrSpaceAblation)},
-	{"fleet", "BENCH_fleet.json", true, func(*options) (any, error) {
+	{"emulation", "BENCH_emulation.json", func(*options) (any, error) {
+		r, err := bench.EmulationAblation()
+		if err != nil {
+			return nil, err
+		}
+		bench.WriteEmulationAblation(os.Stdout, r)
+		return r, nil
+	}},
+	{"addrspace", "BENCH_addrspace.json", func(*options) (any, error) {
+		r, err := bench.AddrSpaceAblation()
+		if err != nil {
+			return nil, err
+		}
+		bench.WriteAddrSpaceAblation(os.Stdout, r)
+		return r, nil
+	}},
+	{"fleet", "BENCH_fleet.json", func(*options) (any, error) {
 		pts, err := bench.FleetSweep(bench.Options{})
 		if err != nil {
 			return nil, err
@@ -106,7 +123,7 @@ var experiments = []experiment{
 		bench.WriteFleetSweep(os.Stdout, pts)
 		return bench.FleetBaseline{Schema: bench.FleetBaselineSchema, Sweep: pts}, nil
 	}},
-	{"fork", "BENCH_fork.json", true, func(*options) (any, error) {
+	{"fork", "BENCH_fork.json", func(*options) (any, error) {
 		pts, err := bench.ForkSweep(bench.Options{})
 		if err != nil {
 			return nil, err
@@ -114,7 +131,7 @@ var experiments = []experiment{
 		bench.WriteForkSweep(os.Stdout, pts)
 		return bench.ForkBaseline{Schema: bench.ForkBaselineSchema, Sweep: pts}, nil
 	}},
-	{"io", "BENCH_io.json", true, func(*options) (any, error) {
+	{"io", "BENCH_io.json", func(*options) (any, error) {
 		pts, sw, err := bench.IOSweep(bench.Options{})
 		if err != nil {
 			return nil, err
@@ -122,7 +139,7 @@ var experiments = []experiment{
 		bench.WriteIOSweep(os.Stdout, pts, sw)
 		return bench.IOBaseline{Schema: bench.IOBaselineSchema, Sweep: pts, Switch: sw}, nil
 	}},
-	{"migrate", "BENCH_migrate.json", true, func(*options) (any, error) {
+	{"migrate", "BENCH_migrate.json", func(*options) (any, error) {
 		pts, err := bench.MigrateSweep(bench.Options{})
 		if err != nil {
 			return nil, err
@@ -130,8 +147,8 @@ var experiments = []experiment{
 		bench.WriteMigrateSweep(os.Stdout, pts)
 		return bench.MigrateBaseline{Schema: bench.MigrateBaselineSchema, Sweep: pts}, nil
 	}},
-	{"chaos", "", false, chaos},
-	{"mc", "BENCH_mc.json", true, func(*options) (any, error) {
+	{"chaos", "", chaos},
+	{"mc", "BENCH_mc.json", func(*options) (any, error) {
 		b, err := mc.BenchSuite()
 		if err != nil {
 			return nil, err
@@ -139,7 +156,7 @@ var experiments = []experiment{
 		mc.WriteBenchTable(os.Stdout, b.Rows)
 		return b, nil
 	}},
-	{"divergence", "BENCH_divergence.json", true, func(o *options) (any, error) {
+	{"divergence", "BENCH_divergence.json", func(o *options) (any, error) {
 		rep, err := divergence.Run(divergence.Config{})
 		if err != nil {
 			return nil, err
@@ -163,7 +180,6 @@ func main() {
 	}
 	exp := flag.String("exp", "all",
 		"experiment to run: "+strings.Join(names, ", ")+", all")
-	samples := flag.Int("samples", 10, "mode-switch samples")
 	seed := flag.Int64("seed", 42, "chaos campaign seed")
 	episodes := flag.Int("episodes", 16, "chaos campaign episodes")
 	format := flag.String("format", "text", "output format for tables/figures: text or csv")
@@ -174,7 +190,7 @@ func main() {
 		"write each experiment's BENCH_*.json; for gated experiments this regenerates the committed baseline instead of failing on a difference")
 	jsonDir := flag.String("jsondir", ".", "directory for -json result files")
 	policyName := flag.String("policy", "recompute",
-		"tracking policy for switch/chaos experiments: recompute, active, journal")
+		"tracking policy for the chaos experiment: recompute, active, journal")
 	migrateFaults := flag.Bool("migrate", false,
 		"chaos experiment: add a standby node and the migration fault classes to the campaign")
 	flag.Parse()
@@ -184,7 +200,7 @@ func main() {
 		log.Fatal(err)
 	}
 	o := &options{
-		samples: *samples, seed: *seed, episodes: *episodes, policy: policy,
+		seed: *seed, episodes: *episodes, policy: policy,
 		csv: *format == "csv", metrics: *metrics, metricsDir: *metricsDir,
 		json: *jsonOut, jsonDir: *jsonDir, migrateFaults: *migrateFaults,
 	}
@@ -215,7 +231,7 @@ func main() {
 // gated result differs and -json is off.
 func runExperiment(e experiment, o *options) (bool, error) {
 	var committed []byte
-	if e.gated {
+	if e.file != "" {
 		// Read before running: under -json the run overwrites the file.
 		var err error
 		committed, err = os.ReadFile(e.file)
@@ -234,23 +250,21 @@ func runExperiment(e experiment, o *options) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	diffs, err := bench.Diff(committed, data)
+	if err != nil {
+		return false, fmt.Errorf("%s: %w", e.file, err)
+	}
+	for _, d := range diffs {
+		fmt.Fprintf(os.Stderr, "%s: %s\n", e.file, d)
+	}
 	held := true
-	if e.gated {
-		diffs, err := bench.Diff(committed, data)
-		if err != nil {
-			return false, fmt.Errorf("%s: %w", e.file, err)
-		}
-		for _, d := range diffs {
-			fmt.Fprintf(os.Stderr, "%s: %s\n", e.file, d)
-		}
-		switch {
-		case len(diffs) == 0:
-			fmt.Printf("%s reproduced exactly\n", e.file)
-		case !o.json:
-			fmt.Fprintf(os.Stderr, "%s: %d value(s) differ; regenerate with -json if the change is intended\n",
-				e.file, len(diffs))
-			held = false
-		}
+	switch {
+	case len(diffs) == 0:
+		fmt.Printf("%s reproduced exactly\n", e.file)
+	case !o.json:
+		fmt.Fprintf(os.Stderr, "%s: %d value(s) differ; regenerate with -json if the change is intended\n",
+			e.file, len(diffs))
+		held = false
 	}
 	if o.json {
 		if err := writeFile(filepath.Join(o.jsonDir, e.file), data); err != nil {
@@ -274,18 +288,6 @@ func writeMetrics(path string, col *obs.Collector) error {
 		return err
 	}
 	return writeFile(path, buf.Bytes())
-}
-
-// printOnly adapts an experiment that only prints a table.
-func printOnly[T any](run func() (T, error), write func(io.Writer, T)) func(*options) (any, error) {
-	return func(*options) (any, error) {
-		r, err := run()
-		if err != nil {
-			return nil, err
-		}
-		write(os.Stdout, r)
-		return nil, nil
-	}
 }
 
 // collectorsFor returns per-configuration collectors (and a dump
@@ -334,12 +336,14 @@ func appFigure(o *options, ncpu int) (any, error) {
 	return f, nil
 }
 
+// modeSwitch is the §7.4 switch-time measurement: 10 round trips under
+// the recompute policy, the paper's default.
 func modeSwitch(o *options) (any, error) {
 	opt := bench.Options{}
 	if o.metrics {
 		opt.Collector = obs.New(1)
 	}
-	r, err := bench.ModeSwitchBenchOpts(o.samples, o.policy, opt)
+	r, err := bench.ModeSwitchBenchOpts(10, core.TrackRecompute, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +356,7 @@ func modeSwitch(o *options) (any, error) {
 		}
 		bench.WriteTraceHealth(os.Stdout, "M-N", col)
 	}
-	return nil, nil
+	return r, nil
 }
 
 func chaos(o *options) (any, error) {

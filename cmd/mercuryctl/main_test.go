@@ -33,7 +33,7 @@ func TestSubcommands(t *testing.T) {
 		}},
 		{"", []string{"stats", "-tracking", "journal"}, []string{"mercury_core_attaches_total 1\n"}},
 		{"trace -o t.json", []string{"trace", "-o", tracePath}, []string{
-			"wrote " + tracePath + ": 23 spans (0 over budget)\n",
+			"wrote " + tracePath + ": 21 spans (0 over budget)\n",
 		}},
 		{"", []string{"chaos", "-seed", "3", "-episodes", "4"}, []string{
 			"seed 3: 4 episodes, 4 injected, 4 detected, 4 healed, 0 missed, 2 rolled back, 1 starved, 0 escalated",

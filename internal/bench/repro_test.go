@@ -146,6 +146,14 @@ func TestModeSwitchReproductionBands(t *testing.T) {
 	}
 }
 
+// TestModeSwitchBenchRejectsZeroSamples: the mean over no samples is
+// undefined, so the bench refuses instead of dividing by zero.
+func TestModeSwitchBenchRejectsZeroSamples(t *testing.T) {
+	if _, err := ModeSwitchBench(0, core.TrackRecompute); err == nil {
+		t.Fatal("ModeSwitchBench(0) returned no error")
+	}
+}
+
 func TestAblationReproductionBands(t *testing.T) {
 	a, err := TrackingAblation()
 	if err != nil {

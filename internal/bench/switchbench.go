@@ -33,8 +33,12 @@ func ModeSwitchBench(samples int, policy core.TrackingPolicy) (SwitchResult, err
 
 // ModeSwitchBenchOpts is ModeSwitchBench with explicit build options —
 // the way to attach a telemetry collector (opt.Collector) and get a
-// per-phase span decomposition of each measured switch.
+// per-phase span decomposition of each measured switch. samples must be
+// at least 1.
 func ModeSwitchBenchOpts(samples int, policy core.TrackingPolicy, opt Options) (SwitchResult, error) {
+	if samples < 1 {
+		return SwitchResult{}, fmt.Errorf("bench: %d mode-switch samples, want at least 1", samples)
+	}
 	opt.Policy = policy
 	s, err := Build(MN, opt)
 	if err != nil {
@@ -44,6 +48,7 @@ func ModeSwitchBenchOpts(samples int, policy core.TrackingPolicy, opt Options) (
 	res := SwitchResult{Policy: policy, Samples: samples}
 
 	var sumAttach, sumDetach hw.Cycles
+	var switchErr error
 	s.Run("switch-bench", func(p *guest.Proc) {
 		k := p.K
 		// Stand up background load: processes with populated address
@@ -66,12 +71,12 @@ func ModeSwitchBenchOpts(samples int, policy core.TrackingPolicy, opt Options) (
 		p.PipeRead(ready, switchLoadProcs)
 
 		for i := 0; i < samples; i++ {
-			if err := mc.SwitchSync(p.CPU(), core.ModePartialVirtual); err != nil {
-				panic(err)
+			if switchErr = mc.SwitchSync(p.CPU(), core.ModePartialVirtual); switchErr != nil {
+				break
 			}
 			sumAttach += mc.Stats.LastAttachCyc.Load()
-			if err := mc.SwitchSync(p.CPU(), core.ModeNative); err != nil {
-				panic(err)
+			if switchErr = mc.SwitchSync(p.CPU(), core.ModeNative); switchErr != nil {
+				break
 			}
 			sumDetach += mc.Stats.LastDetachCyc.Load()
 		}
@@ -80,6 +85,9 @@ func ModeSwitchBenchOpts(samples int, policy core.TrackingPolicy, opt Options) (
 			p.Wait()
 		}
 	})
+	if switchErr != nil {
+		return SwitchResult{}, fmt.Errorf("bench: mode switch: %w", switchErr)
+	}
 
 	res.ToVirtualMicros = s.Micros(sumAttach / hw.Cycles(samples))
 	res.ToNativeMicros = s.Micros(sumDetach / hw.Cycles(samples))

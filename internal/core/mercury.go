@@ -240,11 +240,6 @@ type Config struct {
 	Policy  TrackingPolicy
 	// KernelHz is the guest timer frequency (default 100 Hz).
 	KernelHz uint64
-	// ShadowPaging selects the VMM's shadow-paging mode instead of
-	// direct paging (§3.2.2). Mercury's default is direct mode: shadow
-	// mode makes every attach pay a full translation of the live page
-	// tables — measured by bench.PagingAblation. Uniprocessor only.
-	ShadowPaging bool
 	// MaxDeferrals bounds how many times one pending mode switch may be
 	// re-armed by the §5.1.1 retry timer before the request is abandoned
 	// and LastSwitchError reports starvation (default DefaultMaxDeferrals;
@@ -292,9 +287,6 @@ func New(cfg Config) (*Mercury, error) {
 	case TrackActive:
 		nat.Track = &vo.Tracker{V: v, D: dom}
 	case TrackJournal:
-		if cfg.ShadowPaging {
-			return nil, fmt.Errorf("core: the journal policy requires direct paging")
-		}
 		nat.Journal = v.EnableJournal(cfg.JournalEntries)
 	}
 	k, err := guest.Boot(m, guest.Config{
@@ -324,12 +316,6 @@ func New(cfg Config) (*Mercury, error) {
 		r.RegisterCounter(mc.Stats.Deferred, "core", "switch_deferred_total")
 		r.RegisterCounter(mc.Stats.FailedSwitches, "core", "switch_failed_total")
 		r.RegisterCounter(mc.Stats.StarvedSwitches, "core", "switch_starved_total")
-	}
-	if cfg.ShadowPaging {
-		if len(m.CPUs) > 1 {
-			return nil, fmt.Errorf("core: shadow paging is uniprocessor-only in this build")
-		}
-		v.ShadowMode = true
 	}
 	mc.retryTicks = m.Hz / guest.DefaultHzTicks // 10 ms
 	if cfg.BackoffSeed == 0 {

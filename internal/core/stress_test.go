@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/guest"
-	"repro/internal/hw"
 )
 
 // TestSwitchStressUnderPTChurn drives repeated attach/detach cycles
@@ -112,14 +111,5 @@ func TestJournalPolicySwitchRoundTrip(t *testing.T) {
 	}
 	if err := mc.CheckInvariants(boot); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestJournalPolicyRejectsShadowPaging: the ring records direct-paging
-// stores; the combination with shadow mode is refused at construction.
-func TestJournalPolicyRejectsShadowPaging(t *testing.T) {
-	m := hw.NewMachine(hw.Config{MemBytes: 64 << 20, NumCPUs: 1})
-	if _, err := New(Config{Machine: m, Policy: TrackJournal, ShadowPaging: true}); err == nil {
-		t.Fatal("journal policy with shadow paging accepted")
 	}
 }

@@ -237,25 +237,6 @@ func (mc *Mercury) attach(c *hw.CPU, f *hw.TrapFrame, target Mode) error {
 	}
 	ph.End(c.Now())
 
-	// -- shadow mode only: hardware must leave the guest's own tables
-	// and run on the freshly translated shadows (§3.2.2). Direct mode
-	// skips this entirely — the reason Mercury prefers it.
-	ph = obs.Begin(col, c.ID, c.Now(), "phase/shadow-translate")
-	if v.ShadowMode {
-		groot := c.ReadCR3()
-		if mc.Dom.HasPinned(groot) {
-			hwRoot, err := v.HWRoot(c, mc.Dom, groot)
-			if err != nil {
-				ph.End(c.Now())
-				rollback()
-				return fmt.Errorf("attach: building live shadow: %w", err)
-			}
-			mc.Dom.VCPU0().SetCR3(groot)
-			c.WriteCR3(hwRoot)
-		}
-	}
-	ph.End(c.Now())
-
 	// -- relocation (§4.2): swap the virtualization object pointer.
 	// The interrupted context then resumes deprivileged: kernel-mode
 	// frames get their privilege bits patched in the interrupt return
@@ -295,21 +276,11 @@ func (mc *Mercury) detach(c *hw.CPU, f *hw.TrapFrame) error {
 		}
 	}
 
-	// -- shadow mode only: point hardware back at the guest's own
-	// tables before the shadows are torn down.
-	ph := obs.Begin(col, c.ID, c.Now(), "phase/shadow-return")
-	if v.ShadowMode {
-		if groot := mc.Dom.VCPU0().CR3(); groot != 0 {
-			c.WriteCR3(groot)
-		}
-	}
-	ph.End(c.Now())
-
 	// -- frame accounting: drop the VMM's type/count state. Cheap —
 	// this asymmetry is why detach (~0.06 ms) is faster than attach
 	// (~0.22 ms) (§7.4). The journal policy is cheaper still: the table
 	// is frozen in place and the dirty-frame ring armed.
-	ph = obs.Begin(col, c.ID, c.Now(), "phase/frame-release")
+	ph := obs.Begin(col, c.ID, c.Now(), "phase/frame-release")
 	switch mc.Policy {
 	case TrackRecompute:
 		v.ReleaseFrameInfo(c, mc.Dom)

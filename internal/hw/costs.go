@@ -61,8 +61,6 @@ type CostModel struct {
 	// multicall buffer (the xen_mc_batch pattern)
 	PTValidatePin   Cycles // validating one present entry while pinning a PT page
 	FaultBounce     Cycles // VMM receiving a guest fault and bouncing it back
-	ShadowPerEntry  Cycles // translating one entry into a shadow table
-	ShadowPerTable  Cycles // allocating/initializing one shadow table
 	VCPUStateSwitch Cycles // saving/restoring vcpu state (segments, LDT,
 	// FPU flags) across a paravirtual context switch
 	EventSend       Cycles // raising an event channel notification
@@ -171,8 +169,6 @@ func DefaultCosts() *CostModel {
 		MulticallEnqueue: 8,
 		PTValidatePin:    130,
 		FaultBounce:      1400,
-		ShadowPerEntry:   190,
-		ShadowPerTable:   700,
 		VCPUStateSwitch:  7000,
 		EventSend:        350,
 		EventDeliver:     800,

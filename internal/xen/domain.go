@@ -99,8 +99,8 @@ type DomainStats struct {
 	MulticallOps atomic.Uint64 // ops carried inside those batches
 	MMUUpdates   atomic.Uint64
 	// FaultBounces is xen/fault_bounces_total: traps bounced into the
-	// guest's handler, plus the trap-and-emulate bounces (Emulate,
-	// EmulatePTEWrite) that vo.Virtual.TrapEmulate and the paging
+	// guest's handler, plus the trap-and-emulate bounces
+	// (EmulatePTEWrite) that vo.Virtual.TrapEmulate and the emulation
 	// ablation take instead of a hypercall.
 	FaultBounces *obs.Counter
 	EventsIn     atomic.Uint64

@@ -150,19 +150,6 @@ func (v *VMM) HypDomctlUnpause(c *hw.CPU, d *Domain, id DomID) error {
 	return nil
 }
 
-// Emulate charges the trap-and-emulate path for a non-performance-
-// critical sensitive instruction (§5.3: such code is not in a VO and
-// relies on trap-and-emulation to commit its effect).
-func (v *VMM) Emulate(c *hw.CPU, d *Domain, apply func()) {
-	c.Charge(v.M.Costs.WorldSwitch + v.M.Costs.FaultBounce)
-	if d != nil {
-		d.Stats.FaultBounces.Add(1)
-	}
-	prev := c.SetMode(hw.PL0)
-	apply()
-	c.SetMode(prev)
-}
-
 // HypUpdateDescriptor is update_descriptor: a deprivileged kernel cannot
 // write descriptor tables directly, and the VMM validates every update —
 // in particular, a guest may never install a descriptor more privileged

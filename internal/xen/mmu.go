@@ -192,11 +192,6 @@ func (v *VMM) pinTable(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
 	v.markPinned(root, true)
 	v.traceInstant(c, "xen/pin", uint64(d.ID))
 	d.pinnedRoots[root] = true
-	if v.ShadowMode {
-		if _, err := v.BuildShadowTree(c, d, root); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -208,9 +203,6 @@ func (v *VMM) unpinTable(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
 	delete(d.pinnedRoots, root)
 	v.markPinned(root, false)
 	v.traceInstant(c, "xen/unpin", uint64(d.ID))
-	if v.ShadowMode {
-		v.DropShadowTree(c, d, root)
-	}
 	v.devalidateL2(c, root, charge)
 	v.FT.PutRef(root)
 	return nil
@@ -256,11 +248,6 @@ func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, charge bool) error 
 		}
 	}
 	hw.WritePTE(v.M.Mem, u.Table, u.Index, u.New)
-	if v.ShadowMode && d != nil {
-		if err := v.syncShadowEntry(c, d, u); err != nil {
-			return err
-		}
-	}
 	if d != nil {
 		d.Stats.MMUUpdates.Add(1)
 	}
@@ -314,11 +301,7 @@ func (v *VMM) newBaseptrLocked(c *hw.CPU, d *Domain, root hw.PFN) error {
 			return err
 		}
 	}
-	hwRoot, err := v.HWRoot(c, d, root)
-	if err != nil {
-		return err
-	}
-	c.WriteCR3(hwRoot)
+	c.WriteCR3(root)
 	d.VCPU0().SetCR3(root)
 	return nil
 }
@@ -437,9 +420,6 @@ func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
 	for root := range d.pinnedRoots {
 		delete(d.pinnedRoots, root)
 		v.markPinned(root, false)
-		if v.ShadowMode {
-			v.DropShadowTree(c, d, root)
-		}
 		v.devalidateL2(c, root, true)
 		v.FT.PutRef(root)
 	}

@@ -178,11 +178,10 @@ func (w *shardWalk) pinRoot(root hw.PFN) error {
 }
 
 // RecomputeFrameInfoAuto dispatches between the serial and the sharded
-// parallel recompute. Shadow paging keeps shadow trees in lockstep with
-// pinning and stays on the serial path (it is UP-only anyway), as does
-// any working set too small to shard.
+// parallel recompute. A working set too small to shard stays on the
+// serial path.
 func (v *VMM) RecomputeFrameInfoAuto(c *hw.CPU, d *Domain, roots []hw.PFN, workers int) error {
-	if workers >= 2 && len(roots) >= 2 && !v.ShadowMode {
+	if workers >= 2 && len(roots) >= 2 {
 		return v.RecomputeFrameInfoParallel(c, d, roots, workers)
 	}
 	return v.RecomputeFrameInfo(c, d, roots)
@@ -195,7 +194,7 @@ func (v *VMM) RecomputeFrameInfoParallel(c *hw.CPU, d *Domain, roots []hw.PFN, w
 	if workers > len(roots) {
 		workers = len(roots)
 	}
-	if workers < 2 || v.ShadowMode {
+	if workers < 2 {
 		return v.RecomputeFrameInfo(c, d, roots)
 	}
 	v.mmu.Lock(c)

@@ -40,20 +40,13 @@ type VMM struct {
 	// sched is the credit-weight domain scheduler state.
 	sched DomSched
 
-	// ShadowMode selects shadow paging instead of direct paging
-	// (§3.2.2): hardware runs on VMM-maintained translated copies of
-	// the guest tables. Direct mode is the default (and the paper's
-	// choice for Mercury).
-	ShadowMode bool
-	shadows    map[DomID]*shadowState
-
 	// cur is the per-physical-CPU stack of domains being executed; the
 	// top is the current domain on that CPU.
 	cur [][]*Domain
 
-	// mmu serializes frame-table mutation (validation, pinning, shadow
-	// maintenance) across CPUs, as Xen's per-domain page lock does, and
-	// like Xen's spin_lock_irqsave masks the holder's interrupts.
+	// mmu serializes frame-table mutation (validation, pinning) across
+	// CPUs, as Xen's per-domain page lock does, and like Xen's
+	// spin_lock_irqsave masks the holder's interrupts.
 	mmu hw.SpinLock
 
 	// injectPinFails makes the next N table pins fail with a transient

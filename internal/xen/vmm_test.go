@@ -86,26 +86,6 @@ func TestConsoleIO(t *testing.T) {
 	}
 }
 
-func TestEmulateRunsAtPL0(t *testing.T) {
-	v, d, c := testVMM(t)
-	c.SetMode(hw.PL1)
-	var seen uint8 = 99
-	before := c.Now()
-	v.Emulate(c, d, func() { seen = c.CPL })
-	if seen != hw.PL0 {
-		t.Fatalf("emulation ran at PL%d", seen)
-	}
-	if c.CPL != hw.PL1 {
-		t.Fatal("CPL not restored")
-	}
-	if c.Now()-before < v.M.Costs.WorldSwitch {
-		t.Fatal("trap-and-emulate not charged")
-	}
-	if d.Stats.FaultBounces.Load() == 0 {
-		t.Fatal("bounce not counted")
-	}
-}
-
 func TestDeviceIRQForwardedToDriverDomain(t *testing.T) {
 	// A physical disk interrupt while an unprivileged domain runs must
 	// reach the *driver* domain's handler.
