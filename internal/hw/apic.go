@@ -12,8 +12,18 @@ import (
 // path: the control processor posts VecModeSwitchAP to every other core
 // and the cores rendezvous on shared counters.
 type LAPIC struct {
-	mu      sync.Mutex
-	pending []pendingVec // FIFO of pending vectors
+	mu sync.Mutex
+	// pending[head:] is the FIFO of pending vectors. An emptied queue
+	// restarts at its array's base, and a full one compacts before it
+	// grows, so a steady post/take stream reuses one array.
+	pending []pendingVec
+	head    int
+
+	// due is the poll word the owner reads without mu on every Charge:
+	// 0 while any vector is pending, else the armed timer's deadline,
+	// else never. Every method that changes the queue or the timer
+	// rewrites it under mu (setDue).
+	due atomic.Uint64
 
 	// cpu is the owning CPU, woken by a post while it is halted.
 	cpu *CPU
@@ -55,7 +65,12 @@ func (l *LAPIC) Post(from *CPU, vector int) {
 	}
 	ts := from.Clk.Read()
 	l.mu.Lock()
+	if l.head > 0 && len(l.pending) == cap(l.pending) {
+		n := copy(l.pending, l.pending[l.head:])
+		l.pending, l.head = l.pending[:n], 0
+	}
 	l.pending = append(l.pending, pendingVec{vec: vector, posted: ts})
+	l.setDue()
 	l.mu.Unlock()
 	l.cpu.posted(ts)
 }
@@ -74,16 +89,36 @@ func (l *LAPIC) ClearDropped() uint64 {
 	return l.dropped.Swap(0)
 }
 
-// take removes and returns the next pending vector plus its post stamp
-// (0 when the LAPIC has no clock).
+// setDue rewrites the poll word from the queue and the timer. Callers
+// hold mu.
+func (l *LAPIC) setDue() {
+	switch {
+	case l.head < len(l.pending):
+		l.due.Store(0)
+	case l.timerArmed:
+		l.due.Store(l.timerDeadline)
+	default:
+		l.due.Store(never)
+	}
+}
+
+// take removes and returns the next pending vector plus its post stamp.
+// The owner takes a pending vector at its next poll whatever the stamp:
+// one posted with a stamp ahead of the owner's clock is delivered at the
+// owner's next Charge, not when the owner's clock reaches the stamp.
+// Only a halted owner waits for the stamp (nextEvent).
 func (l *LAPIC) take() (vec int, posted Cycles, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.pending) == 0 {
+	if l.head == len(l.pending) {
 		return 0, 0, false
 	}
-	p := l.pending[0]
-	l.pending = l.pending[1:]
+	p := l.pending[l.head]
+	l.head++
+	if l.head == len(l.pending) {
+		l.pending, l.head = l.pending[:0], 0
+	}
+	l.setDue()
 	return p.vec, p.posted, true
 }
 
@@ -97,7 +132,7 @@ func (l *LAPIC) nextEvent(now Cycles, takes bool) Cycles {
 	if l.timerArmed && (takes || l.timerDeadline > now) {
 		at = l.timerDeadline
 	}
-	for i := 0; takes && i < len(l.pending); i++ {
+	for i := l.head; takes && i < len(l.pending); i++ {
 		at = min(at, l.pending[i].posted)
 	}
 	return max(at, now)
@@ -109,6 +144,7 @@ func (l *LAPIC) ArmTimer(deadline Cycles, vector int) {
 	l.timerArmed = true
 	l.timerDeadline = deadline
 	l.timerVec = vector
+	l.setDue()
 	l.mu.Unlock()
 }
 
@@ -116,6 +152,7 @@ func (l *LAPIC) ArmTimer(deadline Cycles, vector int) {
 func (l *LAPIC) DisarmTimer() {
 	l.mu.Lock()
 	l.timerArmed = false
+	l.setDue()
 	l.mu.Unlock()
 }
 
@@ -126,6 +163,7 @@ func (l *LAPIC) timerDue(now Cycles) (vec int, deadline Cycles, ok bool) {
 	defer l.mu.Unlock()
 	if l.timerArmed && now >= l.timerDeadline {
 		l.timerArmed = false
+		l.setDue()
 		return l.timerVec, l.timerDeadline, true
 	}
 	return 0, 0, false

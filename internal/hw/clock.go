@@ -1,9 +1,6 @@
 package hw
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Cycles counts simulated processor cycles.
 type Cycles = uint64
@@ -12,11 +9,22 @@ type Cycles = uint64
 // dual 3.0 GHz Xeon testbed (DELL SC 1420).
 const DefaultHz = 3_000_000_000
 
-// Clock is a per-CPU time-stamp counter. It is safe for concurrent reads;
-// only the owning CPU advances it.
+// Clock is a per-CPU time-stamp counter, owned by the goroutine that
+// executes on its CPU: only the owner advances it, and the count is a
+// plain word, so Advance is one add and Read one load. Another goroutine
+// may read it only when that read is already ordered after the owner's
+// last Advance, as these are:
+//   - the scheduler (sched.go) reads every enrolled CPU's clock under
+//     sched.mu on the turn holder, while the other CPUs are parked;
+//   - LAPIC.Post(nil, v) stamps with the owner's clock, so it is called
+//     only on the owner's goroutine;
+//   - NIC.Transmit to a wired peer reads the peer's clock on the one
+//     goroutine that drives both machines.
+//
+// Anything else needs its own synchronization with the owner.
 type Clock struct {
 	hz     uint64
-	cycles atomic.Uint64
+	cycles Cycles
 }
 
 // NewClock returns a clock ticking at hz cycles per second.
@@ -29,11 +37,12 @@ func NewClock(hz uint64) *Clock {
 
 // Advance moves the clock forward by n cycles and returns the new reading.
 func (c *Clock) Advance(n Cycles) Cycles {
-	return c.cycles.Add(n)
+	c.cycles += n
+	return c.cycles
 }
 
 // Read returns the current cycle count (the simulated RDTSC).
-func (c *Clock) Read() Cycles { return c.cycles.Load() }
+func (c *Clock) Read() Cycles { return c.cycles }
 
 // Hz returns the clock frequency.
 func (c *Clock) Hz() uint64 { return c.hz }

@@ -10,9 +10,10 @@ import (
 
 // CPU is one simulated processor. All guest-kernel, VMM and Mercury code
 // executes "on" a CPU by charging cycles to its clock and manipulating its
-// privileged state. One goroutine at a time executes on a CPU, and under
-// Machine.Run one CPU at a time executes on the host (sched.go); its
-// LAPIC may be posted to from any goroutine.
+// privileged state. One goroutine at a time executes on a CPU and owns
+// its clock (see Clock for who else may read it), and under Machine.Run
+// one CPU at a time executes on the host (sched.go); its LAPIC may be
+// posted to from any goroutine.
 type CPU struct {
 	ID int
 	M  *Machine
@@ -76,7 +77,10 @@ type CPUStats struct {
 // Charge advances the CPU's clock by n cycles, hands the turn on once
 // the clock passes the next-lowest CPU's (sched.go), and gives pending
 // interrupts a chance to be delivered. It is the single point through
-// which all simulated work flows.
+// which all simulated work flows, so its common path (no hand-over,
+// nothing due) takes no lock: one plain add to the owned clock, then
+// two compares of the new reading, against yieldAt and against the
+// LAPIC's poll word.
 func (c *CPU) Charge(n Cycles) {
 	if c.Clk.Advance(n) >= c.yieldAt.Load() {
 		c.handOver()
@@ -121,12 +125,18 @@ func (c *CPU) SetMode(cpl uint8) (prev uint8) {
 func (c *CPU) Work(n Cycles) { c.Charge(n) }
 
 // PollInterrupts delivers one pending interrupt if the CPU is accepting
-// them. Called from Charge and from idle loops.
+// them: the timer vector once its deadline has passed, else the oldest
+// pending vector. Called from Charge and from idle loops. While the
+// clock is short of the LAPIC's poll word nothing is due, and it
+// returns without touching the LAPIC's lock.
 func (c *CPU) PollInterrupts() {
 	if !c.IF || c.intrDepth > 0 {
 		return
 	}
 	now := c.Clk.Read()
+	if now < c.LAPIC.due.Load() {
+		return
+	}
 	if v, deadline, ok := c.LAPIC.timerDue(now); ok {
 		c.observeIRQLatency(now, deadline)
 		c.deliver(v, &TrapFrame{Vector: v})

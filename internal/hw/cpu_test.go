@@ -289,3 +289,32 @@ func TestStaleSelectorIretFaults(t *testing.T) {
 		t.Fatal("stale selector iret did not fault")
 	}
 }
+
+// BenchmarkCharge measures Charge's common path: a charge that hands no
+// turn on and finds nothing to deliver.
+func BenchmarkCharge(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		setup func(c *CPU)
+	}{
+		{"timer-armed", func(c *CPU) {
+			c.Sti()
+			c.LAPIC.ArmTimer(never-1, VecTimer)
+		}},
+		{"masked", func(c *CPU) { c.Cli() }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := testMachine(1).BootCPU()
+			idt := NewIDT("k")
+			idt.Set(VecTimer, Gate{Present: true, Target: PL0,
+				Handler: func(*CPU, *TrapFrame) { b.Fatal("timer fired") }})
+			c.Lgdt(NewGDT("k", PL0))
+			c.Lidt(idt)
+			bc.setup(c)
+			b.ResetTimer()
+			for range b.N {
+				c.Charge(1)
+			}
+		})
+	}
+}

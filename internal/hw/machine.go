@@ -102,6 +102,7 @@ func NewMachine(cfg Config) *Machine {
 			wake: sync.NewCond(&m.sched.mu),
 		}
 		c.LAPIC = &LAPIC{cpu: c}
+		c.LAPIC.due.Store(never)
 		c.yieldAt.Store(never)
 		m.CPUs = append(m.CPUs, c)
 	}

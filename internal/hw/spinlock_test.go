@@ -119,19 +119,24 @@ func TestSpinLockNilCPUOnlyBlocks(t *testing.T) {
 	}
 
 	// A CPU waiting on the nil holder spins with its clock advancing,
-	// and reports the wait.
+	// and reports the wait. The clock belongs to the spinner's
+	// goroutine, so the spinner detects its own advance: IF stays set
+	// while Lock spins, and a timer armed one cycle ahead fires during
+	// the spin.
+	spun := make(chan struct{})
+	c.IDTR.Set(VecTimer, Gate{Present: true, Target: PL0,
+		Handler: func(*CPU, *TrapFrame) { close(spun) }})
+	c.LAPIC.ArmTimer(before+1, VecTimer)
 	done := make(chan bool)
 	go func() {
 		contended := l.Lock(c)
 		l.Unlock(c)
 		done <- contended
 	}()
-	for c.Now() == before {
-		select {
-		case <-done:
-			t.Fatal("Lock(c) acquired a lock held by Lock(nil)")
-		default:
-		}
+	select {
+	case <-spun:
+	case <-done:
+		t.Fatal("Lock(c) acquired a lock held by Lock(nil)")
 	}
 	l.Unlock(nil)
 	if !<-done {
