@@ -244,3 +244,24 @@ func TestChaosInvariantsCleanSystem(t *testing.T) {
 		t.Fatalf("post-cycle invariants: %v", err)
 	}
 }
+
+// TestInvariantsCatchPinWhileNative: under the recompute policy a
+// detach drops every pin, so a frame still pinned while native is a
+// breach. The planted entry is otherwise well-formed (one typed L2 ref
+// and one existence ref), so only the pin check can catch it.
+func TestInvariantsCatchPinWhileNative(t *testing.T) {
+	mc := newMercury(t, 1, TrackRecompute)
+	c := mc.M.BootCPU()
+	const pfn = 300
+	saved := mc.VMM.FT.Get(pfn)
+	mc.VMM.FT.Set(pfn, xen.FrameInfo{Owner: saved.Owner, Type: xen.FrameL2,
+		TypeCount: 1, TotalRefs: 1, Pinned: true})
+	err := mc.CheckInvariants(c)
+	if want := "invariant: frame 300 still pinned while native"; err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %q", err, want)
+	}
+	mc.VMM.FT.Set(pfn, saved)
+	if err := mc.CheckInvariants(c); err != nil {
+		t.Fatalf("restored entry: %v", err)
+	}
+}

@@ -84,10 +84,8 @@ func (mc *Mercury) CheckInvariants(c *hw.CPU) error {
 	if !virtual && mc.Policy == TrackRecompute {
 		// The journal policy is exempt: it deliberately keeps the frame
 		// table (pins included) frozen as its detached snapshot.
-		for pfn := 0; pfn < mc.VMM.FT.NumFrames(); pfn++ {
-			if fi := mc.VMM.FT.Get(hw.PFN(pfn)); fi.Pinned {
-				return fmt.Errorf("invariant: frame %d still pinned while native", pfn)
-			}
+		if pfn, ok := mc.VMM.FT.FirstPinned(); ok {
+			return fmt.Errorf("invariant: frame %d still pinned while native", pfn)
 		}
 	}
 	if mc.Policy == TrackJournal {

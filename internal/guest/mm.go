@@ -317,7 +317,9 @@ func (as *AddrSpace) Mprotect(c *hw.CPU, base hw.VirtAddr, prot Prot) {
 	v.Prot = prot
 	k.lazyBegin(c)
 	defer k.lazyEnd(c)
-	batch := make([]xen.MMUUpdate, 0, 8)
+	// One update per resident page of the VMA: sized once, so the
+	// batch never regrows mid-walk.
+	batch := make([]xen.MMUUpdate, 0, min(v.Pages(), as.rss))
 	as.PT.VisitRange(v.Start, v.End, func(m pgtable.Mapping) bool {
 		cow := m.PTE.Cow()
 		flags := pteFlags(prot, cow) | hw.PTEPresent

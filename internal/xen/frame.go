@@ -2,6 +2,7 @@ package xen
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 )
@@ -57,55 +58,65 @@ type FrameInfo struct {
 	Pinned    bool   // explicitly pinned as a page-table root or table
 }
 
-// frameAcct is the resettable part of a frame's accounting. Ownership
-// lives in its own array so a detach can drop the whole accounting state
-// with one bulk zero without disturbing who owns what.
-type frameAcct struct {
-	Type      FrameType
-	Pinned    bool
-	TypeCount uint32 // references holding the current type
-	TotalRefs uint32 // all references (existence count)
+// frame is one physical frame's record: its owner, its accounting and
+// its dirty-set stamp, packed into 16 bytes so four frames share a
+// cache line and a reference update touches one line, as Xen keeps
+// owner, type and counts together in one struct page_info per frame.
+// Everything but owner and epoch is accounting, which Reset zeroes.
+type frame struct {
+	owner     DomID
+	typ       FrameType
+	pinned    bool
+	typeCount uint32 // references holding the current type
+	totalRefs uint32 // all references (existence count)
+	epoch     uint32 // the FrameTable epoch that last mutated the accounting
 }
 
-// FrameTable is the VMM's per-frame accounting array. Accounting state
-// (type/counts/pin) and ownership are split into parallel arrays: Reset
-// bulk-zeroes the accounting array while ownership persists across
-// detach/attach cycles.
+// info copies the record out as a FrameInfo.
+func (f *frame) info() FrameInfo {
+	return FrameInfo{
+		Owner:     f.owner,
+		Type:      f.typ,
+		TypeCount: f.typeCount,
+		TotalRefs: f.totalRefs,
+		Pinned:    f.pinned,
+	}
+}
+
+// FrameTable is the VMM's per-frame accounting: one frame record per
+// physical frame, so ownership, type, pin and counts of a frame sit in
+// one cache line. Ownership persists across detach/attach cycles;
+// Reset zeroes everything else.
 //
 // The table also keeps an epoch-stamped dirty set: every accounting
-// mutation records the frame as touched since the last Reset, so a
-// detach can charge cycles proportional to the frames the last attached
-// epoch actually dirtied instead of the whole table.
+// mutation records the frame as touched since the last Reset. A detach
+// therefore charges, and Reset clears, only the frames the last
+// attached epoch actually dirtied, not the whole table.
 type FrameTable struct {
-	owner []DomID
-	acct  []frameAcct
-	mem   *hw.PhysMem
-
-	touchEpoch []uint64
-	touched    []hw.PFN
-	epoch      uint64
+	frames  []frame
+	touched []hw.PFN
+	epoch   uint32
 }
 
 // NewFrameTable builds accounting for every frame of mem.
 func NewFrameTable(mem *hw.PhysMem) *FrameTable {
 	n := mem.NumFrames()
 	return &FrameTable{
-		owner: make([]DomID, n),
-		acct:  make([]frameAcct, n),
-		mem:   mem,
+		frames: make([]frame, n),
 		// touched is pre-sized to the table: the first attach dirties a
 		// large fraction of the working set, and append-growth there
 		// would reallocate the dirty set several times mid-recompute.
-		touchEpoch: make([]uint64, n),
-		touched:    make([]hw.PFN, 0, n),
-		epoch:      1,
+		touched: make([]hw.PFN, 0, n),
+		epoch:   1,
 	}
 }
 
-// touch records pfn as dirtied in the current epoch (deduplicated).
-func (ft *FrameTable) touch(pfn hw.PFN) {
-	if ft.touchEpoch[pfn] != ft.epoch {
-		ft.touchEpoch[pfn] = ft.epoch
+// touch records f, the record of pfn, as dirtied in the current epoch
+// (deduplicated). Every accounting mutation calls it, which is what
+// lets Reset clear only the touched list.
+func (ft *FrameTable) touch(f *frame, pfn hw.PFN) {
+	if f.epoch != ft.epoch {
+		f.epoch = ft.epoch
 		ft.touched = append(ft.touched, pfn)
 	}
 }
@@ -115,42 +126,44 @@ func (ft *FrameTable) touch(pfn hw.PFN) {
 func (ft *FrameTable) Touched() int { return len(ft.touched) }
 
 // Get returns a copy of the frame's info.
-func (ft *FrameTable) Get(pfn hw.PFN) FrameInfo {
-	a := ft.acct[pfn]
-	return FrameInfo{
-		Owner:     ft.owner[pfn],
-		Type:      a.Type,
-		TypeCount: a.TypeCount,
-		TotalRefs: a.TotalRefs,
-		Pinned:    a.Pinned,
-	}
-}
+func (ft *FrameTable) Get(pfn hw.PFN) FrameInfo { return ft.frames[pfn].info() }
 
 // SetOwner assigns a frame to a domain.
-func (ft *FrameTable) SetOwner(pfn hw.PFN, d DomID) { ft.owner[pfn] = d }
+func (ft *FrameTable) SetOwner(pfn hw.PFN, d DomID) { ft.frames[pfn].owner = d }
 
 // Set overwrites a frame's accounting entry wholesale. This deliberately
 // bypasses the type system — it exists for fault injection (bit-flips in
 // the accounting array) and for restoring a saved entry afterwards.
 func (ft *FrameTable) Set(pfn hw.PFN, fi FrameInfo) {
-	ft.owner[pfn] = fi.Owner
-	ft.acct[pfn] = frameAcct{
-		Type:      fi.Type,
-		TypeCount: fi.TypeCount,
-		TotalRefs: fi.TotalRefs,
-		Pinned:    fi.Pinned,
-	}
-	ft.touch(pfn)
+	f := &ft.frames[pfn]
+	f.owner = fi.Owner
+	f.typ = fi.Type
+	f.pinned = fi.Pinned
+	f.typeCount = fi.TypeCount
+	f.totalRefs = fi.TotalRefs
+	ft.touch(f, pfn)
 }
 
 // Reset clears type/count state for every frame while preserving
-// ownership: one bulk zero of the accounting array. A detach
-// (virtual -> native switch) resets the table; the next attach
-// recomputes it.
+// ownership. A detach (virtual -> native switch) resets the table; the
+// next attach recomputes it. Only the touched frames are cleared: every
+// accounting mutation touches its frame, so a frame with nonzero
+// accounting is on the touched list of the current epoch.
 func (ft *FrameTable) Reset() {
-	clear(ft.acct)
-	ft.epoch++
+	for _, pfn := range ft.touched {
+		f := &ft.frames[pfn]
+		*f = frame{owner: f.owner, epoch: f.epoch}
+	}
 	ft.touched = ft.touched[:0]
+	ft.epoch++
+	if ft.epoch == 0 {
+		// The stamp wrapped: a frame last touched 2^32 epochs ago would
+		// read as touched now. Re-zero every stamp and start over.
+		for i := range ft.frames {
+			ft.frames[i].epoch = 0
+		}
+		ft.epoch = 1
+	}
 }
 
 // ResetCharged is Reset with its cost charged to c: per touched frame,
@@ -172,85 +185,109 @@ func errType(pfn hw.PFN, have FrameType, haveCount uint32, want FrameType) error
 // reference does NOT validate entries here; validation is done by the
 // pin/validate paths, which charge cycles.
 func (ft *FrameTable) GetType(pfn hw.PFN, want FrameType) error {
-	fi := &ft.acct[pfn]
-	if fi.TypeCount != 0 && fi.Type != want {
-		return errType(pfn, fi.Type, fi.TypeCount, want)
-	}
-	fi.Type = want
-	fi.TypeCount++
-	ft.touch(pfn)
-	return nil
+	return ft.getType(&ft.frames[pfn], pfn, want)
 }
 
 // PutType drops one typed reference.
-func (ft *FrameTable) PutType(pfn hw.PFN) {
-	fi := &ft.acct[pfn]
-	if fi.TypeCount == 0 {
-		panic(fmt.Sprintf("xen: type count underflow on frame %d", pfn))
-	}
-	fi.TypeCount--
-	if fi.TypeCount == 0 {
-		fi.Type = FrameNone
-	}
-	ft.touch(pfn)
-}
+func (ft *FrameTable) PutType(pfn hw.PFN) { ft.putType(&ft.frames[pfn], pfn) }
 
 // GetRef takes one existence reference.
-func (ft *FrameTable) GetRef(pfn hw.PFN) {
-	ft.acct[pfn].TotalRefs++
-	ft.touch(pfn)
-}
+func (ft *FrameTable) GetRef(pfn hw.PFN) { ft.getRef(&ft.frames[pfn], pfn) }
 
 // PutRef drops one existence reference.
-func (ft *FrameTable) PutRef(pfn hw.PFN) {
-	fi := &ft.acct[pfn]
-	if fi.TotalRefs == 0 {
+func (ft *FrameTable) PutRef(pfn hw.PFN) { ft.putRef(&ft.frames[pfn], pfn) }
+
+// getType, putType, getRef and putRef are the four reference updates on
+// a frame record f already loaded for pfn: the page-table walks load a
+// frame's record once and apply all of an entry's updates to it.
+
+func (ft *FrameTable) getType(f *frame, pfn hw.PFN, want FrameType) error {
+	if f.typeCount != 0 && f.typ != want {
+		return errType(pfn, f.typ, f.typeCount, want)
+	}
+	f.typ = want
+	f.typeCount++
+	ft.touch(f, pfn)
+	return nil
+}
+
+func (ft *FrameTable) putType(f *frame, pfn hw.PFN) {
+	if f.typeCount == 0 {
+		panic(fmt.Sprintf("xen: type count underflow on frame %d", pfn))
+	}
+	f.typeCount--
+	if f.typeCount == 0 {
+		f.typ = FrameNone
+	}
+	ft.touch(f, pfn)
+}
+
+func (ft *FrameTable) getRef(f *frame, pfn hw.PFN) {
+	f.totalRefs++
+	ft.touch(f, pfn)
+}
+
+func (ft *FrameTable) putRef(f *frame, pfn hw.PFN) {
+	if f.totalRefs == 0 {
 		panic(fmt.Sprintf("xen: total ref underflow on frame %d", pfn))
 	}
-	fi.TotalRefs--
-	ft.touch(pfn)
+	f.totalRefs--
+	ft.touch(f, pfn)
 }
 
 // setPinned flips the pin mark on a frame.
 func (ft *FrameTable) setPinned(pfn hw.PFN, on bool) {
-	ft.acct[pfn].Pinned = on
-	ft.touch(pfn)
+	f := &ft.frames[pfn]
+	f.pinned = on
+	ft.touch(f, pfn)
 }
 
 // CheckInvariants verifies the accounting invariants the property tests
 // rely on. It returns the first violation found.
 func (ft *FrameTable) CheckInvariants() error {
-	for pfn := range ft.acct {
-		fi := &ft.acct[pfn]
-		if fi.TypeCount > fi.TotalRefs {
+	for pfn := range ft.frames {
+		f := &ft.frames[pfn]
+		if f.typeCount > f.totalRefs {
 			return fmt.Errorf("xen: frame %d: type count %d exceeds total refs %d",
-				pfn, fi.TypeCount, fi.TotalRefs)
+				pfn, f.typeCount, f.totalRefs)
 		}
-		if fi.TypeCount > 0 && fi.Type == FrameNone {
+		if f.typeCount > 0 && f.typ == FrameNone {
 			return fmt.Errorf("xen: frame %d: %d typed refs but type none",
-				pfn, fi.TypeCount)
+				pfn, f.typeCount)
 		}
-		if fi.TypeCount == 0 && fi.Type != FrameNone {
+		if f.typeCount == 0 && f.typ != FrameNone {
 			return fmt.Errorf("xen: frame %d: type %s with zero count",
-				pfn, fi.Type)
+				pfn, f.typ)
 		}
-		if fi.Pinned && fi.TypeCount == 0 {
+		if f.pinned && f.typeCount == 0 {
 			return fmt.Errorf("xen: frame %d pinned without a typed ref", pfn)
 		}
 	}
 	return nil
 }
 
-// Equal compares two tables entry by entry; the recompute-vs-active-
-// tracking property test uses it.
+// FirstPinned returns the lowest-numbered pinned frame, if any frame is
+// pinned. Under the recompute policy no frame may stay pinned while the
+// OS runs natively.
+func (ft *FrameTable) FirstPinned() (hw.PFN, bool) {
+	for pfn := range ft.frames {
+		if ft.frames[pfn].pinned {
+			return hw.PFN(pfn), true
+		}
+	}
+	return 0, false
+}
+
+// Equal compares two tables entry by entry, owners and accounting but
+// not dirty-set stamps; the recompute-vs-active-tracking property test
+// uses it.
 func (ft *FrameTable) Equal(o *FrameTable) error {
-	if len(ft.acct) != len(o.acct) {
+	if len(ft.frames) != len(o.frames) {
 		return fmt.Errorf("xen: frame tables differ in size")
 	}
-	for i := range ft.acct {
-		if ft.owner[i] != o.owner[i] || ft.acct[i] != o.acct[i] {
-			return fmt.Errorf("xen: frame %d differs: %+v vs %+v",
-				i, ft.Get(hw.PFN(i)), o.Get(hw.PFN(i)))
+	for i := range ft.frames {
+		if a, b := ft.frames[i].info(), o.frames[i].info(); a != b {
+			return fmt.Errorf("xen: frame %d differs: %+v vs %+v", i, a, b)
 		}
 	}
 	return nil
@@ -258,20 +295,12 @@ func (ft *FrameTable) Equal(o *FrameTable) error {
 
 // Clone deep-copies the table.
 func (ft *FrameTable) Clone() *FrameTable {
-	cp := &FrameTable{
-		owner:      make([]DomID, len(ft.owner)),
-		acct:       make([]frameAcct, len(ft.acct)),
-		mem:        ft.mem,
-		touchEpoch: make([]uint64, len(ft.touchEpoch)),
-		touched:    make([]hw.PFN, len(ft.touched)),
-		epoch:      ft.epoch,
+	return &FrameTable{
+		frames:  slices.Clone(ft.frames),
+		touched: slices.Clone(ft.touched),
+		epoch:   ft.epoch,
 	}
-	copy(cp.owner, ft.owner)
-	copy(cp.acct, ft.acct)
-	copy(cp.touchEpoch, ft.touchEpoch)
-	copy(cp.touched, ft.touched)
-	return cp
 }
 
 // NumFrames returns the table size.
-func (ft *FrameTable) NumFrames() int { return len(ft.acct) }
+func (ft *FrameTable) NumFrames() int { return len(ft.frames) }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/hw"
 )
@@ -156,5 +157,13 @@ func TestFrameAccountingBalanced(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameRecordSize: a frame's record stays 16 bytes, four to a
+// cache line, so a reference update touches one line.
+func TestFrameRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(frame{}); n != 16 {
+		t.Fatalf("frame record is %d bytes, want 16", n)
 	}
 }

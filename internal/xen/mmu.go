@@ -31,8 +31,9 @@ type MMUUpdate struct {
 // getTypeFresh takes a typed ref and reports whether this was the 0->1
 // transition (which obliges the caller to validate contents).
 func (v *VMM) getTypeFresh(pfn hw.PFN, want FrameType) (bool, error) {
-	fresh := v.FT.Get(pfn).TypeCount == 0
-	if err := v.FT.GetType(pfn, want); err != nil {
+	f := &v.FT.frames[pfn]
+	fresh := f.typeCount == 0
+	if err := v.FT.getType(f, pfn, want); err != nil {
 		return false, err
 	}
 	return fresh, nil
@@ -82,8 +83,7 @@ func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, charge bool) error {
 // devalidateL1 drops a typed L1 ref, releasing entry refs when it was the
 // last one.
 func (v *VMM) devalidateL1(c *hw.CPU, pt hw.PFN, charge bool) {
-	last := v.FT.Get(pt).TypeCount == 1
-	if last {
+	if v.FT.frames[pt].typeCount == 1 { // the last typed ref
 		table := hw.ViewTable(v.M.Mem, pt)
 		for i := 0; i < hw.PTEntries; i++ {
 			if pte := table.At(i); pte.Present() {
@@ -95,35 +95,38 @@ func (v *VMM) devalidateL1(c *hw.CPU, pt hw.PFN, charge bool) {
 	v.FT.PutType(pt)
 }
 
-// refMapping takes the refs a present leaf entry holds on its target.
+// refMapping takes the refs a present leaf entry holds on its target,
+// loading the target's frame record once for the owner check and both
+// refs.
 func (v *VMM) refMapping(d *Domain, pte hw.PTE) error {
 	pfn := pte.Frame()
 	if !v.M.Mem.Valid(pfn) {
 		return fmt.Errorf("xen: mapping of nonexistent frame %d", pfn)
 	}
-	fi := v.FT.Get(pfn)
-	if d != nil && fi.Owner != d.ID && fi.Owner != DomVMM {
+	f := &v.FT.frames[pfn]
+	if d != nil && f.owner != d.ID && f.owner != DomVMM {
 		// Foreign frames are only reachable via grants; the backend path
 		// maps those through GrantMap, not page tables.
 		return fmt.Errorf("xen: dom%d mapping foreign frame %d (owner dom%d)",
-			d.ID, pfn, fi.Owner)
+			d.ID, pfn, f.owner)
 	}
 	if pte.Writable() {
-		if err := v.FT.GetType(pfn, FrameWritable); err != nil {
+		if err := v.FT.getType(f, pfn, FrameWritable); err != nil {
 			return err
 		}
 	}
-	v.FT.GetRef(pfn)
+	v.FT.getRef(f, pfn)
 	return nil
 }
 
 // unrefMapping drops the refs a present leaf entry held.
 func (v *VMM) unrefMapping(pte hw.PTE) {
 	pfn := pte.Frame()
+	f := &v.FT.frames[pfn]
 	if pte.Writable() {
-		v.FT.PutType(pfn)
+		v.FT.putType(f, pfn)
 	}
-	v.FT.PutRef(pfn)
+	v.FT.putRef(f, pfn)
 }
 
 // validateL2 takes a typed L2 ref on root, validating referenced L1
@@ -161,8 +164,7 @@ func (v *VMM) validateL2(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
 
 // devalidateL2 drops a typed L2 ref.
 func (v *VMM) devalidateL2(c *hw.CPU, root hw.PFN, charge bool) {
-	last := v.FT.Get(root).TypeCount == 1
-	if last {
+	if v.FT.frames[root].typeCount == 1 { // the last typed ref
 		chargeOpt(c, charge, v.M.Costs.FrameRelease)
 		dir := hw.ViewTable(v.M.Mem, root)
 		for i := 0; i < hw.PTEntries; i++ {
@@ -396,17 +398,16 @@ func (v *VMM) RecomputeFrameInfo(c *hw.CPU, d *Domain, roots []hw.PFN) error {
 
 // recomputeLocked is the serial pin loop; the caller holds the MMU lock.
 func (v *VMM) recomputeLocked(c *hw.CPU, d *Domain, roots []hw.PFN) error {
-	var pinned []hw.PFN
-	for _, r := range roots {
+	for i, r := range roots {
 		if err := v.pinTable(c, d, r, true); err != nil {
-			for _, p := range pinned {
+			// Every root before r was pinned: unpin that prefix.
+			for _, p := range roots[:i] {
 				if uerr := v.unpinTable(c, d, p, false); uerr != nil {
 					panic(fmt.Sprintf("xen: recompute rollback: %v", uerr))
 				}
 			}
 			return fmt.Errorf("xen: recompute: %w", err)
 		}
-		pinned = append(pinned, r)
 	}
 	return nil
 }

@@ -251,3 +251,18 @@ func TestTraceDisabledIsFree(t *testing.T) {
 		t.Fatalf("a collector installed afterwards holds %d spans", n)
 	}
 }
+
+// TestRecomputeReleaseAllocFree: once warmed, an attach's recompute and
+// a detach's release allocate nothing, however many roots they pin.
+func TestRecomputeReleaseAllocFree(t *testing.T) {
+	v, d, c := testVMM(t)
+	roots := buildForest(t, v, d, 10, 40)
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+			t.Fatal(err)
+		}
+		v.ReleaseFrameInfo(c, d)
+	}); allocs != 0 {
+		t.Fatalf("recompute and release allocate %.0f times", allocs)
+	}
+}
