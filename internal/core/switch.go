@@ -194,17 +194,17 @@ func (mc *Mercury) attach(c *hw.CPU, f *hw.TrapFrame, target Mode) error {
 	}
 
 	// -- frame accounting (§5.1.2): under the recompute policy the
-	// (stale) table is rebuilt by scanning and pinning every live root —
-	// sharded across the CPUs parked at the rendezvous when there is
-	// more than one; under the journal policy only the dirty slots
-	// recorded while detached are replayed; under active tracking it is
-	// already valid. A validation failure here means the OS was in an
+	// (stale) table is rebuilt by one walk that scans and pins every live
+	// root, charged as if sharded across the CPUs parked at the
+	// rendezvous when there is more than one; under the journal policy
+	// only the dirty slots recorded while detached are replayed; under
+	// active tracking it is already valid. A validation failure here means the OS was in an
 	// inconsistent state (§8): roll back.
 	ph = obs.Begin(col, c.ID, c.Now(), "phase/frame-recompute")
 	var ferr error
 	switch mc.Policy {
 	case TrackRecompute:
-		ferr = v.RecomputeFrameInfoAuto(c, mc.Dom, k.LiveRoots(c), mc.recomputeWorkers())
+		ferr = v.RecomputeFrameInfo(c, mc.Dom, k.LiveRoots(c), mc.recomputeWorkers())
 	case TrackJournal:
 		ferr = v.JournalReattach(c, mc.Dom, k.LiveRoots(c), mc.recomputeWorkers())
 	}

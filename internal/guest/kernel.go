@@ -341,9 +341,9 @@ func (k *Kernel) validateResumeFrame(c *hw.CPU, f *hw.TrapFrame) {
 
 // LiveRoots returns the page-directory root of every live address space
 // — what Mercury's recompute pass must (re)validate at attach time. The
-// roots are sorted so walk order (and its cycle accounting, including
-// the sharded recompute's partition) does not inherit map-iteration
-// randomness.
+// roots are sorted so walk order, and with it the cycle accounting
+// (which roots share a shard of the sharded recompute, and so the
+// largest shard's tally), does not inherit map-iteration randomness.
 func (k *Kernel) LiveRoots(c *hw.CPU) []hw.PFN {
 	k.lk.Lock(c)
 	defer k.lk.Unlock(c)

@@ -85,8 +85,9 @@ type CostModel struct {
 	// during a native->virtual switch
 	FrameRelease Cycles // dropping the accounting for one present entry
 	// while devalidating a table at detach time
-	FrameMerge Cycles // folding one shard-local frame delta into the
-	// frame table when the recompute is parallelized
+	FrameMerge Cycles // folding one frame's accounting back together
+	// from the shards of a sharded attach recompute, per distinct frame
+	// the walk touched
 	JournalAppend Cycles // appending one entry to the dirty-frame
 	// journal on the native PTE-write path
 	JournalReplayEntry Cycles // verifying and replaying one condensed

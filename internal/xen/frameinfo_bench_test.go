@@ -10,7 +10,7 @@ func BenchmarkRecomputeFrameInfo(b *testing.B) {
 	roots := buildForest(b, v, d, 10, 410)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+		if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -25,7 +25,7 @@ func BenchmarkReleaseFrameInfo(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+		if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

@@ -335,7 +335,7 @@ func (j *DirtyJournal) deltaTouch(pfn hw.PFN) {
 func (v *VMM) JournalReattach(c *hw.CPU, d *Domain, roots []hw.PFN, workers int) error {
 	j := v.journal
 	if j == nil {
-		return v.RecomputeFrameInfoAuto(c, d, roots, workers)
+		return v.RecomputeFrameInfo(c, d, roots, workers)
 	}
 	// The MMU lock masks interrupts, so the journal lock nested inside
 	// it never spans a Charge that could deliver one.
@@ -376,7 +376,7 @@ func (v *VMM) journalFallback(c *hw.CPU, d *Domain, roots []hw.PFN, workers int)
 	}
 	v.FT.ResetCharged(c, v.M.Costs.FrameRelease)
 	v.mmu.Unlock(c)
-	return v.RecomputeFrameInfoAuto(c, d, roots, workers)
+	return v.RecomputeFrameInfo(c, d, roots, workers)
 }
 
 // replayLocked verifies and applies the journal (MMU lock and j.mu

@@ -18,7 +18,7 @@ func journalWrite(v *VMM, j *DirtyJournal, table hw.PFN, idx int, e hw.PTE) {
 func canonical(t *testing.T, v *VMM, d *Domain, c *hw.CPU, roots []hw.PFN) *FrameTable {
 	t.Helper()
 	v.ReleaseFrameInfo(c, d)
-	if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
 		t.Fatal(err)
 	}
 	return v.FT.Clone()
@@ -29,7 +29,7 @@ func TestJournalReplayMatchesRecompute(t *testing.T) {
 	j := v.EnableJournal(0)
 	tb, data := buildTree(t, v, d, 8)
 	roots := []hw.PFN{tb.Root}
-	if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +91,7 @@ func TestJournalOverflowFallsBack(t *testing.T) {
 	j := v.EnableJournal(2)
 	tb, data := buildTree(t, v, d, 6)
 	roots := []hw.PFN{tb.Root}
-	if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
 		t.Fatal(err)
 	}
 	v.JournalDetach(c, d)
@@ -120,7 +120,7 @@ func TestJournalStructuralChangeFallsBack(t *testing.T) {
 	j := v.EnableJournal(0)
 	tb, _ := buildTree(t, v, d, 4)
 	roots := []hw.PFN{tb.Root}
-	if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
 		t.Fatal(err)
 	}
 	v.JournalDetach(c, d)
@@ -140,7 +140,7 @@ func TestJournalNonLeafStoreIsStructural(t *testing.T) {
 	j := v.EnableJournal(0)
 	tb, _ := buildTree(t, v, d, 4)
 	roots := []hw.PFN{tb.Root}
-	if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
 		t.Fatal(err)
 	}
 	v.JournalDetach(c, d)
@@ -158,7 +158,7 @@ func TestJournalCorruptionDetectedAndRetryable(t *testing.T) {
 	j := v.EnableJournal(0)
 	tb, data := buildTree(t, v, d, 6)
 	roots := []hw.PFN{tb.Root}
-	if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
 		t.Fatal(err)
 	}
 	v.JournalDetach(c, d)
@@ -206,7 +206,7 @@ func TestJournalReattachBeatsRecompute(t *testing.T) {
 	roots := []hw.PFN{tb.Root}
 
 	before := c.Now()
-	if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
 		t.Fatal(err)
 	}
 	fullAttach := c.Now() - before
@@ -250,7 +250,7 @@ func TestJournalRecordReplayAllocFree(t *testing.T) {
 	j := v.EnableJournal(0)
 	tb, _ := buildTree(t, v, d, 4)
 	roots := []hw.PFN{tb.Root}
-	if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
 		t.Fatal(err)
 	}
 

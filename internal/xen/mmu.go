@@ -28,44 +28,65 @@ type MMUUpdate struct {
 	New   hw.PTE
 }
 
-// getTypeFresh takes a typed ref and reports whether this was the 0->1
-// transition (which obliges the caller to validate contents).
-func (v *VMM) getTypeFresh(pfn hw.PFN, want FrameType) (bool, error) {
+// getTypeFresh takes a typed page-table ref and reports whether this was
+// the 0->1 transition (which obliges the caller to validate contents).
+func (v *VMM) getTypeFresh(pfn hw.PFN, want FrameType, s sink) (bool, error) {
 	f := &v.FT.frames[pfn]
 	fresh := f.typeCount == 0
 	if err := v.FT.getType(f, pfn, want); err != nil {
 		return false, err
 	}
+	if s == sinkTally {
+		v.shards.claim(pfn, true)
+	}
 	return fresh, nil
 }
 
-// chargeOpt charges c only when charging is enabled; the active-tracking
-// mirror path (native mode, §5.1.2 "first approach") uses the same
-// validation logic with its own small per-op cost charged by the caller.
-func chargeOpt(c *hw.CPU, on bool, n hw.Cycles) {
-	if on {
+// sink says where a page-table walk's cycles go.
+type sink uint8
+
+const (
+	// sinkNone drops them: the active-tracking mirror (native mode,
+	// §5.1.2 "first approach") runs the same validation with its own
+	// small per-op cost charged by the caller, and a rollback is free.
+	sinkNone sink = iota
+	// sinkCharge charges each step to the CPU as it happens.
+	sinkCharge
+	// sinkTally adds each step to the current shard of a sharded attach
+	// recompute and claims the frames it references
+	// (recompute_parallel.go); the recompute charges the largest shard
+	// once the walk is done.
+	sinkTally
+)
+
+// cost sends n cycles of walk work to s.
+func (v *VMM) cost(c *hw.CPU, s sink, n hw.Cycles) {
+	switch s {
+	case sinkCharge:
 		c.Charge(n)
+	case sinkTally:
+		v.shards.cycles[v.shards.cur] += n
 	}
 }
 
 // validateL1 takes a typed L1 ref on pt, scanning and referencing its
 // entries if this is the first typed ref.
-func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, charge bool) error {
-	fresh, err := v.getTypeFresh(pt, FrameL1)
+func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, s sink) error {
+	fresh, err := v.getTypeFresh(pt, FrameL1, s)
 	if err != nil {
 		return err
 	}
 	if !fresh {
 		return nil
 	}
-	chargeOpt(c, charge, v.M.Costs.FrameValidate)
+	v.cost(c, s, v.M.Costs.FrameValidate)
 	table := hw.ViewTable(v.M.Mem, pt)
 	for i := 0; i < hw.PTEntries; i++ {
 		pte := table.At(i)
 		if !pte.Present() {
 			continue
 		}
-		chargeOpt(c, charge, v.M.Costs.PTValidatePin)
+		v.cost(c, s, v.M.Costs.PTValidatePin)
 		if err := v.refMapping(d, pte); err != nil {
 			// Roll back what we validated so far.
 			for j := 0; j < i; j++ {
@@ -77,17 +98,20 @@ func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, charge bool) error {
 			return fmt.Errorf("xen: validating L1 frame %d entry %d: %w", pt, i, err)
 		}
 	}
+	if s == sinkTally {
+		v.shards.claimEntries(table)
+	}
 	return nil
 }
 
 // devalidateL1 drops a typed L1 ref, releasing entry refs when it was the
 // last one.
-func (v *VMM) devalidateL1(c *hw.CPU, pt hw.PFN, charge bool) {
+func (v *VMM) devalidateL1(c *hw.CPU, pt hw.PFN, s sink) {
 	if v.FT.frames[pt].typeCount == 1 { // the last typed ref
 		table := hw.ViewTable(v.M.Mem, pt)
 		for i := 0; i < hw.PTEntries; i++ {
 			if pte := table.At(i); pte.Present() {
-				chargeOpt(c, charge, v.M.Costs.FrameRelease)
+				v.cost(c, s, v.M.Costs.FrameRelease)
 				v.unrefMapping(pte)
 			}
 		}
@@ -131,26 +155,26 @@ func (v *VMM) unrefMapping(pte hw.PTE) {
 
 // validateL2 takes a typed L2 ref on root, validating referenced L1
 // tables on the first ref.
-func (v *VMM) validateL2(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
-	fresh, err := v.getTypeFresh(root, FrameL2)
+func (v *VMM) validateL2(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
+	fresh, err := v.getTypeFresh(root, FrameL2, s)
 	if err != nil {
 		return err
 	}
 	if !fresh {
 		return nil
 	}
-	chargeOpt(c, charge, v.M.Costs.FrameValidate)
+	v.cost(c, s, v.M.Costs.FrameValidate)
 	dir := hw.ViewTable(v.M.Mem, root)
 	for i := 0; i < hw.PTEntries; i++ {
 		pde := dir.At(i)
 		if !pde.Present() {
 			continue
 		}
-		chargeOpt(c, charge, v.M.Costs.PTValidatePin)
-		if err := v.validateL1(c, d, pde.Frame(), charge); err != nil {
+		v.cost(c, s, v.M.Costs.PTValidatePin)
+		if err := v.validateL1(c, d, pde.Frame(), s); err != nil {
 			for j := 0; j < i; j++ {
 				if p := dir.At(j); p.Present() {
-					v.devalidateL1(c, p.Frame(), false)
+					v.devalidateL1(c, p.Frame(), sinkNone)
 					v.FT.PutRef(p.Frame())
 				}
 			}
@@ -163,13 +187,13 @@ func (v *VMM) validateL2(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
 }
 
 // devalidateL2 drops a typed L2 ref.
-func (v *VMM) devalidateL2(c *hw.CPU, root hw.PFN, charge bool) {
+func (v *VMM) devalidateL2(c *hw.CPU, root hw.PFN, s sink) {
 	if v.FT.frames[root].typeCount == 1 { // the last typed ref
-		chargeOpt(c, charge, v.M.Costs.FrameRelease)
+		v.cost(c, s, v.M.Costs.FrameRelease)
 		dir := hw.ViewTable(v.M.Mem, root)
 		for i := 0; i < hw.PTEntries; i++ {
 			if pde := dir.At(i); pde.Present() {
-				v.devalidateL1(c, pde.Frame(), charge)
+				v.devalidateL1(c, pde.Frame(), s)
 				v.FT.PutRef(pde.Frame())
 			}
 		}
@@ -179,7 +203,7 @@ func (v *VMM) devalidateL2(c *hw.CPU, root hw.PFN, charge bool) {
 
 // pinTable validates and pins a page-directory root (internal; shared by
 // the hypercall and the adopt/recompute paths).
-func (v *VMM) pinTable(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
+func (v *VMM) pinTable(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
 	if v.injectPinFails.Load() > 0 {
 		v.injectPinFails.Add(-1)
 		return fmt.Errorf("xen: injected transient failure pinning root %d", root)
@@ -187,7 +211,7 @@ func (v *VMM) pinTable(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
 	if d.pinnedRoots[root] {
 		return fmt.Errorf("xen: dom%d re-pinning root %d", d.ID, root)
 	}
-	if err := v.validateL2(c, d, root, charge); err != nil {
+	if err := v.validateL2(c, d, root, s); err != nil {
 		return err
 	}
 	v.FT.GetRef(root)
@@ -198,14 +222,14 @@ func (v *VMM) pinTable(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
 }
 
 // unpinTable reverses pinTable.
-func (v *VMM) unpinTable(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
+func (v *VMM) unpinTable(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
 	if !d.pinnedRoots[root] {
 		return fmt.Errorf("xen: dom%d unpinning unknown root %d", d.ID, root)
 	}
 	delete(d.pinnedRoots, root)
 	v.markPinned(root, false)
 	v.traceInstant(c, "xen/unpin", uint64(d.ID))
-	v.devalidateL2(c, root, charge)
+	v.devalidateL2(c, root, s)
 	v.FT.PutRef(root)
 	return nil
 }
@@ -215,7 +239,7 @@ func (v *VMM) markPinned(root hw.PFN, on bool) {
 }
 
 // applyUpdate validates and applies one entry store (internal).
-func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, charge bool) error {
+func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, s sink) error {
 	fi := v.FT.Get(u.Table)
 	if fi.TypeCount == 0 || (fi.Type != FrameL1 && fi.Type != FrameL2) {
 		return fmt.Errorf("xen: mmu_update to frame %d which is %s, not a page table",
@@ -224,7 +248,7 @@ func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, charge bool) error 
 	if d != nil && fi.Owner != d.ID {
 		return fmt.Errorf("xen: dom%d updating foreign page table %d", d.ID, u.Table)
 	}
-	chargeOpt(c, charge, v.M.Costs.MMUUpdateEntry)
+	v.cost(c, s, v.M.Costs.MMUUpdateEntry)
 	old := hw.ReadPTE(v.M.Mem, u.Table, u.Index)
 
 	switch fi.Type {
@@ -239,13 +263,13 @@ func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, charge bool) error 
 		}
 	case FrameL2:
 		if u.New.Present() {
-			if err := v.validateL1(c, d, u.New.Frame(), charge); err != nil {
+			if err := v.validateL1(c, d, u.New.Frame(), s); err != nil {
 				return err
 			}
 			v.FT.GetRef(u.New.Frame())
 		}
 		if old.Present() {
-			v.devalidateL1(c, old.Frame(), charge)
+			v.devalidateL1(c, old.Frame(), s)
 			v.FT.PutRef(old.Frame())
 		}
 	}
@@ -268,7 +292,7 @@ func (v *VMM) HypMMUUpdate(c *hw.CPU, d *Domain, batch []MMUUpdate) error {
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
 	for _, u := range batch {
-		if err := v.applyUpdate(c, d, u, true); err != nil {
+		if err := v.applyUpdate(c, d, u, sinkCharge); err != nil {
 			return err
 		}
 	}
@@ -281,7 +305,7 @@ func (v *VMM) HypPinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
 	defer v.exitFast(c, d, fr)
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
-	return v.pinTable(c, d, root, true)
+	return v.pinTable(c, d, root, sinkCharge)
 }
 
 // HypUnpinTable is MMUEXT_UNPIN_TABLE.
@@ -290,7 +314,7 @@ func (v *VMM) HypUnpinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
 	defer v.exitFast(c, d, fr)
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
-	return v.unpinTable(c, d, root, true)
+	return v.unpinTable(c, d, root, sinkCharge)
 }
 
 // newBaseptrLocked installs root as the guest's page-directory base
@@ -299,7 +323,7 @@ func (v *VMM) HypUnpinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
 // the multicall dispatcher.
 func (v *VMM) newBaseptrLocked(c *hw.CPU, d *Domain, root hw.PFN) error {
 	if !d.pinnedRoots[root] {
-		if err := v.pinTable(c, d, root, true); err != nil {
+		if err := v.pinTable(c, d, root, sinkCharge); err != nil {
 			return err
 		}
 	}
@@ -358,7 +382,7 @@ func (v *VMM) MirrorPTEWrite(c *hw.CPU, d *Domain, u MMUUpdate) error {
 	c.Charge(v.M.Costs.MirrorUpdate)
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
-	return v.applyUpdate(c, d, u, false)
+	return v.applyUpdate(c, d, u, sinkNone)
 }
 
 // MirrorPinRoot registers a new root under active tracking.
@@ -366,7 +390,7 @@ func (v *VMM) MirrorPinRoot(c *hw.CPU, d *Domain, root hw.PFN) error {
 	c.Charge(v.M.Costs.MirrorUpdate)
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
-	return v.pinTable(c, d, root, false)
+	return v.pinTable(c, d, root, sinkNone)
 }
 
 // MirrorUnpinRoot unregisters a root under active tracking.
@@ -374,7 +398,7 @@ func (v *VMM) MirrorUnpinRoot(c *hw.CPU, d *Domain, root hw.PFN) error {
 	c.Charge(v.M.Costs.MirrorUpdate)
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
-	return v.unpinTable(c, d, root, false)
+	return v.unpinTable(c, d, root, sinkNone)
 }
 
 // --- Mercury attach/detach support ---
@@ -385,31 +409,46 @@ func (v *VMM) MirrorUnpinRoot(c *hw.CPU, d *Domain, root hw.PFN) error {
 // switch" strategy and accounts for most of the 0.22 ms native->virtual
 // switch time (§5.1.2, §7.4).
 //
+// workers is how many CPUs may share the walk: at attach every other
+// CPU is parked at the §5.4 rendezvous. With two or more workers and
+// roots, the walk is charged as if its roots were dealt round-robin to
+// that many CPUs and walked in parallel (recompute_parallel.go); the
+// frame table it builds is the same either way.
+//
 // The operation is transactional: if any root fails validation (the OS
 // was in an inconsistent state, e.g. a page-table page reachable
 // writable), every root pinned so far is unpinned again and the frame
 // table is left exactly as before — the substrate for Mercury's
 // failure-resistant mode switch.
-func (v *VMM) RecomputeFrameInfo(c *hw.CPU, d *Domain, roots []hw.PFN) error {
+func (v *VMM) RecomputeFrameInfo(c *hw.CPU, d *Domain, roots []hw.PFN, workers int) error {
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
-	return v.recomputeLocked(c, d, roots)
-}
-
-// recomputeLocked is the serial pin loop; the caller holds the MMU lock.
-func (v *VMM) recomputeLocked(c *hw.CPU, d *Domain, roots []hw.PFN) error {
+	shards := min(workers, len(roots))
+	s := sinkCharge
+	if shards >= 2 {
+		s = sinkTally
+		v.shards.begin(shards, v.FT.NumFrames())
+	}
+	var err error
 	for i, r := range roots {
-		if err := v.pinTable(c, d, r, true); err != nil {
+		if s == sinkTally {
+			v.shards.cur = i % shards
+		}
+		if err = v.pinTable(c, d, r, s); err != nil {
 			// Every root before r was pinned: unpin that prefix.
 			for _, p := range roots[:i] {
-				if uerr := v.unpinTable(c, d, p, false); uerr != nil {
+				if uerr := v.unpinTable(c, d, p, sinkNone); uerr != nil {
 					panic(fmt.Sprintf("xen: recompute rollback: %v", uerr))
 				}
 			}
-			return fmt.Errorf("xen: recompute: %w", err)
+			err = fmt.Errorf("xen: recompute: %w", err)
+			break
 		}
 	}
-	return nil
+	if s == sinkTally {
+		v.chargeShards(c, len(roots), err == nil)
+	}
+	return err
 }
 
 // ReleaseFrameInfo forgets the accounting for an adopted domain when the
@@ -421,7 +460,7 @@ func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
 	for root := range d.pinnedRoots {
 		delete(d.pinnedRoots, root)
 		v.markPinned(root, false)
-		v.devalidateL2(c, root, true)
+		v.devalidateL2(c, root, sinkCharge)
 		v.FT.PutRef(root)
 	}
 }
@@ -443,7 +482,7 @@ func (v *VMM) EmulatePTEWrite(c *hw.CPU, d *Domain, u MMUUpdate) error {
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
 	prev := c.SetMode(hw.PL0)
-	err := v.applyUpdate(c, d, u, true)
+	err := v.applyUpdate(c, d, u, sinkCharge)
 	c.SetMode(prev)
 	c.Charge(v.M.Costs.FaultExit)
 	return err

@@ -215,7 +215,7 @@ func TestRecomputeMatchesActiveTracking(t *testing.T) {
 
 	// Recompute path: drop everything, rebuild from the same tables.
 	v.ReleaseFrameInfo(c, d)
-	if err := v.RecomputeFrameInfo(c, d, []hw.PFN{tb.Root, tb2.Root}); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, []hw.PFN{tb.Root, tb2.Root}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.FT.Equal(active); err != nil {
@@ -238,7 +238,7 @@ func TestReleaseFrameInfoCheap(t *testing.T) {
 	v, d, c := testVMM(t)
 	tb, _ := buildTree(t, v, d, 64)
 	before := c.Now()
-	if err := v.RecomputeFrameInfo(c, d, []hw.PFN{tb.Root}); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, []hw.PFN{tb.Root}, 1); err != nil {
 		t.Fatal(err)
 	}
 	attach := c.Now() - before

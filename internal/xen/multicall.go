@@ -227,11 +227,11 @@ func (v *VMM) multicallLocked(c *hw.CPU, d *Domain, m *Multicall) error {
 		c.Charge(v.M.Costs.MulticallPerOp)
 		switch op.Kind {
 		case MCUpdate:
-			err = v.applyUpdate(c, d, op.Update, true)
+			err = v.applyUpdate(c, d, op.Update, sinkCharge)
 		case MCPin:
-			err = v.pinTable(c, d, op.Root, true)
+			err = v.pinTable(c, d, op.Root, sinkCharge)
 		case MCUnpin:
-			err = v.unpinTable(c, d, op.Root, true)
+			err = v.unpinTable(c, d, op.Root, sinkCharge)
 		case MCNewBaseptr:
 			if err = v.newBaseptrLocked(c, d, op.Root); err == nil {
 				// The CR3 load flushed the TLB; a flush requested

@@ -81,7 +81,7 @@ func threeWayRound(t *testing.T, seed int64, capacity int) {
 
 	// Phase B — serial recompute over the same memory.
 	v.ReleaseFrameInfo(c, d)
-	if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.FT.Equal(active); err != nil {
@@ -90,7 +90,7 @@ func threeWayRound(t *testing.T, seed int64, capacity int) {
 
 	// Phase C — parallel recompute.
 	v.ReleaseFrameInfo(c, d)
-	if err := v.RecomputeFrameInfoParallel(c, d, roots, 2+rng.Intn(3)); err != nil {
+	if err := v.RecomputeFrameInfo(c, d, roots, 2+rng.Intn(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.FT.Equal(active); err != nil {

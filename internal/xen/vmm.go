@@ -64,13 +64,9 @@ type VMM struct {
 	// journal tracking policy; see journal.go).
 	journal *DirtyJournal
 
-	// mergeCells/mergeOrder/mergeEpoch are the parallel recompute's
-	// reusable merge scratch (guarded by mmu; see
-	// recompute_parallel.go). Epoch-stamped per-frame cells replace the
-	// per-call maps so the merge allocates nothing after warm-up.
-	mergeCells []mergeCell
-	mergeOrder []hw.PFN
-	mergeEpoch uint64
+	// shards is the sharded recompute's tally and frame claims (guarded
+	// by mmu; see recompute_parallel.go).
+	shards shardTally
 
 	nextDomID  DomID
 	consoleLog []string
@@ -147,8 +143,9 @@ type VMMStats struct {
 	Activations   atomic.Uint64
 	Deactivations atomic.Uint64
 
-	// RecomputeFallbacks counts parallel recomputes that detected a
-	// cross-shard conflict and redid the walk serially.
+	// RecomputeFallbacks counts sharded recomputes whose shards could
+	// not have walked independently (a page-table frame reachable from
+	// two shards) and so were charged the serial walk on top.
 	RecomputeFallbacks atomic.Uint64
 }
 

@@ -253,16 +253,19 @@ func TestTraceDisabledIsFree(t *testing.T) {
 }
 
 // TestRecomputeReleaseAllocFree: once warmed, an attach's recompute and
-// a detach's release allocate nothing, however many roots they pin.
+// a detach's release allocate nothing, however many roots they pin and
+// however many CPUs the recompute is sharded across.
 func TestRecomputeReleaseAllocFree(t *testing.T) {
 	v, d, c := testVMM(t)
 	roots := buildForest(t, v, d, 10, 40)
-	if allocs := testing.AllocsPerRun(50, func() {
-		if err := v.RecomputeFrameInfo(c, d, roots); err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 2, 4} {
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := v.RecomputeFrameInfo(c, d, roots, workers); err != nil {
+				t.Fatal(err)
+			}
+			v.ReleaseFrameInfo(c, d)
+		}); allocs != 0 {
+			t.Errorf("recompute on %d workers and release allocate %.0f times", workers, allocs)
 		}
-		v.ReleaseFrameInfo(c, d)
-	}); allocs != 0 {
-		t.Fatalf("recompute and release allocate %.0f times", allocs)
 	}
 }
