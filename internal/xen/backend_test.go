@@ -350,7 +350,6 @@ func (f devFunc) Transmit(c *hw.CPU, data []byte) { f(c, data) }
 func TestMiscHypercalls(t *testing.T) {
 	v, d, c := testVMM(t)
 	v.HypSchedYield(c, d)
-	v.HypStackSwitch(c, d)
 	v.HypSetTimer(c, d, c.Now()+500)
 	if _, armed := c.LAPIC.NextTimerDeadline(); !armed {
 		t.Fatal("HypSetTimer did not arm")

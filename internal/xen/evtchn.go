@@ -49,7 +49,7 @@ func (d *Domain) SetPortHandler(p Port, h func(c *hw.CPU)) {
 
 // EvtchnAllocUnbound creates a port in d that remote may later bind to.
 func (v *VMM) EvtchnAllocUnbound(c *hw.CPU, d *Domain, remote DomID) Port {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	p := d.allocPort()
 	d.ports[p].state = chanUnbound
 	d.ports[p].allowedDom = remote
@@ -59,12 +59,12 @@ func (v *VMM) EvtchnAllocUnbound(c *hw.CPU, d *Domain, remote DomID) Port {
 // EvtchnBindInterdomain connects a new port in d to remoteDom's
 // unbound remotePort, completing the pair.
 func (v *VMM) EvtchnBindInterdomain(c *hw.CPU, d *Domain, remoteDom DomID, remotePort Port) (Port, error) {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	rd, ok := v.Domains[remoteDom]
 	if !ok {
 		return 0, fmt.Errorf("xen: bind to nonexistent dom%d", remoteDom)
 	}
-	if int(remotePort) >= len(rd.ports) || rd.ports[remotePort].state != chanUnbound {
+	if remotePort < 0 || int(remotePort) >= len(rd.ports) || rd.ports[remotePort].state != chanUnbound {
 		return 0, fmt.Errorf("xen: dom%d port %d not unbound", remoteDom, remotePort)
 	}
 	if rd.ports[remotePort].allowedDom != d.ID {
@@ -87,37 +87,28 @@ func (v *VMM) EvtchnBindInterdomain(c *hw.CPU, d *Domain, remoteDom DomID, remot
 // uniprocessor Xen behaviour); otherwise the event stays pending until
 // the remote next runs or re-enables its virtual IF.
 func (v *VMM) EvtchnSend(c *hw.CPU, d *Domain, p Port) error {
-	defer v.enter(c, d)()
-	if int(p) >= len(d.ports) || d.ports[p].state != chanInterdomain {
-		return fmt.Errorf("xen: dom%d send on invalid port %d", d.ID, p)
+	defer v.exit(c, d, v.enter(c, d))
+	rd, err := v.evtchnSend(c, d, p)
+	if err != nil {
+		return err
 	}
-	ch := d.ports[p]
-	rd := v.Domains[ch.remoteDom]
-	if rd == nil {
-		return fmt.Errorf("xen: dom%d send to vanished dom%d", d.ID, ch.remoteDom)
-	}
-	c.Charge(v.M.Costs.EventSend)
-	d.Stats.EventsOut.Add(1)
-	v.traceInstant(c, "xen/event-send", uint64(p))
-	rd.ports[ch.remotePort].pending = true
-	rd.Stats.EventsIn.Add(1)
-	c.WakeHalted(hw.VecReschedIPI, true) // a vCPU blocked on another CPU rechecks
 	v.maybeDeliverUpcall(c, rd)
 	return nil
 }
 
-// evtchnMarkPending is the in-batch half of an MCEvtchnSend op: it
-// validates the port, charges the send, and marks the remote end
-// pending — but defers the upcall to HypMulticall, which delivers it
-// for each kicked domain after the MMU lock drops.
-func (v *VMM) evtchnMarkPending(c *hw.CPU, d *Domain, p Port, m *Multicall) error {
-	if int(p) >= len(d.ports) || d.ports[p].state != chanInterdomain {
-		return fmt.Errorf("xen: dom%d send on invalid port %d", d.ID, p)
+// evtchnSend is an event send's body (EvtchnSend, MCEvtchnSend): it
+// validates the port, charges the send and marks the remote end
+// pending. It returns the remote domain, whose upcall the caller
+// delivers: EvtchnSend at once, HypMulticall after the batch, once the
+// MMU lock has dropped.
+func (v *VMM) evtchnSend(c *hw.CPU, d *Domain, p Port) (*Domain, error) {
+	if p < 0 || int(p) >= len(d.ports) || d.ports[p].state != chanInterdomain {
+		return nil, fmt.Errorf("xen: dom%d send on invalid port %d", d.ID, p)
 	}
 	ch := d.ports[p]
 	rd := v.Domains[ch.remoteDom]
 	if rd == nil {
-		return fmt.Errorf("xen: dom%d send to vanished dom%d", d.ID, ch.remoteDom)
+		return nil, fmt.Errorf("xen: dom%d send to vanished dom%d", d.ID, ch.remoteDom)
 	}
 	c.Charge(v.M.Costs.EventSend)
 	d.Stats.EventsOut.Add(1)
@@ -125,13 +116,7 @@ func (v *VMM) evtchnMarkPending(c *hw.CPU, d *Domain, p Port, m *Multicall) erro
 	rd.ports[ch.remotePort].pending = true
 	rd.Stats.EventsIn.Add(1)
 	c.WakeHalted(hw.VecReschedIPI, true) // a vCPU blocked on another CPU rechecks
-	for _, k := range m.kicked {
-		if k == rd {
-			return nil
-		}
-	}
-	m.kicked = append(m.kicked, rd)
-	return nil
+	return rd, nil
 }
 
 // maybeDeliverUpcall switches to rd and drains its pending ports if it is
@@ -143,7 +128,7 @@ func (v *VMM) maybeDeliverUpcall(c *hw.CPU, rd *Domain) {
 	if v.onStack(c, rd) {
 		return // will drain when control returns to rd
 	}
-	v.runInDomain(c, rd, func() {
+	v.RunInDomain(c, rd, func() {
 		v.drainPending(c, rd)
 	})
 }
@@ -184,7 +169,7 @@ func (v *VMM) SetVIF(c *hw.CPU, d *Domain, on bool) {
 			}
 		}
 		if hasPending {
-			v.runInDomain(c, d, func() { v.drainPending(c, d) })
+			v.RunInDomain(c, d, func() { v.drainPending(c, d) })
 		}
 	} else if on {
 		v.drainPending(c, d)

@@ -42,7 +42,7 @@ func (d *Domain) GrantAccess(c *hw.CPU, to DomID, pfn hw.PFN, readonly bool) Gra
 // free-list for O(1) reuse.
 func (d *Domain) GrantEnd(c *hw.CPU, ref GrantRef) error {
 	c.Charge(d.VMM.M.Costs.MemWrite)
-	if int(ref) >= len(d.grants) || !d.grants[ref].inUse {
+	if ref < 0 || int(ref) >= len(d.grants) || !d.grants[ref].inUse {
 		return fmt.Errorf("xen: dom%d ending invalid grant %d", d.ID, ref)
 	}
 	if d.grants[ref].mapped != 0 {
@@ -53,22 +53,37 @@ func (d *Domain) GrantEnd(c *hw.CPU, ref GrantRef) error {
 	return nil
 }
 
+// grantTo returns the entry behind d's grant ref, checking that it is
+// live, granted to mapper and names an existing frame (GrantMap,
+// GrantMapBatch).
+func (d *Domain) grantTo(mapper *Domain, ref GrantRef) (*grantEntry, error) {
+	if ref < 0 || int(ref) >= len(d.grants) {
+		return nil, fmt.Errorf("xen: dom%d has no grant %d", d.ID, ref)
+	}
+	g := d.grants[ref]
+	if !g.inUse || g.toDom != mapper.ID {
+		return nil, fmt.Errorf("xen: dom%d grant %d not granted to dom%d",
+			d.ID, ref, mapper.ID)
+	}
+	if !d.VMM.M.Mem.Valid(g.pfn) {
+		return nil, fmt.Errorf("xen: dom%d grant %d names frame %d beyond memory",
+			d.ID, ref, g.pfn)
+	}
+	return g, nil
+}
+
 // GrantMap gives the calling (backend) domain access to the frame behind
 // (granterID, ref). It returns the frame and an unmap closure. This is
 // the grant_table_op hypercall.
 func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef) (hw.PFN, func(), error) {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	granter, ok := v.Domains[granterID]
 	if !ok {
 		return 0, nil, fmt.Errorf("xen: grant map from nonexistent dom%d", granterID)
 	}
-	if int(ref) >= len(granter.grants) {
-		return 0, nil, fmt.Errorf("xen: dom%d has no grant %d", granterID, ref)
-	}
-	g := granter.grants[ref]
-	if !g.inUse || g.toDom != d.ID {
-		return 0, nil, fmt.Errorf("xen: dom%d grant %d not granted to dom%d",
-			granterID, ref, d.ID)
+	g, err := granter.grantTo(d, ref)
+	if err != nil {
+		return 0, nil, err
 	}
 	c.Charge(v.M.Costs.GrantMap)
 	v.mmu.Lock(c)
@@ -96,7 +111,7 @@ func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef) (hw.
 // unmap closure. Validation is all-or-nothing — any bad ref fails the
 // batch with nothing mapped.
 func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantRef) ([]hw.PFN, func(), error) {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	granter, ok := v.Domains[granterID]
 	if !ok {
 		return nil, nil, fmt.Errorf("xen: grant map from nonexistent dom%d", granterID)
@@ -104,13 +119,9 @@ func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantR
 	entries := make([]*grantEntry, len(refs))
 	pfns := make([]hw.PFN, len(refs))
 	for i, ref := range refs {
-		if int(ref) >= len(granter.grants) {
-			return nil, nil, fmt.Errorf("xen: dom%d has no grant %d", granterID, ref)
-		}
-		g := granter.grants[ref]
-		if !g.inUse || g.toDom != d.ID {
-			return nil, nil, fmt.Errorf("xen: dom%d grant %d not granted to dom%d",
-				granterID, ref, d.ID)
+		g, err := granter.grantTo(d, ref)
+		if err != nil {
+			return nil, nil, err
 		}
 		entries[i] = g
 		pfns[i] = g.pfn

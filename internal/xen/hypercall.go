@@ -2,6 +2,7 @@ package xen
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/hw"
 )
@@ -18,43 +19,53 @@ type TrapEntry struct {
 
 // HypSetTrapTable is set_trap_table: the guest hands the VMM its
 // exception entry points so guest-bound traps can be bounced (§5.1.3).
-func (v *VMM) HypSetTrapTable(c *hw.CPU, d *Domain, entries []TrapEntry) {
-	defer v.enter(c, d)()
+func (v *VMM) HypSetTrapTable(c *hw.CPU, d *Domain, entries []TrapEntry) error {
+	defer v.exit(c, d, v.enter(c, d))
+	return v.setTrapTable(c, d, entries)
+}
+
+// setTrapTable is set_trap_table's body (HypSetTrapTable,
+// MCSetTrapTable). Every vector is bounded before any gate is written,
+// so a rejected table changes nothing.
+func (v *VMM) setTrapTable(c *hw.CPU, d *Domain, entries []TrapEntry) error {
+	for _, e := range entries {
+		if e.Vector < 0 || e.Vector >= hw.NumVectors {
+			return fmt.Errorf("xen: dom%d trap vector %d out of range", d.ID, e.Vector)
+		}
+	}
 	for _, e := range entries {
 		c.Charge(v.M.Costs.MemWrite)
-		d.TrapTable[e.Vector] = GuestGate{Present: true, Handler: e.Handler}
+		d.SetTrapGate(e.Vector, e.Handler)
 	}
+	return nil
 }
 
 // HypBindVirqTimer binds the virtual timer interrupt to a guest handler.
 func (v *VMM) HypBindVirqTimer(c *hw.CPU, d *Domain, h func(c *hw.CPU)) {
-	defer v.enter(c, d)()
-	d.TimerHandler = h
+	defer v.exit(c, d, v.enter(c, d))
+	v.bindVirqTimer(d, h)
 }
 
-// HypStackSwitch is stack_switch: the deprivileged kernel cannot reload
-// its own kernel stack pointer, so context switches make this call.
-func (v *VMM) HypStackSwitch(c *hw.CPU, d *Domain) {
-	defer v.enter(c, d)()
-	c.Charge(v.M.Costs.MemWrite * 2)
-}
+// bindVirqTimer is bind_virq(VIRQ_TIMER)'s body (HypBindVirqTimer,
+// MCBindVirqTimer).
+func (v *VMM) bindVirqTimer(d *Domain, h func(c *hw.CPU)) { d.TimerHandler = h }
 
 // HypSetTimer programs the domain's next timer interrupt via the VMM.
 func (v *VMM) HypSetTimer(c *hw.CPU, d *Domain, deadline hw.Cycles) {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	c.LAPIC.ArmTimer(deadline, hw.VecTimer)
 }
 
 // HypSchedYield is sched_op(yield).
 func (v *VMM) HypSchedYield(c *hw.CPU, d *Domain) {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	c.Charge(v.M.Costs.DomSwitch)
 }
 
 // HypSchedBlock is sched_op(block): the vcpu sleeps until an event is
 // pending for it.
 func (v *VMM) HypSchedBlock(c *hw.CPU, d *Domain) {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	c.IdleUntil(func() bool {
 		for _, ch := range d.ports {
 			if ch.pending {
@@ -68,7 +79,7 @@ func (v *VMM) HypSchedBlock(c *hw.CPU, d *Domain) {
 
 // HypConsoleIO appends to the domain's console buffer.
 func (v *VMM) HypConsoleIO(c *hw.CPU, d *Domain, s string) {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	c.Charge(hw.Cycles(len(s)) * v.M.Costs.MemWrite)
 	v.consoleLog = append(v.consoleLog, fmt.Sprintf("dom%d: %s", d.ID, s))
 }
@@ -80,7 +91,7 @@ func (v *VMM) ConsoleLog() []string { return v.consoleLog }
 // it (Mercury in partial-virtual mode uses it to host unmodified guests,
 // the M-U configuration).
 func (v *VMM) HypDomctlCreate(c *hw.CPU, d *Domain, name string, nframes hw.PFN) (*Domain, error) {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	if !d.Privileged {
 		return nil, fmt.Errorf("xen: dom%d is not privileged for domctl", d.ID)
 	}
@@ -92,7 +103,7 @@ func (v *VMM) HypDomctlCreate(c *hw.CPU, d *Domain, name string, nframes hw.PFN)
 // self-virtualized Mercury host uses to host unmodified guests (the M-U
 // configuration), since the machine pool was adopted by the running OS.
 func (v *VMM) HypDomctlCreateFromFrames(c *hw.CPU, d *Domain, name string, nframes hw.PFN) (*Domain, error) {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	if !d.Privileged {
 		return nil, fmt.Errorf("xen: dom%d is not privileged for domctl", d.ID)
 	}
@@ -105,7 +116,7 @@ func (v *VMM) HypDomctlCreateFromFrames(c *hw.CPU, d *Domain, name string, nfram
 
 // HypDomctlDestroy destroys a domain.
 func (v *VMM) HypDomctlDestroy(c *hw.CPU, d *Domain, id DomID) error {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	if !d.Privileged {
 		return fmt.Errorf("xen: dom%d is not privileged for domctl", d.ID)
 	}
@@ -118,35 +129,29 @@ func (v *VMM) HypDomctlDestroy(c *hw.CPU, d *Domain, id DomID) error {
 // HypDomctlPause pauses a domain (used by checkpoint and the
 // stop-and-copy phase of live migration).
 func (v *VMM) HypDomctlPause(c *hw.CPU, d *Domain, id DomID) error {
-	defer v.enter(c, d)()
-	if !d.Privileged {
-		return fmt.Errorf("xen: dom%d is not privileged for domctl", d.ID)
-	}
-	if takeInjected(&v.injectPauseFails) {
-		return fmt.Errorf("xen: injected transient failure pausing dom%d", id)
-	}
-	t, ok := v.Domains[id]
-	if !ok {
-		return fmt.Errorf("xen: pausing nonexistent dom%d", id)
-	}
-	t.State = DomPaused
-	return nil
+	return v.domctlSetState(c, d, id, &v.injectPauseFails, DomPaused, "pausing")
 }
 
 // HypDomctlUnpause resumes a paused domain.
 func (v *VMM) HypDomctlUnpause(c *hw.CPU, d *Domain, id DomID) error {
-	defer v.enter(c, d)()
+	return v.domctlSetState(c, d, id, &v.injectUnpauseFails, DomRunning, "unpausing")
+}
+
+// domctlSetState is pause's and unpause's body: a privileged caller
+// moves domain id to state st, unless inject holds a pending failure.
+func (v *VMM) domctlSetState(c *hw.CPU, d *Domain, id DomID, inject *atomic.Int32, st DomState, verb string) error {
+	defer v.exit(c, d, v.enter(c, d))
 	if !d.Privileged {
 		return fmt.Errorf("xen: dom%d is not privileged for domctl", d.ID)
 	}
-	if takeInjected(&v.injectUnpauseFails) {
-		return fmt.Errorf("xen: injected transient failure unpausing dom%d", id)
+	if takeInjected(inject) {
+		return fmt.Errorf("xen: injected transient failure %s dom%d", verb, id)
 	}
 	t, ok := v.Domains[id]
 	if !ok {
-		return fmt.Errorf("xen: unpausing nonexistent dom%d", id)
+		return fmt.Errorf("xen: %s nonexistent dom%d", verb, id)
 	}
-	t.State = DomRunning
+	t.State = st
 	return nil
 }
 
@@ -156,7 +161,7 @@ func (v *VMM) HypDomctlUnpause(c *hw.CPU, d *Domain, id DomID) error {
 // than its own level (DPL < 1), which would be a straight privilege
 // escalation.
 func (v *VMM) HypUpdateDescriptor(c *hw.CPU, d *Domain, g *hw.GDT, idx int, desc hw.SegDesc) error {
-	defer v.enter(c, d)()
+	defer v.exit(c, d, v.enter(c, d))
 	if idx <= 0 || idx >= len(g.Entries) {
 		return fmt.Errorf("xen: descriptor index %d out of range", idx)
 	}

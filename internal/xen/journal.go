@@ -26,10 +26,12 @@ import (
 // fallback.
 //
 // Replay is transactional and self-validating: every condensed slot is
-// checked against what memory actually contains (a corrupted or forged
-// record mismatches and fails the attach, feeding the failure-resistant
-// switch's rollback), and the accumulated deltas are validated against
-// the snapshot's type system before any of them is applied.
+// checked against what memory actually contains before anything is
+// applied (a corrupted or forged record mismatches and fails the attach,
+// feeding the failure-resistant switch's rollback). Each slot then goes
+// through mmu_update's ref rule for a leaf entry against the snapshot's
+// type system, and a slot that rule refuses rolls back the slots
+// already applied.
 
 // JournalEntry is one recorded native PTE store.
 type JournalEntry struct {
@@ -65,19 +67,13 @@ type DirtyJournal struct {
 
 	// Reusable replay scratch (guarded by mu, sized lazily on first
 	// use): slot condensation runs through an epoch-stamped
-	// open-addressing hash instead of a per-call map, and the frame
-	// deltas accumulate in NumFrames-indexed arrays. Replay therefore
+	// open-addressing hash instead of a per-call map, so replay
 	// performs zero heap allocation after warm-up — the attach path's
 	// AllocsPerRun gate depends on it.
-	slots      []journalSlot
-	slotHash   []slotHashCell
-	hashEpoch  uint64
-	deltaRefs  []int64
-	deltaWr    []int64
-	deltaEpoch []uint64
-	deltaSeen  uint64
-	deltaOrder []hw.PFN
-	finals     []int32
+	slots     []journalSlot
+	slotHash  []slotHashCell
+	hashEpoch uint64
+	finals    []int32
 }
 
 // slotHashCell is one open-addressing cell of the condensation hash:
@@ -276,11 +272,6 @@ func (j *DirtyJournal) ensureScratch() {
 	}
 	j.slotHash = make([]slotHashCell, size)
 	j.slots = make([]journalSlot, 0, j.capacity)
-	n := j.ft.NumFrames()
-	j.deltaRefs = make([]int64, n)
-	j.deltaWr = make([]int64, n)
-	j.deltaEpoch = make([]uint64, n)
-	j.deltaOrder = make([]hw.PFN, 0, 2*j.capacity)
 	j.finals = make([]int32, 0, j.capacity)
 }
 
@@ -314,17 +305,6 @@ func (j *DirtyJournal) condenseLocked() {
 			}
 			pos = (pos + 1) & mask
 		}
-	}
-}
-
-// deltaTouch marks pfn as carrying a delta this replay, zeroing its
-// accumulators on first touch.
-func (j *DirtyJournal) deltaTouch(pfn hw.PFN) {
-	if j.deltaEpoch[pfn] != j.deltaSeen {
-		j.deltaEpoch[pfn] = j.deltaSeen
-		j.deltaRefs[pfn] = 0
-		j.deltaWr[pfn] = 0
-		j.deltaOrder = append(j.deltaOrder, pfn)
 	}
 }
 
@@ -380,22 +360,19 @@ func (v *VMM) journalFallback(c *hw.CPU, d *Domain, roots []hw.PFN, workers int)
 }
 
 // replayLocked verifies and applies the journal (MMU lock and j.mu
-// held). Phase 1 condenses entries per slot and checks each slot's final
-// value against memory — the corruption detector. Phase 2 accumulates
-// the frame deltas and validates them against the snapshot's type
-// system. Phase 3 applies; nothing is written before everything has
-// validated.
+// held). It condenses the entries per slot and checks each slot's final
+// value against memory — the corruption detector — before applying
+// anything. Then each slot in first-touch order takes the refs of its
+// last new value and drops those of its first old one, as applyUpdate
+// does for an L1 entry; a slot refused on the way rolls back the slots
+// before it, so a failed replay leaves the snapshot as it was.
 //
 // All working state lives in the journal's reusable scratch, so replay
 // allocates nothing after its first run.
 func (v *VMM) replayLocked(c *hw.CPU, d *Domain, j *DirtyJournal) error {
-	// Phase 1: condense, in first-touch order.
 	j.condenseLocked()
 	c.Charge(v.M.Costs.JournalReplayEntry * hw.Cycles(len(j.slots)))
 	j.stats.ReplaySlots += uint64(len(j.slots))
-
-	j.deltaSeen++
-	j.deltaOrder = j.deltaOrder[:0]
 	for si := range j.slots {
 		s := &j.slots[si]
 		fi := v.FT.Get(s.table)
@@ -407,70 +384,52 @@ func (v *VMM) replayLocked(c *hw.CPU, d *Domain, j *DirtyJournal) error {
 			return fmt.Errorf("xen: journal replay: table %d[%d] holds %#x, journal says %#x",
 				s.table, s.idx, uint64(cur), uint64(s.lastNew))
 		}
-		if s.firstOld.Present() {
-			pfn := s.firstOld.Frame()
-			j.deltaTouch(pfn)
-			j.deltaRefs[pfn]--
-			if s.firstOld.Writable() {
-				j.deltaWr[pfn]--
+	}
+	for si := range j.slots {
+		s := &j.slots[si]
+		if err := v.replaySlot(d, s.firstOld, s.lastNew); err != nil {
+			// Roll back the applied prefix: each slot replays in reverse.
+			for k := si - 1; k >= 0; k-- {
+				if uerr := v.replaySlot(nil, j.slots[k].lastNew, j.slots[k].firstOld); uerr != nil {
+					panic(fmt.Sprintf("xen: journal replay rollback: %v", uerr))
+				}
 			}
-		}
-		if s.lastNew.Present() {
-			pfn := s.lastNew.Frame()
-			if !v.M.Mem.Valid(pfn) {
-				return fmt.Errorf("xen: journal replay: mapping of nonexistent frame %d", pfn)
-			}
-			if owner := v.FT.Get(pfn).Owner; owner != d.ID && owner != DomVMM {
-				return fmt.Errorf("xen: journal replay: dom%d mapping foreign frame %d (owner dom%d)",
-					d.ID, pfn, owner)
-			}
-			j.deltaTouch(pfn)
-			j.deltaRefs[pfn]++
-			if s.lastNew.Writable() {
-				j.deltaWr[pfn]++
-			}
+			return fmt.Errorf("xen: journal replay: table %d[%d]: %w", s.table, s.idx, err)
 		}
 	}
+	return nil
+}
 
-	// Phase 2: validate deltas against the snapshot.
-	for _, pfn := range j.deltaOrder {
-		fi := v.FT.Get(pfn)
-		wr, refs := j.deltaWr[pfn], j.deltaRefs[pfn]
-		if wr > 0 {
-			// A new writable mapping: only legal on frames that are
-			// untyped or already writable — never on a live page table.
-			if fi.TypeCount > 0 && fi.Type != FrameWritable {
-				return errType(pfn, fi.Type, fi.TypeCount, FrameWritable)
-			}
+// replaySlot moves a leaf entry's refs from the frame of from to the
+// frame of to, as applyUpdate does for an L1 entry: it takes to's refs
+// for d (nil: unchecked), then drops from's. from is an untrusted
+// record, not a walked entry, so its drop is checked first — a writable
+// mapping must hold a writable typed ref, any other an untyped one —
+// and a ref the frame does not hold is an error, never an underflow
+// panic. Nothing changes on an error.
+func (v *VMM) replaySlot(d *Domain, from, to hw.PTE) error {
+	if from.Present() {
+		pfn := from.Frame()
+		if !v.M.Mem.Valid(pfn) {
+			return fmt.Errorf("xen: old mapping of nonexistent frame %d", pfn)
 		}
-		if wr < 0 {
-			if fi.Type != FrameWritable || int64(fi.TypeCount) < -wr {
-				return fmt.Errorf("xen: journal replay: dropping %d writable refs from frame %d (%s, count %d)",
-					-wr, pfn, fi.Type, fi.TypeCount)
-			}
+		f := &v.FT.frames[pfn]
+		held := f.totalRefs > f.typeCount
+		if from.Writable() {
+			held = f.typ == FrameWritable && f.typeCount > 0
 		}
-		if refs < 0 && int64(fi.TotalRefs) < -refs {
-			return fmt.Errorf("xen: journal replay: ref underflow on frame %d", pfn)
+		if !held {
+			return fmt.Errorf("xen: old mapping %#x holds no ref on frame %d (%s, count %d of %d)",
+				uint64(from), pfn, f.typ, f.typeCount, f.totalRefs)
 		}
 	}
-
-	// Phase 3: apply in frame order.
-	apply := j.deltaOrder
-	slices.Sort(apply)
-	for _, pfn := range apply {
-		fi := v.FT.Get(pfn)
-		fi.TotalRefs = uint32(int64(fi.TotalRefs) + j.deltaRefs[pfn])
-		tc := int64(fi.TypeCount)
-		if wr := j.deltaWr[pfn]; wr != 0 {
-			tc += wr
-			if tc > 0 {
-				fi.Type = FrameWritable
-			} else {
-				fi.Type = FrameNone
-			}
+	if to.Present() {
+		if err := v.refMapping(d, to); err != nil {
+			return err
 		}
-		fi.TypeCount = uint32(tc)
-		v.FT.Set(pfn, fi)
+	}
+	if from.Present() {
+		v.unrefMapping(from)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/pgtable"
 )
 
 // journalWrite performs one native-mode PTE store the way the native VO
@@ -276,5 +277,83 @@ func TestJournalRecordReplayAllocFree(t *testing.T) {
 	}
 	if st := j.StatsSnapshot(); st.Fallbacks != 0 {
 		t.Fatalf("epochs fell back to recompute: %+v", st)
+	}
+}
+
+// TestJournalReplayRejectsTypeViolations: a journaled native store the
+// ref rule refuses — a live L1 mapped writable, a foreign frame, a
+// forged old value whose refs the snapshot does not hold — fails the
+// attach with one ReplayErrors and leaves the frame table exactly as
+// before, the valid slot replayed ahead of it rolled back. Once the
+// store is undone the retry replays.
+func TestJournalReplayRejectsTypeViolations(t *testing.T) {
+	cases := []struct {
+		name string
+		// store journals the refused store at slot s and returns its
+		// undo, or nil when the store cannot be undone by a native write.
+		store func(v *VMM, j *DirtyJournal, d0 *Domain, s pgtable.Slot, data []hw.PFN) func()
+	}{
+		{"live L1 mapped writable", func(v *VMM, j *DirtyJournal, _ *Domain, s pgtable.Slot, _ []hw.PFN) func() {
+			old := hw.ReadPTE(v.M.Mem, s.Table, s.Index)
+			journalWrite(v, j, s.Table, s.Index, hw.MakePTE(s.Table, hw.PTEPresent|hw.PTEWrite|hw.PTEUser))
+			return func() { journalWrite(v, j, s.Table, s.Index, old) }
+		}},
+		{"foreign frame", func(v *VMM, j *DirtyJournal, d0 *Domain, s pgtable.Slot, _ []hw.PFN) func() {
+			old := hw.ReadPTE(v.M.Mem, s.Table, s.Index)
+			journalWrite(v, j, s.Table, s.Index, hw.MakePTE(d0.Frames.Alloc(), hw.PTEPresent|hw.PTEUser))
+			return func() { journalWrite(v, j, s.Table, s.Index, old) }
+		}},
+		{"forged read-only old value", func(v *VMM, j *DirtyJournal, _ *Domain, s pgtable.Slot, data []hw.PFN) func() {
+			// data[2] holds one writable ref and no untyped one.
+			cur := hw.ReadPTE(v.M.Mem, s.Table, s.Index)
+			j.Record(s.Table, s.Index, hw.MakePTE(data[2], hw.PTEPresent|hw.PTEUser), cur)
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v, d0, dU, c := twoDomains(t)
+			j := v.EnableJournal(0)
+			tb, data := buildTree(t, v, dU, 4)
+			roots := []hw.PFN{tb.Root}
+			if err := v.RecomputeFrameInfo(c, dU, roots, 1); err != nil {
+				t.Fatal(err)
+			}
+			v.JournalDetach(c, dU)
+			// A valid remap first, so the refused slot has a prefix to
+			// roll back.
+			s0, _ := tb.ExistingSlot(0x0800_0000)
+			s1, _ := tb.ExistingSlot(0x0800_0000 + 1<<hw.PageShift)
+			journalWrite(v, j, s0.Table, s0.Index, hw.MakePTE(dU.Frames.Alloc(), hw.PTEPresent|hw.PTEWrite|hw.PTEUser))
+			undo := tc.store(v, j, d0, s1, data)
+			before := v.FT.Clone()
+
+			if err := v.JournalReattach(c, dU, roots, 1); err == nil {
+				t.Fatal("refused store replayed")
+			}
+			if st := j.StatsSnapshot(); st.ReplayErrors != 1 || st.Replays != 0 {
+				t.Fatalf("stats: %+v", st)
+			}
+			if err := v.FT.Equal(before); err != nil {
+				t.Fatalf("failed replay modified the frame table: %v", err)
+			}
+			if err := v.FT.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if undo == nil {
+				return
+			}
+			undo()
+			if err := v.JournalReattach(c, dU, roots, 1); err != nil {
+				t.Fatalf("retry after undo: %v", err)
+			}
+			if st := j.StatsSnapshot(); st.Replays != 1 {
+				t.Fatalf("stats: %+v", st)
+			}
+			replayed := v.FT.Clone()
+			if err := canonical(t, v, dU, c, roots).Equal(replayed); err != nil {
+				t.Fatalf("retried replay diverges: %v", err)
+			}
+		})
 	}
 }

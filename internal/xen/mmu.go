@@ -28,10 +28,21 @@ type MMUUpdate struct {
 	New   hw.PTE
 }
 
-// getTypeFresh takes a typed page-table ref and reports whether this was
-// the 0->1 transition (which obliges the caller to validate contents).
-func (v *VMM) getTypeFresh(pfn hw.PFN, want FrameType, s sink) (bool, error) {
+// getTypeFresh takes a typed page-table ref on pfn for d and reports
+// whether this was the 0->1 transition (which obliges the caller to
+// validate contents). Every frame typed as a table passes here — a
+// pinned root, a new base pointer, an L2 update's target and each
+// directory entry a walk reaches — so this is where a guest-named table
+// frame must exist and, as Xen's owner check requires, belong to d.
+func (v *VMM) getTypeFresh(d *Domain, pfn hw.PFN, want FrameType, s sink) (bool, error) {
+	if !v.M.Mem.Valid(pfn) {
+		return false, fmt.Errorf("xen: page table %d beyond memory", pfn)
+	}
 	f := &v.FT.frames[pfn]
+	if d != nil && f.owner != d.ID {
+		return false, fmt.Errorf("xen: dom%d using foreign frame %d (owner dom%d) as %s",
+			d.ID, pfn, f.owner, want)
+	}
 	fresh := f.typeCount == 0
 	if err := v.FT.getType(f, pfn, want); err != nil {
 		return false, err
@@ -72,7 +83,7 @@ func (v *VMM) cost(c *hw.CPU, s sink, n hw.Cycles) {
 // validateL1 takes a typed L1 ref on pt, scanning and referencing its
 // entries if this is the first typed ref.
 func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, s sink) error {
-	fresh, err := v.getTypeFresh(pt, FrameL1, s)
+	fresh, err := v.getTypeFresh(d, pt, FrameL1, s)
 	if err != nil {
 		return err
 	}
@@ -156,7 +167,7 @@ func (v *VMM) unrefMapping(pte hw.PTE) {
 // validateL2 takes a typed L2 ref on root, validating referenced L1
 // tables on the first ref.
 func (v *VMM) validateL2(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
-	fresh, err := v.getTypeFresh(root, FrameL2, s)
+	fresh, err := v.getTypeFresh(d, root, FrameL2, s)
 	if err != nil {
 		return err
 	}
@@ -215,7 +226,7 @@ func (v *VMM) pinTable(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
 		return err
 	}
 	v.FT.GetRef(root)
-	v.markPinned(root, true)
+	v.FT.setPinned(root, true)
 	v.traceInstant(c, "xen/pin", uint64(d.ID))
 	d.pinnedRoots[root] = true
 	return nil
@@ -227,19 +238,21 @@ func (v *VMM) unpinTable(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
 		return fmt.Errorf("xen: dom%d unpinning unknown root %d", d.ID, root)
 	}
 	delete(d.pinnedRoots, root)
-	v.markPinned(root, false)
+	v.FT.setPinned(root, false)
 	v.traceInstant(c, "xen/unpin", uint64(d.ID))
 	v.devalidateL2(c, root, s)
 	v.FT.PutRef(root)
 	return nil
 }
 
-func (v *VMM) markPinned(root hw.PFN, on bool) {
-	v.FT.setPinned(root, on)
-}
-
 // applyUpdate validates and applies one entry store (internal).
 func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, s sink) error {
+	if u.Index < 0 || u.Index >= hw.PTEntries {
+		return fmt.Errorf("xen: mmu_update index %d outside table %d", u.Index, u.Table)
+	}
+	if !v.M.Mem.Valid(u.Table) {
+		return fmt.Errorf("xen: mmu_update to frame %d beyond memory", u.Table)
+	}
 	fi := v.FT.Get(u.Table)
 	if fi.TypeCount == 0 || (fi.Type != FrameL1 && fi.Type != FrameL2) {
 		return fmt.Errorf("xen: mmu_update to frame %d which is %s, not a page table",
@@ -287,8 +300,7 @@ func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, s sink) error {
 // fork/exec within a small factor of native instead of paying a world
 // switch per entry.
 func (v *VMM) HypMMUUpdate(c *hw.CPU, d *Domain, batch []MMUUpdate) error {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	defer v.exit(c, d, v.enter(c, d))
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
 	for _, u := range batch {
@@ -301,8 +313,7 @@ func (v *VMM) HypMMUUpdate(c *hw.CPU, d *Domain, batch []MMUUpdate) error {
 
 // HypPinTable is MMUEXT_PIN_L2_TABLE: validate a tree and pin its root.
 func (v *VMM) HypPinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	defer v.exit(c, d, v.enter(c, d))
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
 	return v.pinTable(c, d, root, sinkCharge)
@@ -310,8 +321,7 @@ func (v *VMM) HypPinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
 
 // HypUnpinTable is MMUEXT_UNPIN_TABLE.
 func (v *VMM) HypUnpinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	defer v.exit(c, d, v.enter(c, d))
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
 	return v.unpinTable(c, d, root, sinkCharge)
@@ -335,8 +345,7 @@ func (v *VMM) newBaseptrLocked(c *hw.CPU, d *Domain, root hw.PFN) error {
 // HypNewBaseptr is MMUEXT_NEW_BASEPTR: install a pinned root as the
 // guest's page-directory base. The VMM performs the privileged CR3 load.
 func (v *VMM) HypNewBaseptr(c *hw.CPU, d *Domain, root hw.PFN) error {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	defer v.exit(c, d, v.enter(c, d))
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
 	return v.newBaseptrLocked(c, d, root)
@@ -346,27 +355,41 @@ func (v *VMM) HypNewBaseptr(c *hw.CPU, d *Domain, root hw.PFN) error {
 // stack_switch plus MMUEXT_NEW_BASEPTR in one world switch, the way
 // Xen-Linux batches its __switch_to path.
 func (v *VMM) HypContextSwitch(c *hw.CPU, d *Domain, root hw.PFN) error {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	defer v.exit(c, d, v.enter(c, d))
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
+	v.stackSwitch(c)
+	return v.newBaseptrLocked(c, d, root)
+}
+
+// stackSwitch is stack_switch plus the vcpu state swap of a paravirtual
+// context switch (HypContextSwitch, MCStackSwitch).
+func (v *VMM) stackSwitch(c *hw.CPU) {
 	c.Charge(v.M.Costs.MemWrite * 2)    // stack switch bookkeeping
 	c.Charge(v.M.Costs.VCPUStateSwitch) // segment/LDT/FPU state swap
-	return v.newBaseptrLocked(c, d, root)
 }
 
 // HypTLBFlush is MMUEXT_TLB_FLUSH_LOCAL.
 func (v *VMM) HypTLBFlush(c *hw.CPU, d *Domain) {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	defer v.exit(c, d, v.enter(c, d))
+	v.flushTLB(c)
+}
+
+// flushTLB is the local TLB flush's body (HypTLBFlush, and the one
+// flush a multicall's MCTLBFlush requests coalesce to).
+func (v *VMM) flushTLB(c *hw.CPU) {
 	c.TLB.Flush()
 	c.Charge(v.M.Costs.TLBFlush)
 }
 
 // HypInvlpg is MMUEXT_INVLPG_LOCAL.
 func (v *VMM) HypInvlpg(c *hw.CPU, d *Domain, va hw.VirtAddr) {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	defer v.exit(c, d, v.enter(c, d))
+	v.invlpg(c, va)
+}
+
+// invlpg is the single-page invalidation's body (HypInvlpg, MCInvlpg).
+func (v *VMM) invlpg(c *hw.CPU, va hw.VirtAddr) {
 	c.TLB.Invalidate(hw.VPNOf(va))
 	c.Charge(v.M.Costs.PrivInsn)
 }
@@ -459,7 +482,7 @@ func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
 	defer v.mmu.Unlock(c)
 	for root := range d.pinnedRoots {
 		delete(d.pinnedRoots, root)
-		v.markPinned(root, false)
+		v.FT.setPinned(root, false)
 		v.devalidateL2(c, root, sinkCharge)
 		v.FT.PutRef(root)
 	}

@@ -2,6 +2,7 @@ package xen
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 )
@@ -195,8 +196,8 @@ func (v *VMM) HypMulticall(c *hw.CPU, d *Domain, m *Multicall) error {
 	if len(m.Ops) == 0 {
 		return nil
 	}
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	v.Stats.Multicalls.Add(1)
 	v.Stats.MulticallOps.Add(uint64(len(m.Ops)))
 	if d != nil {
@@ -218,7 +219,9 @@ func (v *VMM) HypMulticall(c *hw.CPU, d *Domain, m *Multicall) error {
 	return err
 }
 
-// multicallLocked dispatches the ops (MMU lock held, PL0).
+// multicallLocked dispatches the ops (MMU lock held, PL0). Each kind
+// runs the same body as its single hypercall; only the TLB flush is
+// deferred, to at most one after the last op.
 func (v *VMM) multicallLocked(c *hw.CPU, d *Domain, m *Multicall) error {
 	flushPending := false
 	var err error
@@ -239,22 +242,20 @@ func (v *VMM) multicallLocked(c *hw.CPU, d *Domain, m *Multicall) error {
 				flushPending = false
 			}
 		case MCStackSwitch:
-			c.Charge(v.M.Costs.MemWrite * 2)    // stack switch bookkeeping
-			c.Charge(v.M.Costs.VCPUStateSwitch) // segment/LDT/FPU state swap
+			v.stackSwitch(c)
 		case MCTLBFlush:
 			flushPending = true
 		case MCInvlpg:
-			c.TLB.Invalidate(hw.VPNOf(op.VA))
-			c.Charge(v.M.Costs.PrivInsn)
+			v.invlpg(c, op.VA)
 		case MCSetTrapTable:
-			for _, e := range op.Traps {
-				c.Charge(v.M.Costs.MemWrite)
-				d.TrapTable[e.Vector] = GuestGate{Present: true, Handler: e.Handler}
-			}
+			err = v.setTrapTable(c, d, op.Traps)
 		case MCBindVirqTimer:
-			d.TimerHandler = op.Timer
+			v.bindVirqTimer(d, op.Timer)
 		case MCEvtchnSend:
-			err = v.evtchnMarkPending(c, d, op.Port, m)
+			var rd *Domain
+			if rd, err = v.evtchnSend(c, d, op.Port); err == nil && !slices.Contains(m.kicked, rd) {
+				m.kicked = append(m.kicked, rd)
+			}
 		default:
 			err = fmt.Errorf("xen: multicall: unknown op kind %d", op.Kind)
 		}
@@ -265,8 +266,7 @@ func (v *VMM) multicallLocked(c *hw.CPU, d *Domain, m *Multicall) error {
 		m.Applied++
 	}
 	if flushPending {
-		c.TLB.Flush()
-		c.Charge(v.M.Costs.TLBFlush)
+		v.flushTLB(c)
 	}
 	return err
 }

@@ -1,0 +1,342 @@
+package xen
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/hw"
+)
+
+// mcFuzzEnv is one FuzzMulticall machine: guest d running on a pinned
+// tree installed as its base pointer, a second tree built but not
+// pinned, and a peer domain bound to d by one event channel. No timer is
+// armed, so no interrupt lands inside a measured call.
+type mcFuzzEnv struct {
+	v     *VMM
+	d     *Domain
+	peer  *Domain
+	c     *hw.CPU
+	clean *FrameTable // owners only: the table before anything was pinned
+	pool  []hw.PFN    // the frames an op may name
+	ports []Port      // the ports an op may name
+}
+
+func newMCFuzzEnv(t *testing.T) *mcFuzzEnv {
+	t.Helper()
+	m := hw.NewMachine(hw.Config{MemBytes: 20 << 20, NumCPUs: 1})
+	v, err := Boot(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.BootCPU()
+	v.Activate(c)
+	peer, err := v.CreateDomain("peer", 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := v.CreateDomain("guest", hw.PFN(m.Frames.Available()), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.SetCurrent(c, d)
+	pp := v.EvtchnAllocUnbound(c, peer, d.ID)
+	peer.SetPortHandler(pp, func(*hw.CPU) {})
+	port, err := v.EvtchnBindInterdomain(c, d, peer.ID, pp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, data := buildTree(t, v, d, 3)
+	tb2, _ := buildTree(t, v, d, 2)
+	e := &mcFuzzEnv{v: v, d: d, peer: peer, c: c, clean: v.FT.Clone()}
+	if err := v.HypNewBaseptr(c, d, tb.Root); err != nil {
+		t.Fatal(err)
+	}
+	l1, _ := tb.ExistingSlot(0x0800_0000)
+	l1b, _ := tb2.ExistingSlot(0x0800_0000)
+	vmmLo, _ := v.Reserved.Range()
+	e.pool = []hw.PFN{
+		tb.Root, l1.Table, data[0], data[1], tb2.Root, l1b.Table,
+		d.Frames.Alloc(), peer.Frames.Alloc(), vmmLo, v.M.Mem.NumFrames(), 1<<20 - 1,
+	}
+	e.ports = []Port{port, port + 1, -1, 1 << 20}
+	return e
+}
+
+// The indices, vectors and handlers an op may name: in range and out.
+var (
+	fuzzIndices = [...]int{0, 1, 2, 32, hw.PTEntries - 1, -1, hw.PTEntries, 1 << 20}
+	fuzzVectors = [...]int{3, hw.VecPageFault, hw.VecGP, hw.NumVectors - 1, -1, hw.NumVectors, 300}
+	fuzzTraps   = [...]func(*hw.CPU, *hw.TrapFrame){
+		func(*hw.CPU, *hw.TrapFrame) {}, func(*hw.CPU, *hw.TrapFrame) {},
+	}
+	fuzzTimers = [...]func(*hw.CPU){nil, func(*hw.CPU) {}}
+)
+
+// decodeMCOps turns the fuzz bytes into units of ops: each unit is one
+// op, except MCStackSwitch, which is followed by an MCNewBaseptr so the
+// pair matches the HypContextSwitch hypercall. Kind 10 is no kind.
+func decodeMCOps(e *mcFuzzEnv, in *fuzzInput) [][]MCOp {
+	pick := func() hw.PFN { return e.pool[int(in.next())%len(e.pool)] }
+	var units [][]MCOp
+	for len(*in) > 0 && len(units) < 16 {
+		op := MCOp{Kind: MCOpKind(in.next() % 11)}
+		switch op.Kind {
+		case MCUpdate:
+			flags := in.next()
+			op.Update = MMUUpdate{Table: pick(), Index: fuzzIndices[int(in.next())%len(fuzzIndices)]}
+			if flags&1 != 0 {
+				f := hw.PTEPresent | hw.PTEUser
+				if flags&2 != 0 {
+					f |= hw.PTEWrite
+				}
+				op.Update.New = hw.MakePTE(pick(), f)
+			}
+		case MCPin, MCUnpin, MCNewBaseptr, MCStackSwitch:
+			op.Root = pick()
+		case MCInvlpg:
+			op.VA = 0x0800_0000 + hw.VirtAddr(in.next())<<hw.PageShift
+		case MCSetTrapTable:
+			for n := 1 + in.next()%2; n > 0; n-- {
+				op.Traps = append(op.Traps, TrapEntry{
+					Vector:  fuzzVectors[int(in.next())%len(fuzzVectors)],
+					Handler: fuzzTraps[in.next()%2],
+				})
+			}
+		case MCBindVirqTimer:
+			op.Timer = fuzzTimers[in.next()%2]
+		case MCEvtchnSend:
+			op.Port = e.ports[int(in.next())%len(e.ports)]
+		}
+		unit := []MCOp{op}
+		if op.Kind == MCStackSwitch {
+			unit = append(unit, MCOp{Kind: MCNewBaseptr, Root: op.Root})
+		}
+		units = append(units, unit)
+	}
+	return units
+}
+
+// multicall issues ops as one batch.
+func (e *mcFuzzEnv) multicall(ops []MCOp) (*Multicall, error) {
+	mc := &Multicall{Ops: slices.Clone(ops)}
+	return mc, e.v.HypMulticall(e.c, e.d, mc)
+}
+
+// single issues a unit through its own hypercall.
+func (e *mcFuzzEnv) single(unit []MCOp) error {
+	v, c, d, op := e.v, e.c, e.d, unit[0]
+	switch op.Kind {
+	case MCUpdate:
+		return v.HypMMUUpdate(c, d, []MMUUpdate{op.Update})
+	case MCPin:
+		return v.HypPinTable(c, d, op.Root)
+	case MCUnpin:
+		return v.HypUnpinTable(c, d, op.Root)
+	case MCNewBaseptr:
+		return v.HypNewBaseptr(c, d, op.Root)
+	case MCStackSwitch:
+		return v.HypContextSwitch(c, d, unit[1].Root)
+	case MCTLBFlush:
+		v.HypTLBFlush(c, d)
+		return nil
+	case MCInvlpg:
+		v.HypInvlpg(c, d, op.VA)
+		return nil
+	case MCSetTrapTable:
+		return v.HypSetTrapTable(c, d, op.Traps)
+	case MCBindVirqTimer:
+		v.HypBindVirqTimer(c, d, op.Timer)
+		return nil
+	case MCEvtchnSend:
+		return v.EvtchnSend(c, d, op.Port)
+	}
+	_, err := e.multicall(unit) // no kind: no hypercall of its own
+	return err
+}
+
+// funcID identifies a handler for comparison across machines.
+func funcID(f any) uintptr {
+	if rv := reflect.ValueOf(f); !rv.IsNil() {
+		return rv.Pointer()
+	}
+	return 0
+}
+
+// sameState compares what an op may change on two machines: the frame
+// table, the guest's and peer's memory, CR3, pins, the trap table and
+// the timer binding.
+func sameState(a, b *mcFuzzEnv) error {
+	if err := a.v.FT.Equal(b.v.FT); err != nil {
+		return err
+	}
+	for _, dom := range [][2]*Domain{{a.d, b.d}, {a.peer, b.peer}} {
+		lo, hi := dom[0].Frames.Range()
+		for pfn := lo; pfn < hi; pfn++ {
+			if !bytes.Equal(a.v.M.Mem.FrameBytesRO(pfn), b.v.M.Mem.FrameBytesRO(pfn)) {
+				return fmt.Errorf("frame %d differs", pfn)
+			}
+		}
+	}
+	if a.c.ReadCR3() != b.c.ReadCR3() || a.d.VCPU0().CR3() != b.d.VCPU0().CR3() {
+		return fmt.Errorf("CR3 %d/%d vs %d/%d", a.c.ReadCR3(), a.d.VCPU0().CR3(),
+			b.c.ReadCR3(), b.d.VCPU0().CR3())
+	}
+	if pa, pb := a.d.PinnedRoots(), b.d.PinnedRoots(); !slices.Equal(pa, pb) {
+		return fmt.Errorf("pinned roots %v vs %v", pa, pb)
+	}
+	for vec := range a.d.TrapTable {
+		ga, gb := a.d.TrapTable[vec], b.d.TrapTable[vec]
+		if ga.Present != gb.Present || funcID(ga.Handler) != funcID(gb.Handler) {
+			return fmt.Errorf("trap vector %d differs", vec)
+		}
+	}
+	if funcID(a.d.TimerHandler) != funcID(b.d.TimerHandler) {
+		return fmt.Errorf("timer handler differs")
+	}
+	return nil
+}
+
+// checkSafe asserts the frame table's invariants, that the table is
+// what a recompute of the pinned roots builds from memory (no store
+// escaped the accounting), and the direct-paging safety property: no
+// present writable leaf of a pinned tree maps a frame typed as a page
+// table.
+func (e *mcFuzzEnv) checkSafe() error {
+	if err := e.v.FT.CheckInvariants(); err != nil {
+		return err
+	}
+	inc, roots := e.v.FT.Clone(), e.d.PinnedRoots()
+	e.v.ReleaseFrameInfo(e.c, e.d)
+	if err := e.v.RecomputeFrameInfo(e.c, e.d, roots, 1); err != nil {
+		return fmt.Errorf("recomputing the pinned roots: %w", err)
+	}
+	if err := e.v.FT.Equal(inc); err != nil {
+		return fmt.Errorf("accounting differs from a recompute: %w", err)
+	}
+	mem := e.v.M.Mem
+	for _, root := range e.d.PinnedRoots() {
+		dir := hw.ViewTable(mem, root)
+		for i := 0; i < hw.PTEntries; i++ {
+			pde := dir.At(i)
+			if !pde.Present() {
+				continue
+			}
+			l1 := hw.ViewTable(mem, pde.Frame())
+			for k := 0; k < hw.PTEntries; k++ {
+				pte := l1.At(k)
+				if !pte.Present() || !pte.Writable() {
+					continue
+				}
+				if typ := e.v.FT.Get(pte.Frame()).Type; typ == FrameL1 || typ == FrameL2 {
+					return fmt.Errorf("root %d: %d[%d] maps %s frame %d writable",
+						root, pde.Frame(), k, typ, pte.Frame())
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzMulticall drives hostile multicall batches — indices, frames,
+// vectors and ports out of range, writable mappings of page tables,
+// unpins of unknown roots — at a guest over a pinned tree. Three
+// identical machines run each input:
+//
+//   - A issues every unit as its own multicall: every call must keep the
+//     frame table's invariants and no pinned tree may map a page table
+//     writable;
+//   - B issues every unit through its single hypercall: after each unit
+//     A and B must agree on the outcome and on every piece of state, and
+//     A must have paid exactly MulticallPerOp per op more;
+//   - C issues all the ops as one batch: Applied must be the prefix A
+//     executed before its first failure, with the same state.
+//
+// A rejected op must return an error; a VMM panic fails the input. At
+// the end, releasing A's pins must leave no accounting behind.
+func FuzzMulticall(f *testing.F) {
+	// The batches of multicall_test.go: five coalesced flushes; a flush
+	// then a new base pointer; a flush, a pin, an unpin of a never
+	// pinned frame and a pin; a same-value store then a flush.
+	f.Add([]byte{5, 5, 5, 5, 5})
+	f.Add([]byte{5, 3, 4})
+	f.Add([]byte{5, 1, 4, 2, 6, 1, 4})
+	f.Add([]byte{0, 3, 1, 0, 2, 5})
+	// Hostile ops: an index past the table, a pin past memory, vector
+	// 300, port -1, a live L1 mapped writable into itself, a VMM frame
+	// pinned, an unknown op kind, then a context switch.
+	f.Add([]byte{0, 1, 1, 6, 2, 1, 9, 7, 0, 6, 0, 9, 2, 0, 3, 1, 3, 1, 1, 8, 10, 4, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b, cc := newMCFuzzEnv(t), newMCFuzzEnv(t), newMCFuzzEnv(t)
+		in := fuzzInput(data)
+		units := decodeMCOps(a, &in)
+		var ops []MCOp
+		for _, u := range units {
+			ops = append(ops, u...)
+		}
+
+		batch, batchErr := cc.multicall(ops)
+		if batchErr == nil && batch.Applied != len(ops) {
+			t.Fatalf("batch succeeded with Applied %d of %d", batch.Applied, len(ops))
+		}
+		if batchErr != nil && (batch.Applied >= len(ops) || !strings.Contains(batchErr.Error(),
+			fmt.Sprintf("op %d (%s)", batch.Applied, ops[batch.Applied].Kind))) {
+			t.Fatalf("batch error %q does not name op %d", batchErr, batch.Applied)
+		}
+		if err := cc.checkSafe(); err != nil {
+			t.Fatalf("after the batch: %v", err)
+		}
+
+		next, firstFail := 0, len(ops)
+		for _, u := range units {
+			// The batch stopped inside this unit: its state must be A's
+			// before it (an op that fails changes nothing).
+			if batchErr != nil && firstFail == len(ops) && next <= batch.Applied && batch.Applied < next+len(u) {
+				if err := sameState(cc, a); err != nil {
+					t.Fatalf("batch stopped at op %d, but its state is not A's before it: %v", batch.Applied, err)
+				}
+			}
+			a0, b0 := a.c.Now(), b.c.Now()
+			mc, errA := a.multicall(u)
+			errB := b.single(u)
+			costA, costB := a.c.Now()-a0, b.c.Now()-b0
+			if (errA == nil) != (errB == nil) || errA != nil && !strings.HasSuffix(errA.Error(), errB.Error()) {
+				t.Fatalf("%v: multicall %v, hypercall %v", u, errA, errB)
+			}
+			if errA != nil && firstFail == len(ops) {
+				firstFail = next + mc.Applied
+			}
+			want := hw.Cycles(len(u)) * a.v.M.Costs.MulticallPerOp
+			if u[0].Kind > MCEvtchnSend {
+				want = 0 // both sides issued the batch
+			}
+			if costA-costB != want {
+				t.Fatalf("%v: multicall cost %d, hypercall %d: difference %d, want %d",
+					u, costA, costB, costA-costB, want)
+			}
+			if err := sameState(a, b); err != nil {
+				t.Fatalf("%v: multicall and hypercall state differ: %v", u, err)
+			}
+			if err := a.checkSafe(); err != nil {
+				t.Fatalf("%v: %v", u, err)
+			}
+			next += len(u)
+		}
+		if firstFail != batch.Applied {
+			t.Fatalf("batch applied %d ops, but the ops first fail at %d", batch.Applied, firstFail)
+		}
+		if batchErr == nil {
+			if err := sameState(cc, a); err != nil {
+				t.Fatalf("batch and op-by-op state differ: %v", err)
+			}
+		}
+
+		a.v.ReleaseFrameInfo(a.c, a.d)
+		if err := a.v.FT.Equal(a.clean); err != nil {
+			t.Fatalf("releasing every pin left accounting behind: %v", err)
+		}
+	})
+}

@@ -92,7 +92,7 @@ func (v *VMM) scheduleSlices(c *hw.CPU, tickPeriod hw.Cycles) {
 			h.schedBudget.Observe(budget)
 		}
 		d := ct.d
-		v.runInDomain(c, d, func() {
+		v.RunInDomain(c, d, func() {
 			prev := c.SetMode(hw.PL1)
 			d.BackgroundWork(c, budget)
 			c.SetMode(prev)

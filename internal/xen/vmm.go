@@ -138,7 +138,7 @@ type VMMStats struct {
 	Hypercalls    *obs.Counter // xen/hypercalls_total
 	Multicalls    *obs.Counter // xen/multicalls_total; each batch also counts as one hypercall
 	MulticallOps  *obs.Counter // xen/multicall_ops_total: ops carried inside multicall batches
-	DomSwitches   *obs.Counter // xen/dom_switches_total: one in and one out per runInDomain
+	DomSwitches   *obs.Counter // xen/dom_switches_total: one in and one out per RunInDomain
 	FaultsHandled atomic.Uint64
 	Activations   atomic.Uint64
 	Deactivations atomic.Uint64
@@ -251,7 +251,7 @@ func (v *VMM) installTrapHandlers() {
 			if v.Current(c) == d {
 				run() // driver domain is already running: direct upcall
 			} else {
-				v.runInDomain(c, d, run)
+				v.RunInDomain(c, d, run)
 			}
 		}
 	}
@@ -414,15 +414,10 @@ func (v *VMM) SetCurrent(c *hw.CPU, d *Domain) {
 }
 
 // RunInDomain executes fn with d current on c, charging a domain switch
-// in and out — used by wiring code that must run driver-domain work on
-// behalf of another domain (e.g., pumping the physical NIC).
+// in and out — the uniprocessor Xen pattern for backend processing, and
+// what wiring code uses to run driver-domain work on behalf of another
+// domain (e.g., pumping the physical NIC).
 func (v *VMM) RunInDomain(c *hw.CPU, d *Domain, fn func()) {
-	v.runInDomain(c, d, fn)
-}
-
-// runInDomain executes fn with d current on c, charging a domain switch
-// in and out — the uniprocessor Xen pattern for backend processing.
-func (v *VMM) runInDomain(c *hw.CPU, d *Domain, fn func()) {
 	var sp obs.SpanRef
 	if h := v.tel(); h != nil {
 		sp = obs.Begin(h.col, c.ID, c.Now(), "xen/run-in-domain")
@@ -440,59 +435,28 @@ func (v *VMM) runInDomain(c *hw.CPU, d *Domain, fn func()) {
 	sp.EndArg(c.Now(), uint64(d.ID))
 }
 
-// enter is the hypercall prologue: a world switch into the VMM at PL0.
-// The returned closure is the epilogue. Usage: defer v.enter(c, d)().
-//
-// With a collector installed the epilogue also records the hypercall's
-// full latency (prologue charge through body) into the cycle histogram
-// and attributes a "xen/hypercall" span to whatever span is open on
-// this CPU — a mode-switch phase, a backend event, a benchmark loop.
-func (v *VMM) enter(c *hw.CPU, d *Domain) func() {
-	h := v.tel()
-	var start hw.Cycles
-	if h != nil {
-		start = c.Now()
-	}
-	c.Charge(v.M.Costs.WorldSwitch + v.M.Costs.HypercallBase)
-	v.Stats.Hypercalls.Add(1)
-	if d != nil {
-		d.Stats.Hypercalls.Add(1)
-	}
-	prev := c.SetMode(hw.PL0)
-	if h == nil {
-		return func() { c.SetMode(prev) }
-	}
-	id := uint64(0xFFFE)
-	if d != nil {
-		id = uint64(d.ID)
-	}
-	return func() {
-		c.SetMode(prev)
-		end := c.Now()
-		h.hypercallCyc.Observe(end - start)
-		h.col.Tracer.Complete(c.ID, start, end, "xen/hypercall", id)
-	}
-}
-
-// hcFrame is the state enterFast hands to exitFast. It lives on the
-// caller's stack: unlike enter's closure, the fast prologue/epilogue
-// pair performs no heap allocation, which is what lets the PTE-write
-// and multicall hot paths pass their AllocsPerRun gates.
+// hcFrame is the state enter hands to exit. It lives on the caller's
+// stack, so the prologue/epilogue pair performs no heap allocation.
 type hcFrame struct {
 	prev  uint8
 	start hw.Cycles
 	h     *vmmObs
 }
 
-// enterFast is the allocation-free hypercall prologue. Usage:
+// enter is the hypercall prologue: a world switch into the VMM at PL0.
+// Usage:
 //
-//	fr := v.enterFast(c, d)
-//	defer v.exitFast(c, d, fr)
+//	defer v.exit(c, d, v.enter(c, d))
 //
-// The plain defer (no closure capture beyond the arguments) is
-// open-coded by the compiler, so the pair charges and records exactly
-// what enter does without touching the heap.
-func (v *VMM) enterFast(c *hw.CPU, d *Domain) hcFrame {
+// A deferred call's arguments are evaluated at the defer statement, so
+// enter runs there and exit later receives its frame; the plain defer is
+// open-coded by the compiler and touches no heap.
+//
+// With a collector installed exit also records the hypercall's full
+// latency (prologue charge through body) into the cycle histogram and
+// attributes a "xen/hypercall" span to whatever span is open on this
+// CPU — a mode-switch phase, a backend event, a benchmark loop.
+func (v *VMM) enter(c *hw.CPU, d *Domain) hcFrame {
 	fr := hcFrame{h: v.tel()}
 	if fr.h != nil {
 		fr.start = c.Now()
@@ -506,8 +470,8 @@ func (v *VMM) enterFast(c *hw.CPU, d *Domain) hcFrame {
 	return fr
 }
 
-// exitFast is the epilogue matching enterFast.
-func (v *VMM) exitFast(c *hw.CPU, d *Domain, fr hcFrame) {
+// exit is the hypercall epilogue matching enter.
+func (v *VMM) exit(c *hw.CPU, d *Domain, fr hcFrame) {
 	c.SetMode(fr.prev)
 	if fr.h == nil {
 		return
