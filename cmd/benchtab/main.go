@@ -70,7 +70,7 @@ var experiments = []experiment{
 	{"fig4", "BENCH_fig4.json", func(o *options) (any, error) { return appFigure(o, 2) }},
 	{"switch", "BENCH_modeswitch.json", modeSwitch},
 	{"switchscale", "BENCH_switch.json", func(*options) (any, error) {
-		pts, err := bench.SwitchScale(bench.Options{})
+		pts, err := bench.SwitchScale()
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +116,7 @@ var experiments = []experiment{
 		return r, nil
 	}},
 	{"fleet", "BENCH_fleet.json", func(*options) (any, error) {
-		pts, err := bench.FleetSweep(bench.Options{})
+		pts, err := bench.FleetSweep()
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +124,7 @@ var experiments = []experiment{
 		return bench.FleetBaseline{Schema: bench.FleetBaselineSchema, Sweep: pts}, nil
 	}},
 	{"fork", "BENCH_fork.json", func(*options) (any, error) {
-		pts, err := bench.ForkSweep(bench.Options{})
+		pts, err := bench.ForkSweep()
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +132,7 @@ var experiments = []experiment{
 		return bench.ForkBaseline{Schema: bench.ForkBaselineSchema, Sweep: pts}, nil
 	}},
 	{"io", "BENCH_io.json", func(*options) (any, error) {
-		pts, sw, err := bench.IOSweep(bench.Options{})
+		pts, sw, err := bench.IOSweep()
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +140,7 @@ var experiments = []experiment{
 		return bench.IOBaseline{Schema: bench.IOBaselineSchema, Sweep: pts, Switch: sw}, nil
 	}},
 	{"migrate", "BENCH_migrate.json", func(*options) (any, error) {
-		pts, err := bench.MigrateSweep(bench.Options{})
+		pts, err := bench.MigrateSweep()
 		if err != nil {
 			return nil, err
 		}

@@ -145,6 +145,7 @@ func TestUsageErrors(t *testing.T) {
 		{"fork", "-nodes", "5"},          // another subcommand's flag
 		{"stats", "-tracking", "journl"}, // unknown policy
 		{"fork", "extra"},                // stray argument
+		{"io", "-writes", "150"},         // a write share over 100%
 	} {
 		if _, err := mercuryctl(t, args...); err == nil {
 			t.Errorf("mercuryctl %q: no error", args)

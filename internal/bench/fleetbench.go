@@ -44,8 +44,7 @@ type FleetPoint struct {
 // and reports admission behaviour and mean switch latencies. The
 // admission bound is a hard invariant: a cell whose high-water mark
 // exceeds its MaxVirtual fails the sweep.
-func FleetSweep(opt Options) ([]FleetPoint, error) {
-	opt.fill()
+func FleetSweep() ([]FleetPoint, error) {
 	var pts []FleetPoint
 	for _, nodes := range FleetNodes {
 		for _, batch := range FleetBatches {

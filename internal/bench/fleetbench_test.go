@@ -11,7 +11,7 @@ func TestFleetSweepSmoke(t *testing.T) {
 	FleetBatches = []int{1, 2}
 	FleetArrivals = []int{2}
 
-	pts, err := FleetSweep(Options{})
+	pts, err := FleetSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,7 @@ var (
 // ForkSweep runs the fork grid. Every point audits the store's
 // refcounts against the live owners, so the sweep doubles as a leak
 // check at scale.
-func ForkSweep(opt Options) ([]ForkPoint, error) {
-	opt.fill()
+func ForkSweep() ([]ForkPoint, error) {
 	var pts []ForkPoint
 	for _, pages := range ForkPages {
 		for _, clones := range ForkClones {

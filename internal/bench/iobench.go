@@ -61,13 +61,12 @@ const ioPointRequests = 5000
 const ioSwitchRequests = 8000
 
 // IOSweep runs the I/O grid plus the mode-switch point.
-func IOSweep(opt Options) ([]IOPoint, *IOSwitchPoint, error) {
-	opt.fill()
+func IOSweep() ([]IOPoint, *IOSwitchPoint, error) {
 	var pts []IOPoint
 	for _, q := range IOQueues {
 		for _, d := range IODepths {
 			for _, arr := range IOArrivals {
-				pt, err := ioPoint(opt, q, d, arr)
+				pt, err := ioPoint(q, d, arr)
 				if err != nil {
 					return nil, nil, fmt.Errorf("bench: io %dq/%dd/%darr: %w", q, d, arr, err)
 				}
@@ -75,26 +74,25 @@ func IOSweep(opt Options) ([]IOPoint, *IOSwitchPoint, error) {
 			}
 		}
 	}
-	sw, err := ioSwitchPoint(opt, 4, 64, 6000)
+	sw, err := ioSwitchPoint(4, 64, 6000)
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: io switch point: %w", err)
 	}
 	return pts, sw, nil
 }
 
-func ioPoint(opt Options, queues, depth int, arrival hw.Cycles) (IOPoint, error) {
+func ioPoint(queues, depth int, arrival hw.Cycles) (IOPoint, error) {
 	pt := IOPoint{Queues: queues, Depth: depth, Arrival: arrival}
 	nat, err := workloads.RunIOServer(workloads.IOConfig{
 		Queues: queues, Depth: depth, Requests: ioPointRequests,
-		MeanArrival: arrival, Seed: ioSeed, Policy: opt.Policy,
+		MeanArrival: arrival, Seed: ioSeed,
 	})
 	if err != nil {
 		return pt, err
 	}
 	virt, err := workloads.RunIOServer(workloads.IOConfig{
 		Queues: queues, Depth: depth, Requests: ioPointRequests,
-		MeanArrival: arrival, Seed: ioSeed, Policy: opt.Policy,
-		Virtual: true,
+		MeanArrival: arrival, Seed: ioSeed, Virtual: true,
 	})
 	if err != nil {
 		return pt, err
@@ -106,10 +104,10 @@ func ioPoint(opt Options, queues, depth int, arrival hw.Cycles) (IOPoint, error)
 	return pt, nil
 }
 
-func ioSwitchPoint(opt Options, queues, depth int, arrival hw.Cycles) (*IOSwitchPoint, error) {
+func ioSwitchPoint(queues, depth int, arrival hw.Cycles) (*IOSwitchPoint, error) {
 	res, err := workloads.RunIOServer(workloads.IOConfig{
 		Queues: queues, Depth: depth, Requests: ioSwitchRequests,
-		MeanArrival: arrival, Seed: ioSeed, Policy: opt.Policy,
+		MeanArrival: arrival, Seed: ioSeed,
 		Virtual: true, SwitchMid: true,
 	})
 	if err != nil {

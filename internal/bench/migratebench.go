@@ -40,8 +40,7 @@ var (
 // verify (the commit point rejects divergent images), so the sweep
 // doubles as an end-to-end correctness pass; the simulation is
 // deterministic, which is what makes the committed baseline meaningful.
-func MigrateSweep(opt Options) ([]MigratePoint, error) {
-	opt.fill()
+func MigrateSweep() ([]MigratePoint, error) {
 	var pts []MigratePoint
 	for _, pages := range MigratePages {
 		for _, dirty := range MigrateDirty {
@@ -98,7 +97,7 @@ func migratePoint(pages, dirtyPerRound int, sloUS float64) (MigratePoint, error)
 	vB.SetCurrent(cB, dom0B)
 	hw.Wire(mA.NIC, mB.NIC, hw.Gigabit())
 
-	cfg := migrate.DefaultLiveConfig()
+	var cfg migrate.LiveConfig
 	cfg.DowntimeSLOCyc = hw.Cycles(sloUS / 1e6 * float64(mA.Hz))
 	cfg.Mutator = func(round int) {
 		for i := 0; i < dirtyPerRound; i++ {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestMigrateSweepVerifiedAndDeterministic(t *testing.T) {
-	pts, err := MigrateSweep(Options{})
+	pts, err := MigrateSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestMigrateSweepVerifiedAndDeterministic(t *testing.T) {
 
 	// The simulation is deterministic — that is what makes the committed
 	// baseline meaningful.
-	pts2, err := MigrateSweep(Options{})
+	pts2, err := MigrateSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,12 +56,12 @@ var (
 )
 
 // SwitchScale runs the full sweep.
-func SwitchScale(opt Options) ([]SwitchScalePoint, error) {
+func SwitchScale() ([]SwitchScalePoint, error) {
 	var out []SwitchScalePoint
 	for _, policy := range ScalePolicies {
 		for _, ncpu := range ScaleNCPUs {
 			for _, pages := range ScalePages {
-				pt, err := switchScalePoint(policy, ncpu, pages, opt)
+				pt, err := switchScalePoint(policy, ncpu, pages)
 				if err != nil {
 					return nil, fmt.Errorf("bench: switchscale %v/%dcpu/%dpg: %w",
 						policy, ncpu, pages, err)
@@ -76,13 +76,8 @@ func SwitchScale(opt Options) ([]SwitchScalePoint, error) {
 // switchScalePoint measures one configuration: populate the working set,
 // attach cold, detach, dirty ~10% of the driver's region natively,
 // re-attach, detach.
-func switchScalePoint(policy core.TrackingPolicy, ncpu, pages int, opt Options) (SwitchScalePoint, error) {
-	opt.Policy = policy
-	opt.NCPU = ncpu
-	if opt.MemBytes == 0 {
-		opt.MemBytes = 512 << 20
-	}
-	s, err := Build(MN, opt)
+func switchScalePoint(policy core.TrackingPolicy, ncpu, pages int) (SwitchScalePoint, error) {
+	s, err := Build(MN, Options{Policy: policy, NCPU: ncpu, MemBytes: 512 << 20})
 	if err != nil {
 		return SwitchScalePoint{}, err
 	}

@@ -17,7 +17,7 @@ func findPoint(t *testing.T, pts []SwitchScalePoint, policy string, ncpu, pages 
 // TestSwitchScaleAcceptance runs the full sweep once and asserts the
 // issue's two performance criteria plus determinism of the cycle counts.
 func TestSwitchScaleAcceptance(t *testing.T) {
-	pts, err := SwitchScale(Options{})
+	pts, err := SwitchScale()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSwitchScaleAcceptance(t *testing.T) {
 
 	// Determinism: the committed baseline is only diffable if a repeat
 	// run reproduces every value exactly.
-	again, err := SwitchScale(Options{})
+	again, err := SwitchScale()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 type Standby struct {
 	V      *xen.VMM
 	Caller *xen.Domain
-	Cfg    migrate.LiveConfig
 }
 
 // Config parameterizes one campaign.
@@ -337,7 +336,7 @@ func detectSensor(ctx *Ctx, cfg Config, ep *Episode, act *Active) error {
 	sensors := []core.Sensor{*act.Sensor}
 	if cfg.Standby != nil {
 		er, err := mc.HealOrEvacuate(ctx.C, sensors, act.Repair,
-			cfg.Standby.V, cfg.Standby.Caller, cfg.Standby.Cfg)
+			cfg.Standby.V, cfg.Standby.Caller, migrate.LiveConfig{})
 		if er != nil {
 			ep.Detected = true
 			ep.Escalated = er.Escalated

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/migrate"
 	"repro/internal/obs"
 	"repro/internal/xen"
 )
@@ -49,7 +48,7 @@ func standbyNode(t *testing.T, src *hw.Machine) *Standby {
 	}
 	v.SetCurrent(c, dom0)
 	hw.Wire(src.NIC, m.NIC, hw.Gigabit())
-	return &Standby{V: v, Caller: dom0, Cfg: migrate.DefaultLiveConfig()}
+	return &Standby{V: v, Caller: dom0}
 }
 
 // TestChaosCatalogStructure: the registry spans all three layers with

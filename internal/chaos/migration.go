@@ -75,7 +75,7 @@ func NewStandby(src *hw.Machine) (*Standby, error) {
 	}
 	v.SetCurrent(c, dom0)
 	hw.Wire(src.NIC, m.NIC, hw.Gigabit())
-	return &Standby{V: v, Caller: dom0, Cfg: migrate.DefaultLiveConfig()}, nil
+	return &Standby{V: v, Caller: dom0}, nil
 }
 
 // victimFrames is the migrating guest's partition size in detectTxn
@@ -107,8 +107,7 @@ func detectTxn(ctx *Ctx, cfg Config, ep *Episode, act *Active) error {
 	for i := 0; i < victimFrames/2; i++ {
 		mc.M.Mem.WriteWord((lo + hw.PFN(i)).Addr(), 0xC0DE0000|uint32(i))
 	}
-	lcfg := cfg.Standby.Cfg
-	lcfg.Inject = ctx.Migrate
+	lcfg := migrate.LiveConfig{Inject: ctx.Migrate}
 	// The victim keeps dirtying a trickle of pages while pre-copy runs,
 	// so round-indexed faults (the link stall) have traffic to hit.
 	lcfg.Mutator = func(round int) {

@@ -155,7 +155,7 @@ func TestChaosHealingEscalatesToEvacuation(t *testing.T) {
 
 	rep, err := mc.HealOrEvacuate(c, []Sensor{RunqueueSensor()},
 		func(*hw.CPU, *Mercury) error { return fmt.Errorf("repair tool broken") },
-		dstV, dstDom0, migrate.DefaultLiveConfig())
+		dstV, dstDom0, migrate.LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestChaosEvacuationFailureMidCampaign(t *testing.T) {
 	mc.K.InjectRunqueueCorruption(nil)
 	rep, err := mc.HealOrEvacuate(c, []Sensor{RunqueueSensor()},
 		func(*hw.CPU, *Mercury) error { return fmt.Errorf("repair tool broken") },
-		dstV, dstDom0, migrate.DefaultLiveConfig())
+		dstV, dstDom0, migrate.LiveConfig{})
 	if err == nil || !strings.Contains(err.Error(), "evacuating") {
 		t.Fatalf("evacuation failure not surfaced: %v", err)
 	}

@@ -71,14 +71,14 @@ func TestEvacuateOnFailureFullFlow(t *testing.T) {
 
 	// Healthy: no evacuation.
 	fp := DefaultPredictor()
-	rep, err := mc.EvacuateOnFailure(c, fp, dstV, dstDom0, migrate.DefaultLiveConfig())
+	rep, err := mc.EvacuateOnFailure(c, fp, dstV, dstDom0, migrate.LiveConfig{})
 	if err != nil || rep != nil {
 		t.Fatalf("healthy node evacuated: %v %v", rep, err)
 	}
 
 	// Overheat: evacuate, verify payload, node released to native.
 	mc.M.Sensors.Set(hw.SensorCPUTempC, 92)
-	rep, err = mc.EvacuateOnFailure(c, fp, dstV, dstDom0, migrate.DefaultLiveConfig())
+	rep, err = mc.EvacuateOnFailure(c, fp, dstV, dstDom0, migrate.LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestEvacuateFromNativeModeAttachesFirst(t *testing.T) {
 
 	mc.M.Sensors.Set(hw.SensorFanRPM, 100)
 	rep, err := mc.EvacuateOnFailure(c, DefaultPredictor(), dstV, dstDom0,
-		migrate.DefaultLiveConfig())
+		migrate.LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

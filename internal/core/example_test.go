@@ -235,7 +235,7 @@ func ExampleMercury_EvacuateOnFailure() {
 	hw.Wire(node1.NIC, node2.NIC, hw.Gigabit())
 
 	predictor := core.DefaultPredictor()
-	rep, err := mc1.EvacuateOnFailure(c1, predictor, vmm2, dom02, migrate.DefaultLiveConfig())
+	rep, err := mc1.EvacuateOnFailure(c1, predictor, vmm2, dom02, migrate.LiveConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func ExampleMercury_EvacuateOnFailure() {
 	// A fan starts dying; the temperature climbs past the threshold.
 	node1.Sensors.Set(hw.SensorFanRPM, 1200)
 	node1.Sensors.Set(hw.SensorCPUTempC, 91)
-	cfg := migrate.DefaultLiveConfig()
+	var cfg migrate.LiveConfig
 	cfg.Mutator = func(round int) { // the solver keeps computing
 		for i := 0; i < 25; i++ {
 			node1.Mem.WriteWord((lo+hw.PFN((round*17+i)%800)).Addr()+12, uint32(round))

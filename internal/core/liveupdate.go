@@ -44,15 +44,11 @@ func (mc *Mercury) LiveUpdate(c *hw.CPU, patch KernelPatch) (*UpdateReport, erro
 	}
 	attachedAt := c.Now()
 
-	// The VMM holds the kernel quiescent: in this simulation the caller
-	// is the only activity, and the refcount gate already guaranteed no
-	// sensitive code was in flight at attach.
-	if err := patch.Apply(mc.K); err != nil {
-		err = fmt.Errorf("core: applying %q: %w", patch.Name, err)
+	// abort must leave the system exactly as it found it: detach, then
+	// verify — a failed update that also strands the VMM resident is two
+	// failures, and both get reported.
+	abort := func(err error) (*UpdateReport, error) {
 		if rep.WasNative {
-			// The abort must leave the system exactly as it found it:
-			// detach, then verify — a failed update that also strands
-			// the VMM resident is two failures, and both get reported.
 			if derr := mc.SwitchSync(c, ModeNative); derr != nil {
 				return nil, fmt.Errorf("%v; rollback detach: %w", err, derr)
 			}
@@ -62,9 +58,18 @@ func (mc *Mercury) LiveUpdate(c *hw.CPU, patch KernelPatch) (*UpdateReport, erro
 		}
 		return nil, err
 	}
+
+	// The VMM holds the kernel quiescent: in this simulation the caller
+	// is the only activity, and the refcount gate already guaranteed no
+	// sensitive code was in flight at attach.
+	if err := patch.Apply(mc.K); err != nil {
+		return abort(fmt.Errorf("core: applying %q: %w", patch.Name, err))
+	}
 	// Patched trap handlers must be re-registered with the VMM (and will
 	// be reloaded into the hardware IDT at detach).
-	mc.VMM.HypSetTrapTable(c, mc.Dom, mc.K.TrapGates())
+	if err := mc.VMM.HypSetTrapTable(c, mc.Dom, mc.K.TrapGates()); err != nil {
+		return abort(fmt.Errorf("core: registering %q's trap table: %w", patch.Name, err))
+	}
 	if patch.Validate != nil {
 		if err := patch.Validate(mc.K); err != nil {
 			err = fmt.Errorf("core: validating %q: %w", patch.Name, err)

@@ -238,20 +238,11 @@ func (mc *Mercury) LastSwitchError() error {
 type Config struct {
 	Machine *hw.Machine
 	Policy  TrackingPolicy
-	// KernelHz is the guest timer frequency (default 100 Hz).
-	KernelHz uint64
 	// MaxDeferrals bounds how many times one pending mode switch may be
 	// re-armed by the §5.1.1 retry timer before the request is abandoned
 	// and LastSwitchError reports starvation (default DefaultMaxDeferrals;
 	// a non-draining VO refcount would otherwise retry forever).
 	MaxDeferrals int
-	// JournalEntries sizes the dirty-frame journal ring under
-	// TrackJournal (default xen.DefaultJournalEntries).
-	JournalEntries int
-	// BackoffSeed seeds the deterministic jitter on the deferred-switch
-	// retry backoff (default DefaultBackoffSeed). Same seed, same
-	// machine: same retry schedule.
-	BackoffSeed uint64
 	// LazyMMU enables the kernel's lazy-MMU batching (see
 	// guest.Config.LazyMMU): MMU-heavy paths coalesce their sensitive
 	// stores into multicalls when the system runs virtualized. Off by
@@ -264,9 +255,9 @@ type Config struct {
 // section refusing to drain.
 const DefaultMaxDeferrals = 100
 
-// DefaultBackoffSeed seeds the retry-jitter stream when Config leaves
-// BackoffSeed zero.
-const DefaultBackoffSeed = 0x6d65726375727931 // "mercury1"
+// backoffSeed seeds the deterministic jitter on the deferred-switch
+// retry backoff: same machine, same retry schedule.
+const backoffSeed = 0x6d65726375727931 // "mercury1"
 
 // New builds a complete Mercury system on a fresh machine: the VMM is
 // booted (pre-cached) first, then the kernel boots in native mode with
@@ -287,13 +278,12 @@ func New(cfg Config) (*Mercury, error) {
 	case TrackActive:
 		nat.Track = &vo.Tracker{V: v, D: dom}
 	case TrackJournal:
-		nat.Journal = v.EnableJournal(cfg.JournalEntries)
+		nat.Journal = v.EnableJournal(xen.DefaultJournalEntries)
 	}
 	k, err := guest.Boot(m, guest.Config{
 		Name:    "mercury-linux",
 		VO:      nat,
 		Frames:  m.Frames,
-		HzTicks: cfg.KernelHz,
 		LazyMMU: cfg.LazyMMU,
 	})
 	if err != nil {
@@ -318,10 +308,7 @@ func New(cfg Config) (*Mercury, error) {
 		r.RegisterCounter(mc.Stats.StarvedSwitches, "core", "switch_starved_total")
 	}
 	mc.retryTicks = m.Hz / guest.DefaultHzTicks // 10 ms
-	if cfg.BackoffSeed == 0 {
-		cfg.BackoffSeed = DefaultBackoffSeed
-	}
-	mc.backoffRng.Store(cfg.BackoffSeed)
+	mc.backoffRng.Store(backoffSeed)
 	mc.maxDeferrals = int32(cfg.MaxDeferrals)
 	if mc.maxDeferrals <= 0 {
 		mc.maxDeferrals = DefaultMaxDeferrals

@@ -21,8 +21,6 @@ type Config struct {
 	Seed int64
 	// Ops is the workload length (default DefaultOps).
 	Ops int
-	// MemBytes sizes each system's memory (default bench's 128 MiB).
-	MemBytes uint64
 }
 
 func (c *Config) fill() {
@@ -101,7 +99,6 @@ func capture(s *bench.System, col *obs.Collector, elapsed uint64) probe {
 func runSystem(key bench.SystemKey, cfg Config) (probe, error) {
 	col := obs.New(1)
 	sys, err := bench.Build(key, bench.Options{
-		MemBytes:  cfg.MemBytes,
 		Collector: col,
 		Policy:    core.TrackRecompute,
 		// Batching on: the observatory proves the lazy-MMU multicall
@@ -192,7 +189,6 @@ func buildRows(nl, mn, mv probe) []Row {
 func switchProbe(pol core.TrackingPolicy, cfg Config) (SwitchProbe, error) {
 	col := obs.New(1)
 	sys, err := bench.Build(bench.MN, bench.Options{
-		MemBytes:  cfg.MemBytes,
 		Collector: col,
 		Policy:    pol,
 		LazyMMU:   true,

@@ -120,19 +120,17 @@ func TestAdmissionReleaseUnderflow(t *testing.T) {
 
 func TestDeriveMaxVirtual(t *testing.T) {
 	cases := []struct {
-		nodes, tax, loss, want int
+		nodes, want int
 	}{
-		{10, 15, 10, 6},     // 10·10/15
-		{4, 15, 10, 2},      // 4·10/15 = 2.67
-		{1, 15, 10, 1},      // floor clamp
-		{2, 15, 10, 1},      // 2·10/15 = 1.33
-		{100, 15, 100, 100}, // ceiling clamp at fleet size
-		{8, 0, 0, 5},        // defaults: 8·10/15 = 5.33
+		{10, 6}, // 10·10/15
+		{4, 2},  // 4·10/15 = 2.67
+		{1, 1},  // floor clamp
+		{2, 1},  // 2·10/15 = 1.33
+		{8, 5},  // 8·10/15 = 5.33
 	}
 	for _, c := range cases {
-		if got := DeriveMaxVirtual(c.nodes, c.tax, c.loss); got != c.want {
-			t.Errorf("DeriveMaxVirtual(%d, %d, %d) = %d; want %d",
-				c.nodes, c.tax, c.loss, got, c.want)
+		if got := DeriveMaxVirtual(c.nodes); got != c.want {
+			t.Errorf("DeriveMaxVirtual(%d) = %d; want %d", c.nodes, got, c.want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/guest"
 	"repro/internal/obs"
 )
@@ -16,8 +15,8 @@ const DefaultVirtualTaxPct = 15
 // DefaultMaxCapacityLossPct is the fleet-wide serving-capacity loss the
 // admission controller is willing to trade for maintenance progress: a
 // switched node keeps serving (that is self-virtualization's point) but
-// at 100−VirtualTaxPct percent, so the aggregate loss with k nodes
-// attached is k·VirtualTaxPct/Nodes percent.
+// at 100−DefaultVirtualTaxPct percent, so the aggregate loss with k
+// nodes attached is k·DefaultVirtualTaxPct/Nodes percent.
 const DefaultMaxCapacityLossPct = 10
 
 // Config shapes one fleet.
@@ -28,49 +27,24 @@ type Config struct {
 	Node NodeConfig
 
 	// MaxVirtual bounds concurrent virtual-mode nodes. 0 derives it
-	// from the capacity model: with each attached node paying
-	// VirtualTaxPct of its throughput, at most
-	// Nodes·MaxCapacityLossPct/VirtualTaxPct nodes may be attached
-	// before the fleet loses more than MaxCapacityLossPct of its
-	// aggregate capacity.
+	// from the capacity model (DeriveMaxVirtual).
 	MaxVirtual int
-	// VirtualTaxPct and MaxCapacityLossPct parameterize that model
-	// (defaults DefaultVirtualTaxPct / DefaultMaxCapacityLossPct).
-	VirtualTaxPct      int
-	MaxCapacityLossPct int
-
-	// QueueCap is the admission queue capacity (default 2·Nodes: a
-	// whole wave can wait, anything more is a caller bug).
-	QueueCap int
 
 	// Standby, when true, boots a standby VMM so ActionMigrate works.
 	Standby bool
 
 	// Collector receives fleet-level telemetry (optional).
 	Collector *obs.Collector
-
-	// Seed feeds the payload generator; fleet scheduling itself is
-	// deterministic by construction.
-	Seed int64
 }
 
-// DeriveMaxVirtual applies the capacity model to a fleet size.
-func DeriveMaxVirtual(nodes, taxPct, maxLossPct int) int {
-	if taxPct <= 0 {
-		taxPct = DefaultVirtualTaxPct
-	}
-	if maxLossPct <= 0 {
-		maxLossPct = DefaultMaxCapacityLossPct
-	}
-	// k·taxPct/nodes ≤ maxLossPct  ⇒  k ≤ nodes·maxLossPct/taxPct.
-	k := nodes * maxLossPct / taxPct
-	if k < 1 {
-		k = 1
-	}
-	if k > nodes {
-		k = nodes
-	}
-	return k
+// DeriveMaxVirtual applies the capacity model to a fleet size: with
+// each attached node paying DefaultVirtualTaxPct of its throughput, at
+// most nodes·DefaultMaxCapacityLossPct/DefaultVirtualTaxPct nodes may be
+// attached before the fleet loses more than DefaultMaxCapacityLossPct
+// of its aggregate capacity. At least one node may always attach; the
+// loss is below the tax, so the bound never exceeds the fleet size.
+func DeriveMaxVirtual(nodes int) int {
+	return max(nodes*DefaultMaxCapacityLossPct/DefaultVirtualTaxPct, 1)
 }
 
 // Controller owns the fleet: the nodes, the standby, the admission
@@ -120,16 +94,15 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("fleet: need at least one node")
 	}
 	if cfg.MaxVirtual == 0 {
-		cfg.MaxVirtual = DeriveMaxVirtual(cfg.Nodes, cfg.VirtualTaxPct, cfg.MaxCapacityLossPct)
-	}
-	if cfg.QueueCap == 0 {
-		cfg.QueueCap = 2 * cfg.Nodes
+		cfg.MaxVirtual = DeriveMaxVirtual(cfg.Nodes)
 	}
 	fc := &Controller{cfg: cfg, col: cfg.Collector}
 	if cfg.Collector != nil {
 		fc.events = cfg.Collector.Events
 	}
-	fc.Adm = NewAdmission(cfg.MaxVirtual, cfg.QueueCap, cfg.Collector)
+	// The queue holds 2·Nodes requests: a whole wave can wait, anything
+	// more is a caller bug.
+	fc.Adm = NewAdmission(cfg.MaxVirtual, 2*cfg.Nodes, cfg.Collector)
 	ncfg := cfg.Node
 	ncfg.Collector = cfg.Collector
 	for i := 0; i < cfg.Nodes; i++ {
@@ -185,15 +158,4 @@ func (fc *Controller) event(kind obs.EventKind, node int32, a, b uint64) {
 		return
 	}
 	fc.events.Record(kind, node, uint64(fc.now), a, b)
-}
-
-// VirtualNodes counts nodes currently in a non-native mode.
-func (fc *Controller) VirtualNodes() int {
-	v := 0
-	for _, n := range fc.Nodes {
-		if n.MC.Mode() != core.ModeNative {
-			v++
-		}
-	}
-	return v
 }

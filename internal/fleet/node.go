@@ -312,9 +312,8 @@ func (n *Node) runAction(c *hw.CPU, action Action, standby *Standby, rep *NodeRe
 		if standby == nil {
 			return fmt.Errorf("no standby configured")
 		}
-		lcfg := standby.Cfg
 		moved, lr, err := migrate.Live(c, mc.VMM, mc.Dom, env,
-			standby.V, standby.Caller, lcfg)
+			standby.V, standby.Caller, migrate.LiveConfig{})
 		if err != nil {
 			return err
 		}
@@ -334,7 +333,6 @@ type Standby struct {
 	M      *hw.Machine
 	V      *xen.VMM
 	Caller *xen.Domain
-	Cfg    migrate.LiveConfig
 }
 
 // NewStandby boots the fleet's standby node.
@@ -351,5 +349,5 @@ func NewStandby() (*Standby, error) {
 		return nil, fmt.Errorf("fleet: standby dom0: %w", err)
 	}
 	v.SetCurrent(c, dom0)
-	return &Standby{M: m, V: v, Caller: dom0, Cfg: migrate.DefaultLiveConfig()}, nil
+	return &Standby{M: m, V: v, Caller: dom0}, nil
 }

@@ -25,10 +25,11 @@ type WaveConfig struct {
 	// DeadlineTicks is each request's admission deadline, measured
 	// from submission (0 = no deadline).
 	DeadlineTicks int
-	// MaxTicks aborts a wave that fails to finish (default 10000 — a
-	// wedged admission queue must not hang the caller).
-	MaxTicks int
 }
+
+// maxWaveTicks aborts a wave that fails to finish: a wedged admission
+// queue must not hang the caller.
+const maxWaveTicks = 10000
 
 // BatchReport is one batch's outcome.
 type BatchReport struct {
@@ -98,9 +99,6 @@ func (fc *Controller) RunWave(cfg WaveConfig) (*WaveReport, error) {
 	}
 	if cfg.ArrivalPerTick < 1 {
 		cfg.ArrivalPerTick = cfg.BatchSize
-	}
-	if cfg.MaxTicks == 0 {
-		cfg.MaxTicks = 10000
 	}
 	if cfg.Action == ActionMigrate && fc.Standby == nil {
 		return nil, fmt.Errorf("fleet: migrate wave needs a standby (Config.Standby)")
@@ -181,8 +179,8 @@ func (fc *Controller) RunWave(cfg WaveConfig) (*WaveReport, error) {
 		submitted := 0
 		doneInBatch := 0
 		for doneInBatch < len(pending) {
-			if fc.now-start > Tick(cfg.MaxTicks) {
-				return abort(nil, fmt.Errorf("wave exceeded %d ticks", cfg.MaxTicks))
+			if fc.now-start > maxWaveTicks {
+				return abort(nil, fmt.Errorf("wave exceeded %d ticks", maxWaveTicks))
 			}
 			// 1. Releases scheduled for this tick.
 			for range releases[fc.now] {

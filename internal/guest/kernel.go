@@ -25,8 +25,6 @@ type Config struct {
 	Dom *xen.Domain
 	// VMM is set alongside Dom.
 	VMM *xen.VMM
-	// HzTicks is the timer frequency; the paper uses 100 Hz throughout.
-	HzTicks uint64
 	// ServiceOnly marks a kernel that only provides driver-domain
 	// services (backends) and never runs its own scheduler or timer
 	// tick — the passive dom0 of the X-U and M-U configurations.
@@ -81,8 +79,7 @@ type Kernel struct {
 	Blk BlockDriver
 	Net NetDriver
 
-	timers  *timerWheel
-	HzTicks uint64
+	timers *timerWheel
 
 	// LazyMMU mirrors Config.LazyMMU.
 	LazyMMU bool
@@ -125,9 +122,6 @@ func Boot(m *hw.Machine, cfg Config) (*Kernel, error) {
 	if cfg.Frames == nil {
 		return nil, fmt.Errorf("guest: Boot requires a frame partition")
 	}
-	if cfg.HzTicks == 0 {
-		cfg.HzTicks = DefaultHzTicks
-	}
 	k := &Kernel{
 		Name:     cfg.Name,
 		M:        m,
@@ -138,7 +132,6 @@ func Boot(m *hw.Machine, cfg Config) (*Kernel, error) {
 		nextPid:  1,
 		cur:      make([]*Proc, len(m.CPUs)),
 		pageRefs: make(map[hw.PFN]int),
-		HzTicks:  cfg.HzTicks,
 		LazyMMU:  cfg.LazyMMU,
 	}
 	if cfg.VO == nil {
@@ -216,7 +209,7 @@ func (k *Kernel) installTraps() {
 
 // armTick programs the next periodic timer interrupt.
 func (k *Kernel) armTick(c *hw.CPU) {
-	period := k.M.Hz / k.HzTicks
+	period := k.M.Hz / DefaultHzTicks
 	k.VO().ArmTimer(c, c.Now()+period)
 }
 

@@ -114,7 +114,7 @@ func (k *Kernel) newProc(c *hw.CPU, name string, parent *Proc, body Body) *Proc 
 		parent:    parent,
 		resume:    make(chan *hw.CPU),
 		parked:    make(chan struct{}),
-		workSlice: k.M.Hz / k.HzTicks / 4,
+		workSlice: k.M.Hz / DefaultHzTicks / 4,
 		body:      body,
 	}
 	k.lk.Lock(c)

@@ -14,10 +14,8 @@ import (
 // many frames workloads may touch, not their per-operation cost).
 type Config struct {
 	Name     string
-	Hz       uint64
 	MemBytes uint64
 	NumCPUs  int
-	TLBSize  int
 	Costs    *CostModel
 }
 
@@ -25,10 +23,8 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Name:     "sc1420",
-		Hz:       DefaultHz,
 		MemBytes: 128 << 20,
 		NumCPUs:  1,
-		TLBSize:  DefaultTLBSize,
 	}
 }
 
@@ -68,9 +64,6 @@ func (m *Machine) Telemetry() *obs.Collector { return m.telemetry.Load() }
 
 // NewMachine builds a machine from cfg.
 func NewMachine(cfg Config) *Machine {
-	if cfg.Hz == 0 {
-		cfg.Hz = DefaultHz
-	}
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 128 << 20
 	}
@@ -85,7 +78,7 @@ func NewMachine(cfg Config) *Machine {
 	}
 	m := &Machine{
 		Name:  cfg.Name,
-		Hz:    cfg.Hz,
+		Hz:    DefaultHz,
 		Mem:   NewPhysMem(cfg.MemBytes),
 		Costs: cfg.Costs,
 	}
@@ -95,8 +88,8 @@ func NewMachine(cfg Config) *Machine {
 		c := &CPU{
 			ID:   i,
 			M:    m,
-			Clk:  NewClock(cfg.Hz),
-			TLB:  NewTLB(cfg.TLBSize),
+			Clk:  NewClock(DefaultHz),
+			TLB:  NewTLB(),
 			CPL:  PL0,
 			IF:   false,
 			wake: sync.NewCond(&m.sched.mu),

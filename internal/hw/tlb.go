@@ -7,8 +7,7 @@ package hw
 // reserves the VMM hole permanently (§3.2.2) — crossing into the VMM never
 // costs a flush.
 type TLB struct {
-	entries []tlbEntry
-	mask    uint32
+	entries [tlbSize]tlbEntry
 
 	// statistics
 	Hits, Misses, Flushes uint64
@@ -23,23 +22,19 @@ type tlbEntry struct {
 	global bool
 }
 
-// DefaultTLBSize is the number of TLB entries per CPU.
-const DefaultTLBSize = 64
+// tlbSize is the number of TLB entries per CPU; a power of two, so a
+// VPN's slot is its low bits.
+const (
+	tlbSize = 64
+	tlbMask = tlbSize - 1
+)
 
-// NewTLB builds a TLB with n entries (n must be a power of two).
-func NewTLB(n int) *TLB {
-	if n == 0 {
-		n = DefaultTLBSize
-	}
-	if n&(n-1) != 0 {
-		panic("hw: TLB size must be a power of two")
-	}
-	return &TLB{entries: make([]tlbEntry, n), mask: uint32(n - 1)}
-}
+// NewTLB builds an empty TLB.
+func NewTLB() *TLB { return &TLB{} }
 
 // Lookup returns the cached translation for vpn, if any.
 func (t *TLB) Lookup(vpn VPN) (PFN, bool, bool, bool) {
-	e := &t.entries[uint32(vpn)&t.mask]
+	e := &t.entries[uint32(vpn)&tlbMask]
 	if e.valid && e.vpn == vpn {
 		t.Hits++
 		return e.pfn, e.write, e.user, true
@@ -50,7 +45,7 @@ func (t *TLB) Lookup(vpn VPN) (PFN, bool, bool, bool) {
 
 // Insert caches a translation.
 func (t *TLB) Insert(vpn VPN, pfn PFN, write, user, global bool) {
-	t.entries[uint32(vpn)&t.mask] = tlbEntry{
+	t.entries[uint32(vpn)&tlbMask] = tlbEntry{
 		valid: true, vpn: vpn, pfn: pfn,
 		write: write, user: user, global: global,
 	}
@@ -58,7 +53,7 @@ func (t *TLB) Insert(vpn VPN, pfn PFN, write, user, global bool) {
 
 // Invalidate drops a single translation (INVLPG).
 func (t *TLB) Invalidate(vpn VPN) {
-	e := &t.entries[uint32(vpn)&t.mask]
+	e := &t.entries[uint32(vpn)&tlbMask]
 	if e.valid && e.vpn == vpn {
 		e.valid = false
 	}

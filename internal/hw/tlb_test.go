@@ -3,7 +3,7 @@ package hw
 import "testing"
 
 func TestTLBInsertLookup(t *testing.T) {
-	tlb := NewTLB(64)
+	tlb := NewTLB()
 	if _, _, _, ok := tlb.Lookup(5); ok {
 		t.Fatal("empty TLB hit")
 	}
@@ -18,7 +18,7 @@ func TestTLBInsertLookup(t *testing.T) {
 }
 
 func TestTLBInvalidate(t *testing.T) {
-	tlb := NewTLB(64)
+	tlb := NewTLB()
 	tlb.Insert(5, 99, false, false, false)
 	tlb.Invalidate(5)
 	if _, _, _, ok := tlb.Lookup(5); ok {
@@ -33,7 +33,7 @@ func TestTLBInvalidate(t *testing.T) {
 }
 
 func TestTLBFlushSparesGlobal(t *testing.T) {
-	tlb := NewTLB(64)
+	tlb := NewTLB()
 	tlb.Insert(1, 10, false, false, false)
 	tlb.Insert(2, 20, false, false, true) // global
 	tlb.Flush()
@@ -50,7 +50,7 @@ func TestTLBFlushSparesGlobal(t *testing.T) {
 }
 
 func TestTLBConflictEviction(t *testing.T) {
-	tlb := NewTLB(64)
+	tlb := NewTLB()
 	tlb.Insert(3, 30, false, false, false)
 	tlb.Insert(3+64, 40, false, false, false) // same direct-mapped slot
 	if _, _, _, ok := tlb.Lookup(3); ok {
@@ -59,13 +59,4 @@ func TestTLBConflictEviction(t *testing.T) {
 	if pfn, _, _, ok := tlb.Lookup(3 + 64); !ok || pfn != 40 {
 		t.Fatal("conflicting entry lost")
 	}
-}
-
-func TestTLBSizeValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-power-of-two size")
-		}
-	}()
-	NewTLB(48)
 }

@@ -113,7 +113,7 @@ func ExampleLive() {
 
 	// The guest keeps running: it dirties 20 pages a round.
 	last := make(map[int]uint32) // page -> the guest's last write at +8
-	cfg := migrate.DefaultLiveConfig()
+	var cfg migrate.LiveConfig
 	cfg.Mutator = func(round int) {
 		for i := 0; i < 20; i++ {
 			p := (round*31 + i) % 512

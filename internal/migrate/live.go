@@ -9,32 +9,30 @@ import (
 	"repro/internal/xen"
 )
 
-// LiveConfig tunes the pre-copy algorithm.
+// Pre-copy bounds, Clark et al.'s settings at this scale: at most
+// maxRounds iterative rounds, and stop-and-copy once a round leaves at
+// most stopThreshold dirty pages. Transfers cross the Gigabit migration
+// network (hw.Gigabit).
+const (
+	maxRounds     = 8
+	stopThreshold = 16
+)
+
+// LiveConfig tunes the pre-copy algorithm. The zero value runs plain
+// threshold-stopped pre-copy.
 type LiveConfig struct {
-	// MaxRounds bounds the iterative pre-copy phase.
-	MaxRounds int
-	// StopThreshold: when a round leaves at most this many dirty pages,
-	// stop-and-copy begins.
-	StopThreshold int
 	// DowntimeSLOCyc, when nonzero, makes the pre-copy loop bandwidth-
 	// adaptive: each round estimates the downtime a stop-and-copy of
 	// the current dirty set would cost and stops early once the
 	// estimate fits the SLO — or once the dirty set has stopped
 	// shrinking, when more rounds would only burn bandwidth.
 	DowntimeSLOCyc hw.Cycles
-	// Link carries the transfer (the Gigabit migration network).
-	Link hw.LinkProps
 	// Mutator, when set, is invoked between rounds to stand in for the
 	// still-running guest dirtying memory.
 	Mutator func(round int)
 	// Inject, when set, arms hardware-layer fault injection (link
 	// stall, mid-copy abort) for dependability campaigns.
 	Inject *FaultInjection
-}
-
-// DefaultLiveConfig mirrors Clark et al.'s settings at this scale.
-func DefaultLiveConfig() LiveConfig {
-	return LiveConfig{MaxRounds: 8, StopThreshold: 16, Link: hw.Gigabit()}
 }
 
 // LiveReport describes one completed live migration (or, on error, how
@@ -91,12 +89,6 @@ type RoundReport struct {
 func Live(c *hw.CPU, src *xen.VMM, caller, d *xen.Domain,
 	dst *xen.VMM, dstCaller *xen.Domain, cfg LiveConfig) (*xen.Domain, *LiveReport, error) {
 
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 8
-	}
-	if cfg.Link.BandwidthBps == 0 {
-		cfg.Link = hw.Gigabit()
-	}
 	if !src.Active {
 		return nil, nil, fmt.Errorf("migrate: live migration requires an active source VMM")
 	}
@@ -176,7 +168,7 @@ func Live(c *hw.CPU, src *xen.VMM, caller, d *xen.Domain,
 	// network stack's share, wire serialization) for the downtime
 	// estimator; verifyCyc the fixed verification pass over the
 	// partition that also runs inside the downtime window.
-	wireCyc := hw.Cycles(uint64(hw.PageSize) * 8 * src.M.Hz / cfg.Link.BandwidthBps)
+	wireCyc := hw.Cycles(uint64(hw.PageSize) * 8 * src.M.Hz / hw.Gigabit().BandwidthBps)
 	perPageCyc := src.M.Costs.PageCopy + src.M.Costs.NetStackTx/4 + wireCyc
 	verifyCyc := hw.Cycles(hi-lo) * (src.M.Costs.PageCopy / 4)
 
@@ -230,15 +222,11 @@ func Live(c *hw.CPU, src *xen.VMM, caller, d *xen.Domain,
 
 	// Iterative rounds: each collects the dirty set, estimates what
 	// stopping now would cost, and either stops or copies another round.
-	stopThreshold := cfg.StopThreshold
-	if stopThreshold == 0 {
-		stopThreshold = 16
-	}
 	var dirty []hw.PFN
 	prevDirty := 0
-	stopRound := cfg.MaxRounds + 1
+	stopRound := maxRounds + 1
 	rep.StopReason = "max-rounds"
-	for round := 1; round <= cfg.MaxRounds; round++ {
+	for round := 1; round <= maxRounds; round++ {
 		if cfg.Mutator != nil {
 			cfg.Mutator(round)
 		}

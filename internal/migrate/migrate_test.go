@@ -198,7 +198,7 @@ func TestLiveMigrationPreservesMutatingMemory(t *testing.T) {
 		}
 	}
 
-	cfg := DefaultLiveConfig()
+	var cfg LiveConfig
 	cfg.Mutator = mutator
 	into, rep, err := Live(c, v1, caller1, guest, v2, caller2, cfg)
 	if err != nil {
@@ -238,7 +238,7 @@ func TestLiveMigrationIdleGuestConverges(t *testing.T) {
 	caller2, _ := v2.CreateDomain("dom0", 512, true)
 	v2.SetCurrent(c2, caller2)
 
-	_, rep, err := Live(c, v1, caller1, guest, v2, caller2, DefaultLiveConfig())
+	_, rep, err := Live(c, v1, caller1, guest, v2, caller2, LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

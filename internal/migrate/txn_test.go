@@ -168,7 +168,7 @@ func TestLiveRollbackAtEveryStep(t *testing.T) {
 			v2, caller2, _ := dstEnv(t, v1.M)
 			dstDoms := len(v2.Domains)
 
-			cfg := DefaultLiveConfig()
+			var cfg LiveConfig
 			// Keep a trickle of dirty pages flowing so round-indexed
 			// faults (the link stall) have traffic to hit. Offset 8
 			// stays clear of fill's payload at offset 128.
@@ -234,7 +234,7 @@ func TestLiveMigrationVerifiesAndRepins(t *testing.T) {
 	}
 
 	v2, caller2, _ := dstEnv(t, v1.M)
-	into, rep, err := Live(c, v1, caller1, guest, v2, caller2, DefaultLiveConfig())
+	into, rep, err := Live(c, v1, caller1, guest, v2, caller2, LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestLiveAdaptiveStopsUnderSLO(t *testing.T) {
 	lo, _ := guest.Frames.Range()
 
 	v2, caller2, _ := dstEnv(t, v1.M)
-	cfg := DefaultLiveConfig()
+	var cfg LiveConfig
 	// A workload dirtying far more than the threshold each round: the
 	// fixed policy would run all 8 rounds; a generous SLO stops as soon
 	// as the estimate fits.
@@ -322,7 +322,7 @@ func TestLiveAdaptiveStopsUnderSLO(t *testing.T) {
 	fill(v1b, guestb, 256)
 	lob, _ := guestb.Frames.Range()
 	v2b, caller2b, _ := dstEnv(t, v1b.M)
-	cfgb := DefaultLiveConfig()
+	var cfgb LiveConfig
 	cfgb.Mutator = func(round int) {
 		for i := 0; i < 64; i++ {
 			pfn := lob + hw.PFN((round*31+i)%256)
@@ -481,7 +481,7 @@ func TestLiveMigrationIdentityProperty(t *testing.T) {
 			before = append(before, cp)
 		}
 		v2, caller2, _ := dstEnv(t, v1.M)
-		into, rep, err := Live(c, v1, caller1, guest, v2, caller2, DefaultLiveConfig())
+		into, rep, err := Live(c, v1, caller1, guest, v2, caller2, LiveConfig{})
 		if err != nil || !rep.Verified {
 			return false
 		}

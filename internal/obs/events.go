@@ -225,9 +225,6 @@ func (l *EventLog) Len() int {
 	return l.n
 }
 
-// Cap returns the ring capacity.
-func (l *EventLog) Cap() int { return len(l.buf) }
-
 // Total returns how many records were ever emitted.
 func (l *EventLog) Total() uint64 {
 	l.mu.Lock()

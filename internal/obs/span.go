@@ -183,9 +183,6 @@ func (t *Tracer) Spans() []Span {
 // retention budget filled.
 func (t *Tracer) Dropped() uint64 { return t.dropped.Load() }
 
-// DroppedCounter returns the underlying counter, for registry adoption.
-func (t *Tracer) DroppedCounter() *Counter { return t.dropped }
-
 // Reset discards all finished spans (open stacks are kept).
 func (t *Tracer) Reset() {
 	t.mu.Lock()

@@ -92,7 +92,9 @@ func (o *Virtual) LoadInterruptTable(c *hw.CPU, t *hw.IDT) {
 			entries = append(entries, xen.TrapEntry{Vector: v, Handler: g.Handler})
 		}
 	}
-	o.V.HypSetTrapTable(c, o.D, entries)
+	if err := o.V.HypSetTrapTable(c, o.D, entries); err != nil {
+		panic(fmt.Sprintf("vo: set_trap_table: %v", err))
+	}
 }
 
 // ArmTimer programs the timer via the VMM.

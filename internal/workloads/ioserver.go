@@ -36,7 +36,9 @@ type IOConfig struct {
 	// actual gaps are jittered uniformly in [mean/2, 3*mean/2).
 	// Default 8000.
 	MeanArrival hw.Cycles
-	// ReadPct is the percentage of reads in the mix (0..100). Default 50.
+	// ReadPct is the percentage of reads in the mix, in [0, 100]; 0
+	// (the zero value) means all writes. RunIOServer refuses any other
+	// value.
 	ReadPct int
 	// Seed drives arrivals and the read/write mix deterministically.
 	Seed int64
@@ -46,14 +48,8 @@ type IOConfig struct {
 	// SwitchMid, with Virtual set, requests a switch to native mode once
 	// half the requests have completed, while the rest are in flight.
 	SwitchMid bool
-	// ReqThreshold / RespThreshold are the doorbell-coalescing re-arm
-	// distances (see xen.IORing). Default Depth/4, min 1.
-	ReqThreshold  int
-	RespThreshold int
 	// Policy is Mercury's frame-tracking policy.
 	Policy core.TrackingPolicy
-	// MemBytes sizes the machine (default 128 MB).
-	MemBytes uint64
 	// Collector, when non-nil, is installed before construction.
 	Collector *obs.Collector
 }
@@ -70,24 +66,6 @@ func (cfg *IOConfig) fill() {
 	}
 	if cfg.MeanArrival == 0 {
 		cfg.MeanArrival = 8000
-	}
-	if cfg.ReadPct < 0 || cfg.ReadPct > 100 {
-		cfg.ReadPct = 50
-	}
-	if cfg.ReqThreshold <= 0 {
-		cfg.ReqThreshold = cfg.Depth / 4
-	}
-	if cfg.ReqThreshold < 1 {
-		cfg.ReqThreshold = 1
-	}
-	if cfg.RespThreshold <= 0 {
-		cfg.RespThreshold = cfg.Depth / 4
-	}
-	if cfg.RespThreshold < 1 {
-		cfg.RespThreshold = 1
-	}
-	if cfg.MemBytes == 0 {
-		cfg.MemBytes = 128 << 20
 	}
 }
 
@@ -150,11 +128,12 @@ const QuiescerName = "io-datapath"
 // RunIOServer builds a Mercury system, runs the request-serving
 // workload, and reports the result. Deterministic for a given config.
 func RunIOServer(cfg IOConfig) (*IOResult, error) {
+	if cfg.ReadPct < 0 || cfg.ReadPct > 100 {
+		return nil, fmt.Errorf("workloads: io server: read percentage %d outside [0, 100]", cfg.ReadPct)
+	}
 	cfg.fill()
 	hwCfg := hw.DefaultConfig()
 	hwCfg.Name = "io-server"
-	hwCfg.MemBytes = cfg.MemBytes
-	hwCfg.NumCPUs = 1
 	m := hw.NewMachine(hwCfg)
 	if cfg.Collector != nil {
 		m.SetTelemetry(cfg.Collector)
@@ -263,11 +242,13 @@ func (s *ioServer) setupVirtual() error {
 		s.clientPool = append(s.clientPool, client.Frames.Alloc())
 	}
 
+	// Both doorbells re-arm a quarter ring behind (see xen.IORing).
+	threshold := max(cfg.Depth/4, 1)
 	s.be = xen.NewBlkMQBackend(v, mc.Dom, s.nb.RawDevice(),
-		cfg.Queues, cfg.Depth, cfg.ReqThreshold)
+		cfg.Queues, cfg.Depth, threshold)
 	mc.Dom.BackgroundWork = s.be.Serve
 	v.SetWeight(mc.Dom, 512)
-	s.fe = guest.NewMQBlockFrontend(v, client, mc.Dom.ID, cfg.RespThreshold)
+	s.fe = guest.NewMQBlockFrontend(v, client, mc.Dom.ID, threshold)
 	if err := s.fe.Connect(boot, s.be); err != nil {
 		return fmt.Errorf("workloads: io server: %w", err)
 	}

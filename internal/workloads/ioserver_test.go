@@ -43,6 +43,16 @@ func TestIOServerSwitchUnderLoadExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestIOServerRejectsReadPct: a read share outside [0, 100] is an
+// error, not a silent 50/50 mix.
+func TestIOServerRejectsReadPct(t *testing.T) {
+	for _, pct := range []int{-1, 101} {
+		if _, err := RunIOServer(IOConfig{Requests: 10, ReadPct: pct}); err == nil {
+			t.Errorf("ReadPct %d accepted", pct)
+		}
+	}
+}
+
 // TestIOServerSuppressionRatio pins the acceptance criterion: at ring
 // depth >= 64 the event-index protocol coalesces at least 5 ring slots
 // per doorbell.

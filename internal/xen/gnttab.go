@@ -54,8 +54,14 @@ func (d *Domain) GrantEnd(c *hw.CPU, ref GrantRef) error {
 }
 
 // grantTo returns the entry behind d's grant ref, checking that it is
-// live, granted to mapper and names an existing frame (GrantMap,
-// GrantMapBatch).
+// live, granted to mapper and names an existing frame that d owns
+// (GrantMap, GrantMapBatch).
+//
+// The owner is read without the MMU lock: only building a domain
+// (newDomain) and fault injection (FrameTable.Set) write it, and
+// domain building also writes v.Domains, which every grant map reads
+// unlocked just before this; so the callers already keep domain
+// creation and grant maps apart.
 func (d *Domain) grantTo(mapper *Domain, ref GrantRef) (*grantEntry, error) {
 	if ref < 0 || int(ref) >= len(d.grants) {
 		return nil, fmt.Errorf("xen: dom%d has no grant %d", d.ID, ref)
@@ -68,6 +74,10 @@ func (d *Domain) grantTo(mapper *Domain, ref GrantRef) (*grantEntry, error) {
 	if !d.VMM.M.Mem.Valid(g.pfn) {
 		return nil, fmt.Errorf("xen: dom%d grant %d names frame %d beyond memory",
 			d.ID, ref, g.pfn)
+	}
+	if owner := d.VMM.FT.Get(g.pfn).Owner; owner != d.ID {
+		return nil, fmt.Errorf("xen: dom%d grant %d names frame %d owned by dom%d",
+			d.ID, ref, g.pfn, owner)
 	}
 	return g, nil
 }

@@ -59,7 +59,7 @@ func TestMMUUpdateIndexOutOfRange(t *testing.T) {
 
 // TestHostileNumbersRejected: frame numbers, vectors, ports and grant
 // refs a guest supplies out of range, or naming a frame it does not
-// own, return an error instead of panicking the VMM, and leave the frame
+// own (granted frames included), return an error instead of panicking the VMM, and leave the frame
 // table and the trap table as they were.
 func TestHostileNumbersRejected(t *testing.T) {
 	v, d0, dU, c := twoDomains(t)
@@ -79,6 +79,9 @@ func TestHostileNumbersRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	badGrant := dU.GrantAccess(c, d0.ID, 1<<30, false)
+	vmmGrant := dU.GrantAccess(c, d0.ID, vmmLo, false)
+	foreignGrant := dU.GrantAccess(c, d0.ID, foreign, false)
+	ownGrant := dU.GrantAccess(c, d0.ID, dU.Frames.Alloc(), false)
 	nop := func(*hw.CPU, *hw.TrapFrame) {}
 	multicall := func(add func(*Multicall)) error {
 		var mc Multicall
@@ -137,6 +140,22 @@ func TestHostileNumbersRejected(t *testing.T) {
 		}},
 		{"grant batch of a frame beyond memory", func() error {
 			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{badGrant})
+			return err
+		}},
+		{"grant map of a VMM frame", func() error {
+			_, _, err := v.GrantMap(c, d0, dU.ID, vmmGrant)
+			return err
+		}},
+		{"grant map of a foreign frame", func() error {
+			_, _, err := v.GrantMap(c, d0, dU.ID, foreignGrant)
+			return err
+		}},
+		{"grant batch of a VMM frame", func() error {
+			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{ownGrant, vmmGrant})
+			return err
+		}},
+		{"grant batch of a foreign frame", func() error {
+			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{ownGrant, foreignGrant})
 			return err
 		}},
 		{"grant end ref -1", func() error { return dU.GrantEnd(c, -1) }},

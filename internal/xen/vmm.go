@@ -141,7 +141,6 @@ type VMMStats struct {
 	DomSwitches   *obs.Counter // xen/dom_switches_total: one in and one out per RunInDomain
 	FaultsHandled atomic.Uint64
 	Activations   atomic.Uint64
-	Deactivations atomic.Uint64
 
 	// RecomputeFallbacks counts sharded recomputes whose shards could
 	// not have walked independently (a page-table frame reachable from
@@ -314,7 +313,6 @@ func (v *VMM) Activate(c *hw.CPU) {
 // Deactivate releases the hardware (Mercury detaching the VMM). The
 // frame table goes stale at this instant.
 func (v *VMM) Deactivate(c *hw.CPU) {
-	v.Stats.Deactivations.Add(1)
 	v.Active = false
 }
 
