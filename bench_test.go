@@ -100,7 +100,7 @@ func reportFigure(b *testing.B, f bench.FigureResult) {
 func BenchmarkModeSwitch(b *testing.B) {
 	var last bench.SwitchResult
 	for i := 0; i < b.N; i++ {
-		r, err := bench.ModeSwitchBench(10, core.TrackRecompute)
+		r, err := bench.ModeSwitchBench(10, core.TrackRecompute, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -343,7 +343,7 @@ func modeSwitch(o *options) (any, error) {
 	if o.metrics {
 		opt.Collector = obs.New(1)
 	}
-	r, err := bench.ModeSwitchBenchOpts(10, core.TrackRecompute, opt)
+	r, err := bench.ModeSwitchBench(10, core.TrackRecompute, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/fork"
 	"repro/internal/hw"
-	"repro/internal/migrate"
-	"repro/internal/xen"
 )
 
 // forkCmd demonstrates the snapshot cache: warm one template domain,
@@ -26,47 +24,13 @@ func forkCmd(args []string, w io.Writer) error {
 	if *clones < 1 || *pages < 1 || *dirty < 0 || *dirty > *pages {
 		return fmt.Errorf("fork: need clones >= 1, pages >= 1, 0 <= dirty <= pages")
 	}
-	span := hw.PFN(*pages) + 16
-	frames := uint64(4096) + 1024 + uint64(span)*uint64(*clones+1) + 512
-	m := hw.NewMachine(hw.Config{Name: "fork-demo", MemBytes: frames * hw.PageSize, NumCPUs: 1})
-	v, err := xen.Boot(m)
+	h, cb, err := fork.NewTemplate(*pages, *clones)
 	if err != nil {
 		return err
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	dom0, err := v.CreateDomain("dom0", 1024, true)
-	if err != nil {
-		return err
-	}
-	v.SetCurrent(c, dom0)
-
-	origin, err := v.CreateDomain("template", span, false)
-	if err != nil {
-		return err
-	}
-	lo, _ := origin.Frames.Range()
-	for i := 0; i < *pages; i++ {
-		m.Mem.WriteWord((lo + hw.PFN(i)).Addr(), uint32(0xBE000000)|uint32(i))
-	}
-	root, ptf := lo+hw.PFN(*pages), lo+hw.PFN(*pages)+1
-	hw.WritePTE(m.Mem, root, 3, hw.MakePTE(ptf, hw.PTEPresent|hw.PTEWrite))
-	hw.WritePTE(m.Mem, ptf, 7, hw.MakePTE(lo, hw.PTEPresent|hw.PTEWrite|hw.PTEUser))
-	origin.VCPU0().SetCR3(root)
-
-	img, err := migrate.Checkpoint(c, v, dom0, origin)
-	if err != nil {
-		return err
-	}
-	img.PinnedRoots = []hw.PFN{root}
-	store := fork.NewStore()
-	base, err := fork.NewBase(store, img)
-	if err != nil {
-		return err
-	}
-	cb := &fork.CloneBase{Store: store, Img: base}
+	m, v, c, dom0, store, base := h.M, h.V, h.C, h.Dom0, cb.Store, cb.Img
 	fmt.Fprintf(w, "template %q: %d pages live, image %d frames, identity %s\n",
-		img.Name, *pages, store.Frames(), base.IdentityHash())
+		base.Name, *pages, store.Frames(), base.IdentityHash())
 
 	css := make([]*fork.CloneState, 0, *clones)
 	overlays := make([]*fork.Overlay, 0, *clones)

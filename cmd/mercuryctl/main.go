@@ -42,6 +42,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/xen"
 )
 
 // commands maps each subcommand word to its implementation. A command
@@ -232,7 +233,7 @@ func chaosCmd(args []string, w io.Writer) error {
 		ccfg.Episodes = *episodes
 	}
 	if *migrateFaults {
-		if ccfg.Standby, err = chaos.NewStandby(mc.M); err != nil {
+		if ccfg.Standby, err = xen.BootHost(hw.Config{Name: "standby", MemBytes: 128 << 20, NumCPUs: 1}, 2048); err != nil {
 			return err
 		}
 	}

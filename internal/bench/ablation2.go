@@ -30,16 +30,8 @@ type BatchingAblationResult struct {
 func BatchingAblation() (BatchingAblationResult, error) {
 	res := BatchingAblationResult{Entries: 512}
 
-	build := func() (*System, *guest.Proc, error) {
-		s, err := Build(X0, Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, nil, nil
-	}
-
 	run := func(batched bool) (float64, error) {
-		s, _, err := build()
+		s, err := Build(X0, Options{})
 		if err != nil {
 			return 0, err
 		}

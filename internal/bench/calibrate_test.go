@@ -48,7 +48,7 @@ func TestCalibrationSwitch(t *testing.T) {
 	if os.Getenv("REPRO_CALIBRATE") == "" {
 		t.Skip("set REPRO_CALIBRATE=1 to print the calibration report")
 	}
-	r, err := ModeSwitchBench(10, 0)
+	r, err := ModeSwitchBench(10, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

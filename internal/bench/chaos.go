@@ -7,6 +7,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/xen"
 )
 
 // chaosMaxDeferrals bounds the switch retry budget in campaigns so a
@@ -54,11 +55,9 @@ func ChaosCampaign(seed int64, episodes int, opt Options) (ChaosResult, error) {
 			ccfg.Episodes = episodes
 		}
 		if opt.MigrateFaults {
-			sb, err := chaos.NewStandby(m)
-			if err != nil {
+			if ccfg.Standby, err = xen.BootHost(hw.Config{Name: "standby", MemBytes: 128 << 20, NumCPUs: 1}, 2048); err != nil {
 				return res, err
 			}
-			ccfg.Standby = sb
 		}
 		rep, err := chaos.Run(mc, ccfg)
 		if err != nil {

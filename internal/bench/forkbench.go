@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/fork"
 	"repro/internal/hw"
-	"repro/internal/migrate"
-	"repro/internal/xen"
 )
 
 // ForkPoint is one cell of the snapshot-cache fork sweep: Clones
@@ -68,47 +66,11 @@ func ForkSweep() ([]ForkPoint, error) {
 func forkPoint(pages, clones, dirty int) (ForkPoint, error) {
 	pt := ForkPoint{Pages: pages, Clones: clones, DirtyPages: dirty}
 
-	span := hw.PFN(pages) + 16 // data pages plus table/slack frames
-	// VMM reservation (4096) + dom0 (1024) + template and every clone.
-	frames := uint64(4096) + uint64(1024) + uint64(span)*uint64(clones+1) + 512
-	m := hw.NewMachine(hw.Config{Name: "fork-bench", MemBytes: frames * hw.PageSize, NumCPUs: 1})
-	v, err := xen.Boot(m)
+	h, cb, err := fork.NewTemplate(pages, clones)
 	if err != nil {
 		return pt, err
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	dom0, err := v.CreateDomain("dom0", 1024, true)
-	if err != nil {
-		return pt, err
-	}
-	v.SetCurrent(c, dom0)
-	origin, err := v.CreateDomain("template", span, false)
-	if err != nil {
-		return pt, err
-	}
-	lo, _ := origin.Frames.Range()
-	for i := 0; i < pages; i++ {
-		m.Mem.WriteWord((lo + hw.PFN(i)).Addr(), uint32(0xBE000000)|uint32(i))
-	}
-	// A small pinned page-table tree: clones pay its relocation, the
-	// realistic floor for a fork's private frames.
-	root, ptf := lo+hw.PFN(pages), lo+hw.PFN(pages)+1
-	hw.WritePTE(m.Mem, root, 3, hw.MakePTE(ptf, hw.PTEPresent|hw.PTEWrite))
-	hw.WritePTE(m.Mem, ptf, 7, hw.MakePTE(lo, hw.PTEPresent|hw.PTEWrite|hw.PTEUser))
-	origin.VCPU0().SetCR3(root)
-
-	img, err := migrate.Checkpoint(c, v, dom0, origin)
-	if err != nil {
-		return pt, err
-	}
-	img.PinnedRoots = []hw.PFN{root}
-	store := fork.NewStore()
-	base, err := fork.NewBase(store, img)
-	if err != nil {
-		return pt, err
-	}
-	cb := &fork.CloneBase{Store: store, Img: base}
+	m, v, c, dom0, store, base := h.M, h.V, h.C, h.Dom0, cb.Store, cb.Img
 	pt.BaseFrames = store.Frames()
 
 	var cloneCyc, deltaCyc hw.Cycles

@@ -62,50 +62,33 @@ func MigrateSweep() ([]MigratePoint, error) {
 func migratePoint(pages, dirtyPerRound int, sloUS float64) (MigratePoint, error) {
 	pt := MigratePoint{Pages: pages, DirtyPerRound: dirtyPerRound, SLOUs: sloUS}
 
-	mA := hw.NewMachine(hw.Config{Name: "mig-src", MemBytes: 64 << 20, NumCPUs: 1})
-	vA, err := xen.Boot(mA)
+	src, err := xen.BootHost(hw.Config{Name: "mig-src", MemBytes: 64 << 20, NumCPUs: 1}, 512)
 	if err != nil {
 		return pt, err
 	}
-	cA := mA.BootCPU()
-	vA.Activate(cA)
-	dom0A, err := vA.CreateDomain("dom0", 512, true)
+	dst, err := xen.BootHost(hw.Config{Name: "mig-dst", MemBytes: 64 << 20, NumCPUs: 1}, 512)
 	if err != nil {
 		return pt, err
 	}
-	vA.SetCurrent(cA, dom0A)
-	guest, err := vA.CreateDomain("job", hw.PFN(pages)+16, false)
+	guest, err := src.V.CreateDomain("job", hw.PFN(pages)+16, false)
 	if err != nil {
 		return pt, err
 	}
+	mem := src.M.Mem
 	lo, _ := guest.Frames.Range()
 	for i := 0; i < pages; i++ {
-		mA.Mem.WriteWord((lo + hw.PFN(i)).Addr(), uint32(0xBE000000)|uint32(i))
+		mem.WriteWord((lo + hw.PFN(i)).Addr(), uint32(0xBE000000)|uint32(i))
 	}
-
-	mB := hw.NewMachine(hw.Config{Name: "mig-dst", MemBytes: 64 << 20, NumCPUs: 1})
-	vB, err := xen.Boot(mB)
-	if err != nil {
-		return pt, err
-	}
-	cB := mB.BootCPU()
-	vB.Activate(cB)
-	dom0B, err := vB.CreateDomain("dom0", 512, true)
-	if err != nil {
-		return pt, err
-	}
-	vB.SetCurrent(cB, dom0B)
-	hw.Wire(mA.NIC, mB.NIC, hw.Gigabit())
 
 	var cfg migrate.LiveConfig
-	cfg.DowntimeSLOCyc = hw.Cycles(sloUS / 1e6 * float64(mA.Hz))
+	cfg.DowntimeSLOCyc = hw.Cycles(sloUS / 1e6 * float64(src.M.Hz))
 	cfg.Mutator = func(round int) {
 		for i := 0; i < dirtyPerRound; i++ {
 			pfn := lo + hw.PFN((round*97+i*13)%pages)
-			mA.Mem.WriteWord(pfn.Addr()+4, uint32(round*1000+i))
+			mem.WriteWord(pfn.Addr()+4, uint32(round*1000+i))
 		}
 	}
-	_, rep, err := migrate.Live(cA, vA, dom0A, guest, vB, dom0B, cfg)
+	_, rep, err := migrate.Live(src.C, src.V, src.Dom0, guest, dst.V, dst.Dom0, cfg)
 	if err != nil {
 		return pt, err
 	}

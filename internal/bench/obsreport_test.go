@@ -16,7 +16,7 @@ import (
 func TestSwitchBenchPhaseBreakdown(t *testing.T) {
 	col := obs.New(1)
 	const samples = 3
-	r, err := ModeSwitchBenchOpts(samples, core.TrackRecompute, Options{Collector: col})
+	r, err := ModeSwitchBench(samples, core.TrackRecompute, Options{Collector: col})
 	if err != nil {
 		t.Fatal(err)
 	}

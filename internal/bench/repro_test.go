@@ -131,7 +131,7 @@ func TestFig3ReproductionBands(t *testing.T) {
 }
 
 func TestModeSwitchReproductionBands(t *testing.T) {
-	r, err := ModeSwitchBench(10, core.TrackRecompute)
+	r, err := ModeSwitchBench(10, core.TrackRecompute, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestModeSwitchReproductionBands(t *testing.T) {
 // TestModeSwitchBenchRejectsZeroSamples: the mean over no samples is
 // undefined, so the bench refuses instead of dividing by zero.
 func TestModeSwitchBenchRejectsZeroSamples(t *testing.T) {
-	if _, err := ModeSwitchBench(0, core.TrackRecompute); err == nil {
+	if _, err := ModeSwitchBench(0, core.TrackRecompute, Options{}); err == nil {
 		t.Fatal("ModeSwitchBench(0) returned no error")
 	}
 }

@@ -26,16 +26,10 @@ const switchLoadProcs = 14
 
 // ModeSwitchBench measures attach/detach times under a realistic
 // process load, RDTSC-style: the cycle counter is read at the beginning
-// and end of each switch inside the engine itself.
-func ModeSwitchBench(samples int, policy core.TrackingPolicy) (SwitchResult, error) {
-	return ModeSwitchBenchOpts(samples, policy, Options{})
-}
-
-// ModeSwitchBenchOpts is ModeSwitchBench with explicit build options —
-// the way to attach a telemetry collector (opt.Collector) and get a
-// per-phase span decomposition of each measured switch. samples must be
-// at least 1.
-func ModeSwitchBenchOpts(samples int, policy core.TrackingPolicy, opt Options) (SwitchResult, error) {
+// and end of each switch inside the engine itself. A telemetry collector
+// in opt.Collector gets a per-phase span decomposition of each measured
+// switch. samples must be at least 1.
+func ModeSwitchBench(samples int, policy core.TrackingPolicy, opt Options) (SwitchResult, error) {
 	if samples < 1 {
 		return SwitchResult{}, fmt.Errorf("bench: %d mode-switch samples, want at least 1", samples)
 	}
@@ -138,11 +132,11 @@ func TrackingAblation() (AblationResult, error) {
 	res.OverheadPct = (res.ActiveNativeUS - res.RecomputeNativeUS) /
 		res.RecomputeNativeUS * 100
 
-	rec, err := ModeSwitchBench(5, core.TrackRecompute)
+	rec, err := ModeSwitchBench(5, core.TrackRecompute, Options{})
 	if err != nil {
 		return res, err
 	}
-	act, err := ModeSwitchBench(5, core.TrackActive)
+	act, err := ModeSwitchBench(5, core.TrackActive, Options{})
 	if err != nil {
 		return res, err
 	}

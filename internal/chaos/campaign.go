@@ -12,14 +12,6 @@ import (
 	"repro/internal/xen"
 )
 
-// Standby is the escalation target for sensor-detected faults: when a
-// repair fails, the campaign evacuates to this node (§6.5) instead of
-// giving up.
-type Standby struct {
-	V      *xen.VMM
-	Caller *xen.Domain
-}
-
 // Config parameterizes one campaign.
 type Config struct {
 	Seed     int64
@@ -30,8 +22,9 @@ type Config struct {
 	SwitchCycles bool
 	// Faults overrides the injected classes (default Catalog(mc)).
 	Faults []*Fault
-	// Standby, when set, routes failed repairs into evacuation.
-	Standby *Standby
+	// Standby, when set, is the host failed repairs evacuate to (§6.5)
+	// and the migration faults migrate to.
+	Standby *xen.Host
 	// Fork, when set, adds the snapshot-cache faults (ForkFaults) and
 	// gives DetectStore episodes their probe target.
 	Fork *ForkEnv
@@ -336,7 +329,7 @@ func detectSensor(ctx *Ctx, cfg Config, ep *Episode, act *Active) error {
 	sensors := []core.Sensor{*act.Sensor}
 	if cfg.Standby != nil {
 		er, err := mc.HealOrEvacuate(ctx.C, sensors, act.Repair,
-			cfg.Standby.V, cfg.Standby.Caller, migrate.LiveConfig{})
+			cfg.Standby.V, cfg.Standby.Dom0, migrate.LiveConfig{})
 		if er != nil {
 			ep.Detected = true
 			ep.Escalated = er.Escalated

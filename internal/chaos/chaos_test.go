@@ -33,22 +33,13 @@ func newSystem(t *testing.T, ncpu int, policy core.TrackingPolicy) *core.Mercury
 }
 
 // standbyNode builds a healthy evacuation target.
-func standbyNode(t *testing.T, src *hw.Machine) *Standby {
+func standbyNode(t *testing.T) *xen.Host {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 128 << 20, NumCPUs: 1})
-	v, err := xen.Boot(m)
+	h, err := xen.BootHost(hw.Config{MemBytes: 128 << 20, NumCPUs: 1}, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	dom0, err := v.CreateDomain("dom0", 2048, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.SetCurrent(c, dom0)
-	hw.Wire(src.NIC, m.NIC, hw.Gigabit())
-	return &Standby{V: v, Caller: dom0}
+	return h
 }
 
 // TestChaosCatalogStructure: the registry spans all three layers with
@@ -275,7 +266,7 @@ func TestChaosCampaignEscalatesMidCampaign(t *testing.T) {
 		},
 	}
 	cfg := Config{Seed: 11, Episodes: 2, Faults: []*Fault{unrepairable},
-		Standby: standbyNode(t, mc.M)}
+		Standby: standbyNode(t)}
 	rep, err := Run(mc, cfg)
 	if err != nil {
 		t.Fatal(err)

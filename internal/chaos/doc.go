@@ -21,7 +21,7 @@
 // deterministic on any CPU count.
 //
 // Optional environments gate extra fault classes into the rotation:
-// a standby node (Config.Standby) adds the migration faults behind
+// a standby host (Config.Standby) adds the migration faults behind
 // the txn-rollback detector, a fork store (Config.Fork) the
 // corruption/ref-leak/pin faults behind store-audit, and a
 // split-device node (Config.IO) the ring-stall and doorbell-lost

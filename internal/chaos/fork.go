@@ -11,15 +11,13 @@ import (
 )
 
 // ForkEnv is the snapshot-cache node the store-detected faults attack:
-// its own machine and VMM holding a warmed base image, from which every
-// probe forks, dirties, delta-checkpoints, and destroys a clone. The
-// probe's verdict comes from the store's own defenses — content
-// verification (Store.Verify) and the refcount audit (fork.AuditRefs).
+// its own host holding a warmed base image, from which every probe
+// forks, dirties, delta-checkpoints, and destroys a clone. The probe's
+// verdict comes from the store's own defenses — content verification
+// (Store.Verify) and the refcount audit (fork.AuditRefs).
 type ForkEnv struct {
-	V      *xen.VMM
-	Caller *xen.Domain
-	C      *hw.CPU
-	CB     *fork.CloneBase
+	*xen.Host
+	CB *fork.CloneBase
 
 	probes int
 }
@@ -31,22 +29,15 @@ const forkOriginFrames = 64
 // domain whose checkpoint is ingested into a fresh content-addressed
 // store as the base image clones fork from.
 func NewForkEnv() (*ForkEnv, error) {
-	m := hw.NewMachine(hw.Config{Name: "fork-cache", MemBytes: 128 << 20, NumCPUs: 1})
-	v, err := xen.Boot(m)
+	h, err := xen.BootHost(hw.Config{Name: "fork-cache", MemBytes: 128 << 20, NumCPUs: 1}, 1024)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: booting fork node: %w", err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	dom0, err := v.CreateDomain("dom0", 1024, true)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: fork node dom0: %w", err)
-	}
-	origin, err := v.CreateDomain("origin", forkOriginFrames, false)
+	m := h.M
+	origin, err := h.V.CreateDomain("origin", forkOriginFrames, false)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: fork node origin: %w", err)
 	}
-	v.SetCurrent(c, dom0)
 
 	lo, _ := origin.Frames.Range()
 	for i := 0; i < forkOriginFrames/2; i++ {
@@ -57,7 +48,7 @@ func NewForkEnv() (*ForkEnv, error) {
 	hw.WritePTE(m.Mem, pt, 7, hw.MakePTE(lo+5, hw.PTEPresent|hw.PTEWrite|hw.PTEUser))
 	origin.VCPU0().SetCR3(root)
 
-	img, err := migrate.Checkpoint(c, v, dom0, origin)
+	img, err := migrate.Checkpoint(h.C, h.V, h.Dom0, origin)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: checkpointing fork origin: %w", err)
 	}
@@ -67,7 +58,7 @@ func NewForkEnv() (*ForkEnv, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: warming base image: %w", err)
 	}
-	return &ForkEnv{V: v, Caller: dom0, C: c, CB: &fork.CloneBase{Store: store, Img: base}}, nil
+	return &ForkEnv{Host: h, CB: &fork.CloneBase{Store: store, Img: base}}, nil
 }
 
 // Probe runs one full fork lifecycle — clone, dirty, delta checkpoint,
@@ -81,7 +72,7 @@ func (fe *ForkEnv) Probe() (anomaly string, err error) {
 	fe.probes++
 	domsBefore := len(fe.V.Domains)
 
-	cs, cerr := fork.Clone(fe.C, fe.V, fe.Caller, fe.CB, fmt.Sprintf("probe-%d", fe.probes))
+	cs, cerr := fork.Clone(fe.C, fe.V, fe.Dom0, fe.CB, fmt.Sprintf("probe-%d", fe.probes))
 	if cerr != nil {
 		// The clone aborted: its transaction must have unwound cleanly —
 		// no leaked domain, no stray CoW mappings, balanced refcounts.
@@ -100,12 +91,12 @@ func (fe *ForkEnv) Probe() (anomaly string, err error) {
 	for i := 0; i < 3; i++ {
 		fe.V.M.Mem.WriteWord((cs.Lo + hw.PFN(10+i)).Addr(), 0xD117_0000|uint32(fe.probes<<4|i))
 	}
-	o, derr := fork.CheckpointDelta(fe.C, fe.V, fe.Caller, cs)
+	o, derr := fork.CheckpointDelta(fe.C, fe.V, fe.Dom0, cs)
 	if derr != nil {
-		_ = fork.DestroyClone(fe.C, fe.V, fe.Caller, cs)
+		_ = fork.DestroyClone(fe.C, fe.V, fe.Dom0, cs)
 		return "", fmt.Errorf("chaos: delta checkpoint: %w", derr)
 	}
-	if err := fork.DestroyClone(fe.C, fe.V, fe.Caller, cs); err != nil {
+	if err := fork.DestroyClone(fe.C, fe.V, fe.Dom0, cs); err != nil {
 		return "", fmt.Errorf("chaos: destroying probe clone: %w", err)
 	}
 	if err := o.Release(); err != nil {

@@ -146,7 +146,7 @@ func TestChaosForkAbortPropertyReleasesRefs(t *testing.T) {
 				case 2:
 					fe.V.InjectUnpauseFailures(1)
 				}
-				cs, err := fork.Clone(fe.C, fe.V, fe.Caller, fe.CB, "prop")
+				cs, err := fork.Clone(fe.C, fe.V, fe.Dom0, fe.CB, "prop")
 				fe.V.InjectPinFailures(0)
 				fe.V.InjectUnpauseFailures(0)
 				if err == nil {
@@ -164,7 +164,7 @@ func TestChaosForkAbortPropertyReleasesRefs(t *testing.T) {
 			case 2: // delta-checkpoint a live clone
 				if len(clones) > 0 {
 					cs := clones[rng.Intn(len(clones))]
-					o, err := fork.CheckpointDelta(fe.C, fe.V, fe.Caller, cs)
+					o, err := fork.CheckpointDelta(fe.C, fe.V, fe.Dom0, cs)
 					if err != nil {
 						t.Fatalf("seed %d: delta: %v", seed, err)
 					}
@@ -174,7 +174,7 @@ func TestChaosForkAbortPropertyReleasesRefs(t *testing.T) {
 			case 3: // destroy a live clone
 				if len(clones) > 0 {
 					i := rng.Intn(len(clones))
-					if err := fork.DestroyClone(fe.C, fe.V, fe.Caller, clones[i]); err != nil {
+					if err := fork.DestroyClone(fe.C, fe.V, fe.Dom0, clones[i]); err != nil {
 						t.Fatalf("seed %d: destroy: %v", seed, err)
 					}
 					clones = append(clones[:i], clones[i+1:]...)
@@ -184,7 +184,7 @@ func TestChaosForkAbortPropertyReleasesRefs(t *testing.T) {
 		}
 		// Tear everything down: the store must drain to exactly zero.
 		for _, cs := range clones {
-			if err := fork.DestroyClone(fe.C, fe.V, fe.Caller, cs); err != nil {
+			if err := fork.DestroyClone(fe.C, fe.V, fe.Dom0, cs); err != nil {
 				t.Fatalf("seed %d: final destroy: %v", seed, err)
 			}
 		}

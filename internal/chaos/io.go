@@ -8,16 +8,14 @@ import (
 )
 
 // IOEnv is the split-device datapath the I/O fault classes attack: its
-// own machine with a driver domain running a multi-queue block backend
-// and a client domain pushing requests at it. A probe pushes a burst
+// own host, whose dom0 is the driver domain running a multi-queue block
+// backend, and a client domain pushing requests at it. A probe pushes a burst
 // through the rings and lets the datapath's own defenses deliver the
 // verdict — the backend's progress audit (ring stall) and the ring's
 // poll-side recovery accounting (lost doorbell).
 type IOEnv struct {
-	V      *xen.VMM
-	Driver *xen.Domain
+	*xen.Host
 	Client *xen.Domain
-	C      *hw.CPU
 	BE     *xen.BlkMQBackend
 
 	probes int
@@ -29,27 +27,19 @@ const (
 	ioEnvBurst  = 8
 )
 
-// NewIOEnv boots a split-device node: a driver domain serving a
-// multi-queue block backend and a client domain granting I/O buffers.
+// NewIOEnv boots a split-device node: dom0 serving a multi-queue block
+// backend and a client domain granting I/O buffers.
 func NewIOEnv() (*IOEnv, error) {
-	m := hw.NewMachine(hw.Config{Name: "io-node", MemBytes: 128 << 20, NumCPUs: 1})
-	v, err := xen.Boot(m)
+	h, err := xen.BootHost(hw.Config{Name: "io-node", MemBytes: 128 << 20, NumCPUs: 1}, 1024)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: booting io node: %w", err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	driver, err := v.CreateDomain("driver", 1024, true)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: io node driver domain: %w", err)
-	}
-	client, err := v.CreateDomain("io-client", 256, false)
+	client, err := h.V.CreateDomain("io-client", 256, false)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: io node client domain: %w", err)
 	}
-	v.SetCurrent(c, driver)
-	be := xen.NewBlkMQBackend(v, driver, m.Disk, ioEnvQueues, ioEnvDepth, 1)
-	return &IOEnv{V: v, Driver: driver, Client: client, C: c, BE: be}, nil
+	be := xen.NewBlkMQBackend(h.V, h.Dom0, h.M.Disk, ioEnvQueues, ioEnvDepth, 1)
+	return &IOEnv{Host: h, Client: client, BE: be}, nil
 }
 
 // Probe pushes one burst per queue through the rings, pumps the backend
@@ -74,7 +64,7 @@ func (ie *IOEnv) Probe() (anomaly string, err error) {
 			// probe's stalled queue shows up as a duplicate, not a match.
 			id := uint64(ie.probes)<<16 | uint64(qi)<<8 | uint64(i)
 			pfn := ie.Client.Frames.Alloc()
-			ref := ie.Client.GrantAccess(c, ie.Driver.ID, pfn, true)
+			ref := ie.Client.GrantAccess(c, ie.Dom0.ID, pfn, true)
 			reqs = append(reqs, xen.BlkRequest{
 				ID: id, Block: uint64(qi*4096) + uint64(i),
 				Write: true, Grant: ref, Front: ie.Client.ID,

@@ -58,26 +58,6 @@ func MigrationFaults() []*Fault {
 	}
 }
 
-// NewStandby boots a migration destination on its own machine, wires
-// its NIC to src's, and returns it ready to receive evacuated or
-// migrated domains.
-func NewStandby(src *hw.Machine) (*Standby, error) {
-	m := hw.NewMachine(hw.Config{Name: "standby", MemBytes: 128 << 20, NumCPUs: 1})
-	v, err := xen.Boot(m)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: booting standby: %w", err)
-	}
-	c := m.BootCPU()
-	v.Activate(c)
-	dom0, err := v.CreateDomain("dom0", 2048, true)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: standby dom0: %w", err)
-	}
-	v.SetCurrent(c, dom0)
-	hw.Wire(src.NIC, m.NIC, hw.Gigabit())
-	return &Standby{V: v, Caller: dom0}, nil
-}
-
 // victimFrames is the migrating guest's partition size in detectTxn
 // episodes — small enough that a campaign's worth of donations fits the
 // driver domain's partition.
@@ -120,7 +100,7 @@ func detectTxn(ctx *Ctx, cfg Config, ep *Episode, act *Active) error {
 	dstDoms := len(cfg.Standby.V.Domains)
 
 	moved, _, merr := migrate.Live(ctx.C, mc.VMM, mc.Dom, victim,
-		cfg.Standby.V, cfg.Standby.Caller, lcfg)
+		cfg.Standby.V, cfg.Standby.Dom0, lcfg)
 	if merr != nil {
 		ep.Detected = true
 		ep.RolledBack = true
@@ -145,7 +125,7 @@ func detectTxn(ctx *Ctx, cfg Config, ep *Episode, act *Active) error {
 		// With the fault removed the retry must commit — an aborted
 		// maintenance window is postponed, not lost.
 		moved, _, merr = migrate.Live(ctx.C, mc.VMM, mc.Dom, victim,
-			cfg.Standby.V, cfg.Standby.Caller, lcfg)
+			cfg.Standby.V, cfg.Standby.Dom0, lcfg)
 		if merr != nil {
 			return fmt.Errorf("retry after undo: %w", merr)
 		}

@@ -14,7 +14,7 @@ func TestMigrationFaultEpisodes(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			mc := newSystem(t, 1, core.TrackRecompute)
-			sb := standbyNode(t, mc.M)
+			sb := standbyNode(t)
 			rep, err := Run(mc, Config{
 				Seed: 5, Episodes: 1, Faults: []*Fault{f}, Standby: sb,
 			})
@@ -68,7 +68,7 @@ func TestMigrationFaultsGatedOnStandby(t *testing.T) {
 func TestMigrationCampaignFixedSeed(t *testing.T) {
 	run := func() *Report {
 		mc := newSystem(t, 1, core.TrackRecompute)
-		sb := standbyNode(t, mc.M)
+		sb := standbyNode(t)
 		cfg := DefaultConfig(7)
 		cfg.Episodes = 12
 		cfg.Standby = sb

@@ -150,7 +150,6 @@ func TestChaosHealingEscalatesToEvacuation(t *testing.T) {
 	mc := newMercury(t, 1, TrackRecompute)
 	c := mc.M.BootCPU()
 	dstV, dstDom0, _ := spareNode(t)
-	hw.Wire(mc.M.NIC, dstV.M.NIC, hw.Gigabit())
 	mc.K.InjectRunqueueCorruption(nil)
 
 	rep, err := mc.HealOrEvacuate(c, []Sensor{RunqueueSensor()},
@@ -182,19 +181,11 @@ func TestChaosEvacuationFailureMidCampaign(t *testing.T) {
 
 	// A standby too small to receive anything: nearly all of its free
 	// memory goes to its dom0.
-	m2 := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	dstV, err := xen.Boot(m2)
+	dst, err := xen.BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 1}, 3500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := m2.BootCPU()
-	dstV.Activate(c2)
-	dstDom0, err := dstV.CreateDomain("dom0", 3500, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstV.SetCurrent(c2, dstDom0)
-	hw.Wire(mc.M.NIC, m2.NIC, hw.Gigabit())
+	dstV, dstDom0 := dst.V, dst.Dom0
 
 	// Host a domain bigger than the standby's leftover memory.
 	if err := mc.SwitchSync(c, ModePartialVirtual); err != nil {

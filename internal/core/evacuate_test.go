@@ -11,19 +11,11 @@ import (
 // spareNode builds the healthy destination VMM.
 func spareNode(t *testing.T) (*xen.VMM, *xen.Domain, *hw.CPU) {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 128 << 20, NumCPUs: 1})
-	v, err := xen.Boot(m)
+	h, err := xen.BootHost(hw.Config{MemBytes: 128 << 20, NumCPUs: 1}, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	dom0, err := v.CreateDomain("dom0", 2048, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.SetCurrent(c, dom0)
-	return v, dom0, c
+	return h.V, h.Dom0, h.C
 }
 
 func TestPredictorThresholds(t *testing.T) {
@@ -54,7 +46,6 @@ func TestEvacuateOnFailureFullFlow(t *testing.T) {
 	mc := newMercury(t, 1, TrackRecompute)
 	c := mc.M.BootCPU()
 	dstV, dstDom0, _ := spareNode(t)
-	hw.Wire(mc.M.NIC, dstV.M.NIC, hw.Gigabit())
 
 	// Host a guest with live state.
 	if err := mc.SwitchSync(c, ModePartialVirtual); err != nil {
@@ -112,7 +103,6 @@ func TestEvacuateFromNativeModeAttachesFirst(t *testing.T) {
 	mc := newMercury(t, 1, TrackRecompute)
 	c := mc.M.BootCPU()
 	dstV, dstDom0, _ := spareNode(t)
-	hw.Wire(mc.M.NIC, dstV.M.NIC, hw.Gigabit())
 
 	mc.M.Sensors.Set(hw.SensorFanRPM, 100)
 	rep, err := mc.EvacuateOnFailure(c, DefaultPredictor(), dstV, dstDom0,

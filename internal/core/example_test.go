@@ -220,22 +220,13 @@ func ExampleMercury_EvacuateOnFailure() {
 	fmt.Printf("[node1] hosting %q (800 pages of solver state)\n", job.Name)
 
 	// Node 2 is the healthy spare, in partial-virtual mode.
-	node2 := hw.NewMachine(hw.Config{Name: "node2", MemBytes: 128 << 20, NumCPUs: 1})
-	vmm2, err := xen.Boot(node2)
+	node2, err := xen.BootHost(hw.Config{Name: "node2", MemBytes: 128 << 20, NumCPUs: 1}, 4096)
 	if err != nil {
 		log.Fatal(err)
 	}
-	c2 := node2.BootCPU()
-	vmm2.Activate(c2)
-	dom02, err := vmm2.CreateDomain("dom0", 4096, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vmm2.SetCurrent(c2, dom02)
-	hw.Wire(node1.NIC, node2.NIC, hw.Gigabit())
 
 	predictor := core.DefaultPredictor()
-	rep, err := mc1.EvacuateOnFailure(c1, predictor, vmm2, dom02, migrate.LiveConfig{})
+	rep, err := mc1.EvacuateOnFailure(c1, predictor, node2.V, node2.Dom0, migrate.LiveConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -251,7 +242,7 @@ func ExampleMercury_EvacuateOnFailure() {
 			node1.Mem.WriteWord((lo+hw.PFN((round*17+i)%800)).Addr()+12, uint32(round))
 		}
 	}
-	rep, err = mc1.EvacuateOnFailure(c1, predictor, vmm2, dom02, cfg)
+	rep, err = mc1.EvacuateOnFailure(c1, predictor, node2.V, node2.Dom0, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -264,12 +255,12 @@ func ExampleMercury_EvacuateOnFailure() {
 	fmt.Printf("[node1] released=%v, mode=%v\n", rep.NodeReleased, mc1.Mode())
 
 	// The job's state survived intact on node 2.
-	for _, d := range vmm2.Domains {
+	for _, d := range node2.V.Domains {
 		if d.Name == "mpi-rank-0-migrated" {
 			lo2, _ := d.Frames.Range()
 			verified := true
 			for i := 0; i < 800; i++ {
-				verified = verified && node2.Mem.ReadWord((lo2+hw.PFN(i)).Addr()) == uint32(0x4A0B_0000+i)
+				verified = verified && node2.M.Mem.ReadWord((lo2+hw.PFN(i)).Addr()) == uint32(0x4A0B_0000+i)
 			}
 			fmt.Printf("[node2] %q solver state verified: %v\n", d.Name, verified)
 		}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/guest"
+	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/xen"
 )
 
 // DefaultVirtualTaxPct is the per-node throughput cost of running in
@@ -50,9 +52,11 @@ func DeriveMaxVirtual(nodes int) int {
 // Controller owns the fleet: the nodes, the standby, the admission
 // controller, and the fleet clock.
 type Controller struct {
-	Nodes   []*Node
-	Adm     *Admission
-	Standby *Standby
+	Nodes []*Node
+	Adm   *Admission
+	// Standby is the host every ActionMigrate pipeline sends its
+	// environment to; nil unless Config.Standby.
+	Standby *xen.Host
 
 	cfg Config
 	col *obs.Collector
@@ -113,9 +117,9 @@ func New(cfg Config) (*Controller, error) {
 		fc.Nodes = append(fc.Nodes, n)
 	}
 	if cfg.Standby {
-		sb, err := NewStandby()
+		sb, err := xen.BootHost(hw.Config{Name: "fleet-standby", MemBytes: 64 << 20, NumCPUs: 1}, 2048)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fleet: booting standby: %w", err)
 		}
 		fc.Standby = sb
 	}

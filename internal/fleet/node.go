@@ -208,7 +208,7 @@ type NodeReport struct {
 // process: populate the working set, attach, perform the action, detach,
 // heal-verify. preAttach, when non-nil, runs in process context before
 // the attach — the fault-injection hook the abort property tests use.
-func (n *Node) maintain(action Action, pages int, standby *Standby,
+func (n *Node) maintain(action Action, pages int, standby *xen.Host,
 	preAttach func(n *Node, p *guest.Proc) (func(), error), rep *NodeReport) error {
 
 	mc := n.MC
@@ -221,7 +221,7 @@ func (n *Node) maintain(action Action, pages int, standby *Standby,
 	return perr
 }
 
-func (n *Node) pipeline(p *guest.Proc, action Action, pages int, standby *Standby,
+func (n *Node) pipeline(p *guest.Proc, action Action, pages int, standby *xen.Host,
 	preAttach func(n *Node, p *guest.Proc) (func(), error), rep *NodeReport) error {
 
 	mc := n.MC
@@ -280,7 +280,7 @@ func (n *Node) pipeline(p *guest.Proc, action Action, pages int, standby *Standb
 }
 
 // runAction performs the maintenance payload with the VMM attached.
-func (n *Node) runAction(c *hw.CPU, action Action, standby *Standby, rep *NodeReport) error {
+func (n *Node) runAction(c *hw.CPU, action Action, standby *xen.Host, rep *NodeReport) error {
 	mc := n.MC
 	env, err := mc.VMM.HypDomctlCreateFromFrames(c, mc.Dom, "env", envFrames)
 	if err != nil {
@@ -313,7 +313,7 @@ func (n *Node) runAction(c *hw.CPU, action Action, standby *Standby, rep *NodeRe
 			return fmt.Errorf("no standby configured")
 		}
 		moved, lr, err := migrate.Live(c, mc.VMM, mc.Dom, env,
-			standby.V, standby.Caller, migrate.LiveConfig{})
+			standby.V, standby.Dom0, migrate.LiveConfig{})
 		if err != nil {
 			return err
 		}
@@ -325,29 +325,4 @@ func (n *Node) runAction(c *hw.CPU, action Action, standby *Standby, rep *NodeRe
 		return standby.V.DestroyDomain(moved.ID)
 	}
 	return fmt.Errorf("unknown action %v", action)
-}
-
-// Standby is the fleet's migration target: one warm VMM every
-// ActionMigrate pipeline sends its environment to.
-type Standby struct {
-	M      *hw.Machine
-	V      *xen.VMM
-	Caller *xen.Domain
-}
-
-// NewStandby boots the fleet's standby node.
-func NewStandby() (*Standby, error) {
-	m := hw.NewMachine(hw.Config{Name: "fleet-standby", MemBytes: 64 << 20, NumCPUs: 1})
-	v, err := xen.Boot(m)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: booting standby: %w", err)
-	}
-	c := m.BootCPU()
-	v.Activate(c)
-	dom0, err := v.CreateDomain("dom0", 2048, true)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: standby dom0: %w", err)
-	}
-	v.SetCurrent(c, dom0)
-	return &Standby{M: m, V: v, Caller: dom0}, nil
 }

@@ -37,6 +37,45 @@ type CloneBase struct {
 	Img   *BaseImage
 }
 
+// NewTemplate boots a host sized for a template of pages live pages and
+// clones forks of it, builds the template domain there (pattern words in
+// its data pages, then a two-frame pinned page-table tree that every
+// clone pays to relocate), and warms its checkpoint into a fresh store
+// as the base image clones fork from.
+func NewTemplate(pages, clones int) (*xen.Host, *CloneBase, error) {
+	span := hw.PFN(pages) + 16 // data pages plus table and slack frames
+	// VMM reservation + dom0 + the template and every clone.
+	frames := uint64(xen.ReservedFrames) + 1024 + uint64(span)*uint64(clones+1) + 512
+	h, err := xen.BootHost(hw.Config{Name: "fork-template", MemBytes: frames * hw.PageSize, NumCPUs: 1}, 1024)
+	if err != nil {
+		return nil, nil, err
+	}
+	origin, err := h.V.CreateDomain("template", span, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	lo, _ := origin.Frames.Range()
+	for i := 0; i < pages; i++ {
+		h.M.Mem.WriteWord((lo + hw.PFN(i)).Addr(), 0xBE000000|uint32(i))
+	}
+	root, ptf := lo+hw.PFN(pages), lo+hw.PFN(pages)+1
+	hw.WritePTE(h.M.Mem, root, 3, hw.MakePTE(ptf, hw.PTEPresent|hw.PTEWrite))
+	hw.WritePTE(h.M.Mem, ptf, 7, hw.MakePTE(lo, hw.PTEPresent|hw.PTEWrite|hw.PTEUser))
+	origin.VCPU0().SetCR3(root)
+
+	img, err := migrate.Checkpoint(h.C, h.V, h.Dom0, origin)
+	if err != nil {
+		return nil, nil, err
+	}
+	img.PinnedRoots = []hw.PFN{root}
+	store := NewStore()
+	base, err := NewBase(store, img)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, &CloneBase{Store: store, Img: base}, nil
+}
+
 // SharedCount returns the number of frames still CoW-mapped.
 func (cs *CloneState) SharedCount() int {
 	cs.mu.Lock()

@@ -14,22 +14,15 @@ import (
 // clones exercise relocation and re-pinning.
 func env(t testing.TB) (*xen.VMM, *xen.Domain, *xen.Domain, *hw.CPU) {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v, err := xen.Boot(m)
+	h, err := xen.BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 1}, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	dom0, err := v.CreateDomain("dom0", 1024, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v, dom0, c := h.V, h.Dom0, h.C
 	origin, err := v.CreateDomain("origin", 256, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.SetCurrent(c, dom0)
 
 	lo, _ := origin.Frames.Range()
 	for i := 0; i < 64; i++ {
@@ -221,18 +214,11 @@ func TestUnmodifiedCloneKeepsBaseIdentity(t *testing.T) {
 	// A second machine with the identical partition layout: the clone
 	// lands at zero displacement, so nothing — not even the page-table
 	// frames — is promoted.
-	m2 := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v2, err := xen.Boot(m2)
+	h2, err := xen.BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 1}, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := m2.BootCPU()
-	v2.Activate(c2)
-	dom02, err := v2.CreateDomain("dom0", 1024, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2.SetCurrent(c2, dom02)
+	v2, dom02, c2 := h2.V, h2.Dom0, h2.C
 
 	cs, err := Clone(c2, v2, dom02, cb, "clone-zero")
 	if err != nil {

@@ -12,17 +12,11 @@ import (
 // poll, completes every block, and ends every grant; the data reads
 // back intact through a second over-sized Submit.
 func TestMQBlockFrontendSubmitWrapsFullRing(t *testing.T) {
-	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v, err := xen.Boot(m)
+	h, err := xen.BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 1}, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	drv, err := v.CreateDomain("driver", 1024, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, v, c, drv := h.M, h.V, h.C, h.Dom0
 	fe, err := v.CreateDomain("front", 1536, false)
 	if err != nil {
 		t.Fatal(err)
@@ -81,17 +75,12 @@ func TestMQBlockFrontendSubmitWrapsFullRing(t *testing.T) {
 // upcalls are masked), a synchronous Submit idles until the completions
 // arrive instead of ringing more doorbells, then finishes normally.
 func TestMQBlockFrontendSubmitWaitsForOtherCPU(t *testing.T) {
-	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 2})
-	v, err := xen.Boot(m)
+	h, err := xen.BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 2}, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cA, cB := m.CPUs[0], m.CPUs[1]
-	v.Activate(cA)
-	drv, err := v.CreateDomain("driver", 1024, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, v, drv := h.M, h.V, h.Dom0
+	cA, cB := h.C, m.CPUs[1]
 	fe, err := v.CreateDomain("front", 1024, false)
 	if err != nil {
 		t.Fatal(err)

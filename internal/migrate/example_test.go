@@ -83,19 +83,10 @@ func ExampleLive() {
 
 	// Machine B, the healthy spare, is already in partial-virtual mode
 	// to accommodate the incoming environment.
-	machB := hw.NewMachine(hw.Config{Name: "machine-B", MemBytes: 128 << 20, NumCPUs: 1})
-	vmmB, err := xen.Boot(machB)
+	hostB, err := xen.BootHost(hw.Config{Name: "machine-B", MemBytes: 128 << 20, NumCPUs: 1}, 4096)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cB := machB.BootCPU()
-	vmmB.Activate(cB)
-	dom0B, err := vmmB.CreateDomain("dom0", 4096, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vmmB.SetCurrent(cB, dom0B)
-	hw.Wire(machA.NIC, machB.NIC, hw.Gigabit())
 
 	// Machine A self-virtualizes so its workload becomes a migratable
 	// domain with 512 live pages.
@@ -121,7 +112,7 @@ func ExampleLive() {
 			last[p] = uint32(round)
 		}
 	}
-	moved, rep, err := migrate.Live(cA, mcA.VMM, mcA.Dom, domU, vmmB, dom0B, cfg)
+	moved, rep, err := migrate.Live(cA, mcA.VMM, mcA.Dom, domU, hostB.V, hostB.Dom0, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -135,8 +126,8 @@ func ExampleLive() {
 	verified := rep.Verified
 	for i := 0; i < 512; i++ {
 		va := (loB + hw.PFN(i)).Addr()
-		verified = verified && machB.Mem.ReadWord(va) == uint32(0xC0DE0000+i) &&
-			machB.Mem.ReadWord(va+8) == last[i]
+		verified = verified && hostB.M.Mem.ReadWord(va) == uint32(0xC0DE0000+i) &&
+			hostB.M.Mem.ReadWord(va+8) == last[i]
 	}
 	fmt.Printf("[B] %q payload verified: %v\n", moved.Name, verified)
 

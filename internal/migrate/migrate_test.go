@@ -14,23 +14,15 @@ import (
 // domain whose memory holds a recognizable pattern.
 func env(t testing.TB) (*xen.VMM, *xen.Domain, *xen.Domain, *hw.CPU) {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v, err := xen.Boot(m)
+	h, err := xen.BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 1}, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	caller, err := v.CreateDomain("dom0", 1024, true)
+	guest, err := h.V.CreateDomain("guest", 1024, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	guest, err := v.CreateDomain("guest", 1024, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.SetCurrent(c, caller)
-	return v, caller, guest, c
+	return h.V, h.Dom0, guest, h.C
 }
 
 // fill writes a deterministic pattern into n frames of d.
@@ -141,16 +133,8 @@ func TestRestoreAcrossMachinesRelocates(t *testing.T) {
 	img.PinnedRoots = []hw.PFN{root}
 
 	// Second machine with a different partition layout.
-	m2 := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v2, err := xen.Boot(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := m2.BootCPU()
-	v2.Activate(c2)
-	caller2, _ := v2.CreateDomain("dom0", 512, true)
+	v2, caller2, c2 := dstEnv(t)
 	into, _ := v2.CreateDomain("incoming", 1024, false)
-	v2.SetCurrent(c2, caller2)
 
 	if err := Restore(c2, v2, caller2, into, img); err != nil {
 		t.Fatal(err)
@@ -176,15 +160,7 @@ func TestLiveMigrationPreservesMutatingMemory(t *testing.T) {
 	fill(v1, guest, 64)
 	lo, _ := guest.Frames.Range()
 
-	m2 := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v2, err := xen.Boot(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := m2.BootCPU()
-	v2.Activate(c2)
-	caller2, _ := v2.CreateDomain("dom0", 512, true)
-	v2.SetCurrent(c2, caller2)
+	v2, caller2, _ := dstEnv(t)
 
 	// The guest keeps mutating during pre-copy; the final values must
 	// arrive regardless.
@@ -231,12 +207,7 @@ func TestLiveMigrationIdleGuestConverges(t *testing.T) {
 	v1, caller1, guest, c := env(t)
 	fill(v1, guest, 128)
 
-	m2 := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v2, _ := xen.Boot(m2)
-	c2 := m2.BootCPU()
-	v2.Activate(c2)
-	caller2, _ := v2.CreateDomain("dom0", 512, true)
-	v2.SetCurrent(c2, caller2)
+	v2, caller2, _ := dstEnv(t)
 
 	_, rep, err := Live(c, v1, caller1, guest, v2, caller2, LiveConfig{})
 	if err != nil {
@@ -364,16 +335,8 @@ func TestRestoreIntoLargerPartition(t *testing.T) {
 	}
 	img.PinnedRoots = []hw.PFN{root}
 
-	m2 := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v2, err := xen.Boot(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := m2.BootCPU()
-	v2.Activate(c2)
-	caller2, _ := v2.CreateDomain("dom0", 512, true)
+	v2, caller2, c2 := dstEnv(t)
 	into, _ := v2.CreateDomain("incoming", 2048, false) // twice the source span
-	v2.SetCurrent(c2, caller2)
 
 	// Pre-dirty the whole target partition so the scrub has work.
 	lo2, hi2 := into.Frames.Range()

@@ -9,24 +9,14 @@ import (
 	"repro/internal/xen"
 )
 
-// dstEnv builds an active destination VMM on its own machine, wired to
-// the source machine's NIC.
-func dstEnv(t *testing.T, src *hw.Machine) (*xen.VMM, *xen.Domain, *hw.CPU) {
+// dstEnv builds an active destination VMM on its own machine.
+func dstEnv(t *testing.T) (*xen.VMM, *xen.Domain, *hw.CPU) {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v, err := xen.Boot(m)
+	h, err := xen.BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 1}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	caller, err := v.CreateDomain("dom0", 512, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.SetCurrent(c, caller)
-	hw.Wire(src.NIC, m.NIC, hw.Gigabit())
-	return v, caller, c
+	return h.V, h.Dom0, h.C
 }
 
 // pinTree builds a tiny 2-level page-table tree in the guest and pins
@@ -165,7 +155,7 @@ func TestLiveRollbackAtEveryStep(t *testing.T) {
 			v1, caller1, guest, c := env(t)
 			filled := fill(v1, guest, 64)
 			root, _ := pinTree(t, v1, guest, c)
-			v2, caller2, _ := dstEnv(t, v1.M)
+			v2, caller2, _ := dstEnv(t)
 			dstDoms := len(v2.Domains)
 
 			var cfg LiveConfig
@@ -233,7 +223,7 @@ func TestLiveMigrationVerifiesAndRepins(t *testing.T) {
 		srcCopy[pfn] = cp
 	}
 
-	v2, caller2, _ := dstEnv(t, v1.M)
+	v2, caller2, _ := dstEnv(t)
 	into, rep, err := Live(c, v1, caller1, guest, v2, caller2, LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +280,7 @@ func TestLiveAdaptiveStopsUnderSLO(t *testing.T) {
 	fill(v1, guest, 256)
 	lo, _ := guest.Frames.Range()
 
-	v2, caller2, _ := dstEnv(t, v1.M)
+	v2, caller2, _ := dstEnv(t)
 	var cfg LiveConfig
 	// A workload dirtying far more than the threshold each round: the
 	// fixed policy would run all 8 rounds; a generous SLO stops as soon
@@ -321,7 +311,7 @@ func TestLiveAdaptiveStopsUnderSLO(t *testing.T) {
 	v1b, caller1b, guestb, cb := env(t)
 	fill(v1b, guestb, 256)
 	lob, _ := guestb.Frames.Range()
-	v2b, caller2b, _ := dstEnv(t, v1b.M)
+	v2b, caller2b, _ := dstEnv(t)
 	var cfgb LiveConfig
 	cfgb.Mutator = func(round int) {
 		for i := 0; i < 64; i++ {
@@ -378,16 +368,8 @@ func TestRestoreRepinsRootsOnDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v2, err := xen.Boot(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := m2.BootCPU()
-	v2.Activate(c2)
-	caller2, _ := v2.CreateDomain("dom0", 512, true)
+	v2, caller2, c2 := dstEnv(t)
 	into, _ := v2.CreateDomain("incoming", 1024, false)
-	v2.SetCurrent(c2, caller2)
 
 	if err := Restore(c2, v2, caller2, into, img); err != nil {
 		t.Fatal(err)
@@ -419,16 +401,8 @@ func TestRestoreRollbackOnPinFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v2, err := xen.Boot(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := m2.BootCPU()
-	v2.Activate(c2)
-	caller2, _ := v2.CreateDomain("dom0", 512, true)
+	v2, caller2, c2 := dstEnv(t)
 	into, _ := v2.CreateDomain("incoming", 1024, false)
-	v2.SetCurrent(c2, caller2)
 
 	v2.InjectPinFailures(1)
 	if err := Restore(c2, v2, caller2, into, img); err == nil {
@@ -480,7 +454,7 @@ func TestLiveMigrationIdentityProperty(t *testing.T) {
 			copy(cp, v1.M.Mem.FrameBytesRO(pfn))
 			before = append(before, cp)
 		}
-		v2, caller2, _ := dstEnv(t, v1.M)
+		v2, caller2, _ := dstEnv(t)
 		into, rep, err := Live(c, v1, caller1, guest, v2, caller2, LiveConfig{})
 		if err != nil || !rep.Verified {
 			return false

@@ -16,19 +16,16 @@ func nativeEnv() (*hw.Machine, *hw.CPU) {
 
 func virtualEnv(t *testing.T) (*xen.VMM, *xen.Domain, *hw.CPU) {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v, err := xen.Boot(m)
+	h, err := xen.BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 1}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	d, err := v.CreateDomain("g", hw.PFN(m.Frames.Available()), false)
+	d, err := h.V.CreateDomain("g", hw.PFN(h.M.Frames.Available()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.SetCurrent(c, d)
-	return v, d, c
+	h.V.SetCurrent(h.C, d)
+	return h.V, d, h.C
 }
 
 func TestDirectWritePTEHitsMemory(t *testing.T) {

@@ -191,16 +191,11 @@ func TestBlkBackendWriteBehindConcurrentQueues(t *testing.T) {
 		rounds = 40
 		spread = 20 // distinct block sets per CPU; rounds rewrite them
 	)
-	m := hw.NewMachine(hw.Config{MemBytes: 64 << 20, NumCPUs: 2})
-	v, err := Boot(m)
+	h, err := BootHost(hw.Config{MemBytes: 64 << 20, NumCPUs: 2}, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.Activate(m.BootCPU())
-	drv, err := v.CreateDomain("dom0", 1024, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, v, drv := h.M, h.V, h.Dom0
 	be := NewBlkMQBackend(v, drv, &memDisk{blocks: map[uint64][]byte{}}, 2, burst, 1)
 	be.WriteBehind = true
 

@@ -10,19 +10,12 @@ import (
 // unprivileged guest.
 func twoDomains(t *testing.T) (*VMM, *Domain, *Domain, *hw.CPU) {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v, err := Boot(m)
+	h, err := BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 1}, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	avail := hw.PFN(m.Frames.Available())
-	d0, err := v.CreateDomain("dom0", avail/2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dU, err := v.CreateDomain("domU", hw.PFN(m.Frames.Available()), false)
+	v, d0, c := h.V, h.Dom0, h.C
+	dU, err := v.CreateDomain("domU", hw.PFN(h.M.Frames.Available()), false)
 	if err != nil {
 		t.Fatal(err)
 	}

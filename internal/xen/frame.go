@@ -12,10 +12,12 @@ import (
 type DomID uint16
 
 // Dom0 is the driver domain's ID. DomVMM marks frames owned by the VMM
-// itself (its pre-cached footprint).
+// itself (its pre-cached footprint); DomNone owns the frames no domain
+// was given, such as frame 0 and memory still in the boot allocator.
 const (
-	Dom0   DomID = 0
-	DomVMM DomID = 0xFFFF
+	Dom0    DomID = 0
+	DomNone DomID = 0xFFFE
+	DomVMM  DomID = 0xFFFF
 )
 
 // FrameType is the exclusive use a physical frame is validated for. A
@@ -63,6 +65,8 @@ type FrameInfo struct {
 // cache line and a reference update touches one line, as Xen keeps
 // owner, type and counts together in one struct page_info per frame.
 // Everything but owner and epoch is accounting, which Reset zeroes.
+// owner is stored biased by DomNone (see ownerID), so a zeroed record
+// has no owner and make needs no pass to set one.
 type frame struct {
 	owner     DomID
 	typ       FrameType
@@ -72,10 +76,16 @@ type frame struct {
 	epoch     uint32 // the FrameTable epoch that last mutated the accounting
 }
 
+// ownerID returns the frame's owner.
+func (f *frame) ownerID() DomID { return f.owner + DomNone }
+
+// setOwner makes d the frame's owner.
+func (f *frame) setOwner(d DomID) { f.owner = d - DomNone }
+
 // info copies the record out as a FrameInfo.
 func (f *frame) info() FrameInfo {
 	return FrameInfo{
-		Owner:     f.owner,
+		Owner:     f.ownerID(),
 		Type:      f.typ,
 		TypeCount: f.typeCount,
 		TotalRefs: f.totalRefs,
@@ -98,7 +108,8 @@ type FrameTable struct {
 	epoch   uint32
 }
 
-// NewFrameTable builds accounting for every frame of mem.
+// NewFrameTable builds accounting for every frame of mem, every frame
+// owned by DomNone.
 func NewFrameTable(mem *hw.PhysMem) *FrameTable {
 	n := mem.NumFrames()
 	return &FrameTable{
@@ -129,14 +140,14 @@ func (ft *FrameTable) Touched() int { return len(ft.touched) }
 func (ft *FrameTable) Get(pfn hw.PFN) FrameInfo { return ft.frames[pfn].info() }
 
 // SetOwner assigns a frame to a domain.
-func (ft *FrameTable) SetOwner(pfn hw.PFN, d DomID) { ft.frames[pfn].owner = d }
+func (ft *FrameTable) SetOwner(pfn hw.PFN, d DomID) { ft.frames[pfn].setOwner(d) }
 
 // Set overwrites a frame's accounting entry wholesale. This deliberately
 // bypasses the type system — it exists for fault injection (bit-flips in
 // the accounting array) and for restoring a saved entry afterwards.
 func (ft *FrameTable) Set(pfn hw.PFN, fi FrameInfo) {
 	f := &ft.frames[pfn]
-	f.owner = fi.Owner
+	f.setOwner(fi.Owner)
 	f.typ = fi.Type
 	f.pinned = fi.Pinned
 	f.typeCount = fi.TypeCount

@@ -12,8 +12,9 @@ import (
 // collide on frames, and so that every frame is checked after every op.
 const fuzzFrames = 16
 
-// frameModel is FuzzFrameTable's reference: a plain map of frame infos
-// and the set of frames mutated since the last Reset.
+// frameModel is FuzzFrameTable's reference: a plain map of frame infos,
+// every frame starting owned by DomNone, and the set of frames mutated
+// since the last Reset.
 type frameModel struct {
 	fi      map[hw.PFN]FrameInfo
 	touched map[hw.PFN]bool
@@ -125,12 +126,15 @@ func FuzzFrameTable(f *testing.F) {
 	// A Set entry whose typed count exceeds its refs, dropped by unref.
 	f.Add([]byte{5, 6, 0x15, 10, 6, 1, 4, 6, 1, 7, 0, 0})
 
-	owners := []DomID{Dom0, 1, DomVMM}
+	owners := []DomID{Dom0, 1, DomVMM, DomNone}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		mem := hw.NewPhysMem(fuzzFrames << hw.PageShift)
 		ft := NewFrameTable(mem)
 		v := &VMM{M: &hw.Machine{Mem: mem}, FT: ft}
 		m := &frameModel{fi: map[hw.PFN]FrameInfo{}, touched: map[hw.PFN]bool{}}
+		for p := hw.PFN(0); p < fuzzFrames; p++ {
+			m.fi[p] = FrameInfo{Owner: DomNone}
+		}
 		for i := 0; i+2 < len(ops); i += 3 {
 			a, b := ops[i+1], ops[i+2]
 			pfn := hw.PFN(a % fuzzFrames)

@@ -21,16 +21,14 @@ type grantFuzzEnv struct {
 
 func newGrantFuzzEnv(t *testing.T) *grantFuzzEnv {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 20 << 20, NumCPUs: 1})
-	v, err := Boot(m)
+	h, err := BootHost(hw.Config{MemBytes: 20 << 20, NumCPUs: 1}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	e := &grantFuzzEnv{v: v, c: c, start: make(map[hw.PFN]uint32)}
-	for i, name := range []string{"dom0", "guest1", "guest2"} {
-		d, err := v.CreateDomain(name, 16, i == 0)
+	m, v, c := h.M, h.V, h.C
+	e := &grantFuzzEnv{v: v, c: c, doms: []*Domain{h.Dom0}, start: make(map[hw.PFN]uint32)}
+	for _, name := range []string{"guest1", "guest2"} {
+		d, err := v.CreateDomain(name, 16, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,8 +49,8 @@ func newGrantFuzzEnv(t *testing.T) *grantFuzzEnv {
 }
 
 // owner is the model's owner of pfn: the VMM for its reserved frames,
-// the domain whose partition holds it, and otherwise dom0, because the
-// frame table's zero owner is Dom0 for frames no domain was given.
+// the domain whose partition holds it, and otherwise DomNone, which
+// owns the frames no domain was given.
 func (e *grantFuzzEnv) owner(pfn hw.PFN) DomID {
 	if lo, hi := e.v.Reserved.Range(); pfn >= lo && pfn < hi {
 		return DomVMM
@@ -62,7 +60,7 @@ func (e *grantFuzzEnv) owner(pfn hw.PFN) DomID {
 			return d.ID
 		}
 	}
-	return Dom0
+	return DomNone
 }
 
 // grantModel is one grant-table entry as the model sees it.

@@ -82,6 +82,8 @@ func TestHostileNumbersRejected(t *testing.T) {
 	vmmGrant := dU.GrantAccess(c, d0.ID, vmmLo, false)
 	foreignGrant := dU.GrantAccess(c, d0.ID, foreign, false)
 	ownGrant := dU.GrantAccess(c, d0.ID, dU.Frames.Alloc(), false)
+	// Frame 0 was never given to a domain, so it is not dom0's to grant.
+	zeroGrant := d0.GrantAccess(c, dU.ID, 0, false)
 	nop := func(*hw.CPU, *hw.TrapFrame) {}
 	multicall := func(add func(*Multicall)) error {
 		var mc Multicall
@@ -156,6 +158,10 @@ func TestHostileNumbersRejected(t *testing.T) {
 		}},
 		{"grant batch of a foreign frame", func() error {
 			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{ownGrant, foreignGrant})
+			return err
+		}},
+		{"grant map of frame 0 granted by dom0", func() error {
+			_, _, err := v.GrantMap(c, dU, d0.ID, zeroGrant)
 			return err
 		}},
 		{"grant end ref -1", func() error { return dU.GrantEnd(c, -1) }},

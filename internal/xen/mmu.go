@@ -39,9 +39,9 @@ func (v *VMM) getTypeFresh(d *Domain, pfn hw.PFN, want FrameType, s sink) (bool,
 		return false, fmt.Errorf("xen: page table %d beyond memory", pfn)
 	}
 	f := &v.FT.frames[pfn]
-	if d != nil && f.owner != d.ID {
+	if d != nil && f.ownerID() != d.ID {
 		return false, fmt.Errorf("xen: dom%d using foreign frame %d (owner dom%d) as %s",
-			d.ID, pfn, f.owner, want)
+			d.ID, pfn, f.ownerID(), want)
 	}
 	fresh := f.typeCount == 0
 	if err := v.FT.getType(f, pfn, want); err != nil {
@@ -139,11 +139,11 @@ func (v *VMM) refMapping(d *Domain, pte hw.PTE) error {
 		return fmt.Errorf("xen: mapping of nonexistent frame %d", pfn)
 	}
 	f := &v.FT.frames[pfn]
-	if d != nil && f.owner != d.ID && f.owner != DomVMM {
+	if owner := f.ownerID(); d != nil && owner != d.ID && owner != DomVMM {
 		// Foreign frames are only reachable via grants; the backend path
 		// maps those through GrantMap, not page tables.
 		return fmt.Errorf("xen: dom%d mapping foreign frame %d (owner dom%d)",
-			d.ID, pfn, f.owner)
+			d.ID, pfn, owner)
 	}
 	if pte.Writable() {
 		if err := v.FT.getType(f, pfn, FrameWritable); err != nil {

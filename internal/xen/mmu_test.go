@@ -16,19 +16,16 @@ func testVMM(t testing.TB) (*VMM, *Domain, *hw.CPU) {
 // testVMMSized is testVMM on a machine of memBytes.
 func testVMMSized(t testing.TB, memBytes uint64) (*VMM, *Domain, *hw.CPU) {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: memBytes, NumCPUs: 1})
-	v, err := Boot(m)
+	h, err := BootHost(hw.Config{MemBytes: memBytes, NumCPUs: 1}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	d, err := v.CreateDomain("guest", hw.PFN(m.Frames.Available()), false)
+	d, err := h.V.CreateDomain("guest", hw.PFN(h.M.Frames.Available()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.SetCurrent(c, d)
-	return v, d, c
+	h.V.SetCurrent(h.C, d)
+	return h.V, d, h.C
 }
 
 // buildTree creates a small page-table tree in d's frames with n mapped

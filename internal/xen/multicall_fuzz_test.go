@@ -13,8 +13,9 @@ import (
 
 // mcFuzzEnv is one FuzzMulticall machine: guest d running on a pinned
 // tree installed as its base pointer, a second tree built but not
-// pinned, and a peer domain bound to d by one event channel. No timer is
-// armed, so no interrupt lands inside a measured call.
+// pinned, and the host's dom0 as a peer bound to d by one event
+// channel. No timer is armed, so no interrupt lands inside a measured
+// call.
 type mcFuzzEnv struct {
 	v     *VMM
 	d     *Domain
@@ -27,17 +28,11 @@ type mcFuzzEnv struct {
 
 func newMCFuzzEnv(t *testing.T) *mcFuzzEnv {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{MemBytes: 20 << 20, NumCPUs: 1})
-	v, err := Boot(m)
+	h, err := BootHost(hw.Config{MemBytes: 20 << 20, NumCPUs: 1}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	peer, err := v.CreateDomain("peer", 8, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, v, c, peer := h.M, h.V, h.C, h.Dom0
 	d, err := v.CreateDomain("guest", hw.PFN(m.Frames.Available()), false)
 	if err != nil {
 		t.Fatal(err)

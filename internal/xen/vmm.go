@@ -194,6 +194,36 @@ func Boot(m *hw.Machine) (*VMM, error) {
 	return v, nil
 }
 
+// Host is one bare Xen host, brought up the way the paper boots a VMM
+// (§4.1): its machine, the active VMM, the boot CPU, and the privileged
+// control domain, current on C. The standby node that live migration
+// (§6.3) and evacuation (§6.5) send domains to is a Host.
+type Host struct {
+	M    *hw.Machine
+	V    *VMM
+	C    *hw.CPU
+	Dom0 *Domain
+}
+
+// BootHost builds a machine from cfg, boots the VMM on it, activates it
+// on the boot CPU, and makes a privileged "dom0" of dom0Frames current
+// there.
+func BootHost(cfg hw.Config, dom0Frames hw.PFN) (*Host, error) {
+	m := hw.NewMachine(cfg)
+	v, err := Boot(m)
+	if err != nil {
+		return nil, err
+	}
+	c := m.BootCPU()
+	v.Activate(c)
+	dom0, err := v.CreateDomain("dom0", dom0Frames, true)
+	if err != nil {
+		return nil, err
+	}
+	v.SetCurrent(c, dom0)
+	return &Host{M: m, V: v, C: c, Dom0: dom0}, nil
+}
+
 // installTrapHandlers populates the VMM IDT: guest-bound exceptions are
 // bounced through the current domain's trap table; device lines are
 // forwarded to the driver domain as events.
@@ -266,10 +296,6 @@ func (v *VMM) installTrapHandlers() {
 // mode-switch interrupts must be reachable from virtual mode too).
 func (v *VMM) SetGate(vector int, g hw.Gate) { v.IDT.Set(vector, g) }
 
-// Activate makes the VMM take over the hardware on cpu: its descriptor
-// tables are loaded and it becomes the most-privileged software. The
-// caller (Mercury's state-reloading function, or the Xen boot path) must
-// already have frame accounting in a valid state.
 // InjectPinFailures makes the next n table pins fail with a transient
 // error; n = 0 clears any outstanding injection. Dependability testing
 // only: this is how campaigns exercise the failure-resistant switch's
@@ -303,6 +329,10 @@ func takeInjected(ctr *atomic.Int32) bool {
 	}
 }
 
+// Activate makes the VMM take over the hardware on cpu: its descriptor
+// tables are loaded and it becomes the most-privileged software. The
+// caller (Mercury's state-reloading function, or BootHost) must already
+// have frame accounting in a valid state.
 func (v *VMM) Activate(c *hw.CPU) {
 	v.Stats.Activations.Add(1)
 	v.Active = true

@@ -9,25 +9,50 @@ import (
 )
 
 func TestBootReservesFootprint(t *testing.T) {
-	m := hw.NewMachine(hw.Config{MemBytes: 64 << 20, NumCPUs: 1})
-	before := m.Frames.Available()
-	v, err := Boot(m)
+	const dom0Frames = 512
+	h, err := BootHost(hw.Config{MemBytes: 64 << 20, NumCPUs: 1}, dom0Frames)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v, c, d0 := h.V, h.C, h.Dom0
 	lo, hi := v.Reserved.Range()
 	if int(hi-lo) != ReservedFrames {
 		t.Fatalf("reserved %d frames", hi-lo)
 	}
-	if m.Frames.Available() != before-ReservedFrames {
-		t.Fatal("machine allocator not shrunk")
+	if got, want := hw.PFN(h.M.Frames.Available()), h.M.Mem.NumFrames()-1-ReservedFrames-dom0Frames; got != want {
+		t.Fatalf("machine allocator has %d frames, want %d", got, want)
 	}
 	// Reserved frames carry VMM ownership.
 	if v.FT.Get(lo).Owner != DomVMM {
 		t.Fatal("reserved frame not VMM-owned")
 	}
-	if v.Active {
-		t.Fatal("freshly booted VMM active (it must be pre-cached only)")
+	if !v.Active || v.Stats.Activations.Load() != 1 {
+		t.Fatalf("active %v after %d activations, want active after 1", v.Active, v.Stats.Activations.Load())
+	}
+	if c != h.M.BootCPU() || c.GDTR != v.GDT || c.IDTR != v.IDT {
+		t.Fatal("boot CPU does not carry the VMM's descriptor tables")
+	}
+	if v.Current(c) != d0 || !d0.Privileged || v.DriverDomain() != d0 {
+		t.Fatal("dom0 is not the current privileged domain")
+	}
+	// dom0 owns exactly its partition: the frame below it is still in
+	// the boot allocator and has no owner, the one above is the VMM's.
+	dlo, dhi := d0.Frames.Range()
+	if dhi-dlo != dom0Frames {
+		t.Fatalf("dom0 has %d frames, want %d", dhi-dlo, dom0Frames)
+	}
+	for pfn := dlo; pfn < dhi; pfn++ {
+		if o := v.FT.Get(pfn).Owner; o != d0.ID {
+			t.Fatalf("dom0 frame %d owned by dom%d", pfn, o)
+		}
+	}
+	for _, pfn := range []hw.PFN{0, dlo - 1} {
+		if o := v.FT.Get(pfn).Owner; o != DomNone {
+			t.Fatalf("frame %d, given to no domain, owned by dom%d", pfn, o)
+		}
+	}
+	if o := v.FT.Get(dhi).Owner; o != DomVMM {
+		t.Fatalf("frame %d above dom0 owned by dom%d, want the VMM", dhi, o)
 	}
 }
 
@@ -89,14 +114,11 @@ func TestConsoleIO(t *testing.T) {
 func TestDeviceIRQForwardedToDriverDomain(t *testing.T) {
 	// A physical disk interrupt while an unprivileged domain runs must
 	// reach the *driver* domain's handler.
-	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
-	v, err := Boot(m)
+	h, err := BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 1}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.BootCPU()
-	v.Activate(c)
-	d0, _ := v.CreateDomain("dom0", 512, true)
+	v, d0, c := h.V, h.Dom0, h.C
 	dU, _ := v.CreateDomain("domU", 512, false)
 	v.SetCurrent(c, dU)
 
