@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,15 +124,40 @@ func TestChaosSameSeedSameBytes(t *testing.T) {
 	}
 }
 
-// TestMCExpect checks the exit-status contract CI relies on: the
-// seeded bug's violation matches -expect, and any other -expect fails.
+// TestMCExpect checks the exit-status contract CI relies on: each
+// seeded bug's violation matches -expect with its known minimal
+// counterexample, any other -expect fails, and -trace prints the
+// replayed counterexample step by step.
 func TestMCExpect(t *testing.T) {
-	out, err := mercuryctl(t, "mc", "-seed-bug", "toctou", "-expect", "commit-with-refcount-held")
-	if err != nil {
-		t.Fatalf("expected verdict reported as failure: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "verdict: VIOLATION commit-with-refcount-held (22 states explored, minimal counterexample 6 steps, ") {
-		t.Errorf("unexpected verdict:\n%s", out)
+	for _, tc := range []struct {
+		bug, vio, verdict string
+		steps             int
+	}{
+		{"toctou", "commit-with-refcount-held",
+			"verdict: VIOLATION commit-with-refcount-held (22 states explored, minimal counterexample 6 steps, ", 6},
+		{"rendezvous", "commit-with-ap-unparked",
+			"verdict: VIOLATION commit-with-ap-unparked (5 states explored, minimal counterexample 5 steps, ", 5},
+	} {
+		out, err := mercuryctl(t, "mc", "-seed-bug", tc.bug, "-expect", tc.vio, "-trace")
+		if err != nil {
+			t.Fatalf("%s: expected verdict reported as failure: %v\n%s", tc.bug, err, out)
+		}
+		if !strings.Contains(out, tc.verdict) {
+			t.Errorf("%s: unexpected verdict:\n%s", tc.bug, out)
+		}
+		want := []string{"replay: counterexample verified", "    boot: mode=native",
+			"violation: " + tc.vio + "\n"}
+		for i := 1; i <= tc.steps; i++ {
+			want = append(want, fmt.Sprintf("\n%4d  ", i))
+		}
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				t.Errorf("%s: -trace output lacks %q:\n%s", tc.bug, w, out)
+			}
+		}
+		if strings.Contains(out, fmt.Sprintf("\n%4d  ", tc.steps+1)) || strings.Contains(out, "event seq=") {
+			t.Errorf("%s: -trace prints more than the %d steps:\n%s", tc.bug, tc.steps, out)
+		}
 	}
 	if _, err := mercuryctl(t, "mc", "-seed-bug", "toctou", "-expect", "commit-with-ap-unparked"); err == nil {
 		t.Error("a verdict other than -expect was not an error")

@@ -7,15 +7,13 @@ import (
 	"io"
 
 	"repro/internal/mc"
-	"repro/internal/obs"
 )
 
 // mcJSON is the -json output shape: the exploration result plus the
-// counterexample both as flight-recorder records and as strings.
+// counterexample as strings.
 type mcJSON struct {
 	*mc.Result
-	Trace  []string    `json:"trace,omitempty"`
-	Events []obs.Event `json:"events,omitempty"`
+	Trace []string `json:"trace,omitempty"`
 }
 
 // mcCmd runs the mode-switch protocol model checker from the command
@@ -32,8 +30,7 @@ func mcCmd(args []string, w io.Writer) error {
 	depth := fs.Int("depth", 0, "exploration depth bound (0 = default)")
 	bugName := fs.String("seed-bug", "none", "seeded regression to plant (none, toctou, rendezvous)")
 	noJournal := fs.Bool("nojournal", false, "disable the dirty-journal model")
-	dpor := fs.Bool("dpor", false, "enable sleep-set partial-order pruning")
-	trace := fs.Bool("trace", false, "replay the counterexample through the flight recorder, step by step")
+	trace := fs.Bool("trace", false, "print the counterexample step by step with the machine state after each step")
 	expect := fs.String("expect", "none", "expected verdict for the exit status (none or a violation name)")
 	jsonOut := fs.Bool("json", false, "emit JSON instead of text")
 	if err := parseFlags(fs, args); err != nil {
@@ -52,19 +49,13 @@ func mcCmd(args []string, w io.Writer) error {
 		Journal:      !*noJournal,
 		Bug:          bug,
 	}
-	res, err := mc.Run(cfg, mc.Options{MaxDepth: *depth, DPOR: *dpor})
+	res, err := mc.Run(cfg, mc.Options{MaxDepth: *depth})
 	if err != nil {
 		return err
 	}
 
-	// Render the counterexample through the flight recorder — the same
-	// event-log machinery production systems are inspected with — and
-	// prove it replays before showing it.
-	var events []obs.Event
+	// Prove the counterexample replays before showing it.
 	if res.Violation != mc.VioNone && len(res.Trace) > 0 {
-		elog := obs.NewEventLog(len(res.Trace) + 1)
-		mc.RecordTrace(elog, res)
-		events = elog.Snapshot()
 		replayed, err := mc.Replay(cfg, res.Trace)
 		if err != nil {
 			return fmt.Errorf("mc: counterexample does not replay: %w", err)
@@ -75,7 +66,7 @@ func mcCmd(args []string, w io.Writer) error {
 	}
 
 	if *jsonOut {
-		out := mcJSON{Result: res, Events: events}
+		out := mcJSON{Result: res}
 		for _, a := range res.Trace {
 			out.Trace = append(out.Trace, a.String())
 		}
@@ -85,43 +76,21 @@ func mcCmd(args []string, w io.Writer) error {
 			return err
 		}
 	} else {
-		dporTag := "off"
-		if *dpor {
-			dporTag = "on"
-		}
-		fmt.Fprintf(w, "mc: cpus=%d workers=%d ops=%d switches=%d deferrals=%d journal=%v bug=%s dpor=%s\n",
+		fmt.Fprintf(w, "mc: cpus=%d workers=%d ops=%d switches=%d deferrals=%d journal=%v bug=%s\n",
 			cfg.CPUs, cfg.Workers, cfg.OpsPerWorker, cfg.Switches,
-			cfg.MaxDeferrals, cfg.Journal, cfg.Bug, dporTag)
+			cfg.MaxDeferrals, cfg.Journal, cfg.Bug)
 		if res.Violation == mc.VioNone {
 			scope := fmt.Sprintf("bounded at depth %d", res.BoundUsed)
 			if res.Complete {
 				scope = "state graph closed"
 			}
-			fmt.Fprintf(w, "verdict: race-free (%s: %d states, %d transitions", scope,
-				res.States, res.Transitions)
-			if res.SleepSkips > 0 {
-				fmt.Fprintf(w, ", %d pruned", res.SleepSkips)
-			}
-			fmt.Fprintf(w, ", %.2f ms)\n", res.ElapsedMS)
+			fmt.Fprintf(w, "verdict: race-free (%s: %d states, %d transitions, %.2f ms)\n",
+				scope, res.States, res.Transitions, res.ElapsedMS)
 		} else {
 			fmt.Fprintf(w, "verdict: VIOLATION %s (%d states explored, minimal counterexample %d steps, %.2f ms)\n",
 				res.Violation, res.States, res.TraceLen, res.ElapsedMS)
 			fmt.Fprintln(w, "replay: counterexample verified against the reduced machine")
 			if *trace {
-				fmt.Fprintln(w)
-				for _, e := range events {
-					if e.Kind == obs.EvMCStep {
-						a, err := mc.DecodeStep(e)
-						if err != nil {
-							return err
-						}
-						fmt.Fprintf(w, "  event seq=%-3d node=%-3d %s %s\n",
-							e.Seq, e.Node, e.Kind, a)
-					} else {
-						fmt.Fprintf(w, "  event seq=%-3d node=%-3d %s %s\n",
-							e.Seq, e.Node, e.Kind, mc.Violation(e.A))
-					}
-				}
 				fmt.Fprintln(w)
 				fmt.Fprint(w, mc.FormatTrace(cfg, res.Trace, res.Violation))
 			}

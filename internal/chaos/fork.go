@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fork"
 	"repro/internal/hw"
-	"repro/internal/migrate"
 	"repro/internal/xen"
 )
 
@@ -22,43 +21,23 @@ type ForkEnv struct {
 	probes int
 }
 
-// forkOriginFrames is the template domain's partition size.
-const forkOriginFrames = 64
+// forkTemplatePages is the template's data pages (its page-table tree
+// sits just above them), and forkClones the clones its host has room
+// for at once.
+const (
+	forkTemplatePages = 40
+	forkClones        = 24
+)
 
-// NewForkEnv boots a snapshot-cache node: a machine with a template
-// domain whose checkpoint is ingested into a fresh content-addressed
+// NewForkEnv boots a snapshot-cache node: fork.NewTemplate's host and
+// template, whose checkpoint is warmed into a fresh content-addressed
 // store as the base image clones fork from.
 func NewForkEnv() (*ForkEnv, error) {
-	h, err := xen.BootHost(hw.Config{Name: "fork-cache", MemBytes: 128 << 20, NumCPUs: 1}, 1024)
+	h, cb, err := fork.NewTemplate(forkTemplatePages, forkClones)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: booting fork node: %w", err)
 	}
-	m := h.M
-	origin, err := h.V.CreateDomain("origin", forkOriginFrames, false)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: fork node origin: %w", err)
-	}
-
-	lo, _ := origin.Frames.Range()
-	for i := 0; i < forkOriginFrames/2; i++ {
-		m.Mem.WriteWord((lo + hw.PFN(i)).Addr(), 0xF0C0_0000|uint32(i))
-	}
-	root, pt := lo+60, lo+61
-	hw.WritePTE(m.Mem, root, 3, hw.MakePTE(pt, hw.PTEPresent|hw.PTEWrite))
-	hw.WritePTE(m.Mem, pt, 7, hw.MakePTE(lo+5, hw.PTEPresent|hw.PTEWrite|hw.PTEUser))
-	origin.VCPU0().SetCR3(root)
-
-	img, err := migrate.Checkpoint(h.C, h.V, h.Dom0, origin)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: checkpointing fork origin: %w", err)
-	}
-	img.PinnedRoots = []hw.PFN{root}
-	store := fork.NewStore()
-	base, err := fork.NewBase(store, img)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: warming base image: %w", err)
-	}
-	return &ForkEnv{Host: h, CB: &fork.CloneBase{Store: store, Img: base}}, nil
+	return &ForkEnv{Host: h, CB: cb}, nil
 }
 
 // Probe runs one full fork lifecycle — clone, dirty, delta checkpoint,

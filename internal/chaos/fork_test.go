@@ -153,11 +153,11 @@ func TestChaosForkAbortPropertyReleasesRefs(t *testing.T) {
 					clones = append(clones, cs)
 				}
 				audit("clone")
-			case 1: // dirty a live clone (data frames only — pinned
-				// table frames are read-only to the guest)
+			case 1: // dirty a live clone (the template's data pages
+				// only — pinned table frames are read-only to the guest)
 				if len(clones) > 0 {
 					cs := clones[rng.Intn(len(clones))]
-					off := hw.PFN(rng.Intn(forkOriginFrames - 24))
+					off := hw.PFN(rng.Intn(forkTemplatePages))
 					fe.V.M.Mem.WriteWord((cs.Lo + off).Addr(), rng.Uint32())
 					audit("dirty")
 				}

@@ -165,22 +165,6 @@ func TestDiskIOCostsCharged(t *testing.T) {
 	}
 }
 
-func TestNICWireDelivery(t *testing.T) {
-	ma := testMachine(1)
-	mb := testMachine(1)
-	Wire(ma.NIC, mb.NIC, Gigabit())
-	ca, cb := ma.BootCPU(), mb.BootCPU()
-	ma.NIC.Transmit(ca, Packet{Data: []byte("hello")})
-	pkt, ok := mb.NIC.Receive(cb, true)
-	if !ok || string(pkt.Data) != "hello" {
-		t.Fatalf("recv = %q, %v", pkt.Data, ok)
-	}
-	// Receive advanced the receiver's clock across the wire latency.
-	if cb.Now() < Gigabit().LatencyCyc {
-		t.Fatalf("receiver clock %d below wire latency", cb.Now())
-	}
-}
-
 func TestNICReflector(t *testing.T) {
 	m := testMachine(1)
 	c := m.BootCPU()

@@ -31,16 +31,14 @@ func Gigabit() LinkProps {
 
 // NIC is a network interface. Transmission charges the issuing CPU the
 // driver-independent hardware cost; driver/stack costs are charged by the
-// guest's driver layer. A NIC is either wired to a peer NIC on another
-// machine or to a Reflector that synthesizes replies (standing in for the
-// remote ping/Iperf endpoint).
+// guest's driver layer. Its far end is a Reflector that synthesizes
+// replies, standing in for the remote ping/Iperf endpoint.
 type NIC struct {
 	m    *Machine
 	line int
 
 	mu   sync.Mutex
 	rxq  []Packet
-	peer *NIC
 	link LinkProps
 
 	// Reflector, when set, is invoked for each transmitted packet and
@@ -70,12 +68,6 @@ func (n *NIC) SetLink(p LinkProps) { n.link = p }
 // Link returns the wire properties.
 func (n *NIC) Link() LinkProps { return n.link }
 
-// Wire connects two NICs back to back (two machines on one switch).
-func Wire(a, b *NIC, p LinkProps) {
-	a.peer, b.peer = b, a
-	a.link, b.link = p, p
-}
-
 // Transmit sends one packet from c's machine. Hardware cost (DMA ring,
 // doorbell) is charged here; the guest's driver layer charges its own
 // per-packet stack cost on top.
@@ -86,13 +78,7 @@ func (n *NIC) Transmit(c *CPU, p Packet) {
 	n.Stats.TxPackets.Add(1)
 	n.Stats.TxBytes.Add(uint64(len(p.Data)))
 
-	switch {
-	case n.peer != nil:
-		// Deliver to the peer machine after the wire latency, stamped in
-		// the receiver's cycle domain.
-		arrive := n.peer.m.BootCPU().Now() + n.link.LatencyCyc + n.wireCycles(len(p.Data))
-		n.peer.enqueue(nil, Packet{Data: p.Data, ReadyAt: arrive})
-	case n.Reflector != nil:
+	if n.Reflector != nil {
 		replies := n.Reflector(p)
 		rtt := 2*n.link.LatencyCyc + 2*n.wireCycles(len(p.Data)) + n.ReflectDelay
 		for _, r := range replies {

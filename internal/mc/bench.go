@@ -19,12 +19,10 @@ type BenchRow struct {
 	CPUs        int     `json:"cpus"`
 	Workers     int     `json:"workers"`
 	Bug         string  `json:"bug"`
-	DPOR        bool    `json:"dpor"`
 	Violation   string  `json:"violation"`
 	Complete    bool    `json:"complete"`
 	States      int     `json:"states"`
 	Transitions int     `json:"transitions"`
-	SleepSkips  int     `json:"sleep_skips"`
 	BoundUsed   int     `json:"bound_used"`
 	TraceLen    int     `json:"trace_len"`
 	ElapsedMS   float64 `json:"-"` // host wall clock: printed, never committed
@@ -36,7 +34,7 @@ type Baseline struct {
 	Rows   []BenchRow `json:"rows"`
 }
 
-const baselineSchema = "mc-baseline/v1"
+const baselineSchema = "mc-baseline/v2"
 
 // wideConfig is the larger clean row: three CPUs, three workers.
 func wideConfig() Config {
@@ -51,7 +49,6 @@ func wideConfig() Config {
 func benchRows() []struct {
 	name   string
 	cfg    Config
-	dpor   bool
 	expect Violation
 } {
 	uni := Config{CPUs: 1, Workers: 2, OpsPerWorker: 2, Switches: 3,
@@ -59,18 +56,13 @@ func benchRows() []struct {
 	return []struct {
 		name   string
 		cfg    Config
-		dpor   bool
 		expect Violation
 	}{
-		{"clean-default", DefaultConfig(), false, VioNone},
-		{"clean-default-dpor", DefaultConfig(), true, VioNone},
-		{"clean-uniprocessor", uni, false, VioNone},
-		{"clean-wide", wideConfig(), false, VioNone},
-		{"clean-wide-dpor", wideConfig(), true, VioNone},
-		{"seeded-toctou", bugConfig(BugTOCTOU), false, VioCommitRefs},
-		{"seeded-toctou-dpor", bugConfig(BugTOCTOU), true, VioCommitRefs},
-		{"seeded-rendezvous", bugConfig(BugRendezvous), false, VioCommitUnparked},
-		{"seeded-rendezvous-dpor", bugConfig(BugRendezvous), true, VioCommitUnparked},
+		{"clean-default", DefaultConfig(), VioNone},
+		{"clean-uniprocessor", uni, VioNone},
+		{"clean-wide", wideConfig(), VioNone},
+		{"seeded-toctou", bugConfig(BugTOCTOU), VioCommitRefs},
+		{"seeded-rendezvous", bugConfig(BugRendezvous), VioCommitUnparked},
 	}
 }
 
@@ -86,7 +78,7 @@ func bugConfig(b Bug) Config {
 func BenchSuite() (*Baseline, error) {
 	var rows []BenchRow
 	for _, r := range benchRows() {
-		res, err := Run(r.cfg, Options{DPOR: r.dpor})
+		res, err := Run(r.cfg, Options{})
 		if err != nil {
 			return nil, fmt.Errorf("mc bench %s: %w", r.name, err)
 		}
@@ -102,12 +94,10 @@ func BenchSuite() (*Baseline, error) {
 			CPUs:        r.cfg.CPUs,
 			Workers:     r.cfg.Workers,
 			Bug:         r.cfg.Bug.String(),
-			DPOR:        r.dpor,
 			Violation:   res.Violation.String(),
 			Complete:    res.Complete,
 			States:      res.States,
 			Transitions: res.Transitions,
-			SleepSkips:  res.SleepSkips,
 			BoundUsed:   res.BoundUsed,
 			TraceLen:    res.TraceLen,
 			ElapsedMS:   res.ElapsedMS,
@@ -118,12 +108,12 @@ func BenchSuite() (*Baseline, error) {
 
 // WriteBenchTable renders the suite for humans.
 func WriteBenchTable(w io.Writer, rows []BenchRow) {
-	fmt.Fprintf(w, "%-24s %5s %7s %-26s %9s %11s %10s %6s %4s %9s\n",
+	fmt.Fprintf(w, "%-24s %5s %7s %-26s %9s %11s %6s %4s %9s\n",
 		"row", "cpus", "workers", "violation", "states",
-		"transitions", "pruned", "bound", "cex", "ms")
+		"transitions", "bound", "cex", "ms")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-24s %5d %7d %-26s %9d %11d %10d %6d %4d %9.2f\n",
+		fmt.Fprintf(w, "%-24s %5d %7d %-26s %9d %11d %6d %4d %9.2f\n",
 			r.Name, r.CPUs, r.Workers, r.Violation, r.States,
-			r.Transitions, r.SleepSkips, r.BoundUsed, r.TraceLen, r.ElapsedMS)
+			r.Transitions, r.BoundUsed, r.TraceLen, r.ElapsedMS)
 	}
 }

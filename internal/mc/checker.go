@@ -1,9 +1,6 @@
 package mc
 
-import (
-	"math/bits"
-	"time"
-)
+import "time"
 
 // DefaultMaxDepth is the iterative-deepening ceiling: deep enough to
 // fully close every committed configuration's state graph.
@@ -13,17 +10,11 @@ const DefaultMaxDepth = 512
 type Options struct {
 	// MaxDepth bounds the iterative deepening (0 = DefaultMaxDepth).
 	MaxDepth int
-	// DPOR enables sleep-set partial-order pruning. Heuristic: it cuts
-	// commuting interleavings (measured in Result.SleepSkips) and every
-	// seeded bug must still be found under it, but the CI clean-pass
-	// verdict always comes from a full (DPOR-off) exploration.
-	DPOR bool
 }
 
 // Result is one exploration's verdict.
 type Result struct {
 	Config Config `json:"config"`
-	DPOR   bool   `json:"dpor"`
 	// Complete reports that the state graph was fully closed below the
 	// bound — the verdict is exhaustive for the whole (finite) graph,
 	// not just a depth slice.
@@ -36,9 +27,6 @@ type Result struct {
 	// configuration, so they are exact-diffed against BENCH_mc.json.
 	States      int `json:"states"`
 	Transitions int `json:"transitions"`
-	// SleepSkips counts transitions pruned by the sleep sets (0 when
-	// DPOR is off).
-	SleepSkips int `json:"sleep_skips"`
 
 	// Violation is VioNone for a clean protocol; otherwise Trace is a
 	// minimal counterexample: the shortest action sequence from the
@@ -53,7 +41,7 @@ type Result struct {
 
 // Run explores cfg's reduced machine: depth-first with full state
 // hashing, iterative deepening (which also yields minimal
-// counterexamples), and optional sleep-set pruning. An error is only
+// counterexamples). An error is only
 // returned for an invalid configuration — a found violation is a
 // Result, not an error.
 func Run(cfg Config, opt Options) (*Result, error) {
@@ -65,24 +53,21 @@ func Run(cfg Config, opt Options) (*Result, error) {
 		maxDepth = DefaultMaxDepth
 	}
 	start := time.Now()
-	res := &Result{Config: cfg, DPOR: opt.DPOR}
+	res := &Result{Config: cfg}
 
 	limit := 16
 	if limit > maxDepth {
 		limit = maxDepth
 	}
 	for {
-		e := newExplorer(cfg, opt.DPOR)
-		found := e.expand(initState(cfg), limit, 0)
+		e := newExplorer(cfg)
+		found := e.expand(initState(cfg), limit)
 		res.BoundUsed = limit
 		res.States = len(e.visited)
 		res.Transitions = e.transitions
-		res.SleepSkips = e.sleepSkips
 		if found {
 			// Iterative deepening found *a* counterexample within the
-			// first sufficient bound; shrink to the minimal one with
-			// full exploration (sleep sets could prune the shortest
-			// representative of a commuting class).
+			// first sufficient bound; shrink it to the minimal one.
 			trace, vio := minimize(cfg, e.cex, e.vio)
 			res.Violation = vio
 			res.Trace = trace
@@ -113,11 +98,11 @@ func Run(cfg Config, opt Options) (*Result, error) {
 }
 
 // minimize shrinks a counterexample to minimal length by re-exploring
-// with ever-tighter depth bounds (DPOR off) until no violation fits.
+// with ever-tighter depth bounds until no violation fits.
 func minimize(cfg Config, trace []Action, vio Violation) ([]Action, Violation) {
 	for len(trace) > 1 {
-		e := newExplorer(cfg, false)
-		if !e.expand(initState(cfg), len(trace)-1, 0) {
+		e := newExplorer(cfg)
+		if !e.expand(initState(cfg), len(trace)-1) {
 			break
 		}
 		trace, vio = e.cex, e.vio
@@ -127,8 +112,7 @@ func minimize(cfg Config, trace []Action, vio Violation) ([]Action, Violation) {
 
 // explorer is one bounded depth-first search.
 type explorer struct {
-	cfg  Config
-	dpor bool
+	cfg Config
 
 	// visited maps a hashed state to the largest remaining budget it
 	// was expanded with; reaching it again with no more budget is a
@@ -139,26 +123,20 @@ type explorer struct {
 	cex         []Action
 	vio         Violation
 	transitions int
-	sleepSkips  int
 	boundHit    bool
-
-	fp [numActionIDs]footprint
 }
 
-func newExplorer(cfg Config, dpor bool) *explorer {
-	e := &explorer{
+func newExplorer(cfg Config) *explorer {
+	return &explorer{
 		cfg:     cfg,
-		dpor:    dpor,
 		visited: make(map[[keySize]byte]int, 1<<12),
 	}
-	e.buildFootprints()
-	return e
 }
 
 // expand visits s (already applied, not yet invariant-checked only for
 // the root) and explores its successors within the remaining budget.
 // Returns true when a violation was found; the trace is in e.cex/e.vio.
-func (e *explorer) expand(s State, remaining int, sleep uint32) bool {
+func (e *explorer) expand(s State, remaining int) bool {
 	key := encode(&s)
 	if r, ok := e.visited[key]; ok && r >= remaining {
 		return false
@@ -179,13 +157,7 @@ func (e *explorer) expand(s State, remaining int, sleep uint32) bool {
 		return false
 	}
 
-	var explored []uint8
 	for _, a := range acts {
-		id := actionID(a)
-		if e.dpor && sleep&(1<<id) != 0 {
-			e.sleepSkips++
-			continue
-		}
 		ns := apply(s, a, &e.cfg)
 		e.transitions++
 		e.path = append(e.path, a)
@@ -195,26 +167,11 @@ func (e *explorer) expand(s State, remaining int, sleep uint32) bool {
 			e.path = e.path[:len(e.path)-1]
 			return true
 		}
-		var childSleep uint32
-		if e.dpor {
-			for _, pid := range explored {
-				if e.independent(pid, id) {
-					childSleep |= 1 << pid
-				}
-			}
-			for rest := sleep; rest != 0; rest &= rest - 1 {
-				b := uint8(bits.TrailingZeros32(rest))
-				if e.independent(b, id) {
-					childSleep |= 1 << b
-				}
-			}
-		}
-		if e.expand(ns, remaining-1, childSleep) {
-			e.path = e.path[:len(e.path)-1]
+		found := e.expand(ns, remaining-1)
+		e.path = e.path[:len(e.path)-1]
+		if found {
 			return true
 		}
-		e.path = e.path[:len(e.path)-1]
-		explored = append(explored, id)
 	}
 	return false
 }

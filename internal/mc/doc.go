@@ -33,12 +33,11 @@
 // records the production ISR's step sequence through a StepObserver and
 // checks it against the model's control-processor projection.
 //
-// Exploration is depth-first with full state hashing, an
-// iterative-deepening bound that yields minimal counterexamples, and
-// optional sleep-set partial-order pruning (DPOR) driven by per-action
-// read/write sets. Seeded regressions — the PR-3 TOCTOU commit-gate
-// revert and an injected rendezvous no-wait bug — gate CI: the checker
-// must rediscover both mechanically, and the counterexample renders
-// through obs.EventLog records so `mercuryctl mc -trace` replays the
-// failing interleaving step by step.
+// Exploration is depth-first with full state hashing and an
+// iterative-deepening bound that yields minimal counterexamples.
+// Seeded regressions — the PR-3 TOCTOU commit-gate revert and an
+// injected rendezvous no-wait bug — gate CI: the checker must
+// rediscover both mechanically. Every counterexample is checked with
+// Replay, and FormatTrace renders it step by step with the machine
+// state after each action, which is what `mercuryctl mc -trace` prints.
 package mc

@@ -103,41 +103,6 @@ func TestSeededRendezvousFound(t *testing.T) {
 	}
 }
 
-// TestDPORPreservesVerdicts: sleep-set pruning must cut work without
-// changing any verdict — clean stays clean, both bugs stay found.
-func TestDPORPreservesVerdicts(t *testing.T) {
-	clean, err := Run(DefaultConfig(), Options{DPOR: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Violation != VioNone || !clean.Complete {
-		t.Fatalf("DPOR clean run: vio=%s complete=%v", clean.Violation, clean.Complete)
-	}
-	if clean.SleepSkips == 0 {
-		t.Fatal("DPOR pruned nothing on the default config")
-	}
-	full, err := Run(DefaultConfig(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Transitions >= full.Transitions {
-		t.Fatalf("DPOR did not reduce transitions: %d vs %d",
-			clean.Transitions, full.Transitions)
-	}
-	for b, want := range map[Bug]Violation{
-		BugTOCTOU:     VioCommitRefs,
-		BugRendezvous: VioCommitUnparked,
-	} {
-		res, err := Run(bugged(b), Options{DPOR: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Violation != want {
-			t.Fatalf("DPOR on %s: got %s, want %s", b, res.Violation, want)
-		}
-	}
-}
-
 // TestDeterministic: identical configurations must produce identical
 // exploration statistics — the property BENCH_mc.json's exact diff
 // rests on.

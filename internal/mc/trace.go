@@ -3,17 +3,14 @@ package mc
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/obs"
 )
 
 // A counterexample is only convincing if it can be replayed: Replay
 // re-executes the action sequence against the same reduced machine,
 // verifying at each step that the action was actually enabled, and
-// returns the violation the final state exhibits. RecordTrace renders
-// the same sequence into flight-recorder records so `mercuryctl mc
-// -trace` shows the failing interleaving with the same tooling that
-// inspects production event logs.
+// returns the violation the final state exhibits. FormatTrace renders
+// the same sequence with the machine state after each step, which is
+// what `mercuryctl mc -trace` prints.
 
 // Replay re-runs trace from cfg's boot state. It errors if any step is
 // not enabled in its predecessor state (a corrupted or mismatched
@@ -55,66 +52,6 @@ func Replay(cfg Config, trace []Action) (Violation, error) {
 		return VioDeadlock, nil
 	}
 	return VioNone, nil
-}
-
-// traceNode attributes an action to a flight-recorder node: the acting
-// CPU for CP/AP steps, 100+worker for VO operations (their CPU pinning
-// is in the B payload via workerCPU).
-func traceNode(a Action) int32 {
-	switch a.Kind {
-	case ActAPPark, ActAPResume:
-		return int32(a.Who)
-	case ActEnter, ActWrite, ActExit:
-		return 100 + int32(a.Who)
-	default:
-		return 0 // control processor / environment
-	}
-}
-
-// RecordTrace renders a counterexample into log as EvMCStep records
-// (TS = step index, A = ActionKind, B = actor index) terminated by one
-// EvMCViolation record carrying the violation code.
-func RecordTrace(log *obs.EventLog, res *Result) {
-	for i, a := range res.Trace {
-		log.Record(obs.EvMCStep, traceNode(a), uint64(i),
-			uint64(a.Kind), uint64(a.Who))
-	}
-	log.Record(obs.EvMCViolation, -1, uint64(len(res.Trace)),
-		uint64(res.Violation), 0)
-}
-
-// DecodeStep maps an EvMCStep record back to its action.
-func DecodeStep(e obs.Event) (Action, error) {
-	if e.Kind != obs.EvMCStep {
-		return Action{}, fmt.Errorf("mc: not an mc-step record: %s", e.Kind)
-	}
-	if e.A > uint64(ActExit) {
-		return Action{}, fmt.Errorf("mc: bad action kind %d in record", e.A)
-	}
-	return Action{Kind: ActionKind(e.A), Who: uint8(e.B)}, nil
-}
-
-// DecodeTrace rebuilds an action trace from a flight-recorder snapshot,
-// returning the actions and the recorded violation.
-func DecodeTrace(events []obs.Event) ([]Action, Violation, error) {
-	var trace []Action
-	vio := VioNone
-	for _, e := range events {
-		switch e.Kind {
-		case obs.EvMCStep:
-			a, err := DecodeStep(e)
-			if err != nil {
-				return nil, VioNone, err
-			}
-			trace = append(trace, a)
-		case obs.EvMCViolation:
-			vio = Violation(e.A)
-		}
-	}
-	if vio == VioNone {
-		return nil, VioNone, fmt.Errorf("mc: no mc-violation record in snapshot")
-	}
-	return trace, vio, nil
 }
 
 // FormatTrace renders a counterexample for humans: one line per step

@@ -1,15 +1,15 @@
 package mc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
-// TestTraceRoundTrip: a counterexample rendered into the flight
-// recorder must decode back to the same action sequence and replay to
-// the same violation — the contract `mercuryctl mc -trace` depends on.
+// TestTraceRoundTrip: for both seeded bugs, the rendering `mercuryctl
+// mc -trace` prints must carry the counterexample through unchanged —
+// a boot line, then one numbered line per step naming exactly the
+// action at that position of Result.Trace, then the violation.
 func TestTraceRoundTrip(t *testing.T) {
 	for b, want := range map[Bug]Violation{
 		BugTOCTOU:     VioCommitRefs,
@@ -21,34 +21,22 @@ func TestTraceRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log := obs.NewEventLog(64)
-		RecordTrace(log, res)
-		snap := log.Snapshot()
-		if len(snap) != len(res.Trace)+1 {
-			t.Fatalf("%s: %d records for a %d-step trace", b, len(snap), len(res.Trace))
+		text := FormatTrace(cfg, res.Trace, res.Violation)
+		lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+		if len(lines) != len(res.Trace)+2 {
+			t.Fatalf("%s: %d lines for a %d-step trace:\n%s", b, len(lines), len(res.Trace), text)
 		}
-		trace, vio, err := DecodeTrace(snap)
-		if err != nil {
-			t.Fatal(err)
+		if !strings.HasPrefix(strings.TrimSpace(lines[0]), "boot:") {
+			t.Fatalf("%s: first line %q is not the boot state", b, lines[0])
 		}
-		if vio != want {
-			t.Fatalf("%s: decoded violation %s, want %s", b, vio, want)
-		}
-		if len(trace) != len(res.Trace) {
-			t.Fatalf("%s: decoded %d steps, want %d", b, len(trace), len(res.Trace))
-		}
-		for i := range trace {
-			if trace[i] != res.Trace[i] {
-				t.Fatalf("%s: step %d decoded as %s, want %s",
-					b, i, trace[i], res.Trace[i])
+		for i, a := range res.Trace {
+			f := strings.Fields(lines[i+1])
+			if len(f) < 2 || f[0] != fmt.Sprint(i+1) || f[1] != a.String() {
+				t.Fatalf("%s: step line %q, want step %d %s", b, lines[i+1], i+1, a)
 			}
 		}
-		got, err := Replay(cfg, trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("%s: replay produced %s, want %s", b, got, want)
+		if last := lines[len(lines)-1]; last != "violation: "+want.String() {
+			t.Fatalf("%s: last line %q, want violation %s", b, last, want)
 		}
 	}
 }
@@ -106,18 +94,5 @@ func TestFormatTrace(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("rendered trace missing %q:\n%s", want, text)
 		}
-	}
-}
-
-func TestDecodeTraceRejectsGarbage(t *testing.T) {
-	if _, _, err := DecodeTrace([]obs.Event{
-		{Kind: obs.EvMCStep, A: 200},
-	}); err == nil {
-		t.Fatal("decoded an out-of-range action kind")
-	}
-	if _, _, err := DecodeTrace([]obs.Event{
-		{Kind: obs.EvMCStep, A: uint64(ActRaise)},
-	}); err == nil {
-		t.Fatal("decoded a snapshot with no violation record")
 	}
 }

@@ -17,7 +17,8 @@ import (
 // store. When the ring is full the oldest record is overwritten and the
 // loss is counted, never blocking the writer.
 
-// EventKind classifies a flight-recorder record.
+// EventKind classifies a flight-recorder record: a fact about a
+// running node or about the fleet controller.
 type EventKind uint8
 
 // Event kinds. A and B carry kind-specific payloads, documented per
@@ -64,19 +65,11 @@ const (
 	// A = chosen backoff delay in cycles (exponential with seeded
 	// jitter), B = deferral count for the pending request.
 	EvSwitchBackoff
-	// EvMCStep: one atomic step of a model-checker counterexample
-	// trace (internal/mc). Node = acting CPU (or 100+worker index for
-	// virtualization-object operations), A = the step/action code as
-	// rendered by the mc package, B = a step-specific argument.
-	EvMCStep
-	// EvMCViolation: the invariant violation terminating a
-	// model-checker counterexample. A = the mc violation code.
-	EvMCViolation
 )
 
 // evKindLast is the highest assigned kind, the ParseEventKind bound —
 // keep it on the final constant when adding kinds.
-const evKindLast = EvMCViolation
+const evKindLast = EvSwitchBackoff
 
 func (k EventKind) String() string {
 	switch k {
@@ -112,10 +105,6 @@ func (k EventKind) String() string {
 		return "checkpoint-done"
 	case EvSwitchBackoff:
 		return "switch-backoff"
-	case EvMCStep:
-		return "mc-step"
-	case EvMCViolation:
-		return "mc-violation"
 	}
 	return fmt.Sprintf("kind%d", uint8(k))
 }

@@ -65,7 +65,7 @@ func TestEventLogReset(t *testing.T) {
 }
 
 func TestEventKindRoundTrip(t *testing.T) {
-	for k := EvModeSwitch; k <= EvCheckpointDone; k++ {
+	for k := EvModeSwitch; k <= evKindLast; k++ {
 		got, err := ParseEventKind(k.String())
 		if err != nil || got != k {
 			t.Fatalf("round trip %v: got %v, err %v", k, got, err)

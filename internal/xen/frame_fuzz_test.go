@@ -76,7 +76,7 @@ func (m *frameModel) refMapping(d *Domain, pte hw.PTE) (string, string) {
 	if pfn >= fuzzFrames {
 		return fmt.Sprintf("xen: mapping of nonexistent frame %d", pfn), ""
 	}
-	if owner := m.fi[pfn].Owner; d != nil && owner != d.ID && owner != DomVMM {
+	if owner := m.fi[pfn].Owner; d != nil && owner != d.ID {
 		return fmt.Sprintf("xen: dom%d mapping foreign frame %d (owner dom%d)",
 			d.ID, pfn, owner), ""
 	}

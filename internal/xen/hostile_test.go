@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/pgtable"
 )
 
 // TestMMUUpdateIndexOutOfRange: an entry index outside [0, PTEntries)
@@ -73,6 +74,15 @@ func TestHostileNumbersRejected(t *testing.T) {
 	// A directory whose one entry reaches past the end of memory.
 	badDir := dU.Frames.Alloc()
 	hw.WritePTE(v.M.Mem, badDir, 3, hw.MakePTE(beyond+5, hw.PTEPresent|hw.PTEUser))
+	// A tree whose L1 maps the VMM's first reserved frame writable.
+	vmmTree, err := pgtable.New(v.M.Mem, dU.Frames.Alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vmmTree.Map(0x0800_0000, vmmLo, hw.PTEWrite|hw.PTEUser, dU.Frames.Alloc,
+		pgtable.DirectWriter(v.M.Mem)); err != nil {
+		t.Fatal(err)
+	}
 	p0 := v.EvtchnAllocUnbound(c, d0, dU.ID)
 	pU, err := v.EvtchnBindInterdomain(c, dU, d0.ID, p0)
 	if err != nil {
@@ -107,6 +117,7 @@ func TestHostileNumbersRejected(t *testing.T) {
 		}},
 		{"walked directory entry beyond memory", func() error { return v.HypPinTable(c, dU, badDir) }},
 		{"pin a VMM frame", func() error { return v.HypPinTable(c, dU, vmmLo) }},
+		{"pin a tree whose L1 maps a VMM frame writable", func() error { return v.HypPinTable(c, dU, vmmTree.Root) }},
 		{"pin a foreign frame", func() error { return v.HypPinTable(c, dU, foreign) }},
 		{"L2 update to a foreign L1", func() error {
 			return v.HypMMUUpdate(c, dU, []MMUUpdate{{Table: tb.Root, Index: 100,

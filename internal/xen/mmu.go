@@ -139,7 +139,7 @@ func (v *VMM) refMapping(d *Domain, pte hw.PTE) error {
 		return fmt.Errorf("xen: mapping of nonexistent frame %d", pfn)
 	}
 	f := &v.FT.frames[pfn]
-	if owner := f.ownerID(); d != nil && owner != d.ID && owner != DomVMM {
+	if owner := f.ownerID(); d != nil && owner != d.ID {
 		// Foreign frames are only reachable via grants; the backend path
 		// maps those through GrantMap, not page tables.
 		return fmt.Errorf("xen: dom%d mapping foreign frame %d (owner dom%d)",
