@@ -164,6 +164,29 @@ func TestMCExpect(t *testing.T) {
 	}
 }
 
+// TestMCJSONNames: -json names the seeded bug and the verdict, once
+// each, rather than printing their ordinals.
+func TestMCJSONNames(t *testing.T) {
+	out, err := mercuryctl(t, "mc", "-seed-bug", "rendezvous", "-json", "-expect", "commit-with-ap-unparked")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	var got map[string]any
+	if err := json.Unmarshal([]byte(out), &got); err != nil {
+		t.Fatalf("-json output does not parse: %v\n%s", err, out)
+	}
+	cfg, _ := got["config"].(map[string]any)
+	if cfg["Bug"] != "rendezvous" {
+		t.Errorf("config.Bug = %#v, want \"rendezvous\"", cfg["Bug"])
+	}
+	if got["violation"] != "commit-with-ap-unparked" {
+		t.Errorf("violation = %#v, want \"commit-with-ap-unparked\"", got["violation"])
+	}
+	if _, ok := got["violation_name"]; ok {
+		t.Error("violation is printed twice: violation_name is still present")
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		nil,                              // no subcommand

@@ -312,20 +312,10 @@ func (s *System) attachNativeDrivers(k *guest.Kernel) {
 
 // WireSplitDrivers connects a frontend kernel to backends in the driver
 // domain: block and network rings, grant-backed buffers, and the event
-// channels between them, negotiated through the xenstore (§5.2).
+// channels between them (§5.2).
 func WireSplitDrivers(c *hw.CPU, v *xen.VMM,
 	drvK *guest.Kernel, drv *xen.Domain,
 	feK *guest.Kernel, fe *xen.Domain) {
-
-	// Announce both ends in the store, as the toolstack would.
-	for _, class := range []string{"vbd", "vif"} {
-		v.Store.Write(c, xen.DevicePath(fe.ID, class)+"/backend-id",
-			fmt.Sprint(drv.ID))
-		v.Store.Write(c, xen.DevicePath(fe.ID, class)+"/state",
-			xen.XsStateInitialising)
-		v.Store.Write(c, xen.BackendPath(drv.ID, fe.ID, class)+"/state",
-			xen.XsStateInitWait)
-	}
 
 	// --- block: one queue per vCPU, classic wake-on-first doorbells,
 	// and the driver domain's write-behind cache (§7.3) ---
@@ -337,34 +327,13 @@ func WireSplitDrivers(c *hw.CPU, v *xen.VMM,
 		panic(fmt.Sprintf("bench: wiring blk queues: %v", err))
 	}
 	feK.Blk = blkFE
-	vbd := xen.DevicePath(fe.ID, "vbd")
-	v.Store.Write(c, vbd+"/multi-queue-num-queues", fmt.Sprint(len(blkFE.Queues)))
-	for qi, q := range blkFE.Queues {
-		v.Store.Write(c, fmt.Sprintf("%s/queue-%d/event-channel", vbd, qi), fmt.Sprint(q.KickPort))
-	}
-	v.Store.Write(c, vbd+"/state", xen.XsStateConnected)
-	v.Store.Write(c, xen.BackendPath(drv.ID, fe.ID, "vbd")+"/state",
-		xen.XsStateConnected)
 
 	// --- network ---
 	netBE := xen.NewNetBackend(v, drv, drvK.Net.(*guest.NativeNet).RawDevice(), xen.DefaultRingSize)
 	// Frontend kick (tx) channel.
-	txPortBE := v.EvtchnAllocUnbound(c, drv, fe.ID)
-	drv.SetPortHandler(txPortBE, netBE.OnEvent)
-	txPortFE, err := v.EvtchnBindInterdomain(c, fe, drv.ID, txPortBE)
+	txPortFE, err := v.EvtchnConnect(c, fe, drv, netBE.OnEvent)
 	if err != nil {
 		panic(fmt.Sprintf("bench: wiring net tx channel: %v", err))
-	}
-	// Backend notify (rx) channel.
-	rxPortFE := v.EvtchnAllocUnbound(c, fe, drv.ID)
-	rxPortBE, err := v.EvtchnBindInterdomain(c, drv, fe.ID, rxPortFE)
-	if err != nil {
-		panic(fmt.Sprintf("bench: wiring net rx channel: %v", err))
-	}
-	netBE.Notify = func(nc *hw.CPU) {
-		if err := v.EvtchnSend(nc, drv, rxPortBE); err != nil {
-			panic(fmt.Sprintf("bench: net rx notify: %v", err))
-		}
 	}
 	feNet := &guest.FrontendNet{
 		K: feK, V: v, D: fe, Backend: drv.ID,
@@ -376,15 +345,17 @@ func WireSplitDrivers(c *hw.CPU, v *xen.VMM,
 		},
 	}
 	feK.Net = feNet
-	fe.SetPortHandler(rxPortFE, feNet.HandleRxEvent)
+	// Backend notify (rx) channel.
+	rxPortBE, err := v.EvtchnConnect(c, drv, fe, feNet.HandleRxEvent)
+	if err != nil {
+		panic(fmt.Sprintf("bench: wiring net rx channel: %v", err))
+	}
+	netBE.Notify = func(nc *hw.CPU) {
+		if err := v.EvtchnSend(nc, drv, rxPortBE); err != nil {
+			panic(fmt.Sprintf("bench: net rx notify: %v", err))
+		}
+	}
 	feNet.ReplenishRx(c)
-	v.Store.Write(c, xen.DevicePath(fe.ID, "vif")+"/tx-event-channel",
-		fmt.Sprint(txPortFE))
-	v.Store.Write(c, xen.DevicePath(fe.ID, "vif")+"/rx-event-channel",
-		fmt.Sprint(rxPortFE))
-	v.Store.Write(c, xen.DevicePath(fe.ID, "vif")+"/state", xen.XsStateConnected)
-	v.Store.Write(c, xen.BackendPath(drv.ID, fe.ID, "vif")+"/state",
-		xen.XsStateConnected)
 
 	// The driver domain steals frames addressed to the frontend.
 	feID := feK.NetID()

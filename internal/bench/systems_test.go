@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/guest"
 	"repro/internal/hw"
-	"repro/internal/xen"
 )
 
 // TestBuildAllSystems verifies every configuration boots and can run a
@@ -135,29 +134,6 @@ func TestNetworkSmoke(t *testing.T) {
 				}
 			})
 		})
-	}
-}
-
-// TestSplitDriversNegotiatedInStore: the split devices are published in
-// the xenstore with Connected state (§5.2 negotiation).
-func TestSplitDriversNegotiatedInStore(t *testing.T) {
-	for _, key := range []SystemKey{XU, MU} {
-		s, err := Build(key, Options{})
-		if err != nil {
-			t.Fatalf("Build(%s): %v", key, err)
-		}
-		c := s.M.BootCPU()
-		for _, class := range []string{"vbd", "vif"} {
-			path := xen.DevicePath(s.Dom.ID, class) + "/state"
-			got, err := s.VMM.Store.Read(c, path)
-			if err != nil || got != xen.XsStateConnected {
-				t.Errorf("%s %s: state=%q err=%v", key, class, got, err)
-			}
-			be := xen.BackendPath(s.VMM.DriverDomain().ID, s.Dom.ID, class) + "/state"
-			if got, err := s.VMM.Store.Read(c, be); err != nil || got != xen.XsStateConnected {
-				t.Errorf("%s backend %s: state=%q err=%v", key, class, got, err)
-			}
-		}
 	}
 }
 

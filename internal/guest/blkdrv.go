@@ -21,7 +21,6 @@ type BlockReq struct {
 // kernels drive the disk directly, virtualized kernels go through the
 // split frontend.
 type BlockDriver interface {
-	Name() string
 	// Submit performs the batch, blocking until completion.
 	Submit(c *hw.CPU, reqs []BlockReq)
 }
@@ -32,9 +31,6 @@ type NativeBlock struct {
 	K    *Kernel
 	Disk *hw.Disk
 }
-
-// Name identifies the driver.
-func (d *NativeBlock) Name() string { return "native-blk" }
 
 // RawDevice adapts the native driver into the backend's BlockDevice so
 // requests forwarded from a frontend still pay the driver domain's

@@ -71,9 +71,6 @@ func NewMQBlockFrontend(v *xen.VMM, d *xen.Domain, backend xen.DomID, respThresh
 	return &MQBlockFrontend{V: v, D: d, Backend: backend, RespThreshold: respThreshold}
 }
 
-// Name identifies the driver.
-func (f *MQBlockFrontend) Name() string { return "blkfront" }
-
 // Connect attaches one frontend queue to each of be's queues, sharing
 // its ring, and binds a request doorbell (frontend -> backend, served
 // by the backend's queue handler) and a completion doorbell (backend ->
@@ -82,15 +79,11 @@ func (f *MQBlockFrontend) Name() string { return "blkfront" }
 func (f *MQBlockFrontend) Connect(c *hw.CPU, be *xen.BlkMQBackend) error {
 	v, drv := f.V, be.Dom
 	for qi, q := range be.Queues {
-		portBE := v.EvtchnAllocUnbound(c, drv, f.D.ID)
-		drv.SetPortHandler(portBE, be.OnQueueEvent(qi))
-		portFE, err := v.EvtchnBindInterdomain(c, f.D, drv.ID, portBE)
+		portFE, err := v.EvtchnConnect(c, f.D, drv, be.OnQueueEvent(qi))
 		if err != nil {
 			return fmt.Errorf("guest: blkmq queue %d doorbell: %w", qi, err)
 		}
-		rPortFE := v.EvtchnAllocUnbound(c, f.D, drv.ID)
-		f.D.SetPortHandler(rPortFE, func(*hw.CPU) {})
-		rPortBE, err := v.EvtchnBindInterdomain(c, drv, f.D.ID, rPortFE)
+		rPortBE, err := v.EvtchnConnect(c, drv, f.D, func(*hw.CPU) {})
 		if err != nil {
 			return fmt.Errorf("guest: blkmq queue %d completion: %w", qi, err)
 		}

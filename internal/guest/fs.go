@@ -38,10 +38,7 @@ type FS struct {
 
 // FSStats counts filesystem activity.
 type FSStats struct {
-	Creates, Unlinks, Opens uint64
-	CacheHits, CacheMisses  uint64
-	PagesWritten, PagesRead uint64
-	Writebacks              uint64
+	CacheMisses uint64
 }
 
 // Inode is one file or directory.
@@ -142,7 +139,6 @@ func (fs *FS) Create(c *hw.CPU, path string) (*Inode, error) {
 	}
 	fs.nextIno++
 	dir.children[name] = ino
-	fs.Stats.Creates++
 	for _, pfn := range freed {
 		fs.k.unrefPage(pfn) // touches only page accounting, not fs.mu
 	}
@@ -174,7 +170,6 @@ func (fs *FS) Open(c *hw.CPU, path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs.Stats.Opens++
 	return &File{Ino: ino}, nil
 }
 
@@ -205,7 +200,6 @@ func (fs *FS) Unlink(c *hw.CPU, path string) error {
 		fs.mu.Unlock()
 		return fmt.Errorf("fs: %s: %w", path, err)
 	}
-	fs.Stats.Unlinks++
 	fs.mu.Unlock()
 	for _, pfn := range frames {
 		fs.k.unrefPage(pfn)
@@ -220,7 +214,6 @@ func (k *Kernel) cachePage(c *hw.CPU, ino *Inode, idx int) hw.PFN {
 	c.Charge(k.M.Costs.PageCacheLookup)
 	fs.mu.Lock()
 	if pg, ok := ino.pages[idx]; ok {
-		fs.Stats.CacheHits++
 		fs.mu.Unlock()
 		return pg.pfn
 	}
@@ -232,9 +225,6 @@ func (k *Kernel) cachePage(c *hw.CPU, ino *Inode, idx int) hw.PFN {
 	k.refPage(pfn)
 	if onDisk {
 		k.Blk.Submit(c, []BlockReq{{Block: blk, PFN: pfn}})
-		fs.mu.Lock()
-		fs.Stats.PagesRead++
-		fs.mu.Unlock()
 	}
 	fs.mu.Lock()
 	ino.pages[idx] = &cachePage{pfn: pfn}
@@ -275,7 +265,6 @@ func (fs *FS) WriteAt(c *hw.CPU, ino *Inode, off, n int) {
 		if off+chunk > ino.Size {
 			ino.Size = off + chunk
 		}
-		fs.Stats.PagesWritten++
 		over := fs.dirtyCount >= fs.WritebackThreshold
 		fs.mu.Unlock()
 		if over {
@@ -336,7 +325,6 @@ func (fs *FS) Writeback(c *hw.CPU) {
 		fs.mu.Unlock()
 		return
 	}
-	fs.Stats.Writebacks++
 	reqs := make([]BlockReq, 0, len(pages))
 	for _, fp := range pages {
 		pg := fp.ino.pages[fp.idx]

@@ -100,7 +100,6 @@ type Kernel struct {
 // KernelStats aggregates kernel-level counters.
 type KernelStats struct {
 	Forks       atomic.Uint64
-	Execs       atomic.Uint64
 	CtxSwitches atomic.Uint64
 	Syscalls    atomic.Uint64
 	PageFaults  atomic.Uint64

@@ -52,7 +52,6 @@ func ParseFrame(b []byte) (Frame, error) {
 // NetDriver is the kernel's network attachment point — the other
 // virtualization-sensitive I/O surface (§3.2.4).
 type NetDriver interface {
-	Name() string
 	Transmit(c *hw.CPU, fr Frame)
 	// Pump makes receive progress when the kernel is waiting for a
 	// frame: the native driver blocks on the NIC; the frontend asks the
@@ -66,9 +65,6 @@ type NativeNet struct {
 	K   *Kernel
 	NIC *hw.NIC
 }
-
-// Name identifies the driver.
-func (d *NativeNet) Name() string { return "native-net" }
 
 // virtIRQ charges the physical-interrupt virtualization cost when the
 // driver domain runs on a VMM: the device IRQ enters the hypervisor,
@@ -157,9 +153,6 @@ type rxPosted struct {
 	pfn   hw.PFN
 	grant xen.GrantRef
 }
-
-// Name identifies the driver.
-func (d *FrontendNet) Name() string { return "netfront" }
 
 // rxDepth is how many receive buffers stay posted; it is far below the
 // ring's capacity, so a replenish always fits.

@@ -37,7 +37,6 @@ func (p *Proc) Fork(name string, childBody Body) *Proc {
 func (p *Proc) Exec(img Image) {
 	k := p.K
 	c := p.CPU()
-	k.Stats.Execs.Add(1)
 	c.Charge(k.M.Costs.SyscallEntry + k.M.Costs.ExecBase)
 	prev := c.SetMode(k.KernelPL())
 

@@ -69,7 +69,6 @@ type CPU struct {
 type CPUStats struct {
 	Interrupts uint64
 	Faults     uint64
-	GPFaults   uint64
 	CR3Writes  uint64
 	IdleCycles uint64
 }
@@ -248,7 +247,6 @@ func (e *GPError) Error() string { return "general protection fault: " + e.Reaso
 // RaiseGP raises #GP. If the installed IDT has a handler it is invoked;
 // otherwise the simulation panics with a GPError (a triple fault).
 func (c *CPU) RaiseGP(reason string) {
-	c.Stats.GPFaults++
 	if c.IDTR != nil && c.IDTR.Get(VecGP).Present {
 		f := &TrapFrame{Vector: VecGP}
 		c.deliverFault(VecGP, f)

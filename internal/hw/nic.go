@@ -53,7 +53,6 @@ type NIC struct {
 // NICStats counts device activity (atomic: any CPU may drive the NIC).
 type NICStats struct {
 	TxPackets, RxPackets atomic.Uint64
-	TxBytes, RxBytes     atomic.Uint64
 }
 
 // NewNIC builds the machine's NIC on the given IO-APIC line, attached to
@@ -76,7 +75,6 @@ func (n *NIC) Transmit(c *CPU, p Packet) {
 	kb := Cycles((len(p.Data) + 1023) / 1024)
 	c.Charge(kb * n.m.Costs.NICPerKB)
 	n.Stats.TxPackets.Add(1)
-	n.Stats.TxBytes.Add(uint64(len(p.Data)))
 
 	if n.Reflector != nil {
 		replies := n.Reflector(p)
@@ -120,7 +118,6 @@ func (n *NIC) Receive(c *CPU, block bool) (Packet, bool) {
 				n.rxq = n.rxq[1:]
 				n.mu.Unlock()
 				n.Stats.RxPackets.Add(1)
-				n.Stats.RxBytes.Add(uint64(len(p.Data)))
 				c.Charge(n.m.Costs.NICPerPkt)
 				return p, true
 			}

@@ -31,12 +31,11 @@ type Result struct {
 	// Violation is VioNone for a clean protocol; otherwise Trace is a
 	// minimal counterexample: the shortest action sequence from the
 	// boot state to a violating state.
-	Violation     Violation     `json:"violation"`
-	ViolationName string        `json:"violation_name"`
-	Trace         []Action      `json:"-"`
-	TraceLen      int           `json:"trace_len"`
-	Elapsed       time.Duration `json:"-"`
-	ElapsedMS     float64       `json:"elapsed_ms"`
+	Violation Violation     `json:"violation"`
+	Trace     []Action      `json:"-"`
+	TraceLen  int           `json:"trace_len"`
+	Elapsed   time.Duration `json:"-"`
+	ElapsedMS float64       `json:"elapsed_ms"`
 }
 
 // Run explores cfg's reduced machine: depth-first with full state
@@ -90,7 +89,6 @@ func Run(cfg Config, opt Options) (*Result, error) {
 			limit = maxDepth
 		}
 	}
-	res.ViolationName = res.Violation.String()
 	res.TraceLen = len(res.Trace)
 	res.Elapsed = time.Since(start)
 	res.ElapsedMS = float64(res.Elapsed.Microseconds()) / 1000

@@ -126,6 +126,9 @@ func (b Bug) String() string {
 	return fmt.Sprintf("bug%d", uint8(b))
 }
 
+// MarshalText spells the bug by name in JSON.
+func (b Bug) MarshalText() ([]byte, error) { return []byte(b.String()), nil }
+
 // ParseBug maps a CLI spelling to a seeded bug.
 func ParseBug(s string) (Bug, error) {
 	for b := BugNone; b <= BugRendezvous; b++ {
@@ -183,6 +186,9 @@ func (v Violation) String() string {
 	}
 	return fmt.Sprintf("violation%d", uint8(v))
 }
+
+// MarshalText spells the violation by name in JSON.
+func (v Violation) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
 
 // Config shapes the reduced machine.
 type Config struct {

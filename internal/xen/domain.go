@@ -103,7 +103,6 @@ type DomainStats struct {
 	// (EmulatePTEWrite) that vo.Virtual.TrapEmulate and the emulation
 	// ablation take instead of a hypercall.
 	FaultBounces *obs.Counter
-	EventsIn     atomic.Uint64
 	EventsOut    *obs.Counter // xen/events_sent_total
 }
 

@@ -81,6 +81,16 @@ func (v *VMM) EvtchnBindInterdomain(c *hw.CPU, d *Domain, remoteDom DomID, remot
 	return p, nil
 }
 
+// EvtchnConnect opens a one-way channel from `from` to `to`, the way a
+// split driver binds a doorbell: `to` offers an unbound port, h serves
+// it, and `from` binds to it. It returns from's port, the one to send
+// on.
+func (v *VMM) EvtchnConnect(c *hw.CPU, from, to *Domain, h func(*hw.CPU)) (Port, error) {
+	p := v.EvtchnAllocUnbound(c, to, from.ID)
+	to.SetPortHandler(p, h)
+	return v.EvtchnBindInterdomain(c, from, to.ID, p)
+}
+
 // EvtchnSend raises the event bound to d's port p. If the remote domain
 // is runnable and not already on this physical CPU's dispatch stack, the
 // VMM switches to it and delivers the upcall synchronously (the
@@ -114,7 +124,6 @@ func (v *VMM) evtchnSend(c *hw.CPU, d *Domain, p Port) (*Domain, error) {
 	d.Stats.EventsOut.Add(1)
 	v.traceInstant(c, "xen/event-send", uint64(p))
 	rd.ports[ch.remotePort].pending = true
-	rd.Stats.EventsIn.Add(1)
 	c.WakeHalted(hw.VecReschedIPI, true) // a vCPU blocked on another CPU rechecks
 	return rd, nil
 }

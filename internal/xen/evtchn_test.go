@@ -1,6 +1,7 @@
 package xen
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -37,6 +38,40 @@ func TestEvtchnBindAndSend(t *testing.T) {
 	}
 	if fired != 1 {
 		t.Fatalf("handler fired %d times", fired)
+	}
+}
+
+// TestEvtchnConnect: a connected channel runs its handler in the
+// receiving domain, in either direction, and nothing in the sender; a
+// connect to a domain that is gone fails at the bind.
+func TestEvtchnConnect(t *testing.T) {
+	v, d0, dU, c := twoDomains(t)
+	for _, dir := range []struct{ from, to *Domain }{{dU, d0}, {d0, dU}} {
+		ran, stray := 0, 0
+		p, err := v.EvtchnConnect(c, dir.from, dir.to, func(cc *hw.CPU) {
+			if cur := v.Current(cc); cur != dir.to {
+				t.Errorf("dom%d->dom%d: handler ran in dom%d", dir.from.ID, dir.to.ID, cur.ID)
+			}
+			ran++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir.from.SetPortHandler(p, func(*hw.CPU) { stray++ })
+		v.SetCurrent(c, dir.from)
+		if err := v.EvtchnSend(c, dir.from, p); err != nil {
+			t.Fatal(err)
+		}
+		if ran != 1 || stray != 0 {
+			t.Fatalf("dom%d->dom%d: receiver ran %d times, sender %d", dir.from.ID, dir.to.ID, ran, stray)
+		}
+	}
+	if err := v.DestroyDomain(dU.ID); err != nil {
+		t.Fatal(err)
+	}
+	_, err := v.EvtchnConnect(c, d0, dU, func(*hw.CPU) {})
+	if err == nil || !strings.Contains(err.Error(), "bind to nonexistent dom") {
+		t.Fatalf("connect to a destroyed domain: err = %v", err)
 	}
 }
 

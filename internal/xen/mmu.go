@@ -498,7 +498,6 @@ func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
 func (v *VMM) EmulatePTEWrite(c *hw.CPU, d *Domain, u MMUUpdate) error {
 	// The faulting store: #PF entry, instruction decode, emulation.
 	c.Charge(v.M.Costs.FaultEntry + v.M.Costs.WorldSwitch + v.M.Costs.FaultBounce)
-	v.Stats.FaultsHandled.Add(1)
 	if d != nil {
 		d.Stats.FaultBounces.Add(1)
 	}

@@ -33,10 +33,6 @@ type VMM struct {
 	// Reserved is the VMM's own memory footprint, carved off at boot.
 	Reserved *hw.FrameAllocator
 
-	// Store is the control-plane registry (xenstore) split drivers
-	// negotiate through.
-	Store *XenStore
-
 	// sched is the credit-weight domain scheduler state.
 	sched DomSched
 
@@ -135,12 +131,11 @@ func (v *VMM) traceInstant(c *hw.CPU, name string, arg uint64) {
 // pointers, not values, so the collector retains the counters and not
 // the VMM.
 type VMMStats struct {
-	Hypercalls    *obs.Counter // xen/hypercalls_total
-	Multicalls    *obs.Counter // xen/multicalls_total; each batch also counts as one hypercall
-	MulticallOps  *obs.Counter // xen/multicall_ops_total: ops carried inside multicall batches
-	DomSwitches   *obs.Counter // xen/dom_switches_total: one in and one out per RunInDomain
-	FaultsHandled atomic.Uint64
-	Activations   atomic.Uint64
+	Hypercalls   *obs.Counter // xen/hypercalls_total
+	Multicalls   *obs.Counter // xen/multicalls_total; each batch also counts as one hypercall
+	MulticallOps *obs.Counter // xen/multicall_ops_total: ops carried inside multicall batches
+	DomSwitches  *obs.Counter // xen/dom_switches_total: one in and one out per RunInDomain
+	Activations  atomic.Uint64
 
 	// RecomputeFallbacks counts sharded recomputes whose shards could
 	// not have walked independently (a page-table frame reachable from
@@ -167,7 +162,6 @@ func Boot(m *hw.Machine) (*VMM, error) {
 		FT:       NewFrameTable(m.Mem),
 		Domains:  make(map[DomID]*Domain),
 		Reserved: res,
-		Store:    NewXenStore(),
 		cur:      make([][]*Domain, len(m.CPUs)),
 		Stats: VMMStats{Hypercalls: obs.NewCounter(), Multicalls: obs.NewCounter(),
 			MulticallOps: obs.NewCounter(), DomSwitches: obs.NewCounter()},
@@ -230,7 +224,6 @@ func BootHost(cfg hw.Config, dom0Frames hw.PFN) (*Host, error) {
 func (v *VMM) installTrapHandlers() {
 	v.IDT.Set(hw.VecPageFault, hw.Gate{Present: true, Target: hw.PL0,
 		Handler: func(c *hw.CPU, f *hw.TrapFrame) {
-			v.Stats.FaultsHandled.Add(1)
 			d := v.Current(c)
 			if d == nil {
 				panic(fmt.Sprintf("xen: page fault at %#x with no current domain", f.Addr))
