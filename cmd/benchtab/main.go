@@ -1,19 +1,19 @@
 // benchtab regenerates every table and figure of the paper's evaluation
 // (§7): Table 1 and Table 2 (lmbench latencies across the six system
 // configurations, UP and SMP), Figures 3 and 4 (relative application
-// performance), the mode-switch timings of §7.4, and the §5.1.2
-// frame-tracking ablation.
+// performance), the mode-switch timings of §7.4, the §5.1.2
+// frame-tracking ablation, and the extension sweeps.
 //
-// Every experiment but chaos reproduces a committed BENCH_*.json
-// baseline. The simulation is deterministic, so the gate is exact: any
-// value that differs from the committed file is reported by its JSON
-// path and fails the run.
+// Every experiment reproduces a committed BENCH_*.json baseline. The
+// simulation is deterministic, so the gate is exact: any value that
+// differs from the committed file is reported by its JSON path and
+// fails the run.
 //
 // Usage:
 //
 //	benchtab                       # everything, every baseline checked
 //	benchtab -exp table1           # one experiment: table1 table2 fig3 fig4
-//	                               # switch switchscale ablation chaos ...
+//	                               # switch switchscale ablation ...
 //	benchtab -exp switchscale      # rerun the sweep, diff BENCH_switch.json
 //	benchtab -exp switchscale -json
 //	                               # regenerate BENCH_switch.json; differences
@@ -37,26 +37,19 @@ import (
 	"repro/internal/obs"
 )
 
-// options carries the flags the experiments read. Of them the gated
-// experiments read only -format and -metrics, which change what is
-// printed and dumped but no simulated value, so no flag can move a
-// baseline.
+// options carries the flags the experiments read. -metrics changes what
+// is dumped and -json where results go, but no simulated value, so no
+// flag can move a baseline.
 type options struct {
-	seed          int64
-	episodes      int
-	csv           bool
-	metrics       bool
-	metricsDir    string
-	json          bool
-	jsonDir       string
-	policy        core.TrackingPolicy
-	migrateFaults bool
+	metrics    bool
+	metricsDir string
+	json       bool
+	jsonDir    string
 }
 
 // experiment is one -exp entry. run prints the human-readable result
-// and returns the value serialised to file. An experiment with a file
-// is gated: the file is committed at the repo root, and every run must
-// reproduce it exactly. Only chaos has none.
+// and returns the value serialised to file, which is committed at the
+// repo root; every run must reproduce it exactly.
 type experiment struct {
 	name string
 	file string
@@ -66,8 +59,8 @@ type experiment struct {
 var experiments = []experiment{
 	{"table1", "BENCH_table1.json", func(o *options) (any, error) { return lmbench(o, "table1", 1) }},
 	{"table2", "BENCH_table2.json", func(o *options) (any, error) { return lmbench(o, "table2", 2) }},
-	{"fig3", "BENCH_fig3.json", func(o *options) (any, error) { return appFigure(o, 1) }},
-	{"fig4", "BENCH_fig4.json", func(o *options) (any, error) { return appFigure(o, 2) }},
+	{"fig3", "BENCH_fig3.json", func(*options) (any, error) { return appFigure(1) }},
+	{"fig4", "BENCH_fig4.json", func(*options) (any, error) { return appFigure(2) }},
 	{"switch", "BENCH_modeswitch.json", modeSwitch},
 	{"switchscale", "BENCH_switch.json", func(*options) (any, error) {
 		pts, err := bench.SwitchScale()
@@ -147,7 +140,6 @@ var experiments = []experiment{
 		bench.WriteMigrateSweep(os.Stdout, pts)
 		return bench.MigrateBaseline{Schema: bench.MigrateBaselineSchema, Sweep: pts}, nil
 	}},
-	{"chaos", "", chaos},
 	{"mc", "BENCH_mc.json", func(*options) (any, error) {
 		b, err := mc.BenchSuite()
 		if err != nil {
@@ -180,30 +172,15 @@ func main() {
 	}
 	exp := flag.String("exp", "all",
 		"experiment to run: "+strings.Join(names, ", ")+", all")
-	seed := flag.Int64("seed", 42, "chaos campaign seed")
-	episodes := flag.Int("episodes", 16, "chaos campaign episodes")
-	format := flag.String("format", "text", "output format for tables/figures: text or csv")
 	metrics := flag.Bool("metrics", false,
 		"collect telemetry and write per-configuration metric dumps (JSON)")
 	metricsDir := flag.String("metricsdir", ".", "directory for -metrics dump files")
 	jsonOut := flag.Bool("json", false,
-		"write each experiment's BENCH_*.json; for gated experiments this regenerates the committed baseline instead of failing on a difference")
+		"write each experiment's BENCH_*.json, regenerating the committed baseline instead of failing on a difference")
 	jsonDir := flag.String("jsondir", ".", "directory for -json result files")
-	policyName := flag.String("policy", "recompute",
-		"tracking policy for the chaos experiment: recompute, active, journal")
-	migrateFaults := flag.Bool("migrate", false,
-		"chaos experiment: add a standby node and the migration fault classes to the campaign")
 	flag.Parse()
 
-	policy, err := core.ParseTrackingPolicy(*policyName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	o := &options{
-		seed: *seed, episodes: *episodes, policy: policy,
-		csv: *format == "csv", metrics: *metrics, metricsDir: *metricsDir,
-		json: *jsonOut, jsonDir: *jsonDir, migrateFaults: *migrateFaults,
-	}
+	o := &options{metrics: *metrics, metricsDir: *metricsDir, json: *jsonOut, jsonDir: *jsonDir}
 
 	ran, held := false, true
 	for _, e := range experiments {
@@ -226,25 +203,18 @@ func main() {
 	}
 }
 
-// runExperiment runs e, diffs a gated result against its committed
-// file, and writes the result under -json. It reports false when a
-// gated result differs and -json is off.
+// runExperiment runs e, diffs the result against its committed file,
+// and writes the result under -json. It reports false when the result
+// differs and -json is off.
 func runExperiment(e experiment, o *options) (bool, error) {
-	var committed []byte
-	if e.file != "" {
-		// Read before running: under -json the run overwrites the file.
-		var err error
-		committed, err = os.ReadFile(e.file)
-		if err != nil {
-			return false, fmt.Errorf("%s: reading the committed baseline (run from the repo root): %w", e.name, err)
-		}
+	// Read before running: under -json the run overwrites the file.
+	committed, err := os.ReadFile(e.file)
+	if err != nil {
+		return false, fmt.Errorf("%s: reading the committed baseline (run from the repo root): %w", e.name, err)
 	}
 	v, err := e.run(o)
 	if err != nil {
 		return false, fmt.Errorf("%s: %w", e.name, err)
-	}
-	if e.file == "" {
-		return true, nil
 	}
 	data, err := bench.EncodeJSON(v)
 	if err != nil {
@@ -315,24 +285,16 @@ func lmbench(o *options, name string, ncpu int) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.csv {
-		bench.WriteTableCSV(os.Stdout, t)
-	} else {
-		bench.WriteTable(os.Stdout, t)
-	}
+	bench.WriteTable(os.Stdout, t)
 	return t, dump()
 }
 
-func appFigure(o *options, ncpu int) (any, error) {
+func appFigure(ncpu int) (any, error) {
 	f, err := bench.AppFigure(ncpu, bench.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if o.csv {
-		bench.WriteFigureCSV(os.Stdout, f)
-	} else {
-		bench.WriteFigure(os.Stdout, f)
-	}
+	bench.WriteFigure(os.Stdout, f)
 	return f, nil
 }
 
@@ -357,23 +319,4 @@ func modeSwitch(o *options) (any, error) {
 		bench.WriteTraceHealth(os.Stdout, "M-N", col)
 	}
 	return r, nil
-}
-
-func chaos(o *options) (any, error) {
-	opt := bench.Options{Policy: o.policy, MigrateFaults: o.migrateFaults}
-	if o.metrics {
-		opt.Collector = obs.New(1)
-	}
-	r, err := bench.ChaosCampaign(o.seed, o.episodes, opt)
-	if err != nil {
-		return nil, err
-	}
-	bench.WriteChaos(os.Stdout, r)
-	if col := opt.Collector; col != nil {
-		if err := writeMetrics(filepath.Join(o.metricsDir, "metrics-chaos.json"), col); err != nil {
-			return nil, err
-		}
-		bench.WriteTraceHealth(os.Stdout, "chaos", col)
-	}
-	return nil, nil
 }

@@ -10,19 +10,16 @@ import (
 	"repro/internal/bench"
 )
 
-// TestGatedBaselinesCommitted: every experiment but chaos is gated on a
-// committed baseline that decodes, every BENCH_*.json at the repo root
-// belongs to exactly one experiment, and CI's bench job runs every
-// gated experiment.
+// TestGatedBaselinesCommitted: every experiment is gated on a committed
+// baseline that decodes, every BENCH_*.json at the repo root belongs to
+// exactly one experiment, and CI's bench job runs every experiment.
 func TestGatedBaselinesCommitted(t *testing.T) {
 	root := filepath.Join("..", "..")
 	matrix := benchMatrix(t, filepath.Join(root, ".github", "workflows", "ci.yml"))
 	owners := map[string]int{}
 	for _, e := range experiments {
 		if e.file == "" {
-			if e.name != "chaos" {
-				t.Errorf("%s: no committed baseline", e.name)
-			}
+			t.Errorf("%s: no committed baseline", e.name)
 			continue
 		}
 		owners[e.file]++

@@ -40,6 +40,9 @@ func TestSubcommands(t *testing.T) {
 			"seed 3: 4 episodes, 4 injected, 4 detected, 4 healed, 0 missed, 2 rolled back, 1 starved, 0 escalated",
 			"3 fault classes; switch stats: attaches=3 detaches=3 deferred=8 starved=1 failed=2\n",
 		}},
+		{"", []string{"chaos", "-seed", "3", "-episodes", "4", "-cpus", "2"}, []string{
+			"seed 3: 4 episodes, 4 injected, 4 detected, 4 healed, 0 missed, 2 rolled back, 1 starved, 0 escalated, MTTR 105011.4 us",
+		}},
 		{"", []string{"fleet", "-nodes", "2"}, []string{
 			"fleet: 2 nodes, MaxVirtual=1 (tax 15%, max capacity loss 10%), action=checkpoint\n",
 			"wave: completed=2 expired=0 canceled=0 ticks=4 aborted=false\n",

@@ -68,35 +68,3 @@ func WriteAblation(w io.Writer, a AblationResult) {
 	fmt.Fprintf(w, "  attach time, recompute policy         : %10.1f us\n", a.RecomputeAttachUS)
 	fmt.Fprintf(w, "  attach time, active tracking          : %10.1f us\n", a.ActiveAttachUS)
 }
-
-// WriteTableCSV renders a TableResult as CSV (for plotting pipelines).
-func WriteTableCSV(w io.Writer, t TableResult) {
-	fmt.Fprintf(w, "benchmark")
-	for _, c := range t.Columns {
-		fmt.Fprintf(w, ",%s", c)
-	}
-	fmt.Fprintln(w)
-	for i, row := range t.Rows {
-		fmt.Fprintf(w, "%q", row)
-		for j := range t.Columns {
-			fmt.Fprintf(w, ",%.3f", t.Values[i][j])
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// WriteFigureCSV renders a FigureResult as CSV.
-func WriteFigureCSV(w io.Writer, f FigureResult) {
-	fmt.Fprintf(w, "benchmark")
-	for _, sk := range f.Systems {
-		fmt.Fprintf(w, ",%s", sk)
-	}
-	fmt.Fprintf(w, ",raw_NL,unit\n")
-	for i, b := range f.Benchmarks {
-		fmt.Fprintf(w, "%q", b)
-		for j := range f.Systems {
-			fmt.Fprintf(w, ",%.4f", f.Relative[i][j])
-		}
-		fmt.Fprintf(w, ",%.2f,%q\n", f.Raw[i][0], f.RawUnit[i])
-	}
-}

@@ -65,10 +65,6 @@ type Options struct {
 	// for builders that construct several systems (LmbenchTable); it
 	// takes precedence over Collector.
 	CollectorFor func(SystemKey) *obs.Collector
-	// MigrateFaults wires a standby migration target into chaos
-	// campaigns, adding the §6.3 migration fault classes (link stall,
-	// mid-copy abort, pause/destroy failure) to the catalog.
-	MigrateFaults bool
 	// LazyMMU enables the kernels' lazy-MMU multicall batching (see
 	// guest.Config.LazyMMU). Off by default: the Table 1 reproduction
 	// measures the unbatched per-entry hypercall stream.

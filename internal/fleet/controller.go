@@ -137,9 +137,6 @@ func New(cfg Config) (*Controller, error) {
 	return fc, nil
 }
 
-// Now returns the fleet clock.
-func (fc *Controller) Now() Tick { return fc.now }
-
 // Config returns the (defaults-filled) configuration the fleet was
 // built with.
 func (fc *Controller) Config() Config { return fc.cfg }

@@ -68,7 +68,6 @@ type CPU struct {
 // CPUStats counts notable events on one CPU.
 type CPUStats struct {
 	Interrupts uint64
-	Faults     uint64
 	CR3Writes  uint64
 	IdleCycles uint64
 }
@@ -119,9 +118,6 @@ func (c *CPU) SetMode(cpl uint8) (prev uint8) {
 	}
 	return prev
 }
-
-// Work charges n cycles of plain computation (no privileged semantics).
-func (c *CPU) Work(n Cycles) { c.Charge(n) }
 
 // PollInterrupts delivers one pending interrupt if the CPU is accepting
 // them: the timer vector once its deadline has passed, else the oldest
@@ -376,7 +372,6 @@ func (c *CPU) WakeHalted(vector int, all bool) {
 // AccessResult reports how a memory access resolved.
 type AccessResult struct {
 	PFN     PFN
-	Faults  int  // number of #PF deliveries it took
 	Skipped bool // the faulting instruction was skipped (signal abort)
 }
 
@@ -418,8 +413,6 @@ func (c *CPU) Translate(va VirtAddr, write bool) AccessResult {
 			panic(fmt.Sprintf("hw: cpu%d unresolved page fault at %#x (write=%v user=%v)",
 				c.ID, va, write, user))
 		}
-		res.Faults++
-		c.Stats.Faults++
 		f := &TrapFrame{Addr: va, Write: write, User: user}
 		c.deliverFault(VecPageFault, f)
 		c.Clk.Advance(c.M.Costs.FaultExit)

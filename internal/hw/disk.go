@@ -81,6 +81,3 @@ func (d *Disk) Submit(c *CPU, req DiskRequest, buf []byte) error {
 	d.m.IOAPIC.Raise(c, d.line)
 	return nil
 }
-
-// Line returns the disk's interrupt line.
-func (d *Disk) Line() int { return d.line }

@@ -64,9 +64,6 @@ func NewNIC(m *Machine, line int) *NIC {
 // SetLink changes the wire properties.
 func (n *NIC) SetLink(p LinkProps) { n.link = p }
 
-// Link returns the wire properties.
-func (n *NIC) Link() LinkProps { return n.link }
-
 // Transmit sends one packet from c's machine. Hardware cost (DMA ring,
 // doorbell) is charged here; the guest's driver layer charges its own
 // per-packet stack cost on top.
@@ -148,6 +145,3 @@ func (n *NIC) Pending() int {
 	defer n.mu.Unlock()
 	return len(n.rxq)
 }
-
-// Line returns the NIC's interrupt line.
-func (n *NIC) Line() int { return n.line }

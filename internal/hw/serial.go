@@ -15,8 +15,6 @@ type Serial struct {
 
 	cur   strings.Builder
 	lines []string
-
-	BytesOut uint64
 }
 
 // NewSerial builds the console UART.
@@ -32,7 +30,6 @@ func (s *Serial) WritePort(c *CPU, b byte) {
 	}
 	c.Charge(s.m.Costs.MemWrite * 4) // UART FIFO poll + write
 	s.mu.Lock()
-	s.BytesOut++
 	if b == '\n' {
 		s.lines = append(s.lines, s.cur.String())
 		s.cur.Reset()
