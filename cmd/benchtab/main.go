@@ -32,19 +32,14 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/divergence"
-	"repro/internal/hw"
 	"repro/internal/mc"
-	"repro/internal/obs"
 )
 
-// options carries the flags the experiments read. -metrics changes what
-// is dumped and -json where results go, but no simulated value, so no
-// flag can move a baseline.
+// options carries the flags runExperiment reads. -json changes where
+// results go, but no simulated value, so no flag can move a baseline.
 type options struct {
-	metrics    bool
-	metricsDir string
-	json       bool
-	jsonDir    string
+	json    bool
+	jsonDir string
 }
 
 // experiment is one -exp entry. run prints the human-readable result
@@ -53,16 +48,20 @@ type options struct {
 type experiment struct {
 	name string
 	file string
-	run  func(o *options) (any, error)
+	run  func() (any, error)
 }
 
+// auditReport is the divergence audit rendered as markdown, committed
+// beside its baseline and gated byte for byte like it.
+const auditReport = "divergence_report.md"
+
 var experiments = []experiment{
-	{"table1", "BENCH_table1.json", func(o *options) (any, error) { return lmbench(o, "table1", 1) }},
-	{"table2", "BENCH_table2.json", func(o *options) (any, error) { return lmbench(o, "table2", 2) }},
-	{"fig3", "BENCH_fig3.json", func(*options) (any, error) { return appFigure(1) }},
-	{"fig4", "BENCH_fig4.json", func(*options) (any, error) { return appFigure(2) }},
+	{"table1", "BENCH_table1.json", func() (any, error) { return lmbench(1) }},
+	{"table2", "BENCH_table2.json", func() (any, error) { return lmbench(2) }},
+	{"fig3", "BENCH_fig3.json", func() (any, error) { return appFigure(1) }},
+	{"fig4", "BENCH_fig4.json", func() (any, error) { return appFigure(2) }},
 	{"switch", "BENCH_modeswitch.json", modeSwitch},
-	{"switchscale", "BENCH_switch.json", func(*options) (any, error) {
+	{"switchscale", "BENCH_switch.json", func() (any, error) {
 		pts, err := bench.SwitchScale()
 		if err != nil {
 			return nil, err
@@ -70,7 +69,7 @@ var experiments = []experiment{
 		bench.WriteSwitchScale(os.Stdout, pts)
 		return bench.SwitchBaseline{Schema: bench.SwitchBaselineSchema, Scale: pts}, nil
 	}},
-	{"ablation", "BENCH_ablation.json", func(*options) (any, error) {
+	{"ablation", "BENCH_ablation.json", func() (any, error) {
 		a, err := bench.TrackingAblation()
 		if err != nil {
 			return nil, err
@@ -78,7 +77,7 @@ var experiments = []experiment{
 		bench.WriteAblation(os.Stdout, a)
 		return a, nil
 	}},
-	{"batching", "BENCH_batching.json", func(*options) (any, error) {
+	{"batching", "BENCH_batching.json", func() (any, error) {
 		ab, err := bench.BatchingAblation()
 		if err != nil {
 			return nil, err
@@ -92,7 +91,7 @@ var experiments = []experiment{
 		bench.WriteBatchingSweep(os.Stdout, pts)
 		return bench.BatchingBaseline{Schema: bench.BatchingSchema, Points: pts}, nil
 	}},
-	{"emulation", "BENCH_emulation.json", func(*options) (any, error) {
+	{"emulation", "BENCH_emulation.json", func() (any, error) {
 		r, err := bench.EmulationAblation()
 		if err != nil {
 			return nil, err
@@ -100,7 +99,7 @@ var experiments = []experiment{
 		bench.WriteEmulationAblation(os.Stdout, r)
 		return r, nil
 	}},
-	{"addrspace", "BENCH_addrspace.json", func(*options) (any, error) {
+	{"addrspace", "BENCH_addrspace.json", func() (any, error) {
 		r, err := bench.AddrSpaceAblation()
 		if err != nil {
 			return nil, err
@@ -108,7 +107,7 @@ var experiments = []experiment{
 		bench.WriteAddrSpaceAblation(os.Stdout, r)
 		return r, nil
 	}},
-	{"fleet", "BENCH_fleet.json", func(*options) (any, error) {
+	{"fleet", "BENCH_fleet.json", func() (any, error) {
 		pts, err := bench.FleetSweep()
 		if err != nil {
 			return nil, err
@@ -116,7 +115,7 @@ var experiments = []experiment{
 		bench.WriteFleetSweep(os.Stdout, pts)
 		return bench.FleetBaseline{Schema: bench.FleetBaselineSchema, Sweep: pts}, nil
 	}},
-	{"fork", "BENCH_fork.json", func(*options) (any, error) {
+	{"fork", "BENCH_fork.json", func() (any, error) {
 		pts, err := bench.ForkSweep()
 		if err != nil {
 			return nil, err
@@ -124,7 +123,7 @@ var experiments = []experiment{
 		bench.WriteForkSweep(os.Stdout, pts)
 		return bench.ForkBaseline{Schema: bench.ForkBaselineSchema, Sweep: pts}, nil
 	}},
-	{"io", "BENCH_io.json", func(*options) (any, error) {
+	{"io", "BENCH_io.json", func() (any, error) {
 		pts, sw, err := bench.IOSweep()
 		if err != nil {
 			return nil, err
@@ -132,7 +131,7 @@ var experiments = []experiment{
 		bench.WriteIOSweep(os.Stdout, pts, sw)
 		return bench.IOBaseline{Schema: bench.IOBaselineSchema, Sweep: pts, Switch: sw}, nil
 	}},
-	{"migrate", "BENCH_migrate.json", func(*options) (any, error) {
+	{"migrate", "BENCH_migrate.json", func() (any, error) {
 		pts, err := bench.MigrateSweep()
 		if err != nil {
 			return nil, err
@@ -140,7 +139,7 @@ var experiments = []experiment{
 		bench.WriteMigrateSweep(os.Stdout, pts)
 		return bench.MigrateBaseline{Schema: bench.MigrateBaselineSchema, Sweep: pts}, nil
 	}},
-	{"mc", "BENCH_mc.json", func(*options) (any, error) {
+	{"mc", "BENCH_mc.json", func() (any, error) {
 		b, err := mc.BenchSuite()
 		if err != nil {
 			return nil, err
@@ -148,19 +147,12 @@ var experiments = []experiment{
 		mc.WriteBenchTable(os.Stdout, b.Rows)
 		return b, nil
 	}},
-	{"divergence", "BENCH_divergence.json", func(o *options) (any, error) {
+	{"divergence", "BENCH_divergence.json", func() (any, error) {
 		rep, err := divergence.Run(divergence.Config{})
 		if err != nil {
 			return nil, err
 		}
 		rep.WriteText(os.Stdout)
-		if o.json {
-			var md bytes.Buffer
-			rep.WriteMarkdown(&md)
-			if err := writeFile(filepath.Join(o.jsonDir, "divergence_report.md"), md.Bytes()); err != nil {
-				return nil, err
-			}
-		}
 		return rep, rep.CheckBudget()
 	}},
 }
@@ -172,15 +164,12 @@ func main() {
 	}
 	exp := flag.String("exp", "all",
 		"experiment to run: "+strings.Join(names, ", ")+", all")
-	metrics := flag.Bool("metrics", false,
-		"collect telemetry and write per-configuration metric dumps (JSON)")
-	metricsDir := flag.String("metricsdir", ".", "directory for -metrics dump files")
 	jsonOut := flag.Bool("json", false,
-		"write each experiment's BENCH_*.json, regenerating the committed baseline instead of failing on a difference")
+		"write each experiment's BENCH_*.json (and "+auditReport+"), regenerating the committed files instead of failing on a difference")
 	jsonDir := flag.String("jsondir", ".", "directory for -json result files")
 	flag.Parse()
 
-	o := &options{metrics: *metrics, metricsDir: *metricsDir, json: *jsonOut, jsonDir: *jsonDir}
+	o := &options{json: *jsonOut, jsonDir: *jsonDir}
 
 	ran, held := false, true
 	for _, e := range experiments {
@@ -203,16 +192,15 @@ func main() {
 	}
 }
 
-// runExperiment runs e, diffs the result against its committed file,
-// and writes the result under -json. It reports false when the result
-// differs and -json is off.
+// runExperiment runs e, diffs the result against its committed file
+// (and, for the divergence audit, its rendered report), and writes both
+// under -json. It reports false when either differs and -json is off.
 func runExperiment(e experiment, o *options) (bool, error) {
-	// Read before running: under -json the run overwrites the file.
 	committed, err := os.ReadFile(e.file)
 	if err != nil {
 		return false, fmt.Errorf("%s: reading the committed baseline (run from the repo root): %w", e.name, err)
 	}
-	v, err := e.run(o)
+	v, err := e.run()
 	if err != nil {
 		return false, fmt.Errorf("%s: %w", e.name, err)
 	}
@@ -224,24 +212,64 @@ func runExperiment(e experiment, o *options) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("%s: %w", e.file, err)
 	}
+	held, err := gate(o, e.file, data, diffs)
+	rep, audit := v.(*divergence.Report)
+	if err != nil || !audit {
+		return held, err
+	}
+	committedMD, err := os.ReadFile(auditReport)
+	if err != nil {
+		return false, fmt.Errorf("%s: reading the committed report: %w", e.name, err)
+	}
+	var md bytes.Buffer
+	rep.WriteMarkdown(&md)
+	mdHeld, err := gate(o, auditReport, md.Bytes(), lineDiff(committedMD, md.Bytes()))
+	return held && mdHeld, err
+}
+
+// gate reports one output's differences from its committed file and
+// writes the output under -json. It reports false when there are
+// differences and -json is off.
+func gate(o *options, file string, data []byte, diffs []string) (bool, error) {
 	for _, d := range diffs {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", e.file, d)
+		fmt.Fprintf(os.Stderr, "%s: %s\n", file, d)
 	}
 	held := true
 	switch {
 	case len(diffs) == 0:
-		fmt.Printf("%s reproduced exactly\n", e.file)
+		fmt.Printf("%s reproduced exactly\n", file)
 	case !o.json:
-		fmt.Fprintf(os.Stderr, "%s: %d value(s) differ; regenerate with -json if the change is intended\n",
-			e.file, len(diffs))
+		fmt.Fprintf(os.Stderr, "%s: %d difference(s); regenerate with -json if the change is intended\n",
+			file, len(diffs))
 		held = false
 	}
 	if o.json {
-		if err := writeFile(filepath.Join(o.jsonDir, e.file), data); err != nil {
+		if err := writeFile(filepath.Join(o.jsonDir, file), data); err != nil {
 			return false, err
 		}
 	}
 	return held, nil
+}
+
+// lineDiff compares two text documents line by line and returns one
+// message per differing line.
+func lineDiff(committed, rendered []byte) []string {
+	a := strings.Split(string(committed), "\n")
+	b := strings.Split(string(rendered), "\n")
+	var out []string
+	for i := 0; i < max(len(a), len(b)); i++ {
+		var la, lb string
+		if i < len(a) {
+			la = a[i]
+		}
+		if i < len(b) {
+			lb = b[i]
+		}
+		if la != lb {
+			out = append(out, fmt.Sprintf("line %d: committed %q, rendered %q", i+1, la, lb))
+		}
+	}
+	return out
 }
 
 func writeFile(path string, data []byte) error {
@@ -252,41 +280,13 @@ func writeFile(path string, data []byte) error {
 	return nil
 }
 
-func writeMetrics(path string, col *obs.Collector) error {
-	var buf bytes.Buffer
-	if err := col.Registry.WriteJSON(&buf); err != nil {
-		return err
-	}
-	return writeFile(path, buf.Bytes())
-}
-
-// collectorsFor returns per-configuration collectors (and a dump
-// function) when -metrics is on, else zero options.
-func collectorsFor(o *options, expName string, ncpu int) (bench.Options, func() error) {
-	if !o.metrics {
-		return bench.Options{}, func() error { return nil }
-	}
-	cs := bench.NewCollectorSet(ncpu)
-	return bench.Options{CollectorFor: cs.For}, func() error {
-		for _, key := range cs.Keys() {
-			path := filepath.Join(o.metricsDir, fmt.Sprintf("metrics-%s-%s.json", expName, key))
-			if err := writeMetrics(path, cs.For(key)); err != nil {
-				return err
-			}
-		}
-		cs.WriteTraceHealth(os.Stdout)
-		return nil
-	}
-}
-
-func lmbench(o *options, name string, ncpu int) (any, error) {
-	opt, dump := collectorsFor(o, name, ncpu)
-	t, err := bench.LmbenchTable(ncpu, opt)
+func lmbench(ncpu int) (any, error) {
+	t, err := bench.LmbenchTable(ncpu, bench.Options{})
 	if err != nil {
 		return nil, err
 	}
 	bench.WriteTable(os.Stdout, t)
-	return t, dump()
+	return t, nil
 }
 
 func appFigure(ncpu int) (any, error) {
@@ -300,23 +300,11 @@ func appFigure(ncpu int) (any, error) {
 
 // modeSwitch is the §7.4 switch-time measurement: 10 round trips under
 // the recompute policy, the paper's default.
-func modeSwitch(o *options) (any, error) {
-	opt := bench.Options{}
-	if o.metrics {
-		opt.Collector = obs.New(1)
-	}
-	r, err := bench.ModeSwitchBench(10, core.TrackRecompute, opt)
+func modeSwitch() (any, error) {
+	r, err := bench.ModeSwitchBench(10, core.TrackRecompute, bench.Options{})
 	if err != nil {
 		return nil, err
 	}
 	bench.WriteSwitch(os.Stdout, r)
-	if col := opt.Collector; col != nil {
-		fmt.Println()
-		bench.WritePhaseBreakdown(os.Stdout, col, hw.DefaultHz)
-		if err := writeMetrics(filepath.Join(o.metricsDir, "metrics-switch-M-N.json"), col); err != nil {
-			return nil, err
-		}
-		bench.WriteTraceHealth(os.Stdout, "M-N", col)
-	}
 	return r, nil
 }

@@ -74,3 +74,55 @@ func benchMatrix(t *testing.T, path string) map[string]bool {
 	}
 	return names
 }
+
+// TestAuditReportGated: the divergence experiment holds only when the
+// rendered report matches the committed divergence_report.md byte for
+// byte; one hand-edited cell fails it.
+func TestAuditReportGated(t *testing.T) {
+	var div experiment
+	for _, e := range experiments {
+		if e.name == "divergence" {
+			div = e
+		}
+	}
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := os.ReadFile(filepath.Join(root, div.file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := os.ReadFile(filepath.Join(root, auditReport))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(report), "| kernel/forks | 76 |", "| kernel/forks | 77 |", 1)
+	if edited == string(report) {
+		t.Fatal("committed report has no kernel/forks cell to edit")
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	for _, tc := range []struct {
+		report string
+		want   bool
+	}{{string(report), true}, {edited, false}} {
+		if err := os.WriteFile(div.file, baseline, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(auditReport, []byte(tc.report), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		held, err := runExperiment(div, &options{jsonDir: dir})
+		if err != nil || held != tc.want {
+			t.Errorf("edited=%v: held %v, %v; want held %v", tc.report != string(report), held, err, tc.want)
+		}
+	}
+}

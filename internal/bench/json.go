@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 )
@@ -28,19 +27,6 @@ func EncodeJSON(v any) ([]byte, error) {
 		return nil, fmt.Errorf("bench: encoding %T: %w", v, err)
 	}
 	return append(data, '\n'), nil
-}
-
-// WriteJSONFile writes any benchmark result (TableResult,
-// FigureResult, a baseline, ...) to path in the EncodeJSON encoding.
-func WriteJSONFile(path string, v any) error {
-	data, err := EncodeJSON(v)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	return nil
 }
 
 // Diff compares two JSON documents value by value and returns one

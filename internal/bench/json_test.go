@@ -8,12 +8,16 @@ import (
 )
 
 // gateDiff does what the benchtab gate does to one baseline: base is
-// written with WriteJSONFile and read back from disk, measured is
+// encoded with EncodeJSON, written and read back from disk, measured is
 // encoded with EncodeJSON, and the two are compared with Diff.
 func gateDiff(t *testing.T, base, measured any) []string {
 	t.Helper()
+	data, err := EncodeJSON(base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := WriteJSONFile(path, base); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	committed, err := os.ReadFile(path)

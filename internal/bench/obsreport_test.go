@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -29,7 +28,10 @@ func TestSwitchBenchPhaseBreakdown(t *testing.T) {
 		if len(phases) == 0 || total == 0 {
 			t.Fatalf("%s: empty breakdown", root)
 		}
-		sum := PhaseSum(phases)
+		var sum uint64
+		for _, p := range phases {
+			sum += p.TotalCyc
+		}
 		diff := float64(total) - float64(sum)
 		if diff < 0 {
 			diff = -diff
@@ -45,78 +47,5 @@ func TestSwitchBenchPhaseBreakdown(t *testing.T) {
 	us := float64(total) / float64(n) / float64(hw.DefaultHz) * 1e6
 	if diff := us - r.ToVirtualMicros; diff > 0.01*r.ToVirtualMicros || diff < -0.01*r.ToVirtualMicros {
 		t.Fatalf("span avg %.2f us vs benchmark %.2f us", us, r.ToVirtualMicros)
-	}
-
-	// The rendered report carries both directions and the coverage line.
-	var sb strings.Builder
-	WritePhaseBreakdown(&sb, col, hw.DefaultHz)
-	out := sb.String()
-	for _, want := range []string{"switch/attach", "switch/detach",
-		"phase/frame-recompute", "phases cover"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestCollectorSetPerConfiguration: each configuration gets its own
-// collector, reused across calls, and the dumps carry distinct data.
-func TestCollectorSetPerConfiguration(t *testing.T) {
-	cs := NewCollectorSet(1)
-	a := cs.For(MN)
-	if cs.For(MN) != a {
-		t.Fatal("collector not reused")
-	}
-	b := cs.For(NL)
-	if a == b {
-		t.Fatal("configurations share a collector")
-	}
-	keys := cs.Keys()
-	if len(keys) != 2 || keys[0] != MN || keys[1] != NL {
-		t.Fatalf("keys = %v", keys)
-	}
-	a.Registry.Counter("core", "attaches_total").Inc()
-	// Every collector carries the two eagerly-registered telemetry
-	// drop counters; only M-N's dump has the attach counter on top.
-	dumps := cs.Dumps()
-	if len(dumps[MN]) != len(dumps[NL])+1 {
-		t.Fatalf("dumps = %v", dumps)
-	}
-	found := false
-	for _, m := range dumps[MN] {
-		if m.Subsystem == "core" && m.Name == "attaches_total" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("M-N dump missing attach counter: %v", dumps[MN])
-	}
-	var sb strings.Builder
-	cs.WriteProm(&sb)
-	if !strings.Contains(sb.String(), "# configuration: M-N") {
-		t.Fatalf("prom output: %s", sb.String())
-	}
-}
-
-// TestLmbenchTableWithCollectors: the table builder threads a collector
-// into every configuration it constructs and the instrumented systems
-// leave metrics behind.
-func TestLmbenchTableWithCollectors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds all six configurations")
-	}
-	cs := NewCollectorSet(1)
-	if _, err := LmbenchTable(1, Options{CollectorFor: cs.For}); err != nil {
-		t.Fatal(err)
-	}
-	if len(cs.Keys()) == 0 {
-		t.Fatal("no configurations collected")
-	}
-	// Every Mercury-based configuration recorded vo activity.
-	for _, key := range cs.Keys() {
-		dump := cs.For(key).Registry.Dump()
-		if len(dump) == 0 {
-			t.Fatalf("%s: empty registry", key)
-		}
 	}
 }

@@ -44,25 +44,15 @@ func ModeSwitchBench(samples int, policy core.TrackingPolicy, opt Options) (Swit
 	var sumAttach, sumDetach hw.Cycles
 	var switchErr error
 	s.Run("switch-bench", func(p *guest.Proc) {
-		k := p.K
-		// Stand up background load: processes with populated address
-		// spaces, parked on pipes for the duration.
-		hold := k.NewPipe()
-		ready := k.NewPipe()
-		for i := 0; i < switchLoadProcs; i++ {
-			p.Fork("load", func(lp *guest.Proc) {
-				// Fault in the full image plus a private heap, as a
-				// long-running daemon would have.
-				img := guest.DefaultImage("load")
-				lp.Touch(guest.TextBase, img.TextPages, false)
-				base := lp.Mmap(128, guest.ProtRead|guest.ProtWrite, true)
-				lp.Touch(base, 128, true)
-				lp.PipeWrite(ready, 1)
-				lp.PipeRead(hold, 1)
-				lp.Exit(0)
-			})
-		}
-		p.PipeRead(ready, switchLoadProcs)
+		// Background load: processes with populated address spaces,
+		// parked on pipes for the duration. Each faults in the full
+		// image plus a private heap, as a long-running daemon would have.
+		release := Residents(p, switchLoadProcs, func(lp *guest.Proc) {
+			img := guest.DefaultImage("load")
+			lp.Touch(guest.TextBase, img.TextPages, false)
+			base := lp.Mmap(128, guest.ProtRead|guest.ProtWrite, true)
+			lp.Touch(base, 128, true)
+		})
 
 		for i := 0; i < samples; i++ {
 			if switchErr = mc.SwitchSync(p.CPU(), core.ModePartialVirtual); switchErr != nil {
@@ -74,10 +64,7 @@ func ModeSwitchBench(samples int, policy core.TrackingPolicy, opt Options) (Swit
 			}
 			sumDetach += mc.Stats.LastDetachCyc.Load()
 		}
-		p.PipeWrite(hold, switchLoadProcs)
-		for i := 0; i < switchLoadProcs; i++ {
-			p.Wait()
-		}
+		release()
 	})
 	if switchErr != nil {
 		return SwitchResult{}, fmt.Errorf("bench: mode switch: %w", switchErr)

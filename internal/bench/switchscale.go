@@ -88,19 +88,10 @@ func switchScalePoint(policy core.TrackingPolicy, ncpu, pages int) (SwitchScaleP
 	small := pages / 10 // the driver's own region; ~10% of the set gets dirtied
 
 	s.Run("switch-scale", func(p *guest.Proc) {
-		k := p.K
-		hold := k.NewPipe()
-		ready := k.NewPipe()
-		for i := 0; i < scaleLoadProcs; i++ {
-			p.Fork("load", func(lp *guest.Proc) {
-				base := lp.Mmap(perProc, guest.ProtRead|guest.ProtWrite, true)
-				lp.Touch(base, perProc, true)
-				lp.PipeWrite(ready, 1)
-				lp.PipeRead(hold, 1)
-				lp.Exit(0)
-			})
-		}
-		p.PipeRead(ready, scaleLoadProcs)
+		release := Residents(p, scaleLoadProcs, func(lp *guest.Proc) {
+			base := lp.Mmap(perProc, guest.ProtRead|guest.ProtWrite, true)
+			lp.Touch(base, perProc, true)
+		})
 		dirty := p.Mmap(small, guest.ProtRead|guest.ProtWrite, true)
 		p.Touch(dirty, small, true)
 
@@ -128,10 +119,7 @@ func switchScalePoint(policy core.TrackingPolicy, ncpu, pages int) (SwitchScaleP
 			panic(err)
 		}
 
-		p.PipeWrite(hold, scaleLoadProcs)
-		for i := 0; i < scaleLoadProcs; i++ {
-			p.Wait()
-		}
+		release()
 	})
 
 	pt.AttachUS = s.Micros(pt.AttachCyc)

@@ -61,10 +61,6 @@ type Options struct {
 	// construction so boot-time instrumentation (vo objects, the VMM)
 	// registers into it.
 	Collector *obs.Collector
-	// CollectorFor, when non-nil, supplies a per-configuration collector
-	// for builders that construct several systems (LmbenchTable); it
-	// takes precedence over Collector.
-	CollectorFor func(SystemKey) *obs.Collector
 	// LazyMMU enables the kernels' lazy-MMU multicall batching (see
 	// guest.Config.LazyMMU). Off by default: the Table 1 reproduction
 	// measures the unbatched per-entry hypercall stream.
@@ -92,11 +88,7 @@ func Build(key SystemKey, opt Options) (*System, error) {
 	m := hw.NewMachine(cfg)
 	m.NIC.Reflector = guest.EchoReflector(MeasuredNetID, opt.AckEvery)
 	m.NIC.ReflectDelay = 18_000 // remote endpoint per-packet processing
-	if opt.CollectorFor != nil {
-		if col := opt.CollectorFor(key); col != nil {
-			m.SetTelemetry(col)
-		}
-	} else if opt.Collector != nil {
+	if opt.Collector != nil {
 		m.SetTelemetry(opt.Collector)
 	}
 
@@ -104,7 +96,7 @@ func Build(key SystemKey, opt Options) (*System, error) {
 	var err error
 	switch key {
 	case NL:
-		err = s.buildNative(false, opt)
+		err = s.buildNative(opt)
 	case MN:
 		err = s.buildMercury(core.ModeNative, opt)
 	case MV:
@@ -125,15 +117,9 @@ func Build(key SystemKey, opt Options) (*System, error) {
 }
 
 // buildNative is N-L: the unmodified kernel directly on hardware.
-func (s *System) buildNative(mercuryVO bool, opt Options) error {
-	var obj vo.Object
-	if mercuryVO {
-		obj = vo.NewNative(s.M)
-	} else {
-		obj = vo.NewDirect(s.M)
-	}
+func (s *System) buildNative(opt Options) error {
 	k, err := guest.Boot(s.M, guest.Config{
-		Name: "linux", VO: obj, Frames: s.M.Frames, LazyMMU: opt.LazyMMU,
+		Name: "linux", VO: vo.NewDirect(s.M), Frames: s.M.Frames, LazyMMU: opt.LazyMMU,
 	})
 	if err != nil {
 		return err

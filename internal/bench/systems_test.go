@@ -189,3 +189,36 @@ func TestFrontendReconnect(t *testing.T) {
 		}
 	})
 }
+
+// TestExitReusesTablesOnlyAfterSwitch: under a VMM an exiting process's
+// directory stays typed while its CPU's CR3 still holds it, so its
+// table frames may go back to the allocator only once that CPU loads
+// another root. On two CPUs, one process maps and touches fresh pages
+// while the other forks and reaps children whose exits free their
+// trees; a frame reused too early is refused as a writable mapping and
+// crashes the mapper.
+func TestExitReusesTablesOnlyAfterSwitch(t *testing.T) {
+	s, err := Build(MV, Options{NCPU: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run("exit-reuse", func(p *guest.Proc) {
+		p.Fork("mapper", func(cp *guest.Proc) {
+			for i := 0; i < 400; i++ {
+				b := cp.Mmap(4, guest.ProtRead|guest.ProtWrite, false)
+				cp.Touch(b, 4, true)
+				cp.Munmap(b)
+			}
+			cp.Exit(0)
+		})
+		for i := 0; i < 200; i++ {
+			p.Fork("child", func(cp *guest.Proc) {
+				b := cp.Mmap(2, guest.ProtRead|guest.ProtWrite, false)
+				cp.Touch(b, 2, true)
+				cp.Exit(0)
+			})
+			p.Wait()
+		}
+		p.Wait()
+	})
+}

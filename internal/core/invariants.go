@@ -17,7 +17,8 @@ import (
 //   - mode vs. VO vs. VMM activation (§4.2);
 //   - per-CPU descriptor-table registers and kernel segment privilege
 //     match the mode (§5.1.3);
-//   - the VMM's frame accounting is internally consistent, and fully
+//   - the VMM's frame accounting is internally consistent, the directory
+//     in CR3 is typed L2 while virtual, and the accounting is fully
 //     released while native under the recompute policy (§5.1.2);
 //   - domain states: the standing identity is running, and a native node
 //     hosts no live domains (§6.3);
@@ -80,6 +81,15 @@ func (mc *Mercury) CheckInvariants(c *hw.CPU) error {
 	// Frame accounting (§5.1.2).
 	if err := mc.VMM.FT.CheckInvariants(); err != nil {
 		return fmt.Errorf("invariant: %w", err)
+	}
+	if virtual {
+		// A directory of the kernel's in CR3 is validated: the base
+		// pointer holds a typed ref on it even once the kernel unpins it.
+		// (Orchestration before any process ran is still on frame 0.)
+		fi := mc.VMM.FT.Get(c.ReadCR3())
+		if fi.Owner == mc.Dom.ID && fi.Type != xen.FrameL2 {
+			return fmt.Errorf("invariant: cpu%d CR3 directory %d is %s while virtual", c.ID, c.ReadCR3(), fi.Type)
+		}
 	}
 	if !virtual && mc.Policy == TrackRecompute {
 		// The journal policy is exempt: it deliberately keeps the frame

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/guest"
 	"repro/internal/obs"
 )
 
@@ -182,10 +183,24 @@ func buildRows(nl, mn, mv probe) []Row {
 	}
 }
 
-// switchProbe decomposes one attach/detach round trip under a tracking
-// policy: run half the workload native, switch to partial-virtual, run
-// the other half, switch back, and read the switch spans, TLB activity,
-// and journal statistics off the trace.
+// The switch probe's load: probeResidents processes of
+// probeResidentPages faulted pages each stay resident across both round
+// trips, so every attach has real page-table trees to validate, and
+// probeTogglePages of the probe's own region get a protection toggle
+// between the round trips, so the journal's re-attach has real slots to
+// replay.
+const (
+	probeResidents     = 10
+	probeResidentPages = 100
+	probeTogglePages   = 32
+)
+
+// switchProbe decomposes two attach/detach round trips under a tracking
+// policy: run half the workload native; then, in a process holding the
+// residents, attach, run the other half virtual in a child, detach,
+// toggle the protection of a small region natively, and attach and
+// detach again; finally run a third stretch native. The switch spans,
+// TLB activity and journal statistics are read off the trace.
 func switchProbe(pol core.TrackingPolicy, cfg Config) (SwitchProbe, error) {
 	col := obs.New(1)
 	sys, err := bench.Build(bench.MN, bench.Options{
@@ -196,52 +211,75 @@ func switchProbe(pol core.TrackingPolicy, cfg Config) (SwitchProbe, error) {
 	if err != nil {
 		return SwitchProbe{}, fmt.Errorf("divergence: building M-N (%s): %w", pol, err)
 	}
-	boot := sys.M.BootCPU()
 	mc := sys.Mercury
 	half := cfg.Ops / 2
 
 	sys.Run("div-pre", Workload{Seed: cfg.Seed, Ops: half}.Body())
-	flushes0 := boot.TLB.Flushes
-	// Round trip 1: a cold attach (full validation) and the detach that
-	// arms the dirty-frame journal.
-	if err := mc.SwitchSync(boot, core.ModePartialVirtual); err != nil {
-		return SwitchProbe{}, fmt.Errorf("divergence: attach (%s): %w", pol, err)
-	}
-	sys.Run("div-virtual", Workload{Seed: cfg.Seed + 1, Ops: cfg.Ops - half}.Body())
-	if err := mc.SwitchSync(boot, core.ModeNative); err != nil {
-		return SwitchProbe{}, fmt.Errorf("divergence: detach (%s): %w", pol, err)
-	}
-	// Round trip 2 re-attaches over a quiet detach window, so the
-	// journal policy takes its replay fast path while recompute pays
-	// full price again — the cost asymmetry the probe exists to show.
-	if err := mc.SwitchSync(boot, core.ModePartialVirtual); err != nil {
-		return SwitchProbe{}, fmt.Errorf("divergence: re-attach (%s): %w", pol, err)
-	}
-	if err := mc.SwitchSync(boot, core.ModeNative); err != nil {
-		return SwitchProbe{}, fmt.Errorf("divergence: re-detach (%s): %w", pol, err)
+	sp := SwitchProbe{Policy: pol.String()}
+	var switchErr error
+	sys.Run("div-switch", func(p *guest.Proc) {
+		release := bench.Residents(p, probeResidents, func(rp *guest.Proc) {
+			base := rp.Mmap(probeResidentPages, guest.ProtRead|guest.ProtWrite, true)
+			rp.Touch(base, probeResidentPages, true)
+		})
+		defer release()
+		toggle := p.Mmap(probeTogglePages, guest.ProtRead|guest.ProtWrite, true)
+		p.Touch(toggle, probeTogglePages, true)
+		c := p.CPU()
+		flushes0 := c.TLB.Flushes
+		switchTo := func(what string, m core.Mode) bool {
+			if err := mc.SwitchSync(c, m); err != nil {
+				switchErr = fmt.Errorf("divergence: %s (%s): %w", what, pol, err)
+				return false
+			}
+			return true
+		}
+		// Round trip 1: a cold attach (full validation) and the detach
+		// that arms the dirty-frame journal.
+		if !switchTo("attach", core.ModePartialVirtual) {
+			return
+		}
+		p.Fork("div-virtual", Workload{Seed: cfg.Seed + 1, Ops: cfg.Ops - half}.Body())
+		p.Wait()
+		if !switchTo("detach", core.ModeNative) {
+			return
+		}
+		// A light native episode: rewrite the leaf entries of the small
+		// region (no structural change). Round trip 2 then re-attaches:
+		// the journal policy replays the toggled slots while recompute
+		// pays full price again — the cost asymmetry the probe exists
+		// to show.
+		p.Mprotect(toggle, guest.ProtRead)
+		p.Mprotect(toggle, guest.ProtRead|guest.ProtWrite)
+		if !switchTo("re-attach", core.ModePartialVirtual) ||
+			!switchTo("re-detach", core.ModeNative) {
+			return
+		}
+		// The window's TLB flushes and journal activity are read here,
+		// before the residents exit and the last stretch runs.
+		sp.TLBFlushes = c.TLB.Flushes - flushes0
+		if j := mc.VMM.Journal(); j != nil {
+			js := j.StatsSnapshot()
+			sp.Journal = &JournalSummary{
+				Appends:     js.Appends,
+				Replays:     js.Replays,
+				ReplaySlots: js.ReplaySlots,
+				Fallbacks:   js.Fallbacks,
+				Overflows:   js.Overflows,
+			}
+		}
+	})
+	if switchErr != nil {
+		return SwitchProbe{}, switchErr
 	}
 	sys.Run("div-post", Workload{Seed: cfg.Seed + 2, Ops: half}.Body())
 
-	sp := SwitchProbe{
-		Policy:     pol.String(),
-		TLBFlushes: boot.TLB.Flushes - flushes0,
-	}
 	spans := col.Tracer.Spans()
 	var n int
 	sp.AttachPhases, sp.AttachCyc, n = phases(spans, "switch/attach")
 	sp.Attaches = n
 	sp.DetachPhases, sp.DetachCyc, n = phases(spans, "switch/detach")
 	sp.Detaches = n
-	if j := mc.VMM.Journal(); j != nil {
-		js := j.StatsSnapshot()
-		sp.Journal = &JournalSummary{
-			Appends:     js.Appends,
-			Replays:     js.Replays,
-			ReplaySlots: js.ReplaySlots,
-			Fallbacks:   js.Fallbacks,
-			Overflows:   js.Overflows,
-		}
-	}
 	return sp, nil
 }
 

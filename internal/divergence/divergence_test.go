@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 )
 
 func run(t *testing.T, cfg Config) *Report {
@@ -218,5 +219,53 @@ func TestRenderers(t *testing.T) {
 	if !strings.Contains(txt.String(), "switch[recompute]") ||
 		!strings.Contains(txt.String(), "switch[journal]") {
 		t.Error("text renderer missing switch probes")
+	}
+}
+
+// TestSwitchProbeBreakdown: with residents holding page-table trees,
+// the probe's attaches pay for the frame recompute, the journal's
+// re-attach replays the toggled slots instead, and the phase rows are
+// the whole switch — they sum exactly to the attach and detach totals.
+func TestSwitchProbeBreakdown(t *testing.T) {
+	cfg := Config{Seed: 11, Ops: 100}
+	probes := map[core.TrackingPolicy]SwitchProbe{}
+	for _, pol := range []core.TrackingPolicy{core.TrackRecompute, core.TrackJournal} {
+		sp, err := switchProbe(pol, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes[pol] = sp
+		for _, dir := range []struct {
+			phases []SwitchPhase
+			total  uint64
+			want   []string
+		}{
+			{sp.AttachPhases, sp.AttachCyc, []string{"phase/frame-recompute", "phase/segment-pl-flip"}},
+			{sp.DetachPhases, sp.DetachCyc, []string{"phase/frame-release", "phase/segment-pl-flip"}},
+		} {
+			var sum uint64
+			cyc := map[string]uint64{}
+			for _, p := range dir.phases {
+				sum += p.Cyc
+				cyc[p.Name] = p.Cyc
+			}
+			if sum != dir.total {
+				t.Errorf("%s: phases %v sum to %d, switch total %d", pol, dir.phases, sum, dir.total)
+			}
+			for _, name := range dir.want {
+				if cyc[name] == 0 {
+					t.Errorf("%s: no cycles in %s: %v", pol, name, dir.phases)
+				}
+			}
+		}
+	}
+	// Both cold attaches are a full recompute, so the journal's lower
+	// total is its re-attach's replay undercutting recompute's.
+	rec, jnl := probes[core.TrackRecompute], probes[core.TrackJournal]
+	if rec.AttachCyc <= jnl.AttachCyc {
+		t.Errorf("recompute attaches %d cyc, journal %d: the replay saved nothing", rec.AttachCyc, jnl.AttachCyc)
+	}
+	if j := jnl.Journal; j == nil || j.Replays != 1 || j.ReplaySlots == 0 {
+		t.Errorf("journal re-attach replayed no slots: %+v", j)
 	}
 }

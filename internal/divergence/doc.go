@@ -15,9 +15,11 @@
 // BENCH_divergence.json is reproduced exactly, value for value.
 //
 // A second set of probes decomposes the mode switch itself: the harness
-// drives M-N across an attach/detach cycle under both the recompute and
-// journal tracking policies, and records the per-phase cycle breakdown,
-// TLB-flush activity, and dirty-frame journal statistics.
+// drives M-N across two attach/detach round trips, with resident
+// processes holding page-table trees for the attach to validate, under
+// both the recompute and journal tracking policies, and records the
+// per-phase cycle breakdown, TLB-flush activity, and dirty-frame journal
+// statistics. This is the repository's one switch phase breakdown.
 //
 // The headline number is the native tax: the M-N workload slowdown over
 // N-L. The paper's claim is that Mercury's native mode costs on the

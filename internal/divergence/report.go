@@ -34,8 +34,8 @@ type SwitchPhase struct {
 	Cyc  uint64 `json:"cyc"`
 }
 
-// JournalSummary is the dirty-frame journal's activity during a switch
-// probe. All fields are exact: journal behaviour is seed-determined.
+// JournalSummary is the dirty-frame journal's activity over a switch
+// probe's two round trips. All fields are exact: journal behaviour is seed-determined.
 type JournalSummary struct {
 	Appends     uint64 `json:"appends"`
 	Replays     uint64 `json:"replays"`
@@ -44,8 +44,9 @@ type JournalSummary struct {
 	Overflows   uint64 `json:"overflows"`
 }
 
-// SwitchProbe decomposes one attach/detach round trip under one
-// tracking policy.
+// SwitchProbe decomposes two attach/detach round trips under one
+// tracking policy: a cold attach, then a re-attach after a light native
+// episode.
 type SwitchProbe struct {
 	Policy string `json:"policy"`
 
@@ -57,8 +58,8 @@ type SwitchProbe struct {
 	AttachPhases []SwitchPhase `json:"attach_phases"`
 	DetachPhases []SwitchPhase `json:"detach_phases"`
 
-	// TLBFlushes covers the whole switched window (attach + virtual
-	// half + detach) on the boot CPU.
+	// TLBFlushes covers both round trips on the switching CPU, the
+	// virtual stretch and the native episode between them included.
 	TLBFlushes uint64 `json:"tlb_flushes"`
 
 	// Journal is non-nil under the journal tracking policy.
@@ -111,8 +112,8 @@ func (r *Report) WriteMarkdown(w io.Writer) {
 	fmt.Fprintln(w)
 
 	for _, s := range r.Switches {
-		fmt.Fprintf(w, "**Mode switch (%s policy):** attach %d cyc, detach %d cyc, %d TLB flushes in the switched window\n\n",
-			s.Policy, s.AttachCyc, s.DetachCyc, s.TLBFlushes)
+		fmt.Fprintf(w, "**Mode switch (%s policy):** attach %d cyc over %d attaches, detach %d cyc over %d detaches, %d TLB flushes in the switched window\n\n",
+			s.Policy, s.AttachCyc, s.Attaches, s.DetachCyc, s.Detaches, s.TLBFlushes)
 		fmt.Fprintf(w, "| phase | cycles |\n|---|---:|\n")
 		for _, p := range s.AttachPhases {
 			fmt.Fprintf(w, "| attach/%s | %d |\n", p.Name, p.Cyc)

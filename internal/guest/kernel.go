@@ -69,6 +69,14 @@ type Kernel struct {
 	cur     []*Proc // per physical CPU
 	nlive   atomic.Int64
 
+	// retired holds, per physical CPU, the tables of address spaces that
+	// exited under a VMM while that CPU's CR3 still held their root. They
+	// are freed once the CPU loads another root, as Linux drops a dead mm
+	// only after switching away from it: the VMM keeps the installed
+	// directory typed until then, so its frames must not be reused
+	// before. Natively nothing types them, and they are freed at once.
+	retired [][]*pgtable.Tables
+
 	needResched atomic.Bool
 
 	// pageRefs counts sharers of anonymous/COW frames.
@@ -130,6 +138,7 @@ func Boot(m *hw.Machine, cfg Config) (*Kernel, error) {
 		procs:    make(map[Pid]*Proc),
 		nextPid:  1,
 		cur:      make([]*Proc, len(m.CPUs)),
+		retired:  make([][]*pgtable.Tables, len(m.CPUs)),
 		pageRefs: make(map[hw.PFN]int),
 		LazyMMU:  cfg.LazyMMU,
 	}

@@ -381,7 +381,8 @@ func (as *AddrSpace) clone(c *hw.CPU) *AddrSpace {
 // releaseAddrSpace retires an address space. exit_mmap zaps each present
 // entry individually (a sensitive store per entry, like any other
 // page-table write on a pinned tree), then the empty tree is unpinned
-// and its table frames freed.
+// and its table frames freed — under a VMM, at c's next root load if
+// c's CR3 still holds it (an exiting process), see Kernel.retired.
 func (k *Kernel) releaseAddrSpace(c *hw.CPU, as *AddrSpace) {
 	var frames []hw.PFN
 	k.lazyBegin(c)
@@ -398,6 +399,10 @@ func (k *Kernel) releaseAddrSpace(c *hw.CPU, as *AddrSpace) {
 	sort.Slice(frames, func(i, j int) bool { return frames[i] < frames[j] })
 	for _, pfn := range frames {
 		k.unrefPage(pfn)
+	}
+	if k.VO().Virtualized() && c.ReadCR3() == as.PT.Root {
+		k.retired[c.ID] = append(k.retired[c.ID], as.PT)
+		return
 	}
 	as.PT.Free(k.Frames.Free)
 }

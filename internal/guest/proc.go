@@ -245,6 +245,10 @@ func (k *Kernel) switchContext(c *hw.CPU, prev, next *Proc) {
 	}
 	if prev == nil || prev.AS == nil || prev.AS.PT.Root != next.AS.PT.Root {
 		k.VO().ContextSwitch(c, next.AS.PT.Root)
+		for _, pt := range k.retired[c.ID] {
+			pt.Free(k.Frames.Free)
+		}
+		k.retired[c.ID] = k.retired[c.ID][:0]
 	}
 }
 

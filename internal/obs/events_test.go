@@ -97,12 +97,6 @@ func TestCollectorRegistersDropCounters(t *testing.T) {
 	}
 }
 
-func TestRecordEventNilSafe(t *testing.T) {
-	RecordEvent(nil, EvModeSwitch, 0, 0, 0, 0)
-	RecordEvent(&Collector{Registry: NewRegistry(), Tracer: NewTracer(1, 0)},
-		EvModeSwitch, 0, 0, 0, 0)
-}
-
 // TestEventLogConcurrentWriters hammers one ring from many goroutines
 // and checks the global accounting: nothing lost, nothing double
 // counted, and the survivors are exactly the newest records in a total

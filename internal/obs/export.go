@@ -129,13 +129,6 @@ func (r *Registry) Dump() []MetricDump {
 	return out
 }
 
-// WriteJSON writes the registry dump as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Dump())
-}
-
 // --- Chrome trace_event export ---
 
 // chromeEvent is one trace_event record. Field names follow the

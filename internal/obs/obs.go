@@ -32,12 +32,3 @@ func Begin(col *Collector, cpu int, now uint64, name string) SpanRef {
 	}
 	return col.Tracer.Begin(cpu, now, name)
 }
-
-// RecordEvent appends a flight-recorder event on a possibly-nil
-// collector (or one built by hand without an event log).
-func RecordEvent(col *Collector, kind EventKind, node int32, ts, a, b uint64) {
-	if col == nil || col.Events == nil {
-		return
-	}
-	col.Events.Record(kind, node, ts, a, b)
-}

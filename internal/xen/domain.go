@@ -78,6 +78,11 @@ type Domain struct {
 	// pinnedRoots tracks page-directory roots this domain has pinned.
 	pinnedRoots map[hw.PFN]bool
 
+	// baseptr is the directory the installed base pointer holds a typed
+	// L2 ref and an existence ref on, when baseHeld (see setBaseptr).
+	baseptr  hw.PFN
+	baseHeld bool
+
 	// TimerHandler receives the virtual timer tick (VIRQ_TIMER).
 	TimerHandler func(c *hw.CPU)
 

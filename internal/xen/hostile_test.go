@@ -83,6 +83,23 @@ func TestHostileNumbersRejected(t *testing.T) {
 		pgtable.DirectWriter(v.M.Mem)); err != nil {
 		t.Fatal(err)
 	}
+	// The directory in CR3, unpinned by the guest (the base pointer
+	// keeps it typed), and a tree whose L1 maps that directory writable.
+	cr3Tree, _ := buildTree(t, v, dU, 1)
+	if err := v.HypNewBaseptr(c, dU, cr3Tree.Root); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.HypUnpinTable(c, dU, cr3Tree.Root); err != nil {
+		t.Fatal(err)
+	}
+	aliasTree, err := pgtable.New(v.M.Mem, dU.Frames.Alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := aliasTree.Map(0x0800_0000, cr3Tree.Root, hw.PTEWrite|hw.PTEUser, dU.Frames.Alloc,
+		pgtable.DirectWriter(v.M.Mem)); err != nil {
+		t.Fatal(err)
+	}
 	p0 := v.EvtchnAllocUnbound(c, d0, dU.ID)
 	pU, err := v.EvtchnBindInterdomain(c, dU, d0.ID, p0)
 	if err != nil {
@@ -119,6 +136,9 @@ func TestHostileNumbersRejected(t *testing.T) {
 		{"pin a VMM frame", func() error { return v.HypPinTable(c, dU, vmmLo) }},
 		{"pin a tree whose L1 maps a VMM frame writable", func() error { return v.HypPinTable(c, dU, vmmTree.Root) }},
 		{"pin a foreign frame", func() error { return v.HypPinTable(c, dU, foreign) }},
+		{"pin a tree whose L1 maps the unpinned directory in CR3 writable", func() error {
+			return v.HypPinTable(c, dU, aliasTree.Root)
+		}},
 		{"L2 update to a foreign L1", func() error {
 			return v.HypMMUUpdate(c, dU, []MMUUpdate{{Table: tb.Root, Index: 100,
 				New: hw.MakePTE(foreign, hw.PTEPresent|hw.PTEUser)}})

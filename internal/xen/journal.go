@@ -244,6 +244,12 @@ func (v *VMM) JournalDetach(c *hw.CPU, d *Domain) {
 		return
 	}
 	c.Charge(v.M.Costs.FrameRelease)
+	// The frozen snapshot holds no base pointer: the native kernel loads
+	// CR3 without the VMM, so the re-attach adopts whichever directory
+	// CR3 then holds.
+	v.mmu.Lock(c)
+	v.dropBaseptr(c, d)
+	v.mmu.Unlock(c)
 	j.Arm()
 }
 
@@ -322,6 +328,12 @@ func (v *VMM) JournalReattach(c *hw.CPU, d *Domain, roots []hw.PFN, workers int)
 	v.mmu.Lock(c)
 	j.mu.Lock()
 	canReplay := j.snapshot && j.recording && !j.overflowed && !j.structural
+	// The base pointer's directory must be one the snapshot holds pinned;
+	// any other needs a full validation, which is the fallback's job.
+	root, hasRoot := v.cr3Root(c, d)
+	if hasRoot && !d.pinnedRoots[root] {
+		canReplay = false
+	}
 	if !canReplay {
 		j.stats.Fallbacks++
 		j.mu.Unlock()
@@ -335,6 +347,12 @@ func (v *VMM) JournalReattach(c *hw.CPU, d *Domain, roots []hw.PFN, workers int)
 		// rollback, a retry (with the fault undone) can still replay.
 		j.stats.ReplayErrors++
 		return err
+	}
+	if hasRoot {
+		// A pinned root: one more ref, which cannot fail.
+		if err := v.setBaseptr(c, d, root, sinkCharge); err != nil {
+			panic(fmt.Sprintf("xen: journal replay: base pointer: %v", err))
+		}
 	}
 	j.stats.Replays++
 	j.entries = j.entries[:0]
@@ -354,6 +372,7 @@ func (v *VMM) journalFallback(c *hw.CPU, d *Domain, roots []hw.PFN, workers int)
 	for root := range d.pinnedRoots {
 		delete(d.pinnedRoots, root)
 	}
+	d.baseHeld = false
 	v.FT.ResetCharged(c, v.M.Costs.FrameRelease)
 	v.mmu.Unlock(c)
 	return v.RecomputeFrameInfo(c, d, roots, workers)

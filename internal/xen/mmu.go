@@ -240,9 +240,35 @@ func (v *VMM) unpinTable(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
 	delete(d.pinnedRoots, root)
 	v.FT.setPinned(root, false)
 	v.traceInstant(c, "xen/unpin", uint64(d.ID))
+	if d.baseHeld && d.baseptr == root {
+		// The base pointer keeps root validated until CR3 moves off it;
+		// the release is charged here, to the unpin that gave the tree
+		// up, and dropBaseptr runs it later at no charge.
+		v.cost(c, s, v.releaseCost(root))
+	}
 	v.devalidateL2(c, root, s)
 	v.FT.PutRef(root)
 	return nil
+}
+
+// releaseCost is what devalidateL2 charges to drop root's last typed
+// ref: the directory, and the entries of each L1 only root types.
+func (v *VMM) releaseCost(root hw.PFN) hw.Cycles {
+	n := v.M.Costs.FrameRelease
+	dir := hw.ViewTable(v.M.Mem, root)
+	for i := 0; i < hw.PTEntries; i++ {
+		pde := dir.At(i)
+		if !pde.Present() || v.FT.frames[pde.Frame()].typeCount != 1 {
+			continue
+		}
+		table := hw.ViewTable(v.M.Mem, pde.Frame())
+		for k := 0; k < hw.PTEntries; k++ {
+			if table.At(k).Present() {
+				n += v.M.Costs.FrameRelease
+			}
+		}
+	}
+	return n
 }
 
 // applyUpdate validates and applies one entry store (internal).
@@ -328,18 +354,57 @@ func (v *VMM) HypUnpinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
 }
 
 // newBaseptrLocked installs root as the guest's page-directory base
-// (MMU lock held): auto-pin on first use as Xen does, then the
-// privileged CR3 load. Shared by HypNewBaseptr, HypContextSwitch and
-// the multicall dispatcher.
+// (MMU lock held): auto-pin on first use as Xen does, move the base
+// pointer's refs to root, then the privileged CR3 load. Shared by
+// HypNewBaseptr, HypContextSwitch and the multicall dispatcher.
 func (v *VMM) newBaseptrLocked(c *hw.CPU, d *Domain, root hw.PFN) error {
 	if !d.pinnedRoots[root] {
 		if err := v.pinTable(c, d, root, sinkCharge); err != nil {
 			return err
 		}
 	}
+	if err := v.setBaseptr(c, d, root, sinkCharge); err != nil {
+		return err
+	}
 	c.WriteCR3(root)
 	d.VCPU0().SetCR3(root)
 	return nil
+}
+
+// setBaseptr makes root the directory the base pointer holds refs on:
+// a typed L2 ref (validating root if it is the first) and an existence
+// ref, as Xen's MMUEXT_NEW_BASEPTR holds them on guest_table, then drops
+// the refs on the previous one. While installed, a directory stays
+// typed L2 even if the guest unpins it, so no tree pinned afterwards can
+// map the live directory writable. On a pinned root it charges nothing.
+func (v *VMM) setBaseptr(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
+	if err := v.validateL2(c, d, root, s); err != nil {
+		return err
+	}
+	v.FT.GetRef(root)
+	v.dropBaseptr(c, d)
+	d.baseptr, d.baseHeld = root, true
+	return nil
+}
+
+// dropBaseptr releases the base pointer's refs, if it holds any, at no
+// charge: a pinned directory only loses a ref, and an unpinned one's
+// release was charged to its unpin.
+func (v *VMM) dropBaseptr(c *hw.CPU, d *Domain) {
+	if !d.baseHeld {
+		return
+	}
+	d.baseHeld = false
+	v.devalidateL2(c, d.baseptr, sinkNone)
+	v.FT.PutRef(d.baseptr)
+}
+
+// cr3Root returns the directory in c's CR3 when it is a valid frame d
+// owns: the base pointer an attach adopts. A CPU still on a directory
+// no domain owns (as before any guest ran) has none.
+func (v *VMM) cr3Root(c *hw.CPU, d *Domain) (hw.PFN, bool) {
+	root := c.ReadCR3()
+	return root, v.M.Mem.Valid(root) && v.FT.frames[root].ownerID() == d.ID
 }
 
 // HypNewBaseptr is MMUEXT_NEW_BASEPTR: install a pinned root as the
@@ -458,12 +523,7 @@ func (v *VMM) RecomputeFrameInfo(c *hw.CPU, d *Domain, roots []hw.PFN, workers i
 			v.shards.cur = i % shards
 		}
 		if err = v.pinTable(c, d, r, s); err != nil {
-			// Every root before r was pinned: unpin that prefix.
-			for _, p := range roots[:i] {
-				if uerr := v.unpinTable(c, d, p, sinkNone); uerr != nil {
-					panic(fmt.Sprintf("xen: recompute rollback: %v", uerr))
-				}
-			}
+			v.unpinRoots(c, d, roots[:i]) // every root before r was pinned
 			err = fmt.Errorf("xen: recompute: %w", err)
 			break
 		}
@@ -471,15 +531,34 @@ func (v *VMM) RecomputeFrameInfo(c *hw.CPU, d *Domain, roots []hw.PFN, workers i
 	if s == sinkTally {
 		v.chargeShards(c, len(roots), err == nil)
 	}
+	// The directory in CR3 is the base pointer again: on a live root,
+	// one more ref and no charge.
+	if root, ok := v.cr3Root(c, d); err == nil && ok {
+		if err = v.setBaseptr(c, d, root, sinkCharge); err != nil {
+			v.unpinRoots(c, d, roots)
+			err = fmt.Errorf("xen: recompute: base pointer: %w", err)
+		}
+	}
 	return err
 }
 
+// unpinRoots unpins roots, all pinned by a recompute that is rolling
+// back, at no charge.
+func (v *VMM) unpinRoots(c *hw.CPU, d *Domain, roots []hw.PFN) {
+	for _, p := range roots {
+		if err := v.unpinTable(c, d, p, sinkNone); err != nil {
+			panic(fmt.Sprintf("xen: recompute rollback: %v", err))
+		}
+	}
+}
+
 // ReleaseFrameInfo forgets the accounting for an adopted domain when the
-// VMM detaches: cheap, which is why switching back to native mode takes
-// only ~0.06 ms (§7.4).
+// VMM detaches, the base pointer's refs included: cheap, which is why
+// switching back to native mode takes only ~0.06 ms (§7.4).
 func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
+	v.dropBaseptr(c, d)
 	for root := range d.pinnedRoots {
 		delete(d.pinnedRoots, root)
 		v.FT.setPinned(root, false)

@@ -195,14 +195,18 @@ func sameState(a, b *mcFuzzEnv) error {
 	return nil
 }
 
-// checkSafe asserts the frame table's invariants, that the table is
-// what a recompute of the pinned roots builds from memory (no store
-// escaped the accounting), and the direct-paging safety property: no
-// present writable leaf of a pinned tree maps a frame typed as a page
-// table.
+// checkSafe asserts the frame table's invariants, that the directory
+// in CR3 is typed L2 (the base pointer holds it even once unpinned),
+// that the table is what a recompute of the pinned roots builds from
+// memory (no store escaped the accounting), and the direct-paging
+// safety property: no present writable leaf of a pinned tree maps a
+// frame typed as a page table.
 func (e *mcFuzzEnv) checkSafe() error {
 	if err := e.v.FT.CheckInvariants(); err != nil {
 		return err
+	}
+	if cr3 := e.c.ReadCR3(); e.v.FT.Get(cr3).Type != FrameL2 {
+		return fmt.Errorf("CR3 directory %d is %s, not L2", cr3, e.v.FT.Get(cr3).Type)
 	}
 	inc, roots := e.v.FT.Clone(), e.d.PinnedRoots()
 	e.v.ReleaseFrameInfo(e.c, e.d)
