@@ -278,8 +278,13 @@ func (mc *Mercury) detach(c *hw.CPU, f *hw.TrapFrame) error {
 
 	// -- frame accounting: drop the VMM's type/count state. Cheap —
 	// this asymmetry is why detach (~0.06 ms) is faster than attach
-	// (~0.22 ms) (§7.4). The journal policy is cheaper still: the table
-	// is frozen in place and the dirty-frame ring armed.
+	// (~0.22 ms) (§7.4). The recompute policy charges one FrameRelease
+	// per released directory and per present entry of each released L1,
+	// from a running tally, and resets only the touched frames; it walks
+	// the trees only where a reset would leave a different table (a live
+	// grant map, another domain's pins, an unpinned directory under the
+	// base pointer, a forged record). The journal policy is cheaper
+	// still: the table is frozen in place and the dirty-frame ring armed.
 	ph := obs.Begin(col, c.ID, c.Now(), "phase/frame-release")
 	switch mc.Policy {
 	case TrackRecompute:

@@ -99,13 +99,16 @@ func (f *frame) info() FrameInfo {
 // Reset zeroes everything else.
 //
 // The table also keeps an epoch-stamped dirty set: every accounting
-// mutation records the frame as touched since the last Reset. A detach
-// therefore charges, and Reset clears, only the frames the last
-// attached epoch actually dirtied, not the whole table.
+// mutation records the frame as touched since the last Reset, so Reset
+// clears only the frames dirtied since, not the whole table. A
+// recompute-policy detach resets the table this way when its release
+// rule holds (release.go), charging what the walk would have charged;
+// the journal's fallback charges ResetCharged, per touched frame.
 type FrameTable struct {
 	frames  []frame
 	touched []hw.PFN
 	epoch   uint32
+	forged  bool // a record was written through Set since the last Reset
 }
 
 // NewFrameTable builds accounting for every frame of mem, every frame
@@ -153,6 +156,7 @@ func (ft *FrameTable) Set(pfn hw.PFN, fi FrameInfo) {
 	f.typeCount = fi.TypeCount
 	f.totalRefs = fi.TotalRefs
 	ft.touch(f, pfn)
+	ft.forged = true
 }
 
 // Reset clears type/count state for every frame while preserving
@@ -166,6 +170,7 @@ func (ft *FrameTable) Reset() {
 		*f = frame{owner: f.owner, epoch: f.epoch}
 	}
 	ft.touched = ft.touched[:0]
+	ft.forged = false
 	ft.epoch++
 	if ft.epoch == 0 {
 		// The stamp wrapped: a frame last touched 2^32 epochs ago would
@@ -310,6 +315,7 @@ func (ft *FrameTable) Clone() *FrameTable {
 		frames:  slices.Clone(ft.frames),
 		touched: slices.Clone(ft.touched),
 		epoch:   ft.epoch,
+		forged:  ft.forged,
 	}
 }
 

@@ -99,6 +99,7 @@ func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef) (hw.
 	v.mmu.Lock(c)
 	v.FT.GetRef(g.pfn)
 	g.mapped++
+	v.rel.grants++
 	v.mmu.Unlock(c)
 	pfn := g.pfn
 	unmapped := false
@@ -109,6 +110,7 @@ func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef) (hw.
 		unmapped = true
 		v.mmu.Lock(c)
 		g.mapped--
+		v.rel.grants--
 		v.FT.PutRef(pfn)
 		v.mmu.Unlock(c)
 	}, nil
@@ -142,6 +144,7 @@ func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantR
 		v.FT.GetRef(g.pfn)
 		g.mapped++
 	}
+	v.rel.grants += len(entries)
 	v.mmu.Unlock(c)
 	if h := v.tel(); h != nil {
 		h.grantBatches.Inc()
@@ -158,6 +161,7 @@ func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantR
 			g.mapped--
 			v.FT.PutRef(pfns[i])
 		}
+		v.rel.grants -= len(entries)
 		v.mmu.Unlock(c)
 	}, nil
 }

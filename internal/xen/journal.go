@@ -369,10 +369,13 @@ func (v *VMM) journalFallback(c *hw.CPU, d *Domain, roots []hw.PFN, workers int)
 	j := v.journal
 	j.Disarm()
 	v.mmu.Lock(c)
-	for root := range d.pinnedRoots {
-		delete(d.pinnedRoots, root)
+	v.rel.holders -= len(d.pinnedRoots)
+	clear(d.pinnedRoots)
+	if d.baseHeld {
+		v.rel.holders--
 	}
 	d.baseHeld = false
+	v.rel.units = 0
 	v.FT.ResetCharged(c, v.M.Costs.FrameRelease)
 	v.mmu.Unlock(c)
 	return v.RecomputeFrameInfo(c, d, roots, workers)
@@ -446,9 +449,11 @@ func (v *VMM) replaySlot(d *Domain, from, to hw.PTE) error {
 		if err := v.refMapping(d, to); err != nil {
 			return err
 		}
+		v.rel.units++
 	}
 	if from.Present() {
 		v.unrefMapping(from)
+		v.rel.units--
 	}
 	return nil
 }

@@ -81,7 +81,8 @@ func (v *VMM) cost(c *hw.CPU, s sink, n hw.Cycles) {
 }
 
 // validateL1 takes a typed L1 ref on pt, scanning and referencing its
-// entries if this is the first typed ref.
+// entries if this is the first typed ref; a scan adds its present
+// entries to the release tally.
 func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, s sink) error {
 	fresh, err := v.getTypeFresh(d, pt, FrameL1, s)
 	if err != nil {
@@ -92,11 +93,13 @@ func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, s sink) error {
 	}
 	v.cost(c, s, v.M.Costs.FrameValidate)
 	table := hw.ViewTable(v.M.Mem, pt)
+	present := 0
 	for i := 0; i < hw.PTEntries; i++ {
 		pte := table.At(i)
 		if !pte.Present() {
 			continue
 		}
+		present++
 		v.cost(c, s, v.M.Costs.PTValidatePin)
 		if err := v.refMapping(d, pte); err != nil {
 			// Roll back what we validated so far.
@@ -112,11 +115,12 @@ func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, s sink) error {
 	if s == sinkTally {
 		v.shards.claimEntries(table)
 	}
+	v.rel.units += present
 	return nil
 }
 
-// devalidateL1 drops a typed L1 ref, releasing entry refs when it was the
-// last one.
+// devalidateL1 drops a typed L1 ref, releasing entry refs (and their
+// release units) when it was the last one.
 func (v *VMM) devalidateL1(c *hw.CPU, pt hw.PFN, s sink) {
 	if v.FT.frames[pt].typeCount == 1 { // the last typed ref
 		table := hw.ViewTable(v.M.Mem, pt)
@@ -124,6 +128,7 @@ func (v *VMM) devalidateL1(c *hw.CPU, pt hw.PFN, s sink) {
 			if pte := table.At(i); pte.Present() {
 				v.cost(c, s, v.M.Costs.FrameRelease)
 				v.unrefMapping(pte)
+				v.rel.units--
 			}
 		}
 	}
@@ -165,7 +170,7 @@ func (v *VMM) unrefMapping(pte hw.PTE) {
 }
 
 // validateL2 takes a typed L2 ref on root, validating referenced L1
-// tables on the first ref.
+// tables on the first ref; a validated directory is one release unit.
 func (v *VMM) validateL2(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
 	fresh, err := v.getTypeFresh(d, root, FrameL2, s)
 	if err != nil {
@@ -194,13 +199,15 @@ func (v *VMM) validateL2(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
 		}
 		v.FT.GetRef(pde.Frame())
 	}
+	v.rel.units++
 	return nil
 }
 
-// devalidateL2 drops a typed L2 ref.
+// devalidateL2 drops a typed L2 ref, and its release unit with the last.
 func (v *VMM) devalidateL2(c *hw.CPU, root hw.PFN, s sink) {
 	if v.FT.frames[root].typeCount == 1 { // the last typed ref
 		v.cost(c, s, v.M.Costs.FrameRelease)
+		v.rel.units--
 		dir := hw.ViewTable(v.M.Mem, root)
 		for i := 0; i < hw.PTEntries; i++ {
 			if pde := dir.At(i); pde.Present() {
@@ -229,6 +236,7 @@ func (v *VMM) pinTable(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
 	v.FT.setPinned(root, true)
 	v.traceInstant(c, "xen/pin", uint64(d.ID))
 	d.pinnedRoots[root] = true
+	v.rel.holders++
 	return nil
 }
 
@@ -238,6 +246,7 @@ func (v *VMM) unpinTable(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
 		return fmt.Errorf("xen: dom%d unpinning unknown root %d", d.ID, root)
 	}
 	delete(d.pinnedRoots, root)
+	v.rel.holders--
 	v.FT.setPinned(root, false)
 	v.traceInstant(c, "xen/unpin", uint64(d.ID))
 	if d.baseHeld && d.baseptr == root {
@@ -296,9 +305,11 @@ func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, s sink) error {
 			if err := v.refMapping(d, u.New); err != nil {
 				return err
 			}
+			v.rel.units++
 		}
 		if old.Present() {
 			v.unrefMapping(old)
+			v.rel.units--
 		}
 	case FrameL2:
 		if u.New.Present() {
@@ -384,6 +395,7 @@ func (v *VMM) setBaseptr(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
 	v.FT.GetRef(root)
 	v.dropBaseptr(c, d)
 	d.baseptr, d.baseHeld = root, true
+	v.rel.holders++
 	return nil
 }
 
@@ -395,6 +407,7 @@ func (v *VMM) dropBaseptr(c *hw.CPU, d *Domain) {
 		return
 	}
 	d.baseHeld = false
+	v.rel.holders--
 	v.devalidateL2(c, d.baseptr, sinkNone)
 	v.FT.PutRef(d.baseptr)
 }
@@ -549,21 +562,6 @@ func (v *VMM) unpinRoots(c *hw.CPU, d *Domain, roots []hw.PFN) {
 		if err := v.unpinTable(c, d, p, sinkNone); err != nil {
 			panic(fmt.Sprintf("xen: recompute rollback: %v", err))
 		}
-	}
-}
-
-// ReleaseFrameInfo forgets the accounting for an adopted domain when the
-// VMM detaches, the base pointer's refs included: cheap, which is why
-// switching back to native mode takes only ~0.06 ms (§7.4).
-func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
-	v.mmu.Lock(c)
-	defer v.mmu.Unlock(c)
-	v.dropBaseptr(c, d)
-	for root := range d.pinnedRoots {
-		delete(d.pinnedRoots, root)
-		v.FT.setPinned(root, false)
-		v.devalidateL2(c, root, sinkCharge)
-		v.FT.PutRef(root)
 	}
 }
 

@@ -246,3 +246,31 @@ func TestReleaseFrameInfoCheap(t *testing.T) {
 		t.Fatalf("detach (%d) not cheaper than attach (%d)", detach, attach)
 	}
 }
+
+// TestReleaseKeepsForgedRecord: a record forged through FrameTable.Set
+// as the chaos frametable-bitflip fault forges it (pinned, type count
+// 0) must still fail CheckInvariants after a detach's release; a reset
+// of the touched frames would erase it.
+func TestReleaseKeepsForgedRecord(t *testing.T) {
+	v, d, c := testVMM(t)
+	roots := buildForest(t, v, d, 2, 8)
+	if err := v.RecomputeFrameInfo(c, d, roots, 1); err != nil {
+		t.Fatal(err)
+	}
+	victim := d.Frames.Alloc()
+	fi := v.FT.Get(victim)
+	fi.Pinned, fi.TypeCount = true, 0
+	v.FT.Set(victim, fi)
+	v.ReleaseFrameInfo(c, d)
+	if err := v.FT.CheckInvariants(); err == nil {
+		t.Fatal("the release erased the forged record")
+	}
+	if got := v.FT.Get(victim); got != fi {
+		t.Fatalf("forged record %+v became %+v", fi, got)
+	}
+	for _, r := range roots {
+		if got := v.FT.Get(r); got.TypeCount != 0 || got.TotalRefs != 0 || got.Pinned {
+			t.Fatalf("root %d not released: %+v", r, got)
+		}
+	}
+}

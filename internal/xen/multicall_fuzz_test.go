@@ -74,6 +74,11 @@ var (
 // decodeMCOps turns the fuzz bytes into units of ops: each unit is one
 // op, except MCStackSwitch, which is followed by an MCNewBaseptr so the
 // pair matches the HypContextSwitch hypercall. Kind 10 is no kind.
+//
+// An MCUpdate is its table (a pool frame) and index, two bytes of flags
+// (any of the 12 bits) and a selector: an even one names a pool frame
+// to map, an odd one is the top bits of any 20-bit frame number, whose
+// other bits follow in two more bytes.
 func decodeMCOps(e *mcFuzzEnv, in *fuzzInput) [][]MCOp {
 	pick := func() hw.PFN { return e.pool[int(in.next())%len(e.pool)] }
 	var units [][]MCOp
@@ -81,15 +86,15 @@ func decodeMCOps(e *mcFuzzEnv, in *fuzzInput) [][]MCOp {
 		op := MCOp{Kind: MCOpKind(in.next() % 11)}
 		switch op.Kind {
 		case MCUpdate:
-			flags := in.next()
 			op.Update = MMUUpdate{Table: pick(), Index: fuzzIndices[int(in.next())%len(fuzzIndices)]}
-			if flags&1 != 0 {
-				f := hw.PTEPresent | hw.PTEUser
-				if flags&2 != 0 {
-					f |= hw.PTEWrite
-				}
-				op.Update.New = hw.MakePTE(pick(), f)
+			flags := uint32(in.next()) | uint32(in.next())<<8
+			var frame hw.PFN
+			if sel := in.next(); sel&1 == 0 {
+				frame = e.pool[int(sel>>1)%len(e.pool)]
+			} else {
+				frame = hw.PFN(sel>>1)<<13 | hw.PFN(in.next())<<5 | hw.PFN(in.next()&0x1F)
 			}
+			op.Update.New = hw.MakePTE(frame, flags)
 		case MCPin, MCUnpin, MCNewBaseptr, MCStackSwitch:
 			op.Root = pick()
 		case MCInvlpg:
@@ -255,7 +260,9 @@ func (e *mcFuzzEnv) checkSafe() error {
 //     executed before its first failure, with the same state.
 //
 // A rejected op must return an error; a VMM panic fails the input. At
-// the end, releasing A's pins must leave no accounting behind.
+// the end, A releases its pins by ReleaseFrameInfo and B by the walk
+// that ReleaseFrameInfo falls back to: both clocks must advance by the
+// same amount, and neither may leave accounting behind.
 func FuzzMulticall(f *testing.F) {
 	// The batches of multicall_test.go: five coalesced flushes; a flush
 	// then a new base pointer; a flush, a pin, an unpin of a never
@@ -263,11 +270,15 @@ func FuzzMulticall(f *testing.F) {
 	f.Add([]byte{5, 5, 5, 5, 5})
 	f.Add([]byte{5, 3, 4})
 	f.Add([]byte{5, 1, 4, 2, 6, 1, 4})
-	f.Add([]byte{0, 3, 1, 0, 2, 5})
+	f.Add([]byte{0, 1, 0, 0x07, 0, 4, 5})
 	// Hostile ops: an index past the table, a pin past memory, vector
 	// 300, port -1, a live L1 mapped writable into itself, a VMM frame
 	// pinned, an unknown op kind, then a context switch.
-	f.Add([]byte{0, 1, 1, 6, 2, 1, 9, 7, 0, 6, 0, 9, 2, 0, 3, 1, 3, 1, 1, 8, 10, 4, 0})
+	f.Add([]byte{0, 1, 6, 0x05, 0, 4, 1, 9, 7, 0, 6, 0, 9, 2, 0, 1, 3, 0x07, 0, 2, 1, 8, 10, 4, 0})
+	// Entries of any bits: every flag bit on a data frame, frame 2000
+	// (the VMM's) and frame 2^20-1, far past memory.
+	f.Add([]byte{0, 1, 1, 0xFF, 0x0F, 4, 0, 1, 2, 0x07, 0, 0x01, 0x3E, 0x10,
+		0, 1, 2, 0x03, 0, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b, cc := newMCFuzzEnv(t), newMCFuzzEnv(t), newMCFuzzEnv(t)
 		in := fuzzInput(data)
@@ -333,9 +344,16 @@ func FuzzMulticall(f *testing.F) {
 			}
 		}
 
+		a0, b0 := a.c.Now(), b.c.Now()
 		a.v.ReleaseFrameInfo(a.c, a.d)
-		if err := a.v.FT.Equal(a.clean); err != nil {
-			t.Fatalf("releasing every pin left accounting behind: %v", err)
+		forceWalk(b.v, b.c, b.d)
+		if costA, costB := a.c.Now()-a0, b.c.Now()-b0; costA != costB {
+			t.Fatalf("releasing every pin cost %d, the walk %d", costA, costB)
+		}
+		for _, env := range []*mcFuzzEnv{a, b} {
+			if err := env.v.FT.Equal(env.clean); err != nil {
+				t.Fatalf("releasing every pin left accounting behind: %v", err)
+			}
 		}
 	})
 }

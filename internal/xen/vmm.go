@@ -64,6 +64,9 @@ type VMM struct {
 	// by mmu; see recompute_parallel.go).
 	shards shardTally
 
+	// rel is the detach's release tally (guarded by mmu; see release.go).
+	rel releaseTally
+
 	nextDomID  DomID
 	consoleLog []string
 
