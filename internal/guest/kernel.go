@@ -77,6 +77,12 @@ type Kernel struct {
 	// before. Natively nothing types them, and they are freed at once.
 	retired [][]*pgtable.Tables
 
+	// mmuBatch holds, per physical CPU, Mprotect's update batch, grown
+	// to the largest call and reused. A process gives up its CPU only at
+	// a block, a Work reschedule or an exit, never inside Mprotect, and
+	// no WritePTEBatch keeps the slice.
+	mmuBatch [][]xen.MMUUpdate
+
 	needResched atomic.Bool
 
 	// pageRefs counts sharers of anonymous/COW frames.
@@ -139,6 +145,7 @@ func Boot(m *hw.Machine, cfg Config) (*Kernel, error) {
 		nextPid:  1,
 		cur:      make([]*Proc, len(m.CPUs)),
 		retired:  make([][]*pgtable.Tables, len(m.CPUs)),
+		mmuBatch: make([][]xen.MMUUpdate, len(m.CPUs)),
 		pageRefs: make(map[hw.PFN]int),
 		LazyMMU:  cfg.LazyMMU,
 	}

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hw"
@@ -317,9 +318,9 @@ func (as *AddrSpace) Mprotect(c *hw.CPU, base hw.VirtAddr, prot Prot) {
 	v.Prot = prot
 	k.lazyBegin(c)
 	defer k.lazyEnd(c)
-	// One update per resident page of the VMA: sized once, so the
-	// batch never regrows mid-walk.
-	batch := make([]xen.MMUUpdate, 0, min(v.Pages(), as.rss))
+	// One update per resident page of the VMA, collected into this
+	// CPU's batch: grown once up front, so it never regrows mid-walk.
+	batch := slices.Grow(k.mmuBatch[c.ID][:0], min(v.Pages(), as.rss))
 	as.PT.VisitRange(v.Start, v.End, func(m pgtable.Mapping) bool {
 		cow := m.PTE.Cow()
 		flags := pteFlags(prot, cow) | hw.PTEPresent
@@ -327,6 +328,7 @@ func (as *AddrSpace) Mprotect(c *hw.CPU, base hw.VirtAddr, prot Prot) {
 			New: hw.MakePTE(m.PTE.Frame(), flags)})
 		return true
 	})
+	k.mmuBatch[c.ID] = batch
 	k.flushBatch(c, batch)
 	k.VO().FlushTLB(c)
 }

@@ -1,8 +1,9 @@
 package xen
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +14,11 @@ import (
 // BlkMQQueue is one hardware queue of a multi-queue block device: its
 // own IORing with independent producer/consumer indices, its own
 // doorbell pair, and reusable burst buffers so the serving loop
-// allocates nothing at steady state.
+// allocates nothing at steady state: the drained requests, their
+// responses, each run's grant refs, mapped entries and frames, the
+// staging buffer every run's transfer goes through, and a read run's
+// write-behind copies. Only a write absorbed by the write-behind cache
+// allocates, because the cache keeps its own copy.
 type BlkMQQueue struct {
 	ID   int
 	Ring *IORing[BlkRequest, BlkResponse]
@@ -23,9 +28,18 @@ type BlkMQQueue struct {
 	// protocol says the frontend asked to be woken.
 	RespKick func(c *hw.CPU)
 
-	reqBuf  []BlkRequest
-	respBuf []BlkResponse
-	refBuf  []GrantRef
+	reqBuf   []BlkRequest
+	respBuf  []BlkResponse
+	refBuf   []GrantRef
+	entryBuf []*grantEntry
+	pfnBuf   []hw.PFN
+	// stage holds one run's blocks between the frontend's frames and
+	// the device. It grows to the longest run the queue has served and
+	// never shrinks; runs are usually one block, so it is not sized
+	// for a whole ring up front.
+	stage []byte
+	// cached is a read run's write-behind copies, one per block.
+	cached [][]byte
 
 	// stalled wedges the queue's consumer (chaos fault injection).
 	stalled atomic.Bool
@@ -73,8 +87,10 @@ type BlkMQBackend struct {
 	wbCache map[uint64][]byte
 	// flushing admits one flusher at a time: two flushes of snapshots
 	// taken at different moments could write a block's older copy after
-	// its newer one.
+	// its newer one. It also makes flushBuf, the staging buffer of the
+	// flush's merged runs, the one flusher's own.
 	flushing atomic.Bool
+	flushBuf []byte
 
 	Stats BlkMQStats
 }
@@ -117,6 +133,8 @@ func NewBlkMQBackend(v *VMM, dom *Domain, dev BlockDevice, queues, depth, reqThr
 		q.reqBuf = make([]BlkRequest, q.Ring.Capacity())
 		q.respBuf = make([]BlkResponse, 0, q.Ring.Capacity())
 		q.refBuf = make([]GrantRef, 0, q.Ring.Capacity())
+		q.entryBuf = make([]*grantEntry, 0, q.Ring.Capacity())
+		q.pfnBuf = make([]hw.PFN, 0, q.Ring.Capacity())
 		be.Queues = append(be.Queues, q)
 		if col != nil {
 			// Both ends' doorbell decisions on this queue: the
@@ -205,7 +223,7 @@ func (be *BlkMQBackend) serveBurst(c *hw.CPU, q *BlkMQQueue, reqs []BlkRequest) 
 	be.Stats.Requests.Add(uint64(len(reqs)))
 	be.Stats.Bursts.Add(1)
 
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Block < reqs[j].Block })
+	slices.SortFunc(reqs, func(a, b BlkRequest) int { return cmp.Compare(a.Block, b.Block) })
 	q.respBuf = q.respBuf[:0]
 	for start := 0; start < len(reqs); {
 		end := start + 1
@@ -229,7 +247,10 @@ func (be *BlkMQBackend) serveBurst(c *hw.CPU, q *BlkMQQueue, reqs []BlkRequest) 
 }
 
 // serveRun maps, transfers, and completes one contiguous run. All
-// responses land in q.respBuf; the caller pushes them.
+// responses land in q.respBuf; the caller pushes them. The transfer
+// goes through q.stage: a read run's slice is cleared before the device
+// fills it (see BlockDevice), and a write run's is overwritten whole by
+// the frame copies.
 func (be *BlkMQBackend) serveRun(c *hw.CPU, q *BlkMQQueue, run []BlkRequest) {
 	fail := func(msg string) {
 		for _, r := range run {
@@ -240,25 +261,31 @@ func (be *BlkMQBackend) serveRun(c *hw.CPU, q *BlkMQQueue, run []BlkRequest) {
 	for _, r := range run {
 		q.refBuf = append(q.refBuf, r.Grant)
 	}
-	pfns, unmap, err := be.V.GrantMapBatch(c, be.Dom, run[0].Front, q.refBuf)
+	var err error
+	q.entryBuf, q.pfnBuf, err = be.V.grantMapBatch(c, be.Dom, run[0].Front, q.refBuf, q.entryBuf, q.pfnBuf)
 	if err != nil {
 		fail(err.Error())
 		return
 	}
-	defer unmap()
-	buf := make([]byte, len(run)*hw.BlockSize)
+	defer be.V.grantUnmapBatch(c, q.entryBuf, q.pfnBuf)
+	pfns := q.pfnBuf
+	buf := stageBlocks(&q.stage, len(run))
 	if run[0].Write {
 		for i, pfn := range pfns {
 			c.Charge(be.V.M.Costs.PageCopy)
 			copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], be.V.M.Mem.FrameBytesRO(pfn))
 		}
+	} else {
+		clear(buf)
 	}
 	// A read takes the run's cached copies before its disk transfer: a
 	// flush may write a block and drop it from the cache meanwhile, after
 	// the transfer read the old contents. Cached copies never change.
 	var cached [][]byte
 	if !run[0].Write && be.WriteBehind {
-		cached = make([][]byte, len(run))
+		cached = slices.Grow(q.cached[:0], len(run))[:len(run)]
+		q.cached = cached
+		defer clear(cached) // do not pin blocks the cache has dropped
 		be.wbMu.Lock()
 		for i, r := range run {
 			cached[i] = be.wbCache[r.Block]
@@ -293,16 +320,28 @@ func (be *BlkMQBackend) serveRun(c *hw.CPU, q *BlkMQQueue, run []BlkRequest) {
 	}
 }
 
+// stageBlocks returns the first blocks*BlockSize bytes of a staging
+// buffer, growing it first if blocks is the most it has held. The bytes
+// are whatever the previous user left.
+func stageBlocks(stage *[]byte, blocks int) []byte {
+	n := blocks * hw.BlockSize
+	*stage = slices.Grow((*stage)[:0], n)[:n]
+	return *stage
+}
+
 // absorb stores a write run in the buffer cache (the caller acks it)
 // and flushes once the cache reaches writeBehindLimit blocks. buf is
-// the run's own copy, so the cache keeps slices of it.
+// the queue's staging buffer, which the next run overwrites, so the
+// cache takes its own copy: readers rely on cached copies never
+// changing.
 func (be *BlkMQBackend) absorb(c *hw.CPU, run []BlkRequest, buf []byte) {
+	own := slices.Clone(buf)
 	be.wbMu.Lock()
 	if be.wbCache == nil {
 		be.wbCache = make(map[uint64][]byte)
 	}
 	for i, r := range run {
-		be.wbCache[r.Block] = buf[i*hw.BlockSize : (i+1)*hw.BlockSize]
+		be.wbCache[r.Block] = own[i*hw.BlockSize : (i+1)*hw.BlockSize]
 	}
 	flush := len(be.wbCache) >= writeBehindLimit
 	be.wbMu.Unlock()
@@ -333,14 +372,14 @@ func (be *BlkMQBackend) flushWriteBehind(c *hw.CPU) {
 		blocks = append(blocks, dirty{blk, data})
 	}
 	be.wbMu.Unlock()
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].blk < blocks[j].blk })
+	slices.SortFunc(blocks, func(a, b dirty) int { return cmp.Compare(a.blk, b.blk) })
 	for start := 0; start < len(blocks); {
 		end := start + 1
 		for end < len(blocks) && blocks[end].blk == blocks[end-1].blk+1 {
 			end++
 		}
 		run := blocks[start:end]
-		buf := make([]byte, len(run)*hw.BlockSize)
+		buf := stageBlocks(&be.flushBuf, len(run))
 		for i, d := range run {
 			copy(buf[i*hw.BlockSize:(i+1)*hw.BlockSize], d.data)
 		}

@@ -1,6 +1,7 @@
 package xen
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/hw"
@@ -380,5 +381,124 @@ func TestBlkMQWriteLeavesSourceFrameShared(t *testing.T) {
 	}
 	if blk := dev.blocks[5]; len(blk) == 0 || blk[0] != 0xA5 || blk[hw.BlockSize-1] != 0xA5 {
 		t.Fatal("disk did not receive the shared bytes")
+	}
+}
+
+// grantFilled grants be's domain a fresh frame of dU whose bytes are
+// all fill.
+func grantFilled(c *hw.CPU, v *VMM, dU *Domain, be *BlkMQBackend, fill byte) GrantRef {
+	pfn := dU.Frames.Alloc()
+	fb := v.M.Mem.FrameBytes(pfn)
+	for i := range fb {
+		fb[i] = fill
+	}
+	return dU.GrantAccess(c, be.Dom.ID, pfn, true)
+}
+
+// serveOne pushes reqs on queue 0 as one burst, serves it, and fails
+// the test unless every request completes without error.
+func serveOne(t *testing.T, c *hw.CPU, be *BlkMQBackend, reqs ...BlkRequest) {
+	t.Helper()
+	q := be.Queues[0]
+	if n, _ := q.Ring.PushRequests(c, reqs); n != len(reqs) {
+		t.Fatalf("pushed %d of %d", n, len(reqs))
+	}
+	be.PollQueue(c, q)
+	resp := make([]BlkResponse, q.Ring.Capacity())
+	n := q.Ring.TakeResponses(c, resp)
+	if n != len(reqs) {
+		t.Fatalf("%d responses for %d requests", n, len(reqs))
+	}
+	for _, r := range resp[:n] {
+		if r.Err != "" {
+			t.Fatalf("request %d: %s", r.ID, r.Err)
+		}
+	}
+}
+
+// TestBlkMQWriteBehindKeepsOwnCopies: two write runs of one burst pass
+// through the queue's staging buffer one after the other. The cache
+// must keep its own copy of each, or the second run's bytes would
+// overwrite the first's cached block.
+func TestBlkMQWriteBehindKeepsOwnCopies(t *testing.T) {
+	v, d0, dU, c := twoDomains(t)
+	be := NewBlkMQBackend(v, d0, &memDisk{blocks: map[uint64][]byte{}}, 1, 16, 1)
+	be.WriteBehind = true
+	serveOne(t, c, be,
+		BlkRequest{ID: 1, Block: 10, Write: true, Grant: grantFilled(c, v, dU, be, 0x11), Front: dU.ID},
+		BlkRequest{ID: 2, Block: 20, Write: true, Grant: grantFilled(c, v, dU, be, 0x22), Front: dU.ID})
+	if got := readBlock(t, c, v, dU, be, 3, 10); got != 0x11 {
+		t.Fatalf("block 10 reads %#x, want its own 0x11", got)
+	}
+	if got := readBlock(t, c, v, dU, be, 4, 20); got != 0x22 {
+		t.Fatalf("block 20 reads %#x, want its own 0x22", got)
+	}
+}
+
+// TestBlkMQReadOfUnwrittenBlockIsZero: a device may leave a block it
+// never stored untouched, so a read that follows a write on the same
+// queue must not hand the frontend the write's bytes still in the
+// staging buffer.
+func TestBlkMQReadOfUnwrittenBlockIsZero(t *testing.T) {
+	v, d0, dU, c := twoDomains(t)
+	be := NewBlkMQBackend(v, d0, &memDisk{blocks: map[uint64][]byte{}}, 1, 16, 1)
+	serveOne(t, c, be, BlkRequest{ID: 1, Block: 3, Write: true, Grant: grantFilled(c, v, dU, be, 0xEE), Front: dU.ID})
+	dst := dU.Frames.Alloc()
+	serveOne(t, c, be, BlkRequest{ID: 2, Block: 9, Grant: dU.GrantAccess(c, d0.ID, dst, false), Front: dU.ID})
+	for i, b := range v.M.Mem.FrameBytesRO(dst) {
+		if b != 0 {
+			t.Fatalf("never-written block 9 reads %#x at byte %d, want zeros", b, i)
+		}
+	}
+}
+
+// nullDisk is a block device that stores nothing and reads zeros.
+type nullDisk struct{}
+
+func (nullDisk) Submit(c *hw.CPU, req hw.DiskRequest, buf []byte) error {
+	clear(buf)
+	return nil
+}
+
+// TestBlkMQServeAllocatesNoRunBuffer: serving single-block runs, reads
+// and writes alike, allocates far less than a block per request, so no
+// per-run transfer buffer is made.
+func TestBlkMQServeAllocatesNoRunBuffer(t *testing.T) {
+	const (
+		burst    = 16
+		requests = 1000
+	)
+	v, d0, dU, c := twoDomains(t)
+	be := NewBlkMQBackend(v, d0, nullDisk{}, 1, burst, 1)
+	q := be.Queues[0]
+	refs := make([]GrantRef, burst)
+	for i := range refs {
+		refs[i] = grantFilled(c, v, dU, be, byte(i))
+	}
+	reqs := make([]BlkRequest, burst)
+	resp := make([]BlkResponse, burst)
+	serve := func(first int) {
+		for i := range reqs {
+			// Blocks two apart: every request is a run of its own.
+			reqs[i] = BlkRequest{ID: uint64(first + i), Block: uint64(2 * (first + i)),
+				Write: i%2 == 0, Grant: refs[i], Front: dU.ID}
+		}
+		q.Ring.PushRequests(c, reqs)
+		be.PollQueue(c, q)
+		if n := q.Ring.TakeResponses(c, resp); n != burst || resp[0].Err != "" {
+			t.Fatalf("burst at %d: %d responses, first error %q", first, n, resp[0].Err)
+		}
+	}
+	serve(0) // the staging buffer grows once
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	served := 0
+	for served < requests {
+		serve(burst + served)
+		served += burst
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(served); per >= hw.BlockSize/2 {
+		t.Fatalf("serving allocated %d bytes per request, want < %d", per, hw.BlockSize/2)
 	}
 }

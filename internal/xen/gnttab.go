@@ -123,20 +123,40 @@ func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef) (hw.
 // unmap closure. Validation is all-or-nothing — any bad ref fails the
 // batch with nothing mapped.
 func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantRef) ([]hw.PFN, func(), error) {
+	entries, pfns, err := v.grantMapBatch(c, d, granterID, refs,
+		make([]*grantEntry, 0, len(refs)), make([]hw.PFN, 0, len(refs)))
+	if err != nil {
+		return nil, nil, err
+	}
+	unmapped := false
+	return pfns, func() {
+		if unmapped {
+			return
+		}
+		unmapped = true
+		v.grantUnmapBatch(c, entries, pfns)
+	}, nil
+}
+
+// grantMapBatch is GrantMapBatch into caller-owned scratch: it reuses
+// entries' and pfns' backing arrays, returns them holding the mapped
+// entries and frames in ref order, and leaves the unmap to
+// grantUnmapBatch. On an error nothing is mapped.
+func (v *VMM) grantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantRef,
+	entries []*grantEntry, pfns []hw.PFN) ([]*grantEntry, []hw.PFN, error) {
 	defer v.exit(c, d, v.enter(c, d))
+	entries, pfns = entries[:0], pfns[:0]
 	granter, ok := v.Domains[granterID]
 	if !ok {
-		return nil, nil, fmt.Errorf("xen: grant map from nonexistent dom%d", granterID)
+		return entries, pfns, fmt.Errorf("xen: grant map from nonexistent dom%d", granterID)
 	}
-	entries := make([]*grantEntry, len(refs))
-	pfns := make([]hw.PFN, len(refs))
-	for i, ref := range refs {
+	for _, ref := range refs {
 		g, err := granter.grantTo(d, ref)
 		if err != nil {
-			return nil, nil, err
+			return entries[:0], pfns[:0], err
 		}
-		entries[i] = g
-		pfns[i] = g.pfn
+		entries = append(entries, g)
+		pfns = append(pfns, g.pfn)
 	}
 	c.Charge(v.M.Costs.GrantMap * hw.Cycles(len(refs)))
 	v.mmu.Lock(c)
@@ -150,18 +170,16 @@ func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantR
 		h.grantBatches.Inc()
 		h.grantBatchRefs.Add(uint64(len(refs)))
 	}
-	unmapped := false
-	return pfns, func() {
-		if unmapped {
-			return
-		}
-		unmapped = true
-		v.mmu.Lock(c)
-		for i, g := range entries {
-			g.mapped--
-			v.FT.PutRef(pfns[i])
-		}
-		v.rel.grants -= len(entries)
-		v.mmu.Unlock(c)
-	}, nil
+	return entries, pfns, nil
+}
+
+// grantUnmapBatch undoes one successful grantMapBatch.
+func (v *VMM) grantUnmapBatch(c *hw.CPU, entries []*grantEntry, pfns []hw.PFN) {
+	v.mmu.Lock(c)
+	for i, g := range entries {
+		g.mapped--
+		v.FT.PutRef(pfns[i])
+	}
+	v.rel.grants -= len(entries)
+	v.mmu.Unlock(c)
 }
