@@ -105,18 +105,16 @@ func trackingFlag(fs *flag.FlagSet, pol *core.TrackingPolicy) {
 		})
 }
 
-// bootTraced boots a Mercury system configured by cfg on a default
-// machine with ncpu CPUs and a telemetry collector. The collector is
-// installed before boot so boot-time instrumentation (the vo objects)
-// registers into it.
-func bootTraced(ncpu int, cfg core.Config) (*core.Mercury, *obs.Collector, error) {
-	col := obs.New(ncpu)
+// boot boots a Mercury system configured by cfg on a default machine
+// with ncpu CPUs and the telemetry collector col (nil for none). The
+// collector is installed before boot so boot-time instrumentation (the
+// vo objects) registers into it.
+func boot(ncpu int, cfg core.Config, col *obs.Collector) (*core.Mercury, error) {
 	hcfg := hw.DefaultConfig()
 	hcfg.NumCPUs = ncpu
 	cfg.Machine = hw.NewMachine(hcfg)
 	cfg.Machine.SetTelemetry(col)
-	mc, err := core.New(cfg)
-	return mc, col, err
+	return core.New(cfg)
 }
 
 // statsCmd runs a mixed workload with telemetry installed and prints
@@ -131,7 +129,8 @@ func statsCmd(args []string, w io.Writer) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	mc, col, err := bootTraced(*ncpu, core.Config{Policy: pol})
+	col := obs.New(*ncpu)
+	mc, err := boot(*ncpu, core.Config{Policy: pol}, col)
 	if err != nil {
 		return err
 	}
@@ -172,7 +171,8 @@ func traceCmd(args []string, w io.Writer) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	mc, col, err := bootTraced(*ncpu, core.Config{Policy: pol})
+	col := obs.New(*ncpu)
+	mc, err := boot(*ncpu, core.Config{Policy: pol}, col)
 	if err != nil {
 		return err
 	}
@@ -224,7 +224,7 @@ func chaosCmd(args []string, w io.Writer) error {
 
 	// A small deferral budget keeps starved-switch episodes to a few
 	// simulated ticks.
-	mc, _, err := bootTraced(*ncpu, core.Config{Policy: pol, MaxDeferrals: 8})
+	mc, err := boot(*ncpu, core.Config{Policy: pol, MaxDeferrals: 8}, nil)
 	if err != nil {
 		return err
 	}

@@ -113,6 +113,41 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
+// TestTelemetryGolden pins the whole output of the commands that export
+// the metrics registry, byte for byte, against testdata/*.golden: every
+// series keeps its name and its value wherever its counter lives.
+func TestTelemetryGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"stats.golden", []string{"stats"}},
+		{"stats_journal.golden", []string{"stats", "-tracking", "journal"}},
+		{"fleet_migrate.golden", []string{"fleet", "-nodes", "2", "-action", "migrate"}},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := mercuryctl(t, tc.args...)
+			if err != nil {
+				t.Fatalf("error: %v\n%s", err, out)
+			}
+			if out == string(want) {
+				return
+			}
+			got, exp := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+			for i := range min(len(got), len(exp)) {
+				if got[i] != exp[i] {
+					t.Fatalf("line %d differs from testdata/%s:\n got %q\nwant %q", i+1, tc.golden, got[i], exp[i])
+				}
+			}
+			t.Fatalf("%d lines, testdata/%s has %d", len(got), tc.golden, len(exp))
+		})
+	}
+}
+
 func TestChaosSameSeedSameBytes(t *testing.T) {
 	a, err := mercuryctl(t, "chaos", "-seed", "5", "-episodes", "4")
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/guest"
 	"repro/internal/migrate"
-	"repro/internal/obs"
 	"repro/internal/xen"
 )
 
@@ -91,37 +90,6 @@ func (r *Report) FaultClasses() int {
 	return len(seen)
 }
 
-// chaosObs caches the campaign's telemetry handles.
-type chaosObs struct {
-	col      *obs.Collector
-	injected map[Layer]*obs.Counter
-	detected *obs.Counter
-	healed   *obs.Counter
-	missed   *obs.Counter
-	rolled   *obs.Counter
-	mttrCyc  *obs.Histogram
-}
-
-func newChaosObs(col *obs.Collector) *chaosObs {
-	if col == nil {
-		return nil
-	}
-	r := col.Registry
-	return &chaosObs{
-		col: col,
-		injected: map[Layer]*obs.Counter{
-			LayerGuest: r.Counter("chaos", "faults_injected_total", obs.L("layer", string(LayerGuest))),
-			LayerVMM:   r.Counter("chaos", "faults_injected_total", obs.L("layer", string(LayerVMM))),
-			LayerHW:    r.Counter("chaos", "faults_injected_total", obs.L("layer", string(LayerHW))),
-		},
-		detected: r.Counter("chaos", "faults_detected_total"),
-		healed:   r.Counter("chaos", "faults_healed_total"),
-		missed:   r.Counter("chaos", "faults_missed_total"),
-		rolled:   r.Counter("chaos", "switch_rollbacks_total"),
-		mttrCyc:  r.Histogram("chaos", "mttr_cycles"),
-	}
-}
-
 // Run executes a campaign against mc, driving the guest scheduler on
 // every CPU (the SMP rendezvous path is exercised whenever the machine
 // has more than one processor). The campaign runs inside a spawned
@@ -156,7 +124,6 @@ func Run(mc *core.Mercury, cfg Config) (*Report, error) {
 	}
 	rep := &Report{Seed: cfg.Seed}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tel := newChaosObs(mc.M.Telemetry())
 
 	var runErr error
 	k := mc.K
@@ -167,7 +134,7 @@ func Run(mc *core.Mercury, cfg Config) (*Report, error) {
 		p.Touch(base, 8, true)
 		ctx := &Ctx{MC: mc, P: p, Rand: rng, Migrate: &migrate.FaultInjection{}, Fork: cfg.Fork, IO: cfg.IO}
 		for i := 0; i < cfg.Episodes; i++ {
-			ep, err := runEpisode(ctx, cfg, faults, rep, tel, i)
+			ep, err := runEpisode(ctx, cfg, faults, rep, i)
 			rep.Episodes = append(rep.Episodes, ep)
 			if err != nil {
 				runErr = fmt.Errorf("chaos: episode %d (%s): %w", i, ep.Fault, err)
@@ -187,7 +154,7 @@ func Run(mc *core.Mercury, cfg Config) (*Report, error) {
 // runEpisode drives one fault through inject -> detect -> heal ->
 // verify, with optional workload and clean-switch interleaving before
 // the injection.
-func runEpisode(ctx *Ctx, cfg Config, faults []*Fault, rep *Report, tel *chaosObs, i int) (Episode, error) {
+func runEpisode(ctx *Ctx, cfg Config, faults []*Fault, rep *Report, i int) (Episode, error) {
 	mc := ctx.MC
 	ctx.C = ctx.P.CPU()
 	ep := Episode{Index: i}
@@ -220,9 +187,6 @@ func runEpisode(ctx *Ctx, cfg Config, faults []*Fault, rep *Report, tel *chaosOb
 
 	f := faults[ctx.Rand.Intn(len(faults))]
 	ep.Fault, ep.Layer, ep.Detector = f.Name, f.Layer, f.Detector
-	sp := obs.Begin(telCol(tel), ctx.C.ID, ctx.C.Now(), "chaos/episode")
-	defer func() { sp.EndArg(ctx.C.Now(), uint64(i)) }()
-
 	injectedAt := ctx.C.Now()
 	act, err := f.Inject(ctx)
 	if err != nil {
@@ -230,9 +194,6 @@ func runEpisode(ctx *Ctx, cfg Config, faults []*Fault, rep *Report, tel *chaosOb
 	}
 	ep.Injected = true
 	rep.Injected++
-	if tel != nil {
-		tel.injected[f.Layer].Inc()
-	}
 
 	var derr error
 	switch f.Detector {
@@ -279,28 +240,7 @@ func runEpisode(ctx *Ctx, cfg Config, faults []*Fault, rep *Report, tel *chaosOb
 	if ep.Escalated {
 		rep.Escalated++
 	}
-	if tel != nil {
-		if ep.Detected {
-			tel.detected.Inc()
-		} else {
-			tel.missed.Inc()
-		}
-		if ep.Healed {
-			tel.healed.Inc()
-		}
-		if ep.RolledBack {
-			tel.rolled.Inc()
-		}
-		tel.mttrCyc.Observe(ep.MTTRCycles)
-	}
 	return ep, nil
-}
-
-func telCol(tel *chaosObs) *obs.Collector {
-	if tel == nil {
-		return nil
-	}
-	return tel.col
 }
 
 // detectInvariant expects the system-wide checker to report the fault,

@@ -7,18 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/obs"
 	"repro/internal/xen"
 )
-
-// newCollector installs a telemetry collector on mc's machine.
-func newCollector(mc *core.Mercury) *obs.Collector {
-	col := obs.New(len(mc.M.CPUs))
-	mc.M.SetTelemetry(col)
-	return col
-}
-
-func layerLabel(l Layer) obs.Label { return obs.L("layer", string(l)) }
 
 // newSystem builds a Mercury system with a small deferral budget (so
 // starvation faults resolve in a handful of simulated ticks).
@@ -281,32 +271,5 @@ func TestChaosCampaignEscalatesMidCampaign(t *testing.T) {
 	}
 	if mc.Mode() != core.ModeNative {
 		t.Fatalf("mode = %v after evacuations", mc.Mode())
-	}
-}
-
-// TestChaosReportTelemetry: campaign counters and the MTTR histogram
-// land in the obs registry.
-func TestChaosReportTelemetry(t *testing.T) {
-	mc := newSystem(t, 1, core.TrackRecompute)
-	col := newCollector(mc)
-	cfg := DefaultConfig(3)
-	cfg.Episodes = 6
-	rep, err := Run(mc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := uint64(0)
-	for _, l := range []Layer{LayerGuest, LayerVMM, LayerHW} {
-		total += col.Registry.Counter("chaos", "faults_injected_total", layerLabel(l)).Load()
-	}
-	if total != uint64(rep.Injected) {
-		t.Fatalf("injected counter %d, report %d", total, rep.Injected)
-	}
-	if got := col.Registry.Counter("chaos", "faults_detected_total").Load(); got != uint64(rep.Detected) {
-		t.Fatalf("detected counter %d, report %d", got, rep.Detected)
-	}
-	h := col.Registry.Histogram("chaos", "mttr_cycles")
-	if h.Count() != uint64(len(rep.Episodes)) {
-		t.Fatalf("mttr histogram count %d, episodes %d", h.Count(), len(rep.Episodes))
 	}
 }

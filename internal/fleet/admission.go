@@ -59,19 +59,23 @@ type Admission struct {
 
 	queue []*Request
 	inUse int
+	// stats holds the outcomes no counter keeps; Stats fills Granted,
+	// Rejected and Expired from the counters.
 	stats AdmissionStats
+
+	granted  *obs.Counter // fleet/admission_granted_total
+	rejected *obs.Counter // fleet/admission_rejected_total
+	expired  *obs.Counter // fleet/admission_expired_total
 
 	// Telemetry (nil-safe: left unset without a collector).
 	depthGauge *obs.Gauge
 	inUseGauge *obs.Gauge
-	granted    *obs.Counter
-	rejected   *obs.Counter
-	expired    *obs.Counter
 }
 
 // NewAdmission builds the controller. With a collector, queue depth and
 // slot usage are exported as fleet/queue_depth and
-// fleet/virtual_in_use, and admission outcomes as counters.
+// fleet/virtual_in_use, and the outcome counters are adopted into the
+// series named beside them.
 func NewAdmission(maxVirtual, maxQueue int, col *obs.Collector) *Admission {
 	if maxVirtual < 1 {
 		maxVirtual = 1
@@ -79,14 +83,15 @@ func NewAdmission(maxVirtual, maxQueue int, col *obs.Collector) *Admission {
 	if maxQueue < 1 {
 		maxQueue = 1
 	}
-	a := &Admission{MaxVirtual: maxVirtual, MaxQueue: maxQueue}
+	a := &Admission{MaxVirtual: maxVirtual, MaxQueue: maxQueue,
+		granted: obs.NewCounter(), rejected: obs.NewCounter(), expired: obs.NewCounter()}
 	if col != nil {
 		r := col.Registry
 		a.depthGauge = r.Gauge("fleet", "queue_depth")
 		a.inUseGauge = r.Gauge("fleet", "virtual_in_use")
-		a.granted = r.Counter("fleet", "admission_granted_total")
-		a.rejected = r.Counter("fleet", "admission_rejected_total")
-		a.expired = r.Counter("fleet", "admission_expired_total")
+		r.RegisterCounter(a.granted, "fleet", "admission_granted_total")
+		r.RegisterCounter(a.rejected, "fleet", "admission_rejected_total")
+		r.RegisterCounter(a.expired, "fleet", "admission_expired_total")
 	}
 	return a
 }
@@ -96,10 +101,7 @@ func NewAdmission(maxVirtual, maxQueue int, col *obs.Collector) *Admission {
 func (a *Admission) Submit(req *Request) bool {
 	a.stats.Submitted++
 	if len(a.queue) >= a.MaxQueue {
-		a.stats.Rejected++
-		if a.rejected != nil {
-			a.rejected.Inc()
-		}
+		a.rejected.Inc()
 		return false
 	}
 	a.queue = append(a.queue, req)
@@ -118,20 +120,14 @@ func (a *Admission) Grant(now Tick) (granted, expired []*Request) {
 	for _, req := range a.queue {
 		switch {
 		case req.Deadline > 0 && now > req.Deadline:
-			a.stats.Expired++
-			if a.expired != nil {
-				a.expired.Inc()
-			}
+			a.expired.Inc()
 			expired = append(expired, req)
 		case a.inUse < a.MaxVirtual:
 			a.inUse++
 			if a.inUse > a.stats.MaxInUse {
 				a.stats.MaxInUse = a.inUse
 			}
-			a.stats.Granted++
-			if a.granted != nil {
-				a.granted.Inc()
-			}
+			a.granted.Inc()
 			granted = append(granted, req)
 		default:
 			kept = append(kept, req)
@@ -176,7 +172,13 @@ func (a *Admission) Depth() int { return len(a.queue) }
 func (a *Admission) InUse() int { return a.inUse }
 
 // Stats returns a copy of the accumulated admission outcomes.
-func (a *Admission) Stats() AdmissionStats { return a.stats }
+func (a *Admission) Stats() AdmissionStats {
+	s := a.stats
+	s.Granted = int(a.granted.Load())
+	s.Rejected = int(a.rejected.Load())
+	s.Expired = int(a.expired.Load())
+	return s
+}
 
 func (a *Admission) gauge() {
 	if a.depthGauge != nil {

@@ -72,12 +72,13 @@ type Controller struct {
 	// single-threaded tick loop; keep it cheap.
 	OnTick func(now Tick)
 
-	// Telemetry.
+	wavesTotal *obs.Counter // fleet/waves_total
+	waveAborts *obs.Counter // fleet/wave_aborts_total
+	maintained *obs.Counter // fleet/nodes_maintained_total
+
+	// Telemetry (nil-safe: left unset without a collector).
 	waveProgress *obs.Gauge
 	waveBatch    *obs.Gauge
-	wavesTotal   *obs.Counter
-	waveAborts   *obs.Counter
-	maintained   *obs.Counter
 	attachCyc    *obs.Histogram
 	detachCyc    *obs.Histogram
 	actionCyc    *obs.Histogram
@@ -100,7 +101,8 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.MaxVirtual == 0 {
 		cfg.MaxVirtual = DeriveMaxVirtual(cfg.Nodes)
 	}
-	fc := &Controller{cfg: cfg, col: cfg.Collector}
+	fc := &Controller{cfg: cfg, col: cfg.Collector,
+		wavesTotal: obs.NewCounter(), waveAborts: obs.NewCounter(), maintained: obs.NewCounter()}
 	if cfg.Collector != nil {
 		fc.events = cfg.Collector.Events
 	}
@@ -127,9 +129,9 @@ func New(cfg Config) (*Controller, error) {
 		r := col.Registry
 		fc.waveProgress = r.Gauge("fleet", "wave_progress")
 		fc.waveBatch = r.Gauge("fleet", "wave_batch")
-		fc.wavesTotal = r.Counter("fleet", "waves_total")
-		fc.waveAborts = r.Counter("fleet", "wave_aborts_total")
-		fc.maintained = r.Counter("fleet", "nodes_maintained_total")
+		r.RegisterCounter(fc.wavesTotal, "fleet", "waves_total")
+		r.RegisterCounter(fc.waveAborts, "fleet", "wave_aborts_total")
+		r.RegisterCounter(fc.maintained, "fleet", "nodes_maintained_total")
 		fc.attachCyc = r.Histogram("fleet", "node_attach_cycles")
 		fc.detachCyc = r.Histogram("fleet", "node_detach_cycles")
 		fc.actionCyc = r.Histogram("fleet", "node_action_cycles")

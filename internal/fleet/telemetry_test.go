@@ -33,7 +33,7 @@ func TestSharedCollectorSumsNodes(t *testing.T) {
 			t.Errorf("%s: own Stats.Attaches = %d, want 1", n.Name, own)
 		}
 		attaches += own
-		hc := n.MC.VMM.Stats.Hypercalls.Load()
+		hc := n.MC.Dom.Stats.Hypercalls.Load()
 		if hc == 0 {
 			t.Errorf("%s: no hypercalls counted", n.Name)
 		}
@@ -59,7 +59,7 @@ func TestSharedCollectorSumsNodes(t *testing.T) {
 			t.Errorf("%s = %d, want the per-node sum %d", c.name, c.got, c.want)
 		}
 	}
-	if hc := fc.Nodes[0].MC.VMM.Stats.Hypercalls.Load(); hc == hypercalls {
+	if hc := fc.Nodes[0].MC.Dom.Stats.Hypercalls.Load(); hc == hypercalls {
 		t.Errorf("node 0 holds every hypercall (%d): per-node counters are shared", hc)
 	}
 }

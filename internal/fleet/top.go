@@ -60,9 +60,7 @@ func (fc *Controller) Snapshot() FleetSnap {
 		QueueDepth: fc.Adm.Depth(),
 		SlotsInUse: fc.Adm.InUse(),
 		SlotsMax:   fc.cfg.MaxVirtual,
-	}
-	if fc.maintained != nil {
-		s.Maintained = fc.maintained.Load()
+		Maintained: fc.maintained.Load(),
 	}
 	if fc.attachCyc != nil {
 		s.P99AttachCyc = fc.attachCyc.Quantile(0.99)

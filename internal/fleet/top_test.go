@@ -154,6 +154,26 @@ func TestSnapshotAndOnTick(t *testing.T) {
 	}
 }
 
+// TestSnapshotCountsWithoutCollector: the maintenance and admission
+// counts are the fleet's own, not the telemetry's, so a fleet built
+// without a collector reports them too.
+func TestSnapshotCountsWithoutCollector(t *testing.T) {
+	fc, err := New(testConfig(2, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fc.RunWave(WaveConfig{Action: ActionCheckpoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := fc.Snapshot(); s.Maintained != 2 {
+		t.Errorf("maintained = %d; want 2", s.Maintained)
+	}
+	if a := rep.Admission; a.Submitted != 2 || a.Granted != 2 || a.Rejected != 0 || a.Expired != 0 {
+		t.Errorf("admission %+v; want 2 submitted and granted", a)
+	}
+}
+
 // TestMigrationEventsRecorded: a migrate wave logs one commit per node
 // with its downtime payload.
 func TestMigrationEventsRecorded(t *testing.T) {

@@ -103,9 +103,7 @@ func (fc *Controller) RunWave(cfg WaveConfig) (*WaveReport, error) {
 	if cfg.Action == ActionMigrate && fc.Standby == nil {
 		return nil, fmt.Errorf("fleet: migrate wave needs a standby (Config.Standby)")
 	}
-	if fc.wavesTotal != nil {
-		fc.wavesTotal.Inc()
-	}
+	fc.wavesTotal.Inc()
 	rep := &WaveReport{Action: cfg.Action.String(), BatchSize: cfg.BatchSize}
 	start := fc.now
 	if fc.waveProgress != nil {
@@ -127,9 +125,7 @@ func (fc *Controller) RunWave(cfg WaveConfig) (*WaveReport, error) {
 			failed = int32(n.ID)
 		}
 		fc.event(obs.EvWaveAbort, failed, uint64(curBatch), 0)
-		if fc.waveAborts != nil {
-			fc.waveAborts.Inc()
-		}
+		fc.waveAborts.Inc()
 		rep.Canceled = fc.Adm.Flush()
 		// Drain any slots still accounted (their service windows were
 		// still open when the wave died).
@@ -257,9 +253,7 @@ func (fc *Controller) RunWave(cfg WaveConfig) (*WaveReport, error) {
 				releases[rel] = append(releases[rel], node.ID)
 				rep.Completed++
 				batch.Completed++
-				if fc.maintained != nil {
-					fc.maintained.Inc()
-				}
+				fc.maintained.Inc()
 				if fc.attachCyc != nil {
 					fc.attachCyc.Observe(nrep.AttachCyc)
 					fc.detachCyc.Observe(nrep.DetachCyc)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -99,6 +100,31 @@ func TestRegisterCounterIdempotent(t *testing.T) {
 	r.RegisterCounter(series, "core", "attaches_total")
 	if got := series.Load(); got != 5 {
 		t.Fatalf("series = %d after re-adoption, want 5", got)
+	}
+}
+
+// TestRegisterCounterAllocLinear: adopting counter after counter under
+// one series, as every domain a fork or migration run creates does,
+// allocates a bounded amount per adoption, not a copy of the list so
+// far.
+func TestRegisterCounterAllocLinear(t *testing.T) {
+	r := NewRegistry()
+	const n = 4096
+	cs := make([]*Counter, n)
+	for i := range cs {
+		cs[i] = NewCounter()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, c := range cs {
+		r.RegisterCounter(c, "xen", "hypercalls_total")
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 256 {
+		t.Fatalf("%d bytes allocated per adoption of %d, want at most 256", per, n)
+	}
+	if got := len(*r.Counter("xen", "hypercalls_total").adopted.Load()); got != n {
+		t.Fatalf("%d counters adopted, want %d", got, n)
 	}
 }
 

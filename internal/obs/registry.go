@@ -24,8 +24,10 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // subsystem share the collector.
 type Counter struct {
 	v atomic.Uint64
-	// adopted lists the counters linked under this one. It is published
-	// copy-on-write, so Load never takes a lock while CPUs increment.
+	// adopted lists the counters linked under this one. Each adoption
+	// publishes a new slice header, so Load never takes a lock while
+	// CPUs increment; the backing array grows in place, because a
+	// published header never covers the slot an adoption writes.
 	adopted atomic.Pointer[[]*Counter]
 }
 
@@ -51,25 +53,19 @@ func (c *Counter) Load() uint64 {
 }
 
 // adopt links a under c. Adopting c itself or an already linked
-// counter is a no-op.
+// counter is a no-op. The caller orders adoptions under one series
+// (RegisterCounter holds its registry's lock), so a domain built per
+// clone or migration costs one slot, not a copy of the whole list.
 func (c *Counter) adopt(a *Counter) {
-	if a == c {
+	var list []*Counter
+	if p := c.adopted.Load(); p != nil {
+		list = *p
+	}
+	if a == c || slices.Contains(list, a) {
 		return
 	}
-	for {
-		old := c.adopted.Load()
-		var list []*Counter
-		if old != nil {
-			list = *old
-		}
-		if slices.Contains(list, a) {
-			return
-		}
-		next := append(list[:len(list):len(list)], a)
-		if c.adopted.CompareAndSwap(old, &next) {
-			return
-		}
-	}
+	list = append(list, a)
+	c.adopted.Store(&list)
 }
 
 // Gauge is an instantaneous signed value.
@@ -216,7 +212,10 @@ func (r *Registry) Histogram(subsystem, name string, labels ...Label) *Histogram
 // keeps its own count while the series reports their sum. Adopting
 // the same c twice is a no-op.
 func (r *Registry) RegisterCounter(c *Counter, subsystem, name string, labels ...Label) {
-	r.Counter(subsystem, name, labels...).adopt(c)
+	series := r.Counter(subsystem, name, labels...)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	series.adopt(c)
 }
 
 // Each calls fn for every registered metric in sorted key order.

@@ -121,14 +121,14 @@ func TestVirtualBatchOneWorldSwitch(t *testing.T) {
 	v.M.Mem.ZeroFrame(pt)
 	o.WritePTE(c, root, 0, hw.MakePTE(pt, hw.PTEPresent|hw.PTEWrite|hw.PTEUser))
 
-	hcBefore := v.Stats.Hypercalls.Load()
+	hcBefore := d.Stats.Hypercalls.Load()
 	batch := make([]xen.MMUUpdate, 16)
 	for i := range batch {
 		batch[i] = xen.MMUUpdate{Table: pt, Index: i,
 			New: hw.MakePTE(d.Frames.Alloc(), hw.PTEPresent|hw.PTEUser)}
 	}
 	o.WritePTEBatch(c, batch)
-	if got := v.Stats.Hypercalls.Load() - hcBefore; got != 1 {
+	if got := d.Stats.Hypercalls.Load() - hcBefore; got != 1 {
 		t.Fatalf("batch used %d hypercalls, want 1", got)
 	}
 }

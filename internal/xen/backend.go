@@ -157,7 +157,7 @@ func (nb *NetBackend) OnEvent(c *hw.CPU) {
 
 // transmit copies one granted frame out and sends it.
 func (nb *NetBackend) transmit(c *hw.CPU, q NetTxRequest) error {
-	pfn, unmap, err := nb.V.GrantMap(c, nb.Dom, q.Front, q.Grant)
+	pfn, unmap, err := nb.V.GrantMap(c, nb.Dom, q.Front, q.Grant, false)
 	if err != nil {
 		return err
 	}
@@ -181,7 +181,7 @@ func (nb *NetBackend) DeliverRx(c *hw.CPU, data []byte) bool {
 		return false
 	}
 	done := [1]NetRxDone{{ID: post[0].ID}}
-	pfn, unmap, err := nb.V.GrantMap(c, nb.Dom, post[0].Front, post[0].Grant)
+	pfn, unmap, err := nb.V.GrantMap(c, nb.Dom, post[0].Front, post[0].Grant, true)
 	if err != nil {
 		done[0].Err = err.Error()
 	} else {

@@ -262,7 +262,9 @@ func (be *BlkMQBackend) serveRun(c *hw.CPU, q *BlkMQQueue, run []BlkRequest) {
 		q.refBuf = append(q.refBuf, r.Grant)
 	}
 	var err error
-	q.entryBuf, q.pfnBuf, err = be.V.grantMapBatch(c, be.Dom, run[0].Front, q.refBuf, q.entryBuf, q.pfnBuf)
+	// A read run writes the frontend's frames: it maps them writable.
+	q.entryBuf, q.pfnBuf, err = be.V.grantMapBatch(c, be.Dom, run[0].Front, q.refBuf, !run[0].Write,
+		q.entryBuf, q.pfnBuf)
 	if err != nil {
 		fail(err.Error())
 		return

@@ -37,7 +37,8 @@ type blkFuzzReply struct {
 // Each burst is checked against a model that sorts it as the backend
 // does and serves it run by run: exactly one response per request,
 // carrying its ID, an error exactly when some grant of its run cannot
-// be mapped, disk and write-behind cache contents equal to the model's
+// be mapped (a read run maps writable, so a read-only grant fails it),
+// disk and write-behind cache contents equal to the model's
 // maps, every granted frame's bytes equal to the model's (so a read of
 // a never-written block returns zeros), no grant left mapped, the frame
 // table's invariants, and a staging buffer never longer than one full
@@ -70,6 +71,9 @@ func FuzzBlkMQServe(f *testing.F) {
 	// and fronts dom0 and one that does not exist.
 	f.Add([]byte{0, 0, 7, 1, 0, 1, 0, 2, 1, 1, 7, 3, 5, 1, 1, 4, 6, 0, 4,
 		5, 8, 4, 5, 6, 9, 0, 6, 7, 11, 5, 0, 8, 13, 7, 0})
+	// g1's read-only ref 2: a write from it serves, a read run that
+	// maps it fails whole.
+	f.Add([]byte{0, 0, 0, 20, 5, 1, 2, 0, 1, 21, 5, 0, 2, 22, 6, 0, 0})
 	// Blocks near 2^40 and 2^64 from a second guest, merged and not.
 	f.Add([]byte{1, 0, 3, 1, 224, 3, 0, 2, 225, 3, 0, 3, 226, 3, 0, 4, 227, 2, 0,
 		0, 1, 5, 224, 2, 0, 6, 227, 0, 0})
@@ -92,16 +96,18 @@ func FuzzBlkMQServe(f *testing.F) {
 		mem := v.M.Mem
 
 		// Live grants to the driver domain: g1's refs 0-3 (ref 2
-		// read-only) and g2's ref 0.
+		// read-only, so mappable for writes only) and g2's ref 0.
 		mappable := make(map[blkFuzzGrant]hw.PFN)
+		readonly := make(map[blkFuzzGrant]bool)
 		var frames []hw.PFN
-		grant := func(d *Domain, readonly bool) {
+		grant := func(d *Domain, ro bool) {
 			pfn := d.Frames.Alloc()
 			fb := mem.FrameBytes(pfn)
 			for j := range fb {
 				fb[j] = byte(len(frames)*37 + j*7)
 			}
-			mappable[blkFuzzGrant{d.ID, d.GrantAccess(c, d0.ID, pfn, readonly)}] = pfn
+			k := blkFuzzGrant{d.ID, d.GrantAccess(c, d0.ID, pfn, ro)}
+			mappable[k], readonly[k] = pfn, ro
 			frames = append(frames, pfn)
 		}
 		for i := 0; i < 4; i++ {
@@ -148,7 +154,8 @@ func FuzzBlkMQServe(f *testing.F) {
 		// grant batch maps.
 		serve := func(run []BlkRequest) bool {
 			for _, r := range run {
-				if _, ok := mappable[blkFuzzGrant{r.Front, r.Grant}]; !ok {
+				k := blkFuzzGrant{r.Front, r.Grant}
+				if _, ok := mappable[k]; !ok || !r.Write && readonly[k] {
 					return false
 				}
 			}

@@ -99,9 +99,9 @@ type Domain struct {
 // the *obs.Counter fields into the installed collector, where each
 // series sums them over every domain.
 type DomainStats struct {
-	Hypercalls   atomic.Uint64
-	Multicalls   atomic.Uint64 // multicall batches issued by this domain
-	MulticallOps atomic.Uint64 // ops carried inside those batches
+	Hypercalls   *obs.Counter // xen/hypercalls_total: VMM entries, a multicall batch is one
+	Multicalls   *obs.Counter // xen/multicalls_total: multicall batches issued by this domain
+	MulticallOps *obs.Counter // xen/multicall_ops_total: ops carried inside those batches
 	MMUUpdates   atomic.Uint64
 	// FaultBounces is xen/fault_bounces_total: traps bounced into the
 	// guest's handler, plus the trap-and-emulate bounces

@@ -122,7 +122,7 @@ func TestGrantMapLifecycle(t *testing.T) {
 	v.M.Mem.WriteWord(pfn.Addr(), 0xABCD)
 	ref := dU.GrantAccess(c, d0.ID, pfn, true)
 
-	got, unmap, err := v.GrantMap(c, d0, dU.ID, ref)
+	got, unmap, err := v.GrantMap(c, d0, dU.ID, ref, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestGrantMapAuthorization(t *testing.T) {
 	v, d0, dU, c := twoDomains(t)
 	pfn := dU.Frames.Alloc()
 	ref := dU.GrantAccess(c, 42, pfn, true) // granted to someone else
-	if _, _, err := v.GrantMap(c, d0, dU.ID, ref); err == nil {
+	if _, _, err := v.GrantMap(c, d0, dU.ID, ref, false); err == nil {
 		t.Fatal("mapped a grant addressed to another domain")
 	}
-	if _, _, err := v.GrantMap(c, d0, dU.ID, GrantRef(99)); err == nil {
+	if _, _, err := v.GrantMap(c, d0, dU.ID, GrantRef(99), false); err == nil {
 		t.Fatal("mapped a nonexistent grant")
 	}
 }

@@ -33,7 +33,7 @@ func BenchmarkReleaseFrameInfo(b *testing.B) {
 			roots := buildForest(b, v, d, 10, 410)
 			if walk {
 				ref := d.GrantAccess(c, Dom0, d.Frames.Alloc(), true)
-				if _, _, err := v.GrantMap(c, v.Domains[Dom0], d.ID, ref); err != nil {
+				if _, _, err := v.GrantMap(c, v.Domains[Dom0], d.ID, ref, false); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -54,21 +54,25 @@ func (d *Domain) GrantEnd(c *hw.CPU, ref GrantRef) error {
 }
 
 // grantTo returns the entry behind d's grant ref, checking that it is
-// live, granted to mapper and names an existing frame that d owns
-// (GrantMap, GrantMapBatch).
+// live, granted to mapper with the access asked for, and names an
+// existing frame that d owns (GrantMap, GrantMapBatch).
 //
 // The owner is read without the MMU lock: only building a domain
 // (newDomain) and fault injection (FrameTable.Set) write it, and
 // domain building also writes v.Domains, which every grant map reads
 // unlocked just before this; so the callers already keep domain
 // creation and grant maps apart.
-func (d *Domain) grantTo(mapper *Domain, ref GrantRef) (*grantEntry, error) {
+func (d *Domain) grantTo(mapper *Domain, ref GrantRef, writable bool) (*grantEntry, error) {
 	if ref < 0 || int(ref) >= len(d.grants) {
 		return nil, fmt.Errorf("xen: dom%d has no grant %d", d.ID, ref)
 	}
 	g := d.grants[ref]
 	if !g.inUse || g.toDom != mapper.ID {
 		return nil, fmt.Errorf("xen: dom%d grant %d not granted to dom%d",
+			d.ID, ref, mapper.ID)
+	}
+	if writable && g.readonly {
+		return nil, fmt.Errorf("xen: dom%d grant %d is read-only, dom%d maps it writable",
 			d.ID, ref, mapper.ID)
 	}
 	if !d.VMM.M.Mem.Valid(g.pfn) {
@@ -83,15 +87,16 @@ func (d *Domain) grantTo(mapper *Domain, ref GrantRef) (*grantEntry, error) {
 }
 
 // GrantMap gives the calling (backend) domain access to the frame behind
-// (granterID, ref). It returns the frame and an unmap closure. This is
+// (granterID, ref), writable access when writable (which a read-only
+// grant refuses). It returns the frame and an unmap closure. This is
 // the grant_table_op hypercall.
-func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef) (hw.PFN, func(), error) {
+func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef, writable bool) (hw.PFN, func(), error) {
 	defer v.exit(c, d, v.enter(c, d))
 	granter, ok := v.Domains[granterID]
 	if !ok {
 		return 0, nil, fmt.Errorf("xen: grant map from nonexistent dom%d", granterID)
 	}
-	g, err := granter.grantTo(d, ref)
+	g, err := granter.grantTo(d, ref, writable)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -119,11 +124,11 @@ func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef) (hw.
 // GrantMapBatch maps a burst of grants from one granter in a single
 // grant_table_op: one VMM entry and one MMU lock acquisition amortized
 // over the whole ring-slot burst, with the per-ref GrantMap work still
-// charged. Returns the frames in ref order and a single idempotent
-// unmap closure. Validation is all-or-nothing — any bad ref fails the
-// batch with nothing mapped.
-func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantRef) ([]hw.PFN, func(), error) {
-	entries, pfns, err := v.grantMapBatch(c, d, granterID, refs,
+// charged, each ref with the access writable asks for. Returns the
+// frames in ref order and one idempotent unmap closure. Validation is
+// all-or-nothing — any bad ref fails the batch with nothing mapped.
+func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantRef, writable bool) ([]hw.PFN, func(), error) {
+	entries, pfns, err := v.grantMapBatch(c, d, granterID, refs, writable,
 		make([]*grantEntry, 0, len(refs)), make([]hw.PFN, 0, len(refs)))
 	if err != nil {
 		return nil, nil, err
@@ -142,7 +147,7 @@ func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantR
 // entries' and pfns' backing arrays, returns them holding the mapped
 // entries and frames in ref order, and leaves the unmap to
 // grantUnmapBatch. On an error nothing is mapped.
-func (v *VMM) grantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantRef,
+func (v *VMM) grantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantRef, writable bool,
 	entries []*grantEntry, pfns []hw.PFN) ([]*grantEntry, []hw.PFN, error) {
 	defer v.exit(c, d, v.enter(c, d))
 	entries, pfns = entries[:0], pfns[:0]
@@ -151,7 +156,7 @@ func (v *VMM) grantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantR
 		return entries, pfns, fmt.Errorf("xen: grant map from nonexistent dom%d", granterID)
 	}
 	for _, ref := range refs {
-		g, err := granter.grantTo(d, ref)
+		g, err := granter.grantTo(d, ref, writable)
 		if err != nil {
 			return entries[:0], pfns[:0], err
 		}

@@ -65,10 +65,11 @@ func (e *grantFuzzEnv) owner(pfn hw.PFN) DomID {
 
 // grantModel is one grant-table entry as the model sees it.
 type grantModel struct {
-	inUse  bool
-	to     DomID
-	pfn    hw.PFN
-	mapped int
+	inUse    bool
+	to       DomID
+	pfn      hw.PFN
+	readonly bool
+	mapped   int
 }
 
 // grantMapping is one successful map: what it mapped, its unmap
@@ -85,9 +86,11 @@ type grantMapping struct {
 // ID, any ref (negative included) and any frame: another domain's, the
 // VMM's, frame 0 and frames past memory. Each byte string decodes into a
 // sequence of GrantAccess, GrantMap, GrantMapBatch, unmap (a second
-// unmap included) and GrantEnd against a map model. Nothing may panic;
-// a map succeeds exactly when the model says so (the grant is live,
-// granted to the mapper and names a valid frame the granter owns); a
+// unmap included) and GrantEnd against a map model; an op byte's top
+// bit asks a map for writable access. Nothing may panic; a map
+// succeeds exactly when the model says so (the grant is live, granted
+// to the mapper, not read-only if the map is writable, and names a
+// valid frame the granter owns); a
 // batch is all or nothing; GrantEnd refuses while the grant is mapped;
 // after every step each pool frame carries its start refs plus one per
 // live mapping and the frame table's invariants hold; once everything
@@ -104,6 +107,11 @@ func FuzzGrant(f *testing.F) {
 	// frame in a batch, of frame 0 by dom0; map ref -1; end ref -1.
 	f.Add([]byte{0, 1, 0, 6, 0, 1, 0, 1, 0, 0, 1, 0, 4, 0, 1, 0, 1, 1,
 		0, 1, 0, 0, 0, 2, 0, 1, 1, 1, 2, 0, 0, 2, 5, 0, 1, 2, 0, 0, 1, 8, 4, 1, 8})
+	// A read-only and a writable grant to dom0: a writable map and a
+	// writable batch of the read-only one fail, a read map of it and a
+	// writable map of the other succeed.
+	f.Add([]byte{0, 1, 0, 1, 1, 0, 1, 0, 2, 0, 0x81, 0, 1, 0, 0x82, 0, 1, 1, 1, 0,
+		1, 0, 1, 0, 0x81, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := newGrantFuzzEnv(t)
 		v, c := e.v, e.c
@@ -126,13 +134,14 @@ func FuzzGrant(f *testing.F) {
 			return GrantRef(b % 10)
 		}
 		// mappable is the model's verdict on mapper mapping (gid, r).
-		mappable := func(mapper *Domain, gid DomID, r GrantRef) bool {
+		mappable := func(mapper *Domain, gid DomID, r GrantRef, writable bool) bool {
 			g := v.Domains[gid]
 			if g == nil || r < 0 || int(r) >= len(model[g]) {
 				return false
 			}
 			m := model[g][r]
-			return m.inUse && m.to == mapper.ID && v.M.Mem.Valid(m.pfn) && e.owner(m.pfn) == g.ID
+			return m.inUse && m.to == mapper.ID && !(writable && m.readonly) &&
+				v.M.Mem.Valid(m.pfn) && e.owner(m.pfn) == g.ID
 		}
 		unmap := func(mp *grantMapping) {
 			mp.unmap()
@@ -176,7 +185,9 @@ func FuzzGrant(f *testing.F) {
 		}
 
 		for step := 0; step < 64 && len(in) > 0; step++ {
-			switch in.next() % 5 {
+			op := in.next()
+			writable := op&0x80 != 0
+			switch (op & 0x7f) % 5 {
 			case 0: // GrantAccess
 				d, to, pfn, ro := dom(in.next()), id(in.next()), e.pool[int(in.next())%len(e.pool)], in.next()&1 == 1
 				r := d.GrantAccess(c, to, pfn, ro)
@@ -187,15 +198,15 @@ func FuzzGrant(f *testing.F) {
 				case r < 0 || int(r) > len(gs) || gs[r].inUse:
 					t.Fatalf("step %d: dom%d handed out ref %d over a live or missing entry", step, d.ID, r)
 				}
-				gs[r] = grantModel{inUse: true, to: to, pfn: pfn}
+				gs[r] = grantModel{inUse: true, to: to, pfn: pfn, readonly: ro}
 				model[d] = gs
 			case 1: // GrantMap
 				mapper, gid, r := dom(in.next()), id(in.next()), ref(in.next())
-				want := mappable(mapper, gid, r)
-				pfn, um, err := v.GrantMap(c, mapper, gid, r)
+				want := mappable(mapper, gid, r, writable)
+				pfn, um, err := v.GrantMap(c, mapper, gid, r, writable)
 				if (err == nil) != want {
-					t.Fatalf("step %d: dom%d map of dom%d grant %d: err %v, model mappable %v",
-						step, mapper.ID, gid, r, err, want)
+					t.Fatalf("step %d: dom%d map (writable %v) of dom%d grant %d: err %v, model mappable %v",
+						step, mapper.ID, writable, gid, r, err, want)
 				}
 				if err == nil {
 					g := v.Domains[gid]
@@ -212,12 +223,12 @@ func FuzzGrant(f *testing.F) {
 				want := true
 				for i := range refs {
 					refs[i] = ref(in.next())
-					want = want && mappable(mapper, gid, refs[i])
+					want = want && mappable(mapper, gid, refs[i], writable)
 				}
-				pfns, um, err := v.GrantMapBatch(c, mapper, gid, refs)
+				pfns, um, err := v.GrantMapBatch(c, mapper, gid, refs, writable)
 				if (err == nil) != want {
-					t.Fatalf("step %d: dom%d batch of dom%d grants %v: err %v, model mappable %v",
-						step, mapper.ID, gid, refs, err, want)
+					t.Fatalf("step %d: dom%d batch (writable %v) of dom%d grants %v: err %v, model mappable %v",
+						step, mapper.ID, writable, gid, refs, err, want)
 				}
 				if err == nil {
 					g := v.Domains[gid]

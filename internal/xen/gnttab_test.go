@@ -60,7 +60,7 @@ func TestGrantEndRejectsMappedAndInvalid(t *testing.T) {
 	v, d0, dU, c := twoDomains(t)
 	pfn := dU.Frames.Alloc()
 	ref := dU.GrantAccess(c, d0.ID, pfn, true)
-	_, unmap, err := v.GrantMap(c, d0, dU.ID, ref)
+	_, unmap, err := v.GrantMap(c, d0, dU.ID, ref, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestGrantMapBatchAllOrNothing(t *testing.T) {
 		refs[i] = dU.GrantAccess(c, d0.ID, dU.Frames.Alloc(), true)
 	}
 	bad := append(append([]GrantRef{}, refs...), GrantRef(9999))
-	if _, _, err := v.GrantMapBatch(c, d0, dU.ID, bad); err == nil {
+	if _, _, err := v.GrantMapBatch(c, d0, dU.ID, bad, false); err == nil {
 		t.Fatal("batch with a bad ref succeeded")
 	}
 	for _, ref := range refs {
@@ -95,7 +95,7 @@ func TestGrantMapBatchAllOrNothing(t *testing.T) {
 		}
 	}
 
-	pfns, unmap, err := v.GrantMapBatch(c, d0, dU.ID, refs)
+	pfns, unmap, err := v.GrantMapBatch(c, d0, dU.ID, refs, false)
 	if err != nil {
 		t.Fatal(err)
 	}

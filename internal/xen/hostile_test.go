@@ -109,6 +109,7 @@ func TestHostileNumbersRejected(t *testing.T) {
 	vmmGrant := dU.GrantAccess(c, d0.ID, vmmLo, false)
 	foreignGrant := dU.GrantAccess(c, d0.ID, foreign, false)
 	ownGrant := dU.GrantAccess(c, d0.ID, dU.Frames.Alloc(), false)
+	roGrant := dU.GrantAccess(c, d0.ID, dU.Frames.Alloc(), true)
 	// Frame 0 was never given to a domain, so it is not dom0's to grant.
 	zeroGrant := d0.GrantAccess(c, dU.ID, 0, false)
 	nop := func(*hw.CPU, *hw.TrapFrame) {}
@@ -164,35 +165,43 @@ func TestHostileNumbersRejected(t *testing.T) {
 			return err
 		}},
 		{"grant map ref -1", func() error {
-			_, _, err := v.GrantMap(c, d0, dU.ID, -1)
+			_, _, err := v.GrantMap(c, d0, dU.ID, -1, false)
 			return err
 		}},
 		{"grant map of a frame beyond memory", func() error {
-			_, _, err := v.GrantMap(c, d0, dU.ID, badGrant)
+			_, _, err := v.GrantMap(c, d0, dU.ID, badGrant, false)
 			return err
 		}},
 		{"grant batch of a frame beyond memory", func() error {
-			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{badGrant})
+			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{badGrant}, false)
 			return err
 		}},
 		{"grant map of a VMM frame", func() error {
-			_, _, err := v.GrantMap(c, d0, dU.ID, vmmGrant)
+			_, _, err := v.GrantMap(c, d0, dU.ID, vmmGrant, false)
 			return err
 		}},
 		{"grant map of a foreign frame", func() error {
-			_, _, err := v.GrantMap(c, d0, dU.ID, foreignGrant)
+			_, _, err := v.GrantMap(c, d0, dU.ID, foreignGrant, false)
 			return err
 		}},
 		{"grant batch of a VMM frame", func() error {
-			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{ownGrant, vmmGrant})
+			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{ownGrant, vmmGrant}, false)
 			return err
 		}},
 		{"grant batch of a foreign frame", func() error {
-			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{ownGrant, foreignGrant})
+			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{ownGrant, foreignGrant}, false)
+			return err
+		}},
+		{"writable grant map of a read-only grant", func() error {
+			_, _, err := v.GrantMap(c, d0, dU.ID, roGrant, true)
+			return err
+		}},
+		{"writable grant batch with a read-only grant", func() error {
+			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{ownGrant, roGrant}, true)
 			return err
 		}},
 		{"grant map of frame 0 granted by dom0", func() error {
-			_, _, err := v.GrantMap(c, dU, d0.ID, zeroGrant)
+			_, _, err := v.GrantMap(c, dU, d0.ID, zeroGrant, false)
 			return err
 		}},
 		{"grant end ref -1", func() error { return dU.GrantEnd(c, -1) }},

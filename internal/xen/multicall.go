@@ -198,12 +198,8 @@ func (v *VMM) HypMulticall(c *hw.CPU, d *Domain, m *Multicall) error {
 	}
 	fr := v.enter(c, d)
 	defer v.exit(c, d, fr)
-	v.Stats.Multicalls.Add(1)
-	v.Stats.MulticallOps.Add(uint64(len(m.Ops)))
-	if d != nil {
-		d.Stats.Multicalls.Add(1)
-		d.Stats.MulticallOps.Add(uint64(len(m.Ops)))
-	}
+	d.Stats.Multicalls.Inc()
+	d.Stats.MulticallOps.Add(uint64(len(m.Ops)))
 	if fr.h != nil {
 		fr.h.col.Tracer.Instant(c.ID, c.Now(), "xen/multicall", uint64(len(m.Ops)))
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/obs"
 )
 
 // TestMulticallChargesOneEntryPerBatch verifies the batching economics:
@@ -40,34 +41,54 @@ func TestMulticallChargesOneEntryPerBatch(t *testing.T) {
 }
 
 // TestMulticallTelemetry checks the batch counters: one multicall, one
-// VMM entry (the hypercall counter), and the op count on both the VMM
-// and the domain.
+// VMM entry (the hypercall counter) and the op count, each counted once
+// on the calling domain, and each registry series the sum over domains.
 func TestMulticallTelemetry(t *testing.T) {
-	v, d, c := testVMM(t)
+	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
+	col := obs.New(1)
+	m.SetTelemetry(col)
+	v, err := Boot(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.BootCPU()
+	v.Activate(c)
+	var doms []*Domain
+	for _, name := range []string{"dom0", "guest"} {
+		d, err := v.CreateDomain(name, 16, name == "dom0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		doms = append(doms, d)
+	}
 	var mc Multicall
 	mc.AddTLBFlush()
 	mc.AddTLBFlush()
 	mc.AddTLBFlush()
-	dm0, do0 := d.Stats.Multicalls.Load(), d.Stats.MulticallOps.Load()
-	vm0, vo0 := v.Stats.Multicalls.Load(), v.Stats.MulticallOps.Load()
-	h0 := v.Stats.Hypercalls.Load()
-	if err := v.HypMulticall(c, d, &mc); err != nil {
-		t.Fatal(err)
+	for _, d := range doms {
+		v.SetCurrent(c, d)
+		if err := v.HypMulticall(c, d, &mc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := d.Stats.Multicalls.Load() - dm0; got != 1 {
-		t.Errorf("domain multicalls += %d, want 1", got)
-	}
-	if got := d.Stats.MulticallOps.Load() - do0; got != 3 {
-		t.Errorf("domain multicall ops += %d, want 3", got)
-	}
-	if got := v.Stats.Multicalls.Load() - vm0; got != 1 {
-		t.Errorf("vmm multicalls += %d, want 1", got)
-	}
-	if got := v.Stats.MulticallOps.Load() - vo0; got != 3 {
-		t.Errorf("vmm multicall ops += %d, want 3", got)
-	}
-	if got := v.Stats.Hypercalls.Load() - h0; got != 1 {
-		t.Errorf("vmm entries += %d, want 1 (the whole batch is one entry)", got)
+	for _, tc := range []struct {
+		series string
+		dom    func(*Domain) uint64
+		want   uint64
+	}{
+		{"multicalls_total", func(d *Domain) uint64 { return d.Stats.Multicalls.Load() }, 1},
+		{"multicall_ops_total", func(d *Domain) uint64 { return d.Stats.MulticallOps.Load() }, 3},
+		// The whole batch is one VMM entry.
+		{"hypercalls_total", func(d *Domain) uint64 { return d.Stats.Hypercalls.Load() }, 1},
+	} {
+		for _, d := range doms {
+			if got := tc.dom(d); got != tc.want {
+				t.Errorf("dom%d %s = %d, want %d", d.ID, tc.series, got, tc.want)
+			}
+		}
+		if got := col.Registry.Counter("xen", tc.series).Load(); got != 2*tc.want {
+			t.Errorf("xen/%s = %d, want %d", tc.series, got, 2*tc.want)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ import "repro/internal/hw"
 // The rule holds only while a reset leaves the table the walk leaves,
 // so ReleaseFrameInfo walks (ruleApplies) when
 //   - a grant mapping still holds an existence ref;
-//   - another domain (live or destroyed) holds pins or a base pointer;
+//   - another live domain holds pins or a base pointer;
 //   - the base pointer holds a directory the domain has unpinned, whose
 //     release was charged at the unpin (unpinTable);
 //   - the table was written through FrameTable.Set, whose records no
@@ -64,7 +64,7 @@ func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
 	if !v.ruleApplies(d) {
-		v.releaseWalk(c, d)
+		v.releaseWalk(c, d, sinkCharge)
 		return
 	}
 	c.Charge(v.M.Costs.FrameRelease * hw.Cycles(v.rel.units))
@@ -75,14 +75,14 @@ func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
 }
 
 // releaseWalk drops d's base pointer and unpins every root it pinned,
-// charging each released table as devalidateL2 does (MMU lock held).
-func (v *VMM) releaseWalk(c *hw.CPU, d *Domain) {
+// sending each released table's cost to s (MMU lock held).
+func (v *VMM) releaseWalk(c *hw.CPU, d *Domain, s sink) {
 	v.dropBaseptr(c, d)
 	for root := range d.pinnedRoots {
 		delete(d.pinnedRoots, root)
 		v.rel.holders--
 		v.FT.setPinned(root, false)
-		v.devalidateL2(c, root, sinkCharge)
+		v.devalidateL2(c, root, s)
 		v.FT.PutRef(root)
 	}
 }

@@ -88,7 +88,7 @@ func (x *relFuzzEnv) op(kind, a, b, f, g byte) error {
 		return v.HypMMUUpdate(c, d, []MMUUpdate{u})
 	case 4:
 		ref := d.GrantAccess(c, x.dom0.ID, x.data[int(a)%len(x.data)], b&1 != 0)
-		_, unmap, err := v.GrantMap(c, x.dom0, d.ID, ref)
+		_, unmap, err := v.GrantMap(c, x.dom0, d.ID, ref, false)
 		if err == nil {
 			x.unmaps = append(x.unmaps, unmap)
 		}
@@ -118,7 +118,7 @@ func (x *relFuzzEnv) op(kind, a, b, f, g byte) error {
 func forceWalk(v *VMM, c *hw.CPU, d *Domain) {
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
-	v.releaseWalk(c, d)
+	v.releaseWalk(c, d, sinkCharge)
 }
 
 // wantUnits is what the walk would charge to release every validated

@@ -78,9 +78,8 @@ type VMM struct {
 }
 
 // vmmObs caches the VMM's telemetry handles for one collector: the
-// histograms and the counters that have no Stats twin. Counters that do
-// (hypercalls, multicalls, domain switches, events, fault bounces) are
-// adopted into the registry at construction instead.
+// histograms and the counters no Stats field keeps. The Stats counters
+// are adopted into the registry at construction instead.
 type vmmObs struct {
 	col            *obs.Collector
 	hypercallCyc   *obs.Histogram
@@ -128,17 +127,13 @@ func (v *VMM) traceInstant(c *hw.CPU, name string, arg uint64) {
 	}
 }
 
-// VMMStats counts hypervisor-level events. Atomic: hypercalls arrive
-// concurrently from every CPU. Boot adopts the *obs.Counter fields into
-// the installed collector's series named beside them; they are
-// pointers, not values, so the collector retains the counters and not
-// the VMM.
+// VMMStats counts hypervisor-level events. Atomic: they arrive
+// concurrently from every CPU. Boot adopts DomSwitches into the
+// installed collector's series named beside it; it is a pointer, not a
+// value, so the collector retains the counter and not the VMM.
+// Hypercalls and multicalls are counted per domain (DomainStats).
 type VMMStats struct {
-	Hypercalls   *obs.Counter // xen/hypercalls_total
-	Multicalls   *obs.Counter // xen/multicalls_total; each batch also counts as one hypercall
-	MulticallOps *obs.Counter // xen/multicall_ops_total: ops carried inside multicall batches
-	DomSwitches  *obs.Counter // xen/dom_switches_total: one in and one out per RunInDomain
-	Activations  atomic.Uint64
+	DomSwitches *obs.Counter // xen/dom_switches_total: one in and one out per RunInDomain
 
 	// RecomputeFallbacks counts sharded recomputes whose shards could
 	// not have walked independently (a page-table frame reachable from
@@ -166,8 +161,7 @@ func Boot(m *hw.Machine) (*VMM, error) {
 		Domains:  make(map[DomID]*Domain),
 		Reserved: res,
 		cur:      make([][]*Domain, len(m.CPUs)),
-		Stats: VMMStats{Hypercalls: obs.NewCounter(), Multicalls: obs.NewCounter(),
-			MulticallOps: obs.NewCounter(), DomSwitches: obs.NewCounter()},
+		Stats:    VMMStats{DomSwitches: obs.NewCounter()},
 	}
 	lo, hi := res.Range()
 	for pfn := lo; pfn < hi; pfn++ {
@@ -175,15 +169,14 @@ func Boot(m *hw.Machine) (*VMM, error) {
 	}
 	if col := m.Telemetry(); col != nil {
 		r := col.Registry
-		r.RegisterCounter(v.Stats.Hypercalls, "xen", "hypercalls_total")
-		r.RegisterCounter(v.Stats.Multicalls, "xen", "multicalls_total")
-		r.RegisterCounter(v.Stats.MulticallOps, "xen", "multicall_ops_total")
 		r.RegisterCounter(v.Stats.DomSwitches, "xen", "dom_switches_total")
-		// The block backends adopt their queue rings' doorbell counters
-		// into these two series; declare them here so an export shows
-		// them, at zero, on a machine without a block datapath.
-		r.Counter("xen", "ring_doorbells_total")
-		r.Counter("xen", "ring_doorbells_suppressed_total")
+		// Domains adopt their hypercall counters and the block backends
+		// their rings' doorbell counters into these series; declare them
+		// so an export without either shows them at zero.
+		for _, name := range []string{"hypercalls_total", "multicalls_total", "multicall_ops_total",
+			"ring_doorbells_total", "ring_doorbells_suppressed_total"} {
+			r.Counter("xen", name)
+		}
 	}
 	v.GDT = hw.NewGDT("vmm", hw.PL1) // guests run deprivileged at PL1
 	v.IDT = hw.NewIDT("vmm")
@@ -330,7 +323,6 @@ func takeInjected(ctr *atomic.Int32) bool {
 // caller (Mercury's state-reloading function, or BootHost) must already
 // have frame accounting in a valid state.
 func (v *VMM) Activate(c *hw.CPU) {
-	v.Stats.Activations.Add(1)
 	v.Active = true
 	c.Lgdt(v.GDT)
 	c.Lidt(v.IDT)
@@ -372,7 +364,8 @@ func (v *VMM) newDomain(name string, frames *hw.FrameAllocator, privileged bool)
 		Privileged:  privileged,
 		Frames:      frames,
 		pinnedRoots: make(map[hw.PFN]bool),
-		Stats:       DomainStats{EventsOut: obs.NewCounter(), FaultBounces: obs.NewCounter()},
+		Stats: DomainStats{Hypercalls: obs.NewCounter(), Multicalls: obs.NewCounter(),
+			MulticallOps: obs.NewCounter(), EventsOut: obs.NewCounter(), FaultBounces: obs.NewCounter()},
 	}
 	d.VCPUs = []*VCPU{newVCPU(d)}
 	lo, hi := frames.Range()
@@ -381,18 +374,27 @@ func (v *VMM) newDomain(name string, frames *hw.FrameAllocator, privileged bool)
 	}
 	v.Domains[id] = d
 	if col := v.M.Telemetry(); col != nil {
-		col.Registry.RegisterCounter(d.Stats.EventsOut, "xen", "events_sent_total")
-		col.Registry.RegisterCounter(d.Stats.FaultBounces, "xen", "fault_bounces_total")
+		r := col.Registry
+		r.RegisterCounter(d.Stats.Hypercalls, "xen", "hypercalls_total")
+		r.RegisterCounter(d.Stats.Multicalls, "xen", "multicalls_total")
+		r.RegisterCounter(d.Stats.MulticallOps, "xen", "multicall_ops_total")
+		r.RegisterCounter(d.Stats.EventsOut, "xen", "events_sent_total")
+		r.RegisterCounter(d.Stats.FaultBounces, "xen", "fault_bounces_total")
 	}
 	return d
 }
 
-// DestroyDomain tears a domain down and returns its info.
+// DestroyDomain tears a domain down, first releasing its pins and base
+// pointer by the detach's walk at no charge, so that none outlives it
+// to keep later detaches off the release rule.
 func (v *VMM) DestroyDomain(id DomID) error {
 	d, ok := v.Domains[id]
 	if !ok {
 		return fmt.Errorf("xen: destroying nonexistent dom%d", id)
 	}
+	v.mmu.Lock(nil)
+	v.releaseWalk(nil, d, sinkNone)
+	v.mmu.Unlock(nil)
 	d.State = DomShutdown
 	delete(v.Domains, id)
 	return nil
@@ -467,8 +469,8 @@ type hcFrame struct {
 	h     *vmmObs
 }
 
-// enter is the hypercall prologue: a world switch into the VMM at PL0.
-// Usage:
+// enter is the hypercall prologue: a world switch into the VMM at PL0,
+// counted once, on the calling domain d. Usage:
 //
 //	defer v.exit(c, d, v.enter(c, d))
 //
@@ -486,10 +488,7 @@ func (v *VMM) enter(c *hw.CPU, d *Domain) hcFrame {
 		fr.start = c.Now()
 	}
 	c.Charge(v.M.Costs.WorldSwitch + v.M.Costs.HypercallBase)
-	v.Stats.Hypercalls.Add(1)
-	if d != nil {
-		d.Stats.Hypercalls.Add(1)
-	}
+	d.Stats.Hypercalls.Inc()
 	fr.prev = c.SetMode(hw.PL0)
 	return fr
 }
@@ -502,9 +501,5 @@ func (v *VMM) exit(c *hw.CPU, d *Domain, fr hcFrame) {
 	}
 	end := c.Now()
 	fr.h.hypercallCyc.Observe(end - fr.start)
-	id := uint64(0xFFFE)
-	if d != nil {
-		id = uint64(d.ID)
-	}
-	fr.h.col.Tracer.Complete(c.ID, fr.start, end, "xen/hypercall", id)
+	fr.h.col.Tracer.Complete(c.ID, fr.start, end, "xen/hypercall", uint64(d.ID))
 }
