@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/xen"
 )
 
 // BenchmarkStorePut times one Put of content the store already holds
@@ -80,5 +81,81 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 	b.StopTimer()
 	if err := AuditRefs(cb.Store, cb.Img, cs, keep); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// cycleRound is how many clone cycles one template host holds: a
+// destroyed clone's partition is never handed out again.
+const cycleRound = 64
+
+// cloneCycle runs one clone's life on a template host: a clone, 32
+// dirtied frames (the first 32 data pages, one word each), a delta
+// checkpoint and a destroy. It returns the delta.
+func cloneCycle(tb testing.TB, h *xen.Host, cb *CloneBase) *Overlay {
+	cs, err := Clone(h.C, h.V, h.Dom0, cb, "cycle")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for j := 0; j < 32; j++ {
+		h.M.Mem.WriteWord((cs.Lo + hw.PFN(j)).Addr(), 0xD000_0000|uint32(j))
+	}
+	o, err := CheckpointDelta(h.C, h.V, h.Dom0, cs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := DestroyClone(h.C, h.V, h.Dom0, cs); err != nil {
+		tb.Fatal(err)
+	}
+	return o
+}
+
+// cycleHost boots a template host of 256 live pages for cycleRound
+// clone cycles and runs a first cycle whose delta stays live, so that
+// later cycles' dirt is a dedup hit in the store, as it mostly is in
+// mercurybench's fork-clone, and the destroyed clone's pages are on
+// the free list.
+func cycleHost(tb testing.TB) (*xen.Host, *CloneBase) {
+	h, cb, err := NewTemplate(256, cycleRound)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cloneCycle(tb, h, cb)
+	return h, cb
+}
+
+// releasedCycle is one cloneCycle whose delta is released again, so
+// that the store ends the cycle as it began.
+func releasedCycle(tb testing.TB, h *xen.Host, cb *CloneBase) {
+	if err := cloneCycle(tb, h, cb).Release(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkCloneCycle times one clone cycle (releasedCycle) on a
+// template of 256 live pages. A fresh host (cycleHost) is built,
+// untimed, every cycleRound-1 cycles.
+func BenchmarkCloneCycle(b *testing.B) {
+	b.ReportAllocs()
+	var h *xen.Host
+	var cb *CloneBase
+	for i := 0; i < b.N; i++ {
+		if i%(cycleRound-1) == 0 {
+			b.StopTimer()
+			h, cb = cycleHost(b)
+			b.StartTimer()
+		}
+		releasedCycle(b, h, cb)
+	}
+}
+
+// TestCloneCycleAllocs bounds the allocations of one clone cycle on a
+// template of 256 live pages (258 base frames with its tables). A
+// cycle makes 40 allocations, none of them per base frame; one per
+// mapped frame would add 258 more.
+func TestCloneCycleAllocs(t *testing.T) {
+	h, cb := cycleHost(t)
+	allocs := testing.AllocsPerRun(cycleRound-3, func() { releasedCycle(t, h, cb) })
+	if allocs > 100 {
+		t.Fatalf("one clone cycle made %.0f allocations, want at most 100", allocs)
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // CloneState tracks one forked domain: which of its frames are still
 // copy-on-write mapped onto the snapshot cache (the clone owns one
-// store reference per live mapping) and how many have been promoted to
-// private copies by writes.
+// store reference per live mapping, on the base's frame at that
+// offset) and how many have been promoted to private copies by writes.
 type CloneState struct {
 	Base *CloneBase
 	V    *xen.VMM
@@ -25,7 +25,8 @@ type CloneState struct {
 	Delta int64
 
 	mu        sync.Mutex
-	shared    map[hw.PFN]Hash // CoW-mapped frames → content hash
+	shared    []bool // by offset: still CoW-mapped; nil once torn down
+	nshared   int    // true entries of shared
 	promoted  int
 	destroyed bool
 }
@@ -80,7 +81,7 @@ func NewTemplate(pages, clones int) (*xen.Host, *CloneBase, error) {
 func (cs *CloneState) SharedCount() int {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	return len(cs.shared)
+	return cs.nshared
 }
 
 // PromotedCount returns the number of frames privatized by writes.
@@ -97,21 +98,26 @@ func (cs *CloneState) LiveRefs() int { return cs.SharedCount() }
 // onPromote is the hw promotion hook: the frame went private, so the
 // clone's reference on the shared content is dropped.
 func (cs *CloneState) onPromote(pfn hw.PFN) {
+	off := uint32(pfn - cs.Lo)
 	cs.mu.Lock()
-	h, ok := cs.shared[pfn]
+	ok := cs.shared != nil && cs.shared[off]
 	if ok {
-		delete(cs.shared, pfn)
+		cs.shared[off] = false
+		cs.nshared--
 		cs.promoted++
 	}
 	cs.mu.Unlock()
 	if ok {
 		// A release here cannot fail: the mapping held the reference.
+		h, _ := cs.Base.Img.HashAt(off)
 		_ = cs.Base.Store.Release(h)
 	}
 }
 
-// abort releases everything the clone holds: live CoW mappings (and
-// their store references) and the domain itself. Idempotent.
+// abort releases everything the clone holds: the store references of
+// its live CoW mappings, in one pass, and the domain itself, whose
+// partition is then scrubbed so that its pages serve later clones.
+// Idempotent.
 func (cs *CloneState) abort() error {
 	cs.mu.Lock()
 	if cs.destroyed {
@@ -120,25 +126,26 @@ func (cs *CloneState) abort() error {
 	}
 	cs.destroyed = true
 	shared := cs.shared
-	cs.shared = nil
+	cs.shared, cs.nshared = nil, 0
 	cs.mu.Unlock()
 	var firstErr error
-	for pfn, h := range shared {
-		cs.V.M.Mem.UnmapShared(pfn)
-		if err := cs.Base.Store.Release(h); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if shared != nil {
+		firstErr = cs.Base.Store.release(cs.Base.Img.Refs, shared)
 	}
 	if err := cs.V.DestroyDomain(cs.D.ID); err != nil && firstErr == nil {
 		firstErr = err
 	}
+	// Nothing reaches the partition now: the domain is gone, its pins
+	// and grants with it, and a partition is never handed out again.
+	cs.V.M.Mem.Scrub(cs.Lo, cs.Lo+cs.Base.Img.Span())
 	return firstErr
 }
 
 // Clone spawns a new domain from a warmed base image at the cost of the
 // dirtied frames, not the image size: every non-zero frame is mapped
-// copy-on-write onto the shared snapshot cache (one CoWMapPerFrame
-// charge each — no page copies), the page-table tree is relocated to
+// copy-on-write onto the shared snapshot cache (one store pass retains
+// them all, one batch maps them, and each costs one CoWMapPerFrame
+// charge — no page copies), the page-table tree is relocated to
 // the clone's partition (promoting exactly the table frames when the
 // displacement is non-zero), the roots are re-pinned, and the vcpu
 // state is installed. All side effects ride a migrate.Txn: on any
@@ -160,7 +167,6 @@ func Clone(c *hw.CPU, v *xen.VMM, caller *xen.Domain, base *CloneBase, name stri
 	cs := &CloneState{
 		Base: base, V: v, D: d,
 		Lo: lo, Delta: int64(lo) - int64(img.Lo),
-		shared: make(map[hw.PFN]Hash, len(img.Refs)),
 	}
 	txn := migrate.BeginTxn("fork " + name)
 	txn.Journal("clone-teardown", cs.abort)
@@ -176,21 +182,21 @@ func Clone(c *hw.CPU, v *xen.VMM, caller *xen.Domain, base *CloneBase, name stri
 	// Map every base frame copy-on-write: the clone reads the shared
 	// cache page until its first write promotes the frame.
 	mem := v.M.Mem
+	pages := make([][]byte, img.Span())
+	if err := base.Store.retain(img.Refs, pages); err != nil {
+		return fail(err)
+	}
+	shared := make([]bool, img.Span())
 	for _, r := range img.Refs {
-		data, err := base.Store.Get(r.H)
-		if err != nil {
-			return fail(fmt.Errorf("fork: base frame missing from store: %w", err))
-		}
-		if err := base.Store.Retain(r.H); err != nil {
-			return fail(err)
-		}
-		tgt := lo + hw.PFN(r.Off)
-		cs.mu.Lock()
-		cs.shared[tgt] = r.H
-		cs.mu.Unlock()
-		if err := mem.MapShared(tgt, data, cs.onPromote); err != nil {
-			return fail(fmt.Errorf("fork: mapping frame %d: %w", tgt, err))
-		}
+		shared[r.Off] = true
+	}
+	cs.mu.Lock()
+	cs.shared, cs.nshared = shared, len(img.Refs)
+	cs.mu.Unlock()
+	if err := mem.MapSharedRange(lo, pages, cs.onPromote); err != nil {
+		return fail(fmt.Errorf("fork: mapping the base: %w", err))
+	}
+	for range img.Refs {
 		c.Charge(v.M.Costs.CoWMapPerFrame)
 	}
 	// Relocate the page-table tree to the clone's partition. The PTE

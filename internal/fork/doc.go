@@ -5,12 +5,16 @@
 // frame content keyed by sha256, refcounted, deduplicated across every
 // image — producing a BaseImage: metadata plus one FrameRef per
 // non-zero frame. Clone spawns a domain from a base by mapping every
-// base frame copy-on-write onto the store's pages (hw.MapShared), so a
-// fork costs one mapping charge per frame instead of one page copy:
-// the first write to a frame promotes it to a private copy and drops
-// the clone's store reference. CheckpointDelta captures only the
-// frames that diverged from the base, yielding an Overlay whose
-// storage is proportional to the dirt, not the image.
+// base frame copy-on-write onto the store's pages, so a fork costs one
+// mapping charge per frame instead of one page copy: the first write to
+// a frame promotes it to a private copy and drops the clone's store
+// reference. A clone takes all its references in one store pass (one
+// lock, one lookup per frame) and maps all its frames in one
+// hw.MapSharedRange batch; teardown releases the references left in
+// one pass and scrubs the partition (hw.PhysMem.Scrub), whose pages the
+// next clones' promotions and first writes reuse. CheckpointDelta
+// captures only the frames that diverged from the base, yielding an
+// Overlay whose storage is proportional to the dirt, not the image.
 //
 // SHA-256 runs only to key content the store lacks. CheckpointDelta
 // decides "unchanged" by comparing bytes with the base frame's stored

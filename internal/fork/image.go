@@ -36,20 +36,24 @@ type BaseImage struct {
 	// Refs holds the non-zero frames in ascending-offset order.
 	Refs []FrameRef
 
-	refByOff map[uint32]Hash
+	// refAt maps each offset of the span to 1 + its index in Refs, or
+	// to 0 where the base has no frame.
+	refAt    []int32
 	released bool
 }
 
 // NewBase ingests a checkpoint image into the store. Frames are Put in
 // sorted-PFN order (deterministic store accounting); a second ingest of
-// an identical image stores zero new bytes.
+// an identical image stores zero new bytes. The store takes ownership
+// of img.Pages: a page whose content it lacks is stored as is, not
+// copied, so the caller must not write the image's pages afterwards.
 func NewBase(store *Store, img *migrate.DomainImage) (*BaseImage, error) {
 	b := &BaseImage{
 		store: store,
 		Name:  img.Name, Lo: img.Lo, Hi: img.Hi,
 		CR3: img.CR3, VIF: img.VIF, Privileged: img.Privileged,
 		PinnedRoots: append([]hw.PFN(nil), img.PinnedRoots...),
-		refByOff:    make(map[uint32]Hash, len(img.Pages)),
+		refAt:       make([]int32, img.Hi-img.Lo),
 	}
 	sort.Slice(b.PinnedRoots, func(i, j int) bool { return b.PinnedRoots[i] < b.PinnedRoots[j] })
 	pfns := make([]hw.PFN, 0, len(img.Pages))
@@ -61,25 +65,16 @@ func NewBase(store *Store, img *migrate.DomainImage) (*BaseImage, error) {
 	}
 	sort.Slice(pfns, func(i, j int) bool { return pfns[i] < pfns[j] })
 	for _, pfn := range pfns {
-		h, err := store.Put(img.Pages[pfn])
+		h, err := store.put(img.Pages[pfn], true)
 		if err != nil {
-			b.rollbackPuts()
+			_ = store.release(b.Refs, nil)
 			return nil, err
 		}
 		off := uint32(pfn - img.Lo)
 		b.Refs = append(b.Refs, FrameRef{Off: off, H: h})
-		b.refByOff[off] = h
+		b.refAt[off] = int32(len(b.Refs))
 	}
 	return b, nil
-}
-
-// rollbackPuts releases the refs taken so far by a failed NewBase.
-func (b *BaseImage) rollbackPuts() {
-	for _, r := range b.Refs {
-		_ = b.store.Release(r.H)
-	}
-	b.Refs = nil
-	b.released = true
 }
 
 // Span returns the partition size in frames.
@@ -88,8 +83,10 @@ func (b *BaseImage) Span() hw.PFN { return b.Hi - b.Lo }
 // HashAt returns the content hash at offset off and whether the base
 // has a (non-zero) frame there.
 func (b *BaseImage) HashAt(off uint32) (Hash, bool) {
-	h, ok := b.refByOff[off]
-	return h, ok
+	if int(off) >= len(b.refAt) || b.refAt[off] == 0 {
+		return Hash{}, false
+	}
+	return b.Refs[b.refAt[off]-1].H, true
 }
 
 // LiveRefs reports the store references the base currently owns.
@@ -107,13 +104,7 @@ func (b *BaseImage) Release() error {
 		return nil
 	}
 	b.released = true
-	var firstErr error
-	for _, r := range b.Refs {
-		if err := b.store.Release(r.H); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return b.store.release(b.Refs, nil)
 }
 
 // Image reconstructs the flat DomainImage (for migrate.Restore or
@@ -185,13 +176,7 @@ func (o *Overlay) Release() error {
 		return nil
 	}
 	o.released = true
-	var firstErr error
-	for _, r := range o.Dirty {
-		if err := o.store.Release(r.H); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return o.store.release(o.Dirty, nil)
 }
 
 // effective merges base and delta into the clone's logical frame set:

@@ -76,7 +76,12 @@ func NewStore() *Store {
 // content is already present the existing frame is reused — the caller
 // still gains one reference either way. Only content the store lacks
 // is hashed.
-func (s *Store) Put(data []byte) (Hash, error) {
+func (s *Store) Put(data []byte) (Hash, error) { return s.put(data, false) }
+
+// put is Put; with own set, content the store lacks is stored as data
+// itself rather than a copy, and the caller must never write data
+// again.
+func (s *Store) put(data []byte, own bool) (Hash, error) {
 	if len(data) != hw.PageSize {
 		return Hash{}, fmt.Errorf("fork: Put of %d bytes, want one page", len(data))
 	}
@@ -90,6 +95,9 @@ func (s *Store) Put(data []byte) (Hash, error) {
 		// A byte compare misses content whose stored bytes were altered
 		// in place (CorruptFramePick); its key still names it.
 		if e = s.frames[h]; e == nil {
+			if !own {
+				data = bytes.Clone(data)
+			}
 			s.insert(h, fp, data)
 			return h, nil
 		}
@@ -109,12 +117,10 @@ func (s *Store) lookup(fp uint64, data []byte) *frameEntry {
 	return nil
 }
 
-// insert stores a copy of data under key h with one reference and
-// links it at the head of fp's chain.
+// insert stores data, which the store now owns, under key h with one
+// reference and links it at the head of fp's chain.
 func (s *Store) insert(h Hash, fp uint64, data []byte) {
-	cp := make([]byte, hw.PageSize)
-	copy(cp, data)
-	e := &frameEntry{key: h, data: cp, refs: 1, fp: fp, next: s.byFP[fp]}
+	e := &frameEntry{key: h, data: data, refs: 1, fp: fp, next: s.byFP[fp]}
 	s.frames[h] = e
 	s.byFP[fp] = e
 }
@@ -155,6 +161,11 @@ func (s *Store) Retain(h Hash) error {
 func (s *Store) Release(h Hash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.releaseLocked(h)
+}
+
+// releaseLocked is Release with s.mu held.
+func (s *Store) releaseLocked(h Hash) error {
 	e, ok := s.frames[h]
 	if !ok {
 		return fmt.Errorf("fork: Release of absent frame %s", h)
@@ -167,6 +178,45 @@ func (s *Store) Release(h Hash) error {
 		s.unlink(e)
 	}
 	return nil
+}
+
+// retain takes one reference on every frame refs names, under one lock
+// and with one lookup each, and sets pages[r.Off] to each frame's
+// shared bytes (see Get). If any frame is absent it takes none and
+// returns an error.
+func (s *Store) retain(refs []FrameRef, pages [][]byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, r := range refs {
+		e, ok := s.frames[r.H]
+		if !ok {
+			for _, r := range refs[:i] {
+				s.frames[r.H].refs--
+			}
+			return fmt.Errorf("fork: base frame missing from store: Retain of absent frame %s", r.H)
+		}
+		e.refs++
+		pages[r.Off] = e.data
+	}
+	return nil
+}
+
+// release drops one reference on every frame refs names whose offset
+// held marks, or on all of them if held is nil, under one lock. It
+// releases every one it can and returns the first error.
+func (s *Store) release(refs []FrameRef, held []bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var firstErr error
+	for _, r := range refs {
+		if held != nil && !held[r.Off] {
+			continue
+		}
+		if err := s.releaseLocked(r.H); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // Get returns the shared read-only bytes of a frame. The slice is

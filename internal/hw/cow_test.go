@@ -88,23 +88,161 @@ func TestMapSharedZeroFrameDropsMapping(t *testing.T) {
 	}
 }
 
-func TestUnmapSharedSkipsHook(t *testing.T) {
+func TestScrubSkipsHook(t *testing.T) {
 	m := NewPhysMem(1 << 20)
 	hooks := 0
 	if err := m.MapShared(5, cowPage(0x42), func(PFN) { hooks++ }); err != nil {
 		t.Fatal(err)
 	}
-	if !m.UnmapShared(5) {
-		t.Fatal("unmap of mapped frame reported false")
-	}
-	if m.UnmapShared(5) {
-		t.Fatal("unmap of unmapped frame reported true")
+	m.Scrub(5, 6)
+	if m.SharedAt(5) || m.SharedFrames() != 0 {
+		t.Fatal("scrub left the mapping")
 	}
 	if hooks != 0 {
-		t.Fatal("teardown unmap must not run the promotion hook")
+		t.Fatal("teardown scrub must not run the promotion hook")
 	}
 	if got := m.Load8(PFN(5).Addr()); got != 0 {
-		t.Fatalf("unmapped frame reads %#x, want 0", got)
+		t.Fatalf("scrubbed frame reads %#x, want 0", got)
+	}
+}
+
+// A scrub drops exactly the mappings in its range and frees exactly
+// the private pages there: the frames read zero, frames outside the
+// range keep their mapping or bytes, and SharedFrames drops by the
+// mappings scrubbed.
+func TestScrubReadsZero(t *testing.T) {
+	m := NewPhysMem(1 << 20)
+	pages := make([][]byte, 8)
+	for i := range pages {
+		if i%2 == 0 {
+			pages[i] = cowPage(byte(0x10 + i))
+		}
+	}
+	if err := m.MapSharedRange(10, pages, nil); err != nil {
+		t.Fatal(err)
+	}
+	m.WriteWord(PFN(11).Addr(), 0x1111)   // private, in range
+	m.WriteWord(PFN(12).Addr()+8, 0x2222) // promoted, in range
+	m.WriteWord(PFN(20).Addr(), 0x3333)   // private, outside
+	if got := m.SharedFrames(); got != 3 {
+		t.Fatalf("SharedFrames = %d before scrub, want 3", got)
+	}
+	m.Scrub(10, 16) // frames 10, 14 mapped; 11, 12 private
+	if got := m.SharedFrames(); got != 1 {
+		t.Fatalf("SharedFrames = %d after scrub, want 1 (frame 16)", got)
+	}
+	zero := make([]byte, PageSize)
+	for pfn := PFN(10); pfn < 16; pfn++ {
+		if m.SharedAt(pfn) || !bytes.Equal(m.FrameBytesRO(pfn), zero) {
+			t.Fatalf("frame %d not zero after scrub", pfn)
+		}
+	}
+	if !m.SharedAt(16) || m.Load8(PFN(16).Addr()) != 0x16 {
+		t.Fatal("scrub reached a mapping past its range")
+	}
+	if m.ReadWord(PFN(20).Addr()) != 0x3333 {
+		t.Fatal("scrub reached a private frame past its range")
+	}
+	if got := m.nfree.Load(); got != 2 {
+		t.Fatalf("free list holds %d pages, want 2", got)
+	}
+	m.Scrub(30, 30) // an empty range is a no-op
+}
+
+// A recycled page carries none of its old bytes: a first write into it
+// reads zero everywhere but the written word, and a promotion into it
+// reads the shared page's bytes everywhere but the written word.
+func TestScrubbedPageReuse(t *testing.T) {
+	m := NewPhysMem(1 << 20)
+	junk := func(pfn PFN) {
+		for off := PhysAddr(0); off < PageSize; off += 4 {
+			m.WriteWord(pfn.Addr()+off, 0xDEAD0000|uint32(off))
+		}
+	}
+	junk(3)
+	junk(4)
+	m.Scrub(3, 5)
+
+	m.WriteWord(PFN(40).Addr()+12, 7) // first write: takes a page
+	shared := cowPage(0x5A)
+	if err := m.MapShared(41, shared, nil); err != nil {
+		t.Fatal(err)
+	}
+	m.WriteWord(PFN(41).Addr()+12, 9) // promotion: takes the other
+	if got := m.nfree.Load(); got != 0 {
+		t.Fatalf("free list still holds %d pages", got)
+	}
+	for off := PhysAddr(0); off < PageSize; off += 4 {
+		want := uint32(0)
+		if off == 12 {
+			want = 7
+		}
+		if got := m.ReadWord(PFN(40).Addr() + off); got != want {
+			t.Fatalf("first write: word %d reads %#x, want %#x", off, got, want)
+		}
+		want = 0x5A5A5A5A
+		if off == 12 {
+			want = 9
+		}
+		if got := m.ReadWord(PFN(41).Addr() + off); got != want {
+			t.Fatalf("promotion: word %d reads %#x, want %#x", off, got, want)
+		}
+	}
+	if shared[12] != 0x5A {
+		t.Fatal("promotion wrote through to the shared page")
+	}
+}
+
+// Promotions in one range race a scrub of another, round after round,
+// with the free list refilled each time. Meant to run under -race:
+// every promoted frame must hold its shared bytes plus its own write,
+// and each round's count must come out exact.
+func TestScrubRacesPromotion(t *testing.T) {
+	const (
+		span    = 16
+		writers = 4
+	)
+	m := NewPhysMem(1 << 20)
+	shared := cowPage(0x6B)
+	live, dead := PFN(0), PFN(64)
+	for round := 0; round < 50; round++ {
+		pages := make([][]byte, span*writers)
+		for i := range pages {
+			pages[i] = shared
+		}
+		if err := m.MapSharedRange(live, pages, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := PFN(0); i < span; i++ {
+			m.WriteWord((dead + i).Addr(), uint32(round))
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < span; i++ {
+					pfn := live + PFN(w*span+i)
+					m.WriteWord(pfn.Addr()+4, uint32(pfn))
+				}
+			}()
+		}
+		m.Scrub(dead, dead+span)
+		wg.Wait()
+		if m.SharedFrames() != 0 {
+			t.Fatalf("round %d: SharedFrames = %d, want 0", round, m.SharedFrames())
+		}
+		for pfn := live; pfn < live+span*writers; pfn++ {
+			if got := m.ReadWord(pfn.Addr() + 4); got != uint32(pfn) {
+				t.Fatalf("round %d: frame %d's write reads %#x", round, pfn, got)
+			}
+			if got := m.ReadWord(pfn.Addr() + 8); got != 0x6B6B6B6B {
+				t.Fatalf("round %d: frame %d's copy reads %#x", round, pfn, got)
+			}
+		}
+		// Swap the roles: the promoted range is scrubbed next round.
+		m.Scrub(live, live+span*writers)
+		live, dead = dead, live
 	}
 }
 

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -56,6 +57,12 @@ func (v VPN) Addr() VirtAddr { return VirtAddr(v) << PageShift }
 // frames concurrently without a shared lock. A frame's bytes are
 // allocated on its first write; a frame never written reads as zero
 // and a read never allocates.
+//
+// Pages are allocated in two places only, a first write (frameRW) and
+// a promotion (unshare), and both reuse a page from the free list
+// before they allocate one. Scrub fills that list with the private
+// pages of a range nothing reaches any more, so a machine that
+// destroys clones and makes new ones reuses the dead clones' pages.
 type PhysMem struct {
 	frames []frameSlot
 
@@ -65,6 +72,13 @@ type PhysMem struct {
 	// rounds rely on: every write sets its frame's dirty bit until
 	// CollectDirty takes it.
 	dirtyOn atomic.Bool
+
+	// free holds the pages Scrub took back, for first writes and
+	// promotions to reuse; nfree is its length, read without freeMu so
+	// that a machine with nothing on the list never takes the lock.
+	freeMu sync.Mutex
+	free   []*[PageSize]byte
+	nfree  atomic.Int64
 }
 
 // frameSlot is one frame. Its publish order means a concurrent read
@@ -72,18 +86,21 @@ type PhysMem struct {
 //
 //   - a read loads cow, then data: a CoW frame reads its shared page,
 //     any other frame its private bytes, or zeroPage if it has none;
-//   - the first write allocates the private page and publishes it by
-//     CAS on data; a racing first write uses the winner's page;
-//   - promotion fills a private copy of the shared page, CASes data
-//     from nil to it (a racing promoter uses the winner's copy), and
-//     only then CASes cow to nil, so a read sees either the shared
-//     bytes or the filled copy. Only the side that wins the cow CAS
-//     decrements PhysMem.shared and runs onPromote.
+//   - the first write takes a page from the free list and clears it,
+//     or allocates a fresh one, and publishes it by CAS on data; a
+//     racing first write uses the winner's page;
+//   - promotion fills a private copy of the shared page, recycled or
+//     fresh, CASes data from nil to it (a racing promoter uses the
+//     winner's copy), and only then CASes cow to nil, so a read sees
+//     either the shared bytes or the filled copy. Only the side that
+//     wins the cow CAS decrements PhysMem.shared and runs onPromote.
 //
 // A fresh page is sliced from the allocation itself, never from a
-// pointer loaded back out of data: slicing a loaded *[PageSize]byte
+// pointer loaded back out of data or from a variable that may also hold
+// a recycled page: slicing a pointer the compiler cannot prove non-nil
 // nil-checks it with a read of the page, and on a fresh page that read
-// costs the host a second page fault per frame.
+// costs the host a second page fault per frame. A recycled page was
+// written before, so its nil check costs nothing.
 type frameSlot struct {
 	data  atomic.Pointer[[PageSize]byte] // private bytes; nil until written
 	cow   atomic.Pointer[cowSource]      // shared page; nil if none
@@ -96,7 +113,9 @@ var zeroPage [PageSize]byte
 
 // cowSource backs one copy-on-write frame: data is the shared read-only
 // page (aliased, never written through), onPromote is invoked after the
-// frame has been privatized by a first write.
+// frame has been privatized by a first write. One MapSharedRange
+// allocates the sources of all its frames as one slab, and they share
+// its hook.
 type cowSource struct {
 	data      []byte
 	onPromote func(pfn PFN)
@@ -153,35 +172,106 @@ func (m *PhysMem) markDirty(pfn PFN) {
 	}
 }
 
-// MapShared maps pfn copy-on-write onto a shared read-only page: reads
-// see data without any copy, and the first write promotes the frame to
-// a private copy (after which onPromote, if set, runs once). data must
-// be exactly one page and must stay immutable while mapped — it is
-// aliased, not copied. Any private content the frame held is discarded.
+// MapShared maps pfn copy-on-write onto a shared read-only page: the
+// one-frame case of MapSharedRange.
 func (m *PhysMem) MapShared(pfn PFN, data []byte, onPromote func(PFN)) error {
-	if !m.Valid(pfn) {
-		return fmt.Errorf("hw: MapShared beyond memory: frame %d", pfn)
+	return m.MapSharedRange(pfn, [][]byte{data}, onPromote)
+}
+
+// MapSharedRange maps frame lo+i copy-on-write onto pages[i] for every
+// non-nil pages[i]: reads see the page without any copy, and the first
+// write promotes the frame to a private copy, after which onPromote, if
+// set, runs once for it. Each page must be exactly one page and must
+// stay immutable while mapped: it is aliased, not copied. Any private
+// content a mapped frame held is discarded. The batch is checked whole
+// before any frame is mapped, so an error maps nothing.
+func (m *PhysMem) MapSharedRange(lo PFN, pages [][]byte, onPromote func(PFN)) error {
+	if uint64(lo)+uint64(len(pages)) > uint64(len(m.frames)) {
+		return fmt.Errorf("hw: MapShared beyond memory: frames %d..%d", lo, uint64(lo)+uint64(len(pages)))
 	}
-	if len(data) != PageSize {
-		return fmt.Errorf("hw: MapShared frame %d: page is %d bytes", pfn, len(data))
+	n := 0
+	for i, data := range pages {
+		if data == nil {
+			continue
+		}
+		if len(data) != PageSize {
+			return fmt.Errorf("hw: MapShared frame %d: page is %d bytes", lo+PFN(i), len(data))
+		}
+		n++
 	}
-	s := &m.frames[pfn]
-	s.data.Store(nil) // shared content replaces any private copy
-	if s.cow.Swap(&cowSource{data: data, onPromote: onPromote}) == nil {
-		m.shared.Add(1)
+	srcs := make([]cowSource, 0, n)
+	var added int64
+	for i, data := range pages {
+		if data == nil {
+			continue
+		}
+		srcs = append(srcs, cowSource{data: data, onPromote: onPromote})
+		s := &m.frames[lo+PFN(i)]
+		s.data.Store(nil) // shared content replaces any private copy
+		if s.cow.Swap(&srcs[len(srcs)-1]) == nil {
+			added++
+		}
 	}
+	m.shared.Add(added)
 	return nil
 }
 
-// UnmapShared removes a copy-on-write mapping without promoting it (the
-// clone-teardown path). Reports whether pfn was mapped; the frame reads
-// as zero afterwards.
-func (m *PhysMem) UnmapShared(pfn PFN) bool {
-	if !m.Valid(pfn) || m.frames[pfn].cow.Swap(nil) == nil {
-		return false
+// Scrub returns frames [lo, hi) to their never-written state: every
+// copy-on-write mapping in the range is dropped without running its
+// hook, and every private page moves onto the free list, for later
+// first writes and promotions anywhere in memory to reuse. The frames
+// read as zero afterwards; their dirty bits are left as they were.
+//
+// The caller must ensure that no CPU, device or grant still reaches
+// the range: a write racing the scrub could land in a page that
+// another frame has already reused.
+func (m *PhysMem) Scrub(lo, hi PFN) {
+	if lo > hi || uint(hi) > uint(len(m.frames)) {
+		panic(fmt.Sprintf("hw: Scrub beyond memory: frames %d..%d", lo, hi))
 	}
-	m.shared.Add(-1)
-	return true
+	var unmapped int64
+	m.freeMu.Lock()
+	for i := lo; i < hi; i++ {
+		s := &m.frames[i]
+		if s.cow.Load() != nil && s.cow.Swap(nil) != nil {
+			unmapped++
+		}
+		if s.data.Load() != nil {
+			if p := s.data.Swap(nil); p != nil {
+				m.free = append(m.free, p)
+			}
+		}
+	}
+	m.nfree.Store(int64(len(m.free)))
+	m.freeMu.Unlock()
+	m.shared.Add(-unmapped)
+}
+
+// reuse takes a page off the free list, or returns nil when the list is
+// empty. The page holds whatever its last frame wrote.
+func (m *PhysMem) reuse() *[PageSize]byte {
+	if m.nfree.Load() == 0 {
+		return nil
+	}
+	m.freeMu.Lock()
+	defer m.freeMu.Unlock()
+	n := len(m.free)
+	if n == 0 {
+		return nil
+	}
+	p := m.free[n-1]
+	m.free[n-1] = nil
+	m.free = m.free[:n-1]
+	m.nfree.Store(int64(n - 1))
+	return p
+}
+
+// recycle puts a page that lost a publish race onto the free list.
+func (m *PhysMem) recycle(p *[PageSize]byte) {
+	m.freeMu.Lock()
+	m.free = append(m.free, p)
+	m.nfree.Store(int64(len(m.free)))
+	m.freeMu.Unlock()
 }
 
 // SharedFrames returns the number of live copy-on-write mappings.
@@ -207,7 +297,8 @@ func (m *PhysMem) frameRO(pfn PFN) []byte {
 }
 
 // frameRW returns writable backing for pfn, allocating it on the first
-// write and promoting a CoW mapping to a private copy.
+// write (from the free list, cleared, if it has a page) and promoting a
+// CoW mapping to a private copy.
 func (m *PhysMem) frameRW(pfn PFN) []byte {
 	s := &m.frames[pfn]
 	if c := s.cow.Load(); c != nil {
@@ -216,6 +307,14 @@ func (m *PhysMem) frameRW(pfn PFN) []byte {
 	if p := s.data.Load(); p != nil {
 		return p[:]
 	}
+	if p := m.reuse(); p != nil {
+		clear(p[:])
+		if s.data.CompareAndSwap(nil, p) {
+			return p[:]
+		}
+		m.recycle(p)
+		return s.data.Load()[:]
+	}
 	if p := new([PageSize]byte); s.data.CompareAndSwap(nil, p) {
 		return p[:]
 	}
@@ -223,11 +322,19 @@ func (m *PhysMem) frameRW(pfn PFN) []byte {
 }
 
 // unshare promotes pfn from the shared page c to a private copy, in the
-// publish order frameSlot describes.
+// publish order frameSlot describes. The copy overwrites all of a
+// recycled page, so it needs no clearing.
 func (m *PhysMem) unshare(pfn PFN, s *frameSlot, c *cowSource) []byte {
-	p := new([PageSize]byte)
-	copy(p[:], c.data)
+	p := m.reuse()
+	if p != nil {
+		copy(p[:], c.data)
+	} else {
+		fresh := new([PageSize]byte)
+		copy(fresh[:], c.data)
+		p = fresh
+	}
 	if !s.data.CompareAndSwap(nil, p) {
+		m.recycle(p)
 		p = s.data.Load()
 	}
 	m.dropShared(pfn, s, c)

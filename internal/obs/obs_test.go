@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -299,4 +300,45 @@ func TestJSONDump(t *testing.T) {
 	if !sawCounter || !sawHist {
 		t.Fatal("dump missing kinds")
 	}
+}
+
+// TestRetireCounterBoundsTheList: a series that adopts an instance's
+// counter at create and retires it at destroy walks only live
+// instances, over 2,000 cycles, and its sum still counts every
+// increment, the retired counters' included. A retired counter that
+// counts on no longer moves the series.
+func TestRetireCounterBoundsTheList(t *testing.T) {
+	r := NewRegistry()
+	series := r.Counter("xen", "hypercalls_total")
+	var live []*Counter
+	var model uint64
+	for cycle := 0; cycle < 2000; cycle++ {
+		c := NewCounter()
+		r.RegisterCounter(c, "xen", "hypercalls_total")
+		live = append(live, c)
+		for i, c := range live {
+			c.Add(uint64(i + 1))
+			model += uint64(i + 1)
+		}
+		if cycle%3 != 0 { // the live set grows by one every third cycle
+			dead := live[cycle%len(live)]
+			r.RetireCounter(dead, "xen", "hypercalls_total")
+			live = slices.DeleteFunc(live, func(c *Counter) bool { return c == dead })
+			dead.Inc()
+			r.RetireCounter(dead, "xen", "hypercalls_total") // no-op
+		}
+		if got := series.Load(); got != model {
+			t.Fatalf("cycle %d: series = %d, model %d", cycle, got, model)
+		}
+		if n := len(*series.adopted.Load()); n != len(live) {
+			t.Fatalf("cycle %d: %d counters adopted, %d live", cycle, n, len(live))
+		}
+	}
+	// Retiring from a series that was never made creates nothing.
+	r.RetireCounter(NewCounter(), "xen", "no_such_total")
+	r.Each(func(m *Metric) {
+		if m.Name == "no_such_total" {
+			t.Fatal("RetireCounter created a series")
+		}
+	})
 }

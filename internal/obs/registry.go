@@ -53,9 +53,10 @@ func (c *Counter) Load() uint64 {
 }
 
 // adopt links a under c. Adopting c itself or an already linked
-// counter is a no-op. The caller orders adoptions under one series
-// (RegisterCounter holds its registry's lock), so a domain built per
-// clone or migration costs one slot, not a copy of the whole list.
+// counter is a no-op. The caller orders adoptions and retirements under
+// one series (RegisterCounter and RetireCounter hold its registry's
+// lock), so a domain built per clone or migration costs one slot, not
+// a copy of the whole list.
 func (c *Counter) adopt(a *Counter) {
 	var list []*Counter
 	if p := c.adopted.Load(); p != nil {
@@ -66,6 +67,24 @@ func (c *Counter) adopt(a *Counter) {
 	}
 	list = append(list, a)
 	c.adopted.Store(&list)
+}
+
+// retire unlinks a from c and adds a's count to c's own, so c's Load is
+// unchanged once a stops counting and no later Load walks a. Retiring
+// a counter not linked under c is a no-op. The list is copied, never
+// edited in place: a Load may still be walking the published one.
+func (c *Counter) retire(a *Counter) {
+	p := c.adopted.Load()
+	if p == nil {
+		return
+	}
+	i := slices.Index(*p, a)
+	if i < 0 {
+		return
+	}
+	list := slices.Delete(slices.Clone(*p), i, i+1)
+	c.adopted.Store(&list)
+	c.v.Add(a.Load())
 }
 
 // Gauge is an instantaneous signed value.
@@ -154,12 +173,19 @@ func key(subsystem, name string, labels []Label) string {
 	return b.String()
 }
 
+// sortedLabels returns a copy of labels sorted by key, so call-site
+// order is immaterial.
+func sortedLabels(labels []Label) []Label {
+	ls := append([]Label(nil), labels...)
+	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	return ls
+}
+
 // lookup returns the metric for an identity, creating it with mk on
 // first use. Labels are sorted by key so call-site order is immaterial.
 func (r *Registry) lookup(subsystem, name string, labels []Label,
 	kind MetricKind, mk func(*Metric)) *Metric {
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	ls := sortedLabels(labels)
 	k := key(subsystem, name, ls)
 
 	r.mu.RLock()
@@ -216,6 +242,21 @@ func (r *Registry) RegisterCounter(c *Counter, subsystem, name string, labels ..
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	series.adopt(c)
+}
+
+// RetireCounter unlinks c from subsystem/name{labels} and adds c's
+// count to the series' own: the series' sum stays exact once c stops
+// counting, and no later Load or export walks c. A subsystem retires
+// the counters of an instance it tears down, so a series walks only
+// live instances. Retiring a counter the series never adopted, or
+// from a series that does not exist, is a no-op.
+func (r *Registry) RetireCounter(c *Counter, subsystem, name string, labels ...Label) {
+	k := key(subsystem, name, sortedLabels(labels))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m := r.metrics[k]; m != nil && m.Kind == KindCounter {
+		m.counter.retire(c)
+	}
 }
 
 // Each calls fn for every registered metric in sorted key order.

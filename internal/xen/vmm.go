@@ -374,19 +374,36 @@ func (v *VMM) newDomain(name string, frames *hw.FrameAllocator, privileged bool)
 	}
 	v.Domains[id] = d
 	if col := v.M.Telemetry(); col != nil {
-		r := col.Registry
-		r.RegisterCounter(d.Stats.Hypercalls, "xen", "hypercalls_total")
-		r.RegisterCounter(d.Stats.Multicalls, "xen", "multicalls_total")
-		r.RegisterCounter(d.Stats.MulticallOps, "xen", "multicall_ops_total")
-		r.RegisterCounter(d.Stats.EventsOut, "xen", "events_sent_total")
-		r.RegisterCounter(d.Stats.FaultBounces, "xen", "fault_bounces_total")
+		for _, s := range d.Stats.series() {
+			col.Registry.RegisterCounter(s.c, "xen", s.name)
+		}
 	}
 	return d
 }
 
+// domainSeries is one of a domain's counters with the xen series it is
+// adopted under.
+type domainSeries struct {
+	c    *obs.Counter
+	name string
+}
+
+// series lists the counters newDomain adopts and DestroyDomain retires.
+func (s *DomainStats) series() [5]domainSeries {
+	return [5]domainSeries{
+		{s.Hypercalls, "hypercalls_total"},
+		{s.Multicalls, "multicalls_total"},
+		{s.MulticallOps, "multicall_ops_total"},
+		{s.EventsOut, "events_sent_total"},
+		{s.FaultBounces, "fault_bounces_total"},
+	}
+}
+
 // DestroyDomain tears a domain down, first releasing its pins and base
 // pointer by the detach's walk at no charge, so that none outlives it
-// to keep later detaches off the release rule.
+// to keep later detaches off the release rule. Its counters are
+// retired from their series, which keep the counts, so an export walks
+// only live domains. Its memory is left as it was.
 func (v *VMM) DestroyDomain(id DomID) error {
 	d, ok := v.Domains[id]
 	if !ok {
@@ -397,6 +414,11 @@ func (v *VMM) DestroyDomain(id DomID) error {
 	v.mmu.Unlock(nil)
 	d.State = DomShutdown
 	delete(v.Domains, id)
+	if col := v.M.Telemetry(); col != nil {
+		for _, s := range d.Stats.series() {
+			col.Registry.RetireCounter(s.c, "xen", s.name)
+		}
+	}
 	return nil
 }
 

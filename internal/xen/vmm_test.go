@@ -1,6 +1,7 @@
 package xen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -328,5 +329,50 @@ func TestDestroyDomainReleasesPins(t *testing.T) {
 	}
 	if v.rel != (releaseTally{}) {
 		t.Fatalf("release tally %+v after the detach, want zero", v.rel)
+	}
+}
+
+// TestDestroyDomainRetiresCounters: over 2,000 create/destroy cycles
+// every xen/* series a domain counts into sums exactly to a running
+// model, and a destroyed domain's counters are no longer walked: what
+// they count after the destroy never reaches the series.
+func TestDestroyDomainRetiresCounters(t *testing.T) {
+	m := hw.NewMachine(hw.Config{MemBytes: 64 << 20, NumCPUs: 1})
+	col := obs.New(1)
+	m.SetTelemetry(col)
+	v, err := Boot(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []*Domain
+	var model [5]uint64
+	for cycle := 0; cycle < 2000; cycle++ {
+		d, err := v.CreateDomain("cycle", 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, d)
+		for i, d := range live {
+			for k, s := range d.Stats.series() {
+				n := uint64(i + k + 1)
+				s.c.Add(n)
+				model[k] += n
+			}
+		}
+		if len(live) > 4 || cycle%2 == 1 {
+			dead := live[cycle%len(live)]
+			if err := v.DestroyDomain(dead.ID); err != nil {
+				t.Fatal(err)
+			}
+			live = slices.DeleteFunc(live, func(d *Domain) bool { return d == dead })
+			for _, s := range dead.Stats.series() {
+				s.c.Inc()
+			}
+		}
+		for k, s := range (&DomainStats{}).series() {
+			if got := col.Registry.Counter("xen", s.name).Load(); got != model[k] {
+				t.Fatalf("cycle %d: xen/%s = %d, model %d", cycle, s.name, got, model[k])
+			}
+		}
 	}
 }
