@@ -263,3 +263,83 @@ func TestEveryCommandHasTest(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsCodeRefs checks the code the design docs point at: every
+// backticked Go file path must name a file in the repo (matched by its
+// trailing path elements, so `core/switch.go` resolves to
+// internal/core/switch.go), and every backticked Test, Benchmark,
+// Example or Fuzz name, bare or package-qualified, must be declared in
+// a _test.go file. A name ending in "_*" stands for every function with
+// that prefix, and at least one must exist.
+func TestDocsCodeRefs(t *testing.T) {
+	var goFiles []string
+	funcs := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Example|Fuzz)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		goFiles = append(goFiles, filepath.ToSlash(path))
+		if strings.HasSuffix(path, "_test.go") {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range decl.FindAllStringSubmatch(string(data), -1) {
+				funcs[m[1]] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileRef := regexp.MustCompile("`([A-Za-z0-9_./-]+\\.go)`")
+	funcRef := regexp.MustCompile("`(?:[a-z][a-z0-9]*\\.)?((?:Test|Benchmark|Example|Fuzz)[A-Za-z0-9_]+\\*?)`")
+	checked := 0
+	for _, md := range []string{"README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range fileRef.FindAllStringSubmatch(string(data), -1) {
+			checked++
+			found := false
+			for _, f := range goFiles {
+				if f == m[1] || strings.HasSuffix(f, "/"+m[1]) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s: names %q, which is no Go file in the repo", md, m[1])
+			}
+		}
+		for _, m := range funcRef.FindAllStringSubmatch(string(data), -1) {
+			checked++
+			name, found := m[1], false
+			if prefix, ok := strings.CutSuffix(name, "_*"); ok {
+				for f := range funcs {
+					found = found || strings.HasPrefix(f, prefix+"_")
+				}
+			} else {
+				found = funcs[name]
+			}
+			if !found {
+				t.Errorf("%s: names %q, which no _test.go file declares", md, m[0])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("no backticked code references found; the check is vacuous")
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/guest"
@@ -80,6 +81,81 @@ func TestFailureResistantSwitch(t *testing.T) {
 		if fi.TypeCount != 0 || fi.TotalRefs != 0 || fi.Pinned {
 			t.Fatalf("frame %d retains accounting: %+v", pfn, fi)
 		}
+	}
+}
+
+// TestFailureResistantSwitchKeptTable runs the §8 failure path through
+// the attach's rule: a detach keeps the frame table, the kernel then
+// plants a writable mapping of one of its own page tables while native,
+// and the next attach must fail and roll back exactly as the forced walk
+// does, at the same cycle. The rule's replay refuses the planted entry
+// before charging anything and hands the attach to the walk, which
+// fails on it. After the undo the retry commits.
+func TestFailureResistantSwitchKeptTable(t *testing.T) {
+	type outcome struct {
+		failedAt, doneAt hw.Cycles
+		ruled            uint64
+	}
+	run := func(forceWalk bool) outcome {
+		mc := newMercury(t, 1, TrackRecompute)
+		k := mc.K
+		boot := mc.M.BootCPU()
+		var out outcome
+		k.Spawn(boot, "app", guest.DefaultImage("app"), func(p *guest.Proc) {
+			base := p.Mmap(8, guest.ProtRead|guest.ProtWrite, true)
+			p.Touch(base, 8, true)
+			for range 2 { // the second attach restores what the first detach kept
+				if err := mc.SwitchSync(p.CPU(), ModePartialVirtual); err != nil {
+					panic(err)
+				}
+				if err := mc.SwitchSync(p.CPU(), ModeNative); err != nil {
+					panic(err)
+				}
+			}
+			if forceWalk {
+				// Handing a frame to the owner it has leaves the kept
+				// table nothing to restore.
+				mc.VMM.FT.SetOwner(p.AS.PT.Root, mc.Dom.ID)
+			}
+			undo, err := p.AS.CorruptPageTableMappingPick(func(n int) int { return n - 1 })
+			if err != nil {
+				panic(err)
+			}
+			if err := mc.SwitchSync(p.CPU(), ModePartialVirtual); err == nil {
+				panic("switch succeeded on a corrupted kernel")
+			}
+			out.failedAt = p.CPU().Now()
+			if mc.Mode() != ModeNative || mc.VMM.Active {
+				panic("failed switch left the VMM attached")
+			}
+			if err := mc.VMM.FT.CheckInvariants(); err != nil {
+				panic(err)
+			}
+			if pfn, ok := mc.VMM.FT.FirstPinned(); ok {
+				panic(fmt.Sprintf("failed switch left frame %d pinned", pfn))
+			}
+			undo()
+			if err := mc.SwitchSync(p.CPU(), ModePartialVirtual); err != nil {
+				panic(fmt.Sprintf("retry after undo: %v", err))
+			}
+			if err := mc.SwitchSync(p.CPU(), ModeNative); err != nil {
+				panic(err)
+			}
+			out.doneAt = p.CPU().Now()
+		})
+		k.Run(boot)
+		if got := mc.Stats.FailedSwitches.Load(); got != 1 {
+			t.Fatalf("failed switches = %d, want 1", got)
+		}
+		out.ruled = mc.VMM.Stats.RuleAttaches.Load()
+		return out
+	}
+	rule, walk := run(false), run(true)
+	if rule != walk {
+		t.Fatalf("by the rule %+v, by the forced walk %+v", rule, walk)
+	}
+	if rule.ruled != 1 {
+		t.Fatalf("%d attaches restored a kept table, want 1 (the clean second attach)", rule.ruled)
 	}
 }
 

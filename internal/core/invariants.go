@@ -129,7 +129,7 @@ func (mc *Mercury) CheckInvariants(c *hw.CPU) error {
 		return fmt.Errorf("invariant: %w", err)
 	}
 	kpl := mc.K.KernelPL()
-	for _, p := range mc.K.SleepingProcs(c) {
+	for _, p := range mc.K.AppendSleepingProcs(c, nil) {
 		for _, f := range p.SavedFrames {
 			if f.CS.Index() == hw.GDTKernelCode && f.CS.RPL() != kpl {
 				return fmt.Errorf("invariant: proc %d (%s) cached CS at RPL %d (kernel at %d)",

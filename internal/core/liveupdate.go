@@ -67,7 +67,7 @@ func (mc *Mercury) LiveUpdate(c *hw.CPU, patch KernelPatch) (*UpdateReport, erro
 	}
 	// Patched trap handlers must be re-registered with the VMM (and will
 	// be reloaded into the hardware IDT at detach).
-	if err := mc.VMM.HypSetTrapTable(c, mc.Dom, mc.K.TrapGates()); err != nil {
+	if err := mc.VMM.HypSetTrapTable(c, mc.Dom, mc.K.AppendTrapGates(nil)); err != nil {
 		return abort(fmt.Errorf("core: registering %q's trap table: %w", patch.Name, err))
 	}
 	if patch.Validate != nil {

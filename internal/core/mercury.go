@@ -158,6 +158,15 @@ type Mercury struct {
 	// collector so the switch path skips registry lookups.
 	obsCache atomic.Pointer[coreObs]
 
+	// The switch's reused buffers: the live roots an attach recomputes,
+	// the sleeping processes a selector fixup walks, the trap gates and
+	// the multicall an attach rebinds with. Only the switch ISR uses
+	// them, and it never runs concurrently with itself.
+	roots    []hw.PFN
+	sleeping []*guest.Proc
+	gates    []xen.TrapEntry
+	rebind   xen.Multicall
+
 	Stats Stats
 }
 

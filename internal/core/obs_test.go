@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/guest"
 	"repro/internal/hw"
 	"repro/internal/obs"
 )
@@ -212,4 +213,55 @@ func BenchmarkSwitchRoundTrip(b *testing.B) {
 	}
 	b.Run("NoTelemetry", func(b *testing.B) { run(b, false) })
 	b.Run("Telemetry", func(b *testing.B) { run(b, true) })
+}
+
+// TestSwitchRoundTripAllocs: once warmed, an attach/detach round trip
+// over live address spaces and sleeping processes allocates nothing.
+// The switch reuses its buffers for the live roots, the sleeping
+// processes, the trap gates and the rebind multicall, and the attach
+// restores the frame table the detach kept.
+func TestSwitchRoundTripAllocs(t *testing.T) {
+	mc := newMercury(t, 1, TrackRecompute)
+	k := mc.K
+	boot := mc.M.BootCPU()
+	const residents = 3
+	allocs := -1.0
+	k.Spawn(boot, "app", guest.DefaultImage("app"), func(p *guest.Proc) {
+		hold, ready := k.NewPipe(), k.NewPipe()
+		for range residents {
+			p.Fork("resident", func(rp *guest.Proc) {
+				base := rp.Mmap(16, guest.ProtRead|guest.ProtWrite, true)
+				rp.Touch(base, 16, true)
+				rp.PipeWrite(ready, 1)
+				rp.PipeRead(hold, 1)
+				rp.Exit(0)
+			})
+		}
+		p.PipeRead(ready, residents)
+		base := p.Mmap(8, guest.ProtRead|guest.ProtWrite, true)
+		p.Touch(base, 8, true)
+		trip := func() {
+			if err := mc.SwitchSync(p.CPU(), ModePartialVirtual); err != nil {
+				panic(err)
+			}
+			if err := mc.SwitchSync(p.CPU(), ModeNative); err != nil {
+				panic(err)
+			}
+		}
+		for range 3 {
+			trip()
+		}
+		allocs = testing.AllocsPerRun(20, trip)
+		p.PipeWrite(hold, residents)
+		for range residents {
+			p.Wait()
+		}
+	})
+	k.Run(boot)
+	if mc.Stats.FixedFrames.Load() == 0 {
+		t.Fatal("no sleeping process had a selector to fix up")
+	}
+	if allocs != 0 {
+		t.Fatalf("a warmed switch round trip made %.1f allocations, want 0", allocs)
+	}
 }

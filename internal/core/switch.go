@@ -196,17 +196,23 @@ func (mc *Mercury) attach(c *hw.CPU, f *hw.TrapFrame, target Mode) error {
 	// -- frame accounting (§5.1.2): under the recompute policy the
 	// (stale) table is rebuilt by one walk that scans and pins every live
 	// root, charged as if sharded across the CPUs parked at the
-	// rendezvous when there is more than one; under the journal policy
-	// only the dirty slots recorded while detached are replayed; under
-	// active tracking it is already valid. A validation failure here means the OS was in an
-	// inconsistent state (§8): roll back.
+	// rendezvous when there is more than one. On one CPU, when the last
+	// detach kept its table and only L1 entries have changed since, the
+	// kept table is restored, the changed entries replayed and the walk's
+	// cycles charged without walking (xen/attach.go). Under the journal
+	// policy only the dirty slots recorded while detached are replayed;
+	// under active tracking the table is already valid. A validation
+	// failure here means the OS was in an inconsistent state (§8): roll
+	// back.
 	ph = obs.Begin(col, c.ID, c.Now(), "phase/frame-recompute")
 	var ferr error
 	switch mc.Policy {
 	case TrackRecompute:
-		ferr = v.RecomputeFrameInfo(c, mc.Dom, k.LiveRoots(c), mc.recomputeWorkers())
+		mc.roots = k.AppendLiveRoots(c, mc.roots[:0])
+		ferr = v.RecomputeFrameInfo(c, mc.Dom, mc.roots, mc.recomputeWorkers())
 	case TrackJournal:
-		ferr = v.JournalReattach(c, mc.Dom, k.LiveRoots(c), mc.recomputeWorkers())
+		mc.roots = k.AppendLiveRoots(c, mc.roots[:0])
+		ferr = v.JournalReattach(c, mc.Dom, mc.roots, mc.recomputeWorkers())
 	}
 	if ferr != nil {
 		ph.End(c.Now())
@@ -225,10 +231,11 @@ func (mc *Mercury) attach(c *hw.CPU, f *hw.TrapFrame, target Mode) error {
 	ph = obs.Begin(col, c.ID, c.Now(), "phase/interrupt-rebind")
 	// One multicall registers the trap table and rebinds the virtual
 	// timer in a single VMM entry instead of two world switches.
-	var rebind xen.Multicall
-	rebind.AddSetTrapTable(k.TrapGates())
-	rebind.AddBindVirqTimer(k.TimerUpcall())
-	if err := v.HypMulticall(c, mc.Dom, &rebind); err != nil {
+	mc.gates = k.AppendTrapGates(mc.gates[:0])
+	mc.rebind.Reset()
+	mc.rebind.AddSetTrapTable(mc.gates)
+	mc.rebind.AddBindVirqTimer(k.TimerUpcall())
+	if err := v.HypMulticall(c, mc.Dom, &mc.rebind); err != nil {
 		ph.End(c.Now())
 		k.GDT.SetKernelDPL(hw.PL0)
 		mc.fixupSelectors(c, hw.PL1, hw.PL0)
@@ -280,10 +287,11 @@ func (mc *Mercury) detach(c *hw.CPU, f *hw.TrapFrame) error {
 	// this asymmetry is why detach (~0.06 ms) is faster than attach
 	// (~0.22 ms) (§7.4). The recompute policy charges one FrameRelease
 	// per released directory and per present entry of each released L1,
-	// from a running tally, and resets only the touched frames; it walks
-	// the trees only where a reset would leave a different table (a live
-	// grant map, another domain's pins, an unpinned directory under the
-	// base pointer, a forged record). The journal policy is cheaper
+	// from a running tally, and resets only the touched frames, keeping
+	// them for the next attach on one CPU; it walks the trees only where
+	// a reset would leave a different table (a live grant map, another
+	// domain's pins, an unpinned directory under the base pointer, a
+	// forged record). The journal policy is cheaper
 	// still: the table is frozen in place and the dirty-frame ring armed.
 	ph := obs.Begin(col, c.ID, c.Now(), "phase/frame-release")
 	switch mc.Policy {
@@ -333,13 +341,15 @@ func (mc *Mercury) recomputeWorkers() int { return len(mc.M.CPUs) }
 // the first descheduled thread to resume would pop stale selectors and
 // take a general protection fault.
 func (mc *Mercury) fixupSelectors(c *hw.CPU, from, to uint8) {
-	for _, p := range mc.K.SleepingProcs(c) {
+	mc.sleeping = mc.K.AppendSleepingProcs(c, mc.sleeping[:0])
+	for _, p := range mc.sleeping {
 		for _, fr := range p.SavedFrames {
 			c.Charge(mc.M.Costs.SelectorFixup)
 			patchFramePL(fr, from, to)
 			mc.Stats.FixedFrames.Add(1)
 		}
 	}
+	clear(mc.sleeping) // hold no exited process past the switch
 }
 
 // patchFramePL rewrites kernel selectors in one frame. User-mode frames

@@ -2,7 +2,7 @@ package guest
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,8 +46,11 @@ type Kernel struct {
 	M    *hw.Machine
 
 	// obj is the current virtualization object; Mercury swaps it during
-	// a mode switch. Access through VO()/SetVO.
-	obj atomic.Pointer[voHolder]
+	// a mode switch. Access through VO()/SetVO, which keeps in holders
+	// every holder it has made.
+	obj       atomic.Pointer[voHolder]
+	holdersMu sync.Mutex
+	holders   []*voHolder
 
 	Frames *hw.FrameAllocator
 	Dom    *xen.Domain
@@ -95,6 +98,9 @@ type Kernel struct {
 
 	timers *timerWheel
 
+	// timerUpcall is timerTick as a func value, made once at boot.
+	timerUpcall func(c *hw.CPU)
+
 	// LazyMMU mirrors Config.LazyMMU.
 	LazyMMU bool
 
@@ -127,7 +133,21 @@ type voHolder struct{ o vo.Object }
 func (k *Kernel) VO() vo.Object { return k.obj.Load().o }
 
 // SetVO swaps the virtualization object (Mercury's relocation step).
-func (k *Kernel) SetVO(o vo.Object) { k.obj.Store(&voHolder{o: o}) }
+// Mode switches alternate between the same two objects, so each
+// object's holder is made once and reused.
+func (k *Kernel) SetVO(o vo.Object) {
+	k.holdersMu.Lock()
+	defer k.holdersMu.Unlock()
+	for _, h := range k.holders {
+		if h.o == o {
+			k.obj.Store(h)
+			return
+		}
+	}
+	h := &voHolder{o: o}
+	k.holders = append(k.holders, h)
+	k.obj.Store(h)
+}
 
 // Boot builds a kernel on m and installs its control state through the
 // configured virtualization object.
@@ -153,6 +173,7 @@ func Boot(m *hw.Machine, cfg Config) (*Kernel, error) {
 		cfg.VO = vo.NewDirect(m)
 	}
 	k.SetVO(cfg.VO)
+	k.timerUpcall = k.timerTick
 	k.timers = newTimerWheel(k)
 	k.FS = NewFS(k)
 
@@ -185,7 +206,7 @@ func Boot(m *hw.Machine, cfg Config) (*Kernel, error) {
 	m.IOAPIC.Route(hw.IRQLineDisk, c.ID, hw.VecDisk)
 	m.IOAPIC.Route(hw.IRQLineNIC, c.ID, hw.VecNIC)
 	if k.Dom != nil && !cfg.ServiceOnly {
-		k.VMM.HypBindVirqTimer(c, k.Dom, k.timerTick)
+		k.VMM.HypBindVirqTimer(c, k.Dom, k.timerUpcall)
 	}
 	k.VO().SetInterrupts(c, true)
 	if !cfg.ServiceOnly {
@@ -347,38 +368,37 @@ func (k *Kernel) validateResumeFrame(c *hw.CPU, f *hw.TrapFrame) {
 	}
 }
 
-// LiveRoots returns the page-directory root of every live address space
-// — what Mercury's recompute pass must (re)validate at attach time. The
-// roots are sorted so walk order, and with it the cycle accounting
+// AppendLiveRoots appends to dst the page-directory root of every live
+// address space — what Mercury's recompute pass must (re)validate at
+// attach time — and returns the extended slice. The roots are sorted
+// ascending, each once, so walk order, and with it the cycle accounting
 // (which roots share a shard of the sharded recompute, and so the
 // largest shard's tally), does not inherit map-iteration randomness.
-func (k *Kernel) LiveRoots(c *hw.CPU) []hw.PFN {
+func (k *Kernel) AppendLiveRoots(c *hw.CPU, dst []hw.PFN) []hw.PFN {
 	k.lk.Lock(c)
 	defer k.lk.Unlock(c)
-	seen := make(map[hw.PFN]bool)
-	var roots []hw.PFN
+	n := len(dst)
 	for _, p := range k.procs {
-		if p.AS != nil && !seen[p.AS.PT.Root] {
-			seen[p.AS.PT.Root] = true
-			roots = append(roots, p.AS.PT.Root)
+		if p.AS != nil {
+			dst = append(dst, p.AS.PT.Root)
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	return roots
+	slices.Sort(dst[n:])
+	return dst[:n+len(slices.Compact(dst[n:]))]
 }
 
-// SleepingProcs returns every process whose kernel stack holds cached
-// interrupt frames — the set Mercury's selector-fixup stub walks.
-func (k *Kernel) SleepingProcs(c *hw.CPU) []*Proc {
+// AppendSleepingProcs appends to dst every process whose kernel stack
+// holds cached interrupt frames — the set Mercury's selector-fixup stub
+// walks — and returns the extended slice.
+func (k *Kernel) AppendSleepingProcs(c *hw.CPU, dst []*Proc) []*Proc {
 	k.lk.Lock(c)
 	defer k.lk.Unlock(c)
-	var out []*Proc
 	for _, p := range k.procs {
 		if len(p.SavedFrames) > 0 {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
 // AddTimer registers a kernel timer (Mercury's deferred-switch retry
@@ -388,23 +408,23 @@ func (k *Kernel) AddTimer(c *hw.CPU, deadline hw.Cycles, fn func(*hw.CPU)) {
 }
 
 // TimerUpcall returns the virtual-timer entry point for VIRQ binding.
-func (k *Kernel) TimerUpcall() func(c *hw.CPU) { return k.timerTick }
+func (k *Kernel) TimerUpcall() func(c *hw.CPU) { return k.timerUpcall }
 
 // RearmTick reprograms the periodic tick through the current VO (used
 // right after a mode switch rebinds the timer path).
 func (k *Kernel) RearmTick(c *hw.CPU) { k.armTick(c) }
 
-// TrapGates exports the kernel's trap table as a VMM registration list
-// (Mercury's attach path re-registers the handlers behind the VMM).
-func (k *Kernel) TrapGates() []xen.TrapEntry {
-	entries := make([]xen.TrapEntry, 0, 16)
+// AppendTrapGates appends the kernel's trap table to dst as a VMM
+// registration list and returns the extended slice (Mercury's attach
+// path re-registers the handlers behind the VMM).
+func (k *Kernel) AppendTrapGates(dst []xen.TrapEntry) []xen.TrapEntry {
 	for v := 0; v < hw.NumVectors; v++ {
 		g := k.IDT.Get(v)
 		if g.Present {
-			entries = append(entries, xen.TrapEntry{Vector: v, Handler: g.Handler})
+			dst = append(dst, xen.TrapEntry{Vector: v, Handler: g.Handler})
 		}
 	}
-	return entries
+	return dst
 }
 
 // Printk writes a line to the kernel console. This is a sensitive I/O

@@ -40,6 +40,11 @@ type CPU struct {
 	// nested delivery is suppressed.
 	intrDepth int
 
+	// irqFrame is the frame PollInterrupts delivers in. Nested delivery
+	// being suppressed, at most one interrupt's frame is live on a CPU,
+	// and no handler keeps its frame past its return.
+	irqFrame TrapFrame
+
 	// spinHeld counts held SpinLocks; an interrupt or idle under one panics.
 	spinHeld int
 
@@ -134,14 +139,16 @@ func (c *CPU) PollInterrupts() {
 	}
 	if v, deadline, ok := c.LAPIC.timerDue(now); ok {
 		c.observeIRQLatency(now, deadline)
-		c.deliver(v, &TrapFrame{Vector: v})
+		c.irqFrame = TrapFrame{Vector: v}
+		c.deliver(v, &c.irqFrame)
 		return
 	}
 	if v, posted, ok := c.LAPIC.take(); ok {
 		if posted > 0 {
 			c.observeIRQLatency(now, posted)
 		}
-		c.deliver(v, &TrapFrame{Vector: v})
+		c.irqFrame = TrapFrame{Vector: v}
+		c.deliver(v, &c.irqFrame)
 	}
 }
 

@@ -158,7 +158,7 @@ func (d *Domain) HasPinned(root hw.PFN) bool { return d.pinnedRoots[root] }
 // PinnedRoots returns the pinned roots (for checkpoint/migration),
 // sorted ascending: map iteration order must not leak into snapshot
 // images, the repinRoots multicall pin order, or its journaled Applied
-// prefix (the same nondeterminism class PR 3 fixed for LiveRoots).
+// prefix (the same nondeterminism class PR 3 fixed for the kernel's live roots).
 func (d *Domain) PinnedRoots() []hw.PFN {
 	out := make([]hw.PFN, 0, len(d.pinnedRoots))
 	for r := range d.pinnedRoots {

@@ -102,13 +102,16 @@ func (f *frame) info() FrameInfo {
 // mutation records the frame as touched since the last Reset, so Reset
 // clears only the frames dirtied since, not the whole table. A
 // recompute-policy detach resets the table this way when its release
-// rule holds (release.go), charging what the walk would have charged;
-// the journal's fallback charges ResetCharged, per touched frame.
+// rule holds (release.go), charging what the walk would have charged,
+// and on one CPU keeps the cleared records for the next attach to
+// restore (resetKeeping, attach.go); the journal's fallback charges
+// ResetCharged, per touched frame.
 type FrameTable struct {
 	frames  []frame
 	touched []hw.PFN
 	epoch   uint32
-	forged  bool // a record was written through Set since the last Reset
+	forged  bool   // a record was written through Set since the last Reset
+	owners  uint64 // SetOwner and Set calls ever made: a record's owner may have moved
 }
 
 // NewFrameTable builds accounting for every frame of mem, every frame
@@ -143,7 +146,10 @@ func (ft *FrameTable) Touched() int { return len(ft.touched) }
 func (ft *FrameTable) Get(pfn hw.PFN) FrameInfo { return ft.frames[pfn].info() }
 
 // SetOwner assigns a frame to a domain.
-func (ft *FrameTable) SetOwner(pfn hw.PFN, d DomID) { ft.frames[pfn].setOwner(d) }
+func (ft *FrameTable) SetOwner(pfn hw.PFN, d DomID) {
+	ft.frames[pfn].setOwner(d)
+	ft.owners++
+}
 
 // Set overwrites a frame's accounting entry wholesale. This deliberately
 // bypasses the type system — it exists for fault injection (bit-flips in
@@ -157,6 +163,7 @@ func (ft *FrameTable) Set(pfn hw.PFN, fi FrameInfo) {
 	f.totalRefs = fi.TotalRefs
 	ft.touch(f, pfn)
 	ft.forged = true
+	ft.owners++
 }
 
 // Reset clears type/count state for every frame while preserving
@@ -169,6 +176,40 @@ func (ft *FrameTable) Reset() {
 		f := &ft.frames[pfn]
 		*f = frame{owner: f.owner, epoch: f.epoch}
 	}
+	ft.nextEpoch()
+}
+
+// resetKeeping is Reset that first copies the touched list into *pfns
+// and each touched record into *recs, in the same order, for restore.
+func (ft *FrameTable) resetKeeping(pfns *[]hw.PFN, recs *[]frame) {
+	*pfns = append((*pfns)[:0], ft.touched...)
+	kept := slices.Grow((*recs)[:0], len(ft.touched))[:len(ft.touched)]
+	for i, pfn := range ft.touched {
+		f := &ft.frames[pfn]
+		kept[i] = *f
+		*f = frame{owner: f.owner, epoch: f.epoch}
+	}
+	*recs = kept
+	ft.nextEpoch()
+}
+
+// restore puts back the accounting of records kept by resetKeeping into
+// a table untouched since (owners stay), touching each frame.
+func (ft *FrameTable) restore(pfns []hw.PFN, recs []frame) {
+	for i, pfn := range pfns {
+		// Field by field: a record built whole on the stack and copied
+		// out stalls the store on every frame.
+		f, r := &ft.frames[pfn], &recs[i]
+		f.typ, f.pinned = r.typ, r.pinned
+		f.typeCount, f.totalRefs = r.typeCount, r.totalRefs
+		f.epoch = ft.epoch
+	}
+	ft.touched = append(ft.touched, pfns...)
+}
+
+// nextEpoch empties the touched list, whose records are cleared, and
+// starts the next epoch.
+func (ft *FrameTable) nextEpoch() {
 	ft.touched = ft.touched[:0]
 	ft.forged = false
 	ft.epoch++
@@ -316,6 +357,7 @@ func (ft *FrameTable) Clone() *FrameTable {
 		touched: slices.Clone(ft.touched),
 		epoch:   ft.epoch,
 		forged:  ft.forged,
+		owners:  ft.owners,
 	}
 }
 

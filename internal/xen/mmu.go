@@ -505,10 +505,16 @@ func (v *VMM) MirrorUnpinRoot(c *hw.CPU, d *Domain, root hw.PFN) error {
 // --- Mercury attach/detach support ---
 
 // RecomputeFrameInfo rebuilds the (stale) frame table for an adopted
-// domain from scratch by scanning and pinning every supplied root. This
-// is the paper's preferred "re-compute and synchronize during a mode
-// switch" strategy and accounts for most of the 0.22 ms native->virtual
-// switch time (§5.1.2, §7.4).
+// domain by scanning and pinning every supplied root. This is the
+// paper's preferred "re-compute and synchronize during a mode switch"
+// strategy and accounts for most of the 0.22 ms native->virtual switch
+// time (§5.1.2, §7.4).
+//
+// When the last detach kept its table (attach.go) and nothing the walk
+// reads has moved since but L1 entries, the kept records are restored,
+// the changed entries replayed, and the walk's cycles charged without
+// the walk; otherwise the walk runs. The table, pins, tally, error and
+// clock are the walk's either way.
 //
 // workers is how many CPUs may share the walk: at attach every other
 // CPU is parked at the §5.4 rendezvous. With two or more workers and
@@ -524,6 +530,16 @@ func (v *VMM) MirrorUnpinRoot(c *hw.CPU, d *Domain, root hw.PFN) error {
 func (v *VMM) RecomputeFrameInfo(c *hw.CPU, d *Domain, roots []hw.PFN, workers int) error {
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
+	ruled := min(workers, len(roots)) < 2 && v.restoreKept(c, d, roots)
+	v.keep.d = nil
+	if ruled {
+		return nil
+	}
+	return v.recomputeWalk(c, d, roots, workers)
+}
+
+// recomputeWalk is RecomputeFrameInfo's walk (MMU lock held).
+func (v *VMM) recomputeWalk(c *hw.CPU, d *Domain, roots []hw.PFN, workers int) error {
 	shards := min(workers, len(roots))
 	s := sinkCharge
 	if shards >= 2 {

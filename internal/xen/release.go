@@ -59,19 +59,28 @@ func (v *VMM) ruleApplies(d *Domain) bool {
 // VMM detaches, its pins and the base pointer's refs included: cheap,
 // which is why switching back to native mode takes only ~0.06 ms (§7.4).
 // It releases by the rule above, and by the walk where the rule does
-// not hold.
+// not hold. A rule release on a one-CPU machine keeps what the reset
+// erases for the next attach (attach.go).
 func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
 	if !v.ruleApplies(d) {
+		v.keep.d = nil
 		v.releaseWalk(c, d, sinkCharge)
 		return
 	}
 	c.Charge(v.M.Costs.FrameRelease * hw.Cycles(v.rel.units))
+	kept := v.keepForAttach(c, d)
 	clear(d.pinnedRoots)
 	d.baseHeld = false
 	v.rel = releaseTally{}
-	v.FT.Reset()
+	if !kept {
+		v.FT.Reset()
+		return
+	}
+	k := &v.keep
+	v.FT.resetKeeping(&k.pfns, &k.recs)
+	k.epoch, k.owners = v.FT.epoch, v.FT.owners
 }
 
 // releaseWalk drops d's base pointer and unpins every root it pinned,

@@ -67,6 +67,10 @@ type VMM struct {
 	// rel is the detach's release tally (guarded by mmu; see release.go).
 	rel releaseTally
 
+	// keep is what the last rule detach kept for the next attach
+	// (guarded by mmu; see attach.go).
+	keep attachKeep
+
 	nextDomID  DomID
 	consoleLog []string
 
@@ -139,6 +143,10 @@ type VMMStats struct {
 	// not have walked independently (a page-table frame reachable from
 	// two shards) and so were charged the serial walk on top.
 	RecomputeFallbacks atomic.Uint64
+
+	// RuleAttaches counts recomputes that restored the table the last
+	// detach kept instead of walking (attach.go).
+	RuleAttaches atomic.Uint64
 }
 
 // ReservedFrames is the pre-cached VMM's footprint: 16 MB worth of
