@@ -111,6 +111,43 @@ func WritePTE(m *PhysMem, table PFN, idx int, e PTE) {
 	m.WriteWord(table.Addr()+PhysAddr(idx*4), uint32(e))
 }
 
+// TableWriter is a writable view of the PTEntries entries of one
+// page-table frame, taken with one frame load: a run of stores to one
+// table writes through it instead of loading the frame per WritePTE.
+type TableWriter struct {
+	b   *[PageSize]byte
+	m   *PhysMem
+	pfn PFN
+}
+
+// WriteTable returns a writable view of the page table in frame table.
+// Taking it is the frame's first write: a never-written frame gets its
+// bytes and a copy-on-write frame is promoted, onPromote hook and all,
+// as a WritePTE would.
+//
+// The view holds the frame's own bytes, the page every later store to
+// the frame goes to, so it stays live: At reads what ReadPTE would and
+// Set lands where WritePTE would, whoever else stores to the frame,
+// until a MapSharedRange or Scrub of the frame replaces its page.
+func WriteTable(m *PhysMem, table PFN) TableWriter {
+	if !m.Valid(table) {
+		panic(fmt.Sprintf("hw: page-table write beyond memory: frame %d", table))
+	}
+	return TableWriter{(*[PageSize]byte)(m.frameRW(table)), m, table}
+}
+
+// At returns entry i of the table.
+func (w TableWriter) At(i int) PTE {
+	return PTE(binary.LittleEndian.Uint32(w.b[i*4:]))
+}
+
+// Set stores entry i of the table, marking the frame dirty per store as
+// WritePTE does.
+func (w TableWriter) Set(i int, e PTE) {
+	binary.LittleEndian.PutUint32(w.b[i*4:], uint32(e))
+	w.m.markDirty(w.pfn)
+}
+
 // WalkResult is the outcome of a hardware page-table walk.
 type WalkResult struct {
 	PTE   PTE

@@ -146,6 +146,79 @@ func TestTableViewMatchesReadPTE(t *testing.T) {
 	}
 }
 
+// A run of stores through one TableWriter, indices repeated and another
+// writer's store in between, must read and leave what per-entry
+// ReadPTE/WritePTE calls would, run the promotion hook once and mark the
+// frame dirty after every store.
+func TestTableWriterMatchesWritePTE(t *testing.T) {
+	const table = PFN(3)
+	page := make([]byte, PageSize)
+	for i := 0; i < PTEntries; i += 5 {
+		binary.LittleEndian.PutUint32(page[i*4:], uint32(MakePTE(PFN(100+i), PTEPresent|PTEWrite)))
+	}
+	setups := []struct {
+		name  string
+		setup func(m *PhysMem, promoted *int)
+	}{
+		{"private", func(m *PhysMem, _ *int) { copy(m.FrameBytes(table), page) }},
+		{"cow", func(m *PhysMem, promoted *int) {
+			if err := m.MapShared(table, bytes.Clone(page), func(PFN) { *promoted++ }); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"never written", func(*PhysMem, *int) {}},
+	}
+	idx := []int{0, 5, 5, 1023, 0, 7, 5}
+	run := func(m *PhysMem, read func(i int) PTE, store func(i int, e PTE)) []PTE {
+		var seen []PTE
+		for k, i := range idx {
+			seen = append(seen, read(i))
+			store(i, MakePTE(PFN(k), PTEPresent|uint32(k)<<1&PTEWrite))
+			if !m.frames[table].dirty.Swap(false) {
+				t.Fatalf("store %d left the frame clean", k)
+			}
+			if k == 3 { // another writer's store between two of the run's
+				m.WriteWord(table.Addr()+7*4, uint32(MakePTE(77, PTEPresent)))
+			}
+		}
+		return seen
+	}
+	for _, s := range setups {
+		t.Run(s.name, func(t *testing.T) {
+			var promRef, promGot int
+			ref, got := NewPhysMem(64<<10), NewPhysMem(64<<10)
+			s.setup(ref, &promRef)
+			s.setup(got, &promGot)
+			ref.EnableDirtyLog()
+			got.EnableDirtyLog()
+			want := run(ref, func(i int) PTE { return ReadPTE(ref, table, i) },
+				func(i int, e PTE) { WritePTE(ref, table, i, e) })
+			var w TableWriter
+			seen := run(got, func(i int) PTE {
+				if w.b == nil {
+					return ReadPTE(got, table, i)
+				}
+				return w.At(i)
+			}, func(i int, e PTE) {
+				if w.b == nil {
+					w = WriteTable(got, table)
+				}
+				w.Set(i, e)
+			})
+			if !slices.Equal(seen, want) {
+				t.Fatalf("the writer's run read %v, per-entry reads %v", seen, want)
+			}
+			if !bytes.Equal(got.FrameBytesRO(table), ref.FrameBytesRO(table)) {
+				t.Fatal("the writer's run left another frame than per-entry stores")
+			}
+			if promGot != promRef || got.SharedAt(table) {
+				t.Fatalf("promotion hook ran %d times, per-entry stores %d; still shared %v",
+					promGot, promRef, got.SharedAt(table))
+			}
+		})
+	}
+}
+
 func TestSelectors(t *testing.T) {
 	s := MakeSelector(GDTKernelCode, PL0)
 	if s.Index() != GDTKernelCode || s.RPL() != PL0 {

@@ -2,7 +2,9 @@ package vo
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -33,6 +35,64 @@ func TestLazyWriteDeferredUntilFlush(t *testing.T) {
 	}
 	if o.Refs() != 0 {
 		t.Fatalf("refs after section: %d", o.Refs())
+	}
+}
+
+// TestLazyBufferCountsEntries: the lazy buffer counts each entry store
+// as one op, so a 600-entry stream (a table run with a directory store
+// in it) self-flushes at entry mcBatchCap and
+// drains the other 88 at EndLazyMMU, counting 600 multicall ops and 600
+// mmu_updates over two multicalls. With entry 450 refused, the flush
+// after the cap names op 450 and applies the 450 before it.
+func TestLazyBufferCountsEntries(t *testing.T) {
+	o, c, pt, e := virtualWriteEnv(t)
+	root := o.D.PinnedRoots()[0]
+	pde := hw.ReadPTE(o.V.M.Mem, root, 0)
+	stream := func(bad int) []xen.MMUUpdate {
+		batch := make([]xen.MMUUpdate, 600)
+		for i := range batch {
+			batch[i] = xen.MMUUpdate{Table: pt, Index: i, New: e}
+			if i == 300 {
+				batch[i] = xen.MMUUpdate{Table: root, Index: 0, New: pde}
+			}
+			if i == bad {
+				batch[i].New = hw.MakePTE(o.V.M.Mem.NumFrames(), hw.PTEPresent)
+			}
+		}
+		return batch
+	}
+	d := o.D
+	mcs0, ops0, upd0 := d.Stats.Multicalls.Load(), d.Stats.MulticallOps.Load(), d.Stats.MMUUpdates.Load()
+	o.BeginLazyMMU(c)
+	for i, u := range stream(-1) {
+		o.WritePTEBatch(c, []xen.MMUUpdate{u})
+		want, flushed := i+1, uint64(0)
+		if i+1 >= mcBatchCap {
+			want, flushed = i+1-mcBatchCap, 1
+		}
+		if got := o.lazy[c.ID].mc.Len(); got != want || d.Stats.Multicalls.Load()-mcs0 != flushed {
+			t.Fatalf("after entry %d: %d pending, %d multicalls; want %d and %d",
+				i, got, d.Stats.Multicalls.Load()-mcs0, want, flushed)
+		}
+	}
+	o.EndLazyMMU(c)
+	if mcs, ops, upd := d.Stats.Multicalls.Load()-mcs0, d.Stats.MulticallOps.Load()-ops0,
+		d.Stats.MMUUpdates.Load()-upd0; mcs != 2 || ops != 600 || upd != 600 {
+		t.Fatalf("%d multicalls, %d ops, %d mmu_updates; want 2, 600, 600", mcs, ops, upd)
+	}
+
+	upd0 = d.Stats.MMUUpdates.Load()
+	o.BeginLazyMMU(c)
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "op 450 (mmu_update)") {
+				t.Fatalf("stream with a bad entry 450: %v, want op 450 named", r)
+			}
+		}()
+		o.WritePTEBatch(c, stream(450))
+	}()
+	if upd := d.Stats.MMUUpdates.Load() - upd0; upd != 450 {
+		t.Fatalf("%d mmu_updates before the bad entry, want 450", upd)
 	}
 }
 

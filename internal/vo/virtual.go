@@ -52,7 +52,9 @@ func NewVirtual(v *xen.VMM, d *xen.Domain) *Virtual {
 	o := &Virtual{V: v, D: d, Stats: newStats(v.M, "virtual")}
 	o.lazy = make([]lazyBuf, len(v.M.CPUs))
 	for i := range o.lazy {
-		o.lazy[i].mc.Ops = make([]xen.MCOp, 0, mcBatchCap+4)
+		// The cap bounds the entry stores; a call that drains may
+		// add two more ops first.
+		o.lazy[i].mc.Grow(mcBatchCap+4, mcBatchCap)
 	}
 	return o
 }

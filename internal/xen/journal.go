@@ -385,7 +385,7 @@ func (v *VMM) journalFallback(c *hw.CPU, d *Domain, roots []hw.PFN, workers int)
 // held). It condenses the entries per slot and checks each slot's final
 // value against memory — the corruption detector — before applying
 // anything. Then each slot in first-touch order takes the refs of its
-// last new value and drops those of its first old one, as applyUpdate
+// last new value and drops those of its first old one, as applyRun
 // does for an L1 entry; a slot refused on the way rolls back the slots
 // before it, so a failed replay leaves the snapshot as it was.
 //
@@ -423,7 +423,7 @@ func (v *VMM) replayLocked(c *hw.CPU, d *Domain, j *DirtyJournal) error {
 }
 
 // replaySlot moves a leaf entry's refs from the frame of from to the
-// frame of to, as applyUpdate does for an L1 entry: it takes to's refs
+// frame of to, as applyRun does for an L1 entry: it takes to's refs
 // for d (nil: unchecked), then drops from's. from is an untrusted
 // record, not a walked entry, so its drop is checked first — a writable
 // mapping must hold a writable typed ref, any other an untyped one —

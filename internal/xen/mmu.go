@@ -139,24 +139,35 @@ func (v *VMM) devalidateL1(c *hw.CPU, pt hw.PFN, s sink) {
 // loading the target's frame record once for the owner check and both
 // refs.
 func (v *VMM) refMapping(d *Domain, pte hw.PTE) error {
+	f, err := v.refType(d, pte)
+	if err != nil {
+		return err
+	}
+	v.FT.getRef(f, pte.Frame())
+	return nil
+}
+
+// refType is refMapping's checks and typed half: it checks that d may
+// map pte's frame, takes the writable type ref a writable mapping
+// holds, and returns the frame's record.
+func (v *VMM) refType(d *Domain, pte hw.PTE) (*frame, error) {
 	pfn := pte.Frame()
 	if !v.M.Mem.Valid(pfn) {
-		return fmt.Errorf("xen: mapping of nonexistent frame %d", pfn)
+		return nil, fmt.Errorf("xen: mapping of nonexistent frame %d", pfn)
 	}
 	f := &v.FT.frames[pfn]
 	if owner := f.ownerID(); d != nil && owner != d.ID {
 		// Foreign frames are only reachable via grants; the backend path
 		// maps those through GrantMap, not page tables.
-		return fmt.Errorf("xen: dom%d mapping foreign frame %d (owner dom%d)",
+		return nil, fmt.Errorf("xen: dom%d mapping foreign frame %d (owner dom%d)",
 			d.ID, pfn, owner)
 	}
 	if pte.Writable() {
 		if err := v.FT.getType(f, pfn, FrameWritable); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	v.FT.getRef(f, pfn)
-	return nil
+	return f, nil
 }
 
 // unrefMapping drops the refs a present leaf entry held.
@@ -280,52 +291,137 @@ func (v *VMM) releaseCost(root hw.PFN) hw.Cycles {
 	return n
 }
 
-// applyUpdate validates and applies one entry store (internal).
-func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, s sink) error {
-	if u.Index < 0 || u.Index >= hw.PTEntries {
-		return fmt.Errorf("xen: mmu_update index %d outside table %d", u.Index, u.Table)
+// applyUpdates validates and applies a list of entry stores, one run
+// of consecutive same-table stores at a time (applyRun), stopping at
+// the first store refused. With dispatch, each store is a multicall op
+// and pays MulticallPerOp first. It returns how many stores applied; on
+// an error, the next one failed and changed nothing.
+func (v *VMM) applyUpdates(c *hw.CPU, d *Domain, ups []MMUUpdate, dispatch bool, s sink) (int, error) {
+	done := 0
+	for done < len(ups) {
+		n := 1
+		for done+n < len(ups) && ups[done+n].Table == ups[done].Table {
+			n++
+		}
+		k, err := v.applyRun(c, d, ups[done:done+n], dispatch, s)
+		done += k
+		if err != nil {
+			return done, err
+		}
 	}
-	if !v.M.Mem.Valid(u.Table) {
-		return fmt.Errorf("xen: mmu_update to frame %d beyond memory", u.Table)
-	}
-	fi := v.FT.Get(u.Table)
-	if fi.TypeCount == 0 || (fi.Type != FrameL1 && fi.Type != FrameL2) {
-		return fmt.Errorf("xen: mmu_update to frame %d which is %s, not a page table",
-			u.Table, fi.Type)
-	}
-	if d != nil && fi.Owner != d.ID {
-		return fmt.Errorf("xen: dom%d updating foreign page table %d", d.ID, u.Table)
-	}
-	v.cost(c, s, v.M.Costs.MMUUpdateEntry)
-	old := hw.ReadPTE(v.M.Mem, u.Table, u.Index)
+	return done, nil
+}
 
-	switch fi.Type {
-	case FrameL1:
-		if u.New.Present() {
-			if err := v.refMapping(d, u.New); err != nil {
+// applyRun validates and applies a run of entry stores to one table
+// (MMU lock held), in order, and returns how many applied; a single
+// store is a run of one. Every store of the run names run[0].Table.
+// Each store is charged as if it were alone: MulticallPerOp with
+// dispatch, then MMUUpdateEntry once its table has checked, then its
+// validation.
+//
+// The table is checked once, at the first store: valid memory, typed
+// L1 or L2 with a non-zero count, and owned by d, its record read in
+// place. No store of the run can change that record, so what the check
+// found holds for the whole run. Only a type ref on the table could: a
+// store would take one by mapping the table writable (from an L1) or
+// using it as an L1 (from an L2), and either fails its own type check
+// against the table's type; no validated entry holds one to drop. Every
+// other writer of a record holds the MMU lock the run holds.
+//
+// The first store reads its old entry with ReadPTE. Only once it has
+// validated does the run take the table's writable view (hw.WriteTable)
+// and read and store every later entry through it, so a refused first
+// store never promotes a copy-on-write table frame or runs its hook.
+// DESIGN.md "Page-table walks" states why nothing else stores to the
+// frame between two stores of a run.
+//
+// The stores applied are added to d's MMUUpdates once, as the run
+// returns: nothing reads the count inside a VMM call.
+func (v *VMM) applyRun(c *hw.CPU, d *Domain, run []MMUUpdate, dispatch bool, s sink) (applied int, err error) {
+	if d != nil {
+		defer func() { d.Stats.MMUUpdates.Add(uint64(applied)) }()
+	}
+	table := run[0].Table
+	var typ FrameType
+	var w hw.TableWriter
+	for i, u := range run {
+		if dispatch {
+			c.Charge(v.M.Costs.MulticallPerOp)
+		}
+		if u.Index < 0 || u.Index >= hw.PTEntries {
+			return i, fmt.Errorf("xen: mmu_update index %d outside table %d", u.Index, table)
+		}
+		if i == 0 {
+			if !v.M.Mem.Valid(table) {
+				return 0, fmt.Errorf("xen: mmu_update to frame %d beyond memory", table)
+			}
+			f := &v.FT.frames[table]
+			if f.typeCount == 0 || (f.typ != FrameL1 && f.typ != FrameL2) {
+				return 0, fmt.Errorf("xen: mmu_update to frame %d which is %s, not a page table",
+					table, f.typ)
+			}
+			if d != nil && f.ownerID() != d.ID {
+				return 0, fmt.Errorf("xen: dom%d updating foreign page table %d", d.ID, table)
+			}
+			typ = f.typ
+		}
+		v.cost(c, s, v.M.Costs.MMUUpdateEntry)
+		var old hw.PTE
+		if i == 0 {
+			old = hw.ReadPTE(v.M.Mem, table, u.Index)
+		} else {
+			old = w.At(u.Index)
+		}
+		if err := v.storeRefs(c, d, typ, old, u.New, s); err != nil {
+			return i, err
+		}
+		if i == 0 {
+			w = hw.WriteTable(v.M.Mem, table)
+		}
+		w.Set(u.Index, u.New)
+	}
+	return len(run), nil
+}
+
+// storeRefs moves the accounting of one entry of a table of type typ
+// from old to new: the new entry's refs are taken (and validated) before
+// the old one's are dropped, and a refused new entry changes nothing.
+func (v *VMM) storeRefs(c *hw.CPU, d *Domain, typ FrameType, old, new hw.PTE, s sink) error {
+	if typ == FrameL2 {
+		if new.Present() {
+			if err := v.validateL1(c, d, new.Frame(), s); err != nil {
 				return err
 			}
-			v.rel.units++
-		}
-		if old.Present() {
-			v.unrefMapping(old)
-			v.rel.units--
-		}
-	case FrameL2:
-		if u.New.Present() {
-			if err := v.validateL1(c, d, u.New.Frame(), s); err != nil {
-				return err
-			}
-			v.FT.GetRef(u.New.Frame())
+			v.FT.GetRef(new.Frame())
 		}
 		if old.Present() {
 			v.devalidateL1(c, old.Frame(), s)
 			v.FT.PutRef(old.Frame())
 		}
+		return nil
 	}
-	hw.WritePTE(v.M.Mem, u.Table, u.Index, u.New)
-	if d != nil {
-		d.Stats.MMUUpdates.Add(1)
+	if new.Present() && old.Present() && new.Frame() == old.Frame() {
+		// Only the flags change: refMapping(new) and unrefMapping(old)
+		// would take and drop the same existence ref, so move just the
+		// writable type ref, after the same checks.
+		f, err := v.refType(d, new)
+		if err != nil {
+			return err
+		}
+		if old.Writable() {
+			v.FT.putType(f, old.Frame())
+		}
+		return nil
+	}
+	if new.Present() {
+		if err := v.refMapping(d, new); err != nil {
+			return err
+		}
+		v.rel.units++
+	}
+	if old.Present() {
+		v.unrefMapping(old)
+		v.rel.units--
 	}
 	return nil
 }
@@ -335,17 +431,17 @@ func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, s sink) error {
 // HypMMUUpdate is the mmu_update hypercall: one world switch validates
 // and applies a whole batch — the batching is what keeps paravirtual
 // fork/exec within a small factor of native instead of paying a world
-// switch per entry.
+// switch per entry. Like Xen's do_mmu_update, which maps a request's
+// table again only when it differs from the previous request's, it
+// applies each run of consecutive same-table entries with one table
+// check and one frame load (applyRun); every entry still pays its own
+// MMUUpdateEntry and validation. It stops at the first entry refused.
 func (v *VMM) HypMMUUpdate(c *hw.CPU, d *Domain, batch []MMUUpdate) error {
 	defer v.exit(c, d, v.enter(c, d))
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
-	for _, u := range batch {
-		if err := v.applyUpdate(c, d, u, sinkCharge); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := v.applyUpdates(c, d, batch, false, sinkCharge)
+	return err
 }
 
 // HypPinTable is MMUEXT_PIN_L2_TABLE: validate a tree and pin its root.
@@ -483,7 +579,8 @@ func (v *VMM) MirrorPTEWrite(c *hw.CPU, d *Domain, u MMUUpdate) error {
 	c.Charge(v.M.Costs.MirrorUpdate)
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
-	return v.applyUpdate(c, d, u, sinkNone)
+	_, err := v.applyRun(c, d, []MMUUpdate{u}, false, sinkNone)
+	return err
 }
 
 // MirrorPinRoot registers a new root under active tracking.
@@ -597,7 +694,7 @@ func (v *VMM) EmulatePTEWrite(c *hw.CPU, d *Domain, u MMUUpdate) error {
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
 	prev := c.SetMode(hw.PL0)
-	err := v.applyUpdate(c, d, u, sinkCharge)
+	_, err := v.applyRun(c, d, []MMUUpdate{u}, false, sinkCharge)
 	c.SetMode(prev)
 	c.Charge(v.M.Costs.FaultExit)
 	return err

@@ -22,12 +22,25 @@ import (
 // the batch cancels a pending flush — the CR3 load flushes the TLB
 // anyway. The coalesced flush runs even when an op fails mid-batch, so
 // a partially applied batch can never leave a stale translation live.
+//
+// Entry stores ride in runs: consecutive mmu_update entries share one
+// MCUpdate op over the batch's own update array, the way Xen-Linux's
+// xen_extend_mmu_update appends a request to the previous multicall
+// entry when that entry is an mmu_update, and the VMM applies each
+// same-table stretch of a run with one table check and one frame load
+// (applyRun), as do_mmu_update maps a request's table again only when
+// it differs from the previous request's. Everything simulated stays
+// per entry: each entry is one op of Len, Applied, the op index an
+// error names and the multicall_ops count, and pays its own
+// MulticallPerOp and MMUUpdateEntry in the order a one-op-per-entry
+// batch would.
 
 // MCOpKind discriminates one multicall operation.
 type MCOpKind uint8
 
 const (
-	// MCUpdate is one mmu_update entry store (validate + apply).
+	// MCUpdate is a run of mmu_update entry stores (validate + apply),
+	// each one op of the batch.
 	MCUpdate MCOpKind = iota
 	// MCPin is MMUEXT_PIN_L2_TABLE for Root.
 	MCPin
@@ -84,28 +97,32 @@ func (k MCOpKind) String() string {
 	return fmt.Sprintf("mc_op(%d)", uint8(k))
 }
 
-// MCOp is one operation in a multicall batch. Only the fields the Kind
-// consumes are meaningful.
+// MCOp is one operation in a multicall batch, or one run of entry
+// stores. Only the fields the Kind consumes are meaningful.
 type MCOp struct {
-	Kind   MCOpKind
-	Update MMUUpdate     // MCUpdate
-	Root   hw.PFN        // MCPin, MCUnpin, MCNewBaseptr
-	VA     hw.VirtAddr   // MCInvlpg
-	Traps  []TrapEntry   // MCSetTrapTable
-	Timer  func(*hw.CPU) // MCBindVirqTimer
-	Port   Port          // MCEvtchnSend
+	Kind  MCOpKind
+	Root  hw.PFN        // MCPin, MCUnpin, MCNewBaseptr
+	VA    hw.VirtAddr   // MCInvlpg
+	Traps []TrapEntry   // MCSetTrapTable
+	Timer func(*hw.CPU) // MCBindVirqTimer
+	Port  Port          // MCEvtchnSend
+	n     int           // MCUpdate: the run's length in Multicall.updates
 }
 
 // Multicall is a reusable batch of operations. The zero value is ready
-// to use; Reset keeps the backing array so a warmed batch enqueues and
-// flushes without allocating.
+// to use; Reset keeps both backing arrays so a warmed batch enqueues
+// and flushes without allocating.
 type Multicall struct {
-	Ops []MCOp
+	ops []MCOp
+	// updates holds every MCUpdate run's entries, runs in op order.
+	updates []MMUUpdate
+	// entries is the batch's length in ops, each entry store one.
+	entries int
 
 	// Applied is set by HypMulticall: the number of ops that executed
-	// successfully. On success Applied == len(Ops); after a mid-batch
-	// error it is the length of the applied prefix, which is what a
-	// transactional caller must unwind.
+	// successfully, each entry store one. On success Applied == Len();
+	// after a mid-batch error it is the length of the applied prefix,
+	// which is what a transactional caller must unwind.
 	Applied int
 
 	// kicked collects the distinct domains whose ports MCEvtchnSend
@@ -115,12 +132,19 @@ type Multicall struct {
 	kicked []*Domain
 }
 
+// Grow sizes the batch's backing arrays for at least ops more ops and
+// updates more entry stores, so a batch sized once never regrows.
+func (m *Multicall) Grow(ops, updates int) {
+	m.ops = slices.Grow(m.ops, ops)
+	m.updates = slices.Grow(m.updates, updates)
+}
+
 // Reset empties the batch, keeping capacity.
 func (m *Multicall) Reset() {
-	for i := range m.Ops {
-		m.Ops[i] = MCOp{} // drop Traps/Timer references
-	}
-	m.Ops = m.Ops[:0]
+	clear(m.ops) // drop Traps/Timer references
+	m.ops = m.ops[:0]
+	m.updates = m.updates[:0]
+	m.entries = 0
 	m.Applied = 0
 	for i := range m.kicked {
 		m.kicked[i] = nil
@@ -128,57 +152,70 @@ func (m *Multicall) Reset() {
 	m.kicked = m.kicked[:0]
 }
 
-// Len returns the number of enqueued ops.
-func (m *Multicall) Len() int { return len(m.Ops) }
+// Len returns the number of enqueued ops, each entry store one.
+func (m *Multicall) Len() int { return m.entries }
 
-// AddUpdate enqueues one mmu_update entry store.
+// add enqueues one op that is not an entry store.
+func (m *Multicall) add(op MCOp) {
+	m.ops = append(m.ops, op)
+	m.entries++
+}
+
+// AddUpdate enqueues one mmu_update entry store, extending the last op
+// when it is a run of entry stores.
 func (m *Multicall) AddUpdate(u MMUUpdate) {
-	m.Ops = append(m.Ops, MCOp{Kind: MCUpdate, Update: u})
+	m.updates = append(m.updates, u)
+	m.entries++
+	if n := len(m.ops); n > 0 && m.ops[n-1].Kind == MCUpdate {
+		m.ops[n-1].n++
+		return
+	}
+	m.ops = append(m.ops, MCOp{Kind: MCUpdate, n: 1})
 }
 
 // AddPin enqueues MMUEXT_PIN_L2_TABLE.
 func (m *Multicall) AddPin(root hw.PFN) {
-	m.Ops = append(m.Ops, MCOp{Kind: MCPin, Root: root})
+	m.add(MCOp{Kind: MCPin, Root: root})
 }
 
 // AddUnpin enqueues MMUEXT_UNPIN_TABLE.
 func (m *Multicall) AddUnpin(root hw.PFN) {
-	m.Ops = append(m.Ops, MCOp{Kind: MCUnpin, Root: root})
+	m.add(MCOp{Kind: MCUnpin, Root: root})
 }
 
 // AddNewBaseptr enqueues MMUEXT_NEW_BASEPTR.
 func (m *Multicall) AddNewBaseptr(root hw.PFN) {
-	m.Ops = append(m.Ops, MCOp{Kind: MCNewBaseptr, Root: root})
+	m.add(MCOp{Kind: MCNewBaseptr, Root: root})
 }
 
 // AddStackSwitch enqueues the context-switch stack/vcpu state swap.
 func (m *Multicall) AddStackSwitch() {
-	m.Ops = append(m.Ops, MCOp{Kind: MCStackSwitch})
+	m.add(MCOp{Kind: MCStackSwitch})
 }
 
 // AddTLBFlush enqueues a (deferred, coalesced) local TLB flush.
 func (m *Multicall) AddTLBFlush() {
-	m.Ops = append(m.Ops, MCOp{Kind: MCTLBFlush})
+	m.add(MCOp{Kind: MCTLBFlush})
 }
 
 // AddInvlpg enqueues a single-page invalidation.
 func (m *Multicall) AddInvlpg(va hw.VirtAddr) {
-	m.Ops = append(m.Ops, MCOp{Kind: MCInvlpg, VA: va})
+	m.add(MCOp{Kind: MCInvlpg, VA: va})
 }
 
 // AddSetTrapTable enqueues guest trap-table registration.
 func (m *Multicall) AddSetTrapTable(entries []TrapEntry) {
-	m.Ops = append(m.Ops, MCOp{Kind: MCSetTrapTable, Traps: entries})
+	m.add(MCOp{Kind: MCSetTrapTable, Traps: entries})
 }
 
 // AddBindVirqTimer enqueues the virtual-timer binding.
 func (m *Multicall) AddBindVirqTimer(h func(*hw.CPU)) {
-	m.Ops = append(m.Ops, MCOp{Kind: MCBindVirqTimer, Timer: h})
+	m.add(MCOp{Kind: MCBindVirqTimer, Timer: h})
 }
 
 // AddEvtchnSend enqueues an event-channel doorbell on p.
 func (m *Multicall) AddEvtchnSend(p Port) {
-	m.Ops = append(m.Ops, MCOp{Kind: MCEvtchnSend, Port: p})
+	m.add(MCOp{Kind: MCEvtchnSend, Port: p})
 }
 
 // HypMulticall executes the batch in one world switch: one
@@ -193,15 +230,15 @@ func (m *Multicall) AddEvtchnSend(p Port) {
 func (v *VMM) HypMulticall(c *hw.CPU, d *Domain, m *Multicall) error {
 	m.Applied = 0
 	m.kicked = m.kicked[:0]
-	if len(m.Ops) == 0 {
+	if m.entries == 0 {
 		return nil
 	}
 	fr := v.enter(c, d)
 	defer v.exit(c, d, fr)
 	d.Stats.Multicalls.Inc()
-	d.Stats.MulticallOps.Add(uint64(len(m.Ops)))
+	d.Stats.MulticallOps.Add(uint64(m.entries))
 	if fr.h != nil {
-		fr.h.col.Tracer.Instant(c.ID, c.Now(), "xen/multicall", uint64(len(m.Ops)))
+		fr.h.col.Tracer.Instant(c.ID, c.Now(), "xen/multicall", uint64(m.entries))
 	}
 	v.mmu.Lock(c)
 	err := v.multicallLocked(c, d, m)
@@ -216,17 +253,28 @@ func (v *VMM) HypMulticall(c *hw.CPU, d *Domain, m *Multicall) error {
 }
 
 // multicallLocked dispatches the ops (MMU lock held, PL0). Each kind
-// runs the same body as its single hypercall; only the TLB flush is
-// deferred, to at most one after the last op.
+// runs the same body as its single hypercall, a run of entry stores
+// HypMMUUpdate's; only the TLB flush is deferred, to at most one after
+// the last op.
 func (v *VMM) multicallLocked(c *hw.CPU, d *Domain, m *Multicall) error {
 	flushPending := false
 	var err error
-	for i := range m.Ops {
-		op := &m.Ops[i]
+	next := 0 // the first update of the next run
+	for i := range m.ops {
+		op := &m.ops[i]
+		if op.Kind == MCUpdate {
+			var n int
+			n, err = v.applyUpdates(c, d, m.updates[next:next+op.n], true, sinkCharge)
+			next += op.n
+			m.Applied += n
+			if err != nil {
+				err = fmt.Errorf("xen: multicall op %d (%s): %w", m.Applied, op.Kind, err)
+				break
+			}
+			continue
+		}
 		c.Charge(v.M.Costs.MulticallPerOp)
 		switch op.Kind {
-		case MCUpdate:
-			err = v.applyUpdate(c, d, op.Update, sinkCharge)
 		case MCPin:
 			err = v.pinTable(c, d, op.Root, sinkCharge)
 		case MCUnpin:
@@ -256,7 +304,7 @@ func (v *VMM) multicallLocked(c *hw.CPU, d *Domain, m *Multicall) error {
 			err = fmt.Errorf("xen: multicall: unknown op kind %d", op.Kind)
 		}
 		if err != nil {
-			err = fmt.Errorf("xen: multicall op %d (%s): %w", i, op.Kind, err)
+			err = fmt.Errorf("xen: multicall op %d (%s): %w", m.Applied, op.Kind, err)
 			break
 		}
 		m.Applied++

@@ -12,19 +12,25 @@ import (
 )
 
 // mcFuzzEnv is one FuzzMulticall machine: guest d running on a pinned
-// tree installed as its base pointer, a second tree built but not
-// pinned, and the host's dom0 as a peer bound to d by one event
-// channel. No timer is armed, so no interrupt lands inside a measured
-// call.
+// tree of mcFuzzPages pages installed as its base pointer, a second
+// tree built but not pinned, and the host's dom0 as a peer bound to d
+// by one event channel. No timer is armed, so no interrupt lands inside
+// a measured call.
 type mcFuzzEnv struct {
-	v     *VMM
-	d     *Domain
-	peer  *Domain
-	c     *hw.CPU
-	clean *FrameTable // owners only: the table before anything was pinned
-	pool  []hw.PFN    // the frames an op may name
-	ports []Port      // the ports an op may name
+	v       *VMM
+	d       *Domain
+	peer    *Domain
+	c       *hw.CPU
+	clean   *FrameTable // owners only: the table before anything was pinned
+	pool    []hw.PFN    // the frames an op may name
+	ports   []Port      // the ports an op may name
+	tables  []hw.PFN    // the tables a run may store to: L1, L2, L1, L2
+	hostile []hw.PFN    // a foreign frame and one beyond memory
 }
+
+// mcFuzzPages is the pinned tree's size: one switch-cycle region's
+// worth, so one L1 holds an mprotect-sized run of present entries.
+const mcFuzzPages = 410
 
 func newMCFuzzEnv(t *testing.T) *mcFuzzEnv {
 	t.Helper()
@@ -44,7 +50,7 @@ func newMCFuzzEnv(t *testing.T) *mcFuzzEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, data := buildTree(t, v, d, 3)
+	tb, data := buildTree(t, v, d, mcFuzzPages)
 	tb2, _ := buildTree(t, v, d, 2)
 	e := &mcFuzzEnv{v: v, d: d, peer: peer, c: c, clean: v.FT.Clone()}
 	if err := v.HypNewBaseptr(c, d, tb.Root); err != nil {
@@ -58,6 +64,8 @@ func newMCFuzzEnv(t *testing.T) *mcFuzzEnv {
 		d.Frames.Alloc(), peer.Frames.Alloc(), vmmLo, v.M.Mem.NumFrames(), 1<<20 - 1,
 	}
 	e.ports = []Port{port, port + 1, -1, 1 << 20}
+	e.tables = []hw.PFN{l1.Table, tb.Root, l1b.Table, tb2.Root}
+	e.hostile = []hw.PFN{peer.Frames.Alloc(), v.M.Mem.NumFrames()}
 	return e
 }
 
@@ -71,19 +79,68 @@ var (
 	fuzzTimers = [...]func(*hw.CPU){nil, func(*hw.CPU) {}}
 )
 
+// mcEntry is one op as the fuzzer decodes it: an MCOp, or for MCUpdate
+// one entry store.
+type mcEntry struct {
+	MCOp
+	Update MMUUpdate // MCUpdate
+}
+
+// enqueue adds e to m through its kind's Add method.
+func enqueue(m *Multicall, e mcEntry) {
+	switch e.Kind {
+	case MCUpdate:
+		m.AddUpdate(e.Update)
+	case MCPin:
+		m.AddPin(e.Root)
+	case MCUnpin:
+		m.AddUnpin(e.Root)
+	case MCNewBaseptr:
+		m.AddNewBaseptr(e.Root)
+	case MCStackSwitch:
+		m.AddStackSwitch()
+	case MCTLBFlush:
+		m.AddTLBFlush()
+	case MCInvlpg:
+		m.AddInvlpg(e.VA)
+	case MCSetTrapTable:
+		m.AddSetTrapTable(e.Traps)
+	case MCBindVirqTimer:
+		m.AddBindVirqTimer(e.Timer)
+	case MCEvtchnSend:
+		m.AddEvtchnSend(e.Port)
+	default:
+		m.add(e.MCOp)
+	}
+}
+
 // decodeMCOps turns the fuzz bytes into units of ops: each unit is one
 // op, except MCStackSwitch, which is followed by an MCNewBaseptr so the
-// pair matches the HypContextSwitch hypercall. Kind 10 is no kind.
+// pair matches the HypContextSwitch hypercall, and a run (kind 11).
+// Kind 10 is no kind.
 //
 // An MCUpdate is its table (a pool frame) and index, two bytes of flags
 // (any of the 12 bits) and a selector: an even one names a pool frame
 // to map, an odd one is the top bits of any 20-bit frame number, whose
 // other bits follow in two more bytes.
-func decodeMCOps(e *mcFuzzEnv, in *fuzzInput) [][]MCOp {
+//
+// A run is 2–64 entry stores to one of e.tables at ascending indices
+// from a two-byte start, as a VisitRange over the table makes them:
+// each re-flags the entry the table first held, writable or read-only
+// as one byte says. A selector byte may make one entry, at a position
+// the next byte gives, hostile: a foreign frame, a frame beyond memory,
+// a writable mapping of a page table (the run's own table included),
+// or an index out of range.
+func decodeMCOps(e *mcFuzzEnv, in *fuzzInput) [][]mcEntry {
 	pick := func() hw.PFN { return e.pool[int(in.next())%len(e.pool)] }
-	var units [][]MCOp
+	var units [][]mcEntry
 	for len(*in) > 0 && len(units) < 16 {
-		op := MCOp{Kind: MCOpKind(in.next() % 11)}
+		k := in.next() % 12
+		if k == 11 {
+			units = append(units, decodeRun(e, in))
+			continue
+		}
+		op := mcEntry{MCOp: MCOp{Kind: MCOpKind(k)}}
 		switch op.Kind {
 		case MCUpdate:
 			op.Update = MMUUpdate{Table: pick(), Index: fuzzIndices[int(in.next())%len(fuzzIndices)]}
@@ -111,51 +168,90 @@ func decodeMCOps(e *mcFuzzEnv, in *fuzzInput) [][]MCOp {
 		case MCEvtchnSend:
 			op.Port = e.ports[int(in.next())%len(e.ports)]
 		}
-		unit := []MCOp{op}
+		unit := []mcEntry{op}
 		if op.Kind == MCStackSwitch {
-			unit = append(unit, MCOp{Kind: MCNewBaseptr, Root: op.Root})
+			unit = append(unit, mcEntry{MCOp: MCOp{Kind: MCNewBaseptr, Root: op.Root}})
 		}
 		units = append(units, unit)
 	}
 	return units
 }
 
+// decodeRun decodes one run unit (see decodeMCOps).
+func decodeRun(e *mcFuzzEnv, in *fuzzInput) []mcEntry {
+	table := e.tables[int(in.next())%len(e.tables)]
+	lo := (int(in.next())<<8 | int(in.next())) % hw.PTEntries
+	n := 2 + int(in.next())%63
+	lo = min(lo, hw.PTEntries-n)
+	writable := uint32(in.next()&1) * hw.PTEWrite
+	run := make([]mcEntry, n)
+	for i := range run {
+		old := hw.ReadPTE(e.v.M.Mem, table, lo+i)
+		run[i] = mcEntry{MCOp: MCOp{Kind: MCUpdate}, Update: MMUUpdate{Table: table, Index: lo + i,
+			New: old.WithFlags(old.Flags()&^hw.PTEWrite | writable)}}
+	}
+	sel, pos := in.next()%8, int(in.next())%n
+	u := &run[pos].Update
+	flags := hw.PTEPresent | hw.PTEUser | hw.PTEWrite
+	switch sel {
+	case 1, 2: // a foreign frame, a frame beyond memory
+		u.New = hw.MakePTE(e.hostile[sel-1], flags)
+	case 3, 4, 5: // a page table mapped writable: this run's own, or another
+		u.New = hw.MakePTE([]hw.PFN{table, e.tables[0], e.tables[1]}[sel-3], flags)
+	case 6:
+		u.Index = -1
+	case 7:
+		u.Index = hw.PTEntries
+	}
+	return run
+}
+
 // multicall issues ops as one batch.
-func (e *mcFuzzEnv) multicall(ops []MCOp) (*Multicall, error) {
-	mc := &Multicall{Ops: slices.Clone(ops)}
+func (e *mcFuzzEnv) multicall(ops []mcEntry) (*Multicall, error) {
+	mc := &Multicall{}
+	for _, op := range ops {
+		enqueue(mc, op)
+	}
 	return mc, e.v.HypMulticall(e.c, e.d, mc)
 }
 
-// single issues a unit through its own hypercall.
-func (e *mcFuzzEnv) single(unit []MCOp) error {
+// single issues a unit through its own hypercall, a run through one
+// mmu_update per entry up to the first refused, and returns how many
+// hypercalls it made.
+func (e *mcFuzzEnv) single(unit []mcEntry) (int, error) {
 	v, c, d, op := e.v, e.c, e.d, unit[0]
 	switch op.Kind {
 	case MCUpdate:
-		return v.HypMMUUpdate(c, d, []MMUUpdate{op.Update})
+		for i, u := range unit {
+			if err := v.HypMMUUpdate(c, d, []MMUUpdate{u.Update}); err != nil {
+				return i + 1, err
+			}
+		}
+		return len(unit), nil
 	case MCPin:
-		return v.HypPinTable(c, d, op.Root)
+		return 1, v.HypPinTable(c, d, op.Root)
 	case MCUnpin:
-		return v.HypUnpinTable(c, d, op.Root)
+		return 1, v.HypUnpinTable(c, d, op.Root)
 	case MCNewBaseptr:
-		return v.HypNewBaseptr(c, d, op.Root)
+		return 1, v.HypNewBaseptr(c, d, op.Root)
 	case MCStackSwitch:
-		return v.HypContextSwitch(c, d, unit[1].Root)
+		return 1, v.HypContextSwitch(c, d, unit[1].Root)
 	case MCTLBFlush:
 		v.HypTLBFlush(c, d)
-		return nil
+		return 1, nil
 	case MCInvlpg:
 		v.HypInvlpg(c, d, op.VA)
-		return nil
+		return 1, nil
 	case MCSetTrapTable:
-		return v.HypSetTrapTable(c, d, op.Traps)
+		return 1, v.HypSetTrapTable(c, d, op.Traps)
 	case MCBindVirqTimer:
 		v.HypBindVirqTimer(c, d, op.Timer)
-		return nil
+		return 1, nil
 	case MCEvtchnSend:
-		return v.EvtchnSend(c, d, op.Port)
+		return 1, v.EvtchnSend(c, d, op.Port)
 	}
 	_, err := e.multicall(unit) // no kind: no hypercall of its own
-	return err
+	return 1, err
 }
 
 // funcID identifies a handler for comparison across machines.
@@ -253,9 +349,11 @@ func (e *mcFuzzEnv) checkSafe() error {
 //   - A issues every unit as its own multicall: every call must keep the
 //     frame table's invariants and no pinned tree may map a page table
 //     writable;
-//   - B issues every unit through its single hypercall: after each unit
-//     A and B must agree on the outcome and on every piece of state, and
-//     A must have paid exactly MulticallPerOp per op more;
+//   - B issues every unit through its single hypercall, a run through
+//     one mmu_update per entry: after each unit A and B must agree on
+//     the outcome, the entry a run failed at and every piece of state,
+//     and A must have paid exactly MulticallPerOp per op more, less the
+//     world switches of B's extra hypercalls;
 //   - C issues all the ops as one batch: Applied must be the prefix A
 //     executed before its first failure, with the same state.
 //
@@ -279,14 +377,37 @@ func FuzzMulticall(f *testing.F) {
 	// (the VMM's) and frame 2^20-1, far past memory.
 	f.Add([]byte{0, 1, 1, 0xFF, 0x0F, 4, 0, 1, 2, 0x07, 0, 0x01, 0x3E, 0x10,
 		0, 1, 2, 0x03, 0, 0xFF, 0xFF, 0xFF})
+	// An mprotect of the pinned tree's 410 pages: seven runs on its L1
+	// make indices 0–409 read-only, which the batch joins into one run,
+	// then a flush; and the same with the 200th entry mapping the L1
+	// itself writable.
+	mprotect := func(hostile byte) []byte {
+		var in []byte
+		for lo := 0; lo < mcFuzzPages; lo += 64 {
+			n := min(64, mcFuzzPages-lo)
+			sel, pos := byte(0), byte(0)
+			if lo <= 200 && 200 < lo+n {
+				sel, pos = hostile, byte(200-lo)
+			}
+			in = append(in, 11, 0, byte(lo>>8), byte(lo), byte(n-2), 0, sel, pos)
+		}
+		return append(in, 5)
+	}
+	f.Add(mprotect(0))
+	f.Add(mprotect(3))
+	// Runs on the directory: its entries 30–34 (32 reaches the L1)
+	// made writable, then read-only, the second run with entry 32 out of
+	// range; and a run on the unpinned tree's L1.
+	f.Add([]byte{11, 1, 0, 30, 3, 1, 0, 0, 11, 1, 0, 30, 3, 0, 6, 2, 11, 2, 0, 0, 10, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b, cc := newMCFuzzEnv(t), newMCFuzzEnv(t), newMCFuzzEnv(t)
 		in := fuzzInput(data)
 		units := decodeMCOps(a, &in)
-		var ops []MCOp
+		var ops []mcEntry
 		for _, u := range units {
 			ops = append(ops, u...)
 		}
+		hypercall := a.v.M.Costs.WorldSwitch + a.v.M.Costs.HypercallBase
 
 		batch, batchErr := cc.multicall(ops)
 		if batchErr == nil && batch.Applied != len(ops) {
@@ -302,24 +423,35 @@ func FuzzMulticall(f *testing.F) {
 
 		next, firstFail := 0, len(ops)
 		for _, u := range units {
-			// The batch stopped inside this unit: its state must be A's
-			// before it (an op that fails changes nothing).
-			if batchErr != nil && firstFail == len(ops) && next <= batch.Applied && batch.Applied < next+len(u) {
-				if err := sameState(cc, a); err != nil {
-					t.Fatalf("batch stopped at op %d, but its state is not A's before it: %v", batch.Applied, err)
-				}
-			}
 			a0, b0 := a.c.Now(), b.c.Now()
 			mc, errA := a.multicall(u)
-			errB := b.single(u)
+			calls, errB := b.single(u)
 			costA, costB := a.c.Now()-a0, b.c.Now()-b0
 			if (errA == nil) != (errB == nil) || errA != nil && !strings.HasSuffix(errA.Error(), errB.Error()) {
 				t.Fatalf("%v: multicall %v, hypercall %v", u, errA, errB)
 			}
 			if errA != nil && firstFail == len(ops) {
 				firstFail = next + mc.Applied
+				// The batch stopped at this op too: its state must be
+				// A's (an op that fails changes nothing).
+				if batchErr != nil && firstFail == batch.Applied {
+					if err := sameState(cc, a); err != nil {
+						t.Fatalf("batch and A stopped at op %d, in other states: %v", batch.Applied, err)
+					}
+				}
 			}
-			want := hw.Cycles(len(u)) * a.v.M.Costs.MulticallPerOp
+			ran := len(u) // the ops A dispatched
+			if u[0].Kind == MCUpdate {
+				ran = calls // B stopped at the entry A failed at, or ran them all
+				applied := calls
+				if errB != nil {
+					applied-- // the call that failed
+				}
+				if mc.Applied != applied {
+					t.Fatalf("%v: multicall applied %d entries, mmu_update %d", u, mc.Applied, applied)
+				}
+			}
+			want := hw.Cycles(ran)*a.v.M.Costs.MulticallPerOp - hw.Cycles(calls-1)*hypercall
 			if u[0].Kind > MCEvtchnSend {
 				want = 0 // both sides issued the batch
 			}

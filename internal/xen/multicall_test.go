@@ -173,22 +173,27 @@ func TestMulticallAppliedPrefixOnError(t *testing.T) {
 }
 
 // TestMulticallResetKeepsCapacityDropsRefs: Reset empties the batch
-// without shrinking the backing array, and clears the Traps/Timer
-// references so a warmed batch does not pin garbage.
+// without shrinking either backing array, the ops' or the entry
+// stores', and clears the Traps/Timer references so a warmed batch does
+// not pin garbage.
 func TestMulticallResetKeepsCapacityDropsRefs(t *testing.T) {
 	var mc Multicall
 	mc.AddSetTrapTable([]TrapEntry{{Vector: 3}})
 	mc.AddBindVirqTimer(func(*hw.CPU) {})
+	mc.AddUpdate(MMUUpdate{Table: 7})
+	mc.AddUpdate(MMUUpdate{Table: 7, Index: 1})
 	mc.Applied = 1
-	backing := mc.Ops
-	capBefore := cap(mc.Ops)
+	backing := mc.ops
+	capBefore, updCapBefore := cap(mc.ops), cap(mc.updates)
 
 	mc.Reset()
-	if mc.Len() != 0 || mc.Applied != 0 {
-		t.Fatalf("after Reset: len %d, applied %d", mc.Len(), mc.Applied)
+	if mc.Len() != 0 || mc.Applied != 0 || len(mc.ops) != 0 || len(mc.updates) != 0 {
+		t.Fatalf("after Reset: len %d, applied %d, %d ops, %d updates",
+			mc.Len(), mc.Applied, len(mc.ops), len(mc.updates))
 	}
-	if cap(mc.Ops) != capBefore {
-		t.Fatalf("Reset shrank capacity %d -> %d", capBefore, cap(mc.Ops))
+	if cap(mc.ops) != capBefore || cap(mc.updates) != updCapBefore {
+		t.Fatalf("Reset shrank capacity: ops %d -> %d, updates %d -> %d",
+			capBefore, cap(mc.ops), updCapBefore, cap(mc.updates))
 	}
 	if backing[0].Traps != nil || backing[1].Timer != nil {
 		t.Fatal("Reset left Traps/Timer references in the backing array")
@@ -224,8 +229,10 @@ func TestMulticallEnqueueFlushAllocFree(t *testing.T) {
 		t.Fatal("no live L1 entry found")
 	}
 
-	mc := Multicall{Ops: make([]MCOp, 0, 8)}
+	var mc Multicall
+	mc.Grow(8, 8)
 	allocs := testing.AllocsPerRun(100, func() {
+		mc.AddUpdate(MMUUpdate{Table: l1, Index: idx, New: entry})
 		mc.AddUpdate(MMUUpdate{Table: l1, Index: idx, New: entry})
 		mc.AddTLBFlush()
 		if err := v.HypMulticall(c, d, &mc); err != nil {
@@ -235,5 +242,98 @@ func TestMulticallEnqueueFlushAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("multicall enqueue+flush allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// TestMulticallCountsEntries: a batch's entry stores count one op each,
+// however they ride, in Len, Applied, the op index an error names, the
+// xen/multicall_ops_total series and Domain.Stats.MMUUpdates, and the cycles: a
+// 600-entry stream over two tables, with a flush among them, costs what
+// 600 one-entry batches cost less 599 VMM entries, and fails at entry
+// 450 with the 450 entries before it applied.
+func TestMulticallCountsEntries(t *testing.T) {
+	m := hw.NewMachine(hw.Config{MemBytes: 32 << 20, NumCPUs: 1})
+	col := obs.New(1)
+	m.SetTelemetry(col)
+	v, err := Boot(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.BootCPU()
+	v.Activate(c)
+	d, err := v.CreateDomain("guest", hw.PFN(m.Frames.Available()), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.SetCurrent(c, d)
+	tb, data := buildTree(t, v, d, 1100)
+	if err := v.HypPinTable(c, d, tb.Root); err != nil {
+		t.Fatal(err)
+	}
+	// Entry i re-flags page 500+i read-only: the stream crosses from the
+	// tree's first L1 into its second at entry 524.
+	slot := func(i int) (hw.PFN, int) {
+		s, _ := tb.ExistingSlot(hw.VirtAddr(0x0800_0000 + (500+i)<<hw.PageShift))
+		return s.Table, s.Index
+	}
+	stream := func(mc *Multicall, bad int) {
+		for i := range 600 {
+			table, idx := slot(i)
+			e := hw.MakePTE(data[500+i], hw.PTEPresent|hw.PTEUser)
+			if i == bad {
+				e = hw.MakePTE(v.M.Mem.NumFrames(), hw.PTEPresent)
+			}
+			mc.AddUpdate(MMUUpdate{Table: table, Index: idx, New: e})
+			if i == 300 {
+				mc.AddTLBFlush()
+			}
+		}
+	}
+	ops, updates := col.Registry.Counter("xen", "multicall_ops_total"), &d.Stats.MMUUpdates
+	ops0, upd0, t0 := ops.Load(), updates.Load(), c.Now()
+	var mc Multicall
+	stream(&mc, -1)
+	if mc.Len() != 601 {
+		t.Fatalf("Len = %d, want 601: each entry store one op", mc.Len())
+	}
+	if err := v.HypMulticall(c, d, &mc); err != nil {
+		t.Fatal(err)
+	}
+	batch := c.Now() - t0
+	if mc.Applied != 601 || ops.Load()-ops0 != 601 || updates.Load()-upd0 != 600 {
+		t.Fatalf("Applied %d, multicall_ops %d, mmu_updates %d; want 601, 601, 600",
+			mc.Applied, ops.Load()-ops0, updates.Load()-upd0)
+	}
+
+	// The same stores, one batch each, on the tree the stream left.
+	t0 = c.Now()
+	for i := range 600 {
+		table, idx := slot(i)
+		var one Multicall
+		one.AddUpdate(MMUUpdate{Table: table, Index: idx, New: hw.ReadPTE(v.M.Mem, table, idx)})
+		if err := v.HypMulticall(c, d, &one); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var flush Multicall
+	flush.AddTLBFlush()
+	if err := v.HypMulticall(c, d, &flush); err != nil {
+		t.Fatal(err)
+	}
+	entry := v.M.Costs.WorldSwitch + v.M.Costs.HypercallBase
+	if got, want := c.Now()-t0, batch+600*entry; got != want {
+		t.Fatalf("601 one-op batches cost %d, want the stream's %d plus 600 VMM entries: %d", got, batch, want)
+	}
+
+	mc.Reset()
+	stream(&mc, 450)
+	upd0 = updates.Load()
+	err = v.HypMulticall(c, d, &mc)
+	// Entry 450 is op 451: the flush after entry 300 is an op too.
+	if err == nil || !strings.Contains(err.Error(), "op 451 (mmu_update)") {
+		t.Fatalf("stream with a bad entry 450: %v, want op 451 named", err)
+	}
+	if mc.Applied != 451 || updates.Load()-upd0 != 450 {
+		t.Fatalf("Applied %d, mmu_updates %d; want 451 and 450", mc.Applied, updates.Load()-upd0)
 	}
 }
