@@ -207,9 +207,10 @@ func traceCmd(args []string, w io.Writer) error {
 	return nil
 }
 
-// chaosCmd runs the seeded fault-injection campaign and prints the
-// episode table plus the dependability summary. Same seed, same
-// machine: same episodes.
+// chaosCmd runs the seeded fault-injection campaign, io fault classes
+// included, and prints the episode table, the dependability summary and
+// how often each class was drawn. Same seed, same machine: same
+// episodes.
 func chaosCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	seed := fs.Int64("seed", 42, "campaign seed")
@@ -232,6 +233,10 @@ func chaosCmd(args []string, w io.Writer) error {
 	if *episodes > 0 {
 		ccfg.Episodes = *episodes
 	}
+	// A split-device node, so the campaign draws the io fault classes.
+	if ccfg.IO, err = chaos.NewIOEnv(); err != nil {
+		return err
+	}
 	if *migrateFaults {
 		if ccfg.Standby, err = xen.BootHost(hw.Config{Name: "standby", MemBytes: 128 << 20, NumCPUs: 1}, 2048); err != nil {
 			return err
@@ -243,6 +248,7 @@ func chaosCmd(args []string, w io.Writer) error {
 	}
 	fmt.Fprint(w, chaos.FormatEpisodes(rep))
 	fmt.Fprintln(w, rep.Summary())
+	fmt.Fprintln(w, rep.Draws())
 	fmt.Fprintf(w, "%d fault classes; switch stats: attaches=%d detaches=%d deferred=%d starved=%d failed=%d\n",
 		rep.FaultClasses(), mc.Stats.Attaches.Load(), mc.Stats.Detaches.Load(),
 		mc.Stats.Deferred.Load(), mc.Stats.StarvedSwitches.Load(),

@@ -37,11 +37,12 @@ func TestSubcommands(t *testing.T) {
 			"wrote " + tracePath + ": 21 spans (0 over budget)\n",
 		}},
 		{"", []string{"chaos", "-seed", "3", "-episodes", "4"}, []string{
-			"seed 3: 4 episodes, 4 injected, 4 detected, 4 healed, 0 missed, 2 rolled back, 1 starved, 0 escalated",
-			"3 fault classes; switch stats: attaches=3 detaches=3 deferred=8 starved=1 failed=2\n",
+			"seed 3: 4 episodes, 4 injected, 4 detected, 4 healed, 0 missed, 0 rolled back, 0 starved, 0 escalated",
+			" timer-loss=1 ", " frametable-bitflip=1 ", " io-ring-stall=0 io-doorbell-lost=2\n",
+			"3 fault classes; switch stats: attaches=1 detaches=1 deferred=0 starved=0 failed=0\n",
 		}},
 		{"", []string{"chaos", "-seed", "3", "-episodes", "4", "-cpus", "2"}, []string{
-			"seed 3: 4 episodes, 4 injected, 4 detected, 4 healed, 0 missed, 2 rolled back, 1 starved, 0 escalated, MTTR 105011.4 us",
+			"seed 3: 4 episodes, 4 injected, 4 detected, 4 healed, 0 missed, 0 rolled back, 0 starved, 0 escalated, MTTR 0.0 us",
 		}},
 		{"", []string{"fleet", "-nodes", "2"}, []string{
 			"fleet: 2 nodes, MaxVirtual=1 (tax 15%, max capacity loss 10%), action=checkpoint\n",

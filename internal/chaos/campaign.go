@@ -59,6 +59,9 @@ type Episode struct {
 type Report struct {
 	Seed     int64
 	Episodes []Episode
+	// Classes names the fault classes the campaign drew from, in
+	// catalog order.
+	Classes []string
 
 	Injected   int
 	Detected   int
@@ -78,6 +81,21 @@ func (r *Report) Summary() string {
 		"seed %d: %d episodes, %d injected, %d detected, %d healed, %d missed, %d rolled back, %d starved, %d escalated, MTTR %.1f us",
 		r.Seed, len(r.Episodes), r.Injected, r.Detected, r.Healed, r.Missed,
 		r.RolledBack, r.Starved, r.Escalated, r.MTTRMeanUS)
+}
+
+// Draws renders, as one line, how many episodes drew each of the
+// campaign's fault classes, in catalog order.
+func (r *Report) Draws() string {
+	n := make(map[string]int, len(r.Classes))
+	for _, ep := range r.Episodes {
+		n[ep.Fault]++
+	}
+	var b strings.Builder
+	b.WriteString("drawn:")
+	for _, c := range r.Classes {
+		fmt.Fprintf(&b, " %s=%d", c, n[c])
+	}
+	return b.String()
 }
 
 // FaultClasses returns how many distinct fault classes the campaign
@@ -123,6 +141,9 @@ func Run(mc *core.Mercury, cfg Config) (*Report, error) {
 		}
 	}
 	rep := &Report{Seed: cfg.Seed}
+	for _, f := range faults {
+		rep.Classes = append(rep.Classes, f.Name)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	var runErr error
