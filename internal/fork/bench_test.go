@@ -2,6 +2,8 @@ package fork
 
 import (
 	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/hw"
@@ -150,12 +152,43 @@ func BenchmarkCloneCycle(b *testing.B) {
 
 // TestCloneCycleAllocs bounds the allocations of one clone cycle on a
 // template of 256 live pages (258 base frames with its tables). A
-// cycle makes 40 allocations, none of them per base frame; one per
+// cycle makes 39 allocations, none of them per base frame; one per
 // mapped frame would add 258 more.
 func TestCloneCycleAllocs(t *testing.T) {
 	h, cb := cycleHost(t)
 	allocs := testing.AllocsPerRun(cycleRound-3, func() { releasedCycle(t, h, cb) })
 	if allocs > 100 {
 		t.Fatalf("one clone cycle made %.0f allocations, want at most 100", allocs)
+	}
+}
+
+// TestCloneBytesIndependentOfBase measures the heap bytes one clone
+// cycle allocates on templates of 256 and 1,024 live pages, as the
+// mean TotalAlloc growth over a round of cycles. Mapping a clone and
+// tearing it down allocate nothing per base frame, so the two must
+// agree within 1 KiB; 32 bytes per mapped frame would part them by
+// 24 KiB.
+func TestCloneBytesIndependentOfBase(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perCycle := func(pages int) float64 {
+		h, cb, err := NewTemplate(pages, cycleRound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cloneCycle(t, h, cb)
+		const n = cycleRound - 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			releasedCycle(t, h, cb)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	small, large := perCycle(256), perCycle(1024)
+	t.Logf("one clone cycle allocates %.0f B on 256 pages, %.0f B on 1,024", small, large)
+	if math.Abs(large-small) > 1024 {
+		t.Fatalf("one clone cycle allocates %.0f B on 256 pages but %.0f B on 1,024: want within 1 KiB",
+			small, large)
 	}
 }

@@ -3,6 +3,7 @@ package fork
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/hw"
@@ -25,8 +26,8 @@ type CloneState struct {
 	Delta int64
 
 	mu        sync.Mutex
-	shared    []bool // by offset: still CoW-mapped; nil once torn down
-	nshared   int    // true entries of shared
+	shared    offsets // still CoW-mapped; nil once torn down
+	nshared   int     // offsets in shared
 	promoted  int
 	destroyed bool
 }
@@ -100,17 +101,16 @@ func (cs *CloneState) LiveRefs() int { return cs.SharedCount() }
 func (cs *CloneState) onPromote(pfn hw.PFN) {
 	off := uint32(pfn - cs.Lo)
 	cs.mu.Lock()
-	ok := cs.shared != nil && cs.shared[off]
+	ok := cs.shared != nil && cs.shared.has(off)
 	if ok {
-		cs.shared[off] = false
+		cs.shared.remove(off)
 		cs.nshared--
 		cs.promoted++
 	}
 	cs.mu.Unlock()
 	if ok {
 		// A release here cannot fail: the mapping held the reference.
-		h, _ := cs.Base.Img.HashAt(off)
-		_ = cs.Base.Store.Release(h)
+		_ = cs.Base.Store.drop(cs.Base.Img.entries[off])
 	}
 }
 
@@ -130,7 +130,7 @@ func (cs *CloneState) abort() error {
 	cs.mu.Unlock()
 	var firstErr error
 	if shared != nil {
-		firstErr = cs.Base.Store.release(cs.Base.Img.Refs, shared)
+		firstErr = cs.Base.Store.releaseEntries(cs.Base.Img.entries, shared)
 	}
 	if err := cs.V.DestroyDomain(cs.D.ID); err != nil && firstErr == nil {
 		firstErr = err
@@ -144,12 +144,13 @@ func (cs *CloneState) abort() error {
 // Clone spawns a new domain from a warmed base image at the cost of the
 // dirtied frames, not the image size: every non-zero frame is mapped
 // copy-on-write onto the shared snapshot cache (one store pass retains
-// them all, one batch maps them, and each costs one CoWMapPerFrame
-// charge — no page copies), the page-table tree is relocated to
-// the clone's partition (promoting exactly the table frames when the
-// displacement is non-zero), the roots are re-pinned, and the vcpu
-// state is installed. All side effects ride a migrate.Txn: on any
-// failure the pins are undone, the mappings unmapped, the store
+// them all through the base's resolved entries, one batch maps the
+// base's pages slice under one mapping header, and each frame costs
+// one CoWMapPerFrame charge — no page copies), the page-table tree is
+// relocated to the clone's partition (promoting exactly the table
+// frames when the displacement is non-zero), the roots are re-pinned,
+// and the vcpu state is installed. All side effects ride a migrate.Txn:
+// on any failure the pins are undone, the mappings unmapped, the store
 // references released, and the domain destroyed.
 func Clone(c *hw.CPU, v *xen.VMM, caller *xen.Domain, base *CloneBase, name string) (*CloneState, error) {
 	if !v.Active {
@@ -182,18 +183,13 @@ func Clone(c *hw.CPU, v *xen.VMM, caller *xen.Domain, base *CloneBase, name stri
 	// Map every base frame copy-on-write: the clone reads the shared
 	// cache page until its first write promotes the frame.
 	mem := v.M.Mem
-	pages := make([][]byte, img.Span())
-	if err := base.Store.retain(img.Refs, pages); err != nil {
+	if err := base.Store.retain(img.entries); err != nil {
 		return fail(err)
 	}
-	shared := make([]bool, img.Span())
-	for _, r := range img.Refs {
-		shared[r.Off] = true
-	}
 	cs.mu.Lock()
-	cs.shared, cs.nshared = shared, len(img.Refs)
+	cs.shared, cs.nshared = slices.Clone(img.present), len(img.Refs)
 	cs.mu.Unlock()
-	if err := mem.MapSharedRange(lo, pages, cs.onPromote); err != nil {
+	if err := mem.MapSharedRange(lo, img.pages, cs.onPromote); err != nil {
 		return fail(fmt.Errorf("fork: mapping the base: %w", err))
 	}
 	for range img.Refs {
@@ -275,14 +271,14 @@ func CheckpointDelta(c *hw.CPU, v *xen.VMM, caller *xen.Domain, cs *CloneState) 
 // stored frame, or the zero page where the base has none. Only a base
 // frame whose bytes have left the store is compared by hash.
 func (b *CloneBase) sameAsBase(off uint32, data []byte) bool {
-	baseH, ok := b.Img.HashAt(off)
-	if !ok {
+	e := b.Img.entries[off]
+	if e == nil {
 		return bytes.Equal(data, zeroPage)
 	}
-	if stored, err := b.Store.Get(baseH); err == nil {
+	if stored, ok := b.Store.stored(e); ok {
 		return bytes.Equal(data, stored)
 	}
-	return HashFrame(data) == baseH
+	return HashFrame(data) == e.key
 }
 
 // DestroyClone unpins the clone's roots, tears the domain down, and

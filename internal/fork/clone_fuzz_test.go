@@ -67,16 +67,35 @@ func relocatedBase(t *testing.T, cb *CloneBase, delta int64) map[uint32][]byte {
 	return pages
 }
 
+// baseGone reports whether a frame o's flattened image takes from its
+// base, one o's delta does not override, has left the store.
+func baseGone(o *Overlay) bool {
+	dirty := make(map[uint32]bool, len(o.Dirty))
+	for _, r := range o.Dirty {
+		dirty[r.Off] = true
+	}
+	for _, r := range o.Base.Refs {
+		if _, err := o.store.Get(r.H); err != nil && !dirty[r.Off] {
+			return true
+		}
+	}
+	return false
+}
+
 // FuzzCloneCycle decodes its input into clone, word-write,
-// CheckpointDelta, DestroyClone and overlay-release ops on one base,
-// six bytes an op: the op, which clone or overlay, the frame, the word
-// (two bytes), and the byte the word is filled with (0 writes zero). Clones
-// made after a destroy promote and first-write into pages the dead
-// clone's partition gave back. After every op each live clone's
-// partition must read exactly its model (base content, its tables
-// relocated, plus its own writes), each overlay must flatten to the
-// clone as it was at its delta, AuditRefs must hold over the base, the
-// clones and the overlays, and Store.Verify must pass.
+// CheckpointDelta, DestroyClone, overlay-release and base-release ops
+// on one base, six bytes an op: the op, which clone or overlay, the
+// frame, the word (two bytes), and the byte the word is filled with (0
+// writes zero). Clones made after a destroy promote and first-write
+// into pages the dead clone's partition gave back. Once the base is
+// released a clone is refused, while live clones still promote, take
+// deltas and tear down against base frames that may have left the
+// store. After every op each live clone's partition must read exactly
+// its model (base content, its tables relocated, plus its own writes),
+// each overlay must flatten to the clone as it was at its delta (or,
+// once the base is released, fail exactly when a base frame it takes
+// has left the store), AuditRefs must hold over the base, the clones
+// and the overlays, and Store.Verify must pass.
 func FuzzCloneCycle(f *testing.F) {
 	const (
 		opClone = iota
@@ -84,6 +103,7 @@ func FuzzCloneCycle(f *testing.F) {
 		opDelta
 		opDestroy
 		opRelease
+		opReleaseBase
 		numOps
 	)
 	// TestManyClonesDedupAgainstOneBase: eight clones, then eight
@@ -127,6 +147,26 @@ func FuzzCloneCycle(f *testing.F) {
 		opWrite, 1, 7, 2, 0, 0x66,
 		opRelease, 1, 0, 0, 0, 0,
 	})
+	// Release the base between two clones' writes: a third clone is
+	// refused, the live ones promote, take deltas (one rewrites a frame
+	// back to base content whose base frame has left the store) and
+	// tear down.
+	f.Add([]byte{
+		opClone, 0, 0, 0, 0, 0,
+		opClone, 0, 0, 0, 0, 0,
+		opWrite, 0, 7, 2, 0, 0x55,
+		opWrite, 1, 7, 2, 0, 0x66,
+		opDelta, 1, 0, 0, 0, 0,
+		opReleaseBase, 0, 0, 0, 0, 0,
+		opClone, 0, 0, 0, 0, 0,
+		opWrite, 0, 9, 4, 0, 0x77,
+		opWrite, 1, 7, 2, 0, 0,
+		opDelta, 0, 0, 0, 0, 0,
+		opDestroy, 0, 0, 0, 0, 0,
+		opDelta, 0, 0, 0, 0, 0,
+		opRelease, 0, 0, 0, 0, 0,
+		opDestroy, 0, 0, 0, 0, 0,
+	})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const (
@@ -154,9 +194,13 @@ func FuzzCloneCycle(f *testing.F) {
 		var clones []*cloneModel
 		var overlays []*overlayModel
 		made := 0
+		baseReleased := false
 		check := func(step int) {
 			t.Helper()
 			holders := []RefHolder{cb.Img}
+			if baseReleased && cb.Img.LiveRefs() != 0 {
+				t.Fatalf("op %d: a released base owns %d refs", step, cb.Img.LiveRefs())
+			}
 			for _, m := range clones {
 				holders = append(holders, m.cs)
 				for off := uint32(0); off < span; off++ {
@@ -172,8 +216,12 @@ func FuzzCloneCycle(f *testing.F) {
 			for _, m := range overlays {
 				holders = append(holders, m.o)
 				img, err := m.o.Flatten()
+				if gone := baseReleased && baseGone(m.o); (err != nil) != gone {
+					t.Fatalf("op %d: overlay of %s flattens with error %v; a base frame it takes is gone: %v",
+						step, m.o.Name, err, gone)
+				}
 				if err != nil {
-					t.Fatalf("op %d: %v", step, err)
+					continue
 				}
 				for off := uint32(0); off < span; off++ {
 					got, want := img.Pages[m.o.Lo+hw.PFN(off)], m.pages[off]
@@ -201,6 +249,12 @@ func FuzzCloneCycle(f *testing.F) {
 					continue
 				}
 				cs, err := Clone(c, v, dom0, cb, "fuzz")
+				if baseReleased {
+					if err == nil {
+						t.Fatalf("op %d: clone of a released base accepted", i/opBytes)
+					}
+					break
+				}
 				if err != nil {
 					t.Fatalf("op %d: %v", i/opBytes, err)
 				}
@@ -247,6 +301,11 @@ func FuzzCloneCycle(f *testing.F) {
 					t.Fatalf("op %d: %v", i/opBytes, err)
 				}
 				overlays = append(overlays[:k], overlays[k+1:]...)
+			case opReleaseBase:
+				if err := cb.Img.Release(); err != nil {
+					t.Fatalf("op %d: %v", i/opBytes, err)
+				}
+				baseReleased = true
 			}
 			check(i / opBytes)
 		}

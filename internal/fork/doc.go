@@ -8,11 +8,14 @@
 // base frame copy-on-write onto the store's pages, so a fork costs one
 // mapping charge per frame instead of one page copy: the first write to
 // a frame promotes it to a private copy and drops the clone's store
-// reference. A clone takes all its references in one store pass (one
-// lock, one lookup per frame) and maps all its frames in one
-// hw.MapSharedRange batch; teardown releases the references left in
-// one pass and scrubs the partition (hw.PhysMem.Scrub), whose pages the
-// next clones' promotions and first writes reuse. CheckpointDelta
+// reference. NewBase resolves each frame to its store entry once, so
+// a clone takes all its references in one store pass over those
+// entries (one lock, one refcount change per frame, no lookup) and maps
+// the base's one pages-by-offset slice in one hw.MapSharedRange batch,
+// which costs one mapping header per clone and one pointer store per
+// frame; teardown releases the references left in one pass and scrubs
+// the partition (hw.PhysMem.Scrub), whose pages the next clones'
+// promotions and first writes reuse. CheckpointDelta
 // captures only the frames that diverged from the base, yielding an
 // Overlay whose storage is proportional to the dirt, not the image.
 //

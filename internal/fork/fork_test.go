@@ -2,6 +2,7 @@ package fork
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -87,6 +88,39 @@ func TestStoreDedupAndRefcounts(t *testing.T) {
 	}
 	if _, err := s.Put(page[:100]); err == nil {
 		t.Fatal("short Put must error")
+	}
+}
+
+// A base frame released behind the base's back leaves the store while
+// the base still names it: a clone is refused with the store's error
+// and takes no reference, and the base's own release reports the frame
+// absent while it releases the rest.
+func TestBaseFrameGoneFromStore(t *testing.T) {
+	v, dom0, origin, c := env(t)
+	cb := warmBase(t, v, dom0, origin, c)
+	frames := cb.Store.Frames()
+	if err := cb.Store.Release(cb.Img.Refs[3].H); err != nil {
+		t.Fatal(err)
+	}
+	if got := cb.Store.Frames(); got != frames-1 {
+		t.Fatalf("store holds %d frames after the release, want %d", got, frames-1)
+	}
+	refs := cb.Store.Refs()
+	_, err := Clone(c, v, dom0, cb, "orphan")
+	if err == nil || !strings.Contains(err.Error(), "base frame missing from store") {
+		t.Fatalf("clone of a base missing a frame: err %v", err)
+	}
+	if got := cb.Store.Refs(); got != refs {
+		t.Fatalf("refused clone left %d refs, want %d", got, refs)
+	}
+	if n := v.M.Mem.SharedFrames(); n != 0 {
+		t.Fatalf("refused clone left %d CoW mappings", n)
+	}
+	if err := cb.Img.Release(); err == nil || !strings.Contains(err.Error(), "Release of absent frame") {
+		t.Fatalf("release of a base missing a frame: err %v", err)
+	}
+	if f, r := cb.Store.Frames(), cb.Store.Refs(); f != 0 || r != 0 {
+		t.Fatalf("store holds %d frames and %d refs after the base's release", f, r)
 	}
 }
 

@@ -36,9 +36,15 @@ type BaseImage struct {
 	// Refs holds the non-zero frames in ascending-offset order.
 	Refs []FrameRef
 
-	// refAt maps each offset of the span to 1 + its index in Refs, or
-	// to 0 where the base has no frame.
-	refAt    []int32
+	// entries holds each offset's store entry, resolved once at ingest
+	// so that clones take, drop and compare the base's frames without a
+	// store lookup, and pages its shared bytes, which every clone maps;
+	// both are nil where the base has no frame, and neither changes.
+	entries []*frameEntry
+	pages   [][]byte
+	// present holds the offsets of Refs, which a clone copies as the
+	// set of frames it holds mapped.
+	present  offsets
 	released bool
 }
 
@@ -53,7 +59,9 @@ func NewBase(store *Store, img *migrate.DomainImage) (*BaseImage, error) {
 		Name:  img.Name, Lo: img.Lo, Hi: img.Hi,
 		CR3: img.CR3, VIF: img.VIF, Privileged: img.Privileged,
 		PinnedRoots: append([]hw.PFN(nil), img.PinnedRoots...),
-		refAt:       make([]int32, img.Hi-img.Lo),
+		entries:     make([]*frameEntry, img.Hi-img.Lo),
+		pages:       make([][]byte, img.Hi-img.Lo),
+		present:     newOffsets(img.Hi - img.Lo),
 	}
 	sort.Slice(b.PinnedRoots, func(i, j int) bool { return b.PinnedRoots[i] < b.PinnedRoots[j] })
 	pfns := make([]hw.PFN, 0, len(img.Pages))
@@ -65,29 +73,31 @@ func NewBase(store *Store, img *migrate.DomainImage) (*BaseImage, error) {
 	}
 	sort.Slice(pfns, func(i, j int) bool { return pfns[i] < pfns[j] })
 	for _, pfn := range pfns {
-		h, err := store.put(img.Pages[pfn], true)
+		e, err := store.put(img.Pages[pfn], true)
 		if err != nil {
-			_ = store.release(b.Refs, nil)
+			_ = store.releaseEntries(b.entries, nil)
 			return nil, err
 		}
 		off := uint32(pfn - img.Lo)
-		b.Refs = append(b.Refs, FrameRef{Off: off, H: h})
-		b.refAt[off] = int32(len(b.Refs))
+		b.Refs = append(b.Refs, FrameRef{Off: off, H: e.key})
+		b.entries[off], b.pages[off] = e, e.data
+		b.present.add(off)
 	}
 	return b, nil
 }
 
+// offsets is a set of frame offsets in a partition, one bit each.
+type offsets []uint64
+
+// newOffsets returns an empty set for a partition of span frames.
+func newOffsets(span hw.PFN) offsets { return make(offsets, (span+63)/64) }
+
+func (s offsets) has(off uint32) bool { return s[off/64]&(1<<(off%64)) != 0 }
+func (s offsets) add(off uint32)      { s[off/64] |= 1 << (off % 64) }
+func (s offsets) remove(off uint32)   { s[off/64] &^= 1 << (off % 64) }
+
 // Span returns the partition size in frames.
 func (b *BaseImage) Span() hw.PFN { return b.Hi - b.Lo }
-
-// HashAt returns the content hash at offset off and whether the base
-// has a (non-zero) frame there.
-func (b *BaseImage) HashAt(off uint32) (Hash, bool) {
-	if int(off) >= len(b.refAt) || b.refAt[off] == 0 {
-		return Hash{}, false
-	}
-	return b.Refs[b.refAt[off]-1].H, true
-}
 
 // LiveRefs reports the store references the base currently owns.
 func (b *BaseImage) LiveRefs() int {
@@ -104,7 +114,7 @@ func (b *BaseImage) Release() error {
 		return nil
 	}
 	b.released = true
-	return b.store.release(b.Refs, nil)
+	return b.store.releaseEntries(b.entries, nil)
 }
 
 // Image reconstructs the flat DomainImage (for migrate.Restore or
@@ -176,7 +186,7 @@ func (o *Overlay) Release() error {
 		return nil
 	}
 	o.released = true
-	return o.store.release(o.Dirty, nil)
+	return o.store.release(o.Dirty)
 }
 
 // effective merges base and delta into the clone's logical frame set:

@@ -38,6 +38,11 @@ type frameEntry struct {
 	// entry must still unlink from the chain it was linked into.
 	fp   uint64
 	next *frameEntry // next entry in fp's chain
+
+	// unlinked marks an entry whose last reference was released: it is
+	// no longer in the store, and content put again gets a new entry.
+	// A base keeps its entries by pointer and reads this mark to tell.
+	unlinked bool
 }
 
 // Store is the content-addressed snapshot cache: frame content keyed by
@@ -76,14 +81,20 @@ func NewStore() *Store {
 // content is already present the existing frame is reused — the caller
 // still gains one reference either way. Only content the store lacks
 // is hashed.
-func (s *Store) Put(data []byte) (Hash, error) { return s.put(data, false) }
+func (s *Store) Put(data []byte) (Hash, error) {
+	e, err := s.put(data, false)
+	if err != nil {
+		return Hash{}, err
+	}
+	return e.key, nil
+}
 
-// put is Put; with own set, content the store lacks is stored as data
-// itself rather than a copy, and the caller must never write data
-// again.
-func (s *Store) put(data []byte, own bool) (Hash, error) {
+// put is Put returning the entry the reference was taken on; with own
+// set, content the store lacks is stored as data itself rather than a
+// copy, and the caller must never write data again.
+func (s *Store) put(data []byte, own bool) (*frameEntry, error) {
 	if len(data) != hw.PageSize {
-		return Hash{}, fmt.Errorf("fork: Put of %d bytes, want one page", len(data))
+		return nil, fmt.Errorf("fork: Put of %d bytes, want one page", len(data))
 	}
 	fp := maphash.Bytes(s.seed, data)
 	s.mu.Lock()
@@ -98,13 +109,12 @@ func (s *Store) put(data []byte, own bool) (Hash, error) {
 			if !own {
 				data = bytes.Clone(data)
 			}
-			s.insert(h, fp, data)
-			return h, nil
+			return s.insert(h, fp, data), nil
 		}
 	}
 	s.dedupHits++
 	e.refs++
-	return e.key, nil
+	return e, nil
 }
 
 // lookup returns the entry in fp's chain whose bytes equal data, or nil.
@@ -118,15 +128,18 @@ func (s *Store) lookup(fp uint64, data []byte) *frameEntry {
 }
 
 // insert stores data, which the store now owns, under key h with one
-// reference and links it at the head of fp's chain.
-func (s *Store) insert(h Hash, fp uint64, data []byte) {
+// reference, links it at the head of fp's chain and returns it.
+func (s *Store) insert(h Hash, fp uint64, data []byte) *frameEntry {
 	e := &frameEntry{key: h, data: data, refs: 1, fp: fp, next: s.byFP[fp]}
 	s.frames[h] = e
 	s.byFP[fp] = e
+	return e
 }
 
-// unlink removes e from the store: its key and its fingerprint chain.
+// unlink removes e from the store, its key and its fingerprint chain,
+// and marks it unlinked.
 func (s *Store) unlink(e *frameEntry) {
+	e.unlinked = true
 	delete(s.frames, e.key)
 	if s.byFP[e.fp] == e {
 		if e.next == nil {
@@ -170,9 +183,18 @@ func (s *Store) releaseLocked(h Hash) error {
 	if !ok {
 		return fmt.Errorf("fork: Release of absent frame %s", h)
 	}
+	return s.dropLocked(e)
+}
+
+// dropLocked drops one reference on e, unlinking it at zero, with s.mu
+// held. An entry already unlinked is absent: dropping it is an error.
+func (s *Store) dropLocked(e *frameEntry) error {
+	if e.unlinked {
+		return fmt.Errorf("fork: Release of absent frame %s", e.key)
+	}
 	e.refs--
 	if e.refs < 0 {
-		return fmt.Errorf("fork: refcount of frame %s went negative", h)
+		return fmt.Errorf("fork: refcount of frame %s went negative", e.key)
 	}
 	if e.refs == 0 {
 		s.unlink(e)
@@ -180,43 +202,76 @@ func (s *Store) releaseLocked(h Hash) error {
 	return nil
 }
 
-// retain takes one reference on every frame refs names, under one lock
-// and with one lookup each, and sets pages[r.Off] to each frame's
-// shared bytes (see Get). If any frame is absent it takes none and
-// returns an error.
-func (s *Store) retain(refs []FrameRef, pages [][]byte) error {
+// drop is dropLocked under the lock.
+func (s *Store) drop(e *frameEntry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, r := range refs {
-		e, ok := s.frames[r.H]
-		if !ok {
-			for _, r := range refs[:i] {
-				s.frames[r.H].refs--
+	return s.dropLocked(e)
+}
+
+// retain takes one reference on every non-nil entry of es, under one
+// lock and with no lookup. If any entry has left the store it takes
+// none and returns an error.
+func (s *Store) retain(es []*frameEntry) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, e := range es {
+		if e == nil {
+			continue
+		}
+		if e.unlinked {
+			for _, e := range es[:i] {
+				if e != nil {
+					e.refs--
+				}
 			}
-			return fmt.Errorf("fork: base frame missing from store: Retain of absent frame %s", r.H)
+			return fmt.Errorf("fork: base frame missing from store: Retain of absent frame %s", e.key)
 		}
 		e.refs++
-		pages[r.Off] = e.data
 	}
 	return nil
 }
 
-// release drops one reference on every frame refs names whose offset
-// held marks, or on all of them if held is nil, under one lock. It
-// releases every one it can and returns the first error.
-func (s *Store) release(refs []FrameRef, held []bool) error {
+// releaseEntries drops one reference on every non-nil entry es[off]
+// whose offset is in held, or on all of them if held is nil, under one
+// lock and with no lookup. It releases every one it can and returns the
+// first error.
+func (s *Store) releaseEntries(es []*frameEntry, held offsets) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var firstErr error
+	for off, e := range es {
+		if e == nil || held != nil && !held.has(uint32(off)) {
+			continue
+		}
+		if err := s.dropLocked(e); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// release drops one reference on every frame refs names, under one lock
+// and with one lookup each. It releases every one it can and returns
+// the first error.
+func (s *Store) release(refs []FrameRef) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var firstErr error
 	for _, r := range refs {
-		if held != nil && !held[r.Off] {
-			continue
-		}
 		if err := s.releaseLocked(r.H); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// stored returns e's shared bytes (see Get) and whether e is still in
+// the store.
+func (s *Store) stored(e *frameEntry) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return e.data, !e.unlinked
 }
 
 // Get returns the shared read-only bytes of a frame. The slice is

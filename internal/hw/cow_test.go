@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -373,6 +374,69 @@ func TestMapSharedConcurrentPromoteOnce(t *testing.T) {
 		}
 		if got := m.Load8(PFN(3).Addr() + 100); got != 0x5A {
 			t.Fatalf("round %d: private copy byte = %#x, want 0x5A", round, got)
+		}
+	}
+}
+
+// A second MapSharedRange over part of an earlier range takes over its
+// frames: they read the second call's pages and run its hook, the rest
+// keep the first call's. A scrub drops both mappings without running
+// either hook, and SharedFrames counts every frame once throughout.
+func TestMapSharedRangePartialRemap(t *testing.T) {
+	m := NewPhysMem(1 << 20)
+	first := make([][]byte, 8)
+	for i := range first {
+		first[i] = cowPage(0x10)
+	}
+	second := make([][]byte, 4)
+	for i := range second {
+		second[i] = cowPage(0x20)
+	}
+	var firstHooks, secondHooks []PFN
+	if err := m.MapSharedRange(10, first, func(pfn PFN) { firstHooks = append(firstHooks, pfn) }); err != nil {
+		t.Fatal(err)
+	}
+	second[1] = nil // frame 15 keeps its first mapping
+	if err := m.MapSharedRange(14, second, func(pfn PFN) { secondHooks = append(secondHooks, pfn) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.SharedFrames(); got != 8 {
+		t.Fatalf("SharedFrames = %d after the re-map, want 8", got)
+	}
+	for pfn := PFN(10); pfn < 18; pfn++ {
+		want := byte(0x10)
+		if pfn >= 14 && pfn != 15 {
+			want = 0x20
+		}
+		if got := m.Load8(pfn.Addr()); got != want {
+			t.Fatalf("frame %d reads %#x, want %#x", pfn, got, want)
+		}
+	}
+	for _, pfn := range []PFN{12, 15, 16} {
+		m.WriteWord(pfn.Addr()+4, uint32(pfn))
+	}
+	if want := []PFN{12, 15}; !slices.Equal(firstHooks, want) {
+		t.Fatalf("first hook ran for %v, want %v", firstHooks, want)
+	}
+	if want := []PFN{16}; !slices.Equal(secondHooks, want) {
+		t.Fatalf("second hook ran for %v, want %v", secondHooks, want)
+	}
+	if got := m.ReadWord(PFN(16).Addr()); got != 0x20202020 {
+		t.Fatalf("frame 16 promoted from %#x, want the second mapping's page", got)
+	}
+	if got := m.SharedFrames(); got != 5 {
+		t.Fatalf("SharedFrames = %d after three promotions, want 5", got)
+	}
+	m.Scrub(10, 18)
+	if len(firstHooks) != 2 || len(secondHooks) != 1 {
+		t.Fatalf("scrub ran a hook: first %v, second %v", firstHooks, secondHooks)
+	}
+	if got := m.SharedFrames(); got != 0 {
+		t.Fatalf("SharedFrames = %d after the scrub, want 0", got)
+	}
+	for pfn := PFN(10); pfn < 18; pfn++ {
+		if m.SharedAt(pfn) || m.ReadWord(pfn.Addr()+4) != 0 {
+			t.Fatalf("frame %d not zero after the scrub", pfn)
 		}
 	}
 }

@@ -84,8 +84,9 @@ type PhysMem struct {
 // frameSlot is one frame. Its publish order means a concurrent read
 // never observes a half-made frame:
 //
-//   - a read loads cow, then data: a CoW frame reads its shared page,
-//     any other frame its private bytes, or zeroPage if it has none;
+//   - a read loads cow, then data: a CoW frame reads its page of the
+//     mapping on it, any other frame its private bytes, or zeroPage if
+//     it has none;
 //   - the first write takes a page from the free list and clears it,
 //     or allocates a fresh one, and publishes it by CAS on data; a
 //     racing first write uses the winner's page;
@@ -103,7 +104,7 @@ type PhysMem struct {
 // written before, so its nil check costs nothing.
 type frameSlot struct {
 	data  atomic.Pointer[[PageSize]byte] // private bytes; nil until written
-	cow   atomic.Pointer[cowSource]      // shared page; nil if none
+	cow   atomic.Pointer[cowMapping]     // the mapping on the frame; nil if none
 	dirty atomic.Bool                    // written since the last CollectDirty
 }
 
@@ -111,15 +112,22 @@ type frameSlot struct {
 // may write it.
 var zeroPage [PageSize]byte
 
-// cowSource backs one copy-on-write frame: data is the shared read-only
-// page (aliased, never written through), onPromote is invoked after the
-// frame has been privatized by a first write. One MapSharedRange
-// allocates the sources of all its frames as one slab, and they share
-// its hook.
-type cowSource struct {
-	data      []byte
+// cowMapping is one MapSharedRange call: frame lo+i reads pages[i], a
+// shared read-only page (aliased, never written through), until its
+// first write promotes it, after which onPromote, if set, runs for it.
+// Every frame the call maps points to this one header, so a mapping
+// costs one pointer store per frame and nothing more. A frame mapped
+// again by a later call points to that call's header and runs its
+// hook. pages is the caller's slice itself, which must stay unchanged
+// while any frame of it is mapped.
+type cowMapping struct {
+	lo        PFN
+	pages     [][]byte
 	onPromote func(pfn PFN)
 }
+
+// page returns the shared page the mapping gives pfn.
+func (c *cowMapping) page(pfn PFN) []byte { return c.pages[pfn-c.lo] }
 
 // NewPhysMem creates a physical memory of the given byte size (rounded
 // down to whole frames).
@@ -182,33 +190,30 @@ func (m *PhysMem) MapShared(pfn PFN, data []byte, onPromote func(PFN)) error {
 // non-nil pages[i]: reads see the page without any copy, and the first
 // write promotes the frame to a private copy, after which onPromote, if
 // set, runs once for it. Each page must be exactly one page and must
-// stay immutable while mapped: it is aliased, not copied. Any private
-// content a mapped frame held is discarded. The batch is checked whole
-// before any frame is mapped, so an error maps nothing.
+// stay immutable while mapped: it is aliased, not copied. So is pages
+// itself: the caller must not change it while a frame of it is mapped.
+// Any private content a mapped frame held is discarded. The batch is
+// checked whole before any frame is mapped, so an error maps nothing.
 func (m *PhysMem) MapSharedRange(lo PFN, pages [][]byte, onPromote func(PFN)) error {
 	if uint64(lo)+uint64(len(pages)) > uint64(len(m.frames)) {
 		return fmt.Errorf("hw: MapShared beyond memory: frames %d..%d", lo, uint64(lo)+uint64(len(pages)))
 	}
-	n := 0
 	for i, data := range pages {
-		if data == nil {
-			continue
-		}
-		if len(data) != PageSize {
+		if data != nil && len(data) != PageSize {
 			return fmt.Errorf("hw: MapShared frame %d: page is %d bytes", lo+PFN(i), len(data))
 		}
-		n++
 	}
-	srcs := make([]cowSource, 0, n)
+	c := &cowMapping{lo: lo, pages: pages, onPromote: onPromote}
 	var added int64
 	for i, data := range pages {
 		if data == nil {
 			continue
 		}
-		srcs = append(srcs, cowSource{data: data, onPromote: onPromote})
 		s := &m.frames[lo+PFN(i)]
-		s.data.Store(nil) // shared content replaces any private copy
-		if s.cow.Swap(&srcs[len(srcs)-1]) == nil {
+		if s.data.Load() != nil {
+			s.data.Store(nil) // shared content replaces any private copy
+		}
+		if s.cow.Swap(c) == nil {
 			added++
 		}
 	}
@@ -288,7 +293,7 @@ func (m *PhysMem) SharedAt(pfn PFN) bool {
 func (m *PhysMem) frameRO(pfn PFN) []byte {
 	s := &m.frames[pfn]
 	if c := s.cow.Load(); c != nil {
-		return c.data
+		return c.page(pfn)
 	}
 	if p := s.data.Load(); p != nil {
 		return p[:]
@@ -321,16 +326,16 @@ func (m *PhysMem) frameRW(pfn PFN) []byte {
 	return s.data.Load()[:]
 }
 
-// unshare promotes pfn from the shared page c to a private copy, in the
-// publish order frameSlot describes. The copy overwrites all of a
-// recycled page, so it needs no clearing.
-func (m *PhysMem) unshare(pfn PFN, s *frameSlot, c *cowSource) []byte {
+// unshare promotes pfn from its page of the mapping c to a private
+// copy, in the publish order frameSlot describes. The copy overwrites
+// all of a recycled page, so it needs no clearing.
+func (m *PhysMem) unshare(pfn PFN, s *frameSlot, c *cowMapping) []byte {
 	p := m.reuse()
 	if p != nil {
-		copy(p[:], c.data)
+		copy(p[:], c.page(pfn))
 	} else {
 		fresh := new([PageSize]byte)
-		copy(fresh[:], c.data)
+		copy(fresh[:], c.page(pfn))
 		p = fresh
 	}
 	if !s.data.CompareAndSwap(nil, p) {
@@ -344,7 +349,7 @@ func (m *PhysMem) unshare(pfn PFN, s *frameSlot, c *cowSource) []byte {
 // dropShared retires pfn's mapping c by a first write and reports
 // whether this call did: only the winner of the CAS decrements shared
 // and runs the promotion hook.
-func (m *PhysMem) dropShared(pfn PFN, s *frameSlot, c *cowSource) bool {
+func (m *PhysMem) dropShared(pfn PFN, s *frameSlot, c *cowMapping) bool {
 	if !s.cow.CompareAndSwap(c, nil) {
 		return false
 	}

@@ -269,7 +269,7 @@ func (be *BlkMQBackend) serveRun(c *hw.CPU, q *BlkMQQueue, run []BlkRequest) {
 		fail(err.Error())
 		return
 	}
-	defer be.V.grantUnmapBatch(c, q.entryBuf, q.pfnBuf)
+	defer be.V.grantUnmapBatch(c, q.entryBuf, q.pfnBuf, !run[0].Write)
 	pfns := q.pfnBuf
 	buf := stageBlocks(&q.stage, len(run))
 	if run[0].Write {

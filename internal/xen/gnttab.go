@@ -88,8 +88,11 @@ func (d *Domain) grantTo(mapper *Domain, ref GrantRef, writable bool) (*grantEnt
 
 // GrantMap gives the calling (backend) domain access to the frame behind
 // (granterID, ref), writable access when writable (which a read-only
-// grant refuses). It returns the frame and an unmap closure. This is
-// the grant_table_op hypercall.
+// grant refuses). A map holds an existence ref on the frame, and a
+// writable map also a FrameWritable type ref, as a writable PTE does,
+// so a frame typed as a page table cannot be mapped writable and a
+// frame mapped writable cannot become one. It returns the frame and an
+// unmap closure. This is the grant_table_op hypercall.
 func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef, writable bool) (hw.PFN, func(), error) {
 	defer v.exit(c, d, v.enter(c, d))
 	granter, ok := v.Domains[granterID]
@@ -101,32 +104,59 @@ func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef, writ
 		return 0, nil, err
 	}
 	c.Charge(v.M.Costs.GrantMap)
+	entries := [1]*grantEntry{g}
+	pfns := [1]hw.PFN{g.pfn}
 	v.mmu.Lock(c)
-	v.FT.GetRef(g.pfn)
-	g.mapped++
-	v.rel.grants++
+	err = v.grantRefs(entries[:], pfns[:], writable)
 	v.mmu.Unlock(c)
-	pfn := g.pfn
+	if err != nil {
+		return 0, nil, err
+	}
 	unmapped := false
-	return pfn, func() {
+	return pfns[0], func() {
 		if unmapped {
 			return
 		}
 		unmapped = true
-		v.mmu.Lock(c)
-		g.mapped--
-		v.rel.grants--
-		v.FT.PutRef(pfn)
-		v.mmu.Unlock(c)
+		v.grantUnmapBatch(c, entries[:], pfns[:], writable)
 	}, nil
+}
+
+// grantRefs takes the refs the grant maps of entries hold on pfns, the
+// frames they name: an existence ref each, and a FrameWritable type ref
+// each when writable. A frame that holds another type fails the whole
+// set with nothing taken (MMU lock held).
+func (v *VMM) grantRefs(entries []*grantEntry, pfns []hw.PFN, writable bool) error {
+	if writable {
+		// Every ref asked for is FrameWritable, so one taken cannot
+		// fail a later one: checking them all first keeps the set whole.
+		for _, pfn := range pfns {
+			if f := &v.FT.frames[pfn]; f.typeCount != 0 && f.typ != FrameWritable {
+				return errType(pfn, f.typ, f.typeCount, FrameWritable)
+			}
+		}
+	}
+	for i, g := range entries {
+		f := &v.FT.frames[pfns[i]]
+		if writable {
+			// Cannot fail: checked above.
+			_ = v.FT.getType(f, pfns[i], FrameWritable)
+		}
+		v.FT.getRef(f, pfns[i])
+		g.mapped++
+	}
+	v.rel.grants += len(entries)
+	return nil
 }
 
 // GrantMapBatch maps a burst of grants from one granter in a single
 // grant_table_op: one VMM entry and one MMU lock acquisition amortized
 // over the whole ring-slot burst, with the per-ref GrantMap work still
-// charged, each ref with the access writable asks for. Returns the
-// frames in ref order and one idempotent unmap closure. Validation is
-// all-or-nothing — any bad ref fails the batch with nothing mapped.
+// charged, each ref with the access writable asks for and holding the
+// refs GrantMap's does. Returns the frames in ref order and one
+// idempotent unmap closure. Validation is all-or-nothing — any bad ref,
+// or a writable map of a frame typed otherwise, fails the batch with
+// nothing mapped.
 func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantRef, writable bool) ([]hw.PFN, func(), error) {
 	entries, pfns, err := v.grantMapBatch(c, d, granterID, refs, writable,
 		make([]*grantEntry, 0, len(refs)), make([]hw.PFN, 0, len(refs)))
@@ -139,7 +169,7 @@ func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantR
 			return
 		}
 		unmapped = true
-		v.grantUnmapBatch(c, entries, pfns)
+		v.grantUnmapBatch(c, entries, pfns, writable)
 	}, nil
 }
 
@@ -165,12 +195,11 @@ func (v *VMM) grantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantR
 	}
 	c.Charge(v.M.Costs.GrantMap * hw.Cycles(len(refs)))
 	v.mmu.Lock(c)
-	for _, g := range entries {
-		v.FT.GetRef(g.pfn)
-		g.mapped++
-	}
-	v.rel.grants += len(entries)
+	err := v.grantRefs(entries, pfns, writable)
 	v.mmu.Unlock(c)
+	if err != nil {
+		return entries[:0], pfns[:0], err
+	}
 	if h := v.tel(); h != nil {
 		h.grantBatches.Inc()
 		h.grantBatchRefs.Add(uint64(len(refs)))
@@ -178,12 +207,17 @@ func (v *VMM) grantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantR
 	return entries, pfns, nil
 }
 
-// grantUnmapBatch undoes one successful grantMapBatch.
-func (v *VMM) grantUnmapBatch(c *hw.CPU, entries []*grantEntry, pfns []hw.PFN) {
+// grantUnmapBatch undoes one successful grantMapBatch, or GrantMap,
+// whose maps were writable when writable.
+func (v *VMM) grantUnmapBatch(c *hw.CPU, entries []*grantEntry, pfns []hw.PFN, writable bool) {
 	v.mmu.Lock(c)
 	for i, g := range entries {
 		g.mapped--
-		v.FT.PutRef(pfns[i])
+		f := &v.FT.frames[pfns[i]]
+		if writable {
+			v.FT.putType(f, pfns[i])
+		}
+		v.FT.putRef(f, pfns[i])
 	}
 	v.rel.grants -= len(entries)
 	v.mmu.Unlock(c)

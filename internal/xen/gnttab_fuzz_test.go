@@ -4,19 +4,21 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/pgtable"
 )
 
 // grantFuzzEnv is one FuzzGrant machine: a driver domain and two guests,
 // each able to grant any frame to anyone, and a pool of frames the fuzz
-// bytes may name: each domain's own, the VMM's, frame 0 and frames
-// beyond memory.
+// bytes may name: each domain's own, the VMM's, frame 0, frames beyond
+// memory, and the directory and L1 of a tree guest1 has pinned, whose
+// one entry maps guest1's first pool frame writable.
 type grantFuzzEnv struct {
 	v    *VMM
 	c    *hw.CPU
 	doms []*Domain
 	pool []hw.PFN
-	// start is each valid pool frame's TotalRefs before any op.
-	start map[hw.PFN]uint32
+	// start is each valid pool frame's record before any op.
+	start map[hw.PFN]FrameInfo
 }
 
 func newGrantFuzzEnv(t *testing.T) *grantFuzzEnv {
@@ -26,7 +28,7 @@ func newGrantFuzzEnv(t *testing.T) *grantFuzzEnv {
 		t.Fatal(err)
 	}
 	m, v, c := h.M, h.V, h.C
-	e := &grantFuzzEnv{v: v, c: c, doms: []*Domain{h.Dom0}, start: make(map[hw.PFN]uint32)}
+	e := &grantFuzzEnv{v: v, c: c, doms: []*Domain{h.Dom0}}
 	for _, name := range []string{"guest1", "guest2"} {
 		d, err := v.CreateDomain(name, 16, false)
 		if err != nil {
@@ -40,9 +42,24 @@ func newGrantFuzzEnv(t *testing.T) *grantFuzzEnv {
 		e.doms[0].Frames.Alloc(), e.doms[1].Frames.Alloc(), e.doms[1].Frames.Alloc(),
 		e.doms[2].Frames.Alloc(), vmmLo, 0, m.Mem.NumFrames(), 1<<20 - 1, hw.NoPFN,
 	}
+	tb, err := pgtable.New(m.Mem, e.doms[1].Frames.Alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const va = 0x0800_0000
+	if err := tb.Map(va, e.pool[1], hw.PTEWrite|hw.PTEUser, e.doms[1].Frames.Alloc,
+		pgtable.DirectWriter(m.Mem)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.HypPinTable(c, e.doms[1], tb.Root); err != nil {
+		t.Fatal(err)
+	}
+	l1, _ := tb.ExistingSlot(va)
+	e.pool = append(e.pool, tb.Root, l1.Table)
+	e.start = make(map[hw.PFN]FrameInfo)
 	for _, pfn := range e.pool {
 		if m.Mem.Valid(pfn) {
-			e.start[pfn] = v.FT.Get(pfn).TotalRefs
+			e.start[pfn] = v.FT.Get(pfn)
 		}
 	}
 	return e
@@ -72,29 +89,33 @@ type grantModel struct {
 	mapped   int
 }
 
-// grantMapping is one successful map: what it mapped, its unmap
-// closure, and whether that closure has run.
+// grantMapping is one successful map: what it mapped, whether
+// writable, its unmap closure, and whether that closure has run.
 type grantMapping struct {
-	granter *Domain
-	refs    []GrantRef
-	pfns    []hw.PFN
-	unmap   func()
-	live    bool
+	granter  *Domain
+	refs     []GrantRef
+	pfns     []hw.PFN
+	writable bool
+	unmap    func()
+	live     bool
 }
 
 // FuzzGrant drives grant_table_op with hostile arguments: any granter
 // ID, any ref (negative included) and any frame: another domain's, the
-// VMM's, frame 0 and frames past memory. Each byte string decodes into a
+// VMM's, frame 0, frames past memory and a pinned tree's tables. Each
+// byte string decodes into a
 // sequence of GrantAccess, GrantMap, GrantMapBatch, unmap (a second
 // unmap included) and GrantEnd against a map model; an op byte's top
 // bit asks a map for writable access. Nothing may panic; a map
 // succeeds exactly when the model says so (the grant is live, granted
-// to the mapper, not read-only if the map is writable, and names a
-// valid frame the granter owns); a
+// to the mapper, not read-only if the map is writable, names a valid
+// frame the granter owns, and, if the map is writable, a frame not
+// typed as a page table); a
 // batch is all or nothing; GrantEnd refuses while the grant is mapped;
 // after every step each pool frame carries its start refs plus one per
-// live mapping and the frame table's invariants hold; once everything
-// is unmapped every frame is back to its start refs.
+// live mapping, its start type refs plus one per live writable
+// mapping, and the frame table's invariants hold; once everything is
+// unmapped every frame is back to its start record.
 func FuzzGrant(f *testing.F) {
 	// gnttab_test.go: a guest grants its frame to dom0, which maps it;
 	// GrantEnd is refused while mapped; unmap twice; end, then end again.
@@ -112,6 +133,14 @@ func FuzzGrant(f *testing.F) {
 	// writable map of the other succeed.
 	f.Add([]byte{0, 1, 0, 1, 1, 0, 1, 0, 2, 0, 0x81, 0, 1, 0, 0x82, 0, 1, 1, 1, 0,
 		1, 0, 1, 0, 0x81, 0, 1, 1})
+	// hostile_test.go: guest1 grants dom0 its pinned L1 and the data
+	// frame that L1 maps writable. A writable map of the L1 fails, a
+	// read map of it succeeds, a writable map of the data frame
+	// succeeds beside the guest's own writable mapping, and a writable
+	// batch of both fails; so does a writable map of the directory.
+	f.Add([]byte{0, 1, 0, 10, 0, 0, 1, 0, 1, 0, 0x81, 0, 1, 0, 1, 0, 1, 0,
+		0x81, 0, 1, 1, 0x82, 0, 1, 1, 1, 0, 0, 1, 0, 9, 0, 0x81, 0, 1, 2,
+		3, 0, 3, 1, 4, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := newGrantFuzzEnv(t)
 		v, c := e.v, e.c
@@ -140,8 +169,10 @@ func FuzzGrant(f *testing.F) {
 				return false
 			}
 			m := model[g][r]
-			return m.inUse && m.to == mapper.ID && !(writable && m.readonly) &&
-				v.M.Mem.Valid(m.pfn) && e.owner(m.pfn) == g.ID
+			if writable && (m.readonly || e.start[m.pfn].Type > FrameWritable) {
+				return false
+			}
+			return m.inUse && m.to == mapper.ID && v.M.Mem.Valid(m.pfn) && e.owner(m.pfn) == g.ID
 		}
 		unmap := func(mp *grantMapping) {
 			mp.unmap()
@@ -157,20 +188,26 @@ func FuzzGrant(f *testing.F) {
 			if err := v.FT.CheckInvariants(); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			want := make(map[hw.PFN]uint32)
-			for pfn, n := range e.start {
-				want[pfn] = n
+			want := make(map[hw.PFN]FrameInfo)
+			for pfn, fi := range e.start {
+				want[pfn] = fi
 			}
 			for _, mp := range maps {
 				if mp.live {
 					for _, pfn := range mp.pfns {
-						want[pfn]++
+						fi := want[pfn]
+						fi.TotalRefs++
+						if mp.writable {
+							fi.Type = FrameWritable
+							fi.TypeCount++
+						}
+						want[pfn] = fi
 					}
 				}
 			}
-			for pfn, n := range want {
-				if got := v.FT.Get(pfn).TotalRefs; got != n {
-					t.Fatalf("step %d: frame %d has %d refs, model %d", step, pfn, got, n)
+			for pfn, fi := range want {
+				if got := v.FT.Get(pfn); got != fi {
+					t.Fatalf("step %d: frame %d is %+v, model %+v", step, pfn, got, fi)
 				}
 			}
 			for d, gs := range model {
@@ -215,7 +252,7 @@ func FuzzGrant(f *testing.F) {
 					}
 					model[g][r].mapped++
 					maps = append(maps, &grantMapping{granter: g, refs: []GrantRef{r},
-						pfns: []hw.PFN{pfn}, unmap: um, live: true})
+						pfns: []hw.PFN{pfn}, writable: writable, unmap: um, live: true})
 				}
 			case 2: // GrantMapBatch
 				mapper, gid := dom(in.next()), id(in.next())
@@ -240,7 +277,7 @@ func FuzzGrant(f *testing.F) {
 						model[g][r].mapped++
 					}
 					maps = append(maps, &grantMapping{granter: g, refs: refs,
-						pfns: pfns, unmap: um, live: true})
+						pfns: pfns, writable: writable, unmap: um, live: true})
 				}
 			case 3: // unmap, possibly a second time
 				if b := int(in.next()); len(maps) > 0 {
@@ -266,9 +303,9 @@ func FuzzGrant(f *testing.F) {
 			unmap(mp)
 		}
 		check(-1)
-		for pfn, n := range e.start {
-			if got := v.FT.Get(pfn).TotalRefs; got != n {
-				t.Fatalf("all unmapped: frame %d has %d refs, started with %d", pfn, got, n)
+		for pfn, fi := range e.start {
+			if got := v.FT.Get(pfn); got != fi {
+				t.Fatalf("all unmapped: frame %d is %+v, started as %+v", pfn, got, fi)
 			}
 		}
 	})

@@ -60,8 +60,9 @@ func TestMMUUpdateIndexOutOfRange(t *testing.T) {
 
 // TestHostileNumbersRejected: frame numbers, vectors, ports and grant
 // refs a guest supplies out of range, or naming a frame it does not
-// own (granted frames included), return an error instead of panicking the VMM, and leave the frame
-// table and the trap table as they were.
+// own (granted frames included), and writable grant maps of a live page
+// table return an error instead of panicking the VMM, and leave the
+// frame table and the trap table as they were.
 func TestHostileNumbersRejected(t *testing.T) {
 	v, d0, dU, c := twoDomains(t)
 	tb, _ := buildTree(t, v, dU, 2)
@@ -110,6 +111,10 @@ func TestHostileNumbersRejected(t *testing.T) {
 	foreignGrant := dU.GrantAccess(c, d0.ID, foreign, false)
 	ownGrant := dU.GrantAccess(c, d0.ID, dU.Frames.Alloc(), false)
 	roGrant := dU.GrantAccess(c, d0.ID, dU.Frames.Alloc(), true)
+	// The L1 of the pinned tree, granted with write access: mapping it
+	// writable would let the backend rewrite a live page table.
+	l1, _ := tb.ExistingSlot(0x0800_0000)
+	l1Grant := dU.GrantAccess(c, d0.ID, l1.Table, false)
 	// Frame 0 was never given to a domain, so it is not dom0's to grant.
 	zeroGrant := d0.GrantAccess(c, dU.ID, 0, false)
 	nop := func(*hw.CPU, *hw.TrapFrame) {}
@@ -198,6 +203,14 @@ func TestHostileNumbersRejected(t *testing.T) {
 		}},
 		{"writable grant batch with a read-only grant", func() error {
 			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{ownGrant, roGrant}, true)
+			return err
+		}},
+		{"writable grant map of a pinned L1", func() error {
+			_, _, err := v.GrantMap(c, d0, dU.ID, l1Grant, true)
+			return err
+		}},
+		{"writable grant batch with a pinned L1", func() error {
+			_, _, err := v.GrantMapBatch(c, d0, dU.ID, []GrantRef{ownGrant, l1Grant}, true)
 			return err
 		}},
 		{"grant map of frame 0 granted by dom0", func() error {
