@@ -116,7 +116,9 @@ func TestSubcommands(t *testing.T) {
 
 // TestTelemetryGolden pins the whole output of the commands that export
 // the metrics registry, byte for byte, against testdata/*.golden: every
-// series keeps its name and its value wherever its counter lives.
+// series keeps its name and its value wherever its counter lives. It
+// pins the fork demo's report the same way: its cycle counts, store
+// frames and references.
 func TestTelemetryGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -125,6 +127,7 @@ func TestTelemetryGolden(t *testing.T) {
 		{"stats.golden", []string{"stats"}},
 		{"stats_journal.golden", []string{"stats", "-tracking", "journal"}},
 		{"fleet_migrate.golden", []string{"fleet", "-nodes", "2", "-action", "migrate"}},
+		{"fork.golden", []string{"fork", "-clones", "4", "-pages", "16", "-dirty", "2"}},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
