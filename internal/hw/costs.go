@@ -13,11 +13,10 @@ package hw
 type CostModel struct {
 	// --- generic machine costs ---
 
-	MemRead       Cycles // one cached memory word read
-	MemWrite      Cycles // one cached memory word write
-	CacheMissLine Cycles // pulling one cold cache line
-	PageCopy      Cycles // copying one 4 KB page (memcpy)
-	PageZero      Cycles // zeroing one 4 KB page
+	MemRead  Cycles // one cached memory word read
+	MemWrite Cycles // one cached memory word write
+	PageCopy Cycles // copying one 4 KB page (memcpy)
+	PageZero Cycles // zeroing one 4 KB page
 
 	// --- address translation ---
 
@@ -126,7 +125,6 @@ type CostModel struct {
 	DiskPerKB   Cycles // per-KB transfer cost
 	NICPerPkt   Cycles // per-packet NIC processing
 	NICPerKB    Cycles // per-KB NIC copy cost
-	WireLatency Cycles // one-way link latency (100 Mb LAN)
 
 	// --- SMP ---
 
@@ -137,11 +135,10 @@ type CostModel struct {
 // DefaultCosts returns the calibrated cost model for the 3 GHz testbed.
 func DefaultCosts() *CostModel {
 	return &CostModel{
-		MemRead:       4,
-		MemWrite:      4,
-		CacheMissLine: 120,
-		PageCopy:      900,
-		PageZero:      600,
+		MemRead:  4,
+		MemWrite: 4,
+		PageCopy: 900,
+		PageZero: 600,
 
 		TLBHit:        1,
 		TLBMissWalk:   90,
@@ -210,7 +207,6 @@ func DefaultCosts() *CostModel {
 		DiskPerKB:   700,
 		NICPerPkt:   11_000,
 		NICPerKB:    6_500,
-		WireLatency: 110_000, // ~37 us one-way on the 100 Mb LAN
 
 		LockAcquire:   40,
 		LockContended: 260,
