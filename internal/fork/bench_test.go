@@ -152,7 +152,7 @@ func BenchmarkCloneCycle(b *testing.B) {
 
 // TestCloneCycleAllocs bounds the allocations of one clone cycle on a
 // template of 256 live pages (258 base frames with its tables). A
-// cycle makes 39 allocations, none of them per base frame; one per
+// cycle makes 32 allocations, none of them per base frame; one per
 // mapped frame would add 258 more.
 func TestCloneCycleAllocs(t *testing.T) {
 	h, cb := cycleHost(t)

@@ -3,7 +3,6 @@ package fork
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/hw"
@@ -11,10 +10,11 @@ import (
 	"repro/internal/xen"
 )
 
-// CloneState tracks one forked domain: which of its frames are still
-// copy-on-write mapped onto the snapshot cache (the clone owns one
-// store reference per live mapping, on the base's frame at that
-// offset) and how many have been promoted to private copies by writes.
+// CloneState tracks one forked domain: its frames are copy-on-write
+// mapped onto the base's pages until writes promote them to private
+// copies, and it counts the promotions. The clone owns no store
+// references: it holds its base once, from Clone until its teardown,
+// which keeps every frame it maps stored.
 type CloneState struct {
 	Base *CloneBase
 	V    *xen.VMM
@@ -26,8 +26,6 @@ type CloneState struct {
 	Delta int64
 
 	mu        sync.Mutex
-	shared    offsets // still CoW-mapped; nil once torn down
-	nshared   int     // offsets in shared
 	promoted  int
 	destroyed bool
 }
@@ -82,7 +80,10 @@ func NewTemplate(pages, clones int) (*xen.Host, *CloneBase, error) {
 func (cs *CloneState) SharedCount() int {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	return cs.nshared
+	if cs.destroyed {
+		return 0
+	}
+	return len(cs.Base.Img.Refs) - cs.promoted
 }
 
 // PromotedCount returns the number of frames privatized by writes.
@@ -92,32 +93,30 @@ func (cs *CloneState) PromotedCount() int {
 	return cs.promoted
 }
 
-// LiveRefs reports the store references the clone currently owns (one
-// per live CoW mapping).
-func (cs *CloneState) LiveRefs() int { return cs.SharedCount() }
+// LiveRefs reports the store references the clone owns: none, since
+// it holds its base instead.
+func (cs *CloneState) LiveRefs() int { return 0 }
 
-// onPromote is the hw promotion hook: the frame went private, so the
-// clone's reference on the shared content is dropped.
-func (cs *CloneState) onPromote(pfn hw.PFN) {
-	off := uint32(pfn - cs.Lo)
+// live reports whether the clone is not yet torn down, and so holds its
+// base.
+func (cs *CloneState) live() bool {
 	cs.mu.Lock()
-	ok := cs.shared != nil && cs.shared.has(off)
-	if ok {
-		cs.shared.remove(off)
-		cs.nshared--
+	defer cs.mu.Unlock()
+	return !cs.destroyed
+}
+
+// onPromote is the hw promotion hook: a frame went private.
+func (cs *CloneState) onPromote(hw.PFN) {
+	cs.mu.Lock()
+	if !cs.destroyed {
 		cs.promoted++
 	}
 	cs.mu.Unlock()
-	if ok {
-		// A release here cannot fail: the mapping held the reference.
-		_ = cs.Base.Store.drop(cs.Base.Img.entries[off])
-	}
 }
 
-// abort releases everything the clone holds: the store references of
-// its live CoW mappings, in one pass, and the domain itself, whose
-// partition is then scrubbed so that its pages serve later clones.
-// Idempotent.
+// abort releases everything the clone holds: the domain, whose
+// partition is then scrubbed so that its pages serve later clones, and
+// its hold on the base. Idempotent.
 func (cs *CloneState) abort() error {
 	cs.mu.Lock()
 	if cs.destroyed {
@@ -125,43 +124,41 @@ func (cs *CloneState) abort() error {
 		return nil
 	}
 	cs.destroyed = true
-	shared := cs.shared
-	cs.shared, cs.nshared = nil, 0
 	cs.mu.Unlock()
-	var firstErr error
-	if shared != nil {
-		firstErr = cs.Base.Store.releaseEntries(cs.Base.Img.entries, shared)
-	}
-	if err := cs.V.DestroyDomain(cs.D.ID); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	firstErr := cs.V.DestroyDomain(cs.D.ID)
 	// Nothing reaches the partition now: the domain is gone, its pins
 	// and grants with it, and a partition is never handed out again.
 	cs.V.M.Mem.Scrub(cs.Lo, cs.Lo+cs.Base.Img.Span())
+	if err := cs.Base.Img.letGo(); err != nil && firstErr == nil {
+		firstErr = err
+	}
 	return firstErr
 }
 
 // Clone spawns a new domain from a warmed base image at the cost of the
-// dirtied frames, not the image size: every non-zero frame is mapped
-// copy-on-write onto the shared snapshot cache (one store pass retains
-// them all through the base's resolved entries, one batch maps the
-// base's pages slice under one mapping header, and each frame costs
-// one CoWMapPerFrame charge — no page copies), the page-table tree is
-// relocated to the clone's partition (promoting exactly the table
-// frames when the displacement is non-zero), the roots are re-pinned,
-// and the vcpu state is installed. All side effects ride a migrate.Txn:
-// on any failure the pins are undone, the mappings unmapped, the store
-// references released, and the domain destroyed.
+// dirtied frames, not the image size: the clone takes one hold on the
+// base, every non-zero frame is mapped copy-on-write onto the shared
+// snapshot cache (one batch maps the base's pages slice under one
+// mapping header, and each frame costs one CoWMapPerFrame charge — no
+// page copies), the page-table tree is relocated to the clone's
+// partition (promoting exactly the table frames when the displacement
+// is non-zero), the roots are re-pinned, and the vcpu state is
+// installed. All side effects ride a migrate.Txn: on any failure the
+// pins are undone, the mappings unmapped, the domain destroyed, and
+// the hold let go.
 func Clone(c *hw.CPU, v *xen.VMM, caller *xen.Domain, base *CloneBase, name string) (*CloneState, error) {
 	if !v.Active {
 		return nil, fmt.Errorf("fork: clone requires an active VMM")
 	}
 	img := base.Img
-	if img.LiveRefs() == 0 && len(img.Refs) > 0 {
-		return nil, fmt.Errorf("fork: clone from released base %q", img.Name)
+	if err := img.hold(true); err != nil {
+		return nil, err
 	}
 	d, err := v.CreateDomain(name, img.Span(), img.Privileged)
 	if err != nil {
+		if rerr := img.letGo(); rerr != nil {
+			err = fmt.Errorf("%w (rollback: %v)", err, rerr)
+		}
 		return nil, fmt.Errorf("fork: creating clone domain: %w", err)
 	}
 	lo, _ := d.Frames.Range()
@@ -183,12 +180,6 @@ func Clone(c *hw.CPU, v *xen.VMM, caller *xen.Domain, base *CloneBase, name stri
 	// Map every base frame copy-on-write: the clone reads the shared
 	// cache page until its first write promotes the frame.
 	mem := v.M.Mem
-	if err := base.Store.retain(img.entries); err != nil {
-		return fail(err)
-	}
-	cs.mu.Lock()
-	cs.shared, cs.nshared = slices.Clone(img.present), len(img.Refs)
-	cs.mu.Unlock()
 	if err := mem.MapSharedRange(lo, img.pages, cs.onPromote); err != nil {
 		return fail(fmt.Errorf("fork: mapping the base: %w", err))
 	}
@@ -219,9 +210,9 @@ func Clone(c *hw.CPU, v *xen.VMM, caller *xen.Domain, base *CloneBase, name stri
 // one hash and stored only if its bytes differ from the base's frame
 // at the same offset, or from the zero page where the base has none (a
 // frame rewritten back to base content, or still zero, costs nothing).
-// sha256 runs only in Put, for content the store lacks, and for a base
-// frame whose bytes have already left the store. The result is an
-// Overlay owning one store reference per diverged frame.
+// sha256 runs only in Put, for content the store lacks. The result is
+// an Overlay owning one store reference per diverged frame and one
+// hold on the base.
 func CheckpointDelta(c *hw.CPU, v *xen.VMM, caller *xen.Domain, cs *CloneState) (*Overlay, error) {
 	if cs.destroyed {
 		return nil, fmt.Errorf("fork: checkpoint of destroyed clone")
@@ -230,6 +221,7 @@ func CheckpointDelta(c *hw.CPU, v *xen.VMM, caller *xen.Domain, cs *CloneState) 
 		return nil, err
 	}
 	img := cs.Base.Img
+	_ = img.hold(false) // never refused: the clone holds the base
 	o := &Overlay{
 		store: cs.Base.Store,
 		Base:  img,
@@ -237,6 +229,8 @@ func CheckpointDelta(c *hw.CPU, v *xen.VMM, caller *xen.Domain, cs *CloneState) 
 		Lo:    cs.Lo, Hi: cs.Lo + img.Span(),
 		CR3: cs.D.VCPU0().CR3(), VIF: cs.D.VCPU0().VIF(),
 		PinnedRoots: cs.D.PinnedRoots(),
+		// At most every frame not still CoW-mapped diverges.
+		Dirty: make([]FrameRef, 0, int(img.Span())-cs.SharedCount()),
 	}
 	mem := v.M.Mem
 	hashCost := v.M.Costs.PageCopy / 4
@@ -247,7 +241,7 @@ func CheckpointDelta(c *hw.CPU, v *xen.VMM, caller *xen.Domain, cs *CloneState) 
 		data := mem.FrameBytesRO(pfn)
 		c.Charge(hashCost)
 		off := uint32(pfn - o.Lo)
-		if cs.Base.sameAsBase(off, data) {
+		if img.sameAsBase(off, data) {
 			continue // written back to base content, or (still) zero
 		}
 		sh, err := cs.Base.Store.Put(data)
@@ -268,21 +262,16 @@ func CheckpointDelta(c *hw.CPU, v *xen.VMM, caller *xen.Domain, cs *CloneState) 
 }
 
 // sameAsBase reports whether data equals the base's content at off: its
-// stored frame, or the zero page where the base has none. Only a base
-// frame whose bytes have left the store is compared by hash.
-func (b *CloneBase) sameAsBase(off uint32, data []byte) bool {
-	e := b.Img.entries[off]
-	if e == nil {
-		return bytes.Equal(data, zeroPage)
+// stored frame, or the zero page where the base has none.
+func (b *BaseImage) sameAsBase(off uint32, data []byte) bool {
+	if p := b.pages[off]; p != nil {
+		return bytes.Equal(data, p)
 	}
-	if stored, ok := b.Store.stored(e); ok {
-		return bytes.Equal(data, stored)
-	}
-	return HashFrame(data) == e.key
+	return bytes.Equal(data, zeroPage)
 }
 
 // DestroyClone unpins the clone's roots, tears the domain down, and
-// releases every store reference the clone still holds.
+// lets go of the clone's hold on its base.
 func DestroyClone(c *hw.CPU, v *xen.VMM, caller *xen.Domain, cs *CloneState) error {
 	if cs.destroyed {
 		return fmt.Errorf("fork: double destroy of clone dom%d", cs.D.ID)

@@ -20,8 +20,8 @@ func TestCheckpointDeltaDivergenceCases(t *testing.T) {
 	cases := []struct {
 		name  string
 		dirty func(mem *hw.PhysMem, lo hw.PFN)
-		// releaseBase drops the base's references before the delta, so
-		// the bytes of base frames the clone promoted leave the store.
+		// releaseBase releases the base before the delta; the live
+		// clone's hold keeps every base frame in the store.
 		releaseBase bool
 		// want lists the Dirty offsets; erased the subset stored as the
 		// zero-page erasure marker.
@@ -89,7 +89,7 @@ func TestCheckpointDeltaDivergenceCases(t *testing.T) {
 			},
 			releaseBase: true,
 			want:        []uint32{21, 100, 101},
-			puts:        3, hits: 0, frames: 65, cyc: 48850,
+			puts:        3, hits: 0, frames: 69, cyc: 48850,
 		},
 	}
 	for _, tc := range cases {

@@ -92,8 +92,7 @@ func TestStoreDedupAndRefcounts(t *testing.T) {
 }
 
 // A base frame released behind the base's back leaves the store while
-// the base still names it: a clone is refused with the store's error
-// and takes no reference, and the base's own release reports the frame
+// the base still names it: the base's own release reports the frame
 // absent while it releases the rest.
 func TestBaseFrameGoneFromStore(t *testing.T) {
 	v, dom0, origin, c := env(t)
@@ -104,17 +103,6 @@ func TestBaseFrameGoneFromStore(t *testing.T) {
 	}
 	if got := cb.Store.Frames(); got != frames-1 {
 		t.Fatalf("store holds %d frames after the release, want %d", got, frames-1)
-	}
-	refs := cb.Store.Refs()
-	_, err := Clone(c, v, dom0, cb, "orphan")
-	if err == nil || !strings.Contains(err.Error(), "base frame missing from store") {
-		t.Fatalf("clone of a base missing a frame: err %v", err)
-	}
-	if got := cb.Store.Refs(); got != refs {
-		t.Fatalf("refused clone left %d refs, want %d", got, refs)
-	}
-	if n := v.M.Mem.SharedFrames(); n != 0 {
-		t.Fatalf("refused clone left %d CoW mappings", n)
 	}
 	if err := cb.Img.Release(); err == nil || !strings.Contains(err.Error(), "Release of absent frame") {
 		t.Fatalf("release of a base missing a frame: err %v", err)
@@ -172,15 +160,16 @@ func TestCloneSharesFramesAndPromotesOnWrite(t *testing.T) {
 		t.Fatalf("relocated leaf points at %d", got)
 	}
 
-	// A write promotes one frame and releases its store reference; the
-	// base keeps serving the original content.
+	// A write promotes one frame and leaves the store's references as
+	// they were: the base owns them, not the clone. The base keeps
+	// serving the original content.
 	sharedBefore, refsBefore := cs.SharedCount(), cb.Store.Refs()
 	v.M.Mem.WriteWord(cs.Lo.Addr(), 0xDEAD)
 	if cs.SharedCount() != sharedBefore-1 {
 		t.Fatal("write did not promote the frame")
 	}
-	if cb.Store.Refs() != refsBefore-1 {
-		t.Fatal("promotion did not release the store reference")
+	if got := cb.Store.Refs(); got != refsBefore {
+		t.Fatalf("promotion moved the store's refs from %d to %d", refsBefore, got)
 	}
 	if got := v.M.Mem.ReadWord(lo.Addr()); got != 0xAB00_0000 {
 		t.Fatalf("origin frame disturbed by clone write: %#x", got)
@@ -396,6 +385,186 @@ func TestManyClonesDedupAgainstOneBase(t *testing.T) {
 		if err := DestroyClone(c, v, dom0, cs); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := AuditRefs(cb.Store, cb.Img); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// An overlay holds its base: once its clone is destroyed and the base
+// released, it still flattens to the image the clone had at the delta,
+// with the same identity, and its release drains the store.
+func TestOverlayOutlivesCloneAndBase(t *testing.T) {
+	v, dom0, origin, c := env(t)
+	cb := warmBase(t, v, dom0, origin, c)
+	cs, err := Clone(c, v, dom0, cb, "parent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.M.Mem.WriteWord((cs.Lo + 12).Addr(), 0xC10E_0012)
+	v.M.Mem.WriteWord((cs.Lo + 190).Addr(), 0xC10E_0190)
+	o, err := CheckpointDelta(c, v, dom0, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := migrate.Checkpoint(c, v, dom0, cs.D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := o.IdentityHash()
+	if err := DestroyClone(c, v, dom0, cs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.Img.Release(); err != nil {
+		t.Fatal(err)
+	}
+	flat, err := o.Flatten()
+	if err != nil {
+		t.Fatalf("flatten after the clone and the base are gone: %v", err)
+	}
+	if len(flat.Pages) != len(full.Pages) {
+		t.Fatalf("flatten has %d pages, the clone's checkpoint %d", len(flat.Pages), len(full.Pages))
+	}
+	for pfn, data := range full.Pages {
+		if !bytes.Equal(flat.Pages[pfn], data) {
+			t.Fatalf("flattened frame %d diverges from the clone's checkpoint", pfn)
+		}
+	}
+	if o.IdentityHash() != id {
+		t.Fatal("overlay's identity changed once its clone and base were gone")
+	}
+	if got, want := cb.Img.LiveRefs(), len(cb.Img.Refs); got != want {
+		t.Fatalf("released base held by an overlay owns %d refs, want %d", got, want)
+	}
+	if err := AuditRefs(cb.Store, cb.Img, o); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if f, r := cb.Store.Frames(), cb.Store.Refs(); f != 0 || r != 0 {
+		t.Fatalf("store holds %d frames and %d refs after the overlay's release", f, r)
+	}
+}
+
+// A base released under a live clone keeps serving it and refuses new
+// clones. Its references stay in the store, exactly, until the last of
+// its clone and overlay lets go, in either order; the store then holds
+// nothing.
+func TestReleasedBaseDrainsWithLastHolder(t *testing.T) {
+	for _, overlayLast := range []bool{false, true} {
+		name := map[bool]string{false: "clone last", true: "overlay last"}[overlayLast]
+		t.Run(name, func(t *testing.T) {
+			v, dom0, origin, c := env(t)
+			cb := warmBase(t, v, dom0, origin, c)
+			baseRefs := int64(len(cb.Img.Refs))
+			cs, err := Clone(c, v, dom0, cb, "held")
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.M.Mem.WriteWord((cs.Lo + 12).Addr(), 0xC10E_0012)
+			o, err := CheckpointDelta(c, v, dom0, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Two relocated tables and one dirtied frame, each new content.
+			dirty := int64(o.DeltaFrames())
+			if dirty != 3 {
+				t.Fatalf("delta holds %d frames, want 3", dirty)
+			}
+			if err := cb.Img.Release(); err != nil {
+				t.Fatal(err)
+			}
+			if got := cb.Store.Refs(); got != baseRefs+dirty {
+				t.Fatalf("release under a live clone left %d refs, want %d", got, baseRefs+dirty)
+			}
+			if _, err := Clone(c, v, dom0, cb, "late"); err == nil ||
+				!strings.Contains(err.Error(), "clone from released base") {
+				t.Fatalf("clone of a released base: err %v", err)
+			}
+			for i := 0; i < 64; i++ {
+				want := 0xAB00_0000 | uint32(i)
+				if i == 12 {
+					want = 0xC10E_0012
+				}
+				if got := v.M.Mem.ReadWord((cs.Lo + hw.PFN(i)).Addr()); got != want {
+					t.Fatalf("clone frame %d reads %#x, want %#x", i, got, want)
+				}
+			}
+			// A write after the release promotes a base frame as before.
+			v.M.Mem.WriteWord((cs.Lo + 13).Addr(), 0xAB00_0000|13)
+			o2, err := CheckpointDelta(c, v, dom0, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := o2.DeltaFrames(); got != 3 {
+				t.Fatalf("second delta holds %d frames, want 3", got)
+			}
+			if err := AuditRefs(cb.Store, cb.Img, cs, o, o2); err != nil {
+				t.Fatal(err)
+			}
+			if err := o2.Release(); err != nil {
+				t.Fatal(err)
+			}
+
+			first := func() error { return DestroyClone(c, v, dom0, cs) }
+			last := o.Release
+			if !overlayLast {
+				first, last = o.Release, first
+			}
+			if err := first(); err != nil {
+				t.Fatal(err)
+			}
+			// The overlay's frames are each one reference on new content.
+			want := baseRefs
+			if overlayLast {
+				want += dirty
+			}
+			if f, r := int64(cb.Store.Frames()), cb.Store.Refs(); f != want || r != want {
+				t.Fatalf("one holder left: store holds %d frames and %d refs, want %d of each", f, r, want)
+			}
+			if got := cb.Img.LiveRefs(); got != len(cb.Img.Refs) {
+				t.Fatalf("held base owns %d refs, want %d", got, len(cb.Img.Refs))
+			}
+			if err := last(); err != nil {
+				t.Fatal(err)
+			}
+			if f, r := cb.Store.Frames(), cb.Store.Refs(); f != 0 || r != 0 {
+				t.Fatalf("last holder gone: store holds %d frames and %d refs", f, r)
+			}
+			if got := cb.Img.LiveRefs(); got != 0 {
+				t.Fatalf("unheld released base owns %d refs", got)
+			}
+			if err := AuditRefs(cb.Store, cb.Img); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// AuditRefs checks a base's holds against the clones and overlays it is
+// given: one left out, or one that never let go, is a hold leak even
+// when the store's references balance.
+func TestAuditRefsReportsHoldLeak(t *testing.T) {
+	v, dom0, origin, c := env(t)
+	cb := warmBase(t, v, dom0, origin, c)
+	cs, err := Clone(c, v, dom0, cb, "unlisted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = AuditRefs(cb.Store, cb.Img)
+	if want := `fork: hold leak: base "origin" has 1 holds, live clones and overlays account for 0`; err == nil || err.Error() != want {
+		t.Fatalf("audit without the live clone: err %v, want %q", err, want)
+	}
+	if err := AuditRefs(cb.Store, cb.Img, cs); err != nil {
+		t.Fatal(err)
+	}
+	if err := DestroyClone(c, v, dom0, cs); err != nil {
+		t.Fatal(err)
+	}
+	// A destroyed clone has let go: listed or not, it accounts for none.
+	if err := AuditRefs(cb.Store, cb.Img, cs); err != nil {
+		t.Fatal(err)
 	}
 	if err := AuditRefs(cb.Store, cb.Img); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/hw"
 	"repro/internal/migrate"
@@ -21,8 +22,10 @@ type FrameRef struct {
 
 // BaseImage is a checkpoint image broken into content-addressed frames:
 // the metadata of a migrate.DomainImage plus one store reference per
-// non-zero frame. A base is the read-only template clones map against —
-// it owns one reference per entry in Refs until Release.
+// non-zero frame. A base is the read-only template clones map against.
+// Each clone and each overlay made from it holds it once, from when it
+// is made until its teardown or Release; the base owns one reference
+// per entry in Refs until it is released and no longer held.
 type BaseImage struct {
 	store *Store
 
@@ -36,16 +39,14 @@ type BaseImage struct {
 	// Refs holds the non-zero frames in ascending-offset order.
 	Refs []FrameRef
 
-	// entries holds each offset's store entry, resolved once at ingest
-	// so that clones take, drop and compare the base's frames without a
-	// store lookup, and pages its shared bytes, which every clone maps;
-	// both are nil where the base has no frame, and neither changes.
-	entries []*frameEntry
-	pages   [][]byte
-	// present holds the offsets of Refs, which a clone copies as the
-	// set of frames it holds mapped.
-	present  offsets
-	released bool
+	// pages holds each offset's shared bytes, which every clone maps
+	// and CheckpointDelta compares against; nil where the base has no
+	// frame. The base's references keep them stored while it is held.
+	pages [][]byte
+
+	mu       sync.Mutex
+	holds    int  // live clones and overlays made from the base
+	released bool // no new clones; references dropped once unheld
 }
 
 // NewBase ingests a checkpoint image into the store. Frames are Put in
@@ -59,9 +60,7 @@ func NewBase(store *Store, img *migrate.DomainImage) (*BaseImage, error) {
 		Name:  img.Name, Lo: img.Lo, Hi: img.Hi,
 		CR3: img.CR3, VIF: img.VIF, Privileged: img.Privileged,
 		PinnedRoots: append([]hw.PFN(nil), img.PinnedRoots...),
-		entries:     make([]*frameEntry, img.Hi-img.Lo),
 		pages:       make([][]byte, img.Hi-img.Lo),
-		present:     newOffsets(img.Hi - img.Lo),
 	}
 	sort.Slice(b.PinnedRoots, func(i, j int) bool { return b.PinnedRoots[i] < b.PinnedRoots[j] })
 	pfns := make([]hw.PFN, 0, len(img.Pages))
@@ -75,46 +74,79 @@ func NewBase(store *Store, img *migrate.DomainImage) (*BaseImage, error) {
 	for _, pfn := range pfns {
 		e, err := store.put(img.Pages[pfn], true)
 		if err != nil {
-			_ = store.releaseEntries(b.entries, nil)
+			_ = store.release(b.Refs)
 			return nil, err
 		}
 		off := uint32(pfn - img.Lo)
 		b.Refs = append(b.Refs, FrameRef{Off: off, H: e.key})
-		b.entries[off], b.pages[off] = e, e.data
-		b.present.add(off)
+		b.pages[off] = e.data
 	}
 	return b, nil
 }
 
-// offsets is a set of frame offsets in a partition, one bit each.
-type offsets []uint64
-
-// newOffsets returns an empty set for a partition of span frames.
-func newOffsets(span hw.PFN) offsets { return make(offsets, (span+63)/64) }
-
-func (s offsets) has(off uint32) bool { return s[off/64]&(1<<(off%64)) != 0 }
-func (s offsets) add(off uint32)      { s[off/64] |= 1 << (off % 64) }
-func (s offsets) remove(off uint32)   { s[off/64] &^= 1 << (off % 64) }
-
 // Span returns the partition size in frames.
 func (b *BaseImage) Span() hw.PFN { return b.Hi - b.Lo }
 
-// LiveRefs reports the store references the base currently owns.
+// LiveRefs reports the store references the base currently owns: all
+// of them until it is released and no longer held, none after.
 func (b *BaseImage) LiveRefs() int {
-	if b.released {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.released && b.holds == 0 {
 		return 0
 	}
 	return len(b.Refs)
 }
 
-// Release drops the base's store references. Clones already mapped keep
-// their own references and stay valid.
+// holders reports how many clones and overlays hold the base.
+func (b *BaseImage) holders() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.holds
+}
+
+// hold takes one hold on the base. A new clone's is refused once the
+// base is released; an overlay's never is, since the clone it is taken
+// from holds the base.
+func (b *BaseImage) hold(clone bool) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if clone && b.released {
+		return fmt.Errorf("fork: clone from released base %q", b.Name)
+	}
+	b.holds++
+	return nil
+}
+
+// letGo drops one hold on the base.
+func (b *BaseImage) letGo() error {
+	b.mu.Lock()
+	b.holds--
+	return b.unlock()
+}
+
+// Release refuses new clones at once. The base's store references are
+// dropped when nothing holds it any more: clones and overlays made from
+// it keep it, and stay valid, until they let go.
 func (b *BaseImage) Release() error {
+	b.mu.Lock()
 	if b.released {
+		b.mu.Unlock()
 		return nil
 	}
 	b.released = true
-	return b.store.releaseEntries(b.entries, nil)
+	return b.unlock()
+}
+
+// unlock unlocks b.mu and, if the base is released and no longer held,
+// drops its store references.
+func (b *BaseImage) unlock() error {
+	drop := b.released && b.holds == 0
+	b.mu.Unlock()
+	if !drop {
+		return nil
+	}
+	return b.store.release(b.Refs)
 }
 
 // Image reconstructs the flat DomainImage (for migrate.Restore or
@@ -151,8 +183,9 @@ func (b *BaseImage) IdentityHash() Hash {
 
 // Overlay is the delta of a forked domain against its base: only the
 // frames whose content diverged, each a store reference the overlay
-// owns. A frame that became all-zero is recorded with the zero-page
-// hash so Flatten knows to drop the base's content there.
+// owns, and one hold on the base, which keeps the frames Flatten takes
+// from it stored. A frame that became all-zero is recorded with the
+// zero-page hash so Flatten knows to drop the base's content there.
 type Overlay struct {
 	store *Store
 	Base  *BaseImage
@@ -180,13 +213,18 @@ func (o *Overlay) LiveRefs() int {
 	return len(o.Dirty)
 }
 
-// Release drops the overlay's store references.
+// Release drops the overlay's store references and its hold on the
+// base.
 func (o *Overlay) Release() error {
 	if o.released {
 		return nil
 	}
 	o.released = true
-	return o.store.release(o.Dirty)
+	err := o.store.release(o.Dirty)
+	if berr := o.Base.letGo(); err == nil {
+		err = berr
+	}
+	return err
 }
 
 // effective merges base and delta into the clone's logical frame set:

@@ -38,11 +38,6 @@ type frameEntry struct {
 	// entry must still unlink from the chain it was linked into.
 	fp   uint64
 	next *frameEntry // next entry in fp's chain
-
-	// unlinked marks an entry whose last reference was released: it is
-	// no longer in the store, and content put again gets a new entry.
-	// A base keeps its entries by pointer and reads this mark to tell.
-	unlinked bool
 }
 
 // Store is the content-addressed snapshot cache: frame content keyed by
@@ -50,9 +45,11 @@ type frameEntry struct {
 // refcounted so content lives exactly as long as something points at
 // it. The E2B pattern from SNIPPETS.md snippet 1 — a shared read-only
 // base plus sparse per-clone overlays — hangs off this store: a
-// BaseImage holds one reference per frame, every clone and overlay
-// holds its own, and a frame's bytes are freed when the last reference
-// is released. Safe for concurrent use.
+// BaseImage holds one reference per frame, an overlay one per diverged
+// frame, and a frame's bytes are freed when the last reference is
+// released. Clones hold no references: they and the overlays hold
+// their base, which keeps its references while anything holds it.
+// Safe for concurrent use.
 //
 // Put finds existing content without hashing it: a 64-bit maphash
 // fingerprint indexes every entry, entries that share a fingerprint are
@@ -136,10 +133,8 @@ func (s *Store) insert(h Hash, fp uint64, data []byte) *frameEntry {
 	return e
 }
 
-// unlink removes e from the store, its key and its fingerprint chain,
-// and marks it unlinked.
+// unlink removes e from the store, its key and its fingerprint chain.
 func (s *Store) unlink(e *frameEntry) {
-	e.unlinked = true
 	delete(s.frames, e.key)
 	if s.byFP[e.fp] == e {
 		if e.next == nil {
@@ -183,15 +178,6 @@ func (s *Store) releaseLocked(h Hash) error {
 	if !ok {
 		return fmt.Errorf("fork: Release of absent frame %s", h)
 	}
-	return s.dropLocked(e)
-}
-
-// dropLocked drops one reference on e, unlinking it at zero, with s.mu
-// held. An entry already unlinked is absent: dropping it is an error.
-func (s *Store) dropLocked(e *frameEntry) error {
-	if e.unlinked {
-		return fmt.Errorf("fork: Release of absent frame %s", e.key)
-	}
 	e.refs--
 	if e.refs < 0 {
 		return fmt.Errorf("fork: refcount of frame %s went negative", e.key)
@@ -200,55 +186,6 @@ func (s *Store) dropLocked(e *frameEntry) error {
 		s.unlink(e)
 	}
 	return nil
-}
-
-// drop is dropLocked under the lock.
-func (s *Store) drop(e *frameEntry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropLocked(e)
-}
-
-// retain takes one reference on every non-nil entry of es, under one
-// lock and with no lookup. If any entry has left the store it takes
-// none and returns an error.
-func (s *Store) retain(es []*frameEntry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, e := range es {
-		if e == nil {
-			continue
-		}
-		if e.unlinked {
-			for _, e := range es[:i] {
-				if e != nil {
-					e.refs--
-				}
-			}
-			return fmt.Errorf("fork: base frame missing from store: Retain of absent frame %s", e.key)
-		}
-		e.refs++
-	}
-	return nil
-}
-
-// releaseEntries drops one reference on every non-nil entry es[off]
-// whose offset is in held, or on all of them if held is nil, under one
-// lock and with no lookup. It releases every one it can and returns the
-// first error.
-func (s *Store) releaseEntries(es []*frameEntry, held offsets) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var firstErr error
-	for off, e := range es {
-		if e == nil || held != nil && !held.has(uint32(off)) {
-			continue
-		}
-		if err := s.dropLocked(e); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // release drops one reference on every frame refs names, under one lock
@@ -264,14 +201,6 @@ func (s *Store) release(refs []FrameRef) error {
 		}
 	}
 	return firstErr
-}
-
-// stored returns e's shared bytes (see Get) and whether e is still in
-// the store.
-func (s *Store) stored(e *frameEntry) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return e.data, !e.unlinked
 }
 
 // Get returns the shared read-only bytes of a frame. The slice is
@@ -407,23 +336,44 @@ func (s *Store) LeakRefPick(pick func(n int) int) (func(), error) {
 }
 
 // RefHolder is anything that owns store references and can report how
-// many it currently holds (BaseImage, CloneState, Overlay).
+// many it currently holds (BaseImage, CloneState, Overlay). A clone
+// owns none: it holds its base instead.
 type RefHolder interface {
 	LiveRefs() int
 }
 
 // AuditRefs compares the store's outstanding references against the sum
-// owned by the given holders. A mismatch is a refcount leak (or a
-// double release) — the invariant every fork/rollback/destroy path must
-// preserve.
+// owned by the given holders, and then each given base's holds against
+// the live clones and overlays given that hold it. A mismatch is a
+// refcount leak (or a double release) — the invariant every
+// fork/rollback/destroy path must preserve.
 func AuditRefs(s *Store, holders ...RefHolder) error {
 	var want int64
+	held := make(map[*BaseImage]int)
 	for _, h := range holders {
 		want += int64(h.LiveRefs())
+		switch h := h.(type) {
+		case *CloneState:
+			if h.live() {
+				held[h.Base.Img]++
+			}
+		case *Overlay:
+			if !h.released {
+				held[h.Base]++
+			}
+		}
 	}
 	got := s.Refs()
 	if got != want {
 		return fmt.Errorf("fork: refcount leak: store holds %d refs, live owners account for %d", got, want)
+	}
+	for _, h := range holders {
+		if b, ok := h.(*BaseImage); ok {
+			if n := b.holders(); n != held[b] {
+				return fmt.Errorf("fork: hold leak: base %q has %d holds, live clones and overlays account for %d",
+					b.Name, n, held[b])
+			}
+		}
 	}
 	return nil
 }
