@@ -229,10 +229,11 @@ func CheckpointDelta(c *hw.CPU, v *xen.VMM, caller *xen.Domain, cs *CloneState) 
 		Lo:    cs.Lo, Hi: cs.Lo + img.Span(),
 		CR3: cs.D.VCPU0().CR3(), VIF: cs.D.VCPU0().VIF(),
 		PinnedRoots: cs.D.PinnedRoots(),
-		// At most every frame not still CoW-mapped diverges.
-		Dirty: make([]FrameRef, 0, int(img.Span())-cs.SharedCount()),
 	}
 	mem := v.M.Mem
+	// Mostly the frames that hold a private page diverge; a frame with
+	// none reads as zero. A hint only: append grows past it.
+	o.Dirty = make([]FrameRef, 0, mem.PrivateFrames(o.Lo, o.Hi))
 	hashCost := v.M.Costs.PageCopy / 4
 	for pfn := o.Lo; pfn < o.Hi; pfn++ {
 		if mem.SharedAt(pfn) {

@@ -151,3 +151,33 @@ func TestCheckpointDeltaDivergenceCases(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointDeltaSizedByPrivateFrames: a delta's Dirty is sized by
+// the frames of the clone's range that hold a private page, not by every
+// frame no longer shared. env's 66-frame base sits in a 256-frame
+// partition, so 190 slack frames are never written; a clone with one
+// dirtied frame and its two relocated tables promotes three frames, and
+// its delta must not reserve room for the slack.
+func TestCheckpointDeltaSizedByPrivateFrames(t *testing.T) {
+	v, dom0, origin, c := env(t)
+	cb := warmBase(t, v, dom0, origin, c)
+	cs, err := Clone(c, v, dom0, cb, "clone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.M.Mem.WriteWord((cs.Lo + 10).Addr(), 0xC10E_0000)
+	o, err := CheckpointDelta(c, v, dom0, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cb.Img.Refs); n != 66 || cb.Img.Span() != 256 {
+		t.Fatalf("base of %d frames in a span of %d, want 66 in 256", n, cb.Img.Span())
+	}
+	if len(o.Dirty) != 3 || cs.PromotedCount() != 3 {
+		t.Fatalf("delta of %d frames, %d promoted, want 3 and 3", len(o.Dirty), cs.PromotedCount())
+	}
+	if got := v.M.Mem.PrivateFrames(o.Lo, o.Hi); cap(o.Dirty) > got || got != cs.PromotedCount() {
+		t.Fatalf("Dirty has room for %d entries; %d frames hold a private page, %d promoted",
+			cap(o.Dirty), got, cs.PromotedCount())
+	}
+}

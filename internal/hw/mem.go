@@ -288,6 +288,19 @@ func (m *PhysMem) SharedAt(pfn PFN) bool {
 	return m.Valid(pfn) && m.frames[pfn].cow.Load() != nil
 }
 
+// PrivateFrames counts the frames of [lo, hi) that hold a private page
+// and no copy-on-write mapping: frames written since they were last
+// mapped shared or scrubbed.
+func (m *PhysMem) PrivateFrames(lo, hi PFN) int {
+	n := 0
+	for i := lo; i < hi; i++ {
+		if s := &m.frames[i]; s.cow.Load() == nil && s.data.Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // frameRO returns the bytes a read of pfn observes: the shared page for
 // CoW-mapped frames, the private backing otherwise, zeroPage if none.
 func (m *PhysMem) frameRO(pfn PFN) []byte {

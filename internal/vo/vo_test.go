@@ -193,7 +193,7 @@ func TestLoadInterruptTableRegistersGates(t *testing.T) {
 	idt.Set(hw.VecPageFault, hw.Gate{Present: true, Target: hw.PL0,
 		Handler: func(cc *hw.CPU, f *hw.TrapFrame) { fired = true; f.Skip = true }})
 	o.LoadInterruptTable(c, idt)
-	if !d.TrapTable[hw.VecPageFault].Present {
+	if !d.TrapGate(hw.VecPageFault).Present {
 		t.Fatal("trap table not registered")
 	}
 	// A hardware fault now bounces into the guest handler.

@@ -22,31 +22,39 @@ import (
 // rebuilds the table the detach has just thrown away.
 //
 // So when ReleaseFrameInfo releases by its rule on a one-CPU machine,
-// it first keeps what the reset erases (keepForAttach): the pinned
-// roots, the release tally, a copy of each directory and of each L1
-// they reach, and, copied by the reset itself, every record with
-// nonzero accounting, all with the base pointer's refs dropped. At that
-// point memory holds the tables the records were built from: while
-// attached a page-table frame is typed and never mapped writable, so
-// every store to it is a validated mmu_update. Copies whose present
-// entries do not add up to the release tally keep nothing.
+// it first keeps what the reset forgets (keepForAttach): the pinned
+// roots, the release tally and a copy of each directory and of each L1
+// they reach, with the base pointer's refs dropped. At that point
+// memory holds the tables the records were built from: while attached
+// a page-table frame is typed and never mapped writable, so every store
+// to it is a validated mmu_update. Copies whose present entries do not
+// add up to the release tally keep nothing. The records themselves stay
+// where they are: the reset is FrameTable.keep, which ends their epoch
+// K and hands its touched list to the keep, so while native they read
+// as zero.
 //
-// RecomputeFrameInfo restores the kept records (restoreKept) when
+// RecomputeFrameInfo rewinds the table to K (restoreKept) when
 //   - one worker walks (a sharded walk charges its largest shard);
 //   - the frame table is untouched since the reset, and no SetOwner or
 //     Set call has run since;
 //   - the roots are the kept roots, and CR3 holds one of them;
 //   - no pin failure is injected, no grant is mapped, and no domain
 //     holds a pin or a base pointer;
-//   - every kept directory is byte-equal to memory.
+//   - every kept directory is byte-equal to memory;
+//   - no kept record has been cleared since the keep. This is checked
+//     last, by FrameTable.rewind, after every other read.
 //
-// Each L1 entry that differs from its copy then moves its refs by the
-// journal's checked replaySlot, and the attach charges what the walk
-// would, root by root in the order given, with each xen/pin instant at
-// the cycle the walk emits it. A store made to memory behind the VMM's
-// back is caught as the walk catches it: a directory that differs, or
-// an entry replaySlot refuses, drops the kept state and takes the walk,
-// which fails where it fails. Any attach spends the kept state.
+// The rewind makes epoch K current again with its touched list, so its
+// records count as they did at the detach. Nothing is stamped with the
+// epoch it leaves, whose touched list is empty, and a mutation that
+// clears a record stamped K spoils the keep. Each L1 entry that differs
+// from its copy then moves its refs by the journal's checked
+// replaySlot, and the attach charges what the walk would, root by root
+// in the order given, with each xen/pin instant at the cycle the walk
+// emits it. A store made to memory behind the VMM's back is caught as
+// the walk catches it: a directory that differs, or an entry
+// replaySlot refuses, drops the kept state and takes the walk, which
+// fails where it fails. Any attach spends the kept state.
 //
 // FuzzAttachRule runs the rule and the walk on twin machines and
 // requires equal tables, pins, tallies, errors and clocks.
@@ -55,13 +63,11 @@ import (
 // by the MMU lock. Its buffers are reused from switch to switch.
 type attachKeep struct {
 	d      *Domain  // the domain the state was kept for; nil if none
-	epoch  uint32   // the frame table's epoch after the reset
+	epoch  uint32   // the frame table's epoch after the keep
 	owners uint64   // FrameTable.owners at the reset
 	roots  []hw.PFN // d's pinned roots, ascending
 	built  bool     // tables, kids, pages and index describe roots
 	rel    releaseTally
-	pfns   []hw.PFN         // the frames the reset cleared
-	recs   []frame          // their records, in pfns order
 	tables []keptTable      // the roots' directories in roots order, then the L1s
 	kids   []int32          // each directory's present entries, as indices into tables
 	pages  []byte           // the tables' copies, hw.PageSize bytes each, in tables order
@@ -232,11 +238,15 @@ func (v *VMM) restoreKept(c *hw.CPU, d *Domain, roots []hw.PFN) bool {
 	if !k.directoriesMatch(v.M.Mem) {
 		return false
 	}
-	ft.restore(k.pfns, k.recs)
+	// Last, after every read above: the keep spoils if a kept record was
+	// cleared since.
+	if !ft.rewind() {
+		return false
+	}
 	v.rel = k.rel
 	for i := len(k.roots); i < len(k.tables); i++ {
 		if !v.replayTable(d, &k.tables[i], k.page(i)) {
-			// Every record restored or replayed is on the touched list,
+			// Every record rewound or replayed is on the touched list,
 			// so a reset puts back the untouched table.
 			ft.Reset()
 			v.rel = releaseTally{}

@@ -63,9 +63,10 @@ type Domain struct {
 
 	VCPUs []*VCPU
 
-	// TrapTable holds the guest's registered exception handlers
-	// (set_trap_table hypercall).
-	TrapTable [hw.NumVectors]GuestGate
+	// trapTable holds the guest's registered exception handlers
+	// (set_trap_table hypercall). The first SetTrapGate allocates it:
+	// a domain that never sets one, such as a fork clone, carries none.
+	trapTable *[hw.NumVectors]GuestGate
 
 	// ports is the domain's event-channel table.
 	ports []*channel
@@ -124,13 +125,25 @@ func (d *Domain) VCPU0() *VCPU { return d.VCPUs[0] }
 // SetTrapGate registers a guest handler for vector (part of
 // set_trap_table).
 func (d *Domain) SetTrapGate(vector int, h func(c *hw.CPU, f *hw.TrapFrame)) {
-	d.TrapTable[vector] = GuestGate{Present: true, Handler: h}
+	if d.trapTable == nil {
+		d.trapTable = new([hw.NumVectors]GuestGate)
+	}
+	d.trapTable[vector] = GuestGate{Present: true, Handler: h}
+}
+
+// TrapGate returns the guest's registered gate for vector; a vector
+// with no handler has no Present gate.
+func (d *Domain) TrapGate(vector int) GuestGate {
+	if d.trapTable == nil {
+		return GuestGate{}
+	}
+	return d.trapTable[vector]
 }
 
 // bounce delivers a trap into the guest's registered handler, charging
 // the VMM-mediated fault cost and running the handler deprivileged.
 func (d *Domain) bounce(c *hw.CPU, f *hw.TrapFrame) {
-	g := d.TrapTable[f.Vector]
+	g := d.TrapGate(f.Vector)
 	if !g.Present {
 		panic(fmt.Sprintf("xen: dom%d has no handler for vector %d (fatal guest fault)",
 			d.ID, f.Vector))

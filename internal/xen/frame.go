@@ -61,12 +61,15 @@ type FrameInfo struct {
 }
 
 // frame is one physical frame's record: its owner, its accounting and
-// its dirty-set stamp, packed into 16 bytes so four frames share a
-// cache line and a reference update touches one line, as Xen keeps
-// owner, type and counts together in one struct page_info per frame.
-// Everything but owner and epoch is accounting, which Reset zeroes.
-// owner is stored biased by DomNone (see ownerID), so a zeroed record
-// has no owner and make needs no pass to set one.
+// its epoch stamp, packed into 16 bytes so four frames share a cache
+// line and a reference update touches one line, as Xen keeps owner,
+// type and counts together in one struct page_info per frame.
+// Everything but owner and epoch is accounting, and it counts only in
+// the epoch it is stamped with: a record stamped in an earlier epoch
+// reads as zero accounting (FrameTable.read), and its first mutation
+// clears it in place (renew). Owners outlive epochs. owner is stored
+// biased by DomNone (see ownerID), so a zeroed record has no owner and
+// make needs no pass to set one.
 type frame struct {
 	owner     DomID
 	typ       FrameType
@@ -83,7 +86,7 @@ func (f *frame) ownerID() DomID { return f.owner + DomNone }
 func (f *frame) setOwner(d DomID) { f.owner = d - DomNone }
 
 // info copies the record out as a FrameInfo.
-func (f *frame) info() FrameInfo {
+func (f frame) info() FrameInfo {
 	return FrameInfo{
 		Owner:     f.ownerID(),
 		Type:      f.typ,
@@ -96,22 +99,27 @@ func (f *frame) info() FrameInfo {
 // FrameTable is the VMM's per-frame accounting: one frame record per
 // physical frame, so ownership, type, pin and counts of a frame sit in
 // one cache line. Ownership persists across detach/attach cycles;
-// Reset zeroes everything else.
+// Reset forgets everything else.
 //
-// The table also keeps an epoch-stamped dirty set: every accounting
-// mutation records the frame as touched since the last Reset, so Reset
-// clears only the frames dirtied since, not the whole table. A
-// recompute-policy detach resets the table this way when its release
-// rule holds (release.go), charging what the walk would have charged,
-// and on one CPU keeps the cleared records for the next attach to
-// restore (resetKeeping, attach.go); the journal's fallback charges
-// ResetCharged, per touched frame.
+// It forgets by epoch. Each accounting mutation stamps its record with
+// the table's epoch and, on the first stamp of an epoch, appends the
+// frame to the touched list, so the touched list is exactly the frames
+// whose accounting counts. Reset starts the next epoch, in which every
+// record reads as zero until a mutation renews it: no record is
+// written. A recompute-policy detach resets the table this way when its
+// release rule holds (release.go), charging what the walk would have
+// charged, and on one CPU keeps the epoch instead (keep): the next
+// attach rewinds to it (rewind, attach.go), and its records count
+// again. The journal's fallback charges ResetCharged, per touched
+// frame.
 type FrameTable struct {
-	frames  []frame
-	touched []hw.PFN
-	epoch   uint32
-	forged  bool   // a record was written through Set since the last Reset
-	owners  uint64 // SetOwner and Set calls ever made: a record's owner may have moved
+	frames    []frame
+	touched   []hw.PFN
+	kept      []hw.PFN // the kept epoch's touched list (keep)
+	epoch     uint32
+	keptEpoch uint32 // the epoch keep kept, while rewind may return to it; 0 for none
+	forged    bool   // a record was written through Set since the last Reset
+	owners    uint64 // SetOwner and Set calls ever made: a record's owner may have moved
 }
 
 // NewFrameTable builds accounting for every frame of mem, every frame
@@ -128,9 +136,31 @@ func NewFrameTable(mem *hw.PhysMem) *FrameTable {
 	}
 }
 
+// read returns pfn's record as the current epoch reads it, writing
+// nothing: accounting stamped in an earlier epoch reads as zero.
+func (ft *FrameTable) read(pfn hw.PFN) frame {
+	f := ft.frames[pfn]
+	if f.epoch != ft.epoch {
+		return frame{owner: f.owner}
+	}
+	return f
+}
+
+// renew clears f's accounting in place if an earlier epoch stamped it,
+// before the mutation that follows. The stamp stays, so the frame is not
+// yet touched; clearing a record of the kept epoch spoils the keep,
+// since rewind would bring it back zeroed.
+func (ft *FrameTable) renew(f *frame) {
+	if f.epoch != ft.epoch {
+		if f.epoch == ft.keptEpoch {
+			ft.keptEpoch = 0
+		}
+		*f = frame{owner: f.owner, epoch: f.epoch}
+	}
+}
+
 // touch records f, the record of pfn, as dirtied in the current epoch
-// (deduplicated). Every accounting mutation calls it, which is what
-// lets Reset clear only the touched list.
+// (deduplicated). Every accounting mutation calls it, after renew.
 func (ft *FrameTable) touch(f *frame, pfn hw.PFN) {
 	if f.epoch != ft.epoch {
 		f.epoch = ft.epoch
@@ -143,7 +173,7 @@ func (ft *FrameTable) touch(f *frame, pfn hw.PFN) {
 func (ft *FrameTable) Touched() int { return len(ft.touched) }
 
 // Get returns a copy of the frame's info.
-func (ft *FrameTable) Get(pfn hw.PFN) FrameInfo { return ft.frames[pfn].info() }
+func (ft *FrameTable) Get(pfn hw.PFN) FrameInfo { return ft.read(pfn).info() }
 
 // SetOwner assigns a frame to a domain.
 func (ft *FrameTable) SetOwner(pfn hw.PFN, d DomID) {
@@ -156,6 +186,7 @@ func (ft *FrameTable) SetOwner(pfn hw.PFN, d DomID) {
 // the accounting array) and for restoring a saved entry afterwards.
 func (ft *FrameTable) Set(pfn hw.PFN, fi FrameInfo) {
 	f := &ft.frames[pfn]
+	ft.renew(f)
 	f.setOwner(fi.Owner)
 	f.typ = fi.Type
 	f.pinned = fi.Pinned
@@ -166,58 +197,51 @@ func (ft *FrameTable) Set(pfn hw.PFN, fi FrameInfo) {
 	ft.owners++
 }
 
-// Reset clears type/count state for every frame while preserving
+// Reset forgets type/count state for every frame while preserving
 // ownership. A detach (virtual -> native switch) resets the table; the
-// next attach recomputes it. Only the touched frames are cleared: every
-// accounting mutation touches its frame, so a frame with nonzero
-// accounting is on the touched list of the current epoch.
-func (ft *FrameTable) Reset() {
-	for _, pfn := range ft.touched {
-		f := &ft.frames[pfn]
-		*f = frame{owner: f.owner, epoch: f.epoch}
-	}
+// next attach recomputes it. Reset only starts the next epoch: every
+// record's accounting was stamped in this one, so all of it now reads
+// as zero, and no record is written.
+func (ft *FrameTable) Reset() { ft.nextEpoch() }
+
+// keep is Reset that keeps the epoch it ends for rewind: its touched
+// list moves to the keep (the two lists swap buffers), and its records
+// stay where they are, read as zero until a rewind.
+func (ft *FrameTable) keep() {
+	k := ft.epoch
+	ft.touched, ft.kept = ft.kept[:0], ft.touched
 	ft.nextEpoch()
-}
-
-// resetKeeping is Reset that first copies the touched list into *pfns
-// and each touched record into *recs, in the same order, for restore.
-func (ft *FrameTable) resetKeeping(pfns *[]hw.PFN, recs *[]frame) {
-	*pfns = append((*pfns)[:0], ft.touched...)
-	kept := slices.Grow((*recs)[:0], len(ft.touched))[:len(ft.touched)]
-	for i, pfn := range ft.touched {
-		f := &ft.frames[pfn]
-		kept[i] = *f
-		*f = frame{owner: f.owner, epoch: f.epoch}
+	if ft.epoch == k+1 { // no wrap, which zeroed the kept records
+		ft.keptEpoch = k
 	}
-	*recs = kept
-	ft.nextEpoch()
 }
 
-// restore puts back the accounting of records kept by resetKeeping into
-// a table untouched since (owners stay), touching each frame.
-func (ft *FrameTable) restore(pfns []hw.PFN, recs []frame) {
-	for i, pfn := range pfns {
-		// Field by field: a record built whole on the stack and copied
-		// out stalls the store on every frame.
-		f, r := &ft.frames[pfn], &recs[i]
-		f.typ, f.pinned = r.typ, r.pinned
-		f.typeCount, f.totalRefs = r.typeCount, r.totalRefs
-		f.epoch = ft.epoch
+// rewind returns to the epoch keep kept, with its touched list, and
+// reports whether it could: only while nothing has been touched since
+// the keep and no kept record has been cleared. Nothing is stamped in
+// the epoch it leaves, so no record changes meaning but the kept ones.
+func (ft *FrameTable) rewind() bool {
+	if ft.keptEpoch == 0 || len(ft.touched) != 0 {
+		return false
 	}
-	ft.touched = append(ft.touched, pfns...)
+	ft.epoch, ft.keptEpoch = ft.keptEpoch, 0
+	ft.touched, ft.kept = ft.kept, ft.touched
+	return true
 }
 
-// nextEpoch empties the touched list, whose records are cleared, and
-// starts the next epoch.
+// nextEpoch empties the touched list, drops any keep, and starts the
+// next epoch.
 func (ft *FrameTable) nextEpoch() {
 	ft.touched = ft.touched[:0]
 	ft.forged = false
+	ft.keptEpoch = 0
 	ft.epoch++
 	if ft.epoch == 0 {
-		// The stamp wrapped: a frame last touched 2^32 epochs ago would
-		// read as touched now. Re-zero every stamp and start over.
+		// The stamp wrapped: a record stamped 2^32 epochs ago would
+		// count again. Zero every record's accounting and stamp.
 		for i := range ft.frames {
-			ft.frames[i].epoch = 0
+			f := &ft.frames[i]
+			*f = frame{owner: f.owner}
 		}
 		ft.epoch = 1
 	}
@@ -259,6 +283,7 @@ func (ft *FrameTable) PutRef(pfn hw.PFN) { ft.putRef(&ft.frames[pfn], pfn) }
 // frame's record once and apply all of an entry's updates to it.
 
 func (ft *FrameTable) getType(f *frame, pfn hw.PFN, want FrameType) error {
+	ft.renew(f)
 	if f.typeCount != 0 && f.typ != want {
 		return errType(pfn, f.typ, f.typeCount, want)
 	}
@@ -269,6 +294,7 @@ func (ft *FrameTable) getType(f *frame, pfn hw.PFN, want FrameType) error {
 }
 
 func (ft *FrameTable) putType(f *frame, pfn hw.PFN) {
+	ft.renew(f)
 	if f.typeCount == 0 {
 		panic(fmt.Sprintf("xen: type count underflow on frame %d", pfn))
 	}
@@ -280,11 +306,13 @@ func (ft *FrameTable) putType(f *frame, pfn hw.PFN) {
 }
 
 func (ft *FrameTable) getRef(f *frame, pfn hw.PFN) {
+	ft.renew(f)
 	f.totalRefs++
 	ft.touch(f, pfn)
 }
 
 func (ft *FrameTable) putRef(f *frame, pfn hw.PFN) {
+	ft.renew(f)
 	if f.totalRefs == 0 {
 		panic(fmt.Sprintf("xen: total ref underflow on frame %d", pfn))
 	}
@@ -295,15 +323,20 @@ func (ft *FrameTable) putRef(f *frame, pfn hw.PFN) {
 // setPinned flips the pin mark on a frame.
 func (ft *FrameTable) setPinned(pfn hw.PFN, on bool) {
 	f := &ft.frames[pfn]
+	ft.renew(f)
 	f.pinned = on
 	ft.touch(f, pfn)
 }
 
 // CheckInvariants verifies the accounting invariants the property tests
-// rely on. It returns the first violation found.
+// rely on. It returns the first violation found. A record of an earlier
+// epoch reads as zero, which breaks none, so it is skipped.
 func (ft *FrameTable) CheckInvariants() error {
 	for pfn := range ft.frames {
 		f := &ft.frames[pfn]
+		if f.epoch != ft.epoch {
+			continue
+		}
 		if f.typeCount > f.totalRefs {
 			return fmt.Errorf("xen: frame %d: type count %d exceeds total refs %d",
 				pfn, f.typeCount, f.totalRefs)
@@ -328,22 +361,22 @@ func (ft *FrameTable) CheckInvariants() error {
 // OS runs natively.
 func (ft *FrameTable) FirstPinned() (hw.PFN, bool) {
 	for pfn := range ft.frames {
-		if ft.frames[pfn].pinned {
+		if f := &ft.frames[pfn]; f.pinned && f.epoch == ft.epoch {
 			return hw.PFN(pfn), true
 		}
 	}
 	return 0, false
 }
 
-// Equal compares two tables entry by entry, owners and accounting but
-// not dirty-set stamps; the recompute-vs-active-tracking property test
-// uses it.
+// Equal compares two tables entry by entry, owners and accounting as
+// each table's epoch reads them, not stamps; the
+// recompute-vs-active-tracking property test uses it.
 func (ft *FrameTable) Equal(o *FrameTable) error {
 	if len(ft.frames) != len(o.frames) {
 		return fmt.Errorf("xen: frame tables differ in size")
 	}
 	for i := range ft.frames {
-		if a, b := ft.frames[i].info(), o.frames[i].info(); a != b {
+		if a, b := ft.Get(hw.PFN(i)), o.Get(hw.PFN(i)); a != b {
 			return fmt.Errorf("xen: frame %d differs: %+v vs %+v", i, a, b)
 		}
 	}
@@ -353,11 +386,13 @@ func (ft *FrameTable) Equal(o *FrameTable) error {
 // Clone deep-copies the table.
 func (ft *FrameTable) Clone() *FrameTable {
 	return &FrameTable{
-		frames:  slices.Clone(ft.frames),
-		touched: slices.Clone(ft.touched),
-		epoch:   ft.epoch,
-		forged:  ft.forged,
-		owners:  ft.owners,
+		frames:    slices.Clone(ft.frames),
+		touched:   slices.Clone(ft.touched),
+		kept:      slices.Clone(ft.kept),
+		epoch:     ft.epoch,
+		keptEpoch: ft.keptEpoch,
+		forged:    ft.forged,
+		owners:    ft.owners,
 	}
 }
 

@@ -131,7 +131,7 @@ func (v *VMM) grantRefs(entries []*grantEntry, pfns []hw.PFN, writable bool) err
 		// Every ref asked for is FrameWritable, so one taken cannot
 		// fail a later one: checking them all first keeps the set whole.
 		for _, pfn := range pfns {
-			if f := &v.FT.frames[pfn]; f.typeCount != 0 && f.typ != FrameWritable {
+			if f := v.FT.read(pfn); f.typeCount != 0 && f.typ != FrameWritable {
 				return errType(pfn, f.typ, f.typeCount, FrameWritable)
 			}
 		}

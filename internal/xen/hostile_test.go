@@ -222,7 +222,10 @@ func TestHostileNumbersRejected(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ft := v.FT.Clone()
-			traps := dU.TrapTable
+			var traps [hw.NumVectors]GuestGate
+			for vec := range traps {
+				traps[vec] = dU.TrapGate(vec)
+			}
 			if err := tc.call(); err == nil {
 				t.Fatal("accepted")
 			}
@@ -233,7 +236,7 @@ func TestHostileNumbersRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			for vec := range traps {
-				if dU.TrapTable[vec].Present != traps[vec].Present {
+				if dU.TrapGate(vec).Present != traps[vec].Present {
 					t.Fatalf("trap vector %d changed", vec)
 				}
 			}

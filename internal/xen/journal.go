@@ -435,7 +435,7 @@ func (v *VMM) replaySlot(d *Domain, from, to hw.PTE) error {
 		if !v.M.Mem.Valid(pfn) {
 			return fmt.Errorf("xen: old mapping of nonexistent frame %d", pfn)
 		}
-		f := &v.FT.frames[pfn]
+		f := v.FT.read(pfn)
 		held := f.totalRefs > f.typeCount
 		if from.Writable() {
 			held = f.typ == FrameWritable && f.typeCount > 0

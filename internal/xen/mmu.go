@@ -43,6 +43,7 @@ func (v *VMM) getTypeFresh(d *Domain, pfn hw.PFN, want FrameType, s sink) (bool,
 		return false, fmt.Errorf("xen: dom%d using foreign frame %d (owner dom%d) as %s",
 			d.ID, pfn, f.ownerID(), want)
 	}
+	v.FT.renew(f) // the count as this epoch reads it; getType renews anyway
 	fresh := f.typeCount == 0
 	if err := v.FT.getType(f, pfn, want); err != nil {
 		return false, err
@@ -122,7 +123,7 @@ func (v *VMM) validateL1(c *hw.CPU, d *Domain, pt hw.PFN, s sink) error {
 // devalidateL1 drops a typed L1 ref, releasing entry refs (and their
 // release units) when it was the last one.
 func (v *VMM) devalidateL1(c *hw.CPU, pt hw.PFN, s sink) {
-	if v.FT.frames[pt].typeCount == 1 { // the last typed ref
+	if v.FT.read(pt).typeCount == 1 { // the last typed ref
 		table := hw.ViewTable(v.M.Mem, pt)
 		for i := 0; i < hw.PTEntries; i++ {
 			if pte := table.At(i); pte.Present() {
@@ -216,7 +217,7 @@ func (v *VMM) validateL2(c *hw.CPU, d *Domain, root hw.PFN, s sink) error {
 
 // devalidateL2 drops a typed L2 ref, and its release unit with the last.
 func (v *VMM) devalidateL2(c *hw.CPU, root hw.PFN, s sink) {
-	if v.FT.frames[root].typeCount == 1 { // the last typed ref
+	if v.FT.read(root).typeCount == 1 { // the last typed ref
 		v.cost(c, s, v.M.Costs.FrameRelease)
 		v.rel.units--
 		dir := hw.ViewTable(v.M.Mem, root)
@@ -278,7 +279,7 @@ func (v *VMM) releaseCost(root hw.PFN) hw.Cycles {
 	dir := hw.ViewTable(v.M.Mem, root)
 	for i := 0; i < hw.PTEntries; i++ {
 		pde := dir.At(i)
-		if !pde.Present() || v.FT.frames[pde.Frame()].typeCount != 1 {
+		if !pde.Present() || v.FT.read(pde.Frame()).typeCount != 1 {
 			continue
 		}
 		table := hw.ViewTable(v.M.Mem, pde.Frame())
@@ -355,7 +356,7 @@ func (v *VMM) applyRun(c *hw.CPU, d *Domain, run []MMUUpdate, dispatch bool, s s
 			if !v.M.Mem.Valid(table) {
 				return 0, fmt.Errorf("xen: mmu_update to frame %d beyond memory", table)
 			}
-			f := &v.FT.frames[table]
+			f := v.FT.read(table)
 			if f.typeCount == 0 || (f.typ != FrameL1 && f.typ != FrameL2) {
 				return 0, fmt.Errorf("xen: mmu_update to frame %d which is %s, not a page table",
 					table, f.typ)

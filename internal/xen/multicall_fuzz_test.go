@@ -284,8 +284,8 @@ func sameState(a, b *mcFuzzEnv) error {
 	if pa, pb := a.d.PinnedRoots(), b.d.PinnedRoots(); !slices.Equal(pa, pb) {
 		return fmt.Errorf("pinned roots %v vs %v", pa, pb)
 	}
-	for vec := range a.d.TrapTable {
-		ga, gb := a.d.TrapTable[vec], b.d.TrapTable[vec]
+	for vec := range hw.NumVectors {
+		ga, gb := a.d.TrapGate(vec), b.d.TrapGate(vec)
 		if ga.Present != gb.Present || funcID(ga.Handler) != funcID(gb.Handler) {
 			return fmt.Errorf("trap vector %d differs", vec)
 		}

@@ -17,8 +17,8 @@ import "repro/internal/hw"
 //
 // releaseTally keeps that charge current as tables are validated,
 // updated and released, so a detach can charge it in one Charge and
-// clear the table with FrameTable.Reset, which costs only the frames
-// touched since the last reset. The switch ISR runs with interrupts
+// forget the table with FrameTable.Reset, which starts a new epoch and
+// writes no record. The switch ISR runs with interrupts
 // off (and the MMU lock masks them besides), so one summed charge
 // delivers nothing earlier than the walk's steps would.
 //
@@ -59,8 +59,8 @@ func (v *VMM) ruleApplies(d *Domain) bool {
 // VMM detaches, its pins and the base pointer's refs included: cheap,
 // which is why switching back to native mode takes only ~0.06 ms (§7.4).
 // It releases by the rule above, and by the walk where the rule does
-// not hold. A rule release on a one-CPU machine keeps what the reset
-// erases for the next attach (attach.go).
+// not hold. A rule release on a one-CPU machine keeps the epoch it
+// forgets for the next attach (attach.go).
 func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
 	v.mmu.Lock(c)
 	defer v.mmu.Unlock(c)
@@ -78,9 +78,8 @@ func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
 		v.FT.Reset()
 		return
 	}
-	k := &v.keep
-	v.FT.resetKeeping(&k.pfns, &k.recs)
-	k.epoch, k.owners = v.FT.epoch, v.FT.owners
+	v.FT.keep()
+	v.keep.epoch, v.keep.owners = v.FT.epoch, v.FT.owners
 }
 
 // releaseWalk drops d's base pointer and unpins every root it pinned,

@@ -123,11 +123,12 @@ func forceWalk(v *VMM, c *hw.CPU, d *Domain) {
 
 // wantUnits is what the walk would charge to release every validated
 // table, counted from the table and memory: one unit per validated L2,
-// one per present entry of each validated L1.
+// one per present entry of each validated L1. Each record is read as
+// the table's epoch reads it.
 func wantUnits(v *VMM) int {
 	n := 0
 	for pfn := range v.FT.frames {
-		f := &v.FT.frames[pfn]
+		f := v.FT.read(hw.PFN(pfn))
 		if f.typeCount == 0 {
 			continue
 		}

@@ -237,7 +237,7 @@ func (v *VMM) installTrapHandlers() {
 	v.IDT.Set(hw.VecGP, hw.Gate{Present: true, Target: hw.PL0,
 		Handler: func(c *hw.CPU, f *hw.TrapFrame) {
 			d := v.Current(c)
-			if d != nil && d.TrapTable[hw.VecGP].Present {
+			if d != nil && d.TrapGate(hw.VecGP).Present {
 				d.bounce(c, f)
 				return
 			}
@@ -264,7 +264,7 @@ func (v *VMM) installTrapHandlers() {
 			if d == nil {
 				return
 			}
-			g := d.TrapTable[f.Vector]
+			g := d.TrapGate(f.Vector)
 			if !g.Present {
 				return
 			}
