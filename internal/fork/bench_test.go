@@ -152,13 +152,15 @@ func BenchmarkCloneCycle(b *testing.B) {
 
 // TestCloneCycleAllocs bounds the allocations of one clone cycle on a
 // template of 256 live pages (258 base frames with its tables). A
-// cycle makes 32 allocations, none of them per base frame; one per
-// mapped frame would add 258 more.
+// cycle makes 32 allocations, with and without -race, none of them per
+// base frame; the bound is those 32 plus a margin of 4. One more per
+// dirtied frame would add 32, one per mapped frame 258.
 func TestCloneCycleAllocs(t *testing.T) {
 	h, cb := cycleHost(t)
 	allocs := testing.AllocsPerRun(cycleRound-3, func() { releasedCycle(t, h, cb) })
-	if allocs > 100 {
-		t.Fatalf("one clone cycle made %.0f allocations, want at most 100", allocs)
+	t.Logf("one clone cycle made %.0f allocations", allocs)
+	if allocs > 36 {
+		t.Fatalf("one clone cycle made %.0f allocations, want at most 36", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
@@ -23,12 +24,19 @@ type DiskRequest struct {
 // Disk is a simple block device. Transfers are synchronous: the issuing
 // CPU is charged the request and transfer cost, and the completion raises
 // the disk's interrupt line so the kernel's IRQ accounting stays honest.
+//
+// A zero block is a hole, the same rule as PhysMem's zero page: the
+// disk stores a block only while it holds non-zero data. Writing zeros
+// over a stored block drops it, a non-zero write over a stored block
+// reuses its buffer, and a hole reads as zeros. The charges, the
+// interrupt and every DiskStats field are the same for a hole as for a
+// stored block, so only host memory tells them apart.
 type Disk struct {
 	m    *Machine
 	line int
 
 	mu     sync.Mutex
-	blocks map[uint64][]byte
+	blocks map[uint64][]byte // non-zero blocks only; each owned by the disk
 
 	Stats DiskStats
 }
@@ -60,9 +68,17 @@ func (d *Disk) Submit(c *CPU, req DiskRequest, buf []byte) error {
 		bn := req.Block + uint64(i)
 		part := buf[i*BlockSize : (i+1)*BlockSize]
 		if req.Write {
-			cp := make([]byte, BlockSize)
-			copy(cp, part)
-			d.blocks[bn] = cp
+			b, ok := d.blocks[bn]
+			switch {
+			case bytes.Equal(part, zeroPage[:]):
+				delete(d.blocks, bn)
+			case ok:
+				copy(b, part)
+			default:
+				b = make([]byte, BlockSize)
+				copy(b, part)
+				d.blocks[bn] = b
+			}
 			d.Stats.BytesWritten += BlockSize
 		} else {
 			if b, ok := d.blocks[bn]; ok {

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -189,5 +190,33 @@ func TestIOServerTickInMulticallNoLivelock(t *testing.T) {
 	requireExactlyOnce(t, res, 20_000)
 	if res.FinalMode != "native" {
 		t.Fatalf("final mode %q, want native", res.FinalMode)
+	}
+}
+
+// TestIOServerBytesPerRequest is the request path's allocation budget,
+// on io-serve's datapath: M-V, 4 queues x 64, 150k requests/s, 50%
+// reads. Boot and attach cost the same at any run length, so the
+// TotalAlloc difference between a 4,400-request run and a 1,100-request
+// run is what the 3,300 extra requests cost: at most 256 B each. A
+// fresh 4 KiB buffer per written block costs about 2 KiB per request.
+func TestIOServerBytesPerRequest(t *testing.T) {
+	alloc := func(requests int) uint64 {
+		cfg := ioHangConfig()
+		cfg.Requests, cfg.MeanArrival, cfg.Seed = requests, hw.Cycles(hw.DefaultHz/150_000), 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := RunIOServer(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireExactlyOnce(t, res, requests)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := alloc(1100), alloc(4400)
+	per := (float64(long) - float64(short)) / 3300
+	t.Logf("%.1f B per extra request (%d B for 1,100 requests, %d B for 4,400)", per, short, long)
+	if per > 256 {
+		t.Fatalf("each extra request allocates %.1f B, want at most 256", per)
 	}
 }

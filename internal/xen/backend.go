@@ -16,7 +16,8 @@ import (
 // BlockDevice is what a backend drives: the driver domain's native block
 // driver (which wraps hw.Disk and charges its own stack costs).
 //
-// A read need not fill every byte of buf: a device may leave a block it
+// hw.Disk returns zeros for a hole, a block it does not store. A read
+// need not fill every byte of buf, though: a device may leave a block it
 // never stored untouched. The backend reuses one staging buffer per
 // queue, so it clears a read's buffer before Submit; otherwise a read
 // of such a block would hand one frontend another's earlier payload.
