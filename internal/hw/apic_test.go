@@ -83,13 +83,48 @@ func TestLAPICQueueReusesStorage(t *testing.T) {
 	}
 }
 
+// TestQuietReadsPollWord: outside Machine.Run only interrupts end a
+// quiet run. With IF set a run is quiet while it stops short of the
+// timer's deadline or of a pending vector (due now); with IF clear, or
+// inside a handler, every run is.
+func TestQuietReadsPollWord(t *testing.T) {
+	c, _ := pollRig()
+	now := c.Now()
+	if !c.Quiet(1 << 40) {
+		t.Fatal("a run with nothing armed or pending is not quiet")
+	}
+	c.LAPIC.ArmTimer(now+100, VecTimer)
+	if !c.Quiet(99) || c.Quiet(100) {
+		t.Fatalf("timer at +100: Quiet(99) = %v, Quiet(100) = %v; want true, false",
+			c.Quiet(99), c.Quiet(100))
+	}
+	c.IF = false
+	if !c.Quiet(100) {
+		t.Fatal("with IF clear a run reaching the deadline is not quiet")
+	}
+	c.IF = true
+	c.LAPIC.DisarmTimer()
+	c.LAPIC.Post(nil, VecDisk)
+	if c.Quiet(0) {
+		t.Fatal("a run with a vector pending is quiet")
+	}
+	c.intrDepth++
+	if !c.Quiet(100) {
+		t.Fatal("inside a handler a run with a vector pending is not quiet")
+	}
+	c.intrDepth--
+}
+
 // FuzzLAPICPollWord decodes its input into Post (stamped at, ahead of
-// and behind the owner), ArmTimer, DisarmTimer, Charge and IF flips on
-// two lockstep one-CPU machines. One polls through Charge and its poll
-// word; the other advances its clock and runs refPoll. After every op
-// the poll word must equal a model (0 while anything is pending, else
-// the armed deadline, else never), and both machines must have
-// delivered the same (vector, cycle) sequence.
+// and behind the owner), ArmTimer, DisarmTimer, Charge, IF flips and
+// quiet runs on two lockstep one-CPU machines. One polls through
+// Charge and its poll word; the other advances its clock and runs
+// refPoll. A quiet run is k charges of cost each: the first machine
+// charges cost*k once when Quiet says the run is quiet and k times
+// otherwise, the reference always k times. After every op the poll
+// word must equal a model (0 while anything is pending, else the armed
+// deadline, else never), and both machines must have delivered the
+// same (vector, cycle) sequence.
 func FuzzLAPICPollWord(f *testing.F) {
 	// Post then Charge (TestInterruptDelivery).
 	f.Add([]byte{0, 0, 5, 1})
@@ -99,6 +134,8 @@ func FuzzLAPICPollWord(f *testing.F) {
 	f.Add([]byte{3, 125, 5, 62, 5, 75})
 	// Posts ahead and behind the owner, a timer re-armed and disarmed.
 	f.Add([]byte{1, 200, 2, 3, 3, 4, 4, 0, 3, 1, 5, 0, 5, 0, 5, 9, 0, 2, 5, 0})
+	// Quiet runs short of, reaching and past a timer and a post.
+	f.Add([]byte{3, 40, 7, 0x63, 7, 0x25, 0, 1, 7, 0x11, 6, 0, 3, 2, 7, 0xf4, 6, 0, 7, 0})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		a, gotA := pollRig()
@@ -109,7 +146,7 @@ func FuzzLAPICPollWord(f *testing.F) {
 		for i := 0; i+1 < len(ops); i += 2 {
 			now, arg := a.Now(), Cycles(ops[i+1])
 			vec := pollVecs[int(ops[i+1])%len(pollVecs)]
-			switch op := ops[i] % 7; op {
+			switch op := ops[i] % 8; op {
 			case 0, 1, 2:
 				var from *CPU // op 0 stamps with the owner's clock
 				switch op {
@@ -135,6 +172,19 @@ func FuzzLAPICPollWord(f *testing.F) {
 				refPoll(b)
 			case 6:
 				a.IF, b.IF = !a.IF, !b.IF
+			case 7:
+				cost, k := (arg&15)*8, int(arg>>4)+1
+				if a.Quiet(cost * Cycles(k)) {
+					a.Charge(cost * Cycles(k))
+				} else {
+					for range k {
+						a.Charge(cost)
+					}
+				}
+				for range k {
+					b.Clk.Advance(cost)
+					refPoll(b)
+				}
 			}
 
 			if len(*gotA) != len(*gotB) {

@@ -91,6 +91,19 @@ func (c *CPU) Charge(n Cycles) {
 	c.PollInterrupts()
 }
 
+// Quiet reports whether n more cycles of back-to-back charges would
+// hand no turn on and deliver no interrupt: the clock stays below
+// yieldAt, and the CPU takes no interrupt (IF clear or inside a
+// handler) or the clock stays below the LAPIC's poll word. While it
+// holds, one Charge(k*cost) is exactly k Charge(cost) calls with
+// nothing between them that charges or reads the clock, so a batch
+// whose entries cost n together may charge them once.
+func (c *CPU) Quiet(n Cycles) bool {
+	end := c.Clk.Read() + n
+	return end < c.yieldAt.Load() &&
+		(!c.IF || c.intrDepth > 0 || end < c.LAPIC.due.Load())
+}
+
 // Now returns the CPU's current cycle count (RDTSC).
 func (c *CPU) Now() Cycles { return c.Clk.Read() }
 

@@ -174,3 +174,30 @@ func TestSchedPostWakesAtSenderClock(t *testing.T) {
 		})
 	}
 }
+
+// TestQuietFalseAtHandOver: under Machine.Run a run that would take the
+// clock to the turn holder's hand-over point is not quiet, and a run
+// that stops one cycle short is. Both CPUs start at 0: cpu0 holds the
+// turn and hands it over at 1 (it wins the tie), and cpu1, once it has
+// the turn at 0 while cpu0 sits at 10, hands it back at 10. Once cpu1
+// has left the schedule, cpu0 never hands over.
+func TestQuietFalseAtHandOver(t *testing.T) {
+	m := testMachine(2)
+	got := map[string]bool{}
+	m.Run(func(c *CPU) {
+		if c.ID == 1 {
+			got["cpu1 9"], got["cpu1 10"] = c.Quiet(9), c.Quiet(10)
+			return
+		}
+		got["cpu0 0"], got["cpu0 1"] = c.Quiet(0), c.Quiet(1)
+		c.Charge(10)
+		got["cpu0 alone"] = c.Quiet(1 << 40)
+	})
+	want := map[string]bool{"cpu0 0": true, "cpu0 1": false,
+		"cpu1 9": true, "cpu1 10": false, "cpu0 alone": true}
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("Quiet (%s) = %v, want %v", k, got[k], w)
+		}
+	}
+}

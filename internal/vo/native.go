@@ -108,12 +108,24 @@ func (n *Native) WritePTE(c *hw.CPU, table hw.PFN, idx int, e hw.PTE) {
 	hw.WritePTE(n.d.M.Mem, table, idx, e)
 }
 
-// WritePTEBatch stores each entry (mirroring under active tracking).
+// WritePTEBatch stores each entry (mirroring under active tracking),
+// each run of same-table entries through one hw.WriteTable view.
+// Without tracking or a journal, a batch whose stores are quiet
+// (hw.CPU.Quiet) charges them once, up front; otherwise each entry is
+// charged before its store, and an interrupt may land between two
+// stores. DESIGN.md "Page-table walks" says why the view stays good
+// across one.
 func (n *Native) WritePTEBatch(c *hw.CPU, batch []xen.MMUUpdate) {
 	n.callEnter(c)
 	defer n.exit()
 	n.Stats.PTEWrites.Add(uint64(len(batch)))
-	for _, u := range batch {
+	cost := n.d.M.Costs.PTEWriteNative
+	quiet := n.Track == nil && n.Journal == nil && c.Quiet(cost*hw.Cycles(len(batch)))
+	if quiet {
+		c.Charge(cost * hw.Cycles(len(batch)))
+	}
+	var w hw.TableWriter
+	for i, u := range batch {
 		if n.Track != nil {
 			if err := n.Track.V.MirrorPTEWrite(c, n.Track.D, u); err != nil {
 				panic(fmt.Sprintf("vo: active tracking diverged: %v", err))
@@ -125,8 +137,13 @@ func (n *Native) WritePTEBatch(c *hw.CPU, batch []xen.MMUUpdate) {
 			n.Journal.Record(u.Table, u.Index,
 				hw.ReadPTE(n.d.M.Mem, u.Table, u.Index), u.New)
 		}
-		c.Charge(n.d.M.Costs.PTEWriteNative)
-		hw.WritePTE(n.d.M.Mem, u.Table, u.Index, u.New)
+		if !quiet {
+			c.Charge(cost)
+		}
+		if i == 0 || u.Table != batch[i-1].Table {
+			w = hw.WriteTable(n.d.M.Mem, u.Table)
+		}
+		w.Set(u.Index, u.New)
 	}
 }
 

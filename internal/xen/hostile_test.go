@@ -27,7 +27,7 @@ func TestMMUUpdateIndexOutOfRange(t *testing.T) {
 		"mmu_update": func(u MMUUpdate) error { return v.HypMMUUpdate(c, d, []MMUUpdate{u}) },
 		"multicall": func(u MMUUpdate) error {
 			var mc Multicall
-			mc.AddUpdate(u)
+			mc.AddUpdates([]MMUUpdate{u})
 			return v.HypMulticall(c, d, &mc)
 		},
 		"emulate": func(u MMUUpdate) error { return v.EmulatePTEWrite(c, d, u) },

@@ -338,16 +338,42 @@ func (v *VMM) applyUpdates(c *hw.CPU, d *Domain, ups []MMUUpdate, dispatch bool,
 //
 // The stores applied are added to d's MMUUpdates once, as the run
 // returns: nothing reads the count inside a VMM call.
+//
+// A store to an L1 table charges nothing past its MulticallPerOp and
+// MMUUpdateEntry (storeRefs charges an L1 store nothing). So when a
+// charged run names an L1 table and the run's full cost is quiet
+// (hw.CPU.Quiet), the run owes its charges and pays what it owes once,
+// as it returns: after a refused store that is the part the stores up
+// to it charged, as before. An L2 run charges store by store: its
+// stores validate L1 tables, whose charges are not known before the
+// run, so its cost cannot be tested up front.
 func (v *VMM) applyRun(c *hw.CPU, d *Domain, run []MMUUpdate, dispatch bool, s sink) (applied int, err error) {
 	if d != nil {
 		defer func() { d.Stats.MMUUpdates.Add(uint64(applied)) }()
 	}
 	table := run[0].Table
+	perStore := v.M.Costs.MMUUpdateEntry
+	if dispatch {
+		perStore += v.M.Costs.MulticallPerOp
+	}
+	var owed hw.Cycles
+	owe := s == sinkCharge && v.M.Mem.Valid(table) && v.FT.read(table).typ == FrameL1 &&
+		c.Quiet(perStore*hw.Cycles(len(run)))
+	if owe {
+		defer func() { c.Charge(owed) }()
+	}
+	charge := func(n hw.Cycles) {
+		if owe {
+			owed += n
+		} else {
+			v.cost(c, s, n)
+		}
+	}
 	var typ FrameType
 	var w hw.TableWriter
 	for i, u := range run {
 		if dispatch {
-			c.Charge(v.M.Costs.MulticallPerOp)
+			charge(v.M.Costs.MulticallPerOp)
 		}
 		if u.Index < 0 || u.Index >= hw.PTEntries {
 			return i, fmt.Errorf("xen: mmu_update index %d outside table %d", u.Index, table)
@@ -366,7 +392,7 @@ func (v *VMM) applyRun(c *hw.CPU, d *Domain, run []MMUUpdate, dispatch bool, s s
 			}
 			typ = f.typ
 		}
-		v.cost(c, s, v.M.Costs.MMUUpdateEntry)
+		charge(v.M.Costs.MMUUpdateEntry)
 		var old hw.PTE
 		if i == 0 {
 			old = hw.ReadPTE(v.M.Mem, table, u.Index)

@@ -274,3 +274,62 @@ func TestReleaseKeepsForgedRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestL1RunStoresLandPerEntryUnderRun: on two CPUs, an L1 run whose
+// charges would reach the hand-over point charges store by store, so
+// the other CPU, reading the table as its own clock advances, sees the
+// run's stores land one at a time, not all at once. cpu0 re-flags 64
+// entries of one L1 read-only in one HypMMUUpdate while cpu1 steps its
+// clock 10 cycles at a time and counts the read-only entries.
+func TestL1RunStoresLandPerEntryUnderRun(t *testing.T) {
+	const n = 64
+	h, err := BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 2}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, c := h.V, h.C
+	d, err := v.CreateDomain("guest", hw.PFN(h.M.Frames.Available()), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.SetCurrent(c, d)
+	tb, _ := buildTree(t, v, d, n)
+	if err := v.HypPinTable(c, d, tb.Root); err != nil {
+		t.Fatal(err)
+	}
+	run := make([]MMUUpdate, n)
+	for i := range run {
+		s, _ := tb.ExistingSlot(hw.VirtAddr(0x0800_0000 + i<<hw.PageShift))
+		e := hw.ReadPTE(v.M.Mem, s.Table, s.Index)
+		run[i] = MMUUpdate{Table: s.Table, Index: s.Index, New: e.WithFlags(e.Flags() &^ hw.PTEWrite)}
+	}
+	var seen []int // cpu1's count of stored entries at each step
+	h.M.Run(func(c *hw.CPU) {
+		if c.ID == 0 {
+			if err := v.HypMMUUpdate(c, d, run); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		for stored := 0; stored < n && len(seen) < 1_000_000; {
+			c.Charge(10)
+			stored = 0
+			for _, u := range run {
+				if !hw.ReadPTE(v.M.Mem, u.Table, u.Index).Writable() {
+					stored++
+				}
+			}
+			seen = append(seen, stored)
+		}
+	})
+	partial := 0
+	for _, k := range seen {
+		if k > 0 && k < n {
+			partial++
+		}
+	}
+	if partial == 0 || seen[len(seen)-1] != n {
+		t.Fatalf("cpu1 saw %d steps with part of the run stored (last count %d of %d); want the stores to land one at a time",
+			partial, seen[len(seen)-1], n)
+	}
+}

@@ -90,7 +90,7 @@ type mcEntry struct {
 func enqueue(m *Multicall, e mcEntry) {
 	switch e.Kind {
 	case MCUpdate:
-		m.AddUpdate(e.Update)
+		m.AddUpdates([]MMUUpdate{e.Update})
 	case MCPin:
 		m.AddPin(e.Root)
 	case MCUnpin:

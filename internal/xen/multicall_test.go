@@ -180,8 +180,7 @@ func TestMulticallResetKeepsCapacityDropsRefs(t *testing.T) {
 	var mc Multicall
 	mc.AddSetTrapTable([]TrapEntry{{Vector: 3}})
 	mc.AddBindVirqTimer(func(*hw.CPU) {})
-	mc.AddUpdate(MMUUpdate{Table: 7})
-	mc.AddUpdate(MMUUpdate{Table: 7, Index: 1})
+	mc.AddUpdates([]MMUUpdate{{Table: 7}, {Table: 7, Index: 1}})
 	mc.Applied = 1
 	backing := mc.ops
 	capBefore, updCapBefore := cap(mc.ops), cap(mc.updates)
@@ -232,8 +231,7 @@ func TestMulticallEnqueueFlushAllocFree(t *testing.T) {
 	var mc Multicall
 	mc.Grow(8, 8)
 	allocs := testing.AllocsPerRun(100, func() {
-		mc.AddUpdate(MMUUpdate{Table: l1, Index: idx, New: entry})
-		mc.AddUpdate(MMUUpdate{Table: l1, Index: idx, New: entry})
+		mc.AddUpdates([]MMUUpdate{{Table: l1, Index: idx, New: entry}, {Table: l1, Index: idx, New: entry}})
 		mc.AddTLBFlush()
 		if err := v.HypMulticall(c, d, &mc); err != nil {
 			panic(err)
@@ -283,7 +281,7 @@ func TestMulticallCountsEntries(t *testing.T) {
 			if i == bad {
 				e = hw.MakePTE(v.M.Mem.NumFrames(), hw.PTEPresent)
 			}
-			mc.AddUpdate(MMUUpdate{Table: table, Index: idx, New: e})
+			mc.AddUpdates([]MMUUpdate{{Table: table, Index: idx, New: e}})
 			if i == 300 {
 				mc.AddTLBFlush()
 			}
@@ -310,7 +308,7 @@ func TestMulticallCountsEntries(t *testing.T) {
 	for i := range 600 {
 		table, idx := slot(i)
 		var one Multicall
-		one.AddUpdate(MMUUpdate{Table: table, Index: idx, New: hw.ReadPTE(v.M.Mem, table, idx)})
+		one.AddUpdates([]MMUUpdate{{Table: table, Index: idx, New: hw.ReadPTE(v.M.Mem, table, idx)}})
 		if err := v.HypMulticall(c, d, &one); err != nil {
 			t.Fatal(err)
 		}
