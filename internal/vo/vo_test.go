@@ -203,3 +203,44 @@ func TestLoadInterruptTableRegistersGates(t *testing.T) {
 		t.Fatal("fault not bounced to registered handler")
 	}
 }
+
+// TestVirtualWritePTEInsideHandler: an interrupt handler that stores an
+// entry through the object while an outer WritePTE on the same CPU sits
+// between its charges leaves the outer store intact, eagerly and in a
+// lazy section. The timer vector posts itself again at its first
+// delivery (the outer call's prologue), so its second delivery lands
+// at the outer call's next charge; that one stores entry 9.
+func TestVirtualWritePTEInsideHandler(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		o, c, pt, e := virtualWriteEnv(t)
+		deliveries := 0
+		o.V.SetGate(hw.VecTimer, hw.Gate{Present: true, Target: hw.PL0,
+			Handler: func(cc *hw.CPU, f *hw.TrapFrame) {
+				deliveries++
+				switch deliveries {
+				case 1:
+					cc.LAPIC.Post(nil, hw.VecTimer)
+				case 2:
+					o.WritePTE(cc, pt, 9, e)
+				}
+			}})
+		if lazy {
+			o.BeginLazyMMU(c)
+		}
+		c.IF = true
+		c.LAPIC.Post(nil, hw.VecTimer)
+		o.WritePTE(c, pt, 8, e)
+		c.IF = false
+		if lazy {
+			o.EndLazyMMU(c)
+		}
+		if deliveries != 2 {
+			t.Fatalf("lazy %v: %d deliveries, want 2", lazy, deliveries)
+		}
+		for _, idx := range []int{8, 9} {
+			if got := hw.ReadPTE(o.V.M.Mem, pt, idx); got != e {
+				t.Errorf("lazy %v: entry %d = %#x, want %#x", lazy, idx, uint32(got), uint32(e))
+			}
+		}
+	}
+}
