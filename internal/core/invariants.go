@@ -91,9 +91,9 @@ func (mc *Mercury) CheckInvariants(c *hw.CPU) error {
 			return fmt.Errorf("invariant: cpu%d CR3 directory %d is %s while virtual", c.ID, c.ReadCR3(), fi.Type)
 		}
 	}
-	if !virtual && mc.Policy == TrackRecompute {
-		// The journal policy is exempt: it deliberately keeps the frame
-		// table (pins included) frozen as its detached snapshot.
+	if !virtual && mc.Policy != TrackActive {
+		// Only active tracking keeps a live table (pins included) while
+		// native; the recompute and journal detaches leave it empty.
 		if pfn, ok := mc.VMM.FT.FirstPinned(); ok {
 			return fmt.Errorf("invariant: frame %d still pinned while native", pfn)
 		}

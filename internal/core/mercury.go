@@ -49,12 +49,12 @@ const (
 	// TrackActive mirrors every native page-table store into the VMM's
 	// accounting (2–3 % native overhead, faster attach).
 	TrackActive
-	// TrackJournal keeps the detached frame table frozen and records
+	// TrackJournal keeps the detached frame table's epoch and records
 	// native page-table stores in a bounded dirty-frame journal; a
-	// re-attach replays only the journaled slots, falling back to the
-	// full recompute on ring overflow, structural changes, or a first
-	// attach. Cheaper native overhead than TrackActive, near-recompute
-	// robustness.
+	// re-attach rewinds to the kept epoch and replays only the journaled
+	// slots, falling back to the full recompute on ring overflow,
+	// structural changes, a spoiled keep, or a first attach. Cheaper
+	// native overhead than TrackActive, near-recompute robustness.
 	TrackJournal
 )
 

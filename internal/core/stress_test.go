@@ -113,3 +113,53 @@ func TestJournalPolicySwitchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestJournalDetachLeavesNothingPinned: a journal detach keeps the
+// table's epoch, so on an M-N Mercury of one or two CPUs nothing is
+// pinned while native, and CheckInvariants, which holds the journal
+// policy to that too, passes after the detach and after native churn.
+// The re-attach replays the churn.
+func TestJournalDetachLeavesNothingPinned(t *testing.T) {
+	for _, ncpu := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cpus=%d", ncpu), func(t *testing.T) {
+			mc := newMercury(t, ncpu, TrackJournal)
+			k := mc.K
+			var failed error
+			check := func(p *guest.Proc, when string) {
+				if failed != nil {
+					return
+				}
+				if pfn, ok := mc.VMM.FT.FirstPinned(); ok {
+					failed = fmt.Errorf("%s: frame %d pinned while native", when, pfn)
+				} else if err := mc.CheckInvariants(p.CPU()); err != nil {
+					failed = fmt.Errorf("%s: %w", when, err)
+				}
+			}
+			k.Spawn(mc.M.BootCPU(), "app", guest.DefaultImage("app"), func(p *guest.Proc) {
+				base := p.Mmap(32, guest.ProtRead|guest.ProtWrite, true)
+				p.Touch(base, 32, true)
+				for i := 0; i < 2 && failed == nil; i++ {
+					if err := mc.SwitchSync(p.CPU(), ModePartialVirtual); err != nil {
+						failed = err
+						return
+					}
+					if err := mc.SwitchSync(p.CPU(), ModeNative); err != nil {
+						failed = err
+						return
+					}
+					check(p, "after the detach")
+					p.Mprotect(base, guest.ProtRead)
+					p.Mprotect(base, guest.ProtRead|guest.ProtWrite)
+					check(p, "after native churn")
+				}
+			})
+			mc.M.Run(k.Run)
+			if failed != nil {
+				t.Fatal(failed)
+			}
+			if st := mc.VMM.Journal().StatsSnapshot(); st.Replays != 1 {
+				t.Fatalf("the second attach did not replay: %+v", st)
+			}
+		})
+	}
+}

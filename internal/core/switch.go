@@ -200,10 +200,10 @@ func (mc *Mercury) attach(c *hw.CPU, f *hw.TrapFrame, target Mode) error {
 	// detach kept its table and only L1 entries have changed since, the
 	// kept table is restored, the changed entries replayed and the walk's
 	// cycles charged without walking (xen/attach.go). Under the journal
-	// policy only the dirty slots recorded while detached are replayed;
-	// under active tracking the table is already valid. A validation
-	// failure here means the OS was in an inconsistent state (§8): roll
-	// back.
+	// policy the table rewinds to the kept epoch on any number of CPUs
+	// and only the slots journaled while detached are replayed; under
+	// active tracking the table is already valid. A validation failure
+	// here means the OS was in an inconsistent state (§8): roll back.
 	ph = obs.Begin(col, c.ID, c.Now(), "phase/frame-recompute")
 	var ferr error
 	switch mc.Policy {
@@ -291,8 +291,8 @@ func (mc *Mercury) detach(c *hw.CPU, f *hw.TrapFrame) error {
 	// them for the next attach on one CPU; it walks the trees only where
 	// a reset would leave a different table (a live grant map, another
 	// domain's pins, an unpinned directory under the base pointer, a
-	// forged record). The journal policy is cheaper
-	// still: the table is frozen in place and the dirty-frame ring armed.
+	// forged record). The journal policy keeps the epoch on any number of
+	// CPUs for one constant charge and arms the dirty-frame ring.
 	ph := obs.Begin(col, c.ID, c.Now(), "phase/frame-release")
 	switch mc.Policy {
 	case TrackRecompute:

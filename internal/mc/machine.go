@@ -90,7 +90,7 @@ type State struct {
 	WMode [MaxWorkers]uint8 // mode each in-flight worker entered under
 	WOps  [MaxWorkers]uint8 // operations each worker still has to run
 
-	JArmed bool  // dirty journal armed (frozen frame table, native mode)
+	JArmed bool  // dirty journal armed (frame table epoch kept, native mode)
 	JDirty uint8 // journaled slots, saturating at jCap+1 (overflow)
 
 	LostWrite bool // a store landed where the attached VMM cannot see it

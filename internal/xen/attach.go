@@ -22,27 +22,22 @@ import (
 // rebuilds the table the detach has just thrown away.
 //
 // So when ReleaseFrameInfo releases by its rule on a one-CPU machine,
-// it first keeps what the reset forgets (keepForAttach): the pinned
-// roots, the release tally and a copy of each directory and of each L1
-// they reach, with the base pointer's refs dropped. At that point
-// memory holds the tables the records were built from: while attached
-// a page-table frame is typed and never mapped writable, so every store
-// to it is a validated mmu_update. Copies whose present entries do not
-// add up to the release tally keep nothing. The records themselves stay
-// where they are: the reset is FrameTable.keep, which ends their epoch
-// K and hands its touched list to the keep, so while native they read
-// as zero.
+// it first copies each directory and each L1 they reach (keepTables).
+// At that point memory holds the tables the records were built from:
+// while attached a page-table frame is typed and never mapped writable,
+// so every store to it is a validated mmu_update. Copies whose present
+// entries do not add up to the release tally keep nothing. Then
+// keepEpoch drops the base pointer's refs and keeps the pinned roots
+// and the release tally; the records themselves stay where they are:
+// FrameTable.keep ends their epoch K and hands its touched list to the
+// keep, so while native they read as zero. The journal's detach keeps
+// the epoch the same way, without the copies (journal.go).
 //
 // RecomputeFrameInfo rewinds the table to K (restoreKept) when
 //   - one worker walks (a sharded walk charges its largest shard);
-//   - the frame table is untouched since the reset, and no SetOwner or
-//     Set call has run since;
-//   - the roots are the kept roots, and CR3 holds one of them;
-//   - no pin failure is injected, no grant is mapped, and no domain
-//     holds a pin or a base pointer;
-//   - every kept directory is byte-equal to memory;
-//   - no kept record has been cleared since the keep. This is checked
-//     last, by FrameTable.rewind, after every other read.
+//   - the keep's checks pass (keptFor) and CR3 holds a kept root;
+//   - no pin failure is injected;
+//   - every kept directory is byte-equal to memory.
 //
 // The rewind makes epoch K current again with its touched list, so its
 // records count as they did at the detach. Nothing is stamped with the
@@ -109,30 +104,42 @@ func presentEntries(page *[hw.PageSize]byte) int32 {
 	return int32(n)
 }
 
-// keepForAttach drops d's base pointer and keeps d's roots, tally and
-// tables for the next attach, reporting whether it kept them; the reset
-// that follows keeps the records (MMU lock held, release rule
-// applying). When the roots and their directories are the last keep's,
-// so are the kept tables, and only the L1s memory has changed since are
-// copied and counted again.
-func (v *VMM) keepForAttach(c *hw.CPU, d *Domain) bool {
+// keepEpoch ends the frame table's epoch for d's next attach: it drops
+// d's base pointer, keeps d's roots and the release tally, and calls
+// FrameTable.keep, after which d holds no pin and the table reads as
+// empty (MMU lock held). Kept tables that describe other roots are
+// marked stale.
+func (v *VMM) keepEpoch(c *hw.CPU, d *Domain) {
 	k := &v.keep
-	k.d = nil
-	if len(v.M.CPUs) != 1 {
-		return false
-	}
 	v.dropBaseptr(c, d)
 	k.sorted = k.sorted[:0]
 	for r := range d.pinnedRoots {
 		k.sorted = append(k.sorted, r)
 	}
 	slices.Sort(k.sorted)
-	mem := v.M.Mem
-	if !k.built || !slices.Equal(k.sorted, k.roots) || !k.directoriesMatch(mem) {
+	if !slices.Equal(k.sorted, k.roots) {
 		k.roots = append(k.roots[:0], k.sorted...)
-		if !k.build(mem) {
-			return false
-		}
+		k.built = false
+	}
+	k.d, k.rel = d, v.rel
+	clear(d.pinnedRoots)
+	v.rel = releaseTally{}
+	v.FT.keep()
+	k.epoch, k.owners = v.FT.epoch, v.FT.owners
+}
+
+// keepTables copies the kept roots' directories and the L1s they reach
+// for the rule attach, after keepEpoch, and reports whether their
+// present entries add up to the kept tally (one CPU only). When the
+// directories are the last copies', so are the kept tables, and only
+// the L1s memory has changed since are copied and counted again.
+func (v *VMM) keepTables() bool {
+	k, mem := &v.keep, v.M.Mem
+	if len(v.M.CPUs) != 1 {
+		return false
+	}
+	if (!k.built || !k.directoriesMatch(mem)) && !k.build(mem) {
+		return false
 	}
 	units := len(k.roots)
 	for i := len(k.roots); i < len(k.tables); i++ {
@@ -144,12 +151,7 @@ func (v *VMM) keepForAttach(c *hw.CPU, d *Domain) bool {
 		t.reached = false
 		units += int(t.present)
 	}
-	if units != v.rel.units {
-		return false
-	}
-	k.rel = v.rel
-	k.d = d
-	return true
+	return units == k.rel.units
 }
 
 // directoriesMatch reports whether every kept directory is byte-equal
@@ -216,45 +218,66 @@ func (k *attachKeep) build(mem *hw.PhysMem) bool {
 	return true
 }
 
-// restoreKept attaches d over roots by the rule above and reports
-// whether it did. When it did not, the table, the tally and d are as
-// they were and nothing was charged (MMU lock held).
-func (v *VMM) restoreKept(c *hw.CPU, d *Domain, roots []hw.PFN) bool {
+// keptFor runs the checks both attaches make before they rewind to
+// the kept epoch: the keep is d's and no reset has dropped it, no owner
+// has moved since, no domain holds a pin or a base pointer, and roots
+// are the kept roots. It returns the directory in CR3 and whether it
+// is d's, which must then be a kept root (MMU lock held). The rewind
+// (rewindKept) checks last that nothing has touched the table or
+// cleared a kept record since.
+func (v *VMM) keptFor(c *hw.CPU, d *Domain, roots []hw.PFN) (base hw.PFN, hasBase, ok bool) {
 	k, ft := &v.keep, v.FT
-	if k.d != d || ft.epoch != k.epoch || len(ft.touched) != 0 || ft.owners != k.owners ||
-		v.rel != (releaseTally{}) || v.injectPinFails.Load() != 0 ||
+	if k.d != d || ft.epoch != k.epoch || ft.owners != k.owners || v.rel != (releaseTally{}) ||
 		len(d.pinnedRoots) != 0 || d.baseHeld {
-		return false
+		return 0, false, false
 	}
 	k.sorted = append(k.sorted[:0], roots...)
 	slices.Sort(k.sorted)
 	if !slices.Equal(k.sorted, k.roots) {
+		return 0, false, false
+	}
+	base, hasBase = v.cr3Root(c, d)
+	if _, kept := slices.BinarySearch(k.roots, base); hasBase && !kept {
+		return 0, false, false
+	}
+	return base, hasBase, true
+}
+
+// rewindKept returns the table to the kept epoch and d to the kept
+// roots and tally, after keptFor has passed, and reports whether it
+// could: FrameTable.rewind refuses once the table has been touched or
+// a kept record cleared since the keep (MMU lock held).
+func (v *VMM) rewindKept(d *Domain) bool {
+	if !v.FT.rewind() {
 		return false
 	}
-	base, ok := v.cr3Root(c, d)
-	if _, kept := slices.BinarySearch(k.roots, base); !ok || !kept {
+	v.rel = v.keep.rel
+	for _, r := range v.keep.roots {
+		d.pinnedRoots[r] = true
+	}
+	return true
+}
+
+// restoreKept attaches d over roots by the rule above and reports
+// whether it did. When it did not, the table, the tally and d are as
+// they were and nothing was charged (MMU lock held).
+func (v *VMM) restoreKept(c *hw.CPU, d *Domain, roots []hw.PFN) bool {
+	k := &v.keep
+	base, hasBase, ok := v.keptFor(c, d, roots)
+	// The rewind comes last, after every read.
+	if !ok || !hasBase || !k.built || v.injectPinFails.Load() != 0 || !k.directoriesMatch(v.M.Mem) ||
+		!v.rewindKept(d) {
 		return false
 	}
-	if !k.directoriesMatch(v.M.Mem) {
-		return false
-	}
-	// Last, after every read above: the keep spoils if a kept record was
-	// cleared since.
-	if !ft.rewind() {
-		return false
-	}
-	v.rel = k.rel
 	for i := len(k.roots); i < len(k.tables); i++ {
 		if !v.replayTable(d, &k.tables[i], k.page(i)) {
 			// Every record rewound or replayed is on the touched list,
 			// so a reset puts back the untouched table.
-			ft.Reset()
+			v.FT.Reset()
 			v.rel = releaseTally{}
+			clear(d.pinnedRoots)
 			return false
 		}
-	}
-	for _, r := range k.roots {
-		d.pinnedRoots[r] = true
 	}
 	costs := v.M.Costs
 	for _, r := range roots {

@@ -108,10 +108,10 @@ func (f frame) info() FrameInfo {
 // record reads as zero until a mutation renews it: no record is
 // written. A recompute-policy detach resets the table this way when its
 // release rule holds (release.go), charging what the walk would have
-// charged, and on one CPU keeps the epoch instead (keep): the next
-// attach rewinds to it (rewind, attach.go), and its records count
-// again. The journal's fallback charges ResetCharged, per touched
-// frame.
+// charged, and on one CPU keeps the epoch instead (keep); a journal
+// detach keeps it on any number of CPUs (journal.go). The next attach
+// rewinds to the kept epoch (rewind, attach.go), and its records count
+// again.
 type FrameTable struct {
 	frames    []frame
 	touched   []hw.PFN
@@ -202,11 +202,15 @@ func (ft *FrameTable) Set(pfn hw.PFN, fi FrameInfo) {
 // next attach recomputes it. Reset only starts the next epoch: every
 // record's accounting was stamped in this one, so all of it now reads
 // as zero, and no record is written.
-func (ft *FrameTable) Reset() { ft.nextEpoch() }
+func (ft *FrameTable) Reset() {
+	ft.forged = false
+	ft.nextEpoch()
+}
 
 // keep is Reset that keeps the epoch it ends for rewind: its touched
 // list moves to the keep (the two lists swap buffers), and its records
-// stay where they are, read as zero until a rewind.
+// stay where they are, read as zero until a rewind. A forged record
+// stays forged.
 func (ft *FrameTable) keep() {
 	k := ft.epoch
 	ft.touched, ft.kept = ft.kept[:0], ft.touched
@@ -229,11 +233,23 @@ func (ft *FrameTable) rewind() bool {
 	return true
 }
 
+// keptTouched returns how many distinct frames the kept epoch and the
+// current one have touched, after a keep: a kept frame touched since is
+// stamped with the current epoch, and counts once.
+func (ft *FrameTable) keptTouched() int {
+	n := len(ft.kept) + len(ft.touched)
+	for _, pfn := range ft.kept {
+		if ft.frames[pfn].epoch == ft.epoch {
+			n--
+		}
+	}
+	return n
+}
+
 // nextEpoch empties the touched list, drops any keep, and starts the
 // next epoch.
 func (ft *FrameTable) nextEpoch() {
 	ft.touched = ft.touched[:0]
-	ft.forged = false
 	ft.keptEpoch = 0
 	ft.epoch++
 	if ft.epoch == 0 {
@@ -247,12 +263,14 @@ func (ft *FrameTable) nextEpoch() {
 	}
 }
 
-// ResetCharged is Reset with its cost charged to c: per touched frame,
-// not per table entry, so a detach after a small attached epoch is
-// proportionally cheap.
-func (ft *FrameTable) ResetCharged(c *hw.CPU, perFrame hw.Cycles) {
-	c.Charge(perFrame * hw.Cycles(len(ft.touched)))
-	ft.Reset()
+// readKept returns pfn's record as the kept epoch reads it, writing
+// nothing: zero accounting unless keep kept an epoch that stamped it.
+func (ft *FrameTable) readKept(pfn hw.PFN) frame {
+	f := ft.frames[pfn]
+	if ft.keptEpoch == 0 || f.epoch != ft.keptEpoch {
+		return frame{owner: f.owner}
+	}
+	return f
 }
 
 // errType reports a type-safety violation.
@@ -357,8 +375,8 @@ func (ft *FrameTable) CheckInvariants() error {
 }
 
 // FirstPinned returns the lowest-numbered pinned frame, if any frame is
-// pinned. Under the recompute policy no frame may stay pinned while the
-// OS runs natively.
+// pinned. Under the recompute and journal policies no frame may stay
+// pinned while the OS runs natively.
 func (ft *FrameTable) FirstPinned() (hw.PFN, bool) {
 	for pfn := range ft.frames {
 		if f := &ft.frames[pfn]; f.pinned && f.epoch == ft.epoch {

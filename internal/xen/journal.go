@@ -11,27 +11,30 @@ import (
 // The dirty-frame journal is Mercury's third frame-tracking policy,
 // between the §5.1.2 extremes of recompute-on-switch (zero native
 // overhead, expensive attach) and active tracking (every native PTE
-// store mirrored through the VMM, cheap attach):
+// store mirrored through the VMM, cheap attach). It is a second change
+// detector on the recompute policy's epoch keep (attach.go):
 //
-// At detach the VMM keeps its frame table frozen as a snapshot instead
-// of releasing it, and the native kernel's PTE-write path appends
-// (table, index, old, new) records to a bounded ring — a few cycles per
-// store, far below the active-tracking mirror cost. On re-attach only
-// the journaled slots are revalidated against the snapshot and replayed
-// as frame-accounting deltas. Anything the journal cannot represent —
-// ring overflow, a structural change (a new or dropped page-table
-// frame, a write to a non-L1 table), or a first attach with no snapshot
-// — degrades to the full recompute path, so correctness never depends
-// on the journal being complete: an incomplete journal only costs the
-// fallback.
+// At detach the VMM keeps the frame table's epoch (keepEpoch) as the
+// rule detach does, without copying a table, and the native kernel's
+// PTE-write path appends (table, index, old, new) records to a bounded
+// ring — a few cycles per store, far below the active-tracking mirror
+// cost. On re-attach the keep's checks run (keptFor), the table rewinds
+// to the kept epoch, and only the journaled slots are replayed as
+// frame-accounting deltas: the ring already names what changed, so no
+// kept table is compared with memory. Anything the journal cannot
+// represent — ring overflow, a structural change (a new or dropped
+// page-table frame, a write to a non-L1 table), a first attach, or a
+// keep that fails its checks — degrades to the full recompute walk, so
+// correctness never depends on the journal being complete: an
+// incomplete journal only costs the fallback.
 //
 // Replay is transactional and self-validating: every condensed slot is
 // checked against what memory actually contains before anything is
 // applied (a corrupted or forged record mismatches and fails the attach,
 // feeding the failure-resistant switch's rollback). Each slot then goes
-// through mmu_update's ref rule for a leaf entry against the snapshot's
-// type system, and a slot that rule refuses rolls back the slots
-// already applied.
+// through mmu_update's ref rule for a leaf entry against the kept type
+// system, and a slot that rule refuses rolls back the slots already
+// applied. A failed replay keeps the epoch again, so a retry can replay.
 
 // JournalEntry is one recorded native PTE store.
 type JournalEntry struct {
@@ -62,7 +65,6 @@ type DirtyJournal struct {
 	recording  bool // armed by a detach, disarmed by the next attach
 	overflowed bool
 	structural bool
-	snapshot   bool // the frozen frame table matches the arm point
 	stats      JournalStats
 
 	// Reusable replay scratch (guarded by mu, sized lazily on first
@@ -105,9 +107,8 @@ func (v *VMM) EnableJournal(capacity int) *DirtyJournal {
 // Journal returns the installed journal, or nil.
 func (v *VMM) Journal() *DirtyJournal { return v.journal }
 
-// Arm starts a fresh journaling epoch at detach time: the current frame
-// table becomes the frozen snapshot and subsequent native PTE stores
-// are recorded.
+// Arm starts a fresh journaling epoch at detach time: subsequent native
+// PTE stores are recorded.
 func (j *DirtyJournal) Arm() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -115,17 +116,6 @@ func (j *DirtyJournal) Arm() {
 	j.recording = true
 	j.overflowed = false
 	j.structural = false
-	j.snapshot = true
-}
-
-// Disarm stops recording and invalidates the snapshot (the frame table
-// is live again, or is about to be rebuilt from scratch).
-func (j *DirtyJournal) Disarm() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.entries = j.entries[:0]
-	j.recording = false
-	j.snapshot = false
 }
 
 // Recording reports whether an epoch is armed.
@@ -150,16 +140,16 @@ func (j *DirtyJournal) StatsSnapshot() JournalStats {
 }
 
 // Record appends one native PTE store to the ring. Stores to anything
-// but a snapshot-known L1 table (a fresh table the snapshot never
-// validated, or a directory) are structural: the journal cannot replay
-// them and degrades the epoch to full-recompute.
+// but an L1 table of the kept epoch (a fresh table no walk validated,
+// or a directory) are structural: the journal cannot replay them and
+// degrades the epoch to full-recompute.
 func (j *DirtyJournal) Record(table hw.PFN, idx int, old, new hw.PTE) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.recording || j.structural || j.overflowed {
 		return
 	}
-	if j.ft.Get(table).Type != FrameL1 {
+	if j.ft.readKept(table).typ != FrameL1 {
 		j.structural = true
 		j.stats.Structural++
 		return
@@ -193,9 +183,6 @@ func (j *DirtyJournal) CheckConsistent() error {
 	if len(j.entries) > j.capacity {
 		return fmt.Errorf("xen: journal holds %d entries over capacity %d",
 			len(j.entries), j.capacity)
-	}
-	if j.recording && !j.snapshot {
-		return fmt.Errorf("xen: journal recording without a frozen snapshot")
 	}
 	return nil
 }
@@ -233,24 +220,18 @@ func (j *DirtyJournal) CorruptEntryPick(pick func(n int) int) (func(), error) {
 	}, nil
 }
 
-// JournalDetach is the journal policy's detach path: instead of
-// releasing the frame accounting it freezes it and arms the ring.
-// Detach cost is a constant arm charge — cheaper even than the
-// touched-proportional release.
+// JournalDetach is the journal policy's detach path: for one constant
+// FrameRelease it keeps the frame table's epoch for the replay, copying
+// no table, and arms the ring. The keep holds no base pointer: the
+// native kernel loads CR3 without the VMM, so the re-attach adopts
+// whichever directory CR3 then holds.
 func (v *VMM) JournalDetach(c *hw.CPU, d *Domain) {
-	j := v.journal
-	if j == nil {
-		v.ReleaseFrameInfo(c, d)
-		return
-	}
 	c.Charge(v.M.Costs.FrameRelease)
-	// The frozen snapshot holds no base pointer: the native kernel loads
-	// CR3 without the VMM, so the re-attach adopts whichever directory
-	// CR3 then holds.
 	v.mmu.Lock(c)
-	v.dropBaseptr(c, d)
+	v.keepEpoch(c, d)
+	v.keep.built = false // the rule's copies describe another keep
 	v.mmu.Unlock(c)
-	j.Arm()
+	v.journal.Arm()
 }
 
 // journalSlot is one condensed slot: the first recorded old value and
@@ -315,79 +296,62 @@ func (j *DirtyJournal) condenseLocked() {
 }
 
 // JournalReattach is the journal policy's attach path: replay the
-// journaled slots against the frozen snapshot, or fall back to a full
-// recompute when the epoch degraded (first attach, overflow, structural
-// change). workers is forwarded to the recompute on the fallback path.
+// journaled slots onto the kept epoch, or fall back to the full
+// recompute walk when the epoch degraded (first attach, overflow,
+// structural change) or the keep fails its checks. workers is forwarded
+// to the walk on the fallback path.
 func (v *VMM) JournalReattach(c *hw.CPU, d *Domain, roots []hw.PFN, workers int) error {
-	j := v.journal
-	if j == nil {
-		return v.RecomputeFrameInfo(c, d, roots, workers)
-	}
 	// The MMU lock masks interrupts, so the journal lock nested inside
 	// it never spans a Charge that could deliver one.
 	v.mmu.Lock(c)
-	j.mu.Lock()
-	canReplay := j.snapshot && j.recording && !j.overflowed && !j.structural
-	// The base pointer's directory must be one the snapshot holds pinned;
-	// any other needs a full validation, which is the fallback's job.
-	root, hasRoot := v.cr3Root(c, d)
-	if hasRoot && !d.pinnedRoots[root] {
-		canReplay = false
-	}
-	if !canReplay {
-		j.stats.Fallbacks++
-		j.mu.Unlock()
-		v.mmu.Unlock(c)
-		return v.journalFallback(c, d, roots, workers)
-	}
 	defer v.mmu.Unlock(c)
+	j := v.journal
+	j.mu.Lock()
+	base, hasBase, kept := v.keptFor(c, d, roots)
+	if !j.recording || j.overflowed || j.structural || !kept || !v.rewindKept(d) {
+		j.stats.Fallbacks++
+		j.entries, j.recording = j.entries[:0], false
+		j.mu.Unlock()
+		// Drop the keep, charged one FrameRelease per frame touched since
+		// the last reset, kept or native, not per table entry; then walk.
+		touched := v.FT.Touched()
+		if v.keep.d != nil && v.FT.epoch == v.keep.epoch {
+			touched = v.FT.keptTouched()
+		}
+		c.Charge(v.M.Costs.FrameRelease * hw.Cycles(touched))
+		v.keep.d = nil
+		v.FT.Reset()
+		return v.recomputeWalk(c, d, roots, workers)
+	}
 	defer j.mu.Unlock()
 	if err := v.replayLocked(c, d, j); err != nil {
-		// Nothing was applied and the ring is intact: after the switch's
-		// rollback, a retry (with the fault undone) can still replay.
+		// Nothing was applied: the epoch is kept again and the ring is
+		// intact, so after the switch's rollback, a retry (with the
+		// fault undone) can replay.
+		v.keepEpoch(c, d)
 		j.stats.ReplayErrors++
 		return err
 	}
-	if hasRoot {
+	v.keep.d = nil
+	if hasBase {
 		// A pinned root: one more ref, which cannot fail.
-		if err := v.setBaseptr(c, d, root, sinkCharge); err != nil {
+		if err := v.setBaseptr(c, d, base, sinkCharge); err != nil {
 			panic(fmt.Sprintf("xen: journal replay: base pointer: %v", err))
 		}
 	}
 	j.stats.Replays++
-	j.entries = j.entries[:0]
-	j.recording = false
-	j.snapshot = false
+	j.entries, j.recording = j.entries[:0], false
 	return nil
 }
 
-// journalFallback rebuilds the accounting from scratch: drop the stale
-// snapshot (charged per touched frame, not per table entry) and run the
-// full recompute. The stale snapshot must never be walk-released —
-// memory has moved on since it was taken.
-func (v *VMM) journalFallback(c *hw.CPU, d *Domain, roots []hw.PFN, workers int) error {
-	j := v.journal
-	j.Disarm()
-	v.mmu.Lock(c)
-	v.rel.holders -= len(d.pinnedRoots)
-	clear(d.pinnedRoots)
-	if d.baseHeld {
-		v.rel.holders--
-	}
-	d.baseHeld = false
-	v.rel.units = 0
-	v.FT.ResetCharged(c, v.M.Costs.FrameRelease)
-	v.mmu.Unlock(c)
-	return v.RecomputeFrameInfo(c, d, roots, workers)
-}
-
 // replayLocked verifies and applies the journal (MMU lock and j.mu
-// held). It condenses the entries per slot and checks each slot's final
-// value against memory — the corruption detector — before applying
-// anything. Then each slot in first-touch order takes the refs of its
-// last new value and drops those of its first old one, as applyRun
-// does for an L1 entry; a slot refused on the way rolls back the slots
-// before it, so a failed replay leaves the snapshot as it was.
+// held, table rewound to the kept epoch). It condenses the entries per
+// slot and checks each slot against the table and memory — the
+// corruption detector — before applying anything. Then each slot in
+// first-touch order takes the refs of its last new value and drops
+// those of its first old one, as applyRun does for an L1 entry; a slot
+// refused on the way rolls back the slots before it, so a failed replay
+// leaves the table as the rewind left it.
 //
 // All working state lives in the journal's reusable scratch, so replay
 // allocates nothing after its first run.
@@ -399,7 +363,7 @@ func (v *VMM) replayLocked(c *hw.CPU, d *Domain, j *DirtyJournal) error {
 		s := &j.slots[si]
 		fi := v.FT.Get(s.table)
 		if fi.Type != FrameL1 || fi.TypeCount == 0 {
-			return fmt.Errorf("xen: journal replay: frame %d recorded as a table but snapshot says %s",
+			return fmt.Errorf("xen: journal replay: frame %d recorded as a table but the kept table says %s",
 				s.table, fi.Type)
 		}
 		if cur := hw.ReadPTE(v.M.Mem, s.table, s.idx); cur != s.lastNew {

@@ -237,7 +237,7 @@ func TestJournalCheckConsistent(t *testing.T) {
 	if err := j.CheckConsistent(); err != nil {
 		t.Fatal(err)
 	}
-	j.snapshot = false // recording without a snapshot is inconsistent
+	j.entries = append(j.entries, make([]JournalEntry, 5)...) // over capacity
 	if err := j.CheckConsistent(); err == nil {
 		t.Fatal("inconsistent journal state not reported")
 	}
@@ -355,5 +355,60 @@ func TestJournalReplayRejectsTypeViolations(t *testing.T) {
 				t.Fatalf("retried replay diverges: %v", err)
 			}
 		})
+	}
+}
+
+// TestJournalReplayOnTwoCPUs: the keep has no one-CPU limit. On a
+// two-CPU host a sharded attach, a journal detach, native churn and a
+// re-attach with two workers replay the ring onto the kept epoch, and
+// the table equals a from-scratch recompute.
+func TestJournalReplayOnTwoCPUs(t *testing.T) {
+	h, err := BootHost(hw.Config{MemBytes: 32 << 20, NumCPUs: 2}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, c := h.V, h.C
+	d, err := v.CreateDomain("guest", hw.PFN(h.M.Frames.Available()), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.SetCurrent(c, d)
+	j := v.EnableJournal(0)
+	tb0, data := buildTree(t, v, d, 6)
+	tb1, _ := buildTree(t, v, d, 6)
+	roots := []hw.PFN{tb0.Root, tb1.Root}
+	if err := v.RecomputeFrameInfo(c, d, roots, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.HypNewBaseptr(c, d, tb1.Root); err != nil {
+		t.Fatal(err)
+	}
+
+	v.JournalDetach(c, d)
+	if pfn, ok := v.FT.FirstPinned(); ok || d.HasPinned(tb0.Root) || d.HasPinned(tb1.Root) {
+		t.Fatalf("pinned while native: frame %d (%v), roots %v", pfn, ok, d.PinnedRoots())
+	}
+	for i := 0; i < 3; i++ {
+		s, _ := tb0.ExistingSlot(hw.VirtAddr(0x0800_0000 + i<<hw.PageShift))
+		journalWrite(v, j, s.Table, s.Index, hw.MakePTE(data[5-i], hw.PTEPresent|hw.PTEUser))
+	}
+	s, _ := tb1.ExistingSlot(0x0800_0000)
+	journalWrite(v, j, s.Table, s.Index, 0)
+
+	if err := v.JournalReattach(c, d, roots, 2); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.StatsSnapshot(); st.Replays != 1 || st.Fallbacks != 0 || st.ReplaySlots != 4 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if !d.HasPinned(tb0.Root) || !d.HasPinned(tb1.Root) || !d.baseHeld || d.baseptr != tb1.Root {
+		t.Fatalf("replay left pins %v, base pointer %v on %d", d.PinnedRoots(), d.baseHeld, d.baseptr)
+	}
+	replayed := v.FT.Clone()
+	if err := v.FT.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := canonical(t, v, d, c, roots).Equal(replayed); err != nil {
+		t.Fatalf("two-CPU replay diverges from recompute: %v", err)
 	}
 }

@@ -97,12 +97,21 @@ func threeWayRound(t *testing.T, seed int64, capacity int) {
 		t.Fatalf("parallel recompute diverges from active tracking: %v", err)
 	}
 
-	// Phase D — journal: detach freezes the accounting, native-mode
-	// stores hit memory and the ring, re-attach replays (or overflows
-	// into the fallback at small capacities). Either way the result must
-	// match a from-scratch recompute of the final memory state.
+	// Phase D — journal: detach keeps the accounting's epoch, so the
+	// table reads as empty while native; native-mode stores hit memory
+	// and the ring, re-attach rewinds and replays (or overflows into the
+	// fallback at small capacities). Either way the result must match a
+	// from-scratch recompute of the final memory state.
 	j := v.EnableJournal(capacity)
 	v.JournalDetach(c, d)
+	if pfn, ok := v.FT.FirstPinned(); ok {
+		t.Fatalf("frame %d pinned while native", pfn)
+	}
+	for _, r := range roots {
+		if d.HasPinned(r) {
+			t.Fatalf("root %d pinned while native", r)
+		}
+	}
 	for i := 0; i < 2+rng.Intn(10); i++ {
 		s := slots[rng.Intn(len(slots))]
 		journalWrite(v, j, s.table, s.idx, newPTE())

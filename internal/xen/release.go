@@ -70,16 +70,11 @@ func (v *VMM) ReleaseFrameInfo(c *hw.CPU, d *Domain) {
 		return
 	}
 	c.Charge(v.M.Costs.FrameRelease * hw.Cycles(v.rel.units))
-	kept := v.keepForAttach(c, d)
-	clear(d.pinnedRoots)
-	d.baseHeld = false
-	v.rel = releaseTally{}
-	if !kept {
+	v.keepEpoch(c, d)
+	if !v.keepTables() {
+		v.keep.d = nil
 		v.FT.Reset()
-		return
 	}
-	v.FT.keep()
-	v.keep.epoch, v.keep.owners = v.FT.epoch, v.FT.owners
 }
 
 // releaseWalk drops d's base pointer and unpins every root it pinned,
